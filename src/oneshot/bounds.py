@@ -12,6 +12,7 @@ honored literally.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -108,6 +109,28 @@ class BoundReport:
         }
 
 
+#: above this gamma, ``e^{e^gamma / 2}`` in :func:`optimal_delta` overflows a double
+_AUTO_DELTA_GAMMA_MAX = math.log(2.0 * math.log(sys.float_info.max))
+
+
+def ratio_gap(gamma: float) -> float:
+    """``e^{-gamma} - e^{-2 gamma}``, the denominator of the covering ratio
+    term once the splitting parameter is substituted out.
+
+    Raises :class:`InputFormatError` where it is not a positive finite
+    number: at a non-finite gamma, and where both exponentials round to
+    the same double (gamma below about 1e-16 or above about 745).
+    """
+    if not math.isfinite(gamma):
+        raise InputFormatError(f"gamma must be finite, got {gamma!r}")
+    gap = math.exp(-gamma) - math.exp(-2.0 * gamma)
+    if gap == 0.0:
+        raise InputFormatError(
+            f"gamma={gamma!r}: e^-gamma - e^-2gamma evaluates to 0, so the ratio term is undefined"
+        )
+    return gap
+
+
 def optimal_delta(M: int, L: int, gamma: float) -> float:
     """Splitting parameter minimizing the two delta-dependent terms at fixed gamma.
 
@@ -117,7 +140,12 @@ def optimal_delta(M: int, L: int, gamma: float) -> float:
     """
     lo, hi = min(M, L), max(M, L)
     if lo == 1:
-        return M * L * (math.exp(-gamma) - math.exp(-2.0 * gamma))
+        return M * L * ratio_gap(gamma)
+    if not gamma <= _AUTO_DELTA_GAMMA_MAX:
+        raise InputFormatError(
+            f"gamma={gamma!r}: the closed-form delta overflows above gamma = "
+            f"{_AUTO_DELTA_GAMMA_MAX:.4g}; pass an explicit delta or use covering4"
+        )
     return math.sqrt((lo - 1) * lo * hi) * math.exp(-gamma) * math.exp(0.5 * math.exp(gamma))
 
 
@@ -184,7 +212,7 @@ def simple_covering_bound(
     thr = math.log(M * L) - 2.0 * gamma
     exceed = np.zeros_like(sup)
     exceed[sup] = table[sup] > thr
-    ratio_term = (min(M, L) - 1) / (M * L * (math.exp(-gamma) - math.exp(-2.0 * gamma)))
+    ratio_term = (min(M, L) - 1) / (M * L * ratio_gap(gamma))
     dexp_term = math.exp(-math.exp(gamma))
     used = {"M": M, "L": L, "gamma": gamma, "union_form": union_form}
     if union_form:
@@ -223,7 +251,7 @@ def conditional_covering_bound(
     exceed[sup] = table[sup] > thr
     terms = (
         ("miss_or_excess", _mass_where(joint3, ~ev | exceed)),
-        ("ratio", (min(M, L) - 1) / (M * L * (math.exp(-gamma) - math.exp(-2.0 * gamma)))),
+        ("ratio", (min(M, L) - 1) / (M * L * ratio_gap(gamma))),
         ("doubleexp", math.exp(-math.exp(gamma))),
     )
     return BoundReport(terms, {"M": M, "L": L, "gamma": gamma})

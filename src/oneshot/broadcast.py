@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .bounds import BoundReport
+from .bounds import BoundReport, ratio_gap
 from .errors import (
     AlphabetMismatchError,
     EnumerationCapError,
@@ -306,7 +306,7 @@ def broadcast_bound(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     """
     probs = event_probabilities(system, sizes, gamma, tables)
     nh, lh = sizes.Nhat, sizes.Lhat
-    ratio = (min(nh, lh) - 1) / (nh * lh * (math.exp(-gamma) - math.exp(-2.0 * gamma)))
+    ratio = (min(nh, lh) - 1) / (nh * lh * ratio_gap(gamma))
     terms = (
         ("twoexp", 2.0 * math.exp(-gamma)),
         ("doubleexp", math.exp(-math.exp(gamma))),

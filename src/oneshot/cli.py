@@ -539,6 +539,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "simulate" and args.gamma is None:
         parser.error("--gamma is required for simulate")
     try:
+        if getattr(args, "trials", 1) < 1:
+            raise InputFormatError("--trials must be >= 1")
         return args.func(args)
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

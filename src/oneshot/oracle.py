@@ -21,7 +21,6 @@ from itertools import combinations_with_replacement, islice
 from typing import Iterator
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import rng
 from .errors import AlphabetMismatchError, EnumerationCapError, InputFormatError
@@ -120,11 +119,12 @@ def _log_weights(counts: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndar
     are flagged invalid (their weight is exactly zero).
     """
     M = int(counts[0].sum())
+    log_fact = np.array([math.lgamma(i + 1) for i in range(M + 1)])
     valid = ~np.any((counts > 0) & (p == 0)[None, :], axis=1)
     safe_log = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
     logw = (
-        gammaln(M + 1)
-        - gammaln(counts + 1).sum(axis=1)
+        log_fact[M]
+        - log_fact[counts].sum(axis=1)
         + (counts * safe_log[None, :]).sum(axis=1)
     )
     return logw, valid

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InputFormatError
 from .probability import Joint, Kernel, cond_mutual_info, marginal, merge_axes, mutual_info
@@ -277,6 +276,18 @@ def _probe_irredundant(matrix: np.ndarray, tol: float, probes: int = 256) -> np.
         others = np.delete(sat, i, axis=1).all(axis=1)
         needed[i] = bool((others & ~sat[:, i]).any())
     return needed
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use.
+
+    Only FME pruning solves LPs, so importing scipy here keeps it off the
+    import path of everything else.  The name stays a module attribute so
+    that callers can wrap or replace ``regions.linprog``.
+    """
+    from scipy.optimize import linprog as _linprog
+
+    return _linprog(*args, **kwargs)
 
 
 def _lp_redundant(row: np.ndarray, others: np.ndarray, tol: float) -> bool:

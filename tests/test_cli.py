@@ -77,6 +77,62 @@ def test_malformed_rates_exits_2():
     assert "rates" in res.stderr
 
 
+_COV_4X4 = ["--dist", str(CONFIGS / "joint_2x2.json"), "--event", str(CONFIGS / "event_diag.json"),
+            "--M", "4", "--L", "4"]
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["bound", "covering1", *_COV_4X4, "--gamma", "8"], "covering4"),
+    (["bound", "covering4", *_COV_4X4, "--gamma", "1e-300"], "gamma"),
+    (["verify", "covering", *_COV_4X4, "--gamma", "1", "--trials", "0"], "--trials"),
+    (["bound", "covering4", *_COV_4X4, "--gamma", "inf"], "finite"),
+], ids=["gamma-overflow", "gamma-tiny", "trials-zero", "gamma-inf"])
+def test_numeric_extremes_exit_2_with_one_error_line(argv, names):
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert names in lines[0]
+
+
+_IMPORT_PROBE = """
+import json, sys
+import oneshot, oneshot.cli
+from oneshot import broadcast, regions
+before = "scipy" in sys.modules
+with open(sys.argv[1]) as fh:
+    system = broadcast.BroadcastSystem.from_json(json.load(fh))
+proj = regions.fme_project(regions.info_vector(system.joint_ust, system.x_map, system.channel))
+rows = [[list(r.coeffs), r.sense, r.constant] for r in proj.rows]
+print(json.dumps({"before": before, "after": "scipy" in sys.modules, "rows": rows}))
+"""
+
+
+def test_scipy_loaded_only_by_projection(monkeypatch):
+    res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(CONFIGS / "region_bsc_copy.json")],
+                         capture_output=True, text=True, cwd=ROOT)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["before"] is False
+    assert doc["after"] is True
+    assert doc["rows"] == [[[0.0, -1.0, 0.0], "<=", 0.0],
+                           [[0.0, 0.0, -1.0], "<=", 0.0],
+                           [[1.0, 1.0, 1.0], "<=", 0.0]]
+    # perfbench's tracer counts LP solves by rebinding regions.linprog, so
+    # the lazy import must keep it a module attribute looked up per call
+    from oneshot import regions
+
+    real, calls = regions.linprog, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(regions, "linprog", counting)
+    regions.fme_project(regions.InfoVector(0.3680642071684971, 0.0, 0.0, 0.0, 0.0))
+    assert calls
+
+
 def test_cap_exceeded_exits_1(tmp_path):
     # design joint beyond the enumeration cap: 15^3 * 60^2 > 1e7
     k, ky = 15, 60

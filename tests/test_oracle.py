@@ -95,6 +95,35 @@ class TestExactMissProb:
             EnsembleSpec(JOINT, DIAG, 0, 1)
 
 
+class TestLogWeights:
+    @pytest.mark.parametrize("k,M", [(2, 1), (2, 300), (3, 60), (5, 120), (8, 17), (8, 300)])
+    def test_matches_exact_integer_multinomial(self, k, M):
+        # unit probabilities leave only the log multinomial coefficient, so
+        # the log-factorial table is checked far past the brute-force cap
+        from oneshot.oracle import _log_weights
+
+        rng = np.random.default_rng(1000 * k + M)
+        rows = [rng.multinomial(M, rng.dirichlet(np.full(k, a)))
+                for a in (0.05, 0.3, 1.0, 5.0) for _ in range(25)]
+        rows += [np.eye(k, dtype=np.int64)[0] * M, np.bincount(np.arange(M) % k, minlength=k)]
+        counts = np.array(rows, dtype=np.int64)
+        logw, valid = _log_weights(counts, np.ones(k))
+        assert valid.all()
+        for row, got in zip(counts, logw):
+            coeff = math.factorial(M)
+            for c in row:
+                coeff //= math.factorial(int(c))
+            assert got == pytest.approx(math.log(coeff), rel=1e-13, abs=0.0)
+
+    def test_zero_probability_symbol_flagged_invalid(self):
+        from oneshot.oracle import _log_weights
+
+        counts = np.array([[3, 0, 2], [2, 3, 0], [0, 1, 4]], dtype=np.int64)
+        logw, valid = _log_weights(counts, np.array([1.0, 0.0, 1.0]))
+        assert valid.tolist() == [True, False, False]
+        assert logw[0] == pytest.approx(math.log(10), rel=1e-13)
+
+
 class TestMcMissProb:
     def test_sure_covering_gives_zero(self):
         spec = EnsembleSpec(JOINT, full_event((2, 2)), 2, 2)
