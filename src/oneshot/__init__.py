@@ -70,7 +70,6 @@ from .broadcast import (
     product_extend_system,
     sample_codebook,
     simulate,
-    zeta,
 )
 from .regions import (
     InfoVector,

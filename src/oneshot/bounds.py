@@ -131,6 +131,31 @@ def ratio_gap(gamma: float) -> float:
     return gap
 
 
+def covering_ratio(M: int, L: int, gamma: float) -> float:
+    """``(min{M,L} - 1) / (ML (e^-gamma - e^-2gamma))``, the splitting ratio
+    term once delta is substituted out.
+
+    Raises :class:`InputFormatError` where :func:`ratio_gap` does, and where
+    the quotient overflows (gamma above about 709 with both sizes above 1).
+    """
+    ratio = (min(M, L) - 1) / (M * L * ratio_gap(gamma))
+    if not math.isfinite(ratio):
+        raise InputFormatError(f"gamma={gamma!r}: the ratio term overflows a double")
+    return ratio
+
+
+def doubleexp(gamma: float, scale: float = 1.0) -> float:
+    """``e^{-scale e^gamma}``, the double-exponential slack term.
+
+    Saturates to 0.0 where ``e^gamma`` overflows; for ``scale`` 1 the
+    term is already exactly 0.0 from gamma of about 6.62.
+    """
+    try:
+        return math.exp(-scale * math.exp(gamma))
+    except OverflowError:
+        return 0.0
+
+
 def optimal_delta(M: int, L: int, gamma: float) -> float:
     """Splitting parameter minimizing the two delta-dependent terms at fixed gamma.
 
@@ -176,7 +201,7 @@ def mutual_covering_bound(joint: Joint, event: np.ndarray, params: BoundParams) 
     exceed = sup if thr <= 0 else (ratio > thr) & sup
 
     ratio_term = (min(M, L) - 1) / delta
-    dexp_term = math.exp(-math.exp(gamma))
+    dexp_term = doubleexp(gamma)
     used = {"M": M, "L": L, "gamma": gamma, "delta": delta, "union_form": params.union_form}
     if params.union_form:
         terms = (
@@ -212,8 +237,8 @@ def simple_covering_bound(
     thr = math.log(M * L) - 2.0 * gamma
     exceed = np.zeros_like(sup)
     exceed[sup] = table[sup] > thr
-    ratio_term = (min(M, L) - 1) / (M * L * ratio_gap(gamma))
-    dexp_term = math.exp(-math.exp(gamma))
+    ratio_term = covering_ratio(M, L, gamma)
+    dexp_term = doubleexp(gamma)
     used = {"M": M, "L": L, "gamma": gamma, "union_form": union_form}
     if union_form:
         terms = (
@@ -251,8 +276,8 @@ def conditional_covering_bound(
     exceed[sup] = table[sup] > thr
     terms = (
         ("miss_or_excess", _mass_where(joint3, ~ev | exceed)),
-        ("ratio", (min(M, L) - 1) / (M * L * ratio_gap(gamma))),
-        ("doubleexp", math.exp(-math.exp(gamma))),
+        ("ratio", covering_ratio(M, L, gamma)),
+        ("doubleexp", doubleexp(gamma)),
     )
     return BoundReport(terms, {"M": M, "L": L, "gamma": gamma})
 
@@ -298,11 +323,17 @@ def resolvability_covering_bound(
     thr = math.log(M * L) - gamma
     above = np.zeros_like(sup)
     above[sup] = table[sup] >= thr
+    try:
+        ratio = math.exp(gamma) / max(M, L)
+    except OverflowError:
+        ratio = math.inf
+    if not math.isfinite(ratio):
+        raise InputFormatError(f"gamma={gamma!r}: e^gamma in the ratio term overflows a double")
     terms = (
         ("miss", _mass_where(joint, ~ev)),
         ("excess", _mass_where(joint, above)),
-        ("ratio", math.exp(gamma) / max(M, L)),
-        ("doubleexp", math.exp(-0.5 * math.exp(gamma))),
+        ("ratio", ratio),
+        ("doubleexp", doubleexp(gamma, 0.5)),
     )
     return BoundReport(terms, {"M": M, "L": L, "gamma": gamma})
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .bounds import BoundReport, ratio_gap
+from .bounds import BoundReport, covering_ratio, doubleexp
 from .errors import (
     AlphabetMismatchError,
     EnumerationCapError,
@@ -34,6 +34,10 @@ from .probability import Joint, Kernel, _iid_power
 
 #: cap on the size of the design joint over (u, s, t, y1, y2)
 JOINT_CAP = 10**7
+#: trials per simulate chunk, unless the chunk byte cap binds first
+SIM_CHUNK_TRIALS = 4096
+#: cap on the bytes of one simulate chunk's uniform block
+SIM_CHUNK_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -252,6 +256,17 @@ class DensityTables:
         m5 = self.i_s_t_u > thr.cross
         return m1, m2, m5
 
+    def five_events(self, thr: Thresholds) -> dict[str, np.ndarray]:
+        """The five threshold events of the bound, each a boolean table that
+        broadcasts over (u, s, t, y1, y2)."""
+        return {
+            "head1": (self.i_us_y1 <= thr.head1)[:, :, None, :, None],
+            "head2": (self.i_ut_y2 <= thr.head2)[:, None, :, None, :],
+            "inner1": (self.i_s_y1_u <= thr.inner1)[:, :, None, :, None],
+            "inner2": (self.i_t_y2_u <= thr.inner2)[:, None, :, None, :],
+            "cross": (self.i_s_t_u > thr.cross)[:, :, :, None, None],
+        }
+
 
 def zeta_table(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
                tables: DensityTables | None = None) -> np.ndarray:
@@ -264,30 +279,15 @@ def zeta_table(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     return (chan * bad).sum(axis=(3, 4))
 
 
-def zeta(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
-         u: int, s: int, t: int) -> float:
-    """Bad-set mass for one codeword triple."""
-    ku, ks, kt, _, _ = system.shape
-    if not (0 <= u < ku and 0 <= s < ks and 0 <= t < kt):
-        raise InputFormatError("zeta: symbol outside the design alphabets")
-    return float(zeta_table(system, sizes, gamma)[u, s, t])
-
-
 def event_probabilities(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
                         tables: DensityTables | None = None) -> dict[str, float]:
     """Exact probabilities of the five threshold events and their union
     under the design joint."""
     t = tables or DensityTables(system)
-    thr = thresholds_for(sizes, gamma)
     full = t.full
-    e1 = t.i_us_y1[:, :, None, :, None] <= thr.head1
-    e2 = t.i_ut_y2[:, None, :, None, :] <= thr.head2
-    e3 = t.i_s_y1_u[:, :, None, :, None] <= thr.inner1
-    e4 = t.i_t_y2_u[:, None, :, None, :] <= thr.inner2
-    e5 = t.i_s_t_u[:, :, :, None, None] > thr.cross
     probs = {}
     union = np.zeros(full.shape, dtype=bool)
-    for name, mask in (("head1", e1), ("head2", e2), ("inner1", e3), ("inner2", e4), ("cross", e5)):
+    for name, mask in t.five_events(thresholds_for(sizes, gamma)).items():
         mask = np.broadcast_to(mask, full.shape)
         probs[name] = float(full[mask].sum())
         union |= mask
@@ -305,13 +305,11 @@ def broadcast_bound(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     and the inner covering ratio.
     """
     probs = event_probabilities(system, sizes, gamma, tables)
-    nh, lh = sizes.Nhat, sizes.Lhat
-    ratio = (min(nh, lh) - 1) / (nh * lh * ratio_gap(gamma))
     terms = (
         ("twoexp", 2.0 * math.exp(-gamma)),
-        ("doubleexp", math.exp(-math.exp(gamma))),
+        ("doubleexp", doubleexp(gamma)),
         ("union", probs["union"]),
-        ("ratio", ratio),
+        ("ratio", covering_ratio(sizes.Nhat, sizes.Lhat, gamma)),
     )
     params = {"sizes": sizes.to_json(), "gamma": gamma}
     return BoundReport(terms, params)
@@ -383,6 +381,20 @@ class _Sampler:
 
 def _codebook_budget(sizes: SchemeSizes) -> int:
     return sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat)
+
+
+def _chunk_trials(budget: int, reuse_codebook: int) -> int:
+    """Trials per :func:`simulate` chunk: the largest multiple of the reuse
+    group, up to ``SIM_CHUNK_TRIALS`` (or one group, if that is larger),
+    whose uniform block fits ``SIM_CHUNK_BYTES``."""
+    row_bytes = 8 * rng.row_width(budget)
+    fit = SIM_CHUNK_BYTES // row_bytes
+    if reuse_codebook > fit:
+        raise EnumerationCapError(
+            f"one reuse group of {reuse_codebook} trials needs {row_bytes * reuse_codebook} "
+            f"bytes of uniforms, above the chunk cap of {SIM_CHUNK_BYTES}"
+        )
+    return reuse_codebook * max(1, min(SIM_CHUNK_TRIALS, fit) // reuse_codebook)
 
 
 def _sample_codebook_arrays(system: BroadcastSystem, sizes: SchemeSizes, seed: int,
@@ -533,28 +545,40 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     coordinate differs from the truth.
 
     ``reuse_codebook=k`` shares one codebook across groups of ``k``
-    consecutive trials; the reported standard error then underestimates
-    the ensemble variance.
+    consecutive trials, drawn only by the group's first trial; the
+    reported standard error then underestimates the ensemble variance.
+    Trials run in chunks sized by :func:`_chunk_trials`.
     """
     if trials < 1:
         raise InputFormatError("trials must be >= 1")
     if reuse_codebook < 1:
         raise InputFormatError("reuse_codebook must be >= 1")
     tables = DensityTables(system)
+    # evaluated first, so that a gamma the bound rejects costs no trials
+    bound = broadcast_bound(system, sizes, gamma, tables)
+    cb_width = _codebook_budget(sizes)
+    budget = cb_width + 1 + (5 if random_message else 0)
+    chunk = _chunk_trials(budget, reuse_codebook)
     sampler = _Sampler(system, tables)
     thr = thresholds_for(sizes, gamma)
+    # decoder tests thresholded once: gathering booleans is cheaper than
+    # gathering densities and comparing them trial by trial
+    pass_head1, pass_inner1 = tables.i_us_y1 > thr.head1, tables.i_s_y1_u > thr.inner1
+    pass_head2, pass_inner2 = tables.i_ut_y2 > thr.head2, tables.i_t_y2_u > thr.inner2
     ztable = zeta_table(system, sizes, gamma, tables)
-    M, N, Nh, L, Lh = sizes.M, sizes.N, sizes.Nhat, sizes.L, sizes.Lhat
-    budget = _codebook_budget(sizes) + 1 + (5 if random_message else 0)
+    N, Nh, L, Lh = sizes.N, sizes.Nhat, sizes.L, sizes.Lhat
     x_map = system.x_map
     ky2 = sampler.ky2
 
     def worker(start: int, n: int) -> np.ndarray:
         uni = rng.trial_uniforms(seed, start, n, budget)
-        u_cb, s_cb, t_cb = _codebooks_from_uniforms(sampler, sizes, uni[:, :-1 - (5 if random_message else 0)])
+        # chunks start at group boundaries, so rows ::K are the group leaders;
+        # only they draw a codebook, which every trial of the group then uses
+        cb_uni = uni[::reuse_codebook, :cb_width]
+        u_cb, s_cb, t_cb = _codebooks_from_uniforms(sampler, sizes, cb_uni)
         if reuse_codebook > 1:
-            leaders = (np.arange(n) // reuse_codebook) * reuse_codebook
-            u_cb, s_cb, t_cb = u_cb[leaders], s_cb[leaders], t_cb[leaders]
+            group = np.arange(n) // reuse_codebook
+            u_cb, s_cb, t_cb = u_cb[group], s_cb[group], t_cb[group]
         rows = np.arange(n)
         if random_message:
             msg_uni = uni[:, -6:-1]
@@ -580,34 +604,30 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
         y_flat = rng.sample_categorical(sampler.cdf_chan[x], uni[:, -1])
         y1, y2 = y_flat // ky2, y_flat % ky2
 
-        def side(sat, head_tbl, inner_tbl, h_thr, i_thr, y, truth_inner, cols):
-            vals = head_tbl[u_cb[:, :, None, None], sat, y[:, None, None, None]] > h_thr
-            fires = vals.any(axis=(2, 3))
+        def side(sat, pass_head, pass_inner, y, truth_inner, cols):
+            fires = pass_head[u_cb[:, :, None, None], sat, y[:, None, None, None]].any(axis=(2, 3))
             cnt = fires.sum(axis=1)
             m_hat = fires.argmax(axis=1)
             ok_head = (cnt == 1) & (m_hat == m_true)
             stage1_err = ~ok_head
             sat_m = sat[rows, m_hat]
-            ivals = inner_tbl[u_cb[rows, m_hat][:, None, None], sat_m, y[:, None, None]] > i_thr
+            ivals = pass_inner[u_cb[rows, m_hat][:, None, None], sat_m, y[:, None, None]]
             pcnt = ivals.reshape(n, -1).sum(axis=1)
             inner_hat = ivals.reshape(n, -1).argmax(axis=1) // cols
             ok = ok_head & (pcnt == 1) & (inner_hat == truth_inner)
             return ~ok, stage1_err
 
-        err1, s1err1 = side(s_cb, tables.i_us_y1, tables.i_s_y1_u,
-                            thr.head1, thr.inner1, y1, a, Nh)
-        err2, s1err2 = side(t_cb, tables.i_ut_y2, tables.i_t_y2_u,
-                            thr.head2, thr.inner2, y2, b, Lh)
+        err1, s1err1 = side(s_cb, pass_head1, pass_inner1, y1, a, Nh)
+        err2, s1err2 = side(t_cb, pass_head2, pass_inner2, y2, b, Lh)
         return np.array([err1.sum(), err2.sum(), s1err1.sum(), s1err2.sum()], dtype=np.float64)
 
-    chunk = rng.chunk_size_for(4096, reuse_codebook)
     parts = rng.run_trials(trials, worker, chunk=chunk, threads=threads)
     totals = np.sum(parts, axis=0)
     est = lambda tot: McEstimate(tot / trials, rng.bernoulli_stderr(tot / trials, trials), trials, seed)
     return SimOutcome(
         eps1_hat=est(totals[0]),
         eps2_hat=est(totals[1]),
-        bound=broadcast_bound(system, sizes, gamma, tables),
+        bound=bound,
         trials=trials,
         seed=seed,
         stage1_eps1=est(totals[2]),
@@ -620,16 +640,10 @@ def mc_event_union(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     """Monte Carlo estimate of the five-event union probability under the
     design joint (cross-check for the exact union term)."""
     tables = DensityTables(system)
-    thr = thresholds_for(sizes, gamma)
     ku, ks, kt, ky1, ky2 = system.shape
-    e1 = tables.i_us_y1[:, :, None, :, None] <= thr.head1
-    e2 = tables.i_ut_y2[:, None, :, None, :] <= thr.head2
-    e3 = tables.i_s_y1_u[:, :, None, :, None] <= thr.inner1
-    e4 = tables.i_t_y2_u[:, None, :, None, :] <= thr.inner2
-    e5 = tables.i_s_t_u[:, :, :, None, None] > thr.cross
-    union = np.zeros((ku, ks, kt, ky1, ky2), dtype=bool)
-    for mask in (e1, e2, e3, e4, e5):
-        union |= np.broadcast_to(mask, union.shape)
+    union = np.zeros(system.shape, dtype=bool)
+    for mask in tables.five_events(thresholds_for(sizes, gamma)).values():
+        union |= mask
     union_flat = union.reshape(ku * ks * kt, ky1 * ky2)
     cdf_ust = np.cumsum(tables.p_ust.reshape(-1))
     chan_flat = system.channel.matrix().reshape(-1, ky1 * ky2)

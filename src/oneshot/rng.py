@@ -19,6 +19,11 @@ _OUTPUTS_PER_BLOCK = 4
 T = TypeVar("T")
 
 
+def row_width(k: int) -> int:
+    """Doubles generated per trial for a budget of ``k``: whole Philox blocks."""
+    return -(-k // _OUTPUTS_PER_BLOCK) * _OUTPUTS_PER_BLOCK
+
+
 def trial_uniforms(seed: int, start: int, n: int, k: int) -> np.ndarray:
     """Uniforms for trials ``start .. start+n-1``, ``k`` doubles each.
 
@@ -27,10 +32,9 @@ def trial_uniforms(seed: int, start: int, n: int, k: int) -> np.ndarray:
     """
     if n < 0 or k <= 0:
         raise ValueError("need n >= 0 and k > 0")
-    blocks_per_trial = -(-k // _OUTPUTS_PER_BLOCK)
+    width = row_width(k)
     bg = np.random.Philox(key=np.uint64(seed))
-    bg.advance(start * blocks_per_trial)
-    width = blocks_per_trial * _OUTPUTS_PER_BLOCK
+    bg.advance(start * (width // _OUTPUTS_PER_BLOCK))
     u = np.random.Generator(bg).random(n * width)
     return u.reshape(n, width)[:, :k]
 
@@ -39,13 +43,22 @@ def sample_categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Map uniforms to symbol indices through a cumulative mass vector.
 
     ``cdf`` may be broadcast against ``u``: its last axis is the alphabet,
-    the leading axes must match ``u``'s shape.
+    the leading axes must match ``u``'s shape.  It must be nondecreasing
+    along that axis.  The index is the number of cdf entries ``<= u``,
+    clamped to the last symbol, and comes back as ``np.intp``.
     """
+    k = cdf.shape[-1]
     if cdf.ndim == 1:
-        idx = np.searchsorted(cdf, u, side="right")
-    else:
-        idx = (u[..., None] >= cdf).sum(axis=-1)
-    return np.minimum(idx, cdf.shape[-1] - 1)
+        return np.minimum(np.searchsorted(cdf, u, side="right"), k - 1)
+    # one whole-array pass per column; a nondecreasing cdf makes the count
+    # over the first k-1 columns equal to the clamped count over all k
+    shape = np.broadcast_shapes(u.shape, cdf.shape[:-1])
+    idx = np.zeros(shape, dtype=np.min_scalar_type(k))
+    hit = np.empty(shape, dtype=bool)
+    for j in range(k - 1):
+        np.greater_equal(u, cdf[..., j], out=hit)
+        idx += hit
+    return idx.astype(np.intp)
 
 
 def run_trials(
@@ -69,13 +82,6 @@ def run_trials(
         return [worker(s, n) for s, n in spans]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda sn: worker(*sn), spans))
-
-
-def chunk_size_for(base: int, multiple_of: int) -> int:
-    """Largest chunk <= base that is a positive multiple of ``multiple_of``."""
-    if multiple_of >= base:
-        return multiple_of
-    return (base // multiple_of) * multiple_of
 
 
 def bernoulli_stderr(mean: float, trials: int) -> float:

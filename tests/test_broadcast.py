@@ -1,6 +1,7 @@
 """Broadcast bound, codebook machinery, decoders, and ensemble simulation."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from oneshot import (
     decode2,
     encode,
     simulate,
-    zeta,
 )
 from oneshot.broadcast import (
     DensityTables,
@@ -35,6 +35,7 @@ from oneshot.errors import (
     InputFormatError,
     UndefinedRowError,
 )
+from oneshot import broadcast
 from oneshot import rng as rngmod
 
 SIZES_A = SchemeSizes(1, 1, 1, 1, 1, 2, 2)
@@ -170,7 +171,7 @@ class TestBoundEvaluation:
 
 class TestZeta:
     def test_frozen_value(self, binary_system):
-        assert zeta(binary_system, SIZES_A, 1.0, 0, 0, 0) == pytest.approx(1.0, abs=1e-12)
+        assert zeta_table(binary_system, SIZES_A, 1.0)[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_bad_set(self, noiseless_system):
         # noiseless outputs put every achievable density above the thresholds
@@ -181,10 +182,6 @@ class TestZeta:
         # thresholds above every achievable density put all mass in the bad set
         zt = zeta_table(noiseless_system, SchemeSizes(4, 4, 4, 2, 2, 2, 2), 5.0)
         np.testing.assert_allclose(zt, 1.0, atol=1e-15)
-
-    def test_domain_check(self, binary_system):
-        with pytest.raises(InputFormatError):
-            zeta(binary_system, SIZES_A, 1.0, 0, 0, 5)
 
 
 class TestEncode:
@@ -326,12 +323,94 @@ class TestSimulate:
         # the comparison must exercise both success and failure somewhere
         assert {(1, True), (1, False)} <= outcomes or {(2, True), (2, False)} <= outcomes
 
+    @pytest.mark.parametrize("sizes", [SIZES_A, SchemeSizes(1, 1, 1, 2, 2, 2, 2)])
+    def test_matches_pointwise_replay_reused_codebook(self, asym_ext_system, sizes):
+        # with reuse_codebook=K every trial must replay exactly with the
+        # codebook of its group leader (trial K * (i // K)) and its own
+        # channel uniform; per-trial errors are read off the running totals
+        system, gamma, K, trials = asym_ext_system, 0.07, 3, 8
+        tables = DensityTables(system)
+        zt = zeta_table(system, sizes, gamma, tables)
+        ky2 = system.channel.out_shape[1]
+        chan_cdf = np.cumsum(system.channel.matrix().reshape(system.channel.n_inputs, -1),
+                             axis=1)
+        cb_budget = sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat)
+        budget = cb_budget + 1
+        # sample_codebook reads a budget of cb_budget; its trial rows coincide
+        # with simulate's only if both budgets span the same Philox blocks
+        assert rngmod.row_width(cb_budget) == rngmod.row_width(budget)
+        outcomes = set()
+        for seed in range(25):
+            done = [(0, 0)]
+            for n in range(1, trials + 1):
+                out = simulate(system, sizes, gamma, trials=n, seed=seed, reuse_codebook=K)
+                done.append((round(out.eps1_hat.mean * n), round(out.eps2_hat.mean * n)))
+            for i in range(trials):
+                cb = sample_codebook(system, sizes, seed=seed, trial=K * (i // K))
+                res = encode(cb, system, sizes, gamma, 0, 0, 0, 0, 0, ztable=zt)
+                u_chan = rngmod.trial_uniforms(seed, i, 1, budget)[0, -1]
+                y_flat = int(rngmod.sample_categorical(chan_cdf[res.x], np.array([u_chan]))[0])
+                y1, y2 = y_flat // ky2, y_flat % ky2
+                got1 = decode1(cb, system, sizes, gamma, y1, tables)
+                got2 = decode2(cb, system, sizes, gamma, y2, tables)
+                err1 = got1 is None or got1 != (0, 0, 0, 0)
+                err2 = got2 is None or got2 != (0, 0, 0, 0)
+                outcomes.update({(1, err1), (2, err2)})
+                assert done[i + 1][0] - done[i][0] == int(err1), f"seed {seed} trial {i} receiver 1"
+                assert done[i + 1][1] - done[i][1] == int(err2), f"seed {seed} trial {i} receiver 2"
+        assert {(1, True), (1, False)} <= outcomes or {(2, True), (2, False)} <= outcomes
+
     def test_ensemble_validity_nontrivial_instance(self, asym_ext_system):
         out = simulate(asym_ext_system, SIZES_A, 0.05, trials=4000, seed=13)
         worst = max(out.eps1_hat.mean, out.eps2_hat.mean)
         stderr = max(out.eps1_hat.stderr, out.eps2_hat.stderr)
         assert worst <= out.bound.clamped_value + 4 * stderr
         assert 0.0 < out.eps1_hat.mean < 1.0
+
+
+class TestChunking:
+    @pytest.mark.parametrize("text", ["1,1,1,1,1,2,2", "2,2,2,2,2,2,2", "4,2,2,4,4,8,8"])
+    @pytest.mark.parametrize("extra", [1, 6])
+    @pytest.mark.parametrize("reuse", [1, 4])
+    def test_moderate_sizes_keep_full_chunks(self, text, extra, reuse):
+        budget = broadcast._codebook_budget(SchemeSizes.from_string(text)) + extra
+        assert broadcast._chunk_trials(budget, reuse) == broadcast.SIM_CHUNK_TRIALS
+
+    @pytest.mark.parametrize("reuse", [1, 3, 64])
+    def test_large_sizes_chunk_under_the_byte_cap(self, reuse):
+        budget = broadcast._codebook_budget(SchemeSizes.from_string("8,8,8,8,8,8,8")) + 1
+        chunk = broadcast._chunk_trials(budget, reuse)
+        assert chunk % reuse == 0 and 0 < chunk < broadcast.SIM_CHUNK_TRIALS
+        assert 8 * rngmod.row_width(budget) * chunk <= broadcast.SIM_CHUNK_BYTES
+        assert 8 * rngmod.row_width(budget) * (chunk + reuse) > broadcast.SIM_CHUNK_BYTES
+
+    def test_group_larger_than_default_chunk(self):
+        assert broadcast._chunk_trials(6, 5000) == 5000
+
+    def test_group_over_the_cap_exits_1_before_any_trial(self, capsys, monkeypatch):
+        from oneshot import cli
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials drawn past the chunk cap")
+
+        monkeypatch.setattr(rngmod, "trial_uniforms", no_trials)
+        config = Path(__file__).resolve().parent.parent / "configs" / "broadcast_binary.json"
+        code = cli.main(["simulate", "--config", str(config),
+                         "--sizes", "8,8,8,8,8,8,8", "--gamma", "1", "--trials", "10",
+                         "--reuse-codebook", "200"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: one reuse group of 200 trials")
+
+    @pytest.mark.parametrize("reuse", [1, 3])
+    def test_totals_do_not_depend_on_chunk_size(self, asym_ext_system, monkeypatch, reuse):
+        kw = dict(trials=700, seed=31, reuse_codebook=reuse, random_message=True)
+        sizes = SchemeSizes(1, 1, 2, 1, 2, 2, 1)
+        want = simulate(asym_ext_system, sizes, 0.07, **kw)
+        row_bytes = 8 * rngmod.row_width(broadcast._codebook_budget(sizes) + 6)
+        monkeypatch.setattr(broadcast, "SIM_CHUNK_BYTES", 4 * reuse * row_bytes)
+        assert broadcast._chunk_trials(broadcast._codebook_budget(sizes) + 6, reuse) == 4 * reuse
+        got = simulate(asym_ext_system, sizes, 0.07, threads=2, **kw)
+        assert got == want
 
 
 class TestEventUnionCrosscheck:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oneshot import Joint, SchemeSizes, broadcast_bound, optimal_delta, optimize_gamma
+from oneshot import Joint, SchemeSizes, broadcast_bound, cli, optimal_delta, optimize_gamma, rng
 from oneshot.bounds import event_from_points
 from oneshot.broadcast import BroadcastSystem
 
@@ -93,6 +93,61 @@ def test_numeric_extremes_exit_2_with_one_error_line(argv, names):
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert names in lines[0]
+
+
+_BINARY_SMALL = ["--config", str(CONFIGS / "broadcast_binary.json"),
+                 "--sizes-file", str(CONFIGS / "sizes_small.json")]
+_LARGE_GAMMA_COMMANDS = {
+    "covering1": ["bound", "covering1", *_COV_4X4],
+    "covering1-delta": ["bound", "covering1", *_COV_4X4, "--delta", "0.5"],
+    "covering4": ["bound", "covering4", *_COV_4X4],
+    "covering5": ["bound", "covering5", "--dist", str(CONFIGS / "joint_2x2x2.json"),
+                  "--event", str(CONFIGS / "event_2x2x2.json"), "--M", "4", "--L", "4"],
+    "covering7": ["bound", "covering7", *_COV_4X4],
+    "broadcast": ["bound", "broadcast", *_BINARY_SMALL],
+    "simulate": ["simulate", *_BINARY_SMALL, "--trials", "20"],
+}
+
+
+def _strict_json(text: str):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("gamma", ["709", "710", "720", "1e3"])
+@pytest.mark.parametrize("command", sorted(_LARGE_GAMMA_COMMANDS))
+def test_large_gamma_saturates_or_exits_2(command, gamma, capsys, monkeypatch):
+    # e^gamma overflows a double above gamma = 709.78: each bound either
+    # saturates to a valid, finite JSON report or rejects gamma with one
+    # error line, and simulate rejects before drawing any trial
+    drawn = []
+    uniforms = rng.trial_uniforms
+    monkeypatch.setattr(rng, "trial_uniforms", lambda *a: drawn.append(a) or uniforms(*a))
+    code = cli.main([*_LARGE_GAMMA_COMMANDS[command], "--gamma", gamma])
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "gamma" in lines[0]
+        assert not drawn
+        return
+    doc = _strict_json(out)
+    report = doc["outcome"]["bound"] if command == "simulate" else doc["report"]
+    terms = dict((t["name"], t["value"]) for t in report["terms"])
+    assert all(math.isfinite(v) for v in terms.values())
+    assert terms["doubleexp"] == 0.0
+
+
+def test_large_gamma_outcomes(capsys):
+    # the doubleexp term saturates where e^gamma overflows; the ratio terms
+    # overflow a little later and are rejected there
+    def code(command, gamma):
+        return cli.main([*_LARGE_GAMMA_COMMANDS[command], "--gamma", gamma])
+
+    assert [code(c, "710") for c in ("covering1-delta", "covering4", "covering5",
+                                     "covering7", "broadcast", "simulate")] == [0, 0, 0, 2, 0, 0]
+    assert [code(c, "720") for c in ("covering1-delta", "covering4", "broadcast")] == [0, 2, 2]
 
 
 _IMPORT_PROBE = """

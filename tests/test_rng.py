@@ -1,0 +1,97 @@
+"""Counter-based uniform streams and the categorical sampler."""
+
+import numpy as np
+import pytest
+
+from oneshot import rng
+
+
+def reference_categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Broadcast-compare reference: count the cdf entries <= u, clamp."""
+    return np.minimum((u[..., None] >= cdf).sum(-1), cdf.shape[-1] - 1)
+
+
+def random_cdfs(gen: np.random.Generator, rows: int, k: int) -> np.ndarray:
+    return np.cumsum(gen.dirichlet(np.ones(k), size=rows), axis=1)
+
+
+def assert_matches_reference(cdf: np.ndarray, u: np.ndarray) -> None:
+    got = rng.sample_categorical(cdf, u)
+    want = reference_categorical(cdf, u)
+    assert got.dtype == np.intp
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+class TestSampleCategorical2D:
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_matches_reference_for_every_alphabet(self, k):
+        gen = np.random.default_rng(1000 + k)
+        cdfs = random_cdfs(gen, 5, k)
+        rows = gen.integers(0, 5, size=(64, 3))
+        u = gen.random((64, 3, 4, 2))
+        assert_matches_reference(cdfs[rows][:, :, None, None, :], u)
+
+    def test_one_row_per_uniform(self):
+        # the channel draw: a (n, k) cdf against n uniforms
+        gen = np.random.default_rng(7)
+        cdf = random_cdfs(gen, 300, 6)
+        assert_matches_reference(cdf, gen.random(300))
+
+    def test_tied_entries(self):
+        # zero-mass symbols repeat a cdf entry; they can never be drawn
+        cdf = np.array([[0.2, 0.2, 0.2, 0.7, 1.0], [0.0, 0.0, 0.5, 0.5, 1.0]])
+        u = np.array([[0.0, 0.1999, 0.2, 0.5, 0.7, 0.9999],
+                      [0.0, 0.2, 0.4999, 0.5, 0.75, 0.9999]])
+        assert_matches_reference(cdf[:, None, :], u)
+        got = rng.sample_categorical(cdf[:, None, :], u)
+        np.testing.assert_array_equal(got, [[0, 0, 3, 3, 4, 4], [2, 2, 2, 4, 4, 4]])
+
+    def test_uniform_equal_to_a_cdf_entry(self):
+        # u equal to an entry moves past that symbol (right-continuous cdf)
+        gen = np.random.default_rng(3)
+        cdf = random_cdfs(gen, 4, 7)
+        u = np.repeat(cdf[:, :-1], 3, axis=1)
+        assert_matches_reference(cdf[:, None, :], u)
+
+    def test_last_entry_below_one(self):
+        # rounding can leave the total mass short of 1; uniforms above it
+        # clamp to the last symbol
+        cdf = np.array([[0.3, 0.6, 0.9999999], [0.5, 0.75, 0.99]])
+        u = np.array([[0.99999995, 0.9999999, 0.5], [0.995, 0.99, 0.2]])
+        assert_matches_reference(cdf[:, None, :], u)
+        assert rng.sample_categorical(cdf[:, None, :], u)[0, 0] == 2
+
+    def test_zero_mass_row(self):
+        # a conditional row of an impossible cloud symbol is all zeros
+        cdf = np.zeros((2, 1, 3))
+        u = np.random.default_rng(5).random((2, 4))
+        assert_matches_reference(cdf, u)
+
+    def test_empty_batch(self):
+        cdf = np.zeros((0, 1, 4))
+        got = rng.sample_categorical(cdf, np.zeros((0, 3)))
+        assert got.shape == (0, 3) and got.dtype == np.intp
+
+    def test_one_dimensional_path_agrees(self):
+        gen = np.random.default_rng(11)
+        cdf = random_cdfs(gen, 1, 9)[0]
+        u = gen.random(500)
+        np.testing.assert_array_equal(rng.sample_categorical(cdf, u),
+                                      rng.sample_categorical(np.tile(cdf, (500, 1)), u))
+
+
+class TestTrialUniforms:
+    @pytest.mark.parametrize("k", [1, 4, 5, 11])
+    def test_rows_do_not_depend_on_chunking(self, k):
+        whole = rng.trial_uniforms(42, 0, 23, k)
+        for chunk in (1, 2, 5, 8):
+            parts = [rng.trial_uniforms(42, s, min(chunk, 23 - s), k) for s in range(0, 23, chunk)]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+    def test_offset_window_matches(self):
+        whole = rng.trial_uniforms(9, 0, 40, 7)
+        np.testing.assert_array_equal(rng.trial_uniforms(9, 13, 10, 7), whole[13:23])
+
+    def test_row_width_pads_to_whole_blocks(self):
+        assert [rng.row_width(k) for k in (1, 4, 5, 8, 9)] == [4, 4, 8, 8, 12]
