@@ -41,10 +41,8 @@ from .bounds import (
     optimal_delta,
     optimize_gamma,
     packing_bound,
-    packing_excess_prob,
     resolvability_covering_bound,
     resolvability_excess_bound,
-    resolvability_excess_rhs,
     simple_covering_bound,
 )
 from .oracle import (

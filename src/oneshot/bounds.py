@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import oracle
 from .errors import AlphabetMismatchError, InputFormatError
 from .probability import Joint, cond_info_density_table, info_density_table
 
@@ -178,6 +177,22 @@ def _mass_where(joint: Joint, mask: np.ndarray) -> float:
     return float(joint.probs[mask].sum())
 
 
+def _density_ratio(joint: Joint) -> np.ndarray:
+    """``P(u,v) / (P(u) P(v))`` on the support, 0 elsewhere."""
+    arr = joint.probs
+    sup = arr > 0
+    ratio = np.zeros_like(arr)
+    ratio[sup] = arr[sup] / np.outer(arr.sum(axis=1), arr.sum(axis=0))[sup]
+    return ratio
+
+
+def _miss_excess_terms(joint: Joint, ev: np.ndarray, exceed: np.ndarray,
+                       union_form: bool) -> tuple[tuple[str, float], ...]:
+    if union_form:
+        return (("miss_or_excess", _mass_where(joint, ~ev | exceed)),)
+    return (("miss", _mass_where(joint, ~ev)), ("excess", _mass_where(joint, exceed)))
+
+
 def mutual_covering_bound(joint: Joint, event: np.ndarray, params: BoundParams) -> BoundReport:
     """Splitting-form mutual covering bound (CLI kind ``covering1``).
 
@@ -186,36 +201,22 @@ def mutual_covering_bound(joint: Joint, event: np.ndarray, params: BoundParams) 
     ``(min{M,L}-1)/delta``, and the double-exponential slack.  With the
     union flag the first two merge into the probability of their union.
     """
-    ev = _check_event(joint, event)
+    return _mutual_covering(joint, _check_event(joint, event), _density_ratio(joint), params)
+
+
+def _mutual_covering(joint: Joint, ev: np.ndarray, ratio: np.ndarray,
+                     params: BoundParams) -> BoundReport:
     M, L, gamma = params.M, params.L, params.gamma
     delta = params.resolved_delta()
     thr = M * L * math.exp(-gamma) - delta
-
-    arr = joint.probs
-    sup = arr > 0
-    pu = arr.sum(axis=1)
-    pv = arr.sum(axis=0)
-    ratio = np.zeros_like(arr)
-    ratio[sup] = arr[sup] / np.outer(pu, pv)[sup]
+    sup = joint.probs > 0
     # a nonpositive threshold is exceeded by every support point
     exceed = sup if thr <= 0 else (ratio > thr) & sup
-
-    ratio_term = (min(M, L) - 1) / delta
-    dexp_term = doubleexp(gamma)
+    terms = _miss_excess_terms(joint, ev, exceed, params.union_form) + (
+        ("ratio", (min(M, L) - 1) / delta),
+        ("doubleexp", doubleexp(gamma)),
+    )
     used = {"M": M, "L": L, "gamma": gamma, "delta": delta, "union_form": params.union_form}
-    if params.union_form:
-        terms = (
-            ("miss_or_excess", _mass_where(joint, ~ev | exceed)),
-            ("ratio", ratio_term),
-            ("doubleexp", dexp_term),
-        )
-    else:
-        terms = (
-            ("miss", _mass_where(joint, ~ev)),
-            ("excess", _mass_where(joint, exceed)),
-            ("ratio", ratio_term),
-            ("doubleexp", dexp_term),
-        )
     return BoundReport(terms, used)
 
 
@@ -230,30 +231,22 @@ def simple_covering_bound(
     rewritten as a density threshold ``ln(ML) - 2 gamma``.
     """
     ev = _check_event(joint, event)
+    return _simple_covering(joint, ev, info_density_table(joint), M, L, gamma, union_form)
+
+
+def _simple_covering(joint: Joint, ev: np.ndarray, table: np.ndarray, M: int, L: int,
+                     gamma: float, union_form: bool) -> BoundReport:
     if not gamma > 0:
         raise InputFormatError("gamma must be > 0")
-    table = info_density_table(joint)
     sup = joint.probs > 0
     thr = math.log(M * L) - 2.0 * gamma
     exceed = np.zeros_like(sup)
     exceed[sup] = table[sup] > thr
-    ratio_term = covering_ratio(M, L, gamma)
-    dexp_term = doubleexp(gamma)
-    used = {"M": M, "L": L, "gamma": gamma, "union_form": union_form}
-    if union_form:
-        terms = (
-            ("miss_or_excess", _mass_where(joint, ~ev | exceed)),
-            ("ratio", ratio_term),
-            ("doubleexp", dexp_term),
-        )
-    else:
-        terms = (
-            ("miss", _mass_where(joint, ~ev)),
-            ("excess", _mass_where(joint, exceed)),
-            ("ratio", ratio_term),
-            ("doubleexp", dexp_term),
-        )
-    return BoundReport(terms, used)
+    terms = _miss_excess_terms(joint, ev, exceed, union_form) + (
+        ("ratio", covering_ratio(M, L, gamma)),
+        ("doubleexp", doubleexp(gamma)),
+    )
+    return BoundReport(terms, {"M": M, "L": L, "gamma": gamma, "union_form": union_form})
 
 
 def conditional_covering_bound(
@@ -267,15 +260,18 @@ def conditional_covering_bound(
     ev = _check_event(joint3, event3)
     if joint3.ndim != 3:
         raise AlphabetMismatchError("conditional covering bound needs a 3-axis joint")
+    return _conditional_covering(joint3, ev, cond_info_density_table(joint3), M, L, gamma)
+
+
+def _conditional_covering(joint3: Joint, ev: np.ndarray, table: np.ndarray, M: int, L: int,
+                          gamma: float) -> BoundReport:
     if not gamma > 0:
         raise InputFormatError("gamma must be > 0")
-    table = cond_info_density_table(joint3)
     sup = joint3.probs > 0
     thr = math.log(M * L) - 2.0 * gamma
     exceed = np.zeros_like(sup)
     exceed[sup] = table[sup] > thr
-    terms = (
-        ("miss_or_excess", _mass_where(joint3, ~ev | exceed)),
+    terms = _miss_excess_terms(joint3, ev, exceed, union_form=True) + (
         ("ratio", covering_ratio(M, L, gamma)),
         ("doubleexp", doubleexp(gamma)),
     )
@@ -302,11 +298,6 @@ def resolvability_excess_bound(joint: Joint, M: int, lam: float) -> BoundReport:
     return BoundReport(terms, {"M": M, "lam": lam})
 
 
-def resolvability_excess_rhs(joint: Joint, M: int, lam: float) -> float:
-    """Raw value of :func:`resolvability_excess_bound` (unclamped)."""
-    return resolvability_excess_bound(joint, M, lam).raw_value
-
-
 def resolvability_covering_bound(
     joint: Joint, event: np.ndarray, M: int, L: int, gamma: float
 ) -> BoundReport:
@@ -316,9 +307,13 @@ def resolvability_covering_bound(
     merged into a union, so no union flag exists.
     """
     ev = _check_event(joint, event)
+    return _resolvability_covering(joint, ev, info_density_table(joint), M, L, gamma)
+
+
+def _resolvability_covering(joint: Joint, ev: np.ndarray, table: np.ndarray, M: int, L: int,
+                            gamma: float) -> BoundReport:
     if not gamma > 0:
         raise InputFormatError("gamma must be > 0")
-    table = info_density_table(joint)
     sup = joint.probs > 0
     thr = math.log(M * L) - gamma
     above = np.zeros_like(sup)
@@ -329,9 +324,7 @@ def resolvability_covering_bound(
         ratio = math.inf
     if not math.isfinite(ratio):
         raise InputFormatError(f"gamma={gamma!r}: e^gamma in the ratio term overflows a double")
-    terms = (
-        ("miss", _mass_where(joint, ~ev)),
-        ("excess", _mass_where(joint, above)),
+    terms = _miss_excess_terms(joint, ev, above, union_form=False) + (
         ("ratio", ratio),
         ("doubleexp", doubleexp(gamma, 0.5)),
     )
@@ -345,11 +338,6 @@ def packing_bound(gamma: float) -> float:
     return math.exp(-gamma)
 
 
-def packing_excess_prob(joint: Joint, M: int, N: int, gamma: float) -> float:
-    """Exact left-hand side of the packing bound (delegates to the oracle)."""
-    return oracle.exact_packing_prob(joint, M, N, gamma)
-
-
 # ---------------------------------------------------------------------------
 # parameter optimization
 # ---------------------------------------------------------------------------
@@ -358,44 +346,44 @@ _GRID_POINTS = 256
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def evaluate_bound(kind: str, instance: Mapping[str, object], gamma: float) -> BoundReport:
-    """Evaluate one of the gamma-parameterized bounds on an instance.
+def _bound_at(kind: str, instance: Mapping[str, object]):
+    """``gamma -> BoundReport`` for one of the gamma-parameterized bounds.
 
     ``instance`` carries the kind-specific fields: ``joint``/``event``
     plus sizes for the covering bounds, or ``system``/``sizes`` for the
-    broadcast bound.
+    broadcast bound.  A covering bound's density table is built here,
+    once, and shared by every gamma.
     """
-    if kind == "covering1":
-        params = BoundParams(
-            M=int(instance["M"]),
-            L=int(instance["L"]),
-            gamma=gamma,
-            delta=instance.get("delta", "auto"),
-            union_form=bool(instance.get("union_form", False)),
-        )
-        return mutual_covering_bound(instance["joint"], instance["event"], params)
-    if kind == "covering4":
-        return simple_covering_bound(
-            instance["joint"],
-            instance["event"],
-            int(instance["M"]),
-            int(instance["L"]),
-            gamma,
-            bool(instance.get("union_form", False)),
-        )
-    if kind == "covering5":
-        return conditional_covering_bound(
-            instance["joint"], instance["event"], int(instance["M"]), int(instance["L"]), gamma
-        )
-    if kind == "covering7":
-        return resolvability_covering_bound(
-            instance["joint"], instance["event"], int(instance["M"]), int(instance["L"]), gamma
-        )
     if kind == "broadcast":
         from .broadcast import broadcast_bound
 
-        return broadcast_bound(instance["system"], instance["sizes"], gamma)
-    raise InputFormatError(f"kind: no gamma-parameterized bound named {kind!r}")
+        return lambda g: broadcast_bound(instance["system"], instance["sizes"], g)
+    if kind not in ("covering1", "covering4", "covering5", "covering7"):
+        raise InputFormatError(f"kind: no gamma-parameterized bound named {kind!r}")
+    joint = instance["joint"]
+    ev = _check_event(joint, instance["event"])
+    M, L = int(instance["M"]), int(instance["L"])
+    union_form = bool(instance.get("union_form", False))
+    if kind == "covering1":
+        ratio = _density_ratio(joint)
+        delta = instance.get("delta", "auto")
+        return lambda g: _mutual_covering(joint, ev, ratio, BoundParams(M, L, g, delta, union_form))
+    if kind == "covering4":
+        table = info_density_table(joint)
+        return lambda g: _simple_covering(joint, ev, table, M, L, g, union_form)
+    if kind == "covering5":
+        if joint.ndim != 3:
+            raise AlphabetMismatchError("conditional covering bound needs a 3-axis joint")
+        table = cond_info_density_table(joint)
+        return lambda g: _conditional_covering(joint, ev, table, M, L, g)
+    table = info_density_table(joint)
+    return lambda g: _resolvability_covering(joint, ev, table, M, L, g)
+
+
+def evaluate_bound(kind: str, instance: Mapping[str, object], gamma: float) -> BoundReport:
+    """Evaluate one of the gamma-parameterized bounds on an instance (see
+    :func:`_bound_at` for the instance fields)."""
+    return _bound_at(kind, instance)(gamma)
 
 
 def minimize_scalar(
@@ -447,9 +435,6 @@ def optimize_gamma(
     tolerance: float = 1e-6,
 ) -> tuple[float, BoundReport]:
     """Minimize a bound's raw value over gamma (see :func:`minimize_scalar`)."""
-
-    def objective(g: float) -> float:
-        return evaluate_bound(kind, instance, g).raw_value
-
-    best_g, _ = minimize_scalar(objective, search_range, tolerance)
+    bound_at = _bound_at(kind, instance)
+    best_g, _ = minimize_scalar(lambda g: bound_at(g).raw_value, search_range, tolerance)
     return best_g, evaluate_bound(kind, instance, best_g)

@@ -354,11 +354,17 @@ def message_split(sizes: SchemeSizes, m: int) -> tuple[int, int, int]:
 
 
 def sample_codebook(system: BroadcastSystem, sizes: SchemeSizes, seed: int,
-                    trial: int = 0) -> Codebook:
+                    trial: int = 0, random_message: bool = False) -> Codebook:
     """Draw one codebook from the generation law (cloud words i.i.d. from
-    the u-marginal, satellites i.i.d. from the conditional rows)."""
-    arrs = _sample_codebook_arrays(system, sizes, seed, trial, 1)
-    return Codebook(arrs[0][0], arrs[1][0], arrs[2][0])
+    the u-marginal, satellites i.i.d. from the conditional rows).
+
+    It is the codebook :func:`simulate` draws for ``trial`` under the
+    same ``seed`` and ``random_message``.
+    """
+    sampler = _Sampler(system, DensityTables(system))
+    u = rng.trial_uniforms(seed, trial, 1, _trial_budget(sizes, random_message))
+    u_cb, s_cb, t_cb = _codebooks_from_uniforms(sampler, sizes, u[:, :_codebook_budget(sizes)])
+    return Codebook(u_cb[0], s_cb[0], t_cb[0])
 
 
 class _Sampler:
@@ -383,6 +389,12 @@ def _codebook_budget(sizes: SchemeSizes) -> int:
     return sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat)
 
 
+def _trial_budget(sizes: SchemeSizes, random_message: bool) -> int:
+    """Uniforms per :func:`simulate` trial: the codebook block, five
+    message uniforms if the message is random, then the channel uniform."""
+    return _codebook_budget(sizes) + (5 if random_message else 0) + 1
+
+
 def _chunk_trials(budget: int, reuse_codebook: int) -> int:
     """Trials per :func:`simulate` chunk: the largest multiple of the reuse
     group, up to ``SIM_CHUNK_TRIALS`` (or one group, if that is larger),
@@ -395,14 +407,6 @@ def _chunk_trials(budget: int, reuse_codebook: int) -> int:
             f"bytes of uniforms, above the chunk cap of {SIM_CHUNK_BYTES}"
         )
     return reuse_codebook * max(1, min(SIM_CHUNK_TRIALS, fit) // reuse_codebook)
-
-
-def _sample_codebook_arrays(system: BroadcastSystem, sizes: SchemeSizes, seed: int,
-                            start: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    tables = DensityTables(system)
-    sampler = _Sampler(system, tables)
-    u = rng.trial_uniforms(seed, start, n, _codebook_budget(sizes))
-    return _codebooks_from_uniforms(sampler, sizes, u)
 
 
 def _codebooks_from_uniforms(sampler: _Sampler, sizes: SchemeSizes,
@@ -557,7 +561,7 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     # evaluated first, so that a gamma the bound rejects costs no trials
     bound = broadcast_bound(system, sizes, gamma, tables)
     cb_width = _codebook_budget(sizes)
-    budget = cb_width + 1 + (5 if random_message else 0)
+    budget = _trial_budget(sizes, random_message)
     chunk = _chunk_trials(budget, reuse_codebook)
     sampler = _Sampler(system, tables)
     thr = thresholds_for(sizes, gamma)

@@ -1,12 +1,13 @@
 """Exact codebook-ensemble probabilities and Monte Carlo estimators.
 
-The exact routines enumerate codebooks up to reordering: the quantities
-of interest (the per-codebook covered set, the synthesized output law,
-the packing threshold set) depend only on the *multiset* of codewords,
-so enumeration runs over compositions of the codebook size with
-multinomial weights instead of over all ``|U|^M`` raw codebooks.
-Multinomial weights are computed in log space so sizes up to a few
-dozen codewords stay exact.
+The covering-type exact values (miss, conditional miss, packing) depend
+on a codebook only through the set of event columns it covers, so they
+run as a dynamic programme over covered-column sets: codebook symbols
+with identical event rows merge into one class, the reachable covered
+sets are closed under the class rows, and the law of the covered set is
+pushed forward one i.i.d. draw at a time.  The resolvability value needs
+full per-symbol counts and enumerates codebooks up to reordering, over
+compositions of the codebook size with log-space multinomial weights.
 
 Monte Carlo estimators draw their per-trial randomness from
 counter-based streams (:mod:`oneshot.rng`), so a fixed ``(seed, trials)``
@@ -26,8 +27,17 @@ from . import rng
 from .errors import AlphabetMismatchError, EnumerationCapError, InputFormatError
 from .probability import Joint, conditional, info_density_table
 
-#: cap on the number of codeword multisets an exact computation may visit
+#: cap on the number of codeword multisets the resolvability oracle may visit
 MULTISET_CAP = 10**6
+
+#: cap on the covered-set DP's work: draws x (covered sets x symbol classes),
+#: each draw charged at least ``_DRAW_OVERHEAD`` for its fixed numpy cost
+DP_CAP = 10**8
+
+#: cap on the covered-set DP's transition table, covered sets x symbol classes
+DP_TABLE_CAP = 2**22
+
+_DRAW_OVERHEAD = 512
 
 #: cap on the number of raw codebooks the brute-force cross-check may visit
 BRUTEFORCE_CAP = 10**5
@@ -131,17 +141,55 @@ def _log_weights(counts: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _exact_miss(pu: np.ndarray, pv: np.ndarray, event: np.ndarray, M: int, L: int) -> float:
-    """E[(1 - P_V(union of covered columns))^L] over codeword multisets."""
-    _check_cap(M, len(pu))
-    ev = event.astype(np.float64)
-    total = 0.0
-    for counts in _iter_count_blocks(M, len(pu)):
-        logw, valid = _log_weights(counts, pu)
-        covered = (counts > 0).astype(np.float64) @ ev > 0
-        mass = covered @ pv
-        vals = np.exp(logw[valid]) * np.clip(1.0 - mass[valid], 0.0, 1.0) ** L
-        total += float(vals.sum())
-    return min(total, 1.0)
+    """E[(1 - P_V(union of covered columns))^L] by a DP over covered sets.
+
+    Symbols of positive mass whose event rows agree on the columns of
+    positive mass form one class.  The covered sets reachable in at most
+    M draws are found breadth first from the empty set, recording
+    ``table[state, class] = state | row(class)``; the law of the covered
+    set is then advanced through the table once per draw.
+    """
+    cols = pv > 0
+    rows, inv = np.unique(event[pu > 0][:, cols], axis=0, return_inverse=True)
+    q = np.bincount(inv.ravel(), weights=pu[pu > 0], minlength=len(rows))
+    masks = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little") for r in rows]
+    C = len(masks)
+    states, index, table = [0], {0: 0}, []
+    expanded = 0
+    for _ in range(M):
+        # expand the sets first reached by the previous draw
+        reached = len(states)
+        for s in states[expanded:reached]:
+            for m in masks:
+                j = index.get(s | m)
+                if j is None:
+                    j = index[s | m] = len(states)
+                    states.append(s | m)
+                    entries = len(states) * C
+                    if entries > DP_TABLE_CAP or M * (entries + _DRAW_OVERHEAD) > DP_CAP:
+                        raise EnumerationCapError(
+                            f"the covered-set DP needs at least {len(states)} covered sets x "
+                            f"{C} symbol classes x {M} draws, above the cap; use the Monte "
+                            f"Carlo estimator"
+                        )
+                table.append(j)
+        expanded = reached
+        if expanded == len(states):
+            break
+    # sets first reached by the last draw are never expanded; they hold
+    # no mass before it, so the table covers every set that does
+    successor = np.array(table, dtype=np.intp)
+    dist = np.zeros(len(states))
+    dist[0] = 1.0
+    for _ in range(M):
+        dist = np.bincount(successor, weights=np.multiply.outer(dist[:expanded], q).ravel(),
+                           minlength=len(states))
+    k = int(cols.sum())
+    packed = b"".join(s.to_bytes((k + 7) // 8, "little") for s in states)
+    covered = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(states), -1),
+                            axis=1, count=k, bitorder="little")
+    mass = covered @ pv[cols]
+    return min(float(dist @ np.clip(1.0 - mass, 0.0, 1.0) ** L), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +242,9 @@ def mc_miss_prob(spec: EnsembleSpec, trials: int, seed: int, threads: int = 1) -
         u = rng.trial_uniforms(seed, start, n, M + L)
         us = rng.sample_categorical(cdf_u, u[:, :M])
         vs = rng.sample_categorical(cdf_v, u[:, M:])
-        hit = event[us[:, :, None], vs[:, None, :]].any(axis=(1, 2))
+        # a pair hits iff some column the U-codebook covers was drawn
+        covered = event[us].any(axis=1)
+        hit = np.take_along_axis(covered, vs, axis=1).any(axis=1)
         return float((~hit).sum())
 
     parts = rng.run_trials(trials, worker, threads=threads)
@@ -245,7 +295,8 @@ def mc_conditional_miss_prob(
         us = rng.sample_categorical(cdf_u, u[:, 0])
         ss = rng.sample_categorical(cdf_s[us][:, None, :], u[:, 1 : 1 + M])
         ts = rng.sample_categorical(cdf_t[us][:, None, :], u[:, 1 + M :])
-        hit = event3[us[:, None, None], ss[:, :, None], ts[:, None, :]].any(axis=(1, 2))
+        covered = event3[us[:, None], ss].any(axis=1)
+        hit = np.take_along_axis(covered, ts, axis=1).any(axis=1)
         return float((~hit).sum())
 
     parts = rng.run_trials(trials, worker, threads=threads)

@@ -36,8 +36,8 @@ from oneshot import (
     mutual_covering_bound,
     region_contains,
     resolvability_covering_bound,
+    resolvability_excess_bound,
     resolvability_excess_exact,
-    resolvability_excess_rhs,
     simple_covering_bound,
     simulate,
 )
@@ -200,7 +200,7 @@ def test_c06_resolvability_validity_and_mc():
         instances.append((joint, M))
         for lam in (2.1, 3.0, 10.0):
             exact = resolvability_excess_exact(joint, M, lam)
-            assert exact <= resolvability_excess_rhs(joint, M, lam) + 1e-12
+            assert exact <= resolvability_excess_bound(joint, M, lam).raw_value + 1e-12
     for i, (joint, M) in enumerate(instances[:10]):
         lam = float(rng.uniform(1.05, 2.5))
         exact = resolvability_excess_exact(joint, M, lam)
@@ -332,3 +332,42 @@ def test_c10_reproducibility():
         assert all(r.returncode == 0 for r in runs)
         assert runs[0].stdout == runs[1].stdout == runs[2].stdout
         assert runs[0].stdout.strip()
+
+
+def test_c11_bounds_below_one_at_large_sizes():
+    """Checks with teeth: at M, L, N in 100..1000 the clamped covering4 and
+    covering7 bounds and the packing bound are below 1, and the exact
+    values (covered-set DP) stay under them.  Smallest slack seen: 0.0155
+    over 480 covering checks, 0.135 over 180 packing checks; the packing
+    instances carry a rare pair of mass 1e-7..1e-5 whose density can reach
+    ln(MN) + gamma, so 122 of their exact values are positive."""
+    rng = np.random.default_rng(1111)
+    covering = []
+    for _ in range(60):
+        ku, kv = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        p = rng.dirichlet(np.full(ku * kv, 0.3)).reshape(ku, kv)
+        joint = Joint(p)
+        with np.errstate(divide="ignore"):
+            dens = np.log(p) - np.log(np.outer(p.sum(axis=1), p.sum(axis=0)))
+        event = dens > np.quantile(dens[p > 0], rng.uniform(0.2, 0.6))
+        M, L = int(rng.integers(100, 1001)), int(rng.integers(100, 1001))
+        exact = exact_miss_prob(EnsembleSpec(joint, event, M, L))
+        for gamma in (1.5, 2.5, 3.5, 4.5):
+            for rep in (simple_covering_bound(joint, event, M, L, gamma),
+                        resolvability_covering_bound(joint, event, M, L, gamma)):
+                if rep.clamped_value < 1.0:
+                    covering.append(rep.clamped_value - exact)
+    assert len(covering) >= 400
+    assert min(covering) >= 0.0
+    packing = []
+    for _ in range(60):
+        k, eps = int(rng.integers(2, 4)), 10 ** rng.uniform(-7, -5)
+        p = np.zeros((k + 1, k + 1))
+        p[:k, :k] = rng.dirichlet(np.ones(k * k)).reshape(k, k) * (1.0 - eps)
+        p[k, k] = eps
+        M, N = int(rng.integers(100, 1001)), int(rng.integers(100, 1001))
+        for gamma in (0.5, 1.0, 2.0):
+            exact = exact_packing_prob(Joint(p), M, N, gamma)
+            packing.append((math.exp(-gamma) - exact, exact))
+    assert sum(exact > 0.0 for _, exact in packing) >= 100
+    assert min(slack for slack, _ in packing) >= 0.0

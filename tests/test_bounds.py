@@ -9,14 +9,13 @@ from oneshot import (
     BoundParams,
     Joint,
     conditional_covering_bound,
+    exact_packing_prob,
     mutual_covering_bound,
     optimal_delta,
     optimize_gamma,
     packing_bound,
-    packing_excess_prob,
     resolvability_covering_bound,
     resolvability_excess_bound,
-    resolvability_excess_rhs,
     simple_covering_bound,
 )
 from oneshot.bounds import event_from_points, full_event, minimize_scalar
@@ -193,14 +192,16 @@ class TestResolvabilityBound:
     def test_large_lam_limit(self):
         lam = 1e6
         # all densities are finite here, so the tail term vanishes
-        assert resolvability_excess_rhs(JOINT, 2, lam) == pytest.approx(2 / lam, abs=1e-18)
+        rhs = resolvability_excess_bound(JOINT, 2, lam).raw_value
+        assert rhs == pytest.approx(2 / lam, abs=1e-18)
 
     def test_independent_joint(self):
         j = Joint(np.outer([0.3, 0.7], [0.25, 0.75]))
-        assert resolvability_excess_rhs(j, 4, 3.0) == pytest.approx(2 / 3, abs=1e-15)
+        assert resolvability_excess_bound(j, 4, 3.0).raw_value == pytest.approx(2 / 3, abs=1e-15)
 
     def test_frozen_value(self):
-        assert resolvability_excess_rhs(JOINT, 4, 3.0) == pytest.approx(2 / 3, abs=1e-15)
+        rhs = resolvability_excess_bound(JOINT, 4, 3.0).raw_value
+        assert rhs == pytest.approx(2 / 3, abs=1e-15)
 
 
 class TestResolvabilityCoveringBound:
@@ -234,7 +235,7 @@ class TestPacking:
 
     def test_lhs_delegates_to_oracle(self):
         j = Joint([[0.5, 0.0], [0.0, 0.5]])
-        assert packing_excess_prob(j, 1, 1, 0.1) == pytest.approx(0.5)
+        assert exact_packing_prob(j, 1, 1, 0.1) == pytest.approx(0.5)
 
     def test_lhs_below_bound(self):
         rng = np.random.default_rng(13)
@@ -242,7 +243,7 @@ class TestPacking:
             j = random_joint(rng, (3, 2), allow_zero=True)
             g = float(rng.uniform(0.2, 2.0))
             M, N = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            assert packing_excess_prob(j, M, N, g) <= packing_bound(g) + 1e-12
+            assert exact_packing_prob(j, M, N, g) <= packing_bound(g) + 1e-12
 
 
 class TestOptimizeGamma:

@@ -323,11 +323,13 @@ class TestSimulate:
         # the comparison must exercise both success and failure somewhere
         assert {(1, True), (1, False)} <= outcomes or {(2, True), (2, False)} <= outcomes
 
-    @pytest.mark.parametrize("sizes", [SIZES_A, SchemeSizes(1, 1, 1, 2, 2, 2, 2)])
+    @pytest.mark.parametrize("sizes", [SchemeSizes(1, 1, 1, 1, 2, 3, 2),
+                                       SchemeSizes(2, 1, 1, 1, 1, 1, 2)])
     def test_matches_pointwise_replay_reused_codebook(self, asym_ext_system, sizes):
         # with reuse_codebook=K every trial must replay exactly with the
-        # codebook of its group leader (trial K * (i // K)) and its own
-        # channel uniform; per-trial errors are read off the running totals
+        # codebook of its group leader (trial K * (i // K)), its own message
+        # and its own channel uniform; per-trial errors are read off the
+        # running totals
         system, gamma, K, trials = asym_ext_system, 0.07, 3, 8
         tables = DensityTables(system)
         zt = zeta_table(system, sizes, gamma, tables)
@@ -335,29 +337,37 @@ class TestSimulate:
         chan_cdf = np.cumsum(system.channel.matrix().reshape(system.channel.n_inputs, -1),
                              axis=1)
         cb_budget = sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat)
-        budget = cb_budget + 1
-        # sample_codebook reads a budget of cb_budget; its trial rows coincide
-        # with simulate's only if both budgets span the same Philox blocks
-        assert rngmod.row_width(cb_budget) == rngmod.row_width(budget)
         outcomes = set()
-        for seed in range(25):
-            done = [(0, 0)]
-            for n in range(1, trials + 1):
-                out = simulate(system, sizes, gamma, trials=n, seed=seed, reuse_codebook=K)
-                done.append((round(out.eps1_hat.mean * n), round(out.eps2_hat.mean * n)))
-            for i in range(trials):
-                cb = sample_codebook(system, sizes, seed=seed, trial=K * (i // K))
-                res = encode(cb, system, sizes, gamma, 0, 0, 0, 0, 0, ztable=zt)
-                u_chan = rngmod.trial_uniforms(seed, i, 1, budget)[0, -1]
-                y_flat = int(rngmod.sample_categorical(chan_cdf[res.x], np.array([u_chan]))[0])
-                y1, y2 = y_flat // ky2, y_flat % ky2
-                got1 = decode1(cb, system, sizes, gamma, y1, tables)
-                got2 = decode2(cb, system, sizes, gamma, y2, tables)
-                err1 = got1 is None or got1 != (0, 0, 0, 0)
-                err2 = got2 is None or got2 != (0, 0, 0, 0)
-                outcomes.update({(1, err1), (2, err2)})
-                assert done[i + 1][0] - done[i][0] == int(err1), f"seed {seed} trial {i} receiver 1"
-                assert done[i + 1][1] - done[i][1] == int(err2), f"seed {seed} trial {i} receiver 2"
+        for random_message in (False, True):
+            budget = cb_budget + (6 if random_message else 1)
+            # trial rows of a bare codebook block would start elsewhere
+            assert rngmod.row_width(cb_budget) != rngmod.row_width(budget)
+            for seed in range(25):
+                done = [(0, 0)]
+                for n in range(1, trials + 1):
+                    out = simulate(system, sizes, gamma, trials=n, seed=seed, reuse_codebook=K,
+                                   random_message=random_message)
+                    done.append((round(out.eps1_hat.mean * n), round(out.eps2_hat.mean * n)))
+                for i in range(trials):
+                    cb = sample_codebook(system, sizes, seed=seed, trial=K * (i // K),
+                                         random_message=random_message)
+                    uni = rngmod.trial_uniforms(seed, i, 1, budget)[0]
+                    w0, w10, w20, a, b = (0, 0, 0, 0, 0)
+                    if random_message:
+                        radices = (sizes.M0, sizes.M10, sizes.M20, sizes.N, sizes.L)
+                        w0, w10, w20, a, b = (min(int(x * r), r - 1)
+                                              for x, r in zip(uni[-6:-1], radices))
+                    res = encode(cb, system, sizes, gamma, w0, w10, w20, a, b, ztable=zt)
+                    y_flat = int(rngmod.sample_categorical(chan_cdf[res.x], uni[-1:])[0])
+                    y1, y2 = y_flat // ky2, y_flat % ky2
+                    got1 = decode1(cb, system, sizes, gamma, y1, tables)
+                    got2 = decode2(cb, system, sizes, gamma, y2, tables)
+                    err1 = got1 is None or got1 != (w0, w10, w20, a)
+                    err2 = got2 is None or got2 != (w0, w10, w20, b)
+                    outcomes.update({(1, err1), (2, err2)})
+                    where = f"seed {seed} trial {i} random_message={random_message}"
+                    assert done[i + 1][0] - done[i][0] == int(err1), f"{where} receiver 1"
+                    assert done[i + 1][1] - done[i][1] == int(err2), f"{where} receiver 2"
         assert {(1, True), (1, False)} <= outcomes or {(2, True), (2, False)} <= outcomes
 
     def test_ensemble_validity_nontrivial_instance(self, asym_ext_system):

@@ -250,13 +250,15 @@ def test_verify_covering_has_exact_and_mc_rows():
 
 
 def test_verify_beyond_cap_degrades_gracefully(tmp_path):
-    # alphabet 50 with 1200 codewords: far past the multiset cap
-    dist = tmp_path / "wide.json"
-    p = np.full((50, 2), 1.0 / 100.0)
-    dist.write_text(json.dumps(p.tolist()))
+    # 40 distinct event rows over 24 columns with 1000 codewords: the
+    # covered sets outgrow the DP cap long before the closure completes
+    dist, event = tmp_path / "wide.json", tmp_path / "wide_event.json"
+    dist.write_text(json.dumps(np.full((40, 24), 1.0 / 960.0).tolist()))
+    mask = np.random.default_rng(0).random((40, 24)) < 0.3
+    event.write_text(json.dumps(mask.tolist()))
     res = run_cli(
-        "verify", "covering", "--dist", str(dist),
-        "--M", "1200", "--L", "2", "--gamma", "1", "--trials", "500",
+        "verify", "covering", "--dist", str(dist), "--event", str(event),
+        "--M", "1000", "--L", "2", "--gamma", "1", "--trials", "500",
     )
     assert res.returncode == 0
     assert "warning" in res.stderr

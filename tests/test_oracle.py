@@ -85,14 +85,123 @@ class TestExactMissProb:
             )
 
     def test_cap_raises(self):
-        j = random_joint(np.random.default_rng(0), (40, 2))
-        assert multiset_count(50, 40) > 10**6
+        # 40 distinct event rows over 24 columns: the covered sets
+        # reachable in 1000 draws times 40 classes times 1000 draws
+        # exceed the DP cap
+        rng = np.random.default_rng(0)
+        j = random_joint(rng, (40, 24))
+        event = rng.random((40, 24)) < 0.3
+        assert len(np.unique(event, axis=0)) == 40
         with pytest.raises(EnumerationCapError):
-            exact_miss_prob(EnsembleSpec(j, full_event((40, 2)), 50, 2))
+            exact_miss_prob(EnsembleSpec(j, event, 1000, 2))
+        with pytest.raises(EnumerationCapError):
+            exact_conditional_miss_prob(Joint(j.probs[None]), event[None], 1000, 2)
 
     def test_spec_validation(self):
         with pytest.raises(InputFormatError):
             EnsembleSpec(JOINT, DIAG, 0, 1)
+
+
+def _varied_instance(rng: np.random.Generator):
+    """A small covering instance with the corner cases the covered-set DP
+    merges or drops: zero-probability rows and columns, repeated event
+    rows, empty and full events."""
+    ku, kv = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    p = rng.dirichlet(np.ones(ku * kv)).reshape(ku, kv)
+    if ku > 1 and rng.random() < 0.3:
+        p[rng.integers(ku)] = 0.0
+    if kv > 1 and rng.random() < 0.2:
+        p[:, rng.integers(kv)] = 0.0
+    kind = rng.integers(6)
+    if kind == 0:
+        ev = np.zeros((ku, kv), dtype=bool)
+    elif kind == 1:
+        ev = np.ones((ku, kv), dtype=bool)
+    else:
+        ev = random_event(rng, (ku, kv))
+        if kind == 2 and ku > 1:
+            ev[1:] = ev[0]
+    return Joint(p / p.sum()), ev
+
+
+class TestCoveredSetDp:
+    def test_matches_bruteforce_on_varied_instances(self):
+        rng = np.random.default_rng(2024)
+        seen = set()
+        n = 0
+        while n < 240:
+            j, ev = _varied_instance(rng)
+            M, L = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            if j.shape[0] ** M > 10**4:
+                continue
+            spec = EnsembleSpec(j, ev, M, L)
+            assert exact_miss_prob(spec) == pytest.approx(
+                exact_miss_prob_bruteforce(spec), abs=1e-12
+            ), (j.probs, ev, M, L)
+            pu, pv = j.probs.sum(axis=1), j.probs.sum(axis=0)
+            seen.update({("M", M), ("L", L)})
+            seen.update(name for name, hit in (
+                ("zero symbol", (pu == 0).any()),
+                ("zero column", (pv == 0).any()),
+                ("repeated rows", len(np.unique(ev, axis=0)) < len(ev)),
+                ("empty", not ev.any()),
+                ("full", ev.all()),
+            ) if hit)
+            n += 1
+        assert seen >= {("M", m) for m in range(1, 7)} | {("L", m) for m in range(1, 7)}
+        assert seen >= {"zero symbol", "zero column", "repeated rows", "empty", "full"}
+
+    def test_conditional_matches_bruteforce_composition(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            shape = (int(rng.integers(2, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            j3 = random_joint(rng, shape, allow_zero=True)
+            ev3 = random_event(rng, shape)
+            M, L = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            want = 0.0
+            for u, mass in enumerate(j3.probs.sum(axis=(1, 2))):
+                if mass > 0:
+                    spec = EnsembleSpec(Joint(j3.probs[u] / mass), ev3[u], M, L)
+                    want += mass * exact_miss_prob_bruteforce(spec)
+            assert exact_conditional_miss_prob(j3, ev3, M, L) == pytest.approx(want, abs=1e-12)
+
+    def test_packing_matches_bruteforce_composition(self):
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            shape = (int(rng.integers(2, 4)), int(rng.integers(1, 4)))
+            j = random_joint(rng, shape, allow_zero=True)
+            M, N = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            gamma = float(rng.uniform(0.01, 1.0))
+            # the packing event: some pair's density reaches ln(MN) + gamma
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dens = np.log(j.probs) - np.log(np.outer(j.probs.sum(axis=1), j.probs.sum(axis=0)))
+            above = (j.probs > 0) & (dens >= math.log(M * N) + gamma)
+            want = 1.0 - exact_miss_prob_bruteforce(EnsembleSpec(j, above, M, N))
+            assert exact_packing_prob(j, M, N, gamma) == pytest.approx(want, abs=1e-12)
+
+    def test_many_classes_small_codebook_under_cap(self):
+        # the closure stops at the sets reachable in M draws, so 40 distinct
+        # rows over 24 columns stay cheap at M = 2
+        rng = np.random.default_rng(0)
+        j = random_joint(rng, (40, 24))
+        event = rng.random((40, 24)) < 0.3
+        spec = EnsembleSpec(j, event, 2, 3)
+        assert exact_miss_prob(spec) == pytest.approx(exact_miss_prob_bruteforce(spec), abs=1e-12)
+
+    def test_large_codebook_agrees_with_mc(self):
+        # |U| = 8, M = 200: about 2.9e12 multisets, a handful of covered sets.
+        # Symbol 7 alone covers column 7, which holds half of V's mass, and
+        # is drawn with probability 0.005, so the miss stays far from 0
+        assert multiset_count(200, 8) > 2 * 10**12
+        pu = np.append(np.full(7, 0.995 / 7), 0.005)
+        pv = np.append(np.full(7, 0.5 / 7), 0.5)
+        event = np.eye(8, dtype=bool)
+        event[:7, :7] = True
+        spec = EnsembleSpec(Joint(np.outer(pu, pv)), event, 200, 2)
+        exact = exact_miss_prob(spec)
+        assert exact == pytest.approx(0.25 * 0.995**200, rel=1e-12)
+        est = mc_miss_prob(spec, 20_000, seed=8)
+        assert abs(est.mean - exact) <= 5 * est.stderr
 
 
 class TestLogWeights:
