@@ -59,15 +59,12 @@ class BoundParams:
     union_form: bool = False
 
     def __post_init__(self):
-        if self.M < 1 or self.L < 1:
-            raise InputFormatError("codebook sizes must be positive")
-        if not self.gamma > 0:
-            raise InputFormatError("gamma must be > 0")
+        check_gamma(self.gamma, self.M, self.L)
         if isinstance(self.delta, str):
             if self.delta != "auto":
                 raise InputFormatError(f'delta: expected a positive number or "auto", got {self.delta!r}')
-        elif not self.delta > 0:
-            raise InputFormatError("delta must be > 0")
+        elif not 0 < self.delta < math.inf:
+            raise InputFormatError("delta must be > 0 and finite")
 
     def resolved_delta(self) -> float:
         if isinstance(self.delta, str):
@@ -106,6 +103,14 @@ class BoundReport:
             "clamped_value": self.clamped_value,
             "params": dict(self.params),
         }
+
+
+def check_gamma(gamma: float, *sizes: int) -> None:
+    """Reject codebook sizes below one and a gamma that is not positive and finite."""
+    if any(n < 1 for n in sizes):
+        raise InputFormatError("codebook sizes must be positive")
+    if not 0 < gamma < math.inf:
+        raise InputFormatError(f"gamma must be > 0 and finite, got {gamma!r}")
 
 
 #: above this gamma, ``e^{e^gamma / 2}`` in :func:`optimal_delta` overflows a double
@@ -236,8 +241,7 @@ def simple_covering_bound(
 
 def _simple_covering(joint: Joint, ev: np.ndarray, table: np.ndarray, M: int, L: int,
                      gamma: float, union_form: bool) -> BoundReport:
-    if not gamma > 0:
-        raise InputFormatError("gamma must be > 0")
+    check_gamma(gamma, M, L)
     sup = joint.probs > 0
     thr = math.log(M * L) - 2.0 * gamma
     exceed = np.zeros_like(sup)
@@ -265,8 +269,7 @@ def conditional_covering_bound(
 
 def _conditional_covering(joint3: Joint, ev: np.ndarray, table: np.ndarray, M: int, L: int,
                           gamma: float) -> BoundReport:
-    if not gamma > 0:
-        raise InputFormatError("gamma must be > 0")
+    check_gamma(gamma, M, L)
     sup = joint3.probs > 0
     thr = math.log(M * L) - 2.0 * gamma
     exceed = np.zeros_like(sup)
@@ -284,8 +287,8 @@ def resolvability_excess_bound(joint: Joint, M: int, lam: float) -> BoundReport:
 
     Valid for ``lam > 2``: density tail at ``ln(M lam / 2)`` plus ``2/lam``.
     """
-    if not lam > 2:
-        raise InputFormatError("lam must be > 2")
+    if M < 1 or not 2 < lam < math.inf:
+        raise InputFormatError("resolvability bound needs M >= 1 and a finite lam > 2")
     table = info_density_table(joint)
     sup = joint.probs > 0
     thr = math.log(M * lam / 2.0)
@@ -312,8 +315,7 @@ def resolvability_covering_bound(
 
 def _resolvability_covering(joint: Joint, ev: np.ndarray, table: np.ndarray, M: int, L: int,
                             gamma: float) -> BoundReport:
-    if not gamma > 0:
-        raise InputFormatError("gamma must be > 0")
+    check_gamma(gamma, M, L)
     sup = joint.probs > 0
     thr = math.log(M * L) - gamma
     above = np.zeros_like(sup)
@@ -333,8 +335,7 @@ def _resolvability_covering(joint: Joint, ev: np.ndarray, table: np.ndarray, M: 
 
 def packing_bound(gamma: float) -> float:
     """The packing tail bound ``exp(-gamma)``."""
-    if not gamma > 0:
-        raise InputFormatError("gamma must be > 0")
+    check_gamma(gamma)
     return math.exp(-gamma)
 
 
@@ -346,18 +347,20 @@ _GRID_POINTS = 256
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _bound_at(kind: str, instance: Mapping[str, object]):
+def bound_at(kind: str, instance: Mapping[str, object]):
     """``gamma -> BoundReport`` for one of the gamma-parameterized bounds.
 
     ``instance`` carries the kind-specific fields: ``joint``/``event``
     plus sizes for the covering bounds, or ``system``/``sizes`` for the
-    broadcast bound.  A covering bound's density table is built here,
-    once, and shared by every gamma.
+    broadcast bound.  The density table (``DensityTables`` for the
+    broadcast bound) is built here, once, and shared by every gamma.
     """
     if kind == "broadcast":
-        from .broadcast import broadcast_bound
+        from .broadcast import DensityTables, broadcast_bound
 
-        return lambda g: broadcast_bound(instance["system"], instance["sizes"], g)
+        system, sizes = instance["system"], instance["sizes"]
+        tables = DensityTables(system)
+        return lambda g: broadcast_bound(system, sizes, g, tables)
     if kind not in ("covering1", "covering4", "covering5", "covering7"):
         raise InputFormatError(f"kind: no gamma-parameterized bound named {kind!r}")
     joint = instance["joint"]
@@ -382,8 +385,8 @@ def _bound_at(kind: str, instance: Mapping[str, object]):
 
 def evaluate_bound(kind: str, instance: Mapping[str, object], gamma: float) -> BoundReport:
     """Evaluate one of the gamma-parameterized bounds on an instance (see
-    :func:`_bound_at` for the instance fields)."""
-    return _bound_at(kind, instance)(gamma)
+    :func:`bound_at` for the instance fields)."""
+    return bound_at(kind, instance)(gamma)
 
 
 def minimize_scalar(
@@ -435,6 +438,6 @@ def optimize_gamma(
     tolerance: float = 1e-6,
 ) -> tuple[float, BoundReport]:
     """Minimize a bound's raw value over gamma (see :func:`minimize_scalar`)."""
-    bound_at = _bound_at(kind, instance)
-    best_g, _ = minimize_scalar(lambda g: bound_at(g).raw_value, search_range, tolerance)
-    return best_g, evaluate_bound(kind, instance, best_g)
+    evaluate = bound_at(kind, instance)
+    best_g, _ = minimize_scalar(lambda g: evaluate(g).raw_value, search_range, tolerance)
+    return best_g, evaluate(best_g)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .bounds import BoundReport, covering_ratio, doubleexp
+from .bounds import BoundReport, check_gamma, covering_ratio, doubleexp
 from .errors import (
     AlphabetMismatchError,
     EnumerationCapError,
@@ -189,8 +189,7 @@ def thresholds_for(sizes: SchemeSizes, gamma: float) -> Thresholds:
     The inner thresholds use the full inner-book sizes (Ntilde, Ltilde)
     everywhere, matching the bound statement and both decoders.
     """
-    if not gamma > 0:
-        raise InputFormatError("gamma must be > 0")
+    check_gamma(gamma)
     return Thresholds(
         head1=math.log(sizes.M * sizes.Ntilde) + gamma,
         head2=math.log(sizes.M * sizes.Ltilde) + gamma,
@@ -256,6 +255,11 @@ class DensityTables:
         m5 = self.i_s_t_u > thr.cross
         return m1, m2, m5
 
+    def union_mask(self, thr: Thresholds) -> np.ndarray:
+        """The union of the five threshold events over (u, s, t, y1, y2)."""
+        m1, m2, m5 = self.event_masks(thr)
+        return m1[:, :, None, :, None] | m2[:, None, :, None, :] | m5[:, :, :, None, None]
+
     def five_events(self, thr: Thresholds) -> dict[str, np.ndarray]:
         """The five threshold events of the bound, each a boolean table that
         broadcasts over (u, s, t, y1, y2)."""
@@ -284,14 +288,10 @@ def event_probabilities(system: BroadcastSystem, sizes: SchemeSizes, gamma: floa
     """Exact probabilities of the five threshold events and their union
     under the design joint."""
     t = tables or DensityTables(system)
-    full = t.full
-    probs = {}
-    union = np.zeros(full.shape, dtype=bool)
-    for name, mask in t.five_events(thresholds_for(sizes, gamma)).items():
-        mask = np.broadcast_to(mask, full.shape)
-        probs[name] = float(full[mask].sum())
-        union |= mask
-    probs["union"] = float(full[union].sum())
+    thr = thresholds_for(sizes, gamma)
+    probs = {name: float(t.full[np.broadcast_to(mask, t.full.shape)].sum())
+             for name, mask in t.five_events(thr).items()}
+    probs["union"] = float(t.full[t.union_mask(thr)].sum())
     return probs
 
 
@@ -304,11 +304,12 @@ def broadcast_bound(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     double-exponential slack, the exact five-event union probability,
     and the inner covering ratio.
     """
-    probs = event_probabilities(system, sizes, gamma, tables)
+    t = tables or DensityTables(system)
+    union = float(t.full[t.union_mask(thresholds_for(sizes, gamma))].sum())
     terms = (
         ("twoexp", 2.0 * math.exp(-gamma)),
         ("doubleexp", doubleexp(gamma)),
-        ("union", probs["union"]),
+        ("union", union),
         ("ratio", covering_ratio(sizes.Nhat, sizes.Lhat, gamma)),
     )
     params = {"sizes": sizes.to_json(), "gamma": gamma}
@@ -645,10 +646,7 @@ def mc_event_union(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     design joint (cross-check for the exact union term)."""
     tables = DensityTables(system)
     ku, ks, kt, ky1, ky2 = system.shape
-    union = np.zeros(system.shape, dtype=bool)
-    for mask in tables.five_events(thresholds_for(sizes, gamma)).values():
-        union |= mask
-    union_flat = union.reshape(ku * ks * kt, ky1 * ky2)
+    union_flat = tables.union_mask(thresholds_for(sizes, gamma)).reshape(ku * ks * kt, ky1 * ky2)
     cdf_ust = np.cumsum(tables.p_ust.reshape(-1))
     chan_flat = system.channel.matrix().reshape(-1, ky1 * ky2)
     cdf_chan = np.cumsum(chan_flat, axis=1)

@@ -136,7 +136,10 @@ def _parse_delta(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_bound_from_args(args) -> bounds.BoundReport:
+def _bound_from_args(args, param: str = "gamma"):
+    """Load and validate a bound kind's inputs once; returns ``value ->
+    BoundReport`` over ``param`` (gamma, delta or lambda), the other
+    parameters read from ``args``.  Gamma goes through :func:`bounds.bound_at`."""
     kind = args.kind
     if kind in ("covering1", "covering4", "covering5", "covering7"):
         _require(args, ["--dist", "--M", "--L", "--gamma"], kind)
@@ -144,31 +147,30 @@ def _evaluate_bound_from_args(args) -> bounds.BoundReport:
         if kind == "covering5" and joint.ndim != 3:
             raise InputFormatError("--dist: covering5 needs a 3-axis joint")
         event = _load_event(args.event, joint.shape)
+        if param == "delta":
+            return lambda d: bounds.mutual_covering_bound(
+                joint, event, bounds.BoundParams(args.M, args.L, args.gamma, d, args.union_form))
+        instance = {"joint": joint, "event": event, "M": args.M, "L": args.L,
+                    "union_form": args.union_form}
         if kind == "covering1":
-            params = bounds.BoundParams(args.M, args.L, args.gamma,
-                                        _parse_delta(args.delta), args.union_form)
-            return bounds.mutual_covering_bound(joint, event, params)
-        if kind == "covering4":
-            return bounds.simple_covering_bound(joint, event, args.M, args.L,
-                                                args.gamma, args.union_form)
-        if kind == "covering5":
-            return bounds.conditional_covering_bound(joint, event, args.M, args.L, args.gamma)
-        return bounds.resolvability_covering_bound(joint, event, args.M, args.L, args.gamma)
+            instance["delta"] = _parse_delta(args.delta)
+        return bounds.bound_at(kind, instance)
     if kind == "resolvability":
         _require(args, ["--dist", "--M", "--lam"], kind)
-        return bounds.resolvability_excess_bound(_load_joint(args.dist), args.M, args.lam)
+        joint = _load_joint(args.dist)
+        return lambda lam: bounds.resolvability_excess_bound(joint, args.M, lam)
     if kind == "packing":
         _require(args, ["--gamma"], kind)
-        return bounds.BoundReport((("bound", bounds.packing_bound(args.gamma)),),
-                                  {"gamma": args.gamma})
+        return lambda g: bounds.BoundReport((("bound", bounds.packing_bound(g)),), {"gamma": g})
     if kind == "broadcast":
         _require(args, ["--gamma"], kind)
-        return broadcast.broadcast_bound(_load_system(args), _load_sizes(args), args.gamma)
+        return bounds.bound_at("broadcast", {"system": _load_system(args),
+                                             "sizes": _load_sizes(args)})
     raise InputFormatError(f"unknown bound kind {kind!r}")
 
 
 def cmd_bound(args) -> int:
-    report = _evaluate_bound_from_args(args)
+    report = _bound_from_args(args)(args.lam if args.kind == "resolvability" else args.gamma)
     if args.format == "json":
         text = _json_text(_payload(args, command="bound", kind=args.kind,
                                    report=report.to_json()))
@@ -372,8 +374,8 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     if not args.steps >= 2:
         raise InputFormatError("--steps must be >= 2")
-    if not args.start < args.stop:
-        raise InputFormatError("--from must be strictly less than --to")
+    if not -math.inf < args.start < args.stop < math.inf:
+        raise InputFormatError("--from must be strictly less than --to, both finite")
     if args.param in ("gamma", "delta") and args.start <= 0:
         raise InputFormatError(f"--from: {args.param} grid must be positive")
     grid = np.linspace(args.start, args.stop, args.steps)
@@ -385,16 +387,10 @@ def cmd_sweep(args) -> int:
     if args.param == "gamma" and args.kind == "resolvability":
         raise InputFormatError("--param gamma does not apply to kind resolvability")
 
-    reports = []
-    for value in grid:
-        value = float(value)
-        if args.param == "gamma":
-            args.gamma = value
-        elif args.param == "delta":
-            args.delta = repr(value)
-        else:
-            args.lam = value
-        reports.append((value, _evaluate_bound_from_args(args)))
+    # the grid's first value stands in for the swept flag while loading
+    setattr(args, "lam" if args.param == "lambda" else args.param, float(grid[0]))
+    bound_at = _bound_from_args(args, args.param)
+    reports = [(float(value), bound_at(float(value))) for value in grid]
 
     names = list(reports[0][1].term_names())
     with_delta_col = args.kind == "covering1" and args.param != "delta"

@@ -24,6 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from . import rng
+from .bounds import check_gamma
 from .errors import AlphabetMismatchError, EnumerationCapError, InputFormatError
 from .probability import Joint, conditional, info_density_table
 
@@ -315,8 +316,7 @@ def exact_packing_prob(joint: Joint, M: int, N: int, gamma: float) -> float:
     codewords i.i.d. from the second, mutually independent; the density
     is taken with respect to the given joint.
     """
-    if gamma <= 0:
-        raise InputFormatError("gamma must be > 0")
+    check_gamma(gamma, M, N)
     table = info_density_table(joint)
     thr = math.log(M * N) + gamma
     with np.errstate(invalid="ignore"):
@@ -349,8 +349,8 @@ def resolvability_excess_exact(joint: Joint, M: int, lam: float) -> float:
     synthesized mass of ``{v : ln(Phat(v)/P_V(v)) > ln(lam)}`` over the
     codebook ensemble.
     """
-    if lam <= 0:
-        raise InputFormatError("lam must be > 0")
+    if M < 1 or not lam > 0:
+        raise InputFormatError("resolvability needs M >= 1 and lam > 0")
     pu = joint.probs.sum(axis=1)
     pv = joint.probs.sum(axis=0)
     rows = conditional(joint, 0).matrix()
@@ -371,8 +371,8 @@ def mc_resolvability_excess(
     Each trial samples one codebook and computes its excess probability
     exactly; the estimate averages these per-codebook values.
     """
-    if lam <= 0:
-        raise InputFormatError("lam must be > 0")
+    if M < 1 or not lam > 0:
+        raise InputFormatError("resolvability needs M >= 1 and lam > 0")
     pu = joint.probs.sum(axis=1)
     pv = joint.probs.sum(axis=0)
     rows = conditional(joint, 0).matrix()

@@ -1,9 +1,9 @@
 """Achievable-region tools for the three-auxiliary broadcast inner bound.
 
 Builds the auxiliary-rate inequality system from the five mutual
-informations of a design, tests rate-triple membership by eliminating
-the auxiliary rates, and projects the system onto the rate coordinates
-by Fourier-Motzkin elimination.
+informations of a design, tests rate-triple membership against the
+closed form of the region, and projects the system onto the rate
+coordinates by Fourier-Motzkin elimination.
 
 All arithmetic is floating point with a small slack: the inputs are
 numerically computed mutual informations, so exact rational elimination
@@ -60,8 +60,8 @@ class RateTriple:
 
     def __post_init__(self):
         for name in ("R0", "R1", "R2"):
-            if not getattr(self, name) >= 0:
-                raise InputFormatError(f"rates: {name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InputFormatError(f"rates: {name} must be >= 0 and finite")
 
     @classmethod
     def from_string(cls, text: str) -> "RateTriple":
@@ -69,9 +69,10 @@ class RateTriple:
         if len(parts) != 3:
             raise InputFormatError("rates: expected R0,R1,R2")
         try:
-            return cls(*(float(p) for p in parts))
+            values = [float(p) for p in parts]
         except ValueError:
             raise InputFormatError(f"rates: could not parse {text!r}") from None
+        return cls(*values)
 
 
 @dataclass(frozen=True)
@@ -323,28 +324,25 @@ def _prune(matrix: np.ndarray, tol: float, exact: bool) -> np.ndarray:
     return matrix[keep]
 
 
-def _feasible(matrix: np.ndarray, aux_cols: list[int], tol: float) -> bool:
-    work = matrix
-    for col in aux_cols:
-        work = _eliminate(work, col)
-        work = _drop_trivial_and_duplicate(work, tol)
-    if len(work) == 0:
-        return True
-    # all remaining rows are constant-only after substitution + elimination
-    return bool((work[:, -1] >= -tol).all())
-
-
 def region_contains(iv: InfoVector, rates: RateTriple, tol: float = _TOL) -> bool:
     """Whether a rate triple admits feasible auxiliary rates.
 
+    Answered from the closed form that :func:`fme_project` leaves of
+    :func:`build_system`, Marton's inner bound with a common message (El
+    Gamal and Kim, *Network Information Theory*, Ch. 8): K <= J1 + J2,
+    R0 + R1 <= I1, R0 + R2 <= I2, R0 + R1 + R2 <= min(I1 + J2, I2 + J1) - K
+    and 2 R0 + R1 + R2 <= I1 + I2 - K.  Each row is held to ``tol`` after
+    scaling to a largest coefficient of one, as the projected rows are.
     The strict positivity in the region statement is relaxed to closure
-    (>= 0): the achievable region is taken closed, and strictness is
-    immaterial after elimination.
+    (>= 0): the achievable region is taken closed.
     """
-    system = build_system(iv, rates)
-    matrix = np.array([row.as_leq() for row in system.rows])
-    aux_cols = [VARIABLES.index(name) for name in _AUX]
-    return _feasible(matrix, aux_cols, tol)
+    r0, r1, r2 = rates.R0, rates.R1, rates.R2
+    total = r0 + r1 + r2
+    return (iv.K <= iv.J1 + iv.J2 + tol
+            and r0 + r1 <= iv.I1 + tol
+            and r0 + r2 <= iv.I2 + tol
+            and total <= min(iv.I1 + iv.J2, iv.I2 + iv.J1) - iv.K + tol
+            and (r0 + total) / 2.0 <= (iv.I1 + iv.I2 - iv.K) / 2.0 + tol)
 
 
 def fme_project(iv: InfoVector, tol: float = _TOL) -> LinearSystem:

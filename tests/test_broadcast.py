@@ -37,6 +37,7 @@ from oneshot.errors import (
 )
 from oneshot import broadcast
 from oneshot import rng as rngmod
+from oneshot.bounds import minimize_scalar, optimize_gamma
 
 SIZES_A = SchemeSizes(1, 1, 1, 1, 1, 2, 2)
 SIZES_B = SchemeSizes(2, 2, 2, 2, 2, 2, 2)
@@ -109,7 +110,33 @@ class TestSystemValidation:
             DensityTables(big)
 
 
+def random_3ary_system(seed: int = 17) -> BroadcastSystem:
+    """Random design over ternary auxiliaries, a ternary input and a
+    ternary-by-ternary output."""
+    rng = np.random.default_rng(seed)
+    p_ust = rng.dirichlet(np.ones(27)).reshape(3, 3, 3)
+    x_map = rng.integers(0, 3, size=(3, 3, 3))
+    rows = rng.dirichlet(np.ones(9), size=3).reshape(3, 3, 3)
+    return BroadcastSystem(Joint(p_ust), x_map, Kernel(rows))
+
+
 class TestBoundEvaluation:
+    @pytest.mark.parametrize("name", ["binary", "asym_ext", "random3"])
+    def test_union_term_equals_event_union(self, name, request):
+        # the bound reads the union from one OR-broadcast mask; it must sum
+        # the same entries in the same order as the per-event API
+        system = random_3ary_system() if name == "random3" else request.getfixturevalue(f"{name}_system")
+        tables = DensityTables(system)
+        values = set()
+        for sizes in (SIZES_A, SIZES_B, SchemeSizes(1, 1, 1, 1, 1, 1, 1)):
+            for gamma in np.geomspace(0.01, 20.0, 64):
+                want = event_probabilities(system, sizes, gamma, tables)["union"]
+                assert broadcast_bound(system, sizes, gamma, tables).term("union") == want
+                assert broadcast_bound(system, sizes, gamma).term("union") == want
+                values.add(want)
+        # the binary system's union is 1 at every size and gamma (ROADMAP item 3)
+        assert len(values) > 1 or name == "binary"
+
     def test_frozen_binary_values(self, binary_system):
         rep = broadcast_bound(binary_system, SIZES_A, 1.0)
         assert rep.term_names() == ("twoexp", "doubleexp", "union", "ratio")
@@ -464,3 +491,20 @@ class TestDegenerateReduction:
         assert abs(out.stage1_eps1.mean - single) <= 4 * math.hypot(
             sigma, max(out.stage1_eps1.stderr, 1e-12)
         )
+
+
+class TestOptimizeGamma:
+    @pytest.mark.parametrize("sizes", [SIZES_A, SIZES_B])
+    def test_one_table_per_search(self, asym_ext_system, sizes, monkeypatch):
+        built = []
+        real = broadcast.DensityTables
+        monkeypatch.setattr(broadcast, "DensityTables", lambda system: built.append(system) or real(system))
+        instance = {"system": asym_ext_system, "sizes": sizes}
+        gamma, report = optimize_gamma("broadcast", instance, (0.05, 5.0))
+        assert len(built) == 1
+        monkeypatch.undo()
+        # reference: the table rebuilt for every gamma
+        ref_gamma, _ = minimize_scalar(
+            lambda g: broadcast_bound(asym_ext_system, sizes, g).raw_value, (0.05, 5.0))
+        ref = broadcast_bound(asym_ext_system, sizes, ref_gamma)
+        assert (gamma, report.to_json()) == (ref_gamma, ref.to_json())

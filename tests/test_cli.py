@@ -150,6 +150,74 @@ def test_large_gamma_outcomes(capsys):
     assert [code(c, "720") for c in ("covering1-delta", "covering4", "broadcast")] == [0, 2, 2]
 
 
+#: gamma log-spaced over [1e-300, 1e3], plus the overflow edges and non-finite values
+_PROPERTY_GAMMAS = [repr(float(g)) for g in np.geomspace(1e-300, 1e3, 40)] + [
+    "709", "710", "745", "inf", "nan"]
+_PROPERTY_COMMANDS = {**_LARGE_GAMMA_COMMANDS, "packing": ["bound", "packing"]}
+_TRIALS_COMMANDS = {
+    "simulate": ["simulate", *_BINARY_SMALL, "--gamma", "1"],
+    "verify-broadcast": ["verify", "broadcast", *_BINARY_SMALL, "--gamma", "1"],
+    "verify-covering": ["verify", "covering", *_COV_4X4, "--gamma", "1"],
+    "verify-covering5": ["verify", "covering5", *_LARGE_GAMMA_COMMANDS["covering5"][2:], "--gamma", "1"],
+    "verify-packing": ["verify", "packing", "--dist", str(CONFIGS / "joint_2x2.json"),
+                       "--M", "2", "--N", "2", "--gamma", "1"],
+    "verify-resolvability": ["verify", "resolvability", "--dist", str(CONFIGS / "joint_2x2.json"),
+                             "--M", "3", "--lam", "3"],
+}
+
+
+def _assert_clean_outcome(code: int, out: str, err: str) -> None:
+    """Exit 0 with strict, finite JSON, or exit 2 with one ``error:`` line."""
+    assert code in (0, 2)
+    if code == 2:
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+    else:
+        _strict_json(out)
+
+
+@pytest.mark.parametrize("command", sorted(_PROPERTY_COMMANDS))
+def test_gamma_property_exit_0_or_2(command, capsys):
+    for gamma in _PROPERTY_GAMMAS:
+        code = cli.main([*_PROPERTY_COMMANDS[command], "--gamma", gamma])
+        out, err = capsys.readouterr()
+        _assert_clean_outcome(code, out, err)
+        if not 0 < float(gamma) < math.inf:
+            assert code == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "1"])
+@pytest.mark.parametrize("command", sorted(_TRIALS_COMMANDS))
+def test_trials_property_exit_0_or_2(command, trials, capsys):
+    code = cli.main([*_TRIALS_COMMANDS[command], "--trials", trials])
+    out, err = capsys.readouterr()
+    _assert_clean_outcome(code, out, err)
+    assert code == (2 if trials == "0" else 0)
+
+
+_JOINT = str(CONFIGS / "joint_2x2.json")
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["bound", "covering4", "--dist", _JOINT, "--M", "0", "--L", "3", "--gamma", "1"], "sizes"),
+    (["verify", "packing", "--dist", _JOINT, "--M", "3", "--N", "0", "--gamma", "1"], "sizes"),
+    (["verify", "resolvability", "--dist", _JOINT, "--M", "0", "--lam", "3", "--trials", "10"],
+     "M >= 1"),
+    (["bound", "resolvability", "--dist", _JOINT, "--M", "3", "--lam", "inf"], "finite"),
+    (["bound", "covering1", *_COV_4X4, "--gamma", "1", "--delta", "inf"], "finite"),
+    (["region", "--config", str(CONFIGS / "region_binary.json"), "--rates", "inf,0,0"], "finite"),
+    (["sweep", "packing", "--param", "gamma", "--from", "0.1", "--to", "inf", "--steps", "3"],
+     "finite"),
+], ids=["covering-M0", "packing-N0", "resolvability-M0", "lam-inf", "delta-inf", "rates-inf",
+        "sweep-to-inf"])
+def test_bad_sizes_and_non_finite_values_exit_2(argv, names, capsys):
+    code = cli.main(argv)
+    _, err = capsys.readouterr()
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0]
+
+
 _IMPORT_PROBE = """
 import json, sys
 import oneshot, oneshot.cli

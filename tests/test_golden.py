@@ -1,10 +1,14 @@
-"""Reference outputs of the broadcast simulator, compared byte for byte.
+"""Reference outputs of the CLI and the broadcast simulator, compared byte
+for byte.
 
 The files under ``tests/golden/`` hold the exact output of ``simulate`` and
 ``verify broadcast`` on the shipped binary system, plus ``SimOutcome`` JSON
 for the three-letter asymmetric system (whose error rates lie strictly
 between 0 and 1).  Any change to codebook sampling, chunking or the
 encode/decode kernel must reproduce them exactly, for every thread count.
+They also hold ``bound broadcast``, ``sweep`` for every kind and parameter,
+``region --project``, and ``region --rates`` verdicts on a rate grid, so
+that changes to bound evaluation and region membership keep every output.
 
 Regenerate only when an output change is intended and explained::
 
@@ -24,6 +28,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 BINARY = str(ROOT / "configs" / "broadcast_binary.json")
 SMALL = str(ROOT / "configs" / "sizes_small.json")
 LARGE = str(ROOT / "configs" / "sizes_large.json")
+JOINT = str(ROOT / "configs" / "joint_2x2.json")
+EVENT = str(ROOT / "configs" / "event_diag.json")
+JOINT3 = str(ROOT / "configs" / "joint_2x2x2.json")
+EVENT3 = str(ROOT / "configs" / "event_2x2x2.json")
+REGION = {"binary": str(ROOT / "configs" / "region_binary.json"),
+          "bsc_copy": str(ROOT / "configs" / "region_bsc_copy.json")}
+_COV = ["--dist", JOINT, "--event", EVENT, "--M", "4", "--L", "3"]
 
 #: golden name -> CLI argv (without --threads/--out)
 CLI_CASES = {
@@ -56,7 +67,49 @@ CLI_CASES = {
                                "--gamma", "1.2", "--trials", "5000", "--seed", "11"],
     "verify_broadcast_large": ["verify", "broadcast", "--config", BINARY, "--sizes-file", LARGE,
                                "--gamma", "0.5", "--trials", "5000", "--seed", "12"],
+    "sweep_broadcast_gamma_small": ["sweep", "broadcast", "--config", BINARY, "--sizes-file", SMALL,
+                                    "--param", "gamma", "--from", "0.2", "--to", "4", "--steps", "9"],
+    "sweep_broadcast_gamma_large_json": ["sweep", "broadcast", "--config", BINARY,
+                                         "--sizes-file", LARGE, "--param", "gamma",
+                                         "--from", "0.05", "--to", "6", "--steps", "7",
+                                         "--format", "json"],
+    "sweep_covering1_gamma": ["sweep", "covering1", *_COV, "--param", "gamma",
+                              "--from", "0.2", "--to", "3", "--steps", "8"],
+    "sweep_covering1_delta": ["sweep", "covering1", *_COV, "--gamma", "0.7", "--union-form",
+                              "--param", "delta", "--from", "0.05", "--to", "2", "--steps", "6"],
+    "sweep_covering4_gamma": ["sweep", "covering4", *_COV, "--param", "gamma",
+                              "--from", "0.2", "--to", "3", "--steps", "8"],
+    "sweep_covering4_gamma_union_json": ["sweep", "covering4", *_COV, "--union-form",
+                                         "--param", "gamma", "--from", "0.1", "--to", "2",
+                                         "--steps", "5", "--format", "json"],
+    "sweep_covering5_gamma": ["sweep", "covering5", "--dist", JOINT3, "--event", EVENT3,
+                              "--M", "3", "--L", "4", "--param", "gamma",
+                              "--from", "0.2", "--to", "3", "--steps", "8"],
+    "sweep_covering7_gamma": ["sweep", "covering7", *_COV, "--param", "gamma",
+                              "--from", "0.2", "--to", "3", "--steps", "8"],
+    "sweep_packing_gamma": ["sweep", "packing", "--param", "gamma",
+                            "--from", "0.5", "--to", "5", "--steps", "6"],
+    "sweep_resolvability_lambda": ["sweep", "resolvability", "--dist", JOINT, "--M", "4",
+                                   "--param", "lambda", "--from", "2.5", "--to", "12",
+                                   "--steps", "6"],
+    "region_binary_rates": ["region", "--config", REGION["binary"], "--rates", "0.1,0.2,0.1"],
+    "region_bsc_copy_rates_bits": ["region", "--config", REGION["bsc_copy"], "--units", "bits",
+                                   "--rates", "0,0,0"],
 }
+for _name, _path in (("small", SMALL), ("large", LARGE)):
+    for _gamma in ("0.3", "1.2", "4"):
+        CLI_CASES[f"bound_broadcast_{_name}_g{_gamma}"] = [
+            "bound", "broadcast", "--config", BINARY, "--sizes-file", _path, "--gamma", _gamma]
+for _config, _path in REGION.items():
+    for _units in ("nats", "bits"):
+        CLI_CASES[f"region_{_config}_project_{_units}"] = [
+            "region", "--config", _path, "--project", "--units", _units]
+CLI_CASES["region_binary_project_csv"] = ["region", "--config", REGION["binary"], "--project",
+                                          "--format", "csv"]
+
+#: rate coordinates of the region --rates grid; 5e-10 and 2e-9 straddle the
+#: membership tolerance at the facets through the origin
+RATE_GRID = ("0", "5e-10", "2e-9", "0.1", "0.2", "0.3", "0.45")
 
 #: golden name -> simulate keyword arguments on the asymmetric 3-letter system
 LIB_CASES = {
@@ -76,6 +129,20 @@ def cli_output(name: str, threads: int, out: Path) -> bytes:
     return out.read_bytes()
 
 
+def region_grid_output(config: str, units: str, out: Path) -> bytes:
+    """Concatenated CSV verdicts of ``region --rates`` over the rate grid."""
+    text = b""
+    for r0 in RATE_GRID:
+        for r1 in RATE_GRID:
+            for r2 in RATE_GRID:
+                code = cli.main(["region", "--config", REGION[config], "--units", units,
+                                 "--rates", f"{r0},{r1},{r2}", "--format", "csv",
+                                 "--out", str(out)])
+                assert code == 0
+                text += f"{r0},{r1},{r2}\n".encode() + out.read_bytes()
+    return text
+
+
 def lib_output(name: str, system, threads: int) -> bytes:
     kw = dict(LIB_CASES[name])
     sizes = SchemeSizes(*kw.pop("sizes"))
@@ -88,6 +155,13 @@ def lib_output(name: str, system, threads: int) -> bytes:
 def test_cli_matches_golden(name, threads, tmp_path):
     want = (GOLDEN / f"{name}.out").read_bytes()
     assert cli_output(name, threads, tmp_path / "out") == want
+
+
+@pytest.mark.parametrize("units", ["nats", "bits"])
+@pytest.mark.parametrize("config", sorted(REGION))
+def test_region_grid_matches_golden(config, units, tmp_path):
+    want = (GOLDEN / f"region_grid_{config}_{units}.out").read_bytes()
+    assert region_grid_output(config, units, tmp_path / "out") == want
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -106,7 +180,12 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in CLI_CASES:
         cli_output(case, 1, GOLDEN / f"{case}.out")
+    for config in REGION:
+        for units in ("nats", "bits"):
+            path = GOLDEN / f"region_grid_{config}_{units}.out"
+            path.write_bytes(region_grid_output(config, units, GOLDEN / "region_grid.tmp"))
+    (GOLDEN / "region_grid.tmp").unlink()
     system = product_extend_system(asym_broadcast_system(), 3)
     for case in LIB_CASES:
         (GOLDEN / f"{case}.json").write_bytes(lib_output(case, system, 1))
-    print(f"wrote {len(CLI_CASES) + len(LIB_CASES)} files to {GOLDEN}")
+    print(f"wrote {len(CLI_CASES) + len(LIB_CASES) + 2 * len(REGION)} files to {GOLDEN}")

@@ -16,6 +16,7 @@ from oneshot import (
     region_contains,
 )
 from oneshot.errors import InputFormatError
+from oneshot import regions
 from oneshot.regions import VARIABLES, projection_contains
 
 
@@ -232,3 +233,66 @@ class TestProjection:
         for drop in range(len(proj.rows)):
             others = np.delete(sat, drop, axis=1).all(axis=1)
             assert (others & ~sat[:, drop]).any(), f"row {drop} appears redundant"
+
+
+def _facet_points(system, rng: np.random.Generator, scale: float):
+    """Points on each facet of a projected system, and 1e-12 and 1e-6
+    to either side of it, inside the nonnegative orthant."""
+    for row in system.rows:
+        c = np.array(row.coeffs)
+        norm = float(np.linalg.norm(c))
+        if norm == 0.0:
+            continue
+        x = rng.uniform(0.0, scale, 3)
+        x += (row.constant - c @ x) / norm**2 * c
+        for eps in (-1e-6, -1e-12, 1e-12, 1e-6):
+            y = x + eps * c / norm
+            if (y >= 0).all():
+                yield RateTriple(*y)
+
+
+def _closed_form_cases(n: int, rng: np.random.Generator):
+    """Random info vectors: generic, J = I, K on the feasibility facet
+    K = J1 + J2 (to within 1e-12 or 1e-6), K above it (empty region), and
+    the zero vector."""
+    yield InfoVector(0.0, 0.0, 0.0, 0.0, 0.0)
+    for i in range(n - 1):
+        i1, i2 = rng.uniform(0.0, 1.5, 2)
+        j1, j2 = rng.uniform(0.0, i1), rng.uniform(0.0, i2)
+        kind = i % 4
+        if kind == 1:
+            j1, j2 = i1, i2
+        if kind == 2:
+            k = max(j1 + j2 + rng.choice([-1e-6, -1e-12, 1e-12, 1e-6]), 0.0)
+        elif kind == 3:
+            k = j1 + j2 + rng.uniform(1e-3, 0.5)
+        else:
+            k = rng.uniform(0.0, j1 + j2)
+        yield InfoVector(i1, i2, j1, j2, k)
+
+
+class TestClosedForm:
+    """``region_contains`` answers from the closed form; FME is its reference."""
+
+    def test_matches_fme_projection(self, monkeypatch):
+        # 10^4 vectors against the FME projection before LP pruning (pruning
+        # only drops rows the others imply), and every 50th against the
+        # pruned fme_project itself
+        vectors = list(_closed_form_cases(10**4, np.random.default_rng(2024)))
+        pruned = {n: fme_project(iv) for n, iv in enumerate(vectors) if n % 50 == 0}
+        monkeypatch.setattr(regions, "_prune",
+                            lambda matrix, tol, exact: regions._drop_trivial_and_duplicate(matrix, tol))
+        rng = np.random.default_rng(7)
+        checked = inside = 0
+        for n, iv in enumerate(vectors):
+            refs = [fme_project(iv)] + ([pruned[n]] if n in pruned else [])
+            scale = max(iv.I1, iv.I2, 1e-3)
+            points = [RateTriple(0, 0, 0), RateTriple(*rng.uniform(0.0, scale, 3))]
+            points += list(_facet_points(refs[0], rng, scale))
+            for r in points:
+                got = region_contains(iv, r)
+                for ref in refs:
+                    assert got == projection_contains(ref, r), (iv, r)
+                checked += 1
+                inside += got
+        assert checked > 10**5 and inside > 10**4
