@@ -59,7 +59,7 @@ class BoundParams:
     union_form: bool = False
 
     def __post_init__(self):
-        check_gamma(self.gamma, self.M, self.L)
+        check_bound_args(self.gamma, self.M, self.L)
         if isinstance(self.delta, str):
             if self.delta != "auto":
                 raise InputFormatError(f'delta: expected a positive number or "auto", got {self.delta!r}')
@@ -105,10 +105,15 @@ class BoundReport:
         }
 
 
-def check_gamma(gamma: float, *sizes: int) -> None:
-    """Reject codebook sizes below one and a gamma that is not positive and finite."""
+def check_sizes(*sizes: int) -> None:
+    """Reject codebook sizes below one."""
     if any(n < 1 for n in sizes):
         raise InputFormatError("codebook sizes must be positive")
+
+
+def check_bound_args(gamma: float, *sizes: int) -> None:
+    """:func:`check_sizes`, and reject a gamma that is not positive and finite."""
+    check_sizes(*sizes)
     if not 0 < gamma < math.inf:
         raise InputFormatError(f"gamma must be > 0 and finite, got {gamma!r}")
 
@@ -241,7 +246,7 @@ def simple_covering_bound(
 
 def _simple_covering(joint: Joint, ev: np.ndarray, table: np.ndarray, M: int, L: int,
                      gamma: float, union_form: bool) -> BoundReport:
-    check_gamma(gamma, M, L)
+    check_bound_args(gamma, M, L)
     sup = joint.probs > 0
     thr = math.log(M * L) - 2.0 * gamma
     exceed = np.zeros_like(sup)
@@ -269,7 +274,7 @@ def conditional_covering_bound(
 
 def _conditional_covering(joint3: Joint, ev: np.ndarray, table: np.ndarray, M: int, L: int,
                           gamma: float) -> BoundReport:
-    check_gamma(gamma, M, L)
+    check_bound_args(gamma, M, L)
     sup = joint3.probs > 0
     thr = math.log(M * L) - 2.0 * gamma
     exceed = np.zeros_like(sup)
@@ -287,8 +292,9 @@ def resolvability_excess_bound(joint: Joint, M: int, lam: float) -> BoundReport:
 
     Valid for ``lam > 2``: density tail at ``ln(M lam / 2)`` plus ``2/lam``.
     """
-    if M < 1 or not 2 < lam < math.inf:
-        raise InputFormatError("resolvability bound needs M >= 1 and a finite lam > 2")
+    check_sizes(M)
+    if not 2 < lam < math.inf:
+        raise InputFormatError("lam must be > 2 and finite")
     table = info_density_table(joint)
     sup = joint.probs > 0
     thr = math.log(M * lam / 2.0)
@@ -315,7 +321,7 @@ def resolvability_covering_bound(
 
 def _resolvability_covering(joint: Joint, ev: np.ndarray, table: np.ndarray, M: int, L: int,
                             gamma: float) -> BoundReport:
-    check_gamma(gamma, M, L)
+    check_bound_args(gamma, M, L)
     sup = joint.probs > 0
     thr = math.log(M * L) - gamma
     above = np.zeros_like(sup)
@@ -335,7 +341,7 @@ def _resolvability_covering(joint: Joint, ev: np.ndarray, table: np.ndarray, M: 
 
 def packing_bound(gamma: float) -> float:
     """The packing tail bound ``exp(-gamma)``."""
-    check_gamma(gamma)
+    check_bound_args(gamma)
     return math.exp(-gamma)
 
 
@@ -358,9 +364,8 @@ def bound_at(kind: str, instance: Mapping[str, object]):
     if kind == "broadcast":
         from .broadcast import DensityTables, broadcast_bound
 
-        system, sizes = instance["system"], instance["sizes"]
-        tables = DensityTables(system)
-        return lambda g: broadcast_bound(system, sizes, g, tables)
+        tables = DensityTables(instance["system"])
+        return lambda g: broadcast_bound(instance["system"], instance["sizes"], g, tables)
     if kind not in ("covering1", "covering4", "covering5", "covering7"):
         raise InputFormatError(f"kind: no gamma-parameterized bound named {kind!r}")
     joint = instance["joint"]

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .bounds import BoundReport, check_gamma, covering_ratio, doubleexp
+from .bounds import BoundReport, check_bound_args, covering_ratio, doubleexp
 from .errors import (
     AlphabetMismatchError,
     EnumerationCapError,
@@ -189,7 +189,7 @@ def thresholds_for(sizes: SchemeSizes, gamma: float) -> Thresholds:
     The inner thresholds use the full inner-book sizes (Ntilde, Ltilde)
     everywhere, matching the bound statement and both decoders.
     """
-    check_gamma(gamma)
+    check_bound_args(gamma)
     return Thresholds(
         head1=math.log(sizes.M * sizes.Ntilde) + gamma,
         head2=math.log(sizes.M * sizes.Ltilde) + gamma,
@@ -284,13 +284,15 @@ def zeta_table(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
 
 
 def event_probabilities(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
-                        tables: DensityTables | None = None) -> dict[str, float]:
+                        tables: DensityTables | None = None,
+                        union_only: bool = False) -> dict[str, float]:
     """Exact probabilities of the five threshold events and their union
-    under the design joint."""
+    under the design joint (only ``union`` with ``union_only``)."""
     t = tables or DensityTables(system)
     thr = thresholds_for(sizes, gamma)
-    probs = {name: float(t.full[np.broadcast_to(mask, t.full.shape)].sum())
-             for name, mask in t.five_events(thr).items()}
+    probs = {} if union_only else {
+        name: float(t.full[np.broadcast_to(mask, t.full.shape)].sum())
+        for name, mask in t.five_events(thr).items()}
     probs["union"] = float(t.full[t.union_mask(thr)].sum())
     return probs
 
@@ -304,12 +306,10 @@ def broadcast_bound(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     double-exponential slack, the exact five-event union probability,
     and the inner covering ratio.
     """
-    t = tables or DensityTables(system)
-    union = float(t.full[t.union_mask(thresholds_for(sizes, gamma))].sum())
     terms = (
         ("twoexp", 2.0 * math.exp(-gamma)),
         ("doubleexp", doubleexp(gamma)),
-        ("union", union),
+        ("union", event_probabilities(system, sizes, gamma, tables, union_only=True)["union"]),
         ("ratio", covering_ratio(sizes.Nhat, sizes.Lhat, gamma)),
     )
     params = {"sizes": sizes.to_json(), "gamma": gamma}

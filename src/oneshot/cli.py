@@ -202,14 +202,10 @@ def _verify_rows_covering(args) -> list[dict]:
         print(f"warning: exact value skipped: {exc}", file=sys.stderr)
     mc = oracle.mc_miss_prob(spec, args.trials, args.seed, args.threads)
     rows.append({"name": "mc", "value": mc.mean, "stderr": mc.stderr, "trials": mc.trials})
-    delta = _parse_delta(args.delta)
-    evaluations = [
-        ("covering1", bounds.mutual_covering_bound(
-            joint, event, bounds.BoundParams(args.M, args.L, args.gamma, delta, args.union_form))),
-        ("covering4", bounds.simple_covering_bound(joint, event, args.M, args.L,
-                                                   args.gamma, args.union_form)),
-        ("covering7", bounds.resolvability_covering_bound(joint, event, args.M, args.L, args.gamma)),
-    ]
+    instance = {"joint": joint, "event": event, "M": args.M, "L": args.L,
+                "delta": _parse_delta(args.delta), "union_form": args.union_form}
+    evaluations = [(kind, bounds.evaluate_bound(kind, instance, args.gamma))
+                   for kind in ("covering1", "covering4", "covering7")]
     for name, rep in evaluations:
         ref = exact if exact is not None else mc.mean - 4.0 * mc.stderr
         rows.append({

@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from . import rng
-from .bounds import check_gamma
+from .bounds import check_bound_args, check_sizes
 from .errors import AlphabetMismatchError, EnumerationCapError, InputFormatError
 from .probability import Joint, conditional, info_density_table
 
@@ -65,8 +65,7 @@ class EnsembleSpec:
             raise AlphabetMismatchError(
                 f"event shape {ev.shape} does not match joint shape {self.joint.shape}"
             )
-        if self.M < 1 or self.L < 1:
-            raise InputFormatError("codebook sizes must be positive")
+        check_sizes(self.M, self.L)
 
 
 @dataclass(frozen=True)
@@ -316,7 +315,7 @@ def exact_packing_prob(joint: Joint, M: int, N: int, gamma: float) -> float:
     codewords i.i.d. from the second, mutually independent; the density
     is taken with respect to the given joint.
     """
-    check_gamma(gamma, M, N)
+    check_bound_args(gamma, M, N)
     table = info_density_table(joint)
     thr = math.log(M * N) + gamma
     with np.errstate(invalid="ignore"):
@@ -341,6 +340,14 @@ def _excess_mass(phat: np.ndarray, pv: np.ndarray, lam: float) -> np.ndarray:
     return (phat * mask).sum(axis=1)
 
 
+def _resolvability_inputs(joint: Joint, M: int, lam: float):
+    """Validate ``M`` and ``lam``; returns ``P_U``, ``P_V`` and the rows of ``P_{V|U}``."""
+    check_sizes(M)
+    if not lam > 0:
+        raise InputFormatError("lam must be > 0")
+    return joint.probs.sum(axis=1), joint.probs.sum(axis=0), conditional(joint, 0).matrix()
+
+
 def resolvability_excess_exact(joint: Joint, M: int, lam: float) -> float:
     """Ensemble-average excess-information probability, exactly.
 
@@ -349,11 +356,7 @@ def resolvability_excess_exact(joint: Joint, M: int, lam: float) -> float:
     synthesized mass of ``{v : ln(Phat(v)/P_V(v)) > ln(lam)}`` over the
     codebook ensemble.
     """
-    if M < 1 or not lam > 0:
-        raise InputFormatError("resolvability needs M >= 1 and lam > 0")
-    pu = joint.probs.sum(axis=1)
-    pv = joint.probs.sum(axis=0)
-    rows = conditional(joint, 0).matrix()
+    pu, pv, rows = _resolvability_inputs(joint, M, lam)
     _check_cap(M, len(pu))
     total = 0.0
     for counts in _iter_count_blocks(M, len(pu)):
@@ -371,11 +374,7 @@ def mc_resolvability_excess(
     Each trial samples one codebook and computes its excess probability
     exactly; the estimate averages these per-codebook values.
     """
-    if M < 1 or not lam > 0:
-        raise InputFormatError("resolvability needs M >= 1 and lam > 0")
-    pu = joint.probs.sum(axis=1)
-    pv = joint.probs.sum(axis=0)
-    rows = conditional(joint, 0).matrix()
+    pu, pv, rows = _resolvability_inputs(joint, M, lam)
     cdf_u = np.cumsum(pu)
     k = len(pu)
 

@@ -202,7 +202,7 @@ _JOINT = str(CONFIGS / "joint_2x2.json")
     (["bound", "covering4", "--dist", _JOINT, "--M", "0", "--L", "3", "--gamma", "1"], "sizes"),
     (["verify", "packing", "--dist", _JOINT, "--M", "3", "--N", "0", "--gamma", "1"], "sizes"),
     (["verify", "resolvability", "--dist", _JOINT, "--M", "0", "--lam", "3", "--trials", "10"],
-     "M >= 1"),
+     "sizes"),
     (["bound", "resolvability", "--dist", _JOINT, "--M", "3", "--lam", "inf"], "finite"),
     (["bound", "covering1", *_COV_4X4, "--gamma", "1", "--delta", "inf"], "finite"),
     (["region", "--config", str(CONFIGS / "region_binary.json"), "--rates", "inf,0,0"], "finite"),

@@ -6,9 +6,10 @@ The files under ``tests/golden/`` hold the exact output of ``simulate`` and
 for the three-letter asymmetric system (whose error rates lie strictly
 between 0 and 1).  Any change to codebook sampling, chunking or the
 encode/decode kernel must reproduce them exactly, for every thread count.
-They also hold ``bound broadcast``, ``sweep`` for every kind and parameter,
-``region --project``, and ``region --rates`` verdicts on a rate grid, so
-that changes to bound evaluation and region membership keep every output.
+They also hold ``bound broadcast``, ``verify covering``, ``sweep`` for every
+kind and parameter, ``region --project``, and ``region --rates`` verdicts on
+a rate grid, so that changes to bound evaluation and region membership keep
+every output.
 
 Regenerate only when an output change is intended and explained::
 
@@ -92,6 +93,13 @@ CLI_CASES = {
     "sweep_resolvability_lambda": ["sweep", "resolvability", "--dist", JOINT, "--M", "4",
                                    "--param", "lambda", "--from", "2.5", "--to", "12",
                                    "--steps", "6"],
+    # sizes at which all three covering bounds stay below 1
+    "verify_covering": ["verify", "covering", "--dist", JOINT, "--event", EVENT,
+                        "--M", "20", "--L", "20", "--gamma", "1", "--trials", "3000",
+                        "--seed", "16"],
+    "verify_covering_delta_union": ["verify", "covering", "--dist", JOINT, "--event", EVENT,
+                                    "--M", "60", "--L", "60", "--gamma", "1", "--delta", "300",
+                                    "--union-form", "--trials", "3000", "--seed", "17"],
     "region_binary_rates": ["region", "--config", REGION["binary"], "--rates", "0.1,0.2,0.1"],
     "region_bsc_copy_rates_bits": ["region", "--config", REGION["bsc_copy"], "--units", "bits",
                                    "--rates", "0,0,0"],
