@@ -196,11 +196,23 @@ def _density_ratio(joint: Joint) -> np.ndarray:
     return ratio
 
 
-def _miss_excess_terms(joint: Joint, ev: np.ndarray, exceed: np.ndarray,
-                       union_form: bool) -> tuple[tuple[str, float], ...]:
+def _excess_mask(joint: Joint, table: np.ndarray, thr: float, inclusive: bool = False) -> np.ndarray:
+    """Support points whose ``table`` entry is above ``thr`` (``>=`` with ``inclusive``)."""
+    sup = joint.probs > 0
+    mask = np.zeros_like(sup)
+    mask[sup] = table[sup] >= thr if inclusive else table[sup] > thr
+    return mask
+
+
+def _covering_report(joint: Joint, ev: np.ndarray, exceed: np.ndarray, union_form: bool,
+                     ratio: float, slack: float, params: dict) -> BoundReport:
+    """The shape every covering bound shares: the miss and excess probabilities
+    (or the probability of their union), the ratio term and the slack."""
     if union_form:
-        return (("miss_or_excess", _mass_where(joint, ~ev | exceed)),)
-    return (("miss", _mass_where(joint, ~ev)), ("excess", _mass_where(joint, exceed)))
+        terms = (("miss_or_excess", _mass_where(joint, ~ev | exceed)),)
+    else:
+        terms = (("miss", _mass_where(joint, ~ev)), ("excess", _mass_where(joint, exceed)))
+    return BoundReport(terms + (("ratio", ratio), ("doubleexp", slack)), params)
 
 
 def mutual_covering_bound(joint: Joint, event: np.ndarray, params: BoundParams) -> BoundReport:
@@ -211,23 +223,9 @@ def mutual_covering_bound(joint: Joint, event: np.ndarray, params: BoundParams) 
     ``(min{M,L}-1)/delta``, and the double-exponential slack.  With the
     union flag the first two merge into the probability of their union.
     """
-    return _mutual_covering(joint, _check_event(joint, event), _density_ratio(joint), params)
-
-
-def _mutual_covering(joint: Joint, ev: np.ndarray, ratio: np.ndarray,
-                     params: BoundParams) -> BoundReport:
-    M, L, gamma = params.M, params.L, params.gamma
-    delta = params.resolved_delta()
-    thr = M * L * math.exp(-gamma) - delta
-    sup = joint.probs > 0
-    # a nonpositive threshold is exceeded by every support point
-    exceed = sup if thr <= 0 else (ratio > thr) & sup
-    terms = _miss_excess_terms(joint, ev, exceed, params.union_form) + (
-        ("ratio", (min(M, L) - 1) / delta),
-        ("doubleexp", doubleexp(gamma)),
-    )
-    used = {"M": M, "L": L, "gamma": gamma, "delta": delta, "union_form": params.union_form}
-    return BoundReport(terms, used)
+    instance = {"joint": joint, "event": event, "M": params.M, "L": params.L,
+                "delta": params.delta, "union_form": params.union_form}
+    return bound_at("covering1", instance)(params.gamma)
 
 
 def simple_covering_bound(
@@ -240,22 +238,8 @@ def simple_covering_bound(
     ``delta = ML(e^{-gamma} - e^{-2 gamma})``, with the excess event
     rewritten as a density threshold ``ln(ML) - 2 gamma``.
     """
-    ev = _check_event(joint, event)
-    return _simple_covering(joint, ev, info_density_table(joint), M, L, gamma, union_form)
-
-
-def _simple_covering(joint: Joint, ev: np.ndarray, table: np.ndarray, M: int, L: int,
-                     gamma: float, union_form: bool) -> BoundReport:
-    check_bound_args(gamma, M, L)
-    sup = joint.probs > 0
-    thr = math.log(M * L) - 2.0 * gamma
-    exceed = np.zeros_like(sup)
-    exceed[sup] = table[sup] > thr
-    terms = _miss_excess_terms(joint, ev, exceed, union_form) + (
-        ("ratio", covering_ratio(M, L, gamma)),
-        ("doubleexp", doubleexp(gamma)),
-    )
-    return BoundReport(terms, {"M": M, "L": L, "gamma": gamma, "union_form": union_form})
+    instance = {"joint": joint, "event": event, "M": M, "L": L, "union_form": union_form}
+    return bound_at("covering4", instance)(gamma)
 
 
 def conditional_covering_bound(
@@ -266,24 +250,7 @@ def conditional_covering_bound(
     The union of the miss event and the conditional-density excess event
     is intrinsic to the statement, so the report always has three terms.
     """
-    ev = _check_event(joint3, event3)
-    if joint3.ndim != 3:
-        raise AlphabetMismatchError("conditional covering bound needs a 3-axis joint")
-    return _conditional_covering(joint3, ev, cond_info_density_table(joint3), M, L, gamma)
-
-
-def _conditional_covering(joint3: Joint, ev: np.ndarray, table: np.ndarray, M: int, L: int,
-                          gamma: float) -> BoundReport:
-    check_bound_args(gamma, M, L)
-    sup = joint3.probs > 0
-    thr = math.log(M * L) - 2.0 * gamma
-    exceed = np.zeros_like(sup)
-    exceed[sup] = table[sup] > thr
-    terms = _miss_excess_terms(joint3, ev, exceed, union_form=True) + (
-        ("ratio", covering_ratio(M, L, gamma)),
-        ("doubleexp", doubleexp(gamma)),
-    )
-    return BoundReport(terms, {"M": M, "L": L, "gamma": gamma})
+    return bound_at("covering5", {"joint": joint3, "event": event3, "M": M, "L": L})(gamma)
 
 
 def resolvability_excess_bound(joint: Joint, M: int, lam: float) -> BoundReport:
@@ -295,11 +262,7 @@ def resolvability_excess_bound(joint: Joint, M: int, lam: float) -> BoundReport:
     check_sizes(M)
     if not 2 < lam < math.inf:
         raise InputFormatError("lam must be > 2 and finite")
-    table = info_density_table(joint)
-    sup = joint.probs > 0
-    thr = math.log(M * lam / 2.0)
-    above = np.zeros_like(sup)
-    above[sup] = table[sup] >= thr
+    above = _excess_mask(joint, info_density_table(joint), math.log(M * lam / 2.0), inclusive=True)
     terms = (
         ("excess", _mass_where(joint, above)),
         ("slack", 2.0 / lam),
@@ -315,28 +278,7 @@ def resolvability_covering_bound(
     Uses ``>=`` on the density event; the probability terms cannot be
     merged into a union, so no union flag exists.
     """
-    ev = _check_event(joint, event)
-    return _resolvability_covering(joint, ev, info_density_table(joint), M, L, gamma)
-
-
-def _resolvability_covering(joint: Joint, ev: np.ndarray, table: np.ndarray, M: int, L: int,
-                            gamma: float) -> BoundReport:
-    check_bound_args(gamma, M, L)
-    sup = joint.probs > 0
-    thr = math.log(M * L) - gamma
-    above = np.zeros_like(sup)
-    above[sup] = table[sup] >= thr
-    try:
-        ratio = math.exp(gamma) / max(M, L)
-    except OverflowError:
-        ratio = math.inf
-    if not math.isfinite(ratio):
-        raise InputFormatError(f"gamma={gamma!r}: e^gamma in the ratio term overflows a double")
-    terms = _miss_excess_terms(joint, ev, above, union_form=False) + (
-        ("ratio", ratio),
-        ("doubleexp", doubleexp(gamma, 0.5)),
-    )
-    return BoundReport(terms, {"M": M, "L": L, "gamma": gamma})
+    return bound_at("covering7", {"joint": joint, "event": event, "M": M, "L": L})(gamma)
 
 
 def packing_bound(gamma: float) -> float:
@@ -360,6 +302,8 @@ def bound_at(kind: str, instance: Mapping[str, object]):
     plus sizes for the covering bounds, or ``system``/``sizes`` for the
     broadcast bound.  The density table (``DensityTables`` for the
     broadcast bound) is built here, once, and shared by every gamma.
+    Each covering kind's excess threshold, ratio term and slack are
+    written here and nowhere else.
     """
     if kind == "broadcast":
         from .broadcast import DensityTables, broadcast_bound
@@ -373,19 +317,48 @@ def bound_at(kind: str, instance: Mapping[str, object]):
     M, L = int(instance["M"]), int(instance["L"])
     union_form = bool(instance.get("union_form", False))
     if kind == "covering1":
-        ratio = _density_ratio(joint)
+        density_ratio = _density_ratio(joint)
         delta = instance.get("delta", "auto")
-        return lambda g: _mutual_covering(joint, ev, ratio, BoundParams(M, L, g, delta, union_form))
-    if kind == "covering4":
-        table = info_density_table(joint)
-        return lambda g: _simple_covering(joint, ev, table, M, L, g, union_form)
+
+        def covering1(g: float) -> BoundReport:
+            d = BoundParams(M, L, g, delta, union_form).resolved_delta()
+            exceed = _excess_mask(joint, density_ratio, M * L * math.exp(-g) - d)
+            return _covering_report(joint, ev, exceed, union_form, (min(M, L) - 1) / d,
+                                    doubleexp(g), {"M": M, "L": L, "gamma": g, "delta": d,
+                                                   "union_form": union_form})
+
+        return covering1
     if kind == "covering5":
         if joint.ndim != 3:
             raise AlphabetMismatchError("conditional covering bound needs a 3-axis joint")
         table = cond_info_density_table(joint)
-        return lambda g: _conditional_covering(joint, ev, table, M, L, g)
-    table = info_density_table(joint)
-    return lambda g: _resolvability_covering(joint, ev, table, M, L, g)
+    else:
+        table = info_density_table(joint)
+    if kind == "covering7":
+
+        def covering7(g: float) -> BoundReport:
+            check_bound_args(g, M, L)
+            exceed = _excess_mask(joint, table, math.log(M * L) - g, inclusive=True)
+            try:
+                ratio = math.exp(g) / max(M, L)
+            except OverflowError:
+                ratio = math.inf
+            if not math.isfinite(ratio):
+                raise InputFormatError(f"gamma={g!r}: e^gamma in the ratio term overflows a double")
+            return _covering_report(joint, ev, exceed, False, ratio, doubleexp(g, 0.5),
+                                    {"M": M, "L": L, "gamma": g})
+
+        return covering7
+    params = {"union_form": union_form} if kind == "covering4" else {}
+    union_form = union_form or kind == "covering5"
+
+    def covering4_or_5(g: float) -> BoundReport:
+        check_bound_args(g, M, L)
+        exceed = _excess_mask(joint, table, math.log(M * L) - 2.0 * g)
+        return _covering_report(joint, ev, exceed, union_form, covering_ratio(M, L, g),
+                                doubleexp(g), {"M": M, "L": L, "gamma": g, **params})
+
+    return covering4_or_5
 
 
 def evaluate_bound(kind: str, instance: Mapping[str, object], gamma: float) -> BoundReport:

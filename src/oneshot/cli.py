@@ -189,95 +189,71 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_rows_covering(args) -> list[dict]:
-    joint = _load_joint(args.dist)
-    event = _load_event(args.event, joint.shape)
-    spec = oracle.EnsembleSpec(joint, event, args.M, args.L)
-    rows: list[dict] = []
-    exact = None
-    try:
-        exact = oracle.exact_miss_prob(spec)
-        rows.append({"name": "exact", "value": exact})
-    except EnumerationCapError as exc:
-        print(f"warning: exact value skipped: {exc}", file=sys.stderr)
-    mc = oracle.mc_miss_prob(spec, args.trials, args.seed, args.threads)
-    rows.append({"name": "mc", "value": mc.mean, "stderr": mc.stderr, "trials": mc.trials})
-    instance = {"joint": joint, "event": event, "M": args.M, "L": args.L,
-                "delta": _parse_delta(args.delta), "union_form": args.union_form}
-    evaluations = [(kind, bounds.evaluate_bound(kind, instance, args.gamma))
-                   for kind in ("covering1", "covering4", "covering7")]
-    for name, rep in evaluations:
-        ref = exact if exact is not None else mc.mean - 4.0 * mc.stderr
-        rows.append({
-            "name": name,
-            "value": rep.clamped_value,
-            "violation": bool(ref > rep.clamped_value + 1e-12),
-        })
-    return rows
+#: flags each verify kind requires
+VERIFY_NEEDS = {
+    "covering": ["--dist", "--M", "--L", "--gamma"],
+    "covering5": ["--dist", "--M", "--L", "--gamma"],
+    "resolvability": ["--dist", "--M", "--lam"],
+    "packing": ["--dist", "--M", "--N", "--gamma"],
+    "broadcast": ["--gamma"],
+}
 
 
-def _verify_rows_covering5(args) -> list[dict]:
+def _verify_pipeline(args):
+    """Load the inputs of a verify kind other than broadcast; returns its
+    exact oracle, its Monte Carlo estimator (None for packing) and its
+    ``[(name, bound value)]``, each as a callable for :func:`_verify_rows`."""
     joint = _load_joint(args.dist)
-    if joint.ndim != 3:
+    M, L, gamma = args.M, args.L, args.gamma
+    run = (args.trials, args.seed, args.threads)
+    if args.kind == "packing":
+        return (lambda: oracle.exact_packing_prob(joint, M, args.N, gamma), None,
+                lambda: [("packing", bounds.packing_bound(gamma))])
+    if args.kind == "resolvability":
+        # compared raw: the 2/lam slack alone can exceed 1
+        return (lambda: oracle.resolvability_excess_exact(joint, M, args.lam),
+                lambda: oracle.mc_resolvability_excess(joint, M, args.lam, *run),
+                lambda: [("resolvability",
+                          bounds.resolvability_excess_bound(joint, M, args.lam).raw_value)])
+    if args.kind == "covering5" and joint.ndim != 3:
         raise InputFormatError("--dist: covering5 needs a 3-axis joint")
     event = _load_event(args.event, joint.shape)
+    if args.kind == "covering5":
+        return (lambda: oracle.exact_conditional_miss_prob(joint, event, M, L),
+                lambda: oracle.mc_conditional_miss_prob(joint, event, M, L, *run),
+                lambda: [("covering5", bounds.conditional_covering_bound(
+                    joint, event, M, L, gamma).clamped_value)])
+    spec = oracle.EnsembleSpec(joint, event, M, L)
+
+    def bound_values():
+        instance = {"joint": joint, "event": event, "M": M, "L": L,
+                    "delta": _parse_delta(args.delta), "union_form": args.union_form}
+        return [(kind, bounds.evaluate_bound(kind, instance, gamma).clamped_value)
+                for kind in ("covering1", "covering4", "covering7")]
+
+    return (lambda: oracle.exact_miss_prob(spec), lambda: oracle.mc_miss_prob(spec, *run),
+            bound_values)
+
+
+def _verify_rows(exact, mc, bound_values) -> list[dict]:
+    """Exact value, then Monte Carlo, then each bound flagged against the
+    reference: the exact value, else the MC mean minus 4 standard errors,
+    else nothing."""
     rows: list[dict] = []
-    exact = None
+    ref = None
     try:
-        exact = oracle.exact_conditional_miss_prob(joint, event, args.M, args.L)
-        rows.append({"name": "exact", "value": exact})
+        ref = exact()
+        rows.append({"name": "exact", "value": ref})
     except EnumerationCapError as exc:
         print(f"warning: exact value skipped: {exc}", file=sys.stderr)
-    mc = oracle.mc_conditional_miss_prob(joint, event, args.M, args.L,
-                                         args.trials, args.seed, args.threads)
-    rows.append({"name": "mc", "value": mc.mean, "stderr": mc.stderr, "trials": mc.trials})
-    rep = bounds.conditional_covering_bound(joint, event, args.M, args.L, args.gamma)
-    ref = exact if exact is not None else mc.mean - 4.0 * mc.stderr
-    rows.append({
-        "name": "covering5",
-        "value": rep.clamped_value,
-        "violation": bool(ref > rep.clamped_value + 1e-12),
-    })
-    return rows
-
-
-def _verify_rows_resolvability(args) -> list[dict]:
-    joint = _load_joint(args.dist)
-    rows: list[dict] = []
-    exact = None
-    try:
-        exact = oracle.resolvability_excess_exact(joint, args.M, args.lam)
-        rows.append({"name": "exact", "value": exact})
-    except EnumerationCapError as exc:
-        print(f"warning: exact value skipped: {exc}", file=sys.stderr)
-    mc = oracle.mc_resolvability_excess(joint, args.M, args.lam,
-                                        args.trials, args.seed, args.threads)
-    rows.append({"name": "mc", "value": mc.mean, "stderr": mc.stderr, "trials": mc.trials})
-    rep = bounds.resolvability_excess_bound(joint, args.M, args.lam)
-    ref = exact if exact is not None else mc.mean - 4.0 * mc.stderr
-    rows.append({
-        "name": "resolvability",
-        "value": rep.raw_value,
-        "violation": bool(ref > rep.raw_value + 1e-12),
-    })
-    return rows
-
-
-def _verify_rows_packing(args) -> list[dict]:
-    joint = _load_joint(args.dist)
-    rows: list[dict] = []
-    exact = None
-    try:
-        exact = oracle.exact_packing_prob(joint, args.M, args.N, args.gamma)
-        rows.append({"name": "exact", "value": exact})
-    except EnumerationCapError as exc:
-        print(f"warning: exact value skipped: {exc}", file=sys.stderr)
-    bound = bounds.packing_bound(args.gamma)
-    rows.append({
-        "name": "packing",
-        "value": bound,
-        "violation": bool(exact is not None and exact > bound + 1e-12),
-    })
+    if mc is not None:
+        est = mc()
+        rows.append({"name": "mc", "value": est.mean, "stderr": est.stderr, "trials": est.trials})
+        if ref is None:
+            ref = est.mean - 4.0 * est.stderr
+    for name, value in bound_values():
+        rows.append({"name": name, "value": value,
+                     "violation": bool(ref is not None and ref > value + 1e-12)})
     return rows
 
 
@@ -304,22 +280,11 @@ def _verify_rows_broadcast(args) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    builders = {
-        "covering": _verify_rows_covering,
-        "covering5": _verify_rows_covering5,
-        "resolvability": _verify_rows_resolvability,
-        "packing": _verify_rows_packing,
-        "broadcast": _verify_rows_broadcast,
-    }
-    needs = {
-        "covering": ["--dist", "--M", "--L", "--gamma"],
-        "covering5": ["--dist", "--M", "--L", "--gamma"],
-        "resolvability": ["--dist", "--M", "--lam"],
-        "packing": ["--dist", "--M", "--N", "--gamma"],
-        "broadcast": ["--gamma"],
-    }
-    _require(args, needs[args.kind], args.kind)
-    rows = builders[args.kind](args)
+    _require(args, VERIFY_NEEDS[args.kind], args.kind)
+    if args.kind == "broadcast":
+        rows = _verify_rows_broadcast(args)
+    else:
+        rows = _verify_rows(*_verify_pipeline(args))
     if args.format == "json":
         text = _json_text(_payload(args, command="verify", kind=args.kind,
                                    trials=args.trials, rows=rows))

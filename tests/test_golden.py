@@ -32,6 +32,8 @@ LARGE = str(ROOT / "configs" / "sizes_large.json")
 JOINT = str(ROOT / "configs" / "joint_2x2.json")
 EVENT = str(ROOT / "configs" / "event_diag.json")
 JOINT3 = str(ROOT / "configs" / "joint_2x2x2.json")
+SKEW = str(ROOT / "configs" / "joint_3x3.json")
+NOISELESS = str(ROOT / "configs" / "noiseless_2x2.json")
 EVENT3 = str(ROOT / "configs" / "event_2x2x2.json")
 REGION = {"binary": str(ROOT / "configs" / "region_binary.json"),
           "bsc_copy": str(ROOT / "configs" / "region_bsc_copy.json")}
@@ -100,6 +102,23 @@ CLI_CASES = {
     "verify_covering_delta_union": ["verify", "covering", "--dist", JOINT, "--event", EVENT,
                                     "--M", "60", "--L", "60", "--gamma", "1", "--delta", "300",
                                     "--union-form", "--trials", "3000", "--seed", "17"],
+    "verify_covering5": ["verify", "covering5", "--dist", JOINT3, "--event", EVENT3,
+                         "--M", "3", "--L", "4", "--gamma", "1", "--trials", "3000",
+                         "--seed", "18"],
+    "verify_covering5_csv": ["verify", "covering5", "--dist", JOINT3, "--event", EVENT3,
+                             "--M", "5", "--L", "2", "--gamma", "0.6", "--trials", "2500",
+                             "--seed", "19", "--format", "csv"],
+    # a skewed joint, so that the synthesized law does exceed lam times the target
+    "verify_resolvability": ["verify", "resolvability", "--dist", SKEW, "--M", "2",
+                             "--lam", "2.5", "--trials", "3000", "--seed", "20"],
+    "verify_resolvability_csv": ["verify", "resolvability", "--dist", SKEW, "--M", "3",
+                                 "--lam", "2.2", "--trials", "2500", "--seed", "21",
+                                 "--format", "csv"],
+    # single codewords and a small gamma: the only sizes where the density reaches the threshold
+    "verify_packing": ["verify", "packing", "--dist", JOINT, "--M", "1", "--N", "1",
+                       "--gamma", "0.2"],
+    "verify_packing_csv": ["verify", "packing", "--dist", NOISELESS, "--M", "1", "--N", "1",
+                           "--gamma", "0.3", "--format", "csv"],
     "region_binary_rates": ["region", "--config", REGION["binary"], "--rates", "0.1,0.2,0.1"],
     "region_bsc_copy_rates_bits": ["region", "--config", REGION["bsc_copy"], "--units", "bits",
                                    "--rates", "0,0,0"],
