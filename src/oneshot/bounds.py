@@ -37,10 +37,16 @@ def full_event(shape: Sequence[int]) -> np.ndarray:
 
 
 def event_from_points(shape: Sequence[int], points) -> np.ndarray:
-    """Event containing exactly the given index tuples."""
+    """Event containing exactly the given index tuples, one in-range index per axis."""
     ev = np.zeros(tuple(shape), dtype=bool)
-    for pt in points:
-        ev[tuple(int(i) for i in pt)] = True
+    try:
+        index = [tuple(int(i) for i in pt) for pt in points]
+    except (TypeError, ValueError, OverflowError):
+        raise InputFormatError("event points: expected a list of integer index lists") from None
+    for pt in index:
+        if len(pt) != ev.ndim or not all(0 <= i < n for i, n in zip(pt, ev.shape)):
+            raise InputFormatError(f"event point {list(pt)} is not an index into shape {ev.shape}")
+        ev[pt] = True
     return ev
 
 

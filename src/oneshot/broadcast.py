@@ -29,15 +29,13 @@ from .errors import (
     InputFormatError,
     UndefinedRowError,
 )
-from .oracle import McEstimate
-from .probability import Joint, Kernel, _iid_power
+from .oracle import McEstimate, _estimate
+from .probability import Joint, Kernel, _iid_power, input_array
 
 #: cap on the size of the design joint over (u, s, t, y1, y2)
 JOINT_CAP = 10**7
-#: trials per simulate chunk, unless the chunk byte cap binds first
+#: trials per simulate chunk, unless the chunk byte cap ``rng.CHUNK_BYTES`` binds first
 SIM_CHUNK_TRIALS = 4096
-#: cap on the bytes of one simulate chunk's uniform block
-SIM_CHUNK_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -81,10 +79,18 @@ class SchemeSizes:
     def from_json(cls, doc: dict) -> "SchemeSizes":
         if not isinstance(doc, dict):
             raise InputFormatError("sizes: expected a JSON object")
-        try:
-            return cls(**{k: int(doc[k]) for k in ("M0", "M10", "M20", "N", "L", "Nhat", "Lhat")})
-        except KeyError as exc:
-            raise InputFormatError(f"sizes: missing field {exc.args[0]!r}") from None
+        sizes = {}
+        for name in ("M0", "M10", "M20", "N", "L", "Nhat", "Lhat"):
+            if name not in doc:
+                raise InputFormatError(f"sizes: missing field {name!r}")
+            value = doc[name]
+            try:
+                if isinstance(value, float) and not value.is_integer():
+                    raise ValueError(value)
+                sizes[name] = int(value)
+            except (TypeError, ValueError):
+                raise InputFormatError(f"sizes: {name} must be an integer, got {value!r}") from None
+        return cls(**sizes)
 
     @classmethod
     def from_string(cls, text: str) -> "SchemeSizes":
@@ -141,8 +147,8 @@ class BroadcastSystem:
             if key not in doc:
                 raise InputFormatError(f"system: missing field {key!r}")
         return cls(
-            Joint(np.asarray(doc["p_ust"], dtype=float)),
-            np.asarray(doc["x_map"], dtype=np.int64),
+            Joint(doc["p_ust"]),
+            input_array(doc["x_map"], "x_map", np.int64),
             Kernel.from_json(doc["channel"]),
         )
 
@@ -247,39 +253,47 @@ class DensityTables:
         out[sup] = np.log(num[sup] / den[sup])
         return out
 
-    def event_masks(self, thr: Thresholds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Boolean event tables: receiver-1 clauses (u,s,y1), receiver-2
-        clauses (u,t,y2), and the cross-density clause (u,s,t)."""
-        m1 = (self.i_us_y1 <= thr.head1) | (self.i_s_y1_u <= thr.inner1)
-        m2 = (self.i_ut_y2 <= thr.head2) | (self.i_t_y2_u <= thr.inner2)
-        m5 = self.i_s_t_u > thr.cross
-        return m1, m2, m5
+    def clauses(self, thr: Thresholds) -> dict[str, np.ndarray]:
+        """The five threshold events of the bound, each a boolean table over its
+        own axes; ``CLAUSE_AXES`` spreads them over (u, s, t, y1, y2).  A
+        ``-inf`` density falls in each ``<=`` clause, so the complements are
+        exactly the decoders' passing tests."""
+        return {
+            "head1": self.i_us_y1 <= thr.head1,
+            "head2": self.i_ut_y2 <= thr.head2,
+            "inner1": self.i_s_y1_u <= thr.inner1,
+            "inner2": self.i_t_y2_u <= thr.inner2,
+            "cross": self.i_s_t_u > thr.cross,
+        }
 
     def union_mask(self, thr: Thresholds) -> np.ndarray:
         """The union of the five threshold events over (u, s, t, y1, y2)."""
-        m1, m2, m5 = self.event_masks(thr)
-        return m1[:, :, None, :, None] | m2[:, None, :, None, :] | m5[:, :, :, None, None]
+        c = self.clauses(thr)
+        return _bad_outputs(c) | c["cross"][CLAUSE_AXES["cross"]]
 
-    def five_events(self, thr: Thresholds) -> dict[str, np.ndarray]:
-        """The five threshold events of the bound, each a boolean table that
-        broadcasts over (u, s, t, y1, y2)."""
-        return {
-            "head1": (self.i_us_y1 <= thr.head1)[:, :, None, :, None],
-            "head2": (self.i_ut_y2 <= thr.head2)[:, None, :, None, :],
-            "inner1": (self.i_s_y1_u <= thr.inner1)[:, :, None, :, None],
-            "inner2": (self.i_t_y2_u <= thr.inner2)[:, None, :, None, :],
-            "cross": (self.i_s_t_u > thr.cross)[:, :, :, None, None],
-        }
+
+#: the index that spreads each clause table over (u, s, t, y1, y2)
+CLAUSE_AXES = {
+    "head1": np.s_[:, :, None, :, None],
+    "head2": np.s_[:, None, :, None, :],
+    "inner1": np.s_[:, :, None, :, None],
+    "inner2": np.s_[:, None, :, None, :],
+    "cross": np.s_[:, :, :, None, None],
+}
+
+
+def _bad_outputs(c: dict[str, np.ndarray]) -> np.ndarray:
+    """Where a receiver's head or inner clause holds, over (u, s, t, y1, y2)."""
+    return ((c["head1"] | c["inner1"])[CLAUSE_AXES["head1"]]
+            | (c["head2"] | c["inner2"])[CLAUSE_AXES["head2"]])
 
 
 def zeta_table(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
                tables: DensityTables | None = None) -> np.ndarray:
     """Mass of the bad output set for every codeword triple (u, s, t)."""
     t = tables or DensityTables(system)
-    thr = thresholds_for(sizes, gamma)
-    m1, m2, _ = t.event_masks(thr)
+    bad = _bad_outputs(t.clauses(thresholds_for(sizes, gamma)))
     chan = system.channel.matrix()[system.x_map]  # (u, s, t, y1, y2)
-    bad = m1[:, :, None, :, None] | m2[:, None, :, None, :]
     return (chan * bad).sum(axis=(3, 4))
 
 
@@ -291,8 +305,8 @@ def event_probabilities(system: BroadcastSystem, sizes: SchemeSizes, gamma: floa
     t = tables or DensityTables(system)
     thr = thresholds_for(sizes, gamma)
     probs = {} if union_only else {
-        name: float(t.full[np.broadcast_to(mask, t.full.shape)].sum())
-        for name, mask in t.five_events(thr).items()}
+        name: float(t.full[np.broadcast_to(mask[CLAUSE_AXES[name]], t.full.shape)].sum())
+        for name, mask in t.clauses(thr).items()}
     probs["union"] = float(t.full[t.union_mask(thr)].sum())
     return probs
 
@@ -397,17 +411,11 @@ def _trial_budget(sizes: SchemeSizes, random_message: bool) -> int:
 
 
 def _chunk_trials(budget: int, reuse_codebook: int) -> int:
-    """Trials per :func:`simulate` chunk: the largest multiple of the reuse
-    group, up to ``SIM_CHUNK_TRIALS`` (or one group, if that is larger),
-    whose uniform block fits ``SIM_CHUNK_BYTES``."""
-    row_bytes = 8 * rng.row_width(budget)
-    fit = SIM_CHUNK_BYTES // row_bytes
-    if reuse_codebook > fit:
-        raise EnumerationCapError(
-            f"one reuse group of {reuse_codebook} trials needs {row_bytes * reuse_codebook} "
-            f"bytes of uniforms, above the chunk cap of {SIM_CHUNK_BYTES}"
-        )
-    return reuse_codebook * max(1, min(SIM_CHUNK_TRIALS, fit) // reuse_codebook)
+    """Trials per :func:`simulate` chunk: whole reuse groups, up to
+    ``SIM_CHUNK_TRIALS``, by the rule of :func:`rng.chunk_trials` applied to
+    the uniform rows."""
+    return rng.chunk_trials(8 * rng.row_width(budget), SIM_CHUNK_TRIALS, reuse_codebook,
+                            f"one reuse group of {reuse_codebook} trials", "uniforms")
 
 
 def _codebooks_from_uniforms(sampler: _Sampler, sizes: SchemeSizes,
@@ -568,8 +576,9 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     thr = thresholds_for(sizes, gamma)
     # decoder tests thresholded once: gathering booleans is cheaper than
     # gathering densities and comparing them trial by trial
-    pass_head1, pass_inner1 = tables.i_us_y1 > thr.head1, tables.i_s_y1_u > thr.inner1
-    pass_head2, pass_inner2 = tables.i_ut_y2 > thr.head2, tables.i_t_y2_u > thr.inner2
+    c = tables.clauses(thr)
+    pass_head1, pass_inner1 = ~c["head1"], ~c["inner1"]
+    pass_head2, pass_inner2 = ~c["head2"], ~c["inner2"]
     ztable = zeta_table(system, sizes, gamma, tables)
     N, Nh, L, Lh = sizes.N, sizes.Nhat, sizes.L, sizes.Lhat
     x_map = system.x_map
@@ -627,17 +636,9 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
         return np.array([err1.sum(), err2.sum(), s1err1.sum(), s1err2.sum()], dtype=np.float64)
 
     parts = rng.run_trials(trials, worker, chunk=chunk, threads=threads)
-    totals = np.sum(parts, axis=0)
-    est = lambda tot: McEstimate(tot / trials, rng.bernoulli_stderr(tot / trials, trials), trials, seed)
-    return SimOutcome(
-        eps1_hat=est(totals[0]),
-        eps2_hat=est(totals[1]),
-        bound=bound,
-        trials=trials,
-        seed=seed,
-        stage1_eps1=est(totals[2]),
-        stage1_eps2=est(totals[3]),
-    )
+    eps1, eps2, stage1_eps1, stage1_eps2 = (_estimate(tot, trials, seed)
+                                            for tot in np.sum(parts, axis=0))
+    return SimOutcome(eps1, eps2, bound, trials, seed, stage1_eps1, stage1_eps2)
 
 
 def mc_event_union(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
@@ -659,6 +660,4 @@ def mc_event_union(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
         return float(union_flat[ust, y].sum())
 
     parts = rng.run_trials(trials, worker, threads=threads)
-    total = sum(parts)
-    mean = total / trials
-    return McEstimate(mean, rng.bernoulli_stderr(mean, trials), trials, seed)
+    return _estimate(sum(parts), trials, seed)

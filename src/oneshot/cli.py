@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, bounds, broadcast, oracle, regions
 from .errors import EnumerationCapError, InputFormatError, OneshotError
-from .probability import Joint
+from .probability import Joint, input_array
 
 NATS_PER_BIT = math.log(2.0)
 
@@ -40,7 +40,10 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".oneshot-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".oneshot-")
+    except OSError as exc:
+        raise InputFormatError(f"--out: cannot create a file in {directory}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -93,7 +96,7 @@ def _load_event(path: str | None, shape) -> np.ndarray:
         return bounds.event_from_points(shape, doc["points"])
     if isinstance(doc, dict) and "mask" in doc:
         doc = doc["mask"]
-    mask = np.asarray(doc)
+    mask = input_array(doc, "--event: mask", None)
     if mask.shape != tuple(shape):
         raise InputFormatError(
             f"--event: mask shape {mask.shape} does not match the joint shape {tuple(shape)}"

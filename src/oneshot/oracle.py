@@ -237,6 +237,8 @@ def mc_miss_prob(spec: EnsembleSpec, trials: int, seed: int, threads: int = 1) -
     cdf_v = np.cumsum(pv)
     M, L = spec.M, spec.L
     event = spec.event
+    # per trial: the uniform row, the drawn indices, and event[us]
+    chunk = rng.chunk_trials(8 * rng.row_width(M + L) + 16 * (M + L) + M * event.shape[1])
 
     def worker(start: int, n: int) -> float:
         u = rng.trial_uniforms(seed, start, n, M + L)
@@ -247,7 +249,7 @@ def mc_miss_prob(spec: EnsembleSpec, trials: int, seed: int, threads: int = 1) -
         hit = np.take_along_axis(covered, vs, axis=1).any(axis=1)
         return float((~hit).sum())
 
-    parts = rng.run_trials(trials, worker, threads=threads)
+    parts = rng.run_trials(trials, worker, chunk=chunk, threads=threads)
     return _estimate(sum(parts), trials, seed)
 
 
@@ -289,6 +291,11 @@ def mc_conditional_miss_prob(
     cdf_u = np.cumsum(pu)
     cdf_s = np.cumsum(st.sum(axis=2), axis=1)
     cdf_t = np.cumsum(st.sum(axis=1), axis=1)
+    _, ks, kt = event3.shape
+    # per trial: the uniform row, the drawn indices, the conditional cdf
+    # rows, and event3[us, ss]
+    chunk = rng.chunk_trials(8 * rng.row_width(1 + M + L) + 16 * (M + L) + 8 * (ks + kt)
+                             + M * kt)
 
     def worker(start: int, n: int) -> float:
         u = rng.trial_uniforms(seed, start, n, 1 + M + L)
@@ -299,7 +306,7 @@ def mc_conditional_miss_prob(
         hit = np.take_along_axis(covered, ts, axis=1).any(axis=1)
         return float((~hit).sum())
 
-    parts = rng.run_trials(trials, worker, threads=threads)
+    parts = rng.run_trials(trials, worker, chunk=chunk, threads=threads)
     return _estimate(sum(parts), trials, seed)
 
 
@@ -377,6 +384,9 @@ def mc_resolvability_excess(
     pu, pv, rows = _resolvability_inputs(joint, M, lam)
     cdf_u = np.cumsum(pu)
     k = len(pu)
+    # per trial: the uniform row, the drawn indices, the counts, and the
+    # synthesized law with its excess mask and masked product
+    chunk = rng.chunk_trials(8 * rng.row_width(M) + 16 * M + 8 * k + 17 * len(pv))
 
     def worker(start: int, n: int) -> float:
         u = rng.trial_uniforms(seed, start, n, M)
@@ -386,5 +396,5 @@ def mc_resolvability_excess(
         phat = (counts @ rows) / M
         return float(_excess_mass(phat, pv, lam).sum())
 
-    parts = rng.run_trials(trials, worker, threads=threads)
+    parts = rng.run_trials(trials, worker, chunk=chunk, threads=threads)
     return _estimate(sum(parts), trials, seed)

@@ -44,8 +44,17 @@ NORMALIZE_TOL = 1e-6
 PRODUCT_ALPHABET_CAP = 4096
 
 
+def input_array(values, what: str, dtype=float) -> np.ndarray:
+    """``np.asarray(values, dtype)``; a ragged or non-numeric array is an
+    :class:`InputFormatError` naming ``what``."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise InputFormatError(f"{what}: expected a rectangular array of numbers") from None
+
+
 def _as_mass(values, what: str, ndim: int | None = None) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = input_array(values, what)
     if arr.size == 0:
         raise InputFormatError(f"{what}: empty array")
     if ndim is not None and arr.ndim != ndim:
@@ -146,7 +155,7 @@ class Kernel:
     defined: np.ndarray | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.rows, dtype=float)
+        arr = input_array(self.rows, "kernel")
         if arr.ndim < 2:
             raise InputFormatError("kernel: rows must have at least one output axis")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
@@ -195,7 +204,7 @@ class Kernel:
     def from_json(cls, doc) -> "Kernel":
         if not isinstance(doc, dict) or "rows" not in doc:
             raise InputFormatError('kernel: expected an object with a "rows" field')
-        return cls(np.asarray(doc["rows"], dtype=float))
+        return cls(doc["rows"])
 
 
 def _labels_from_json(labels) -> tuple[str, ...] | None:

@@ -228,34 +228,27 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 def _drop_trivial_and_duplicate(matrix: np.ndarray, tol: float) -> np.ndarray:
-    """Drop rows that are vacuous (0 <= c with c >= -tol) or dominated by an
-    identical-coefficient row with a smaller constant."""
+    """Drop rows that are vacuous (0 <= c with c >= -tol), keep the first
+    infeasible one (0 <= c with c < -tol) with zero coefficients, and keep
+    one row per rounded coefficient vector: the one with the smallest
+    constant (the first on ties), where that vector first appears."""
     matrix = _normalize_rows(matrix)
-    keep: list[np.ndarray] = []
-    seen: dict[tuple, float] = {}
-    for row in matrix:
-        coeffs = row[:-1]
-        if np.abs(coeffs).max(initial=0.0) <= _COEFF_TOL:
-            if row[-1] < -tol:
-                key = ("infeasible",)
-                if key not in seen:
-                    seen[key] = row[-1]
-                    keep.append(np.concatenate([np.zeros_like(coeffs), [row[-1]]]))
-            continue
-        key = tuple(np.round(coeffs / max(np.abs(coeffs).max(), _COEFF_TOL), 9))
-        if key in seen:
-            if row[-1] < seen[key]:
-                seen[key] = row[-1]
-                for i, kept in enumerate(keep):
-                    if tuple(np.round(kept[:-1] / max(np.abs(kept[:-1]).max(), _COEFF_TOL), 9)) == key:
-                        keep[i] = row
-                        break
-        else:
-            seen[key] = row[-1]
-            keep.append(row)
-    if not keep:
+    trivial = np.abs(matrix[:, :-1]).max(axis=1, initial=0.0) <= _COEFF_TOL
+    kept = ~trivial | (matrix[:, -1] < -tol)
+    rows, infeasible = matrix[kept], trivial[kept]
+    if len(rows) == 0:
         return np.empty((0, matrix.shape[1]))
-    return np.array(keep)
+    rows[infeasible, :-1] = 0.0
+    # adding 0.0 turns -0.0 into 0.0, so equal keys are equal bytes, and one
+    # np.unique over the bytes of each row groups them
+    keys = np.round(rows[:, :-1], 9) + 0.0
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    # per group, the smallest constant and then the earliest row; the
+    # infeasible rows all tie, so the first of them is kept
+    order = np.lexsort((np.arange(len(rows)), np.where(infeasible, 0.0, rows[:, -1]), group))
+    best = order[np.r_[True, group[order][1:] != group[order][:-1]]]
+    return rows[best[np.argsort(first)]]
 
 
 def _probe_irredundant(matrix: np.ndarray, tol: float, probes: int = 256) -> np.ndarray:

@@ -14,7 +14,14 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
+from .errors import EnumerationCapError
+
 _OUTPUTS_PER_BLOCK = 4
+
+#: trials per chunk, unless the chunk byte cap binds first
+CHUNK_TRIALS = 8192
+#: cap on the bytes one chunk of trials holds in its per-trial arrays
+CHUNK_BYTES = 64 * 2**20
 
 T = TypeVar("T")
 
@@ -61,11 +68,27 @@ def sample_categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx.astype(np.intp)
 
 
+def chunk_trials(row_bytes: int, max_trials: int = CHUNK_TRIALS, group: int = 1,
+                 what: str = "one trial", holding: str = "uniforms and work arrays") -> int:
+    """Trials per chunk: the largest multiple of ``group`` up to
+    ``max_trials`` (or one group, if that is larger) whose rows of
+    ``row_bytes`` each fit ``CHUNK_BYTES``.  Raises
+    :class:`EnumerationCapError` if one group does not fit; ``what`` and
+    ``holding`` name the group and its bytes in the message."""
+    fit = CHUNK_BYTES // row_bytes
+    if group > fit:
+        raise EnumerationCapError(
+            f"{what} needs {row_bytes * group} bytes of {holding}, "
+            f"above the chunk cap of {CHUNK_BYTES}"
+        )
+    return group * max(1, min(max_trials, fit) // group)
+
+
 def run_trials(
     trials: int,
     worker: Callable[[int, int], T],
     *,
-    chunk: int = 8192,
+    chunk: int = CHUNK_TRIALS,
     threads: int = 1,
 ) -> list[T]:
     """Split ``trials`` into fixed chunks and run ``worker(start, n)`` on each.

@@ -418,8 +418,8 @@ class TestChunking:
         budget = broadcast._codebook_budget(SchemeSizes.from_string("8,8,8,8,8,8,8")) + 1
         chunk = broadcast._chunk_trials(budget, reuse)
         assert chunk % reuse == 0 and 0 < chunk < broadcast.SIM_CHUNK_TRIALS
-        assert 8 * rngmod.row_width(budget) * chunk <= broadcast.SIM_CHUNK_BYTES
-        assert 8 * rngmod.row_width(budget) * (chunk + reuse) > broadcast.SIM_CHUNK_BYTES
+        assert 8 * rngmod.row_width(budget) * chunk <= rngmod.CHUNK_BYTES
+        assert 8 * rngmod.row_width(budget) * (chunk + reuse) > rngmod.CHUNK_BYTES
 
     def test_group_larger_than_default_chunk(self):
         assert broadcast._chunk_trials(6, 5000) == 5000
@@ -444,7 +444,7 @@ class TestChunking:
         sizes = SchemeSizes(1, 1, 2, 1, 2, 2, 1)
         want = simulate(asym_ext_system, sizes, 0.07, **kw)
         row_bytes = 8 * rngmod.row_width(broadcast._codebook_budget(sizes) + 6)
-        monkeypatch.setattr(broadcast, "SIM_CHUNK_BYTES", 4 * reuse * row_bytes)
+        monkeypatch.setattr(rngmod, "CHUNK_BYTES", 4 * reuse * row_bytes)
         assert broadcast._chunk_trials(broadcast._codebook_budget(sizes) + 6, reuse) == 4 * reuse
         got = simulate(asym_ext_system, sizes, 0.07, threads=2, **kw)
         assert got == want

@@ -458,3 +458,57 @@ def test_out_file_written_atomically(tmp_path):
     assert res2.returncode == 2
     assert not out2.exists()
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".oneshot-")]
+
+
+def _config_with(path: str, edit) -> dict:
+    doc = json.loads((CONFIGS / path).read_text())
+    edit(doc)
+    return doc
+
+
+_SIZES = json.loads((CONFIGS / "sizes_small.json").read_text())
+_ONE_SIZES = ["--sizes", "1,1,1,1,1,1,1", "--gamma", "1"]
+_POINTS = ["bound", "covering4", "--dist", _JOINT, "--event", "{f}", "--M", "2", "--L", "2",
+           "--gamma", "1"]
+
+#: id -> (argv with {f} for the written file, its JSON content, a word the error names)
+_BAD_INPUTS = {
+    "ragged-dist": (["verify", "covering", "--dist", "{f}", "--M", "2", "--L", "2", "--gamma", "1"],
+                    [[0.5, 0.25], [0.25]], "joint"),
+    "text-dist": (["bound", "covering4", "--dist", "{f}", "--M", "2", "--L", "2", "--gamma", "1"],
+                  [["a", "b"], ["c", "d"]], "joint"),
+    "ragged-config": (["bound", "broadcast", "--config", "{f}", *_ONE_SIZES],
+                      _config_with("broadcast_binary.json",
+                                   lambda d: d["p_ust"][0].__setitem__(0, [0.15])), "joint"),
+    "text-channel": (["simulate", "--config", "{f}", *_ONE_SIZES],
+                     _config_with("broadcast_binary.json",
+                                  lambda d: d["channel"]["rows"][0][0].__setitem__(0, "x")),
+                     "kernel"),
+    "ragged-x-map": (["region", "--config", "{f}", "--rates", "0,0,0"],
+                     _config_with("region_binary.json",
+                                  lambda d: d["x_map"][0].__setitem__(0, [0])), "x_map"),
+    "point-out-of-range": (_POINTS, {"points": [[0, 2]]}, "event point"),
+    "point-negative": (_POINTS, {"points": [[-1, -1]]}, "event point"),
+    "point-short": (_POINTS, {"points": [[0]]}, "event point"),
+    "point-long": (_POINTS, {"points": [[0, 0, 0]]}, "event point"),
+    "point-text": (_POINTS, {"points": [["a", 0]]}, "event points"),
+    "ragged-mask": (_POINTS, {"mask": [[True, False], [True]]}, "--event"),
+    "sizes-text": (["simulate", "--config", str(CONFIGS / "broadcast_binary.json"),
+                    "--sizes-file", "{f}", "--gamma", "1"], {**_SIZES, "Nhat": "two"}, "Nhat"),
+    "sizes-fraction": (["bound", "broadcast", "--config", str(CONFIGS / "broadcast_binary.json"),
+                        "--sizes-file", "{f}", "--gamma", "1"], {**_SIZES, "Lhat": 2.5}, "Lhat"),
+    "out-missing-dir": (["bound", "packing", "--gamma", "1", "--out", "{d}/missing/out.json"],
+                        None, "--out"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
+    argv, content, names = _BAD_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code = cli.main([a.format(f=path, d=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], err

@@ -1,10 +1,15 @@
 """Exact ensemble oracles and Monte Carlo estimators."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oneshot import rng as rngmod
 from oneshot import (
     EnsembleSpec,
     Joint,
@@ -342,3 +347,77 @@ class TestResolvability:
         a = mc_resolvability_excess(JOINT, 3, 1.2, 30_000, seed=4)
         b = mc_resolvability_excess(JOINT, 3, 1.2, 30_000, seed=4, threads=4)
         assert a == b
+
+
+class TestMcChunkCap:
+    """The Monte Carlo estimators size their chunks by ``rng.chunk_trials``."""
+
+    @pytest.mark.parametrize("estimate", [
+        lambda: mc_miss_prob(EnsembleSpec(JOINT, DIAG, 5, 3), 3000, seed=2),
+        lambda: mc_conditional_miss_prob(JOINT3, EVENT3, 4, 3, 3000, seed=2),
+    ], ids=["miss", "conditional"])
+    def test_counts_do_not_depend_on_the_byte_cap(self, estimate, monkeypatch):
+        # a cap of a few hundred bytes per trial forces chunks of a handful
+        # of trials; integer miss counts add up the same in any chunking
+        want = estimate()
+        chunks = []
+        run_trials = rngmod.run_trials
+        monkeypatch.setattr(rngmod, "run_trials",
+                            lambda t, w, chunk, threads: chunks.append(chunk) or run_trials(
+                                t, w, chunk=chunk, threads=threads))
+        monkeypatch.setattr(rngmod, "CHUNK_BYTES", 2000)
+        assert estimate() == want
+        assert 0 < chunks[0] < 20
+
+    def test_small_instances_keep_full_chunks(self, monkeypatch):
+        chunks = []
+        run_trials = rngmod.run_trials
+        monkeypatch.setattr(rngmod, "run_trials",
+                            lambda t, w, chunk, threads: chunks.append(chunk) or run_trials(
+                                t, w, chunk=chunk, threads=threads))
+        mc_miss_prob(EnsembleSpec(JOINT, DIAG, 60, 60), 10, seed=1)
+        mc_conditional_miss_prob(JOINT3, EVENT3, 40, 40, 10, seed=1)
+        mc_resolvability_excess(JOINT, 200, 3.0, 10, seed=1)
+        assert chunks == [rngmod.CHUNK_TRIALS] * 3
+
+    @pytest.mark.parametrize("estimate", [
+        lambda: mc_miss_prob(EnsembleSpec(JOINT, DIAG, 10**8, 2), 5, seed=1),
+        lambda: mc_conditional_miss_prob(JOINT3, EVENT3, 10**8, 2, 5, seed=1),
+        lambda: mc_resolvability_excess(JOINT, 10**8, 3.0, 5, seed=1),
+    ], ids=["miss", "conditional", "resolvability"])
+    def test_a_trial_over_the_cap_raises_before_drawing(self, estimate, monkeypatch):
+        def no_uniforms(*args):
+            raise AssertionError("uniforms drawn past the chunk cap")
+
+        monkeypatch.setattr(rngmod, "trial_uniforms", no_uniforms)
+        with pytest.raises(EnumerationCapError, match="above the chunk cap"):
+            estimate()
+
+
+_CAPPED_RUN = """
+import resource, subprocess, sys
+limit = 1536 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(subprocess.run([sys.executable, "-m", "oneshot", *sys.argv[1:]]).returncode)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "covering", "--dist", "configs/joint_2x2.json"],
+    ["verify", "covering5", "--dist", "configs/joint_2x2x2.json"],
+    ["verify", "resolvability", "--dist", "configs/joint_2x2.json", "--lam", "3"],
+], ids=["covering", "covering5", "resolvability"])
+def test_verify_with_huge_codebooks_exits_1_under_a_memory_limit(argv):
+    # 10^8 codewords: one trial's uniforms alone take 800 MB, so before the
+    # chunk cap this input allocated gigabytes and was killed; the address
+    # space limit makes any such allocation fail fast instead
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    res = subprocess.run([sys.executable, "-c", _CAPPED_RUN, *argv, "--M", "100000000",
+                          "--L", "2", "--gamma", "1", "--trials", "5"],
+                         capture_output=True, text=True, cwd=root, env=env, timeout=120)
+    assert res.returncode == 1, res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert lines[0].startswith("warning: exact value skipped")
+    assert len(lines) == 2 and lines[1].startswith("error: one trial needs")
+    assert "above the chunk cap" in lines[1] and res.stdout == ""
