@@ -22,15 +22,6 @@ from .errors import AlphabetMismatchError, InputFormatError
 from .probability import Joint, cond_info_density_table, info_density_table
 
 
-def _check_event(joint: Joint, event: np.ndarray) -> np.ndarray:
-    ev = np.asarray(event, dtype=bool)
-    if ev.shape != joint.shape:
-        raise AlphabetMismatchError(
-            f"event shape {ev.shape} does not match joint shape {joint.shape}"
-        )
-    return ev
-
-
 def full_event(shape: Sequence[int]) -> np.ndarray:
     """The sure event over a product alphabet."""
     return np.ones(tuple(shape), dtype=bool)
@@ -269,11 +260,8 @@ def resolvability_excess_bound(joint: Joint, M: int, lam: float) -> BoundReport:
     if not 2 < lam < math.inf:
         raise InputFormatError("lam must be > 2 and finite")
     above = _excess_mask(joint, info_density_table(joint), math.log(M * lam / 2.0), inclusive=True)
-    terms = (
-        ("excess", _mass_where(joint, above)),
-        ("slack", 2.0 / lam),
-    )
-    return BoundReport(terms, {"M": M, "lam": lam})
+    return BoundReport((("excess", _mass_where(joint, above)), ("slack", 2.0 / lam)),
+                       {"M": M, "lam": lam})
 
 
 def resolvability_covering_bound(
@@ -319,7 +307,9 @@ def bound_at(kind: str, instance: Mapping[str, object]):
     if kind not in ("covering1", "covering4", "covering5", "covering7"):
         raise InputFormatError(f"kind: no gamma-parameterized bound named {kind!r}")
     joint = instance["joint"]
-    ev = _check_event(joint, instance["event"])
+    ev = np.asarray(instance["event"], dtype=bool)
+    if ev.shape != joint.shape:
+        raise AlphabetMismatchError(f"event shape {ev.shape} does not match joint shape {joint.shape}")
     M, L = int(instance["M"]), int(instance["L"])
     union_form = bool(instance.get("union_form", False))
     if kind == "covering1":

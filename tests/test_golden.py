@@ -6,10 +6,11 @@ The files under ``tests/golden/`` hold the exact output of ``simulate`` and
 for the three-letter asymmetric system (whose error rates lie strictly
 between 0 and 1).  Any change to codebook sampling, chunking or the
 encode/decode kernel must reproduce them exactly, for every thread count.
-They also hold ``bound broadcast``, ``verify covering``, ``sweep`` for every
-kind and parameter, ``region --project``, and ``region --rates`` verdicts on
-a rate grid, so that changes to bound evaluation and region membership keep
-every output.
+They also hold ``bound broadcast``, ``verify`` for every covering,
+resolvability and packing kind, ``sweep`` for every kind and parameter,
+``region --project``, and ``region --rates`` verdicts on a rate grid, so
+that changes to bound evaluation, the verify pipeline and region membership
+keep every output.
 
 Regenerate only when an output change is intended and explained::
 
