@@ -260,8 +260,11 @@ def resolvability_excess_bound(joint: Joint, M: int, lam: float) -> BoundReport:
     if not 2 < lam < math.inf:
         raise InputFormatError("lam must be > 2 and finite")
     above = _excess_mask(joint, info_density_table(joint), math.log(M * lam / 2.0), inclusive=True)
-    return BoundReport((("excess", _mass_where(joint, above)), ("slack", 2.0 / lam)),
-                       {"M": M, "lam": lam})
+    terms = (
+        ("excess", _mass_where(joint, above)),
+        ("slack", 2.0 / lam),
+    )
+    return BoundReport(terms, {"M": M, "lam": lam})
 
 
 def resolvability_covering_bound(
@@ -318,6 +321,7 @@ def bound_at(kind: str, instance: Mapping[str, object]):
 
         def covering1(g: float) -> BoundReport:
             d = BoundParams(M, L, g, delta, union_form).resolved_delta()
+            # the ratio is positive on the support: a threshold <= 0 marks all of it
             exceed = _excess_mask(joint, density_ratio, M * L * math.exp(-g) - d)
             return _covering_report(joint, ev, exceed, union_form, (min(M, L) - 1) / d,
                                     doubleexp(g), {"M": M, "L": L, "gamma": g, "delta": d,
