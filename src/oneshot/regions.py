@@ -247,7 +247,7 @@ def _drop_trivial_and_duplicate(matrix: np.ndarray, tol: float) -> np.ndarray:
     # per group, the smallest constant and then the earliest row; the
     # infeasible rows all tie, so the first of them is kept
     order = np.lexsort((np.arange(len(rows)), np.where(infeasible, 0.0, rows[:, -1]), group))
-    best = order[np.r_[True, group[order][1:] != group[order][:-1]]]
+    best = order[np.searchsorted(group[order], np.arange(len(first)))]
     return rows[best[np.argsort(first)]]
 
 

@@ -70,9 +70,9 @@ def sample_categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def chunk_trials(row_bytes: int, max_trials: int = CHUNK_TRIALS, group: int = 1,
                  what: str = "one trial", holding: str = "uniforms and work arrays") -> int:
-    """Trials per chunk: the largest multiple of ``group`` up to
-    ``max_trials`` (or one group, if that is larger) whose rows of
-    ``row_bytes`` each fit ``CHUNK_BYTES``.  Raises
+    """Trials per chunk: the largest multiple of ``group``, up to
+    ``max_trials`` (or one group, if that is larger), whose trials at
+    ``row_bytes`` each fit in ``CHUNK_BYTES`` together.  Raises
     :class:`EnumerationCapError` if one group does not fit; ``what`` and
     ``holding`` name the group and its bytes in the message."""
     fit = CHUNK_BYTES // row_bytes
