@@ -349,14 +349,15 @@ def bound_at(kind: str, instance: Mapping[str, object]):
                                     {"M": M, "L": L, "gamma": g})
 
         return covering7
-    params = {"union_form": union_form} if kind == "covering4" else {}
-    union_form = union_form or kind == "covering5"
+    # covering5 always merges miss and excess; only covering4 reports the flag
+    merged = union_form or kind == "covering5"
+    flag = {"union_form": union_form} if kind == "covering4" else {}
 
     def covering4_or_5(g: float) -> BoundReport:
         check_bound_args(g, M, L)
         exceed = _excess_mask(joint, table, math.log(M * L) - 2.0 * g)
-        return _covering_report(joint, ev, exceed, union_form, covering_ratio(M, L, g),
-                                doubleexp(g), {"M": M, "L": L, "gamma": g, **params})
+        return _covering_report(joint, ev, exceed, merged, covering_ratio(M, L, g),
+                                doubleexp(g), {"M": M, "L": L, "gamma": g, **flag})
 
     return covering4_or_5
 

@@ -352,29 +352,32 @@ class TestResolvability:
 class TestMcChunkCap:
     """The Monte Carlo estimators size their chunks by ``rng.chunk_trials``."""
 
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        """The chunk size of every ``rng.run_trials`` call."""
+        seen = []
+        run_trials = rngmod.run_trials
+
+        def recording(trials, worker, chunk, threads):
+            seen.append(chunk)
+            return run_trials(trials, worker, chunk=chunk, threads=threads)
+
+        monkeypatch.setattr(rngmod, "run_trials", recording)
+        return seen
+
     @pytest.mark.parametrize("estimate", [
         lambda: mc_miss_prob(EnsembleSpec(JOINT, DIAG, 5, 3), 3000, seed=2),
         lambda: mc_conditional_miss_prob(JOINT3, EVENT3, 4, 3, 3000, seed=2),
     ], ids=["miss", "conditional"])
-    def test_counts_do_not_depend_on_the_byte_cap(self, estimate, monkeypatch):
-        # a cap of a few hundred bytes per trial forces chunks of a handful
-        # of trials; integer miss counts add up the same in any chunking
+    def test_counts_do_not_depend_on_the_byte_cap(self, estimate, chunks, monkeypatch):
+        # a cap of 2000 bytes forces chunks of a handful of trials; integer
+        # miss counts add up the same in any chunking
         want = estimate()
-        chunks = []
-        run_trials = rngmod.run_trials
-        monkeypatch.setattr(rngmod, "run_trials",
-                            lambda t, w, chunk, threads: chunks.append(chunk) or run_trials(
-                                t, w, chunk=chunk, threads=threads))
         monkeypatch.setattr(rngmod, "CHUNK_BYTES", 2000)
         assert estimate() == want
-        assert 0 < chunks[0] < 20
+        assert chunks[0] == rngmod.CHUNK_TRIALS and 0 < chunks[1] < 20
 
-    def test_small_instances_keep_full_chunks(self, monkeypatch):
-        chunks = []
-        run_trials = rngmod.run_trials
-        monkeypatch.setattr(rngmod, "run_trials",
-                            lambda t, w, chunk, threads: chunks.append(chunk) or run_trials(
-                                t, w, chunk=chunk, threads=threads))
+    def test_small_instances_keep_full_chunks(self, chunks):
         mc_miss_prob(EnsembleSpec(JOINT, DIAG, 60, 60), 10, seed=1)
         mc_conditional_miss_prob(JOINT3, EVENT3, 40, 40, 10, seed=1)
         mc_resolvability_excess(JOINT, 200, 3.0, 10, seed=1)
