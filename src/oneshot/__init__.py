@@ -47,7 +47,6 @@ from .bounds import (
 )
 from .oracle import (
     EnsembleSpec,
-    McEstimate,
     exact_conditional_miss_prob,
     exact_miss_prob,
     exact_miss_prob_bruteforce,
@@ -56,6 +55,7 @@ from .oracle import (
     mc_resolvability_excess,
     resolvability_excess_exact,
 )
+from .rng import McEstimate
 from .broadcast import (
     BroadcastSystem,
     Codebook,

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import AlphabetMismatchError, InputFormatError
-from .probability import Joint, cond_info_density_table, info_density_table
+from .probability import Joint, cond_info_density_table, info_density_table, integral
 
 
 def full_event(shape: Sequence[int]) -> np.ndarray:
@@ -31,7 +31,7 @@ def event_from_points(shape: Sequence[int], points) -> np.ndarray:
     """Event containing exactly the given index tuples, one in-range index per axis."""
     ev = np.zeros(tuple(shape), dtype=bool)
     try:
-        index = [tuple(int(i) for i in pt) for pt in points]
+        index = [tuple(integral(i) for i in pt) for pt in points]
     except (TypeError, ValueError, OverflowError):
         raise InputFormatError("event points: expected a list of integer index lists") from None
     for pt in index:

@@ -29,8 +29,7 @@ from .errors import (
     InputFormatError,
     UndefinedRowError,
 )
-from .oracle import McEstimate, _estimate
-from .probability import Joint, Kernel, _iid_power, input_array
+from .probability import Joint, Kernel, input_array, integral, product_extend
 
 #: cap on the size of the design joint over (u, s, t, y1, y2)
 JOINT_CAP = 10**7
@@ -85,9 +84,7 @@ class SchemeSizes:
                 raise InputFormatError(f"sizes: missing field {name!r}")
             value = doc[name]
             try:
-                if isinstance(value, float) and not value.is_integer():
-                    raise ValueError(value)
-                sizes[name] = int(value)
+                sizes[name] = integral(value)
             except (TypeError, ValueError):
                 raise InputFormatError(f"sizes: {name} must be an integer, got {value!r}") from None
         return cls(**sizes)
@@ -163,7 +160,8 @@ def product_extend_system(system: BroadcastSystem, n: int) -> BroadcastSystem:
         raise InputFormatError("product_extend_system: n must be >= 1")
     if n == 1:
         return system
-    joint = Joint(_iid_power(system.joint_ust.probs, n))
+    joint = product_extend(system.joint_ust, n)
+    chan = product_extend(system.channel, n)
     kx = system.channel.n_inputs
     xm = system.x_map
     out = xm
@@ -176,8 +174,6 @@ def product_extend_system(system: BroadcastSystem, n: int) -> BroadcastSystem:
             out.shape[1] * xm.shape[1],
             out.shape[2] * xm.shape[2],
         )
-    chan = Kernel(_iid_power(system.channel.matrix(), n),
-                  _iid_power(system.channel.defined.astype(float), n) > 0.5)
     return BroadcastSystem(joint, out, chan)
 
 
@@ -410,14 +406,6 @@ def _trial_budget(sizes: SchemeSizes, random_message: bool) -> int:
     return _codebook_budget(sizes) + (5 if random_message else 0) + 1
 
 
-def _chunk_trials(budget: int, reuse_codebook: int) -> int:
-    """Trials per :func:`simulate` chunk: whole reuse groups, up to
-    ``SIM_CHUNK_TRIALS``, by the rule of :func:`rng.chunk_trials` applied to
-    the uniform rows."""
-    return rng.chunk_trials(8 * rng.row_width(budget), SIM_CHUNK_TRIALS, reuse_codebook,
-                            f"one reuse group of {reuse_codebook} trials", "uniforms")
-
-
 def _codebooks_from_uniforms(sampler: _Sampler, sizes: SchemeSizes,
                              u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = u.shape[0]
@@ -526,13 +514,13 @@ def decode2(cb: Codebook, system: BroadcastSystem, sizes: SchemeSizes, gamma: fl
 class SimOutcome:
     """Monte Carlo error estimates next to the evaluated bound."""
 
-    eps1_hat: McEstimate
-    eps2_hat: McEstimate
+    eps1_hat: rng.McEstimate
+    eps2_hat: rng.McEstimate
     bound: BoundReport
     trials: int
     seed: int
-    stage1_eps1: McEstimate
-    stage1_eps2: McEstimate
+    stage1_eps1: rng.McEstimate
+    stage1_eps2: rng.McEstimate
 
     def to_json(self) -> dict:
         return {
@@ -560,7 +548,7 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     ``reuse_codebook=k`` shares one codebook across groups of ``k``
     consecutive trials, drawn only by the group's first trial; the
     reported standard error then underestimates the ensemble variance.
-    Trials run in chunks sized by :func:`_chunk_trials`.
+    Trials run in chunks of whole reuse groups, sized by :func:`rng.monte_carlo`.
     """
     if trials < 1:
         raise InputFormatError("trials must be >= 1")
@@ -571,7 +559,6 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     bound = broadcast_bound(system, sizes, gamma, tables)
     cb_width = _codebook_budget(sizes)
     budget = _trial_budget(sizes, random_message)
-    chunk = _chunk_trials(budget, reuse_codebook)
     sampler = _Sampler(system, tables)
     thr = thresholds_for(sizes, gamma)
     # decoder tests thresholded once: gathering booleans is cheaper than
@@ -584,8 +571,8 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     x_map = system.x_map
     ky2 = sampler.ky2
 
-    def worker(start: int, n: int) -> np.ndarray:
-        uni = rng.trial_uniforms(seed, start, n, budget)
+    def body(uni: np.ndarray) -> np.ndarray:
+        n = uni.shape[0]
         # chunks start at group boundaries, so rows ::K are the group leaders;
         # only they draw a codebook, which every trial of the group then uses
         cb_uni = uni[::reuse_codebook, :cb_width]
@@ -635,29 +622,28 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
         err2, s1err2 = side(t_cb, pass_head2, pass_inner2, y2, b, Lh)
         return np.array([err1.sum(), err2.sum(), s1err1.sum(), s1err2.sum()], dtype=np.float64)
 
-    parts = rng.run_trials(trials, worker, chunk=chunk, threads=threads)
-    eps1, eps2, stage1_eps1, stage1_eps2 = (_estimate(tot, trials, seed)
-                                            for tot in np.sum(parts, axis=0))
+    totals = rng.monte_carlo(trials, seed, budget, body, max_trials=SIM_CHUNK_TRIALS,
+                             group=reuse_codebook, threads=threads)
+    eps1, eps2, stage1_eps1, stage1_eps2 = (rng.estimate(tot, trials, seed) for tot in totals)
     return SimOutcome(eps1, eps2, bound, trials, seed, stage1_eps1, stage1_eps2)
 
 
 def mc_event_union(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
-                   trials: int, seed: int, threads: int = 1) -> McEstimate:
+                   trials: int, seed: int, threads: int = 1) -> rng.McEstimate:
     """Monte Carlo estimate of the five-event union probability under the
     design joint (cross-check for the exact union term)."""
     tables = DensityTables(system)
     ku, ks, kt, ky1, ky2 = system.shape
     union_flat = tables.union_mask(thresholds_for(sizes, gamma)).reshape(ku * ks * kt, ky1 * ky2)
     cdf_ust = np.cumsum(tables.p_ust.reshape(-1))
-    chan_flat = system.channel.matrix().reshape(-1, ky1 * ky2)
-    cdf_chan = np.cumsum(chan_flat, axis=1)
+    cdf_chan = _Sampler(system, tables).cdf_chan
     x_flat = system.x_map.reshape(-1)
 
-    def worker(start: int, n: int) -> float:
-        u = rng.trial_uniforms(seed, start, n, 2)
+    def body(u: np.ndarray) -> float:
         ust = rng.sample_categorical(cdf_ust, u[:, 0])
         y = rng.sample_categorical(cdf_chan[x_flat[ust]], u[:, 1])
         return float(union_flat[ust, y].sum())
 
-    parts = rng.run_trials(trials, worker, threads=threads)
-    return _estimate(sum(parts), trials, seed)
+    # per trial besides its uniform row: three drawn indices and a channel cdf row
+    total = rng.monte_carlo(trials, seed, 2, body, work_bytes=24 + 8 * ky1 * ky2, threads=threads)
+    return rng.estimate(total, trials, seed)

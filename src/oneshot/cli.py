@@ -48,8 +48,10 @@ def _emit(text: str, out_path: str | None) -> None:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, out_path)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(tmp)
+        if isinstance(exc, OSError):  # e.g. out_path is a directory
+            raise InputFormatError(f"--out: cannot write {out_path}: {exc.strerror}") from None
         raise
 
 

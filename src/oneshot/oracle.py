@@ -9,9 +9,11 @@ pushed forward one i.i.d. draw at a time.  The resolvability value needs
 full per-symbol counts and enumerates codebooks up to reordering, over
 compositions of the codebook size with log-space multinomial weights.
 
-Monte Carlo estimators draw their per-trial randomness from
-counter-based streams (:mod:`oneshot.rng`), so a fixed ``(seed, trials)``
-pair gives bitwise-identical results for any chunking or thread count.
+Monte Carlo estimators run through :func:`oneshot.rng.monte_carlo`: results
+are bitwise identical for any thread count, and chunk sizes are a fixed
+function of the inputs.  Only the integer-count (miss) estimators are also
+independent of the chunk size; the float sums of :func:`mc_resolvability_excess`
+are not.
 """
 
 from __future__ import annotations
@@ -66,29 +68,6 @@ class EnsembleSpec:
                 f"event shape {ev.shape} does not match joint shape {self.joint.shape}"
             )
         check_sizes(self.M, self.L)
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """A Monte Carlo mean with its worst-case binomial standard error."""
-
-    mean: float
-    stderr: float
-    trials: int
-    seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-
-
-def _estimate(total: float, trials: int, seed: int) -> McEstimate:
-    mean = total / trials
-    return McEstimate(mean, rng.bernoulli_stderr(mean, trials), trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +204,7 @@ def exact_miss_prob_bruteforce(spec: EnsembleSpec) -> float:
     return float((weights * np.clip(1.0 - mass, 0.0, 1.0) ** spec.L).sum())
 
 
-def mc_miss_prob(spec: EnsembleSpec, trials: int, seed: int, threads: int = 1) -> McEstimate:
+def mc_miss_prob(spec: EnsembleSpec, trials: int, seed: int, threads: int = 1) -> rng.McEstimate:
     """Monte Carlo estimate of :func:`exact_miss_prob`.
 
     Each trial samples fresh codebooks and checks that every pair avoids
@@ -237,11 +216,8 @@ def mc_miss_prob(spec: EnsembleSpec, trials: int, seed: int, threads: int = 1) -
     cdf_v = np.cumsum(pv)
     M, L = spec.M, spec.L
     event = spec.event
-    # per trial: the uniform row, the drawn indices, and event[us]
-    chunk = rng.chunk_trials(8 * rng.row_width(M + L) + 16 * (M + L) + M * event.shape[1])
 
-    def worker(start: int, n: int) -> float:
-        u = rng.trial_uniforms(seed, start, n, M + L)
+    def body(u: np.ndarray) -> float:
         us = rng.sample_categorical(cdf_u, u[:, :M])
         vs = rng.sample_categorical(cdf_v, u[:, M:])
         # a pair hits iff some column the U-codebook covers was drawn
@@ -249,8 +225,10 @@ def mc_miss_prob(spec: EnsembleSpec, trials: int, seed: int, threads: int = 1) -
         hit = np.take_along_axis(covered, vs, axis=1).any(axis=1)
         return float((~hit).sum())
 
-    parts = rng.run_trials(trials, worker, chunk=chunk, threads=threads)
-    return _estimate(sum(parts), trials, seed)
+    # per trial besides its uniform row: the drawn indices and event[us]
+    total = rng.monte_carlo(trials, seed, M + L, body,
+                            work_bytes=16 * (M + L) + M * event.shape[1], threads=threads)
+    return rng.estimate(total, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +261,7 @@ def exact_conditional_miss_prob(joint3: Joint, event3: np.ndarray, M: int, L: in
 
 def mc_conditional_miss_prob(
     joint3: Joint, event3: np.ndarray, M: int, L: int, trials: int, seed: int, threads: int = 1
-) -> McEstimate:
+) -> rng.McEstimate:
     """Monte Carlo counterpart of :func:`exact_conditional_miss_prob`."""
     event3 = np.asarray(event3, dtype=bool)
     pu = joint3.probs.sum(axis=(1, 2))
@@ -292,13 +270,8 @@ def mc_conditional_miss_prob(
     cdf_s = np.cumsum(st.sum(axis=2), axis=1)
     cdf_t = np.cumsum(st.sum(axis=1), axis=1)
     _, ks, kt = event3.shape
-    # per trial: the uniform row, the drawn indices, the conditional cdf
-    # rows, and event3[us, ss]
-    chunk = rng.chunk_trials(8 * rng.row_width(1 + M + L) + 16 * (M + L) + 8 * (ks + kt)
-                             + M * kt)
 
-    def worker(start: int, n: int) -> float:
-        u = rng.trial_uniforms(seed, start, n, 1 + M + L)
+    def body(u: np.ndarray) -> float:
         us = rng.sample_categorical(cdf_u, u[:, 0])
         ss = rng.sample_categorical(cdf_s[us][:, None, :], u[:, 1 : 1 + M])
         ts = rng.sample_categorical(cdf_t[us][:, None, :], u[:, 1 + M :])
@@ -306,8 +279,11 @@ def mc_conditional_miss_prob(
         hit = np.take_along_axis(covered, ts, axis=1).any(axis=1)
         return float((~hit).sum())
 
-    parts = rng.run_trials(trials, worker, chunk=chunk, threads=threads)
-    return _estimate(sum(parts), trials, seed)
+    # per trial besides its uniform row: the drawn indices, the conditional
+    # cdf rows, and event3[us, ss]
+    total = rng.monte_carlo(trials, seed, 1 + M + L, body,
+                            work_bytes=16 * (M + L) + 8 * (ks + kt) + M * kt, threads=threads)
+    return rng.estimate(total, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +351,7 @@ def resolvability_excess_exact(joint: Joint, M: int, lam: float) -> float:
 
 def mc_resolvability_excess(
     joint: Joint, M: int, lam: float, trials: int, seed: int, threads: int = 1
-) -> McEstimate:
+) -> rng.McEstimate:
     """Monte Carlo estimate of :func:`resolvability_excess_exact`.
 
     Each trial samples one codebook and computes its excess probability
@@ -384,17 +360,17 @@ def mc_resolvability_excess(
     pu, pv, rows = _resolvability_inputs(joint, M, lam)
     cdf_u = np.cumsum(pu)
     k = len(pu)
-    # per trial: the uniform row, the drawn indices, the counts, and the
-    # synthesized law with its excess mask and masked product
-    chunk = rng.chunk_trials(8 * rng.row_width(M) + 16 * M + 8 * k + 17 * len(pv))
 
-    def worker(start: int, n: int) -> float:
-        u = rng.trial_uniforms(seed, start, n, M)
+    def body(u: np.ndarray) -> float:
+        n = u.shape[0]
         cs = rng.sample_categorical(cdf_u, u)
         counts = np.zeros((n, k), dtype=np.float64)
         np.add.at(counts, (np.arange(n)[:, None], cs), 1.0)
         phat = (counts @ rows) / M
         return float(_excess_mass(phat, pv, lam).sum())
 
-    parts = rng.run_trials(trials, worker, chunk=chunk, threads=threads)
-    return _estimate(sum(parts), trials, seed)
+    # per trial besides its uniform row: the drawn indices, the counts, and
+    # the synthesized law with its excess mask and masked product
+    total = rng.monte_carlo(trials, seed, M, body, work_bytes=16 * M + 8 * k + 17 * len(pv),
+                            threads=threads)
+    return rng.estimate(total, trials, seed)

@@ -44,13 +44,23 @@ NORMALIZE_TOL = 1e-6
 PRODUCT_ALPHABET_CAP = 4096
 
 
+def integral(value) -> int:
+    """``int(value)``, but a float with a fractional part is a ``ValueError``."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def input_array(values, what: str, dtype=float) -> np.ndarray:
-    """``np.asarray(values, dtype)``; a ragged or non-numeric array is an
-    :class:`InputFormatError` naming ``what``."""
+    """``np.asarray(values, dtype)``; a ragged or non-numeric array, or a fraction
+    in an integer ``dtype``, is an :class:`InputFormatError` naming ``what``."""
     try:
-        return np.asarray(values, dtype=dtype)
+        arr = np.asarray(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         raise InputFormatError(f"{what}: expected a rectangular array of numbers") from None
+    if arr.dtype.kind == "i" and not np.array_equal(arr, input_array(values, what)):
+        raise InputFormatError(f"{what}: expected integer entries")
+    return arr
 
 
 def _as_mass(values, what: str, ndim: int | None = None) -> np.ndarray:
@@ -134,10 +144,7 @@ class Joint:
         if isinstance(doc, dict):
             if "probs" not in doc:
                 raise InputFormatError('joint: expected a nested array or an object with "probs"')
-            labels = doc.get("labels")
-            if labels is not None:
-                labels = tuple(_labels_from_json(lab) for lab in labels)
-            return cls(doc["probs"], labels)
+            return cls(doc["probs"], _labels_from_json(doc.get("labels"), nested=True))
         return cls(doc)
 
 
@@ -207,10 +214,13 @@ class Kernel:
         return cls(doc["rows"])
 
 
-def _labels_from_json(labels) -> tuple[str, ...] | None:
+def _labels_from_json(labels, nested: bool = False):
+    """JSON labels as a tuple of strings, or of such tuples if ``nested``."""
     if labels is None:
         return None
-    return tuple(str(x) for x in labels)
+    if not isinstance(labels, list) or (nested and not all(isinstance(x, list) for x in labels)):
+        raise InputFormatError("labels: expected a list" + (" of lists" if nested else ""))
+    return tuple(_labels_from_json(x) if nested else str(x) for x in labels)
 
 
 # ---------------------------------------------------------------------------

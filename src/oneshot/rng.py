@@ -10,6 +10,7 @@ never on chunk sizes, thread counts, or scheduling.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -68,17 +69,16 @@ def sample_categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx.astype(np.intp)
 
 
-def chunk_trials(row_bytes: int, max_trials: int = CHUNK_TRIALS, group: int = 1,
-                 what: str = "one trial", holding: str = "uniforms and work arrays") -> int:
+def chunk_trials(row_bytes: int, max_trials: int = CHUNK_TRIALS, group: int = 1) -> int:
     """Trials per chunk: the largest multiple of ``group``, up to
     ``max_trials`` (or one group, if that is larger), whose trials at
     ``row_bytes`` each fit in ``CHUNK_BYTES`` together.  Raises
-    :class:`EnumerationCapError` if one group does not fit; ``what`` and
-    ``holding`` name the group and its bytes in the message."""
+    :class:`EnumerationCapError` if one group does not fit."""
     fit = CHUNK_BYTES // row_bytes
     if group > fit:
+        what = "one trial" if group == 1 else f"one reuse group of {group} trials"
         raise EnumerationCapError(
-            f"{what} needs {row_bytes * group} bytes of {holding}, "
+            f"{what} needs {row_bytes * group} bytes of uniforms and work arrays, "
             f"above the chunk cap of {CHUNK_BYTES}"
         )
     return group * max(1, min(max_trials, fit) // group)
@@ -107,7 +107,32 @@ def run_trials(
         return list(pool.map(lambda sn: worker(*sn), spans))
 
 
-def bernoulli_stderr(mean: float, trials: int) -> float:
-    """Worst-case binomial standard error for a [0, 1]-valued estimate."""
+def monte_carlo(trials: int, seed: int, k: int, body: Callable[[np.ndarray], T], *,
+                work_bytes: int = 0, max_trials: int = CHUNK_TRIALS, group: int = 1,
+                threads: int = 1) -> T:
+    """Sum, in chunk order, of ``body`` on the ``(n, k)`` uniforms of each chunk
+    of trials; a trial holds its uniform row plus ``work_bytes`` of work
+    arrays, and :func:`chunk_trials` sizes the chunks from that."""
+    chunk = chunk_trials(8 * row_width(k) + work_bytes, max_trials, group)
+    return sum(run_trials(trials, lambda start, n: body(trial_uniforms(seed, start, n, k)),
+                          chunk=chunk, threads=threads))
+
+
+@dataclass(frozen=True)
+class McEstimate:
+    """A Monte Carlo mean with its worst-case binomial standard error."""
+
+    mean: float
+    stderr: float
+    trials: int
+    seed: int
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
+def estimate(total: float, trials: int, seed: int) -> McEstimate:
+    """Mean of [0, 1]-valued trials summing to ``total``, with its standard error."""
+    mean = total / trials
     p = min(max(mean, 0.0), 1.0)
-    return float(np.sqrt(p * (1.0 - p) / trials))
+    return McEstimate(mean, float(np.sqrt(p * (1.0 - p) / trials)), trials, seed)

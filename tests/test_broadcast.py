@@ -109,6 +109,16 @@ class TestSystemValidation:
         with pytest.raises(EnumerationCapError):
             DensityTables(big)
 
+    def test_product_alphabet_cap_refuses_before_allocating(self, binary_system, monkeypatch):
+        from oneshot import probability
+
+        def no_power(*args):
+            raise AssertionError("product tensor built past the alphabet cap")
+
+        monkeypatch.setattr(probability, "_iid_power", no_power)
+        with pytest.raises(EnumerationCapError, match="product alphabet 2\\^13"):
+            product_extend_system(binary_system, 13)
+
 
 def random_3ary_system(seed: int = 17) -> BroadcastSystem:
     """Random design over ternary auxiliaries, a ternary input and a
@@ -405,24 +415,29 @@ class TestSimulate:
         assert 0.0 < out.eps1_hat.mean < 1.0
 
 
+def sim_chunk(budget: int, reuse: int) -> int:
+    """Trials per :func:`simulate` chunk, by the rule ``rng.monte_carlo`` applies."""
+    return rngmod.chunk_trials(8 * rngmod.row_width(budget), broadcast.SIM_CHUNK_TRIALS, reuse)
+
+
 class TestChunking:
     @pytest.mark.parametrize("text", ["1,1,1,1,1,2,2", "2,2,2,2,2,2,2", "4,2,2,4,4,8,8"])
     @pytest.mark.parametrize("extra", [1, 6])
     @pytest.mark.parametrize("reuse", [1, 4])
     def test_moderate_sizes_keep_full_chunks(self, text, extra, reuse):
         budget = broadcast._codebook_budget(SchemeSizes.from_string(text)) + extra
-        assert broadcast._chunk_trials(budget, reuse) == broadcast.SIM_CHUNK_TRIALS
+        assert sim_chunk(budget, reuse) == broadcast.SIM_CHUNK_TRIALS
 
     @pytest.mark.parametrize("reuse", [1, 3, 64])
     def test_large_sizes_chunk_under_the_byte_cap(self, reuse):
         budget = broadcast._codebook_budget(SchemeSizes.from_string("8,8,8,8,8,8,8")) + 1
-        chunk = broadcast._chunk_trials(budget, reuse)
+        chunk = sim_chunk(budget, reuse)
         assert chunk % reuse == 0 and 0 < chunk < broadcast.SIM_CHUNK_TRIALS
         assert 8 * rngmod.row_width(budget) * chunk <= rngmod.CHUNK_BYTES
         assert 8 * rngmod.row_width(budget) * (chunk + reuse) > rngmod.CHUNK_BYTES
 
     def test_group_larger_than_default_chunk(self):
-        assert broadcast._chunk_trials(6, 5000) == 5000
+        assert sim_chunk(6, 5000) == 5000
 
     def test_group_over_the_cap_exits_1_before_any_trial(self, capsys, monkeypatch):
         from oneshot import cli
@@ -445,7 +460,7 @@ class TestChunking:
         want = simulate(asym_ext_system, sizes, 0.07, **kw)
         row_bytes = 8 * rngmod.row_width(broadcast._codebook_budget(sizes) + 6)
         monkeypatch.setattr(rngmod, "CHUNK_BYTES", 4 * reuse * row_bytes)
-        assert broadcast._chunk_trials(broadcast._codebook_budget(sizes) + 6, reuse) == 4 * reuse
+        assert sim_chunk(broadcast._codebook_budget(sizes) + 6, reuse) == 4 * reuse
         got = simulate(asym_ext_system, sizes, 0.07, threads=2, **kw)
         assert got == want
 

@@ -499,7 +499,28 @@ _BAD_INPUTS = {
                         "--sizes-file", "{f}", "--gamma", "1"], {**_SIZES, "Lhat": 2.5}, "Lhat"),
     "out-missing-dir": (["bound", "packing", "--gamma", "1", "--out", "{d}/missing/out.json"],
                         None, "--out"),
+    "out-is-dir": (["bound", "packing", "--gamma", "1", "--out", "{d}"], None, "--out"),
+    "labels-not-list": (["bound", "covering4", "--dist", "{f}", "--M", "2", "--L", "2",
+                         "--gamma", "1"], {"probs": [[0.5, 0.5], [0, 0]], "labels": 5}, "labels"),
+    "x-map-fraction": (["region", "--config", "{f}", "--rates", "0,0,0"],
+                       _config_with("region_binary.json",
+                                    lambda d: d["x_map"][0][0].__setitem__(0, 0.7)), "x_map"),
+    "point-fraction": (_POINTS, {"points": [[1.5, 0]]}, "event point"),
 }
+
+
+def test_integral_floats_pass_as_indices(tmp_path, capsys):
+    # only a fractional part is refused: 3.0 and 1.0 index like 3 and 1
+    outputs = []
+    for x, point in ((3, [1, 0]), (3.0, [1.0, 0.0])):
+        config, event = tmp_path / "config.json", tmp_path / "event.json"
+        config.write_text(json.dumps(_config_with(
+            "region_binary.json", lambda d: d["x_map"][1][1].__setitem__(1, x))))
+        event.write_text(json.dumps({"points": [point]}))
+        assert cli.main(["region", "--config", str(config), "--rates", "0,0,0"]) == 0
+        assert cli.main([a.format(f=event) for a in _POINTS]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
@@ -512,3 +533,4 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert code == 2 and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], err
+    assert not list(tmp_path.glob(".oneshot-*"))

@@ -22,10 +22,11 @@ from oneshot import (
     resolvability_excess_exact,
 )
 from oneshot.bounds import event_from_points, full_event
+from oneshot.broadcast import SchemeSizes, mc_event_union
 from oneshot.errors import EnumerationCapError, InputFormatError
 from oneshot.oracle import mc_conditional_miss_prob, multiset_count
 
-from conftest import random_event, random_joint
+from conftest import noiseless_broadcast_system, random_event, random_joint
 
 JOINT = Joint([[0.4, 0.1], [0.2, 0.3]])
 DIAG = event_from_points((2, 2), [(0, 0), (1, 1)])
@@ -368,10 +369,12 @@ class TestMcChunkCap:
     @pytest.mark.parametrize("estimate", [
         lambda: mc_miss_prob(EnsembleSpec(JOINT, DIAG, 5, 3), 3000, seed=2),
         lambda: mc_conditional_miss_prob(JOINT3, EVENT3, 4, 3, 3000, seed=2),
-    ], ids=["miss", "conditional"])
+        lambda: mc_event_union(noiseless_broadcast_system(), SchemeSizes(1, 1, 1, 1, 1, 2, 2),
+                               0.5, 3000, seed=2),
+    ], ids=["miss", "conditional", "event-union"])
     def test_counts_do_not_depend_on_the_byte_cap(self, estimate, chunks, monkeypatch):
         # a cap of 2000 bytes forces chunks of a handful of trials; integer
-        # miss counts add up the same in any chunking
+        # miss and union counts add up the same in any chunking
         want = estimate()
         monkeypatch.setattr(rngmod, "CHUNK_BYTES", 2000)
         assert estimate() == want

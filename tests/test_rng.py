@@ -95,3 +95,28 @@ class TestTrialUniforms:
 
     def test_row_width_pads_to_whole_blocks(self):
         assert [rng.row_width(k) for k in (1, 4, 5, 8, 9)] == [4, 4, 8, 8, 12]
+
+
+class TestMonteCarlo:
+    @pytest.mark.parametrize("max_trials,group,threads", [(8192, 1, 1), (4, 1, 2), (7, 3, 2)])
+    def test_sum_does_not_depend_on_chunks_or_threads(self, max_trials, group, threads):
+        want = int((rng.trial_uniforms(42, 0, 23, 5) < 0.5).sum())
+        got = rng.monte_carlo(23, 42, 5, lambda u: int((u < 0.5).sum()),
+                              max_trials=max_trials, group=group, threads=threads)
+        assert got == want
+
+    def test_chunks_hold_whole_groups(self):
+        sizes = []
+        assert rng.monte_carlo(23, 1, 3, lambda u: sizes.append(len(u)) or len(u),
+                               max_trials=7, group=3) == 23
+        assert sizes == [6, 6, 6, 5]
+
+    def test_looks_up_uniforms_and_runner_at_call_time(self, monkeypatch):
+        # the benchmark's tracer rebinds these module attributes
+        calls = []
+        for name in ("trial_uniforms", "run_trials"):
+            original = getattr(rng, name)
+            monkeypatch.setattr(rng, name, lambda *a, _f=original, _n=name, **kw:
+                                calls.append(_n) or _f(*a, **kw))
+        rng.monte_carlo(10, 3, 2, len, max_trials=4)
+        assert calls == ["run_trials"] + ["trial_uniforms"] * 3
