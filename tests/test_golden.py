@@ -6,11 +6,11 @@ The files under ``tests/golden/`` hold the exact output of ``simulate`` and
 for the three-letter asymmetric system (whose error rates lie strictly
 between 0 and 1).  Any change to codebook sampling, chunking or the
 encode/decode kernel must reproduce them exactly, for every thread count.
-They also hold ``bound broadcast``, ``verify`` for every covering,
-resolvability and packing kind, ``sweep`` for every kind and parameter,
-``region --project``, and ``region --rates`` verdicts on a rate grid, so
-that changes to bound evaluation, the verify pipeline and region membership
-keep every output.
+They also hold ``bound`` for every kind in JSON and CSV, ``verify`` for
+every covering, resolvability and packing kind, ``sweep`` for every kind
+and parameter, ``region --project``, and ``region --rates`` verdicts on a
+rate grid, so that changes to bound evaluation, the verify pipeline, the
+output writer and region membership keep every output.
 
 Regenerate only when an output change is intended and explained::
 
@@ -120,6 +120,9 @@ CLI_CASES = {
                        "--gamma", "0.2"],
     "verify_packing_csv": ["verify", "packing", "--dist", NOISELESS, "--M", "1", "--N", "1",
                            "--gamma", "0.3", "--format", "csv"],
+    "verify_broadcast_unit_csv": ["verify", "broadcast", "--config", BINARY,
+                                  "--sizes", "1,1,1,1,1,1,1", "--gamma", "0.05",
+                                  "--trials", "3000", "--seed", "22", "--format", "csv"],
     "region_binary_rates": ["region", "--config", REGION["binary"], "--rates", "0.1,0.2,0.1"],
     "region_bsc_copy_rates_bits": ["region", "--config", REGION["bsc_copy"], "--units", "bits",
                                    "--rates", "0,0,0"],
@@ -128,6 +131,22 @@ for _name, _path in (("small", SMALL), ("large", LARGE)):
     for _gamma in ("0.3", "1.2", "4"):
         CLI_CASES[f"bound_broadcast_{_name}_g{_gamma}"] = [
             "bound", "broadcast", "--config", BINARY, "--sizes-file", _path, "--gamma", _gamma]
+#: bound name -> ``bound`` argv after the subcommand; each is recorded in json and csv
+_BOUND_CASES = {
+    "covering1_auto": ["covering1", *_COV, "--gamma", "0.9"],
+    "covering1_delta_union": ["covering1", *_COV, "--gamma", "0.9", "--delta", "0.4",
+                              "--union-form"],
+    "covering4": ["covering4", *_COV, "--gamma", "1.1", "--seed", "3"],
+    "covering4_union": ["covering4", *_COV, "--gamma", "1.1", "--union-form"],
+    "covering5": ["covering5", "--dist", JOINT3, "--event", EVENT3, "--M", "3", "--L", "4",
+                  "--gamma", "0.8"],
+    "covering7": ["covering7", *_COV, "--gamma", "1.4"],
+    "packing": ["packing", "--gamma", "1.5"],
+    "resolvability": ["resolvability", "--dist", SKEW, "--M", "3", "--lam", "2.5"],
+}
+for _name, _argv in _BOUND_CASES.items():
+    for _format in ("json", "csv"):
+        CLI_CASES[f"bound_{_name}_{_format}"] = ["bound", *_argv, "--format", _format]
 for _config, _path in REGION.items():
     for _units in ("nats", "bits"):
         CLI_CASES[f"region_{_config}_project_{_units}"] = [
