@@ -3,7 +3,8 @@
 Subcommands: ``bound``, ``verify``, ``simulate``, ``sweep``, ``region``.
 JSON in, JSON or CSV out; identical inputs and seed give byte-identical
 output regardless of the thread count.  Exit codes: 0 success, 1 an
-enumeration cap was exceeded, 2 bad configuration or input schema.
+enumeration cap was exceeded, 2 bad configuration or input schema, 3 an
+internal error (a fault in the program; the traceback is printed).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import os
 import sys
 import tempfile
+import traceback
 
 import numpy as np
 
@@ -55,25 +57,21 @@ def _emit(text: str, out_path: str | None) -> None:
         raise
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_text(header: list[str], rows: list[list], preamble: list[str] | None = None) -> str:
-    lines = list(preamble or [])
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_float_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _payload(args, **extra) -> dict:
-    return {
-        "tool": "oneshot",
-        "version": __version__,
-        "seed": args.seed,
-        **extra,
-    }
+def _write(args, fields: dict, header: list[str], rows: list[list], preamble: str | None) -> None:
+    """Emit a result as JSON (``fields`` plus tool, version, seed and command)
+    or as CSV: a ``# tool=oneshot version=… command=… <preamble>`` line
+    unless ``preamble`` is None, then ``header`` and ``rows``."""
+    if args.format == "json":
+        doc = {"tool": "oneshot", "version": __version__, "seed": args.seed,
+               "command": args.command, **fields}
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        lines = [] if preamble is None else [
+            f"# tool=oneshot version={__version__} command={args.command} {preamble}"]
+        lines.append(",".join(header))
+        lines += [",".join(_float_fmt(v) for v in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.out)
 
 
 def _load_json(path: str, what: str):
@@ -86,8 +84,14 @@ def _load_json(path: str, what: str):
         raise InputFormatError(f"{what}: invalid JSON in {path}: {exc}") from None
 
 
-def _load_joint(path: str) -> Joint:
-    return Joint.from_json(_load_json(path, "--dist"))
+def _load_joint(args) -> Joint:
+    """``--dist``, with the axis count ``args.kind`` needs: 3 for covering5,
+    2 for every other kind."""
+    joint = Joint.from_json(_load_json(args.dist, "--dist"))
+    axes = 3 if args.kind == "covering5" else 2
+    if joint.ndim != axes:
+        raise InputFormatError(f"--dist: {args.kind} needs a {axes}-axis joint")
+    return joint
 
 
 def _load_event(path: str | None, shape) -> np.ndarray:
@@ -148,9 +152,7 @@ def _bound_from_args(args, param: str = "gamma"):
     kind = args.kind
     if kind in ("covering1", "covering4", "covering5", "covering7"):
         _require(args, ["--dist", "--M", "--L", "--gamma"], kind)
-        joint = _load_joint(args.dist)
-        if kind == "covering5" and joint.ndim != 3:
-            raise InputFormatError("--dist: covering5 needs a 3-axis joint")
+        joint = _load_joint(args)
         event = _load_event(args.event, joint.shape)
         if param == "delta":
             return lambda d: bounds.mutual_covering_bound(
@@ -162,7 +164,7 @@ def _bound_from_args(args, param: str = "gamma"):
         return bounds.bound_at(kind, instance)
     if kind == "resolvability":
         _require(args, ["--dist", "--M", "--lam"], kind)
-        joint = _load_joint(args.dist)
+        joint = _load_joint(args)
         return lambda lam: bounds.resolvability_excess_bound(joint, args.M, lam)
     if kind == "packing":
         _require(args, ["--gamma"], kind)
@@ -171,21 +173,14 @@ def _bound_from_args(args, param: str = "gamma"):
         _require(args, ["--gamma"], kind)
         return bounds.bound_at("broadcast", {"system": _load_system(args),
                                              "sizes": _load_sizes(args)})
-    raise InputFormatError(f"unknown bound kind {kind!r}")
 
 
 def cmd_bound(args) -> int:
     report = _bound_from_args(args)(args.lam if args.kind == "resolvability" else args.gamma)
-    if args.format == "json":
-        text = _json_text(_payload(args, command="bound", kind=args.kind,
-                                   report=report.to_json()))
-    else:
-        names = list(report.term_names())
-        header = names + ["total", "clamped"]
-        row = [report.term(n) for n in names] + [report.raw_value, report.clamped_value]
-        pre = [f"# tool=oneshot version={__version__} command=bound kind={args.kind} seed={args.seed}"]
-        text = _csv_text(header, [row], pre)
-    _emit(text, args.out)
+    names = list(report.term_names())
+    _write(args, {"kind": args.kind, "report": report.to_json()}, names + ["total", "clamped"],
+           [[report.term(n) for n in names] + [report.raw_value, report.clamped_value]],
+           f"kind={args.kind} seed={args.seed}")
     return 0
 
 
@@ -208,7 +203,7 @@ def _verify_pipeline(args):
     """Load the inputs of a verify kind other than broadcast; returns its
     exact oracle, its Monte Carlo estimator (None for packing) and its
     ``[(name, bound value)]``, each as a callable for :func:`_verify_rows`."""
-    joint = _load_joint(args.dist)
+    joint = _load_joint(args)
     M, L, gamma = args.M, args.L, args.gamma
     run = (args.trials, args.seed, args.threads)
     if args.kind == "packing":
@@ -220,8 +215,6 @@ def _verify_pipeline(args):
                 lambda: oracle.mc_resolvability_excess(joint, M, args.lam, *run),
                 lambda: [("resolvability",
                           bounds.resolvability_excess_bound(joint, M, args.lam).raw_value)])
-    if args.kind == "covering5" and joint.ndim != 3:
-        raise InputFormatError("--dist: covering5 needs a 3-axis joint")
     event = _load_event(args.event, joint.shape)
     if args.kind == "covering5":
         return (lambda: oracle.exact_conditional_miss_prob(joint, event, M, L),
@@ -287,17 +280,11 @@ def cmd_verify(args) -> int:
         rows = _verify_rows_broadcast(args)
     else:
         rows = _verify_rows(*_verify_pipeline(args))
-    if args.format == "json":
-        text = _json_text(_payload(args, command="verify", kind=args.kind,
-                                   trials=args.trials, rows=rows))
-    else:
-        header = ["name", "value", "stderr", "violation"]
-        table = [[r["name"], r.get("value", ""), r.get("stderr", ""), r.get("violation", "")]
-                 for r in rows]
-        pre = [f"# tool=oneshot version={__version__} command=verify kind={args.kind} "
-               f"seed={args.seed} trials={args.trials}"]
-        text = _csv_text(header, table, pre)
-    _emit(text, args.out)
+    _write(args, {"kind": args.kind, "trials": args.trials, "rows": rows},
+           ["name", "value", "stderr", "violation"],
+           [[r["name"], r.get("value", ""), r.get("stderr", ""), r.get("violation", "")]
+            for r in rows],
+           f"kind={args.kind} seed={args.seed} trials={args.trials}")
     return 0
 
 
@@ -312,20 +299,12 @@ def cmd_simulate(args) -> int:
     outcome = broadcast.simulate(system, sizes, args.gamma, args.trials, args.seed,
                                  threads=args.threads, reuse_codebook=args.reuse_codebook,
                                  random_message=args.random_message)
-    if args.format == "json":
-        text = _json_text(_payload(args, command="simulate", outcome=outcome.to_json()))
-    else:
-        header = ["name", "value", "stderr"]
-        table = [
-            ["eps1_hat", outcome.eps1_hat.mean, outcome.eps1_hat.stderr],
-            ["eps2_hat", outcome.eps2_hat.mean, outcome.eps2_hat.stderr],
-            ["bound_raw", outcome.bound.raw_value, ""],
-            ["bound_clamped", outcome.bound.clamped_value, ""],
-        ]
-        pre = [f"# tool=oneshot version={__version__} command=simulate seed={args.seed} "
-               f"trials={args.trials} gamma={_float_fmt(args.gamma)}"]
-        text = _csv_text(header, table, pre)
-    _emit(text, args.out)
+    _write(args, {"outcome": outcome.to_json()}, ["name", "value", "stderr"], [
+        ["eps1_hat", outcome.eps1_hat.mean, outcome.eps1_hat.stderr],
+        ["eps2_hat", outcome.eps2_hat.mean, outcome.eps2_hat.stderr],
+        ["bound_raw", outcome.bound.raw_value, ""],
+        ["bound_clamped", outcome.bound.clamped_value, ""],
+    ], f"seed={args.seed} trials={args.trials} gamma={_float_fmt(args.gamma)}")
     return 0
 
 
@@ -366,12 +345,8 @@ def cmd_sweep(args) -> int:
         rows.append(row)
     header = [args.param] + (["delta"] if with_delta_col else []) \
         + names + ["total", "clamped"]
-    if args.format == "json":
-        text = _json_text(_payload(args, command="sweep", kind=args.kind, param=args.param,
-                                   rows=[dict(zip(header, row)) for row in rows]))
-    else:
-        text = _csv_text(header, rows)
-    _emit(text, args.out)
+    _write(args, {"kind": args.kind, "param": args.param,
+                  "rows": [dict(zip(header, row)) for row in rows]}, header, rows, None)
     return 0
 
 
@@ -381,8 +356,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_region(args) -> int:
-    doc = _load_json(args.config, "--config")
-    system = broadcast.BroadcastSystem.from_json(doc)
+    system = _load_system(args)
     iv = regions.info_vector(system.joint_ust, system.x_map, system.channel)
     if args.units == "bits":
         # the system is linear-homogeneous, so rescaling the vector (and
@@ -392,24 +366,17 @@ def cmd_region(args) -> int:
     if args.rates is None and not args.project:
         raise InputFormatError("--rates or --project is required")
     results: dict = {"info_vector": iv.to_json(), "units": args.units}
+    rows = []
     if args.rates is not None:
         rates = regions.RateTriple.from_string(args.rates)
-        inside = regions.region_contains(iv, rates)
+        inside = bool(regions.region_contains(iv, rates))
         results["rates"] = {"R0": rates.R0, "R1": rates.R1, "R2": rates.R2}
-        results["inside"] = bool(inside)
+        results["inside"] = inside
+        rows.append(["inside", "inside" if inside else "outside"])
     if args.project:
         results["projection"] = regions.fme_project(iv).to_json()
-    if args.format == "json":
-        text = _json_text(_payload(args, command="region", results=results))
-    else:
-        rows = []
-        if "inside" in results:
-            rows.append(["inside", "inside" if results["inside"] else "outside"])
-        if "projection" in results:
-            rows += [["inequality", p] for p in results["projection"]["pretty"]]
-        pre = [f"# tool=oneshot version={__version__} command=region seed={args.seed}"]
-        text = _csv_text(["name", "value"], rows, pre)
-    _emit(text, args.out)
+        rows += [["inequality", p] for p in results["projection"]["pretty"]]
+    _write(args, {"results": results}, ["name", "value"], rows, f"seed={args.seed}")
     return 0
 
 
@@ -500,16 +467,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "trials", 1) < 1:
             raise InputFormatError("--trials must be >= 1")
+        if not 0 <= args.seed < 2**64:
+            raise InputFormatError("--seed must be in [0, 2^64)")
         return args.func(args)
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OneshotError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, EnumerationCapError) else 2
+    except Exception:
+        # a fault in the program, told apart from a cap (1) and bad input (2)
+        traceback.print_exc()
+        print("error: internal error", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

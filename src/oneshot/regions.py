@@ -158,16 +158,15 @@ def _coeff(**named: float) -> tuple[float, ...]:
     return tuple(row)
 
 
-def build_system(iv: InfoVector, rates: RateTriple | None = None) -> LinearSystem:
+def build_system(iv: InfoVector) -> LinearSystem:
     """The auxiliary-rate inequality system (11 rows).
 
     Per receiver: the private split cannot exceed the private rate, the
     head constraint against I, and the satellite constraint against J;
     plus the shared cross constraint against K and nonnegativity of the
-    four auxiliary rates.  With ``rates`` given, the rate coordinates
-    are substituted into the constants.
+    four auxiliary rates.
     """
-    rows = [
+    return LinearSystem([
         Inequality(_coeff(R11=1, R1=-1), "<=", 0.0),
         Inequality(_coeff(R22=1, R2=-1), "<=", 0.0),
         Inequality(_coeff(R0=1, R1=1, R2=1, R22=-1, Rh1=1), "<=", iv.I1),
@@ -179,20 +178,7 @@ def build_system(iv: InfoVector, rates: RateTriple | None = None) -> LinearSyste
         Inequality(_coeff(R22=1), ">=", 0.0),
         Inequality(_coeff(Rh1=1), ">=", 0.0),
         Inequality(_coeff(Rh2=1), ">=", 0.0),
-    ]
-    if rates is None:
-        return LinearSystem(rows)
-    values = {"R0": rates.R0, "R1": rates.R1, "R2": rates.R2}
-    substituted = []
-    for row in rows:
-        coeffs = list(row.coeffs)
-        const = row.constant
-        for name, value in values.items():
-            idx = VARIABLES.index(name)
-            const -= coeffs[idx] * value
-            coeffs[idx] = 0.0
-        substituted.append(Inequality(tuple(coeffs), row.sense, const))
-    return LinearSystem(substituted)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +288,9 @@ def _lp_redundant(row: np.ndarray, others: np.ndarray, tol: float) -> bool:
     return -res.fun <= row[-1] + tol
 
 
-def _prune(matrix: np.ndarray, tol: float, exact: bool) -> np.ndarray:
+def _prune(matrix: np.ndarray, tol: float) -> np.ndarray:
     matrix = _drop_trivial_and_duplicate(matrix, tol)
-    if not exact or len(matrix) <= 1:
+    if len(matrix) <= 1:
         return matrix
     needed = _probe_irredundant(matrix, tol)
     keep = list(range(len(matrix)))
@@ -317,28 +303,28 @@ def _prune(matrix: np.ndarray, tol: float, exact: bool) -> np.ndarray:
     return matrix[keep]
 
 
-def region_contains(iv: InfoVector, rates: RateTriple, tol: float = _TOL) -> bool:
+def region_contains(iv: InfoVector, rates: RateTriple) -> bool:
     """Whether a rate triple admits feasible auxiliary rates.
 
     Answered from the closed form that :func:`fme_project` leaves of
     :func:`build_system`, Marton's inner bound with a common message (El
     Gamal and Kim, *Network Information Theory*, Ch. 8): K <= J1 + J2,
     R0 + R1 <= I1, R0 + R2 <= I2, R0 + R1 + R2 <= min(I1 + J2, I2 + J1) - K
-    and 2 R0 + R1 + R2 <= I1 + I2 - K.  Each row is held to ``tol`` after
+    and 2 R0 + R1 + R2 <= I1 + I2 - K.  Each row is held to ``_TOL`` after
     scaling to a largest coefficient of one, as the projected rows are.
     The strict positivity in the region statement is relaxed to closure
     (>= 0): the achievable region is taken closed.
     """
     r0, r1, r2 = rates.R0, rates.R1, rates.R2
     total = r0 + r1 + r2
-    return (iv.K <= iv.J1 + iv.J2 + tol
-            and r0 + r1 <= iv.I1 + tol
-            and r0 + r2 <= iv.I2 + tol
-            and total <= min(iv.I1 + iv.J2, iv.I2 + iv.J1) - iv.K + tol
-            and (r0 + total) / 2.0 <= (iv.I1 + iv.I2 - iv.K) / 2.0 + tol)
+    return (iv.K <= iv.J1 + iv.J2 + _TOL
+            and r0 + r1 <= iv.I1 + _TOL
+            and r0 + r2 <= iv.I2 + _TOL
+            and total <= min(iv.I1 + iv.J2, iv.I2 + iv.J1) - iv.K + _TOL
+            and (r0 + total) / 2.0 <= (iv.I1 + iv.I2 - iv.K) / 2.0 + _TOL)
 
 
-def fme_project(iv: InfoVector, tol: float = _TOL) -> LinearSystem:
+def fme_project(iv: InfoVector) -> LinearSystem:
     """Project the auxiliary-rate system onto the rate coordinates.
 
     Eliminates the four auxiliary rates in a fixed order and prunes the
@@ -348,8 +334,8 @@ def fme_project(iv: InfoVector, tol: float = _TOL) -> LinearSystem:
     matrix = np.array([row.as_leq() for row in system.rows])
     for name in _AUX:
         matrix = _eliminate(matrix, VARIABLES.index(name))
-        matrix = _drop_trivial_and_duplicate(matrix, tol)
-    matrix = _prune(matrix, tol, exact=True)
+        matrix = _drop_trivial_and_duplicate(matrix, _TOL)
+    matrix = _prune(matrix, _TOL)
     rate_cols = [VARIABLES.index(n) for n in ("R0", "R1", "R2")]
     rows = [
         Inequality(tuple(float(r[c]) for c in rate_cols), "<=", float(r[-1]))
@@ -359,12 +345,12 @@ def fme_project(iv: InfoVector, tol: float = _TOL) -> LinearSystem:
     return LinearSystem(rows, ("R0", "R1", "R2"))
 
 
-def projection_contains(system: LinearSystem, rates: RateTriple, tol: float = _TOL) -> bool:
+def projection_contains(system: LinearSystem, rates: RateTriple) -> bool:
     """Membership test against a projected system over (R0, R1, R2)."""
     x = np.array([rates.R0, rates.R1, rates.R2])
     for row in system.rows:
         lhs = float(np.dot(row.coeffs, x))
-        ok = lhs <= row.constant + tol if row.sense == "<=" else lhs >= row.constant - tol
+        ok = lhs <= row.constant + _TOL if row.sense == "<=" else lhs >= row.constant - _TOL
         if not ok:
             return False
     return True

@@ -506,7 +506,23 @@ _BAD_INPUTS = {
                        _config_with("region_binary.json",
                                     lambda d: d["x_map"][0][0].__setitem__(0, 0.7)), "x_map"),
     "point-fraction": (_POINTS, {"points": [[1.5, 0]]}, "event point"),
+    "seed-negative": (["simulate", "--config", str(CONFIGS / "broadcast_binary.json"),
+                       *_ONE_SIZES, "--trials", "10", "--seed", "-1"], None, "--seed"),
+    "seed-2-64": (["verify", "covering", "--dist", _JOINT, "--M", "2", "--L", "2", "--gamma", "1",
+                   "--trials", "10", "--seed", str(2**64)], None, "--seed"),
 }
+#: a 3-axis joint where each kind needs 2 axes
+_JOINT3 = json.loads((CONFIGS / "joint_2x2x2.json").read_text())
+for _argv in (["bound", "covering1", "--M", "2", "--L", "2", "--gamma", "1"],
+              ["bound", "covering4", "--M", "2", "--L", "2", "--gamma", "1"],
+              ["bound", "covering7", "--M", "2", "--L", "2", "--gamma", "1"],
+              ["bound", "resolvability", "--M", "2", "--lam", "3"],
+              ["verify", "packing", "--M", "2", "--N", "2", "--gamma", "1"],
+              ["verify", "resolvability", "--M", "2", "--lam", "3", "--trials", "10"],
+              ["sweep", "covering1", "--M", "2", "--L", "2", "--gamma", "1", "--param", "delta",
+               "--from", "0.1", "--to", "1", "--steps", "3"]):
+    _BAD_INPUTS[f"3-axis-{_argv[0]}-{_argv[1]}"] = (
+        [*_argv, "--dist", "{f}"], _JOINT3, f"--dist: {_argv[1]} needs a 2-axis joint")
 
 
 def test_integral_floats_pass_as_indices(tmp_path, capsys):
@@ -534,3 +550,25 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], err
     assert not list(tmp_path.glob(".oneshot-*"))
+
+
+def test_program_fault_exits_3_with_traceback(monkeypatch, capsys):
+    # a fault in the program is told apart from a cap (1) and bad input (2)
+    def fault(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_bound", fault)
+    code = cli.main(["bound", "packing", "--gamma", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "Traceback" in err and "RuntimeError: boom" in err
+    assert err.strip().splitlines()[-1] == "error: internal error"
+
+
+def test_interrupt_passes_through(monkeypatch):
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_bound", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["bound", "packing", "--gamma", "1"])

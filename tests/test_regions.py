@@ -120,14 +120,6 @@ class TestBuildSystem:
         iv = InfoVector(0, 0, 0, 0, 0)
         assert region_contains(iv, RateTriple(0, 0, 0))
 
-    def test_substitution_moves_rates_into_constants(self):
-        iv = InfoVector(0.5, 0.4, 0.3, 0.2, 0.1)
-        sys_ = build_system(iv, RateTriple(0.1, 0.2, 0.05))
-        for row in sys_.rows:
-            for name in ("R0", "R1", "R2"):
-                assert row.coeffs[VARIABLES.index(name)] == 0.0
-        assert sys_.rows[2].constant == pytest.approx(0.5 - 0.35)
-
 
 class TestRegionContains:
     def test_origin_inside_when_cross_constraint_satisfiable(self):
@@ -281,7 +273,7 @@ class TestClosedForm:
         vectors = list(_closed_form_cases(10**4, np.random.default_rng(2024)))
         pruned = {n: fme_project(iv) for n, iv in enumerate(vectors) if n % 50 == 0}
         monkeypatch.setattr(regions, "_prune",
-                            lambda matrix, tol, exact: regions._drop_trivial_and_duplicate(matrix, tol))
+                            lambda matrix, tol: regions._drop_trivial_and_duplicate(matrix, tol))
         rng = np.random.default_rng(7)
         checked = inside = 0
         for n, iv in enumerate(vectors):
