@@ -185,20 +185,14 @@ def _mass_where(joint: Joint, mask: np.ndarray) -> float:
 
 
 def _density_ratio(joint: Joint) -> np.ndarray:
-    """``P(u,v) / (P(u) P(v))`` on the support, 0 elsewhere."""
+    """``P(u,v) / (P(u) P(v))`` on the support, ``-inf`` elsewhere (as the
+    density tables are), so no threshold puts a point off the support in
+    the excess event."""
     arr = joint.probs
     sup = arr > 0
-    ratio = np.zeros_like(arr)
+    ratio = np.full(arr.shape, -np.inf)
     ratio[sup] = arr[sup] / np.outer(arr.sum(axis=1), arr.sum(axis=0))[sup]
     return ratio
-
-
-def _excess_mask(joint: Joint, table: np.ndarray, thr: float, inclusive: bool = False) -> np.ndarray:
-    """Support points whose ``table`` entry is above ``thr`` (``>=`` with ``inclusive``)."""
-    sup = joint.probs > 0
-    mask = np.zeros_like(sup)
-    mask[sup] = table[sup] >= thr if inclusive else table[sup] > thr
-    return mask
 
 
 def _covering_report(joint: Joint, ev: np.ndarray, exceed: np.ndarray, union_form: bool,
@@ -259,7 +253,7 @@ def resolvability_excess_bound(joint: Joint, M: int, lam: float) -> BoundReport:
     check_sizes(M)
     if not 2 < lam < math.inf:
         raise InputFormatError("lam must be > 2 and finite")
-    above = _excess_mask(joint, info_density_table(joint), math.log(M * lam / 2.0), inclusive=True)
+    above = info_density_table(joint) >= math.log(M * lam / 2.0)
     terms = (
         ("excess", _mass_where(joint, above)),
         ("slack", 2.0 / lam),
@@ -321,8 +315,8 @@ def bound_at(kind: str, instance: Mapping[str, object]):
 
         def covering1(g: float) -> BoundReport:
             d = BoundParams(M, L, g, delta, union_form).resolved_delta()
-            # the ratio is positive on the support: a threshold <= 0 marks all of it
-            exceed = _excess_mask(joint, density_ratio, M * L * math.exp(-g) - d)
+            # positive on the support and -inf off it: a threshold <= 0 marks the support
+            exceed = density_ratio > M * L * math.exp(-g) - d
             return _covering_report(joint, ev, exceed, union_form, (min(M, L) - 1) / d,
                                     doubleexp(g), {"M": M, "L": L, "gamma": g, "delta": d,
                                                    "union_form": union_form})
@@ -338,7 +332,7 @@ def bound_at(kind: str, instance: Mapping[str, object]):
 
         def covering7(g: float) -> BoundReport:
             check_bound_args(g, M, L)
-            exceed = _excess_mask(joint, table, math.log(M * L) - g, inclusive=True)
+            exceed = table >= math.log(M * L) - g
             try:
                 ratio = math.exp(g) / max(M, L)
             except OverflowError:
@@ -355,7 +349,7 @@ def bound_at(kind: str, instance: Mapping[str, object]):
 
     def covering4_or_5(g: float) -> BoundReport:
         check_bound_args(g, M, L)
-        exceed = _excess_mask(joint, table, math.log(M * L) - 2.0 * g)
+        exceed = table > math.log(M * L) - 2.0 * g
         return _covering_report(joint, ev, exceed, merged, covering_ratio(M, L, g),
                                 doubleexp(g), {"M": M, "L": L, "gamma": g, **flag})
 

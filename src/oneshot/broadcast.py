@@ -29,7 +29,8 @@ from .errors import (
     InputFormatError,
     UndefinedRowError,
 )
-from .probability import Joint, Kernel, input_array, integral, product_extend
+from .probability import (Joint, Kernel, cond_info_density_table, input_array, integral,
+                          log_ratio_table, product_extend)
 
 #: cap on the size of the design joint over (u, s, t, y1, y2)
 JOINT_CAP = 10**7
@@ -204,8 +205,9 @@ def thresholds_for(sizes: SchemeSizes, gamma: float) -> Thresholds:
 class DensityTables:
     """Marginals and density tables of the design joint, precomputed once.
 
-    Density entries are finite on the support and ``-inf`` where the
-    relevant joint marginal vanishes.
+    Every table comes from :func:`~oneshot.probability.log_ratio_table`:
+    finite on the support and ``-inf`` where the relevant joint marginal
+    vanishes.
     """
 
     def __init__(self, system: BroadcastSystem):
@@ -227,27 +229,17 @@ class DensityTables:
         self.p_uy1 = self.full.sum(axis=(1, 2, 4))
         self.p_uy2 = self.full.sum(axis=(1, 2, 3))
 
-        self.i_us_y1 = self._density(self.p_usy1, self.p_us[:, :, None] * self.p_y1[None, None, :])
-        self.i_ut_y2 = self._density(self.p_uty2, self.p_ut[:, :, None] * self.p_y2[None, None, :])
-        self.i_s_y1_u = self._density(
+        self.i_us_y1 = log_ratio_table(self.p_usy1, self.p_us[:, :, None] * self.p_y1)
+        self.i_ut_y2 = log_ratio_table(self.p_uty2, self.p_ut[:, :, None] * self.p_y2)
+        self.i_s_y1_u = log_ratio_table(
             self.p_usy1 * self.p_u[:, None, None],
             self.p_us[:, :, None] * self.p_uy1[:, None, :],
         )
-        self.i_t_y2_u = self._density(
+        self.i_t_y2_u = log_ratio_table(
             self.p_uty2 * self.p_u[:, None, None],
             self.p_ut[:, :, None] * self.p_uy2[:, None, :],
         )
-        self.i_s_t_u = self._density(
-            self.p_ust * self.p_u[:, None, None],
-            self.p_us[:, :, None] * self.p_ut[:, None, :],
-        )
-
-    @staticmethod
-    def _density(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-        out = np.full(num.shape, -np.inf)
-        sup = num > 0
-        out[sup] = np.log(num[sup] / den[sup])
-        return out
+        self.i_s_t_u = cond_info_density_table(system.joint_ust)
 
     def clauses(self, thr: Thresholds) -> dict[str, np.ndarray]:
         """The five threshold events of the bound, each a boolean table over its

@@ -28,6 +28,8 @@ NATS_PER_BIT = math.log(2.0)
 BOUND_KINDS = ("covering1", "covering4", "covering5", "covering7",
                "resolvability", "packing", "broadcast")
 VERIFY_KINDS = ("covering", "covering5", "resolvability", "packing", "broadcast")
+#: cap on the grid points of one sweep
+SWEEP_STEPS_CAP = 10**5
 
 
 def _float_fmt(x) -> str:
@@ -316,6 +318,8 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     if not args.steps >= 2:
         raise InputFormatError("--steps must be >= 2")
+    if args.steps > SWEEP_STEPS_CAP:
+        raise EnumerationCapError(f"--steps {args.steps} exceeds the cap of {SWEEP_STEPS_CAP}")
     if not -math.inf < args.start < args.stop < math.inf:
         raise InputFormatError("--from must be strictly less than --to, both finite")
     if args.param in ("gamma", "delta") and args.start <= 0:

@@ -133,6 +133,15 @@ def _exact_miss(pu: np.ndarray, pv: np.ndarray, event: np.ndarray, M: int, L: in
     q = np.bincount(inv.ravel(), weights=pu[pu > 0], minlength=len(rows))
     masks = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little") for r in rows]
     C = len(masks)
+
+    def check_cap(sets: int) -> None:
+        entries = sets * C
+        if entries > DP_TABLE_CAP or M * (entries + _DRAW_OVERHEAD) > DP_CAP:
+            raise EnumerationCapError(
+                f"the covered-set DP needs at least {sets} covered sets x {C} symbol classes "
+                f"x {M} draws, above the cap; use the Monte Carlo estimator"
+            )
+
     states, index, table = [0], {0: 0}, []
     expanded = 0
     for _ in range(M):
@@ -144,17 +153,13 @@ def _exact_miss(pu: np.ndarray, pv: np.ndarray, event: np.ndarray, M: int, L: in
                 if j is None:
                     j = index[s | m] = len(states)
                     states.append(s | m)
-                    entries = len(states) * C
-                    if entries > DP_TABLE_CAP or M * (entries + _DRAW_OVERHEAD) > DP_CAP:
-                        raise EnumerationCapError(
-                            f"the covered-set DP needs at least {len(states)} covered sets x "
-                            f"{C} symbol classes x {M} draws, above the cap; use the Monte "
-                            f"Carlo estimator"
-                        )
+                    check_cap(len(states))
                 table.append(j)
         expanded = reached
         if expanded == len(states):
             break
+    # a closure that stops early still costs M draws
+    check_cap(len(states))
     # sets first reached by the last draw are never expanded; they hold
     # no mass before it, so the table covers every set that does
     successor = np.array(table, dtype=np.intp)
@@ -299,10 +304,7 @@ def exact_packing_prob(joint: Joint, M: int, N: int, gamma: float) -> float:
     is taken with respect to the given joint.
     """
     check_bound_args(gamma, M, N)
-    table = info_density_table(joint)
-    thr = math.log(M * N) + gamma
-    with np.errstate(invalid="ignore"):
-        above = np.where(np.isnan(table), False, table >= thr)
+    above = info_density_table(joint) >= math.log(M * N) + gamma
     pu = joint.probs.sum(axis=1)
     pv = joint.probs.sum(axis=0)
     return 1.0 - _exact_miss(pu, pv, above, M, N)

@@ -8,15 +8,18 @@ Conventions
 -----------
 * All logarithms are natural: densities and mutual informations are in
   nats.
-* Density ratios at zero-probability points follow the extended-real
-  conventions:
+* Scalar density ratios at zero-probability points follow the
+  extended-real conventions:
 
   - numerator > 0, denominator = 0  ->  ``+inf``
   - numerator = 0, denominator > 0  ->  ``-inf``
   - both zero                       ->  :class:`OutsideSupportError`
 
-  IEEE semantics already order ``-inf`` below and ``+inf`` above every
-  finite threshold, so comparisons need no special casing.
+* Density tables are built by one kernel, :func:`log_ratio_table`: every
+  entry whose numerator vanishes is ``-inf``, whether or not the
+  denominator does.  IEEE semantics order ``-inf`` below every finite
+  threshold, so an excess event is a plain ``table > thr`` (or ``>=``)
+  and never contains a point off the support.
 * Mass vectors are renormalized exactly on construction when their sum
   deviates from 1 by at most ``NORMALIZE_TOL``; a larger deviation is a
   hard input error (tolerate JSON rounding, reject malformed input).
@@ -329,40 +332,27 @@ def cond_info_density(joint: Joint, s: int, t: int, u: int) -> float:
     return _log_ratio(num, float(den))
 
 
-def info_density_table(joint: Joint) -> np.ndarray:
-    """Vectorized density table for a 2-axis joint.
-
-    Finite on the support, ``-inf`` where the joint vanishes but both
-    marginals are positive, and NaN where a marginal vanishes (the point
-    carries no mass under any law of interest, so consumers must mask).
-    """
-    arr = joint.probs
-    pu = arr.sum(axis=1)
-    pv = arr.sum(axis=0)
-    den = np.outer(pu, pv)
-    out = np.full(arr.shape, -np.inf)
-    sup = arr > 0
-    out[sup] = np.log(arr[sup] / den[sup])
-    out[den == 0] = np.nan
+def log_ratio_table(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Elementwise ``ln(num / den)`` where ``num > 0``, ``-inf`` elsewhere."""
+    out = np.full(num.shape, -np.inf)
+    sup = num > 0
+    out[sup] = np.log(num[sup] / den[sup])
     return out
+
+
+def info_density_table(joint: Joint) -> np.ndarray:
+    """Vectorized density table for a 2-axis joint: finite on the support,
+    ``-inf`` wherever the joint vanishes (see :func:`log_ratio_table`)."""
+    arr = joint.probs
+    return log_ratio_table(arr, np.outer(arr.sum(axis=1), arr.sum(axis=0)))
 
 
 def cond_info_density_table(joint: Joint) -> np.ndarray:
-    """Conditional density table for a 3-axis joint, axes (u, s, t).
-
-    Same conventions as :func:`info_density_table`, conditioning on axis 0.
-    """
+    """Conditional density table for a 3-axis joint, axes (u, s, t),
+    conditioning on axis 0: finite on the support, ``-inf`` off it."""
     arr = joint.probs
-    pu = arr.sum(axis=(1, 2))
-    pus = arr.sum(axis=2)
-    put = arr.sum(axis=1)
-    num = arr * pu[:, None, None]
-    den = pus[:, :, None] * put[:, None, :]
-    out = np.full(arr.shape, -np.inf)
-    sup = arr > 0
-    out[sup] = np.log(num[sup] / den[sup])
-    out[den == 0] = np.nan
-    return out
+    return log_ratio_table(arr * arr.sum(axis=(1, 2))[:, None, None],
+                           arr.sum(axis=2)[:, :, None] * arr.sum(axis=1)[:, None, :])
 
 
 def mutual_info(joint: Joint) -> float:

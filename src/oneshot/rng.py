@@ -23,6 +23,8 @@ _OUTPUTS_PER_BLOCK = 4
 CHUNK_TRIALS = 8192
 #: cap on the bytes one chunk of trials holds in its per-trial arrays
 CHUNK_BYTES = 64 * 2**20
+#: cap on the trials of one Monte Carlo run
+TRIALS_CAP = 10**9
 
 T = TypeVar("T")
 
@@ -99,8 +101,7 @@ def run_trials(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    starts = list(range(0, trials, chunk))
-    spans = [(s, min(chunk, trials - s)) for s in starts]
+    spans = [(s, min(chunk, trials - s)) for s in range(0, trials, chunk)]
     if threads <= 1 or len(spans) == 1:
         return [worker(s, n) for s, n in spans]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -112,7 +113,10 @@ def monte_carlo(trials: int, seed: int, k: int, body: Callable[[np.ndarray], T],
                 threads: int = 1) -> T:
     """Sum, in chunk order, of ``body`` on the ``(n, k)`` uniforms of each chunk
     of trials; a trial holds its uniform row plus ``work_bytes`` of work
-    arrays, and :func:`chunk_trials` sizes the chunks from that."""
+    arrays, and :func:`chunk_trials` sizes the chunks from that.  More than
+    ``TRIALS_CAP`` trials raise :class:`EnumerationCapError` before any runs."""
+    if trials > TRIALS_CAP:
+        raise EnumerationCapError(f"{trials} trials exceed the cap of {TRIALS_CAP}")
     chunk = chunk_trials(8 * row_width(k) + work_bytes, max_trials, group)
     return sum(run_trials(trials, lambda start, n: body(trial_uniforms(seed, start, n, k)),
                           chunk=chunk, threads=threads))

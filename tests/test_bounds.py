@@ -18,7 +18,7 @@ from oneshot import (
     resolvability_excess_bound,
     simple_covering_bound,
 )
-from oneshot.bounds import event_from_points, full_event, minimize_scalar
+from oneshot.bounds import _density_ratio, event_from_points, full_event, minimize_scalar
 from oneshot.errors import AlphabetMismatchError, InputFormatError
 
 from conftest import random_event, random_joint
@@ -98,6 +98,16 @@ class TestMutualCoveringBound:
                 plain.term("miss") + plain.term("excess") + 1e-12
             )
             assert union.raw_value <= plain.raw_value + 1e-12
+
+    def test_nonpositive_threshold_marks_only_the_support(self):
+        # the density ratio is -inf off the support, so even a threshold
+        # <= 0 (here delta = 100 > ML e^-gamma) leaves zero-mass points out
+        p = np.array([[0.5, 0.0, 0.2], [0.0, 0.0, 0.0], [0.1, 0.0, 0.2]])
+        ratio = _density_ratio(Joint(p))
+        for thr in (0.0, -1.0, -math.inf):
+            assert np.array_equal(ratio > thr, p > 0)
+        rep = mutual_covering_bound(Joint(p), full_event(p.shape), BoundParams(2, 2, 1.0, 100.0))
+        assert rep.term("excess") == 1.0
 
     def test_shape_mismatch(self):
         with pytest.raises(AlphabetMismatchError):

@@ -218,6 +218,25 @@ def test_bad_sizes_and_non_finite_values_exit_2(argv, names, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0]
 
 
+_WORK_CAPS = {
+    **{f"trials-{name}": ([*argv, "--trials", "100000000000000"], "trials exceed the cap")
+       for name, argv in _TRIALS_COMMANDS.items() if name != "verify-packing"},
+    "sweep-steps": (["sweep", "packing", "--param", "gamma", "--from", "0.1", "--to", "1",
+                     "--steps", "100000000000"], "--steps"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WORK_CAPS))
+def test_work_caps_exit_1_before_any_work(case, capsys):
+    # refused up front: no chunk of trials runs and no grid is allocated
+    argv, names = _WORK_CAPS[case]
+    code = cli.main(argv)
+    _, err = capsys.readouterr()
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], err
+
+
 _IMPORT_PROBE = """
 import json, sys
 import oneshot, oneshot.cli

@@ -103,6 +103,12 @@ class TestExactMissProb:
         with pytest.raises(EnumerationCapError):
             exact_conditional_miss_prob(Joint(j.probs[None]), event[None], 1000, 2)
 
+    def test_cap_checked_after_a_closure_that_stops_early(self):
+        # no pair reaches the packing threshold, so the closure ends at the
+        # empty set at once; the 10^6 draws are still over the cap
+        with pytest.raises(EnumerationCapError):
+            exact_packing_prob(JOINT, 10**6, 3, 1.0)
+
     def test_spec_validation(self):
         with pytest.raises(InputFormatError):
             EnsembleSpec(JOINT, DIAG, 0, 1)

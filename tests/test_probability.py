@@ -24,12 +24,20 @@ from oneshot import (
     rel_info,
 )
 from oneshot.errors import EnumerationCapError
-from oneshot.probability import info_density_table
+from oneshot.probability import cond_info_density_table, info_density_table
 
 from conftest import random_joint
 
 JOINT = Joint([[0.4, 0.1], [0.2, 0.3]])
 LN2 = math.log(2.0)
+
+
+def _with_zero_lines(j: Joint, i: int) -> Joint:
+    """``j`` with row ``i % 3`` and column ``(i + 1) % 3`` zeroed, renormalized."""
+    p = j.probs.copy()
+    p[i % 3] = 0.0
+    p[:, (i + 1) % 3] = 0.0
+    return Joint(p / p.sum())
 
 
 class TestConstruction:
@@ -276,22 +284,33 @@ class TestInvariants:
 
     def test_exp_density_expectations(self):
         rng = np.random.default_rng(33)
-        for _ in range(20):
-            j = random_joint(rng, (3, 3), allow_zero=True)
-            arr = j.probs
-            pu, pv = arr.sum(axis=1), arr.sum(axis=0)
-            table = info_density_table(j)
-            # under the product of marginals, exp(density) integrates to the
-            # joint mass of the product support
-            prod = np.outer(pu, pv)
-            on = prod > 0
-            e_forward = (prod[on] * np.exp(table[on])).sum()
-            assert e_forward <= 1 + 1e-12
-            assert e_forward == pytest.approx(arr[on].sum(), abs=1e-12)
-            # under the joint, exp(-density) integrates to at most one
-            sup = arr > 0
-            e_back = (arr[sup] * np.exp(-table[sup])).sum()
-            assert e_back <= 1 + 1e-12
+        for i in range(20):
+            drawn = random_joint(rng, (3, 3), allow_zero=True)
+            zeroed = _with_zero_lines(drawn, i)
+            for j in (drawn, zeroed):
+                arr = j.probs
+                pu, pv = arr.sum(axis=1), arr.sum(axis=0)
+                table = info_density_table(j)
+                # -inf (never NaN) exactly off the support, zero marginals included
+                assert np.array_equal(table == -np.inf, arr == 0)
+                assert np.isfinite(table[arr > 0]).all()
+                # under the product of marginals, exp(density) integrates to the
+                # joint mass of the product support
+                prod = np.outer(pu, pv)
+                on = prod > 0
+                e_forward = (prod[on] * np.exp(table[on])).sum()
+                assert e_forward <= 1 + 1e-12
+                assert e_forward == pytest.approx(arr[on].sum(), abs=1e-12)
+                # under the joint, exp(-density) integrates to at most one
+                sup = arr > 0
+                e_back = (arr[sup] * np.exp(-table[sup])).sum()
+                assert e_back <= 1 + 1e-12
+            # the conditional table keeps the same rule, also for a
+            # conditioning symbol of zero mass
+            j3 = Joint(np.stack([zeroed.probs, np.zeros((3, 3)), drawn.probs]) / 2)
+            table3 = cond_info_density_table(j3)
+            assert np.array_equal(table3 == -np.inf, j3.probs == 0)
+            assert np.isfinite(table3[j3.probs > 0]).all()
 
     def test_merge_axes_indexing(self):
         j = random_joint(np.random.default_rng(2), (2, 3, 2))

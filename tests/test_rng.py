@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oneshot import rng
+from oneshot.errors import EnumerationCapError
 
 
 def reference_categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -110,6 +111,12 @@ class TestMonteCarlo:
         assert rng.monte_carlo(23, 1, 3, lambda u: sizes.append(len(u)) or len(u),
                                max_trials=7, group=3) == 23
         assert sizes == [6, 6, 6, 5]
+
+    def test_trial_cap_raises_before_any_chunk(self):
+        calls = []
+        with pytest.raises(EnumerationCapError, match="trials exceed the cap"):
+            rng.monte_carlo(rng.TRIALS_CAP + 1, 0, 2, lambda u: calls.append(u) or 0)
+        assert calls == []
 
     def test_looks_up_uniforms_and_runner_at_call_time(self, monkeypatch):
         # the benchmark's tracer rebinds these module attributes
