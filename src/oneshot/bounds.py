@@ -11,9 +11,11 @@ honored literally.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -195,17 +197,6 @@ def _density_ratio(joint: Joint) -> np.ndarray:
     return ratio
 
 
-def _covering_report(joint: Joint, ev: np.ndarray, exceed: np.ndarray, union_form: bool,
-                     ratio: float, slack: float, params: dict) -> BoundReport:
-    """The shape every covering bound shares: the miss and excess probabilities
-    (or the probability of their union), the ratio term and the slack."""
-    if union_form:
-        terms = (("miss_or_excess", _mass_where(joint, ~ev | exceed)),)
-    else:
-        terms = (("miss", _mass_where(joint, ~ev)), ("excess", _mass_where(joint, exceed)))
-    return BoundReport(terms + (("ratio", ratio), ("doubleexp", slack)), params)
-
-
 def mutual_covering_bound(joint: Joint, event: np.ndarray, params: BoundParams) -> BoundReport:
     """Splitting-form mutual covering bound (CLI kind ``covering1``).
 
@@ -279,6 +270,99 @@ def packing_bound(gamma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# step functions of gamma
+# ---------------------------------------------------------------------------
+
+#: bit patterns of the smallest positive and the largest finite double
+_TINY_BITS = 1
+_MAX_BITS = int(np.float64(sys.float_info.max).view(np.int64))
+
+
+def critical_gammas(values, test, c: float, slope: float) -> np.ndarray:
+    """For each entry ``v`` of ``values``, the smallest positive double gamma
+    at which the float test ``test(v, c + slope * gamma)`` holds: 0 where it
+    holds at every positive gamma and ``inf`` where it holds at none.
+
+    ``test`` is ``np.less_equal`` with a positive slope, or ``np.greater``
+    or ``np.greater_equal`` with a negative one, so it fails below the
+    critical gamma and holds from it on.  The threshold flips the test
+    where it crosses the midpoint between ``v`` and the neighbouring double
+    on the failing side; gamma at that crossing estimates the answer to a
+    few doubles.  From there the search gallops over the bit patterns of
+    positive doubles until the flip is bracketed, then bisects.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    out = np.full(v.shape, np.inf)
+    # slope * gamma overflows to -inf near the largest double: the test still orders
+    with np.errstate(over="ignore"):
+        def holds(vals: np.ndarray, bits: np.ndarray) -> np.ndarray:
+            return test(vals, c + slope * bits.view(np.float64))
+
+        always = holds(v, np.full(v.shape, _TINY_BITS))
+        out[always] = 0.0
+        todo = np.flatnonzero(~always & holds(v, np.full(v.shape, _MAX_BITS)))
+        vals = v[todo]
+        below = np.nextafter(vals, -np.inf)
+        side = np.where(test(vals, below) != test(vals, vals), below, np.nextafter(vals, np.inf))
+        est = ((vals - c) + (side - vals) / 2) / slope
+        bits = np.clip(est, 5e-324, sys.float_info.max).view(np.int64)
+        down = holds(vals, bits)
+        # the test fails at lo and holds at hi; step > 0 while galloping
+        lo = np.where(down, _TINY_BITS, bits)
+        hi = np.where(down, bits, _MAX_BITS)
+        step = np.ones_like(bits)
+        rest = np.flatnonzero(hi - lo > 1)
+        while rest.size:
+            l, h, s, d = lo[rest], hi[rest], step[rest], down[rest]
+            probe = np.clip(np.where(s > 0, np.where(d, h - s, l + s), l + (h - l) // 2), l + 1, h - 1)
+            ok = holds(vals[rest], probe)
+            hi[rest] = np.where(ok, probe, h)
+            lo[rest] = np.where(ok, l, probe)
+            # galloping goes on while the probe stays on the estimate's side
+            step[rest] = np.where(ok == d, 2 * s, 0)
+            rest = rest[hi[rest] - lo[rest] > 1]
+        out[todo] = hi.view(np.float64)
+    return out.reshape(np.shape(values))
+
+
+class GammaSteps:
+    """A step function of gamma, evaluated once per interval between
+    consecutive breakpoints and cached by the interval's index.
+
+    ``tests`` lists ``(values, test, c, slope)`` for every threshold test
+    the function depends on, as in :func:`critical_gammas`.  The
+    breakpoints are the critical gammas in ``(0, inf)``: every gamma of one
+    interval passes the same cells through every test, so a masked sum
+    over those cells returns the same double throughout, and the cache
+    never holds more than ``len(breakpoints) + 1`` values.  They are
+    worked out at the second call, so a single gamma costs what one
+    masked sum costs.
+    """
+
+    def __init__(self, tests):
+        self.tests = tests
+        self.cache: dict[int, float] = {}
+        self._seen = False
+
+    @cached_property
+    def breakpoints(self) -> list[float]:
+        crit = np.concatenate([critical_gammas(*t).ravel() for t in self.tests])
+        # sorted and deduplicated by hand: np.unique imports numpy.ma, a cold-start cost
+        crit = np.sort(crit[(crit > 0) & (crit < np.inf)])
+        return crit[np.diff(crit, prepend=-np.inf) > 0].tolist()
+
+    def __call__(self, gamma: float, mass) -> float:
+        """The value at ``gamma``; ``mass()`` computes it on a cache miss."""
+        if not self._seen:  # a single gamma needs no breakpoints
+            self._seen = True
+            return mass()
+        k = bisect.bisect_right(self.breakpoints, gamma)
+        if k not in self.cache:
+            self.cache[k] = mass()
+        return self.cache[k]
+
+
+# ---------------------------------------------------------------------------
 # parameter optimization
 # ---------------------------------------------------------------------------
 
@@ -291,16 +375,16 @@ def bound_at(kind: str, instance: Mapping[str, object]):
 
     ``instance`` carries the kind-specific fields: ``joint``/``event``
     plus sizes for the covering bounds, or ``system``/``sizes`` for the
-    broadcast bound.  The density table (``DensityTables`` for the
-    broadcast bound) is built here, once, and shared by every gamma.
-    Each covering kind's excess threshold, ratio term and slack are
-    written here and nowhere else.
+    broadcast bound, whose tables the system caches.  A covering kind's
+    density table and miss term are computed here, once, and shared by
+    every gamma; covering4/5/7 cache their excess term in a
+    :class:`GammaSteps`.  Each covering kind's excess threshold, ratio
+    term and slack are written here and nowhere else.
     """
     if kind == "broadcast":
-        from .broadcast import DensityTables, broadcast_bound
+        from .broadcast import broadcast_bound
 
-        tables = DensityTables(instance["system"])
-        return lambda g: broadcast_bound(instance["system"], instance["sizes"], g, tables)
+        return lambda g: broadcast_bound(instance["system"], instance["sizes"], g)
     if kind not in ("covering1", "covering4", "covering5", "covering7"):
         raise InputFormatError(f"kind: no gamma-parameterized bound named {kind!r}")
     joint = instance["joint"]
@@ -308,18 +392,30 @@ def bound_at(kind: str, instance: Mapping[str, object]):
     if ev.shape != joint.shape:
         raise AlphabetMismatchError(f"event shape {ev.shape} does not match joint shape {joint.shape}")
     M, L = int(instance["M"]), int(instance["L"])
+    check_sizes(M, L)
     union_form = bool(instance.get("union_form", False))
+    # the miss and excess events merge into their union under the flag, except
+    # in covering7 (which has no union form); covering5 always merges them
+    merged = (union_form and kind != "covering7") or kind == "covering5"
+    miss = None if merged else _mass_where(joint, ~ev)
+    # a cell outside the event is in the merged event at every gamma
+    always = ~ev if merged else np.zeros_like(ev)
+
+    def report(excess: float, ratio: float, slack: float, params: dict) -> BoundReport:
+        terms = (("miss_or_excess", excess),) if merged else (("miss", miss), ("excess", excess))
+        return BoundReport(terms + (("ratio", ratio), ("doubleexp", slack)), params)
+
     if kind == "covering1":
         density_ratio = _density_ratio(joint)
         delta = instance.get("delta", "auto")
 
+        # the auto delta makes the threshold non-monotone in gamma: no step table
         def covering1(g: float) -> BoundReport:
             d = BoundParams(M, L, g, delta, union_form).resolved_delta()
             # positive on the support and -inf off it: a threshold <= 0 marks the support
             exceed = density_ratio > M * L * math.exp(-g) - d
-            return _covering_report(joint, ev, exceed, union_form, (min(M, L) - 1) / d,
-                                    doubleexp(g), {"M": M, "L": L, "gamma": g, "delta": d,
-                                                   "union_form": union_form})
+            return report(_mass_where(joint, always | exceed), (min(M, L) - 1) / d, doubleexp(g),
+                          {"M": M, "L": L, "gamma": g, "delta": d, "union_form": union_form})
 
         return covering1
     if kind == "covering5":
@@ -328,30 +424,33 @@ def bound_at(kind: str, instance: Mapping[str, object]):
         table = cond_info_density_table(joint)
     else:
         table = info_density_table(joint)
+    # the excess event is test(table, ln(ML) + slope * gamma); -1.0 * g and
+    # -2.0 * g round exactly as the negated g and 2.0 * g
+    test, slope = (np.greater_equal, -1.0) if kind == "covering7" else (np.greater, -2.0)
+    c = math.log(M * L)
+    steps = GammaSteps([(table[~always], test, c, slope)])
+
+    def excess(g: float) -> float:
+        return steps(g, lambda: _mass_where(joint, always | test(table, c + slope * g)))
     if kind == "covering7":
 
         def covering7(g: float) -> BoundReport:
             check_bound_args(g, M, L)
-            exceed = table >= math.log(M * L) - g
             try:
                 ratio = math.exp(g) / max(M, L)
             except OverflowError:
                 ratio = math.inf
             if not math.isfinite(ratio):
                 raise InputFormatError(f"gamma={g!r}: e^gamma in the ratio term overflows a double")
-            return _covering_report(joint, ev, exceed, False, ratio, doubleexp(g, 0.5),
-                                    {"M": M, "L": L, "gamma": g})
+            return report(excess(g), ratio, doubleexp(g, 0.5), {"M": M, "L": L, "gamma": g})
 
         return covering7
-    # covering5 always merges miss and excess; only covering4 reports the flag
-    merged = union_form or kind == "covering5"
     flag = {"union_form": union_form} if kind == "covering4" else {}
 
     def covering4_or_5(g: float) -> BoundReport:
         check_bound_args(g, M, L)
-        exceed = table > math.log(M * L) - 2.0 * g
-        return _covering_report(joint, ev, exceed, merged, covering_ratio(M, L, g),
-                                doubleexp(g), {"M": M, "L": L, "gamma": g, **flag})
+        return report(excess(g), covering_ratio(M, L, g), doubleexp(g),
+                      {"M": M, "L": L, "gamma": g, **flag})
 
     return covering4_or_5
 

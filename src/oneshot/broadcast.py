@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import rng
-from .bounds import BoundReport, check_bound_args, covering_ratio, doubleexp
+from .bounds import BoundReport, GammaSteps, check_bound_args, covering_ratio, doubleexp
 from .errors import (
     AlphabetMismatchError,
     EnumerationCapError,
@@ -137,6 +138,11 @@ class BroadcastSystem:
         ky1, ky2 = self.channel.out_shape
         return ku, ks, kt, ky1, ky2
 
+    @cached_property
+    def tables(self) -> "DensityTables":
+        """The system's :class:`DensityTables`, built on first use."""
+        return DensityTables(self)
+
     @classmethod
     def from_json(cls, doc: dict) -> "BroadcastSystem":
         if not isinstance(doc, dict):
@@ -186,24 +192,37 @@ class Thresholds(NamedTuple):
     cross: float   # on i(S; T | U)
 
 
+#: each threshold is ``ln(sizes) + slope * gamma``
+SLOPES = Thresholds(head1=1.0, head2=1.0, inner1=1.0, inner2=1.0, cross=-2.0)
+
+
+def _size_logs(sizes: SchemeSizes) -> Thresholds:
+    """The gamma-free part of each threshold."""
+    return Thresholds(
+        head1=math.log(sizes.M * sizes.Ntilde),
+        head2=math.log(sizes.M * sizes.Ltilde),
+        inner1=math.log(sizes.Ntilde),
+        inner2=math.log(sizes.Ltilde),
+        cross=math.log(sizes.Nhat * sizes.Lhat),
+    )
+
+
 def thresholds_for(sizes: SchemeSizes, gamma: float) -> Thresholds:
-    """Decoding/encoding thresholds in nats.
+    """Decoding/encoding thresholds in nats: ``ln(sizes) + gamma`` for the
+    head and inner tests, ``ln(Nhat Lhat) - 2 gamma`` for the cross test
+    (``1.0 * gamma`` and ``-2.0 * gamma`` round exactly as ``gamma`` and
+    the negated ``2.0 * gamma``).
 
     The inner thresholds use the full inner-book sizes (Ntilde, Ltilde)
     everywhere, matching the bound statement and both decoders.
     """
     check_bound_args(gamma)
-    return Thresholds(
-        head1=math.log(sizes.M * sizes.Ntilde) + gamma,
-        head2=math.log(sizes.M * sizes.Ltilde) + gamma,
-        inner1=math.log(sizes.Ntilde) + gamma,
-        inner2=math.log(sizes.Ltilde) + gamma,
-        cross=math.log(sizes.Nhat * sizes.Lhat) - 2.0 * gamma,
-    )
+    return Thresholds(*(c + slope * gamma for c, slope in zip(_size_logs(sizes), SLOPES)))
 
 
 class DensityTables:
-    """Marginals and density tables of the design joint, precomputed once.
+    """Marginals and density tables of the design joint, precomputed once
+    per system (read them as :attr:`BroadcastSystem.tables`).
 
     Every table comes from :func:`~oneshot.probability.log_ratio_table`:
     finite on the support and ``-inf`` where the relevant joint marginal
@@ -229,36 +248,48 @@ class DensityTables:
         self.p_uy1 = self.full.sum(axis=(1, 2, 4))
         self.p_uy2 = self.full.sum(axis=(1, 2, 3))
 
-        self.i_us_y1 = log_ratio_table(self.p_usy1, self.p_us[:, :, None] * self.p_y1)
-        self.i_ut_y2 = log_ratio_table(self.p_uty2, self.p_ut[:, :, None] * self.p_y2)
-        self.i_s_y1_u = log_ratio_table(
-            self.p_usy1 * self.p_u[:, None, None],
-            self.p_us[:, :, None] * self.p_uy1[:, None, :],
-        )
-        self.i_t_y2_u = log_ratio_table(
-            self.p_uty2 * self.p_u[:, None, None],
-            self.p_ut[:, :, None] * self.p_uy2[:, None, :],
-        )
+        self.i_us_y1 = log_ratio_table((self.p_usy1,), (self.p_us[:, :, None], self.p_y1))
+        self.i_ut_y2 = log_ratio_table((self.p_uty2,), (self.p_ut[:, :, None], self.p_y2))
+        self.i_s_y1_u = log_ratio_table((self.p_usy1, self.p_u[:, None, None]),
+                                        (self.p_us[:, :, None], self.p_uy1[:, None, :]))
+        self.i_t_y2_u = log_ratio_table((self.p_uty2, self.p_u[:, None, None]),
+                                        (self.p_ut[:, :, None], self.p_uy2[:, None, :]))
         self.i_s_t_u = cond_info_density_table(system.joint_ust)
+        self._union_steps: dict[SchemeSizes, GammaSteps] = {}
 
     def clauses(self, thr: Thresholds) -> dict[str, np.ndarray]:
         """The five threshold events of the bound, each a boolean table over its
         own axes; ``CLAUSE_AXES`` spreads them over (u, s, t, y1, y2).  A
         ``-inf`` density falls in each ``<=`` clause, so the complements are
         exactly the decoders' passing tests."""
-        return {
-            "head1": self.i_us_y1 <= thr.head1,
-            "head2": self.i_ut_y2 <= thr.head2,
-            "inner1": self.i_s_y1_u <= thr.inner1,
-            "inner2": self.i_t_y2_u <= thr.inner2,
-            "cross": self.i_s_t_u > thr.cross,
-        }
+        return {name: test(getattr(self, table), getattr(thr, name))
+                for name, (table, test) in CLAUSE_TESTS.items()}
 
     def union_mask(self, thr: Thresholds) -> np.ndarray:
         """The union of the five threshold events over (u, s, t, y1, y2)."""
         c = self.clauses(thr)
         return _bad_outputs(c) | c["cross"][CLAUSE_AXES["cross"]]
 
+    def union_steps(self, sizes: SchemeSizes) -> GammaSteps:
+        """The union probability's step table for ``sizes``, built once: its
+        breakpoints are the critical gammas of every clause."""
+        steps = self._union_steps.get(sizes)
+        if steps is None:
+            logs = _size_logs(sizes)
+            steps = self._union_steps[sizes] = GammaSteps(
+                [(getattr(self, table), test, getattr(logs, name), getattr(SLOPES, name))
+                 for name, (table, test) in CLAUSE_TESTS.items()])
+        return steps
+
+
+#: each clause's density table and its test against the clause's threshold
+CLAUSE_TESTS = {
+    "head1": ("i_us_y1", np.less_equal),
+    "head2": ("i_ut_y2", np.less_equal),
+    "inner1": ("i_s_y1_u", np.less_equal),
+    "inner2": ("i_t_y2_u", np.less_equal),
+    "cross": ("i_s_t_u", np.greater),
+}
 
 #: the index that spreads each clause table over (u, s, t, y1, y2)
 CLAUSE_AXES = {
@@ -276,31 +307,29 @@ def _bad_outputs(c: dict[str, np.ndarray]) -> np.ndarray:
             | (c["head2"] | c["inner2"])[CLAUSE_AXES["head2"]])
 
 
-def zeta_table(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
-               tables: DensityTables | None = None) -> np.ndarray:
+def zeta_table(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> np.ndarray:
     """Mass of the bad output set for every codeword triple (u, s, t)."""
-    t = tables or DensityTables(system)
-    bad = _bad_outputs(t.clauses(thresholds_for(sizes, gamma)))
+    bad = _bad_outputs(system.tables.clauses(thresholds_for(sizes, gamma)))
     chan = system.channel.matrix()[system.x_map]  # (u, s, t, y1, y2)
     return (chan * bad).sum(axis=(3, 4))
 
 
 def event_probabilities(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
-                        tables: DensityTables | None = None,
                         union_only: bool = False) -> dict[str, float]:
     """Exact probabilities of the five threshold events and their union
-    under the design joint (only ``union`` with ``union_only``)."""
-    t = tables or DensityTables(system)
+    under the design joint (only ``union`` with ``union_only``).  The union
+    is summed over :meth:`DensityTables.union_mask` once per interval of
+    the step table for ``sizes`` (:meth:`DensityTables.union_steps`)."""
+    t = system.tables
     thr = thresholds_for(sizes, gamma)
     probs = {} if union_only else {
         name: float(t.full[np.broadcast_to(mask[CLAUSE_AXES[name]], t.full.shape)].sum())
         for name, mask in t.clauses(thr).items()}
-    probs["union"] = float(t.full[t.union_mask(thr)].sum())
+    probs["union"] = t.union_steps(sizes)(gamma, lambda: float(t.full[t.union_mask(thr)].sum()))
     return probs
 
 
-def broadcast_bound(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
-                    tables: DensityTables | None = None) -> BoundReport:
+def broadcast_bound(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> BoundReport:
     """One-shot achievability bound on the worse of the two error
     probabilities (CLI kind ``broadcast``).
 
@@ -311,7 +340,7 @@ def broadcast_bound(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     terms = (
         ("twoexp", 2.0 * math.exp(-gamma)),
         ("doubleexp", doubleexp(gamma)),
-        ("union", event_probabilities(system, sizes, gamma, tables, union_only=True)["union"]),
+        ("union", event_probabilities(system, sizes, gamma, union_only=True)["union"]),
         ("ratio", covering_ratio(sizes.Nhat, sizes.Lhat, gamma)),
     )
     params = {"sizes": sizes.to_json(), "gamma": gamma}
@@ -364,7 +393,7 @@ def sample_codebook(system: BroadcastSystem, sizes: SchemeSizes, seed: int,
     It is the codebook :func:`simulate` draws for ``trial`` under the
     same ``seed`` and ``random_message``.
     """
-    sampler = _Sampler(system, DensityTables(system))
+    sampler = _Sampler(system, system.tables)
     u = rng.trial_uniforms(seed, trial, 1, _trial_budget(sizes, random_message))
     u_cb, s_cb, t_cb = _codebooks_from_uniforms(sampler, sizes, u[:, :_codebook_budget(sizes)])
     return Codebook(u_cb[0], s_cb[0], t_cb[0])
@@ -472,9 +501,9 @@ def _decode(cb_u: np.ndarray, sat: np.ndarray, head_table: np.ndarray,
 
 
 def decode1(cb: Codebook, system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
-            y1: int, tables: DensityTables | None = None) -> DecodeResult | None:
+            y1: int) -> DecodeResult | None:
     """Receiver-1 decoder; returns None as the decoding-failure flag."""
-    t = tables or DensityTables(system)
+    t = system.tables
     thr = thresholds_for(sizes, gamma)
     got = _decode(cb.u, cb.s, t.i_us_y1, t.i_s_y1_u, thr.head1, thr.inner1,
                   y1, sizes, sizes.Nhat)
@@ -485,9 +514,9 @@ def decode1(cb: Codebook, system: BroadcastSystem, sizes: SchemeSizes, gamma: fl
 
 
 def decode2(cb: Codebook, system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
-            y2: int, tables: DensityTables | None = None) -> DecodeResult | None:
+            y2: int) -> DecodeResult | None:
     """Receiver-2 decoder (mirror of receiver 1 on the t-layer)."""
-    t = tables or DensityTables(system)
+    t = system.tables
     thr = thresholds_for(sizes, gamma)
     got = _decode(cb.u, cb.t, t.i_ut_y2, t.i_t_y2_u, thr.head2, thr.inner2,
                   y2, sizes, sizes.Lhat)
@@ -546,9 +575,9 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
         raise InputFormatError("trials must be >= 1")
     if reuse_codebook < 1:
         raise InputFormatError("reuse_codebook must be >= 1")
-    tables = DensityTables(system)
+    tables = system.tables
     # evaluated first, so that a gamma the bound rejects costs no trials
-    bound = broadcast_bound(system, sizes, gamma, tables)
+    bound = broadcast_bound(system, sizes, gamma)
     cb_width = _codebook_budget(sizes)
     budget = _trial_budget(sizes, random_message)
     sampler = _Sampler(system, tables)
@@ -558,7 +587,7 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     c = tables.clauses(thr)
     pass_head1, pass_inner1 = ~c["head1"], ~c["inner1"]
     pass_head2, pass_inner2 = ~c["head2"], ~c["inner2"]
-    ztable = zeta_table(system, sizes, gamma, tables)
+    ztable = zeta_table(system, sizes, gamma)
     N, Nh, L, Lh = sizes.N, sizes.Nhat, sizes.L, sizes.Lhat
     x_map = system.x_map
     ky2 = sampler.ky2
@@ -624,7 +653,7 @@ def mc_event_union(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
                    trials: int, seed: int, threads: int = 1) -> rng.McEstimate:
     """Monte Carlo estimate of the five-event union probability under the
     design joint (cross-check for the exact union term)."""
-    tables = DensityTables(system)
+    tables = system.tables
     ku, ks, kt, ky1, ky2 = system.shape
     union_flat = tables.union_mask(thresholds_for(sizes, gamma)).reshape(ku * ks * kt, ky1 * ky2)
     cdf_ust = np.cumsum(tables.p_ust.reshape(-1))

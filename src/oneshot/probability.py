@@ -17,7 +17,8 @@ Conventions
 
 * Density tables are built by one kernel, :func:`log_ratio_table`: every
   entry whose numerator vanishes is ``-inf``, whether or not the
-  denominator does.  IEEE semantics order ``-inf`` below every finite
+  denominator does, and a support point whose masses underflow keeps
+  its finite density.  IEEE semantics order ``-inf`` below every finite
   threshold, so an excess event is a plain ``table > thr`` (or ``>=``)
   and never contains a point off the support.
 * Mass vectors are renormalized exactly on construction when their sum
@@ -42,6 +43,8 @@ from .errors import (
 )
 
 NORMALIZE_TOL = 1e-6
+
+_DBL_MIN = np.finfo(float).tiny
 
 #: default cap on each product alphabet built by :func:`product_extend`
 PRODUCT_ALPHABET_CAP = 4096
@@ -332,11 +335,29 @@ def cond_info_density(joint: Joint, s: int, t: int, u: int) -> float:
     return _log_ratio(num, float(den))
 
 
-def log_ratio_table(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Elementwise ``ln(num / den)`` where ``num > 0``, ``-inf`` elsewhere."""
-    out = np.full(num.shape, -np.inf)
-    sup = num > 0
-    out[sup] = np.log(num[sup] / den[sup])
+def log_ratio_table(num: Sequence[np.ndarray], den: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise ``ln(prod(num) / prod(den))`` where every numerator factor is
+    positive, ``-inf`` elsewhere.
+
+    ``num`` and ``den`` are sequences of (at most two) arrays of masses in
+    ``[0, 1]`` whose products both have the table's shape.  Where both
+    products are normal doubles the value is ``ln(prod(num) / prod(den))``;
+    where a product lost digits or underflowed it is
+    ``sum(ln num) - sum(ln den)``, so a support point of tiny mass keeps its
+    finite density instead of ``+inf`` or ``-inf``.
+    """
+    n, d = math.prod(num), math.prod(den)
+    out = np.full(n.shape, -np.inf)
+    linear = (n >= _DBL_MIN) & (d >= _DBL_MIN)
+    out[linear] = np.log(n[linear] / d[linear])
+    split = ~linear
+    for f in num:
+        split &= f > 0
+    if split.any():
+        with np.errstate(divide="ignore"):  # a vanishing denominator factor gives +inf
+            logs = [sign * np.log(np.broadcast_to(f, n.shape)[split])
+                    for sign, factors in ((1.0, num), (-1.0, den)) for f in factors]
+        out[split] = sum(logs[1:], logs[0])
     return out
 
 
@@ -344,15 +365,15 @@ def info_density_table(joint: Joint) -> np.ndarray:
     """Vectorized density table for a 2-axis joint: finite on the support,
     ``-inf`` wherever the joint vanishes (see :func:`log_ratio_table`)."""
     arr = joint.probs
-    return log_ratio_table(arr, np.outer(arr.sum(axis=1), arr.sum(axis=0)))
+    return log_ratio_table((arr,), (arr.sum(axis=1)[:, None], arr.sum(axis=0)[None, :]))
 
 
 def cond_info_density_table(joint: Joint) -> np.ndarray:
     """Conditional density table for a 3-axis joint, axes (u, s, t),
     conditioning on axis 0: finite on the support, ``-inf`` off it."""
     arr = joint.probs
-    return log_ratio_table(arr * arr.sum(axis=(1, 2))[:, None, None],
-                           arr.sum(axis=2)[:, :, None] * arr.sum(axis=1)[:, None, :])
+    return log_ratio_table((arr, arr.sum(axis=(1, 2))[:, None, None]),
+                           (arr.sum(axis=2)[:, :, None], arr.sum(axis=1)[:, None, :]))
 
 
 def mutual_info(joint: Joint) -> float:

@@ -135,11 +135,9 @@ def info_vector(joint_u: Joint, x_map: np.ndarray, channel: Kernel) -> InfoVecto
     ``joint_u`` is the law of the three auxiliaries (common first); the
     symbol map and channel complete the design joint over the outputs.
     """
-    from .broadcast import BroadcastSystem, DensityTables
+    from .broadcast import BroadcastSystem
 
-    system = BroadcastSystem(joint_u, x_map, channel)
-    tables = DensityTables(system)
-    full = Joint(tables.full)  # (u0, u1, u2, y1, y2)
+    full = Joint(BroadcastSystem(joint_u, x_map, channel).tables.full)  # (u0, u1, u2, y1, y2)
     j_01_y1 = marginal(full, (0, 1, 3))
     j_02_y2 = marginal(full, (0, 2, 4))
     return InfoVector(

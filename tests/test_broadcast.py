@@ -39,6 +39,8 @@ from oneshot import broadcast
 from oneshot import rng as rngmod
 from oneshot.bounds import minimize_scalar, optimize_gamma
 
+from conftest import asym_broadcast_system
+
 SIZES_A = SchemeSizes(1, 1, 1, 1, 1, 2, 2)
 SIZES_B = SchemeSizes(2, 2, 2, 2, 2, 2, 2)
 
@@ -133,15 +135,15 @@ def random_3ary_system(seed: int = 17) -> BroadcastSystem:
 class TestBoundEvaluation:
     @pytest.mark.parametrize("name", ["binary", "asym_ext", "random3"])
     def test_union_term_equals_event_union(self, name, request):
-        # the bound reads the union from one OR-broadcast mask; it must sum
-        # the same entries in the same order as the per-event API
+        # both read the union from the step table; it must sum the same entries
+        # in the same order as one OR-broadcast mask on freshly built tables
         system = random_3ary_system() if name == "random3" else request.getfixturevalue(f"{name}_system")
         tables = DensityTables(system)
         values = set()
         for sizes in (SIZES_A, SIZES_B, SchemeSizes(1, 1, 1, 1, 1, 1, 1)):
             for gamma in np.geomspace(0.01, 20.0, 64):
-                want = event_probabilities(system, sizes, gamma, tables)["union"]
-                assert broadcast_bound(system, sizes, gamma, tables).term("union") == want
+                want = float(tables.full[tables.union_mask(thresholds_for(sizes, gamma))].sum())
+                assert event_probabilities(system, sizes, gamma)["union"] == want
                 assert broadcast_bound(system, sizes, gamma).term("union") == want
                 values.add(want)
         # the binary system's union is 1 at every size and gamma (ROADMAP item 3)
@@ -336,8 +338,7 @@ class TestSimulate:
         # the vectorized path must agree trial by trial with the one-shot
         # sample/encode/transmit/decode pipeline built from the point APIs
         system, gamma = asym_ext_system, 0.07
-        tables = DensityTables(system)
-        zt = zeta_table(system, sizes, gamma, tables)
+        zt = zeta_table(system, sizes, gamma)
         ky2 = system.channel.out_shape[1]
         chan_cdf = np.cumsum(system.channel.matrix().reshape(system.channel.n_inputs, -1),
                              axis=1)
@@ -350,8 +351,8 @@ class TestSimulate:
             u_chan = rngmod.trial_uniforms(seed, 0, 1, budget)[0, -1]
             y_flat = int(rngmod.sample_categorical(chan_cdf[res.x], np.array([u_chan]))[0])
             y1, y2 = y_flat // ky2, y_flat % ky2
-            got1 = decode1(cb, system, sizes, gamma, y1, tables)
-            got2 = decode2(cb, system, sizes, gamma, y2, tables)
+            got1 = decode1(cb, system, sizes, gamma, y1)
+            got2 = decode2(cb, system, sizes, gamma, y2)
             err1 = got1 is None or got1 != (0, 0, 0, 0)
             err2 = got2 is None or got2 != (0, 0, 0, 0)
             outcomes.update({(1, err1), (2, err2)})
@@ -368,8 +369,7 @@ class TestSimulate:
         # and its own channel uniform; per-trial errors are read off the
         # running totals
         system, gamma, K, trials = asym_ext_system, 0.07, 3, 8
-        tables = DensityTables(system)
-        zt = zeta_table(system, sizes, gamma, tables)
+        zt = zeta_table(system, sizes, gamma)
         ky2 = system.channel.out_shape[1]
         chan_cdf = np.cumsum(system.channel.matrix().reshape(system.channel.n_inputs, -1),
                              axis=1)
@@ -397,8 +397,8 @@ class TestSimulate:
                     res = encode(cb, system, sizes, gamma, w0, w10, w20, a, b, ztable=zt)
                     y_flat = int(rngmod.sample_categorical(chan_cdf[res.x], uni[-1:])[0])
                     y1, y2 = y_flat // ky2, y_flat % ky2
-                    got1 = decode1(cb, system, sizes, gamma, y1, tables)
-                    got2 = decode2(cb, system, sizes, gamma, y2, tables)
+                    got1 = decode1(cb, system, sizes, gamma, y1)
+                    got2 = decode2(cb, system, sizes, gamma, y2)
                     err1 = got1 is None or got1 != (w0, w10, w20, a)
                     err2 = got2 is None or got2 != (w0, w10, w20, b)
                     outcomes.update({(1, err1), (2, err2)})
@@ -510,16 +510,24 @@ class TestDegenerateReduction:
 
 class TestOptimizeGamma:
     @pytest.mark.parametrize("sizes", [SIZES_A, SIZES_B])
-    def test_one_table_per_search(self, asym_ext_system, sizes, monkeypatch):
+    def test_one_table_per_search(self, sizes, monkeypatch):
+        # a fresh system, because the shared fixture may hold cached tables:
+        # one search, a gamma grid and one simulation build one table
         built = []
         real = broadcast.DensityTables
         monkeypatch.setattr(broadcast, "DensityTables", lambda system: built.append(system) or real(system))
-        instance = {"system": asym_ext_system, "sizes": sizes}
-        gamma, report = optimize_gamma("broadcast", instance, (0.05, 5.0))
-        assert len(built) == 1
+        system = product_extend_system(asym_broadcast_system(), 3)
+        gamma, report = optimize_gamma("broadcast", {"system": system, "sizes": sizes}, (0.05, 5.0))
+        for g in np.geomspace(0.05, 5.0, 32):
+            broadcast_bound(system, sizes, g)
+        simulate(system, sizes, 0.07, trials=20, seed=1)
+        assert built == [system]
         monkeypatch.undo()
-        # reference: the table rebuilt for every gamma
-        ref_gamma, _ = minimize_scalar(
-            lambda g: broadcast_bound(asym_ext_system, sizes, g).raw_value, (0.05, 5.0))
-        ref = broadcast_bound(asym_ext_system, sizes, ref_gamma)
-        assert (gamma, report.to_json()) == (ref_gamma, ref.to_json())
+
+        # reference: the tables (and so the union mask) rebuilt for every gamma
+        def fresh_bound(g):
+            return broadcast_bound(BroadcastSystem(system.joint_ust, system.x_map, system.channel),
+                                   sizes, g)
+
+        ref_gamma, _ = minimize_scalar(lambda g: fresh_bound(g).raw_value, (0.05, 5.0))
+        assert (gamma, report.to_json()) == (ref_gamma, fresh_bound(ref_gamma).to_json())

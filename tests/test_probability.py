@@ -312,6 +312,23 @@ class TestInvariants:
             assert np.array_equal(table3 == -np.inf, j3.probs == 0)
             assert np.isfinite(table3[j3.probs > 0]).all()
 
+    def test_underflowing_masses_keep_finite_densities(self):
+        # P(u) P(v) underflows to 0 at (0, 0): the density is -ln(1e-200), not +inf
+        table = info_density_table(Joint([[1e-200, 0.0], [0.0, 1.0 - 1e-200]]))
+        assert table[0, 0] == pytest.approx(200 * math.log(10), rel=1e-12)
+        assert table[1, 1] == 0.0
+        assert np.array_equal(table == -np.inf, np.array([[False, True], [True, False]]))
+        # P(u,s,t) P(u) underflows at u = 0: the density is ln 2, not -inf
+        arr = np.zeros((2, 2, 2))
+        arr[0, 0, 0] = arr[0, 1, 1] = 1e-200
+        arr[1] = [[0.1, 0.4], [0.3, 0.2]]
+        j3 = Joint(arr)
+        table3 = cond_info_density_table(j3)
+        assert table3[0, 0, 0] == pytest.approx(math.log(2), abs=1e-12)
+        assert table3[0, 1, 1] == pytest.approx(math.log(2), abs=1e-12)
+        assert np.array_equal(table3 == -np.inf, j3.probs == 0)
+        assert table3[1, 0, 1] == pytest.approx(math.log(0.4 / (0.5 * 0.6)), rel=1e-12)
+
     def test_merge_axes_indexing(self):
         j = random_joint(np.random.default_rng(2), (2, 3, 2))
         m = merge_axes(j, ((0, 1), (2,)))
