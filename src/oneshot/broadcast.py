@@ -129,7 +129,7 @@ class BroadcastSystem:
             raise AlphabetMismatchError("channel rows must cover a product output (y1, y2)")
         if xm.min() < 0 or xm.max() >= self.channel.n_inputs:
             raise InputFormatError("x_map: symbol outside the channel input alphabet")
-        if not self.channel.defined[np.unique(xm)].all():
+        if not self.channel.defined[xm].all():
             raise UndefinedRowError("channel row undefined for a symbol in the image of x_map")
 
     @property

@@ -3,7 +3,7 @@
 Builds the auxiliary-rate inequality system from the five mutual
 informations of a design, tests rate-triple membership against the
 closed form of the region, and projects the system onto the rate
-coordinates by Fourier-Motzkin elimination.
+coordinates by Fourier-Motzkin elimination, pruned by exact LPs in numpy.
 
 All arithmetic is floating point with a small slack: the inputs are
 numerically computed mutual informations, so exact rational elimination
@@ -12,6 +12,8 @@ would be false precision.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +23,8 @@ from .errors import InputFormatError
 from .probability import Joint, Kernel, cond_mutual_info, marginal, merge_axes, mutual_info
 
 VARIABLES = ("R0", "R1", "R2", "R11", "R22", "Rh1", "Rh2")
-_AUX = ("R11", "R22", "Rh1", "Rh2")
+_RATE_COLS = [VARIABLES.index(n) for n in ("R0", "R1", "R2")]
+_AUX_COLS = [VARIABLES.index(n) for n in ("R11", "R22", "Rh1", "Rh2")]
 _TOL = 1e-9
 _COEFF_TOL = 1e-12
 
@@ -190,15 +193,10 @@ def _eliminate(matrix: np.ndarray, col: int) -> np.ndarray:
     zero = matrix[np.abs(a) <= _COEFF_TOL]
     pos = matrix[a > _COEFF_TOL]
     neg = matrix[a < -_COEFF_TOL]
-    combos = []
-    for up in pos:          # up: a_p x_col + r <= c with a_p > 0
-        for low in neg:     # low: a_n x_col + r <= c with a_n < 0
-            combo = up * (-low[col]) + low * up[col]
-            combos.append(combo)
-    if combos:
-        out = np.vstack([zero, np.array(combos)])
-    else:
-        out = zero.copy() if len(zero) else np.empty((0, matrix.shape[1]))
+    # every pair (up in pos, low in neg), in row-major order
+    up, low = pos[:, None, :], neg[None, :, :]
+    combos = up * -low[..., [col]] + low * up[..., [col]]
+    out = np.vstack([zero, combos.reshape(-1, matrix.shape[1])])
     out[:, col] = 0.0
     return out
 
@@ -223,16 +221,14 @@ def _drop_trivial_and_duplicate(matrix: np.ndarray, tol: float) -> np.ndarray:
     if len(rows) == 0:
         return np.empty((0, matrix.shape[1]))
     rows[infeasible, :-1] = 0.0
-    # adding 0.0 turns -0.0 into 0.0, so equal keys are equal bytes, and one
-    # np.unique over the bytes of each row groups them
-    keys = np.round(rows[:, :-1], 9) + 0.0
-    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    # per group, the smallest constant and then the earliest row; the
-    # infeasible rows all tie, so the first of them is kept
-    order = np.lexsort((np.arange(len(rows)), np.where(infeasible, 0.0, rows[:, -1]), group))
-    best = order[np.searchsorted(group[order], np.arange(len(first)))]
-    return rows[best[np.argsort(first)]]
+    # stably sorted by key and constant, each run of equal keys is a group led by its
+    # smallest constant (the infeasible rows all tie, so the first of them leads)
+    keys = np.round(rows[:, :-1], 9)
+    order = np.lexsort((np.where(infeasible, 0.0, rows[:, -1]), *keys.T[::-1]))
+    ranked = keys[order]
+    starts = np.flatnonzero(np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)]))
+    first = np.minimum.reduceat(order, starts)
+    return rows[order[starts][np.argsort(first)]]
 
 
 def _probe_irredundant(matrix: np.ndarray, tol: float, probes: int = 256) -> np.ndarray:
@@ -242,48 +238,53 @@ def _probe_irredundant(matrix: np.ndarray, tol: float, probes: int = 256) -> np.
     row but violates it.  Probing only certifies keeps; drops are decided
     by the exact check.
     """
-    n = len(matrix)
-    needed = np.zeros(n, dtype=bool)
-    if n <= 1:
-        return needed
     scale = max(float(np.abs(matrix[:, -1]).max(initial=1.0)), 1.0)
     points = np.random.default_rng(0).normal(0.0, 2.0 * scale, size=(probes, matrix.shape[1] - 1))
     lhs = points @ matrix[:, :-1].T  # (probes, rows)
-    sat = lhs <= matrix[:, -1][None, :] + tol
-    for i in range(n):
-        others = np.delete(sat, i, axis=1).all(axis=1)
-        needed[i] = bool((others & ~sat[:, i]).any())
-    return needed
+    violated = lhs > matrix[:, -1][None, :] + tol
+    # a probe witnesses the one row it violates, if it violates exactly one
+    return (violated & (violated.sum(axis=1) == 1)[:, None]).any(axis=0)
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use.
+_BOX = np.vstack([np.eye(3), -np.eye(3)])  # faces of |x_i| <= bound
 
-    Only FME pruning solves LPs, so importing scipy here keeps it off the
-    import path of everything else.  The name stays a module attribute so
-    that callers can wrap or replace ``regions.linprog``.
+
+@functools.cache
+def _triples(n: int) -> np.ndarray:
+    triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+    triples.setflags(write=False)  # one cached array serves every caller
+    return triples
+
+
+def linprog(objective: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
+            bound: float) -> float | None:
+    """Max of ``objective . x`` over ``a_ub x <= b_ub``, ``|x_i| <= bound`` in three
+    variables, or None if empty: the box bounds the set, so the maximum is at
+    a vertex.  Every triple of rows (box faces included) is one 3x3 solve,
+    singular at ``|det| <= 1e-12`` (rows are scaled to a largest coefficient
+    of one); a vertex counts if it meets every row to within ``_TOL``.
+    Callers may wrap or replace ``regions.linprog``: it is looked up per call.
     """
-    from scipy.optimize import linprog as _linprog
-
-    return _linprog(*args, **kwargs)
+    a = np.vstack([a_ub, _BOX])
+    b = np.concatenate([b_ub, np.full(6, float(bound))])
+    triples = _triples(len(a))
+    lhs = a[triples]
+    regular = np.abs(np.linalg.det(lhs)) > 1e-12
+    vertices = np.linalg.solve(lhs[regular], b[triples[regular], None])[..., 0]
+    vertices = vertices[(a @ vertices.T <= b[:, None] + _TOL).all(axis=0)]
+    return float((vertices @ objective).max()) if len(vertices) else None
 
 
 def _lp_redundant(row: np.ndarray, others: np.ndarray, tol: float) -> bool:
     """Exact redundancy test: maximize the row's left side under the others."""
     if len(others) == 0:
         return False
+    # after elimination only the rate columns are nonzero
+    assert not row[_AUX_COLS].any() and not others[:, _AUX_COLS].any()
     bound = 10.0 * max(float(np.abs(others[:, -1]).max(initial=1.0)),
                        float(abs(row[-1])), 1.0)
-    res = linprog(
-        -row[:-1],
-        A_ub=others[:, :-1],
-        b_ub=others[:, -1],
-        bounds=[(-bound, bound)] * (len(row) - 1),
-        method="highs",
-    )
-    if not res.success:
-        return False
-    return -res.fun <= row[-1] + tol
+    best = linprog(row[_RATE_COLS], others[:, _RATE_COLS], others[:, -1], bound)
+    return best is not None and best <= row[-1] + tol
 
 
 def _prune(matrix: np.ndarray, tol: float) -> np.ndarray:
@@ -330,13 +331,12 @@ def fme_project(iv: InfoVector) -> LinearSystem:
     """
     system = build_system(iv)
     matrix = np.array([row.as_leq() for row in system.rows])
-    for name in _AUX:
-        matrix = _eliminate(matrix, VARIABLES.index(name))
+    for col in _AUX_COLS:
+        matrix = _eliminate(matrix, col)
         matrix = _drop_trivial_and_duplicate(matrix, _TOL)
     matrix = _prune(matrix, _TOL)
-    rate_cols = [VARIABLES.index(n) for n in ("R0", "R1", "R2")]
     rows = [
-        Inequality(tuple(float(r[c]) for c in rate_cols), "<=", float(r[-1]))
+        Inequality(tuple(float(r[c]) for c in _RATE_COLS), "<=", float(r[-1]))
         for r in matrix
     ]
     rows.sort(key=lambda r: (r.coeffs, r.constant))

@@ -241,27 +241,25 @@ _IMPORT_PROBE = """
 import json, sys
 import oneshot, oneshot.cli
 from oneshot import broadcast, regions
-before = "scipy" in sys.modules
 with open(sys.argv[1]) as fh:
     system = broadcast.BroadcastSystem.from_json(json.load(fh))
 proj = regions.fme_project(regions.info_vector(system.joint_ust, system.x_map, system.channel))
 rows = [[list(r.coeffs), r.sense, r.constant] for r in proj.rows]
-print(json.dumps({"before": before, "after": "scipy" in sys.modules, "rows": rows}))
+print(json.dumps({"scipy": "scipy" in sys.modules, "rows": rows}))
 """
 
 
-def test_scipy_loaded_only_by_projection(monkeypatch):
+def test_projection_never_loads_scipy(monkeypatch):
     res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(CONFIGS / "region_bsc_copy.json")],
                          capture_output=True, text=True, cwd=ROOT)
     assert res.returncode == 0, res.stderr
     doc = json.loads(res.stdout)
-    assert doc["before"] is False
-    assert doc["after"] is True
+    assert doc["scipy"] is False
     assert doc["rows"] == [[[0.0, -1.0, 0.0], "<=", 0.0],
                            [[0.0, 0.0, -1.0], "<=", 0.0],
                            [[1.0, 1.0, 1.0], "<=", 0.0]]
     # perfbench's tracer counts LP solves by rebinding regions.linprog, so
-    # the lazy import must keep it a module attribute looked up per call
+    # the name must stay a module attribute looked up per call
     from oneshot import regions
 
     real, calls = regions.linprog, []
@@ -273,6 +271,29 @@ def test_scipy_loaded_only_by_projection(monkeypatch):
     monkeypatch.setattr(regions, "linprog", counting)
     regions.fme_project(regions.InfoVector(0.3680642071684971, 0.0, 0.0, 0.0, 0.0))
     assert calls
+
+
+_MODULE_PROBE = """
+import json, sys
+from oneshot import cli
+code = cli.main(sys.argv[1:])
+loaded = [m for m in ("numpy.ma", "scipy") if m in sys.modules]
+sys.stderr.write(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--config", str(CONFIGS / "region_binary.json"), "--project"],
+    ["bound", "broadcast", "--config", str(CONFIGS / "broadcast_binary.json"),
+     "--sizes-file", str(CONFIGS / "sizes_large.json"), "--gamma", "1.1"],
+], ids=["region-project", "bound-broadcast"])
+def test_cold_paths_skip_numpy_ma_and_scipy(argv):
+    # numpy.ma (pulled in by np.unique) and scipy are cold-start costs that
+    # neither command needs
+    res = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv],
+                         capture_output=True, text=True, cwd=ROOT)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stderr) == {"code": 0, "loaded": []}
 
 
 def test_cap_exceeded_exits_1(tmp_path):

@@ -268,10 +268,10 @@ class TestClosedForm:
 
     def test_matches_fme_projection(self, monkeypatch):
         # 10^4 vectors against the FME projection before LP pruning (pruning
-        # only drops rows the others imply), and every 50th against the
+        # only drops rows the others imply), and every 10th against the
         # pruned fme_project itself
         vectors = list(_closed_form_cases(10**4, np.random.default_rng(2024)))
-        pruned = {n: fme_project(iv) for n, iv in enumerate(vectors) if n % 50 == 0}
+        pruned = {n: fme_project(iv) for n, iv in enumerate(vectors) if n % 10 == 0}
         monkeypatch.setattr(regions, "_prune",
                             lambda matrix, tol: regions._drop_trivial_and_duplicate(matrix, tol))
         rng = np.random.default_rng(7)
@@ -288,3 +288,212 @@ class TestClosedForm:
                 checked += 1
                 inside += got
         assert checked > 10**5 and inside > 10**4
+
+
+def _eliminate_loop(matrix, col):
+    """Reference for ``regions._eliminate``: one combination per (pos, neg) pair."""
+    a = matrix[:, col]
+    combos = [up * (-low[col]) + low * up[col]
+              for up in matrix[a > regions._COEFF_TOL] for low in matrix[a < -regions._COEFF_TOL]]
+    zero = matrix[np.abs(a) <= regions._COEFF_TOL]
+    out = np.vstack([zero] + ([np.array(combos)] if combos else []))
+    out[:, col] = 0.0
+    return out
+
+
+def _drop_trivial_and_duplicate_unique(matrix, tol):
+    """Reference for ``regions._drop_trivial_and_duplicate``: groups by ``np.unique``."""
+    matrix = regions._normalize_rows(matrix)
+    trivial = np.abs(matrix[:, :-1]).max(axis=1, initial=0.0) <= regions._COEFF_TOL
+    kept = ~trivial | (matrix[:, -1] < -tol)
+    rows, infeasible = matrix[kept], trivial[kept]
+    if len(rows) == 0:
+        return np.empty((0, matrix.shape[1]))
+    rows[infeasible, :-1] = 0.0
+    keys = np.round(rows[:, :-1], 9) + 0.0
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.lexsort((np.arange(len(rows)), np.where(infeasible, 0.0, rows[:, -1]), group))
+    best = order[np.searchsorted(group[order], np.arange(len(first)))]
+    return rows[best[np.argsort(first)]]
+
+
+def _probe_irredundant_loop(matrix, tol, probes=256):
+    """Reference for ``regions._probe_irredundant``: one row at a time."""
+    scale = max(float(np.abs(matrix[:, -1]).max(initial=1.0)), 1.0)
+    points = np.random.default_rng(0).normal(0.0, 2.0 * scale, size=(probes, matrix.shape[1] - 1))
+    sat = points @ matrix[:, :-1].T <= matrix[:, -1][None, :] + tol
+    return np.array([(np.delete(sat, i, axis=1).all(axis=1) & ~sat[:, i]).any()
+                     for i in range(len(matrix))], dtype=bool)
+
+
+def _step_matrices(rng, count):
+    """Random <=-rows with repeated, tiny, signed-zero and infeasible entries."""
+    for _ in range(count):
+        m, k = int(rng.integers(0, 14)), int(rng.integers(2, 8))
+        coeffs = rng.choice([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1e-13, 1.0 + 1e-11],
+                            size=(m, k))
+        consts = rng.choice([-1.0, -1e-8, -1e-10, 0.0, 0.3, 1.0], size=(m, 1))
+        yield np.hstack([coeffs, consts]), int(rng.integers(0, k))
+
+
+class TestVectorizedSteps:
+    """The array forms of the FME steps equal their references bytewise."""
+
+    def test_eliminate(self):
+        for matrix, col in _step_matrices(np.random.default_rng(41), 2000):
+            got, ref = regions._eliminate(matrix, col), _eliminate_loop(matrix, col)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_drop_trivial_and_duplicate(self):
+        for matrix, _ in _step_matrices(np.random.default_rng(42), 5000):
+            got = regions._drop_trivial_and_duplicate(matrix.copy(), 1e-9)
+            ref = _drop_trivial_and_duplicate_unique(matrix.copy(), 1e-9)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_probe_irredundant(self):
+        for matrix, _ in _step_matrices(np.random.default_rng(43), 2000):
+            if len(matrix) > 1:
+                got = regions._probe_irredundant(matrix, 1e-9, probes=64)
+                assert (got == _probe_irredundant_loop(matrix, 1e-9, probes=64)).all()
+
+
+def _highs_linprog(objective, a_ub, b_ub, bound):
+    """``regions.linprog`` answered by scipy's HiGHS."""
+    optimize = pytest.importorskip("scipy.optimize")
+    res = optimize.linprog(-np.asarray(objective), A_ub=a_ub, b_ub=b_ub,
+                           bounds=(-bound, bound), method="highs")
+    assert res.status in (0, 2), res.message  # optimal or infeasible
+    return -res.fun if res.status == 0 else None
+
+
+def _rate_row(r0, r1, r2, c):
+    """A <=-row [R0, R1, R2, 0, 0, 0, 0 | c] over ``VARIABLES``."""
+    return np.array([r0, r1, r2, 0.0, 0.0, 0.0, 0.0, c])
+
+
+class TestLinprog:
+    """The exact vertex-enumeration LP behind FME pruning."""
+
+    def test_matches_highs_on_random_systems(self):
+        rng = np.random.default_rng(31)
+        infeasible = 0
+        for n in range(1200):
+            m = int(rng.integers(1, 13))
+            if n % 2:
+                a = rng.normal(size=(m, 3))
+            else:  # few distinct coefficients: degenerate vertices and ties
+                a = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(m, 3))
+            a /= np.maximum(np.abs(a).max(axis=1, keepdims=True), 1e-300)
+            b = rng.normal(0.3, 1.0, m)
+            objective, bound = rng.normal(size=3), float(rng.uniform(1.0, 20.0))
+            ref = _highs_linprog(objective, a, b, bound)
+            got = regions.linprog(objective, a, b, bound)
+            assert (got is None) == (ref is None), (a, b, got, ref)
+            if ref is None:
+                infeasible += 1
+            else:
+                assert math.isclose(got, ref, rel_tol=1e-9, abs_tol=1e-12), (a, b, got, ref)
+        assert 100 < infeasible < 1100
+
+    def test_prune_decisions_match_highs(self, monkeypatch):
+        """Every redundancy decision that ``_prune`` makes on the 10^4
+        closed-form cases is the one HiGHS makes.  While decisions agree, a
+        HiGHS-backed ``_prune`` makes the same calls, so it keeps the same
+        rows.  The feasible LPs go to HiGHS in block-diagonal batches: the
+        blocks share no variable, so each block's part of the optimum is
+        optimal for that block."""
+        optimize = pytest.importorskip("scipy.optimize")
+        sparse = pytest.importorskip("scipy.sparse")
+        calls, decisions = [], []
+        solve, redundant = regions.linprog, regions._lp_redundant
+
+        def recording_linprog(objective, a_ub, b_ub, bound):
+            best = solve(objective, a_ub, b_ub, bound)
+            calls.append((objective, a_ub, b_ub, bound, best))
+            return best
+
+        def recording_redundant(row, others, tol):
+            decision = redundant(row, others, tol)
+            decisions.append((row[-1] + tol, decision))
+            return decision
+
+        monkeypatch.setattr(regions, "linprog", recording_linprog)
+        monkeypatch.setattr(regions, "_lp_redundant", recording_redundant)
+        for iv in _closed_form_cases(10**4, np.random.default_rng(2024)):
+            fme_project(iv)
+        assert len(calls) == len(decisions) > 10**4
+
+        feasible = [k for k, call in enumerate(calls) if call[4] is not None]
+        infeasible = [k for k, call in enumerate(calls) if call[4] is None]
+        # each empty system holds a 0 <= c row with c below HiGHS's 1e-7
+        # feasibility tolerance; HiGHS is asked about every 25th
+        for k in infeasible:
+            a_ub, b_ub = calls[k][1], calls[k][2]
+            assert ((np.abs(a_ub).max(axis=1) == 0) & (b_ub < -1e-7)).any()
+            assert not decisions[k][1]
+        for k in infeasible[::25]:
+            assert _highs_linprog(*calls[k][:4]) is None
+        for start in range(0, len(feasible), 500):
+            batch = [calls[k] for k in feasible[start:start + 500]]
+            objective = np.concatenate([call[0] for call in batch])
+            res = optimize.linprog(
+                -objective,
+                A_ub=sparse.block_diag([call[1] for call in batch], format="csr"),
+                b_ub=np.concatenate([call[2] for call in batch]),
+                bounds=np.repeat([(-call[3], call[3]) for call in batch], 3, axis=0),
+                method="highs")
+            assert res.status == 0, res.message
+            ref = (res.x * objective).reshape(-1, 3).sum(axis=1)
+            for k, value in zip(feasible[start:start + 500], ref):
+                threshold, decision = decisions[k]
+                assert (value <= threshold) == decision, (calls[k], value, threshold)
+                assert math.isclose(calls[k][4], value, rel_tol=1e-9, abs_tol=1e-12)
+
+    def test_infeasible_trivial_row(self):
+        # the 0 <= c < 0 row that _drop_trivial_and_duplicate keeps empties
+        # the set, so no row is redundant under it
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        b = np.array([1.0, -1e-3])
+        assert regions.linprog(np.ones(3), a, b, 10.0) is None
+        others = np.array([_rate_row(1, 0, 0, 1.0), _rate_row(0, 0, 0, -1e-3)])
+        assert not regions._lp_redundant(_rate_row(1, 0, 0, 5.0), others, 1e-9)
+
+    def test_parallel_rows(self):
+        # every triple of the given rows is singular; the box faces make the
+        # vertices, and the tightest of the parallel rows binds
+        a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [0.5, 0.5, 0.0]])
+        b = np.array([2.0, 1.5, 1.0, 0.5])
+        assert regions.linprog(np.array([1.0, 1.0, 0.0]), a, b, 10.0) == 1.0
+        assert regions.linprog(np.array([-1.0, -1.0, 0.0]), a, b, 10.0) == 1.0
+        assert regions.linprog(np.array([0.0, 0.0, 1.0]), a, b, 10.0) == 10.0
+        # parallel rows that cross: the band between them is empty
+        assert regions.linprog(np.ones(3), a[:3], np.array([2.0, 1.5, -1.6]), 10.0) is None
+
+    def test_weakly_redundant_row(self):
+        # R0 + R1 <= 2 only touches {R0 <= 1, R1 <= 1} at a vertex: its
+        # maximum equals its constant, so it is redundant; a hair tighter
+        # and it is not
+        others = np.array([_rate_row(1, 0, 0, 1.0), _rate_row(0, 1, 0, 1.0)])
+        assert regions.linprog(np.array([1.0, 1.0, 0.0]), others[:, :3], others[:, -1], 20.0) == 2.0
+        assert regions._lp_redundant(_rate_row(1, 1, 0, 2.0), others, 1e-9)
+        assert not regions._lp_redundant(_rate_row(1, 1, 0, 2.0 - 1e-8), others, 1e-9)
+        # a vertex 1e-8 outside the set does not count
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        best = regions.linprog(np.array([1.0, 1.0, 0.0]), a, np.array([1.0, 1.0, 2.0 - 1e-8]), 20.0)
+        assert best == pytest.approx(2.0 - 1e-8, abs=1e-13)
+
+    def test_empty_others(self, monkeypatch):
+        # no other rows: nothing implies the row, and no LP is solved
+        monkeypatch.setattr(regions, "linprog", None)
+        assert not regions._lp_redundant(_rate_row(1, 0, 0, 1.0), np.empty((0, 8)), 1e-9)
+        monkeypatch.undo()
+        # no rows at all: the box alone, whose maximum is bound * |objective|_1
+        box = regions.linprog(np.array([1.0, -2.0, 0.5]), np.empty((0, 3)), np.empty(0), 4.0)
+        assert box == 14.0
+
+    def test_auxiliary_columns_must_be_eliminated(self):
+        row = _rate_row(1, 0, 0, 1.0)
+        row[VARIABLES.index("Rh1")] = 1.0
+        with pytest.raises(AssertionError):
+            regions._lp_redundant(row, np.array([_rate_row(1, 0, 0, 1.0)]), 1e-9)
