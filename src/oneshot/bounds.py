@@ -366,8 +366,9 @@ class GammaSteps:
 # parameter optimization
 # ---------------------------------------------------------------------------
 
-_GRID_POINTS = 256
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: the kinds whose bound is a step table plus a remainder in gamma alone
+STEPPED_KINDS = ("covering4", "covering5", "covering7", "broadcast")
 
 
 def bound_at(kind: str, instance: Mapping[str, object]):
@@ -375,16 +376,24 @@ def bound_at(kind: str, instance: Mapping[str, object]):
 
     ``instance`` carries the kind-specific fields: ``joint``/``event``
     plus sizes for the covering bounds, or ``system``/``sizes`` for the
-    broadcast bound, whose tables the system caches.  A covering kind's
-    density table and miss term are computed here, once, and shared by
-    every gamma; covering4/5/7 cache their excess term in a
-    :class:`GammaSteps`.  Each covering kind's excess threshold, ratio
-    term and slack are written here and nowhere else.
+    broadcast bound, whose tables the system caches.
+    """
+    return _bound_parts(kind, instance)[0]
+
+
+def _bound_parts(kind: str, instance: Mapping[str, object]):
+    """:func:`bound_at`'s function, then for ``STEPPED_KINDS`` the
+    :class:`GammaSteps` of the one probability term and ``terms(gamma, p)``,
+    the report's terms with ``p`` as that term (None and None for covering1).
+    A covering kind's density table and miss term are computed once, and
+    its threshold, ratio and slack are written here only.
     """
     if kind == "broadcast":
-        from .broadcast import broadcast_bound
+        from .broadcast import bound_terms, broadcast_bound
 
-        return lambda g: broadcast_bound(instance["system"], instance["sizes"], g)
+        system, sizes = instance["system"], instance["sizes"]
+        return (lambda g: broadcast_bound(system, sizes, g), system.tables.union_steps(sizes),
+                lambda g, p: bound_terms(sizes, g, p))
     if kind not in ("covering1", "covering4", "covering5", "covering7"):
         raise InputFormatError(f"kind: no gamma-parameterized bound named {kind!r}")
     joint = instance["joint"]
@@ -401,9 +410,9 @@ def bound_at(kind: str, instance: Mapping[str, object]):
     # a cell outside the event is in the merged event at every gamma
     always = ~ev if merged else np.zeros_like(ev)
 
-    def report(excess: float, ratio: float, slack: float, params: dict) -> BoundReport:
-        terms = (("miss_or_excess", excess),) if merged else (("miss", miss), ("excess", excess))
-        return BoundReport(terms + (("ratio", ratio), ("doubleexp", slack)), params)
+    def covering_terms(excess: float, ratio: float, slack: float) -> tuple:
+        head = (("miss_or_excess", excess),) if merged else (("miss", miss), ("excess", excess))
+        return head + (("ratio", ratio), ("doubleexp", slack))
 
     if kind == "covering1":
         density_ratio = _density_ratio(joint)
@@ -414,10 +423,11 @@ def bound_at(kind: str, instance: Mapping[str, object]):
             d = BoundParams(M, L, g, delta, union_form).resolved_delta()
             # positive on the support and -inf off it: a threshold <= 0 marks the support
             exceed = density_ratio > M * L * math.exp(-g) - d
-            return report(_mass_where(joint, always | exceed), (min(M, L) - 1) / d, doubleexp(g),
-                          {"M": M, "L": L, "gamma": g, "delta": d, "union_form": union_form})
+            return BoundReport(covering_terms(_mass_where(joint, always | exceed), (min(M, L) - 1) / d,
+                                              doubleexp(g)),
+                               {"M": M, "L": L, "gamma": g, "delta": d, "union_form": union_form})
 
-        return covering1
+        return covering1, None, None
     if kind == "covering5":
         if joint.ndim != 3:
             raise AlphabetMismatchError("conditional covering bound needs a 3-axis joint")
@@ -429,30 +439,23 @@ def bound_at(kind: str, instance: Mapping[str, object]):
     test, slope = (np.greater_equal, -1.0) if kind == "covering7" else (np.greater, -2.0)
     c = math.log(M * L)
     steps = GammaSteps([(table[~always], test, c, slope)])
-
-    def excess(g: float) -> float:
-        return steps(g, lambda: _mass_where(joint, always | test(table, c + slope * g)))
-    if kind == "covering7":
-
-        def covering7(g: float) -> BoundReport:
-            check_bound_args(g, M, L)
-            try:
-                ratio = math.exp(g) / max(M, L)
-            except OverflowError:
-                ratio = math.inf
-            if not math.isfinite(ratio):
-                raise InputFormatError(f"gamma={g!r}: e^gamma in the ratio term overflows a double")
-            return report(excess(g), ratio, doubleexp(g, 0.5), {"M": M, "L": L, "gamma": g})
-
-        return covering7
     flag = {"union_form": union_form} if kind == "covering4" else {}
 
-    def covering4_or_5(g: float) -> BoundReport:
-        check_bound_args(g, M, L)
-        return report(excess(g), covering_ratio(M, L, g), doubleexp(g),
-                      {"M": M, "L": L, "gamma": g, **flag})
+    def terms(g: float, excess: float) -> tuple:
+        if kind != "covering7":
+            return covering_terms(excess, covering_ratio(M, L, g), doubleexp(g))
+        try:
+            ratio = math.exp(g) / max(M, L)
+        except OverflowError:
+            raise InputFormatError(f"gamma={g!r}: e^gamma in the ratio term overflows a double") from None
+        return covering_terms(excess, ratio, doubleexp(g, 0.5))
 
-    return covering4_or_5
+    def report(g: float) -> BoundReport:
+        check_bound_args(g, M, L)
+        excess = steps(g, lambda: _mass_where(joint, always | test(table, c + slope * g)))
+        return BoundReport(terms(g, excess), {"M": M, "L": L, "gamma": g, **flag})
+
+    return report, steps, terms
 
 
 def evaluate_bound(kind: str, instance: Mapping[str, object], gamma: float) -> BoundReport:
@@ -461,55 +464,55 @@ def evaluate_bound(kind: str, instance: Mapping[str, object], gamma: float) -> B
     return bound_at(kind, instance)(gamma)
 
 
-def minimize_scalar(
-    objective, search_range: tuple[float, float], tolerance: float = 1e-6
-) -> tuple[float, float]:
-    """Deterministic scalar minimization: log-spaced grid scan followed by
-    golden-section refinement of the bracketing interval.
-
-    Returns the minimizer and its value; exact ties resolve to the
-    smallest argument (a constant objective returns the left endpoint).
-    """
-    lo, hi = search_range
-    if not (0 < lo < hi):
-        raise InputFormatError("search_range: need 0 < lo < hi")
-    grid = np.geomspace(lo, hi, _GRID_POINTS)
-    evals: list[tuple[float, float]] = [(float(g), float(objective(float(g)))) for g in grid]
-    best_idx = 0
-    for i in range(1, len(evals)):
-        if evals[i][1] < evals[best_idx][1]:
-            best_idx = i
-    a = evals[max(best_idx - 1, 0)][0]
-    b = evals[min(best_idx + 1, len(evals) - 1)][0]
-
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = float(objective(x1)), float(objective(x2))
-    evals += [(x1, f1), (x2, f2)]
-    while b - a > tolerance:
+def _unimodal_argmin(f, lo: float, hi: float) -> float:
+    """The minimizer of a unimodal ``f`` on ``[lo, hi]`` to the resolution of
+    doubles: golden-section search until its probes no longer fall strictly
+    inside the bracket, then the best bracket point or end, ties to the smallest."""
+    a, b = lo, hi
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while a < x1 < x2 < b:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = float(objective(x1))
-            evals.append((x1, f1))
+            f1 = f(x1)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = float(objective(x2))
-            evals.append((x2, f2))
-
-    best_f = min(f for _, f in evals)
-    best_x = min(g for g, f in evals if f == best_f)
-    return best_x, best_f
+            f2 = f(x2)
+    return min((lo, a, x1, x2, b, hi), key=lambda x: (f(x), x))
 
 
-def optimize_gamma(
-    kind: str,
-    instance: Mapping[str, object],
-    search_range: tuple[float, float],
-    tolerance: float = 1e-6,
-) -> tuple[float, BoundReport]:
-    """Minimize a bound's raw value over gamma (see :func:`minimize_scalar`)."""
-    evaluate = bound_at(kind, instance)
-    best_g, _ = minimize_scalar(lambda g: evaluate(g).raw_value, search_range, tolerance)
-    return best_g, evaluate(best_g)
+def optimize_gamma(kind: str, instance: Mapping[str, object],
+                   search_range: tuple[float, float]) -> tuple[float, BoundReport]:
+    """The gamma in ``search_range`` minimizing a bound's raw value (ties to the
+    smallest) and ``bound_at(kind, instance)(gamma)``, for ``STEPPED_KINDS``.
+
+    The bound is a non-decreasing step term plus a remainder convex in
+    ``e^gamma``, so unimodal in gamma.  Both grow right of the remainder's
+    minimizer; left of it the bound is least at the right end of a step.
+    So the minimum is at that minimizer or just below a breakpoint left of
+    it, visited right to left until the remainder alone exceeds the best.
+    """
+    if kind not in STEPPED_KINDS:
+        raise InputFormatError(
+            f"optimize_gamma: kind {kind!r} has no step table; expected one of {', '.join(STEPPED_KINDS)}")
+    lo, hi = search_range
+    if not 0 < lo < hi < math.inf:
+        raise InputFormatError("search_range: need 0 < lo < hi < inf")
+    report, steps, terms = _bound_parts(kind, instance)
+
+    def remainder(g: float) -> float:
+        return BoundReport(terms(g, 0.0)).raw_value
+
+    best_g = _unimodal_argmin(remainder, lo, hi)
+    best = report(best_g)
+    points = steps.breakpoints
+    for b in reversed(points[bisect.bisect_right(points, lo):bisect.bisect_right(points, best_g)]):
+        g = math.nextafter(b, 0.0)
+        if remainder(g) > best.raw_value:
+            break
+        candidate = report(g)
+        if candidate.raw_value <= best.raw_value:
+            best_g, best = g, candidate
+    return best_g, best

@@ -329,6 +329,16 @@ def event_probabilities(system: BroadcastSystem, sizes: SchemeSizes, gamma: floa
     return probs
 
 
+def bound_terms(sizes: SchemeSizes, gamma: float, union: float) -> tuple:
+    """The terms of :func:`broadcast_bound` at ``gamma``, ``union`` the union term."""
+    return (
+        ("twoexp", 2.0 * math.exp(-gamma)),
+        ("doubleexp", doubleexp(gamma)),
+        ("union", union),
+        ("ratio", covering_ratio(sizes.Nhat, sizes.Lhat, gamma)),
+    )
+
+
 def broadcast_bound(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> BoundReport:
     """One-shot achievability bound on the worse of the two error
     probabilities (CLI kind ``broadcast``).
@@ -337,14 +347,8 @@ def broadcast_bound(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -
     double-exponential slack, the exact five-event union probability,
     and the inner covering ratio.
     """
-    terms = (
-        ("twoexp", 2.0 * math.exp(-gamma)),
-        ("doubleexp", doubleexp(gamma)),
-        ("union", event_probabilities(system, sizes, gamma, union_only=True)["union"]),
-        ("ratio", covering_ratio(sizes.Nhat, sizes.Lhat, gamma)),
-    )
-    params = {"sizes": sizes.to_json(), "gamma": gamma}
-    return BoundReport(terms, params)
+    union = event_probabilities(system, sizes, gamma, union_only=True)["union"]
+    return BoundReport(bound_terms(sizes, gamma, union), {"sizes": sizes.to_json(), "gamma": gamma})
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +407,11 @@ class _Sampler:
     """Cumulative mass vectors used by codebook/channel sampling."""
 
     def __init__(self, system: BroadcastSystem, tables: DensityTables):
-        p_s_given_u = np.where(
-            tables.p_u[:, None] > 0, tables.p_us / np.where(tables.p_u[:, None] > 0, tables.p_u[:, None], 1.0), 0.0
-        )
-        p_t_given_u = np.where(
-            tables.p_u[:, None] > 0, tables.p_ut / np.where(tables.p_u[:, None] > 0, tables.p_u[:, None], 1.0), 0.0
-        )
+        live = tables.p_u[:, None] > 0
+        p_u = np.where(live, tables.p_u[:, None], 1.0)
         self.cdf_u = np.cumsum(tables.p_u)
-        self.cdf_s = np.cumsum(p_s_given_u, axis=1)
-        self.cdf_t = np.cumsum(p_t_given_u, axis=1)
+        self.cdf_s = np.cumsum(np.where(live, tables.p_us / p_u, 0.0), axis=1)
+        self.cdf_t = np.cumsum(np.where(live, tables.p_ut / p_u, 0.0), axis=1)
         ky1, ky2 = system.channel.out_shape
         self.ky2 = ky2
         self.cdf_chan = np.cumsum(system.channel.matrix().reshape(-1, ky1 * ky2), axis=1)
@@ -603,12 +603,8 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
             u_cb, s_cb, t_cb = u_cb[group], s_cb[group], t_cb[group]
         rows = np.arange(n)
         if random_message:
-            msg_uni = uni[:, -6:-1]
-            w0 = np.minimum((msg_uni[:, 0] * sizes.M0).astype(np.int64), sizes.M0 - 1)
-            w10 = np.minimum((msg_uni[:, 1] * sizes.M10).astype(np.int64), sizes.M10 - 1)
-            w20 = np.minimum((msg_uni[:, 2] * sizes.M20).astype(np.int64), sizes.M20 - 1)
-            a = np.minimum((msg_uni[:, 3] * N).astype(np.int64), N - 1)
-            b = np.minimum((msg_uni[:, 4] * L).astype(np.int64), L - 1)
+            radix = np.array([sizes.M0, sizes.M10, sizes.M20, N, L])
+            w0, w10, w20, a, b = np.minimum((uni[:, -6:-1] * radix).astype(np.int64), radix - 1).T
             m_true = (w0 * sizes.M10 + w10) * sizes.M20 + w20
         else:
             m_true = np.zeros(n, dtype=np.int64)

@@ -19,7 +19,7 @@ import traceback
 
 import numpy as np
 
-from . import __version__, bounds, broadcast, oracle, regions
+from . import __version__, bounds, broadcast, oracle, regions, rng
 from .errors import EnumerationCapError, InputFormatError, OneshotError
 from .probability import Joint, input_array
 
@@ -109,6 +109,8 @@ def _load_event(path: str | None, shape) -> np.ndarray:
         raise InputFormatError(
             f"--event: mask shape {mask.shape} does not match the joint shape {tuple(shape)}"
         )
+    if mask.dtype.kind not in "biuf" or not np.all((mask == 0) | (mask == 1)):
+        raise InputFormatError("--event: mask entries must be 0, 1, true or false")
     return mask.astype(bool)
 
 
@@ -473,6 +475,8 @@ def main(argv: list[str] | None = None) -> int:
             raise InputFormatError("--trials must be >= 1")
         if not 0 <= args.seed < 2**64:
             raise InputFormatError("--seed must be in [0, 2^64)")
+        if not 1 <= args.threads <= rng.THREADS_CAP:
+            raise InputFormatError(f"--threads must be in [1, {rng.THREADS_CAP}]")
         return args.func(args)
     except OneshotError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -180,16 +180,13 @@ class Kernel:
             defined = np.asarray(defined, dtype=bool).copy()
             if defined.shape != (arr.shape[0],):
                 raise InputFormatError("kernel: defined mask must have one flag per row")
-        out = np.zeros_like(arr)
         sums = arr.reshape(arr.shape[0], -1).sum(axis=1)
-        for x in range(arr.shape[0]):
-            if not defined[x]:
-                continue
-            if abs(sums[x] - 1.0) > NORMALIZE_TOL:
-                raise InputFormatError(
-                    f"kernel: row {x} has mass {sums[x]!r}, deviating from 1 by more than {NORMALIZE_TOL}"
-                )
-            out[x] = arr[x] / sums[x]
+        bad = np.flatnonzero(defined & (np.abs(sums - 1.0) > NORMALIZE_TOL))
+        if bad.size:
+            raise InputFormatError(f"kernel: row {bad[0]} has mass {sums[bad[0]]!r}, "
+                                   f"deviating from 1 by more than {NORMALIZE_TOL}")
+        out = np.zeros_like(arr)
+        out[defined] = arr[defined] / sums[defined].reshape(-1, *([1] * (arr.ndim - 1)))
         out.setflags(write=False)
         defined.setflags(write=False)
         object.__setattr__(self, "rows", out)
@@ -422,16 +419,11 @@ def product_extend(obj, n: int, cap: int = PRODUCT_ALPHABET_CAP):
     """
     if n < 1:
         raise InputFormatError("product_extend: n must be >= 1")
-    if isinstance(obj, Dist):
-        shape = obj.probs.shape
-    elif isinstance(obj, Joint):
-        shape = obj.shape
-    elif isinstance(obj, Kernel):
-        shape = obj.rows.shape
-    else:
+    if not isinstance(obj, (Dist, Joint, Kernel)):
         raise InputFormatError(f"product_extend: unsupported object {type(obj).__name__}")
+    arr = obj.rows if isinstance(obj, Kernel) else obj.probs
     total = 1
-    for size in shape:
+    for size in arr.shape:
         if size**n > cap:
             raise EnumerationCapError(
                 f"product alphabet {size}^{n} exceeds the cap of {cap} symbols"
@@ -443,10 +435,6 @@ def product_extend(obj, n: int, cap: int = PRODUCT_ALPHABET_CAP):
         )
     if n == 1:
         return obj
-    if isinstance(obj, Dist):
-        return Dist(_iid_power(obj.probs, n))
-    if isinstance(obj, Joint):
-        return Joint(_iid_power(obj.probs, n))
-    defined = _iid_power(obj.defined.astype(float), n) > 0.5
-    rows = _iid_power(obj.rows, n)
-    return Kernel(rows, defined)
+    if not isinstance(obj, Kernel):
+        return type(obj)(_iid_power(arr, n))
+    return Kernel(_iid_power(arr, n), _iid_power(obj.defined.astype(float), n) > 0.5)

@@ -25,6 +25,8 @@ CHUNK_TRIALS = 8192
 CHUNK_BYTES = 64 * 2**20
 #: cap on the trials of one Monte Carlo run
 TRIALS_CAP = 10**9
+#: cap on the worker threads of one Monte Carlo run (each may hold a chunk)
+THREADS_CAP = 64
 
 T = TypeVar("T")
 

@@ -1,5 +1,7 @@
 """Shared fixtures: random instance generators and reference systems."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,15 @@ def random_joint(rng: np.random.Generator, shape, allow_zero: bool = False) -> J
 
 def random_event(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.random(shape) < rng.uniform(0.2, 0.8)
+
+
+def dense_minimum(evaluate, breakpoints, lo: float, hi: float) -> float:
+    """Least raw value of ``evaluate`` over a dense set of gammas in ``[lo, hi]``:
+    every breakpoint, the double below it, both ends and a 4096-point grid."""
+    inside = [b for b in breakpoints if lo < b <= hi]
+    gammas = {lo, hi, *np.geomspace(lo, hi, 4096).tolist(), *inside,
+              *(math.nextafter(b, 0.0) for b in inside)}
+    return min(evaluate(g).raw_value for g in gammas if lo <= g <= hi)
 
 
 def binary_broadcast_system() -> BroadcastSystem:

@@ -1,5 +1,6 @@
 """Closed-form bound evaluators, parameter resolution, and optimizers."""
 
+import json
 import math
 
 import numpy as np
@@ -18,10 +19,11 @@ from oneshot import (
     resolvability_excess_bound,
     simple_covering_bound,
 )
-from oneshot.bounds import _density_ratio, event_from_points, full_event, minimize_scalar
+from oneshot.bounds import (BoundReport, _bound_parts, _density_ratio, _unimodal_argmin, bound_at,
+                            event_from_points, full_event)
 from oneshot.errors import AlphabetMismatchError, InputFormatError
 
-from conftest import random_event, random_joint
+from conftest import dense_minimum, random_event, random_joint
 
 JOINT = Joint([[0.4, 0.1], [0.2, 0.3]])
 DIAG = event_from_points((2, 2), [(0, 0), (1, 1)])
@@ -257,26 +259,76 @@ class TestPacking:
 
 
 class TestOptimizeGamma:
-    def test_constant_objective_returns_left_endpoint(self):
-        x, f = minimize_scalar(lambda g: 1.0, (0.25, 4.0))
-        assert x == 0.25 and f == 1.0
+    @staticmethod
+    def optimum(kind, instance, search_range=(0.05, 6.0)):
+        """The optimizer's result, checked against the dense reference."""
+        lo, hi = search_range
+        gamma, report = optimize_gamma(kind, instance, search_range)
+        assert lo <= gamma <= hi
+        evaluate = bound_at(kind, instance)
+        assert json.dumps(report.to_json()) == json.dumps(evaluate(gamma).to_json())
+        breakpoints = _bound_parts(kind, instance)[1].breakpoints
+        assert report.raw_value <= dense_minimum(evaluate, breakpoints, lo, hi) * (1 + 1e-12)
+        return gamma, report
 
-    def test_synthetic_unimodal_recovered(self):
-        x, f = minimize_scalar(lambda g: (g - 1.3) ** 2 + 0.2, (0.1, 5.0), tolerance=1e-8)
-        assert x == pytest.approx(1.3, abs=1e-6)
-        assert f == pytest.approx(0.2, abs=1e-10)
+    @staticmethod
+    def remainder_argmin(kind, instance, search_range=(0.05, 6.0)):
+        terms = _bound_parts(kind, instance)[2]
+        return _unimodal_argmin(lambda g: BoundReport(terms(g, 0.0)).raw_value, *search_range)
+
+    @pytest.mark.parametrize("kind", ["covering4", "covering4-union", "covering5", "covering7"])
+    def test_never_above_dense_reference(self, kind):
+        union_form = kind.endswith("-union")
+        kind = kind.removesuffix("-union")
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            shape = (2, 3, 2) if kind == "covering5" else (3, 4)
+            instance = {"joint": random_joint(rng, shape, allow_zero=True),
+                        "event": random_event(rng, shape), "M": int(rng.integers(2, 40)),
+                        "L": int(rng.integers(2, 40)), "union_form": union_form}
+            self.optimum(kind, instance)
+
+    @pytest.mark.parametrize("kind", ["covering4", "covering5", "covering7"])
+    def test_unit_codebook(self, kind):
+        # min(M, L) = 1: the covering ratio vanishes, so without a miss term the
+        # covering4/5 remainder is the slack alone and falls to the top of the
+        # range; a miss term absorbs the slack once it drops below a half ulp
+        rng = np.random.default_rng(43)
+        shape = (2, 2, 3) if kind == "covering5" else (3, 3)
+        for M, L in ((1, 1), (1, 5), (7, 1)):
+            joint = random_joint(rng, shape)
+            for event in (full_event(shape), random_event(rng, shape)):
+                instance = {"joint": joint, "event": event, "M": M, "L": L}
+                if kind != "covering7" and event.all():
+                    assert self.remainder_argmin(kind, instance) == 6.0
+                self.optimum(kind, instance)
+
+    def test_covering7_small_codebooks_put_the_remainder_minimum_at_lo(self):
+        # max(M, L) <= 2: e^gamma / max(M, L) outgrows the slack's decay
+        rng = np.random.default_rng(47)
+        for M, L in ((1, 2), (2, 1), (2, 2)):
+            instance = {"joint": random_joint(rng, (3, 3)), "event": random_event(rng, (3, 3)),
+                        "M": M, "L": L}
+            assert self.remainder_argmin("covering7", instance) == 0.05
+            self.optimum("covering7", instance)
 
     def test_dominates_random_probes(self):
         instance = {"joint": JOINT, "event": DIAG, "M": 3, "L": 2}
-        g_star, rep = optimize_gamma("covering4", instance, (0.05, 5.0), tolerance=1e-7)
+        g_star, rep = optimize_gamma("covering4", instance, (0.05, 5.0))
         rng = np.random.default_rng(19)
         for g in rng.uniform(0.05, 5.0, size=64):
             probe = simple_covering_bound(JOINT, DIAG, 3, 2, float(g))
-            assert rep.raw_value <= probe.raw_value + 1e-9
+            assert rep.raw_value <= probe.raw_value
 
-    def test_invalid_range(self):
+    @pytest.mark.parametrize("kind", ["covering1", "resolvability", "packing"])
+    def test_kinds_without_a_step_table_are_refused(self, kind):
         with pytest.raises(InputFormatError):
-            minimize_scalar(lambda g: g, (2.0, 1.0))
+            optimize_gamma(kind, {"joint": JOINT, "event": DIAG, "M": 3, "L": 2}, (0.05, 5.0))
+
+    @pytest.mark.parametrize("search_range", [(2.0, 1.0), (0.0, 1.0), (1.0, 1.0), (1.0, math.inf)])
+    def test_bad_range_is_refused(self, search_range):
+        with pytest.raises(InputFormatError):
+            optimize_gamma("covering4", {"joint": JOINT, "event": DIAG, "M": 3, "L": 2}, search_range)
 
 
 class TestBoundReportInvariants:

@@ -1,5 +1,6 @@
 """Broadcast bound, codebook machinery, decoders, and ensemble simulation."""
 
+import json
 import math
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from oneshot import (
 )
 from oneshot.broadcast import (
     DensityTables,
+    bound_terms,
     event_probabilities,
     mc_event_union,
     message_index,
@@ -37,9 +39,9 @@ from oneshot.errors import (
 )
 from oneshot import broadcast
 from oneshot import rng as rngmod
-from oneshot.bounds import minimize_scalar, optimize_gamma
+from oneshot.bounds import BoundReport, _unimodal_argmin, optimize_gamma
 
-from conftest import asym_broadcast_system
+from conftest import asym_broadcast_system, dense_minimum
 
 SIZES_A = SchemeSizes(1, 1, 1, 1, 1, 2, 2)
 SIZES_B = SchemeSizes(2, 2, 2, 2, 2, 2, 2)
@@ -524,10 +526,33 @@ class TestOptimizeGamma:
         assert built == [system]
         monkeypatch.undo()
 
-        # reference: the tables (and so the union mask) rebuilt for every gamma
-        def fresh_bound(g):
-            return broadcast_bound(BroadcastSystem(system.joint_ust, system.x_map, system.channel),
-                                   sizes, g)
+        # reference: a system whose tables (and so union steps) are built anew
+        def fresh():
+            return BroadcastSystem(system.joint_ust, system.x_map, system.channel)
 
-        ref_gamma, _ = minimize_scalar(lambda g: fresh_bound(g).raw_value, (0.05, 5.0))
-        assert (gamma, report.to_json()) == (ref_gamma, fresh_bound(ref_gamma).to_json())
+        reference = fresh()
+        breakpoints = reference.tables.union_steps(sizes).breakpoints
+        best = dense_minimum(lambda g: broadcast_bound(reference, sizes, g), breakpoints, 0.05, 5.0)
+        assert report.raw_value <= best * (1 + 1e-12)
+        assert report.to_json() == broadcast_bound(fresh(), sizes, gamma).to_json()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_never_above_dense_reference(self, n):
+        system = product_extend_system(asym_broadcast_system(), n)
+        # Nhat = 1 or Lhat = 1 drops the ratio term: the remainder then falls
+        # to the top of the range
+        for text in ("1,1,1,1,1,1,1", "1,1,1,1,1,2,2", "2,2,2,2,2,2,2", "1,1,1,1,1,1,3",
+                     "3,1,2,2,1,4,3", "1,2,1,3,2,8,5"):
+            sizes = SchemeSizes.from_string(text)
+            instance = {"system": system, "sizes": sizes}
+            gamma, report = optimize_gamma("broadcast", instance, (0.05, 6.0))
+            assert json.dumps(report.to_json()) == json.dumps(broadcast_bound(system, sizes, gamma).to_json())
+            breakpoints = system.tables.union_steps(sizes).breakpoints
+            best = dense_minimum(lambda g: broadcast_bound(system, sizes, g), breakpoints, 0.05, 6.0)
+            assert report.raw_value <= best * (1 + 1e-12)
+
+            def remainder(g):
+                return BoundReport(bound_terms(sizes, g, 0.0)).raw_value
+
+            if min(sizes.Nhat, sizes.Lhat) == 1:
+                assert _unimodal_argmin(remainder, 0.05, 6.0) == 6.0

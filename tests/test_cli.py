@@ -86,7 +86,13 @@ _COV_4X4 = ["--dist", str(CONFIGS / "joint_2x2.json"), "--event", str(CONFIGS / 
     (["bound", "covering4", *_COV_4X4, "--gamma", "1e-300"], "gamma"),
     (["verify", "covering", *_COV_4X4, "--gamma", "1", "--trials", "0"], "--trials"),
     (["bound", "covering4", *_COV_4X4, "--gamma", "inf"], "finite"),
-], ids=["gamma-overflow", "gamma-tiny", "trials-zero", "gamma-inf"])
+    # e^-gamma overflows here: the gamma check must come before the terms
+    (["bound", "broadcast", "--config", str(CONFIGS / "broadcast_binary.json"),
+      "--sizes-file", str(CONFIGS / "sizes_small.json"), "--gamma", "-1000"], "gamma"),
+    (["simulate", "--config", str(CONFIGS / "broadcast_binary.json"),
+      "--sizes-file", str(CONFIGS / "sizes_small.json"), "--gamma", "-1000", "--trials", "10"], "gamma"),
+], ids=["gamma-overflow", "gamma-tiny", "trials-zero", "gamma-inf", "broadcast-gamma-negative",
+        "simulate-gamma-negative"])
 def test_numeric_extremes_exit_2_with_one_error_line(argv, names):
     res = run_cli(*argv)
     assert res.returncode == 2
@@ -286,10 +292,23 @@ sys.stderr.write(json.dumps({"code": code, "loaded": loaded}))
     ["region", "--config", str(CONFIGS / "region_binary.json"), "--project"],
     ["bound", "broadcast", "--config", str(CONFIGS / "broadcast_binary.json"),
      "--sizes-file", str(CONFIGS / "sizes_large.json"), "--gamma", "1.1"],
-], ids=["region-project", "bound-broadcast"])
+    ["verify", "covering", "--dist", str(CONFIGS / "joint_3x3.json"), "--M", "3", "--L", "2",
+     "--gamma", "0.5", "--trials", "200"],
+    ["verify", "covering5", "--dist", str(CONFIGS / "joint_2x2x2.json"),
+     "--event", str(CONFIGS / "event_2x2x2.json"), "--M", "2", "--L", "2", "--gamma", "0.5",
+     "--trials", "200"],
+    ["verify", "packing", "--dist", str(CONFIGS / "joint_2x2.json"), "--M", "2", "--N", "2",
+     "--gamma", "0.5"],
+    ["simulate", "--config", str(CONFIGS / "broadcast_binary.json"),
+     "--sizes-file", str(CONFIGS / "sizes_small.json"), "--gamma", "1.1", "--trials", "200"],
+    ["sweep", "covering4", "--dist", str(CONFIGS / "joint_2x2.json"),
+     "--event", str(CONFIGS / "event_diag.json"), "--M", "3", "--L", "2",
+     "--param", "gamma", "--from", "0.1", "--to", "3", "--steps", "16"],
+], ids=["region-project", "bound-broadcast", "verify-covering", "verify-covering5",
+        "verify-packing", "simulate", "sweep"])
 def test_cold_paths_skip_numpy_ma_and_scipy(argv):
-    # numpy.ma (pulled in by np.unique) and scipy are cold-start costs that
-    # neither command needs
+    # numpy.ma (pulled in by 1-D np.unique) and scipy are cold-start costs
+    # that no command needs
     res = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv],
                          capture_output=True, text=True, cwd=ROOT)
     assert res.returncode == 0, res.stderr
@@ -443,7 +462,7 @@ def test_sweep_minimum_consistent_with_optimizer():
     joint = Joint([[0.4, 0.1], [0.2, 0.3]])
     event = event_from_points((2, 2), [(0, 0), (1, 1)])
     _, rep = optimize_gamma("covering4", {"joint": joint, "event": event, "M": 3, "L": 2},
-                            (0.05, 4.0), tolerance=1e-7)
+                            (0.05, 4.0))
     assert sweep_min >= rep.raw_value - 1e-9
 
 
@@ -533,6 +552,9 @@ _BAD_INPUTS = {
     "point-long": (_POINTS, {"points": [[0, 0, 0]]}, "event point"),
     "point-text": (_POINTS, {"points": [["a", 0]]}, "event points"),
     "ragged-mask": (_POINTS, {"mask": [[True, False], [True]]}, "--event"),
+    "mask-not-0-or-1": (_POINTS, {"mask": [[2, -1], [0.5, 0]]}, "--event"),
+    "mask-text": (_POINTS, {"mask": [["1", "0"], ["0", "1"]]}, "--event"),
+    "joint-as-mask": (_POINTS, json.loads((CONFIGS / "joint_2x2.json").read_text()), "--event"),
     "sizes-text": (["simulate", "--config", str(CONFIGS / "broadcast_binary.json"),
                     "--sizes-file", "{f}", "--gamma", "1"], {**_SIZES, "Nhat": "two"}, "Nhat"),
     "sizes-fraction": (["bound", "broadcast", "--config", str(CONFIGS / "broadcast_binary.json"),
@@ -551,6 +573,11 @@ _BAD_INPUTS = {
     "seed-2-64": (["verify", "covering", "--dist", _JOINT, "--M", "2", "--L", "2", "--gamma", "1",
                    "--trials", "10", "--seed", str(2**64)], None, "--seed"),
 }
+# no value here starts a thread: each is refused before any work
+for _threads in (0, -3, rng.THREADS_CAP + 1):
+    _BAD_INPUTS[f"threads-{_threads}"] = (
+        ["simulate", "--config", str(CONFIGS / "broadcast_binary.json"), *_ONE_SIZES,
+         "--trials", "10", "--threads", str(_threads)], None, "--threads")
 #: a 3-axis joint where each kind needs 2 axes
 _JOINT3 = json.loads((CONFIGS / "joint_2x2x2.json").read_text())
 for _argv in (["bound", "covering1", "--M", "2", "--L", "2", "--gamma", "1"],
@@ -577,6 +604,17 @@ def test_integral_floats_pass_as_indices(tmp_path, capsys):
         assert cli.main([a.format(f=event) for a in _POINTS]) == 0
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1]
+
+
+def test_masks_of_0_1_and_booleans_match_points(tmp_path, capsys):
+    outputs = []
+    for doc in ({"points": [[0, 0], [1, 1]]}, {"mask": [[1, 0], [0, 1]]},
+                {"mask": [[True, False], [False, True]]}, [[1.0, 0.0], [0.0, 1.0]]):
+        event = tmp_path / "event.json"
+        event.write_text(json.dumps(doc))
+        assert cli.main([a.format(f=event) for a in _POINTS]) == 0
+        outputs.append(capsys.readouterr())
+    assert all(out == outputs[0] for out in outputs)
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
