@@ -16,9 +16,9 @@ decoders total without affecting any exactly computed probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,13 +30,11 @@ from .errors import (
     InputFormatError,
     UndefinedRowError,
 )
-from .probability import (Joint, Kernel, cond_info_density_table, input_array, integral,
-                          log_ratio_table, product_extend)
+from .probability import (Joint, Kernel, _iid_power, cond_info_density_table, input_array,
+                          integral, log_ratio_table, product_extend)
 
 #: cap on the size of the design joint over (u, s, t, y1, y2)
 JOINT_CAP = 10**7
-#: trials per simulate chunk, unless the chunk byte cap ``rng.CHUNK_BYTES`` binds first
-SIM_CHUNK_TRIALS = 4096
 
 
 @dataclass(frozen=True)
@@ -52,9 +50,9 @@ class SchemeSizes:
     Lhat: int
 
     def __post_init__(self):
-        for name in ("M0", "M10", "M20", "N", "L", "Nhat", "Lhat"):
-            if getattr(self, name) < 1:
-                raise InputFormatError(f"sizes: {name} must be a positive integer")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise InputFormatError(f"sizes: {f.name} must be a positive integer")
 
     @property
     def M(self) -> int:
@@ -81,30 +79,28 @@ class SchemeSizes:
         if not isinstance(doc, dict):
             raise InputFormatError("sizes: expected a JSON object")
         sizes = {}
-        for name in ("M0", "M10", "M20", "N", "L", "Nhat", "Lhat"):
-            if name not in doc:
-                raise InputFormatError(f"sizes: missing field {name!r}")
-            value = doc[name]
+        for f in fields(cls):
+            if f.name not in doc:
+                raise InputFormatError(f"sizes: missing field {f.name!r}")
+            value = doc[f.name]
             try:
-                sizes[name] = integral(value)
+                sizes[f.name] = integral(value)
             except (TypeError, ValueError):
-                raise InputFormatError(f"sizes: {name} must be an integer, got {value!r}") from None
+                raise InputFormatError(f"sizes: {f.name} must be an integer, got {value!r}") from None
         return cls(**sizes)
 
     @classmethod
     def from_string(cls, text: str) -> "SchemeSizes":
+        names = [f.name for f in fields(cls)]
         parts = [p.strip() for p in text.split(",")]
-        if len(parts) != 7 or not all(p.lstrip("-").isdigit() for p in parts):
+        if len(parts) != len(names) or not all(p.lstrip("-").isdigit() for p in parts):
             raise InputFormatError(
-                "sizes: expected 7 comma-separated integers M0,M10,M20,N,L,Nhat,Lhat"
+                f"sizes: expected {len(names)} comma-separated integers {','.join(names)}"
             )
         return cls(*(int(p) for p in parts))
 
     def to_json(self) -> dict:
-        return {
-            "M0": self.M0, "M10": self.M10, "M20": self.M20,
-            "N": self.N, "L": self.L, "Nhat": self.Nhat, "Lhat": self.Lhat,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -139,6 +135,18 @@ class BroadcastSystem:
         return ku, ks, kt, ky1, ky2
 
     @cached_property
+    def full(self) -> np.ndarray:
+        """The design joint ``P(u,s,t) channel(y1,y2 | x(u,s,t))`` over
+        (u, s, t, y1, y2), built on first use.  More than ``JOINT_CAP``
+        entries raise :class:`EnumerationCapError` before it is allocated."""
+        entries = math.prod(self.shape)
+        if entries > JOINT_CAP:
+            raise EnumerationCapError(
+                f"design joint with {entries} entries exceeds the cap of {JOINT_CAP}"
+            )
+        return self.joint_ust.probs[:, :, :, None, None] * self.channel.rows[self.x_map]
+
+    @cached_property
     def tables(self) -> "DensityTables":
         """The system's :class:`DensityTables`, built on first use."""
         return DensityTables(self)
@@ -169,19 +177,10 @@ def product_extend_system(system: BroadcastSystem, n: int) -> BroadcastSystem:
         return system
     joint = product_extend(system.joint_ust, n)
     chan = product_extend(system.channel, n)
+    # the input symbol of a tuple of letters is their row-major tuple index
     kx = system.channel.n_inputs
-    xm = system.x_map
-    out = xm
-    for _ in range(n - 1):
-        out = (
-            out[:, None, :, None, :, None] * kx
-            + xm[None, :, None, :, None, :]
-        ).reshape(
-            out.shape[0] * xm.shape[0],
-            out.shape[1] * xm.shape[1],
-            out.shape[2] * xm.shape[2],
-        )
-    return BroadcastSystem(joint, out, chan)
+    x_map = _iid_power(system.x_map, n, lambda out, xm: np.add.outer(out * kx, xm))
+    return BroadcastSystem(joint, x_map, chan)
 
 
 class Thresholds(NamedTuple):
@@ -192,19 +191,30 @@ class Thresholds(NamedTuple):
     cross: float   # on i(S; T | U)
 
 
-#: each threshold is ``ln(sizes) + slope * gamma``
-SLOPES = Thresholds(head1=1.0, head2=1.0, inner1=1.0, inner2=1.0, cross=-2.0)
+class Clause(NamedTuple):
+    """A threshold event: density table ``table`` passes ``test`` against
+    ``ln(size(sizes)) + slope * gamma``; ``axes`` spreads it over (u, s, t, y1, y2)."""
+
+    table: str
+    test: Callable
+    size: Callable[[SchemeSizes], int]
+    slope: float
+    axes: tuple
 
 
-def _size_logs(sizes: SchemeSizes) -> Thresholds:
-    """The gamma-free part of each threshold."""
-    return Thresholds(
-        head1=math.log(sizes.M * sizes.Ntilde),
-        head2=math.log(sizes.M * sizes.Ltilde),
-        inner1=math.log(sizes.Ntilde),
-        inner2=math.log(sizes.Ltilde),
-        cross=math.log(sizes.Nhat * sizes.Lhat),
-    )
+#: the five clauses, by :class:`Thresholds` field
+CLAUSES = {
+    "head1": Clause("i_us_y1", np.less_equal, lambda z: z.M * z.Ntilde, 1.0,
+                    np.s_[:, :, None, :, None]),
+    "head2": Clause("i_ut_y2", np.less_equal, lambda z: z.M * z.Ltilde, 1.0,
+                    np.s_[:, None, :, None, :]),
+    "inner1": Clause("i_s_y1_u", np.less_equal, lambda z: z.Ntilde, 1.0,
+                     np.s_[:, :, None, :, None]),
+    "inner2": Clause("i_t_y2_u", np.less_equal, lambda z: z.Ltilde, 1.0,
+                     np.s_[:, None, :, None, :]),
+    "cross": Clause("i_s_t_u", np.greater, lambda z: z.Nhat * z.Lhat, -2.0,
+                    np.s_[:, :, :, None, None]),
+}
 
 
 def thresholds_for(sizes: SchemeSizes, gamma: float) -> Thresholds:
@@ -217,7 +227,8 @@ def thresholds_for(sizes: SchemeSizes, gamma: float) -> Thresholds:
     everywhere, matching the bound statement and both decoders.
     """
     check_bound_args(gamma)
-    return Thresholds(*(c + slope * gamma for c, slope in zip(_size_logs(sizes), SLOPES)))
+    return Thresholds(**{name: math.log(c.size(sizes)) + c.slope * gamma
+                         for name, c in CLAUSES.items()})
 
 
 class DensityTables:
@@ -230,17 +241,11 @@ class DensityTables:
     """
 
     def __init__(self, system: BroadcastSystem):
-        ku, ks, kt, ky1, ky2 = system.shape
-        if ku * ks * kt * ky1 * ky2 > JOINT_CAP:
-            raise EnumerationCapError(
-                f"design joint with {ku * ks * kt * ky1 * ky2} entries exceeds the cap of {JOINT_CAP}"
-            )
-        chan = system.channel.matrix()[system.x_map]  # (u, s, t, y1, y2)
-        self.full = system.joint_ust.probs[:, :, :, None, None] * chan
-        self.p_ust = system.joint_ust.probs
-        self.p_u = self.p_ust.sum(axis=(1, 2))
-        self.p_us = self.p_ust.sum(axis=2)
-        self.p_ut = self.p_ust.sum(axis=1)
+        self.full = system.full
+        p_ust = system.joint_ust.probs
+        self.p_u = p_ust.sum(axis=(1, 2))
+        self.p_us = p_ust.sum(axis=2)
+        self.p_ut = p_ust.sum(axis=1)
         self.p_usy1 = self.full.sum(axis=(2, 4))
         self.p_uty2 = self.full.sum(axis=(1, 3))
         self.p_y1 = self.full.sum(axis=(0, 1, 2, 4))
@@ -259,58 +264,38 @@ class DensityTables:
 
     def clauses(self, thr: Thresholds) -> dict[str, np.ndarray]:
         """The five threshold events of the bound, each a boolean table over its
-        own axes; ``CLAUSE_AXES`` spreads them over (u, s, t, y1, y2).  A
+        own axes; a clause's ``axes`` spreads it over (u, s, t, y1, y2).  A
         ``-inf`` density falls in each ``<=`` clause, so the complements are
         exactly the decoders' passing tests."""
-        return {name: test(getattr(self, table), getattr(thr, name))
-                for name, (table, test) in CLAUSE_TESTS.items()}
+        return {name: c.test(getattr(self, c.table), getattr(thr, name))
+                for name, c in CLAUSES.items()}
 
     def union_mask(self, thr: Thresholds) -> np.ndarray:
         """The union of the five threshold events over (u, s, t, y1, y2)."""
         c = self.clauses(thr)
-        return _bad_outputs(c) | c["cross"][CLAUSE_AXES["cross"]]
+        return _bad_outputs(c) | c["cross"][CLAUSES["cross"].axes]
 
     def union_steps(self, sizes: SchemeSizes) -> GammaSteps:
         """The union probability's step table for ``sizes``, built once: its
         breakpoints are the critical gammas of every clause."""
         steps = self._union_steps.get(sizes)
         if steps is None:
-            logs = _size_logs(sizes)
             steps = self._union_steps[sizes] = GammaSteps(
-                [(getattr(self, table), test, getattr(logs, name), getattr(SLOPES, name))
-                 for name, (table, test) in CLAUSE_TESTS.items()])
+                [(getattr(self, c.table), c.test, math.log(c.size(sizes)), c.slope)
+                 for c in CLAUSES.values()])
         return steps
-
-
-#: each clause's density table and its test against the clause's threshold
-CLAUSE_TESTS = {
-    "head1": ("i_us_y1", np.less_equal),
-    "head2": ("i_ut_y2", np.less_equal),
-    "inner1": ("i_s_y1_u", np.less_equal),
-    "inner2": ("i_t_y2_u", np.less_equal),
-    "cross": ("i_s_t_u", np.greater),
-}
-
-#: the index that spreads each clause table over (u, s, t, y1, y2)
-CLAUSE_AXES = {
-    "head1": np.s_[:, :, None, :, None],
-    "head2": np.s_[:, None, :, None, :],
-    "inner1": np.s_[:, :, None, :, None],
-    "inner2": np.s_[:, None, :, None, :],
-    "cross": np.s_[:, :, :, None, None],
-}
 
 
 def _bad_outputs(c: dict[str, np.ndarray]) -> np.ndarray:
     """Where a receiver's head or inner clause holds, over (u, s, t, y1, y2)."""
-    return ((c["head1"] | c["inner1"])[CLAUSE_AXES["head1"]]
-            | (c["head2"] | c["inner2"])[CLAUSE_AXES["head2"]])
+    return ((c["head1"] | c["inner1"])[CLAUSES["head1"].axes]
+            | (c["head2"] | c["inner2"])[CLAUSES["head2"].axes])
 
 
 def zeta_table(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> np.ndarray:
     """Mass of the bad output set for every codeword triple (u, s, t)."""
     bad = _bad_outputs(system.tables.clauses(thresholds_for(sizes, gamma)))
-    chan = system.channel.matrix()[system.x_map]  # (u, s, t, y1, y2)
+    chan = system.channel.rows[system.x_map]  # (u, s, t, y1, y2)
     return (chan * bad).sum(axis=(3, 4))
 
 
@@ -323,7 +308,7 @@ def event_probabilities(system: BroadcastSystem, sizes: SchemeSizes, gamma: floa
     t = system.tables
     thr = thresholds_for(sizes, gamma)
     probs = {} if union_only else {
-        name: float(t.full[np.broadcast_to(mask[CLAUSE_AXES[name]], t.full.shape)].sum())
+        name: float(t.full[np.broadcast_to(mask[CLAUSES[name].axes], t.full.shape)].sum())
         for name, mask in t.clauses(thr).items()}
     probs["union"] = t.union_steps(sizes)(gamma, lambda: float(t.full[t.union_mask(thr)].sum()))
     return probs
@@ -397,7 +382,7 @@ def sample_codebook(system: BroadcastSystem, sizes: SchemeSizes, seed: int,
     It is the codebook :func:`simulate` draws for ``trial`` under the
     same ``seed`` and ``random_message``.
     """
-    sampler = _Sampler(system, system.tables)
+    sampler = _Sampler(system)
     u = rng.trial_uniforms(seed, trial, 1, _trial_budget(sizes, random_message))
     u_cb, s_cb, t_cb = _codebooks_from_uniforms(sampler, sizes, u[:, :_codebook_budget(sizes)])
     return Codebook(u_cb[0], s_cb[0], t_cb[0])
@@ -406,15 +391,14 @@ def sample_codebook(system: BroadcastSystem, sizes: SchemeSizes, seed: int,
 class _Sampler:
     """Cumulative mass vectors used by codebook/channel sampling."""
 
-    def __init__(self, system: BroadcastSystem, tables: DensityTables):
+    def __init__(self, system: BroadcastSystem):
+        tables = system.tables
         live = tables.p_u[:, None] > 0
         p_u = np.where(live, tables.p_u[:, None], 1.0)
         self.cdf_u = np.cumsum(tables.p_u)
         self.cdf_s = np.cumsum(np.where(live, tables.p_us / p_u, 0.0), axis=1)
         self.cdf_t = np.cumsum(np.where(live, tables.p_ut / p_u, 0.0), axis=1)
-        ky1, ky2 = system.channel.out_shape
-        self.ky2 = ky2
-        self.cdf_chan = np.cumsum(system.channel.matrix().reshape(-1, ky1 * ky2), axis=1)
+        self.cdf_chan = np.cumsum(system.channel.rows.reshape(system.channel.n_inputs, -1), axis=1)
 
 
 def _codebook_budget(sizes: SchemeSizes) -> int:
@@ -425,6 +409,22 @@ def _trial_budget(sizes: SchemeSizes, random_message: bool) -> int:
     """Uniforms per :func:`simulate` trial: the codebook block, five
     message uniforms if the message is random, then the channel uniform."""
     return _codebook_budget(sizes) + (5 if random_message else 0) + 1
+
+
+def _trial_work_bytes(system: BroadcastSystem, sizes: SchemeSizes, reuse: int) -> int:
+    """Bytes of work arrays a :func:`simulate` trial holds besides its uniform
+    row: its share of the group leader's int64 codebooks, plus the larger of
+    its share of the leader's draw (cdf rows, 1-byte counts and hits) and its
+    decoding (the cloud layer and, under reuse, one satellite layer copied to
+    the trial, a boolean gather over that layer, ``z``, a channel cdf row and
+    index vectors)."""
+    _, ks, kt, ky1, ky2 = system.shape
+    M, sat = sizes.M, sizes.N * sizes.Nhat + sizes.L * sizes.Lhat
+    widest = M * max(sizes.N * sizes.Nhat, sizes.L * sizes.Lhat)
+    draw = 8 * M * (ks + kt) + 2 * M * sat
+    decode = ((9 if reuse > 1 else 1) * widest
+              + 8 * (M + sat + sizes.Nhat * sizes.Lhat + ky1 * ky2 + 32))
+    return -(-8 * _codebook_budget(sizes) // reuse) + max(-(-draw // reuse), decode)
 
 
 def _codebooks_from_uniforms(sampler: _Sampler, sizes: SchemeSizes,
@@ -575,45 +575,42 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
         raise InputFormatError("trials must be >= 1")
     if reuse_codebook < 1:
         raise InputFormatError("reuse_codebook must be >= 1")
-    tables = system.tables
     # evaluated first, so that a gamma the bound rejects costs no trials
     bound = broadcast_bound(system, sizes, gamma)
     cb_width = _codebook_budget(sizes)
     budget = _trial_budget(sizes, random_message)
-    sampler = _Sampler(system, tables)
+    sampler = _Sampler(system)
     thr = thresholds_for(sizes, gamma)
     # decoder tests thresholded once: gathering booleans is cheaper than
     # gathering densities and comparing them trial by trial
-    c = tables.clauses(thr)
+    c = system.tables.clauses(thr)
     pass_head1, pass_inner1 = ~c["head1"], ~c["inner1"]
     pass_head2, pass_inner2 = ~c["head2"], ~c["inner2"]
     ztable = zeta_table(system, sizes, gamma)
     N, Nh, L, Lh = sizes.N, sizes.Nhat, sizes.L, sizes.Lhat
     x_map = system.x_map
-    ky2 = sampler.ky2
+    ky2 = system.shape[4]
 
     def body(uni: np.ndarray) -> np.ndarray:
         n = uni.shape[0]
         # chunks start at group boundaries, so rows ::K are the group leaders;
         # only they draw a codebook, which every trial of the group then uses
+        # (a satellite layer is copied out to the trials one decoder at a time)
         cb_uni = uni[::reuse_codebook, :cb_width]
         u_cb, s_cb, t_cb = _codebooks_from_uniforms(sampler, sizes, cb_uni)
-        if reuse_codebook > 1:
-            group = np.arange(n) // reuse_codebook
-            u_cb, s_cb, t_cb = u_cb[group], s_cb[group], t_cb[group]
         rows = np.arange(n)
+        lead = rows // reuse_codebook
+        u_cb = u_cb[lead]
         if random_message:
             radix = np.array([sizes.M0, sizes.M10, sizes.M20, N, L])
             w0, w10, w20, a, b = np.minimum((uni[:, -6:-1] * radix).astype(np.int64), radix - 1).T
             m_true = (w0 * sizes.M10 + w10) * sizes.M20 + w20
         else:
-            m_true = np.zeros(n, dtype=np.int64)
-            a = np.zeros(n, dtype=np.int64)
-            b = np.zeros(n, dtype=np.int64)
+            m_true = a = b = np.zeros(n, dtype=np.int64)  # read only
 
         u_sel = u_cb[rows, m_true]
-        s_inner = s_cb[rows, m_true, a, :]      # (n, Nhat)
-        t_inner = t_cb[rows, m_true, b, :]      # (n, Lhat)
+        s_inner = s_cb[lead, m_true, a, :]      # (n, Nhat)
+        t_inner = t_cb[lead, m_true, b, :]      # (n, Lhat)
         z = ztable[u_sel[:, None, None], s_inner[:, :, None], t_inner[:, None, :]]
         flat = z.reshape(n, -1).argmin(axis=1)
         ahat, bhat = flat // Lh, flat % Lh
@@ -623,6 +620,8 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
         y1, y2 = y_flat // ky2, y_flat % ky2
 
         def side(sat, pass_head, pass_inner, y, truth_inner, cols):
+            if reuse_codebook > 1:
+                sat = sat[lead]
             fires = pass_head[u_cb[:, :, None, None], sat, y[:, None, None, None]].any(axis=(2, 3))
             cnt = fires.sum(axis=1)
             m_hat = fires.argmax(axis=1)
@@ -639,7 +638,8 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
         err2, s1err2 = side(t_cb, pass_head2, pass_inner2, y2, b, Lh)
         return np.array([err1.sum(), err2.sum(), s1err1.sum(), s1err2.sum()], dtype=np.float64)
 
-    totals = rng.monte_carlo(trials, seed, budget, body, max_trials=SIM_CHUNK_TRIALS,
+    totals = rng.monte_carlo(trials, seed, budget, body,
+                             work_bytes=_trial_work_bytes(system, sizes, reuse_codebook),
                              group=reuse_codebook, threads=threads)
     eps1, eps2, stage1_eps1, stage1_eps2 = (rng.estimate(tot, trials, seed) for tot in totals)
     return SimOutcome(eps1, eps2, bound, trials, seed, stage1_eps1, stage1_eps2)
@@ -649,11 +649,10 @@ def mc_event_union(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
                    trials: int, seed: int, threads: int = 1) -> rng.McEstimate:
     """Monte Carlo estimate of the five-event union probability under the
     design joint (cross-check for the exact union term)."""
-    tables = system.tables
     ku, ks, kt, ky1, ky2 = system.shape
-    union_flat = tables.union_mask(thresholds_for(sizes, gamma)).reshape(ku * ks * kt, ky1 * ky2)
-    cdf_ust = np.cumsum(tables.p_ust.reshape(-1))
-    cdf_chan = _Sampler(system, tables).cdf_chan
+    union_flat = system.tables.union_mask(thresholds_for(sizes, gamma)).reshape(ku * ks * kt, ky1 * ky2)
+    cdf_ust = np.cumsum(system.joint_ust.probs.reshape(-1))
+    cdf_chan = _Sampler(system).cdf_chan
     x_flat = system.x_map.reshape(-1)
 
     def body(u: np.ndarray) -> float:

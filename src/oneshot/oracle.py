@@ -270,7 +270,7 @@ def mc_conditional_miss_prob(
     """Monte Carlo counterpart of :func:`exact_conditional_miss_prob`."""
     event3 = np.asarray(event3, dtype=bool)
     pu = joint3.probs.sum(axis=(1, 2))
-    st = conditional(joint3, 0).matrix()
+    st = conditional(joint3, 0).rows
     cdf_u = np.cumsum(pu)
     cdf_s = np.cumsum(st.sum(axis=2), axis=1)
     cdf_t = np.cumsum(st.sum(axis=1), axis=1)
@@ -330,7 +330,7 @@ def _resolvability_inputs(joint: Joint, M: int, lam: float):
     check_sizes(M)
     if not lam > 0:
         raise InputFormatError("lam must be > 0")
-    return joint.probs.sum(axis=1), joint.probs.sum(axis=0), conditional(joint, 0).matrix()
+    return joint.probs.sum(axis=1), joint.probs.sum(axis=0), conditional(joint, 0).rows
 
 
 def resolvability_excess_exact(joint: Joint, M: int, lam: float) -> float:

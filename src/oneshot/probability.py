@@ -206,10 +206,6 @@ class Kernel:
             raise UndefinedRowError(f"conditional row {x} is undefined (zero-probability input)")
         return self.rows[x]
 
-    def matrix(self) -> np.ndarray:
-        """All rows as one array; undefined rows are zero-filled."""
-        return self.rows
-
     @classmethod
     def from_json(cls, doc) -> "Kernel":
         if not isinstance(doc, dict) or "rows" not in doc:
@@ -398,13 +394,14 @@ def cond_mutual_info(joint: Joint, given_axis: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _iid_power(arr: np.ndarray, n: int) -> np.ndarray:
+def _iid_power(arr: np.ndarray, n: int, combine=np.multiply.outer) -> np.ndarray:
     """n-fold tensor power keeping axis groups; tuple indices are row-major
-    with the first letter most significant."""
+    with the first letter most significant.  ``combine`` joins the power so
+    far with one more letter over all index pairs."""
     out = arr
     d = arr.ndim
     for _ in range(n - 1):
-        prod = np.multiply.outer(out, arr)
+        prod = combine(out, arr)
         order = [axis for j in range(d) for axis in (j, d + j)]
         prod = np.transpose(prod, order)
         out = prod.reshape([out.shape[j] * arr.shape[j] for j in range(d)])
@@ -437,4 +434,4 @@ def product_extend(obj, n: int, cap: int = PRODUCT_ALPHABET_CAP):
         return obj
     if not isinstance(obj, Kernel):
         return type(obj)(_iid_power(arr, n))
-    return Kernel(_iid_power(arr, n), _iid_power(obj.defined.astype(float), n) > 0.5)
+    return Kernel(_iid_power(arr, n), _iid_power(obj.defined, n, np.logical_and.outer))

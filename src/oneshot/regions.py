@@ -140,7 +140,7 @@ def info_vector(joint_u: Joint, x_map: np.ndarray, channel: Kernel) -> InfoVecto
     """
     from .broadcast import BroadcastSystem
 
-    full = Joint(BroadcastSystem(joint_u, x_map, channel).tables.full)  # (u0, u1, u2, y1, y2)
+    full = Joint(BroadcastSystem(joint_u, x_map, channel).full)  # (u0, u1, u2, y1, y2)
     j_01_y1 = marginal(full, (0, 1, 3))
     j_02_y2 = marginal(full, (0, 2, 4))
     return InfoVector(

@@ -15,7 +15,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import EnumerationCapError
+from .errors import EnumerationCapError, InputFormatError
 
 _OUTPUTS_PER_BLOCK = 4
 
@@ -99,12 +99,15 @@ def run_trials(
 
     Chunk boundaries depend only on ``(trials, chunk)``, and results are
     returned in chunk order, so any aggregation over them is independent
-    of the thread count.
+    of the thread count.  ``threads`` outside ``[1, THREADS_CAP]`` raises
+    :class:`InputFormatError` before any chunk runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 1 <= threads <= THREADS_CAP:
+        raise InputFormatError(f"threads must be in [1, {THREADS_CAP}], got {threads}")
     spans = [(s, min(chunk, trials - s)) for s in range(0, trials, chunk)]
-    if threads <= 1 or len(spans) == 1:
+    if threads == 1 or len(spans) == 1:
         return [worker(s, n) for s, n in spans]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda sn: worker(*sn), spans))

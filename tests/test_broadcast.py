@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +38,11 @@ from oneshot.errors import (
     InputFormatError,
     UndefinedRowError,
 )
-from oneshot import broadcast
+from oneshot import broadcast, info_vector
 from oneshot import rng as rngmod
 from oneshot.bounds import BoundReport, _unimodal_argmin, optimize_gamma
 
-from conftest import asym_broadcast_system, dense_minimum
+from conftest import asym_broadcast_system, binary_broadcast_system, dense_minimum
 
 SIZES_A = SchemeSizes(1, 1, 1, 1, 1, 2, 2)
 SIZES_B = SchemeSizes(2, 2, 2, 2, 2, 2, 2)
@@ -103,7 +104,7 @@ class TestSystemValidation:
             BroadcastSystem(binary_system.joint_ust, bad, binary_system.channel)
 
     def test_undefined_channel_row_rejected(self, binary_system):
-        rows = np.array(binary_system.channel.matrix())
+        rows = np.array(binary_system.channel.rows)
         kernel = Kernel(rows, defined=np.array([True, False]))
         with pytest.raises(UndefinedRowError):
             BroadcastSystem(binary_system.joint_ust, binary_system.x_map, kernel)
@@ -112,6 +113,25 @@ class TestSystemValidation:
         big = product_extend_system(binary_system, 5)  # 32^5 > 1e7 design entries
         with pytest.raises(EnumerationCapError):
             DensityTables(big)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda system: info_vector(system.joint_ust, system.x_map, system.channel),
+        lambda system: broadcast_bound(system, SIZES_A, 1.0),
+    ], ids=["info_vector", "broadcast_bound"])
+    def test_joint_cap_refuses_before_allocating(self, evaluate):
+        # 22^3 auxiliaries and 1,000 outputs: a design joint of 10,648,000
+        # entries (85 MB) from inputs of about 100 kB
+        system = BroadcastSystem(Joint(np.full((22, 22, 22), 22.0**-3)),
+                                 np.zeros((22, 22, 22), dtype=int),
+                                 Kernel(np.full((1, 1000, 1), 1e-3)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError, match="design joint with 10648000 entries"):
+                evaluate(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_product_alphabet_cap_refuses_before_allocating(self, binary_system, monkeypatch):
         from oneshot import probability
@@ -197,7 +217,7 @@ class TestBoundEvaluation:
         assert probs["cross"] == pytest.approx(1.0, abs=1e-12)
         assert probs["union"] == pytest.approx(1.0, abs=1e-12)
         # independent single-user enumeration of the head-1 event
-        chan = binary_system.channel.matrix()
+        chan = binary_system.channel.rows
         p_uy1 = p_u[:, None] * chan[[0, 1]].sum(axis=2)
         p_y1 = p_uy1.sum(axis=0)
         thr = math.log(sz.M) + gamma
@@ -342,7 +362,7 @@ class TestSimulate:
         system, gamma = asym_ext_system, 0.07
         zt = zeta_table(system, sizes, gamma)
         ky2 = system.channel.out_shape[1]
-        chan_cdf = np.cumsum(system.channel.matrix().reshape(system.channel.n_inputs, -1),
+        chan_cdf = np.cumsum(system.channel.rows.reshape(system.channel.n_inputs, -1),
                              axis=1)
         budget = sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat) + 1
         outcomes = set()
@@ -373,7 +393,7 @@ class TestSimulate:
         system, gamma, K, trials = asym_ext_system, 0.07, 3, 8
         zt = zeta_table(system, sizes, gamma)
         ky2 = system.channel.out_shape[1]
-        chan_cdf = np.cumsum(system.channel.matrix().reshape(system.channel.n_inputs, -1),
+        chan_cdf = np.cumsum(system.channel.rows.reshape(system.channel.n_inputs, -1),
                              axis=1)
         cb_budget = sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat)
         outcomes = set()
@@ -417,9 +437,20 @@ class TestSimulate:
         assert 0.0 < out.eps1_hat.mean < 1.0
 
 
-def sim_chunk(budget: int, reuse: int) -> int:
+BINARY = binary_broadcast_system()
+
+
+def sim_row_bytes(sizes: SchemeSizes, extra: int, reuse: int) -> int:
+    """Bytes of one :func:`simulate` trial on the binary system: its uniform
+    row (codebook block plus ``extra`` doubles) and its work arrays."""
+    budget = broadcast._codebook_budget(sizes) + extra
+    work = broadcast._trial_work_bytes(BINARY, sizes, reuse)
+    return 8 * rngmod.row_width(budget) + work
+
+
+def sim_chunk(sizes: SchemeSizes, extra: int, reuse: int) -> int:
     """Trials per :func:`simulate` chunk, by the rule ``rng.monte_carlo`` applies."""
-    return rngmod.chunk_trials(8 * rngmod.row_width(budget), broadcast.SIM_CHUNK_TRIALS, reuse)
+    return rngmod.chunk_trials(sim_row_bytes(sizes, extra, reuse), group=reuse)
 
 
 class TestChunking:
@@ -427,19 +458,41 @@ class TestChunking:
     @pytest.mark.parametrize("extra", [1, 6])
     @pytest.mark.parametrize("reuse", [1, 4])
     def test_moderate_sizes_keep_full_chunks(self, text, extra, reuse):
-        budget = broadcast._codebook_budget(SchemeSizes.from_string(text)) + extra
-        assert sim_chunk(budget, reuse) == broadcast.SIM_CHUNK_TRIALS
+        # a full chunk: the default trial count, or as many whole groups as the byte cap holds
+        sizes = SchemeSizes.from_string(text)
+        chunk, row_bytes = sim_chunk(sizes, extra, reuse), sim_row_bytes(sizes, extra, reuse)
+        assert chunk % reuse == 0 and row_bytes * chunk <= rngmod.CHUNK_BYTES
+        if text == "4,2,2,4,4,8,8":
+            assert 2048 < chunk < rngmod.CHUNK_TRIALS
+            assert row_bytes * (chunk + reuse) > rngmod.CHUNK_BYTES
+        else:
+            assert chunk == rngmod.CHUNK_TRIALS
 
     @pytest.mark.parametrize("reuse", [1, 3, 64])
     def test_large_sizes_chunk_under_the_byte_cap(self, reuse):
-        budget = broadcast._codebook_budget(SchemeSizes.from_string("8,8,8,8,8,8,8")) + 1
-        chunk = sim_chunk(budget, reuse)
-        assert chunk % reuse == 0 and 0 < chunk < broadcast.SIM_CHUNK_TRIALS
-        assert 8 * rngmod.row_width(budget) * chunk <= rngmod.CHUNK_BYTES
-        assert 8 * rngmod.row_width(budget) * (chunk + reuse) > rngmod.CHUNK_BYTES
+        sizes = SchemeSizes.from_string("8,8,8,8,8,8,8")
+        chunk, row_bytes = sim_chunk(sizes, 1, reuse), sim_row_bytes(sizes, 1, reuse)
+        assert chunk % reuse == 0 and 0 < chunk < rngmod.CHUNK_TRIALS
+        assert row_bytes * chunk <= rngmod.CHUNK_BYTES
+        assert row_bytes * (chunk + reuse) > rngmod.CHUNK_BYTES
+
+    @pytest.mark.parametrize("reuse", [1, 4])
+    def test_chunks_peak_within_the_byte_cap(self, reuse):
+        # every array a chunk allocates counts against the cap, not only its
+        # uniforms: uniforms alone would let 127 trials share one chunk here
+        BINARY.tables  # built outside the traced window: they are not per-trial
+        tracemalloc.start()
+        try:
+            simulate(BINARY, SchemeSizes.from_string("8,8,8,8,8,8,8"), 1.0, trials=128, seed=3,
+                     reuse_codebook=reuse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * rngmod.CHUNK_BYTES
 
     def test_group_larger_than_default_chunk(self):
-        assert sim_chunk(6, 5000) == 5000
+        group = rngmod.CHUNK_TRIALS + 3
+        assert sim_chunk(SIZES_A, 1, group) == group
 
     def test_group_over_the_cap_exits_1_before_any_trial(self, capsys, monkeypatch):
         from oneshot import cli
@@ -460,9 +513,9 @@ class TestChunking:
         kw = dict(trials=700, seed=31, reuse_codebook=reuse, random_message=True)
         sizes = SchemeSizes(1, 1, 2, 1, 2, 2, 1)
         want = simulate(asym_ext_system, sizes, 0.07, **kw)
-        row_bytes = 8 * rngmod.row_width(broadcast._codebook_budget(sizes) + 6)
+        row_bytes = sim_row_bytes(sizes, 6, reuse)
         monkeypatch.setattr(rngmod, "CHUNK_BYTES", 4 * reuse * row_bytes)
-        assert sim_chunk(broadcast._codebook_budget(sizes) + 6, reuse) == 4 * reuse
+        assert sim_chunk(sizes, 6, reuse) == 4 * reuse
         got = simulate(asym_ext_system, sizes, 0.07, threads=2, **kw)
         assert got == want
 
@@ -491,7 +544,7 @@ class TestDegenerateReduction:
         assert out.eps1_hat.mean == 1.0
 
         # independent single-user Monte Carlo over (codebook, channel)
-        chan_y1 = binary_system.channel.matrix().sum(axis=2)  # (x, y1)
+        chan_y1 = binary_system.channel.rows.sum(axis=2)  # (x, y1)
         p_y1 = p_u @ chan_y1
         dens = np.log(chan_y1 / p_y1[None, :])
         thr = math.log(sz.M) + gamma

@@ -328,6 +328,9 @@ def test_cap_exceeded_exits_1(tmp_path):
                   "--sizes", "1,1,1,1,1,1,1", "--gamma", "1")
     assert res.returncode == 1
     assert "cap" in res.stderr
+    res = run_cli("region", "--config", str(cfg), "--project")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: design joint with 12150000 entries exceeds the cap")
 
 
 def test_bound_covering5_and_resolvability_shapes():

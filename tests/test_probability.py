@@ -113,7 +113,7 @@ class TestConditional:
             j = random_joint(rng, (3, 2), allow_zero=True)
             pu = j.probs.sum(axis=1)
             k = conditional(j, 0)
-            rebuilt = pu[:, None] * k.matrix()
+            rebuilt = pu[:, None] * k.rows
             np.testing.assert_allclose(rebuilt, j.probs, atol=1e-12)
 
 

@@ -1,6 +1,7 @@
 """Rate-region system construction, membership, and projection."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +17,12 @@ from oneshot import (
     region_contains,
 )
 from oneshot.errors import InputFormatError
-from oneshot import regions
+from oneshot import broadcast, cli, regions
+from oneshot.broadcast import BroadcastSystem
+from oneshot.probability import cond_mutual_info, marginal, merge_axes, mutual_info
 from oneshot.regions import VARIABLES, projection_contains
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def random_iv(rng: np.random.Generator) -> InfoVector:
@@ -96,6 +101,46 @@ class TestInfoVectorFromDesign:
         assert iv.I1 == pytest.approx(0.3680642071684971, abs=1e-12)
         assert iv.J1 == pytest.approx(0.0, abs=1e-12)
         assert iv.K == pytest.approx(0.0, abs=1e-12)
+
+    def test_builds_no_density_tables(self, monkeypatch, tmp_path):
+        # info_vector reads only the design joint, so neither it nor the region
+        # command builds the five density tables; its values are those of the
+        # joint the tables hold
+        built = []
+        real = broadcast.DensityTables
+        monkeypatch.setattr(broadcast, "DensityTables", lambda system: built.append(system) or real(system))
+        systems = [random_design(np.random.default_rng(seed)) for seed in range(8)]
+        got = [info_vector(s.joint_ust, s.x_map, s.channel) for s in systems]
+        for config in ("region_binary.json", "region_bsc_copy.json"):
+            for flags in (["--project"], ["--rates", "0.1,0.1,0.1"]):
+                argv = ["region", "--config", str(CONFIGS / config), *flags]
+                assert cli.main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+        assert built == []
+        for system, iv in zip(systems, got):
+            assert iv == info_vector_from_tables(system)
+
+
+def random_design(rng: np.random.Generator) -> BroadcastSystem:
+    """A random design over small auxiliary, input and output alphabets."""
+    shape = tuple(rng.integers(1, 4, size=3))
+    kx, ky1, ky2 = rng.integers(1, 4, size=3)
+    p_ust = rng.dirichlet(np.ones(math.prod(shape))).reshape(shape)
+    rows = rng.dirichlet(np.ones(ky1 * ky2), size=kx).reshape(kx, ky1, ky2)
+    return BroadcastSystem(Joint(p_ust), rng.integers(0, kx, size=shape), Kernel(rows))
+
+
+def info_vector_from_tables(system: BroadcastSystem) -> InfoVector:
+    """The five informations read off the design joint ``system.tables`` holds."""
+    full = Joint(system.tables.full)
+    j_01_y1 = marginal(full, (0, 1, 3))
+    j_02_y2 = marginal(full, (0, 2, 4))
+    return InfoVector(
+        I1=mutual_info(merge_axes(j_01_y1, ((0, 1), (2,)))),
+        I2=mutual_info(merge_axes(j_02_y2, ((0, 1), (2,)))),
+        J1=cond_mutual_info(j_01_y1, 0),
+        J2=cond_mutual_info(j_02_y2, 0),
+        K=cond_mutual_info(system.joint_ust, 0),
+    )
 
 
 class TestBuildSystem:

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from oneshot import rng
-from oneshot.errors import EnumerationCapError
+from oneshot import Joint, SchemeSizes, rng, simulate
+from oneshot.errors import EnumerationCapError, InputFormatError
+from oneshot.oracle import EnsembleSpec, mc_miss_prob
+
+from conftest import binary_broadcast_system
 
 
 def reference_categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -116,6 +119,24 @@ class TestMonteCarlo:
         calls = []
         with pytest.raises(EnumerationCapError, match="trials exceed the cap"):
             rng.monte_carlo(rng.TRIALS_CAP + 1, 0, 2, lambda u: calls.append(u) or 0)
+        assert calls == []
+
+    @pytest.mark.parametrize("threads", [0, -1, rng.THREADS_CAP + 1])
+    @pytest.mark.parametrize("entry", ["run_trials", "mc_miss_prob", "simulate"])
+    def test_threads_outside_the_cap_raise_before_any_chunk(self, entry, threads, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rng, "trial_uniforms", lambda *args: calls.append(args))
+        run = {
+            "run_trials": lambda: rng.run_trials(10, lambda *span: calls.append(span),
+                                                 threads=threads),
+            "mc_miss_prob": lambda: mc_miss_prob(
+                EnsembleSpec(Joint([[0.4, 0.1], [0.2, 0.3]]), np.eye(2, dtype=bool), 2, 2),
+                10, seed=0, threads=threads),
+            "simulate": lambda: simulate(binary_broadcast_system(), SchemeSizes(1, 1, 1, 1, 1, 2, 2),
+                                         1.0, 10, seed=0, threads=threads),
+        }[entry]
+        with pytest.raises(InputFormatError, match=r"threads must be in \[1, 64\]"):
+            run()
         assert calls == []
 
     def test_looks_up_uniforms_and_runner_at_call_time(self, monkeypatch):
