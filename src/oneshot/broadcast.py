@@ -135,16 +135,22 @@ class BroadcastSystem:
         return ku, ks, kt, ky1, ky2
 
     @cached_property
-    def full(self) -> np.ndarray:
-        """The design joint ``P(u,s,t) channel(y1,y2 | x(u,s,t))`` over
-        (u, s, t, y1, y2), built on first use.  More than ``JOINT_CAP``
-        entries raise :class:`EnumerationCapError` before it is allocated."""
+    def out_rows(self) -> np.ndarray:
+        """The channel rows ``channel(y1,y2 | x(u,s,t))`` over (u, s, t, y1, y2),
+        gathered on first use.  More than ``JOINT_CAP`` entries raise
+        :class:`EnumerationCapError` before they are allocated."""
         entries = math.prod(self.shape)
         if entries > JOINT_CAP:
             raise EnumerationCapError(
                 f"design joint with {entries} entries exceeds the cap of {JOINT_CAP}"
             )
-        return self.joint_ust.probs[:, :, :, None, None] * self.channel.rows[self.x_map]
+        return self.channel.rows[self.x_map]
+
+    @cached_property
+    def full(self) -> np.ndarray:
+        """The design joint ``P(u,s,t) channel(y1,y2 | x(u,s,t))`` over
+        (u, s, t, y1, y2), built on first use from :attr:`out_rows`."""
+        return self.joint_ust.probs[:, :, :, None, None] * self.out_rows
 
     @cached_property
     def tables(self) -> "DensityTables":
@@ -295,8 +301,7 @@ def _bad_outputs(c: dict[str, np.ndarray]) -> np.ndarray:
 def zeta_table(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> np.ndarray:
     """Mass of the bad output set for every codeword triple (u, s, t)."""
     bad = _bad_outputs(system.tables.clauses(thresholds_for(sizes, gamma)))
-    chan = system.channel.rows[system.x_map]  # (u, s, t, y1, y2)
-    return (chan * bad).sum(axis=(3, 4))
+    return (system.out_rows * bad).sum(axis=(3, 4))
 
 
 def event_probabilities(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
@@ -412,19 +417,29 @@ def _trial_budget(sizes: SchemeSizes, random_message: bool) -> int:
 
 
 def _trial_work_bytes(system: BroadcastSystem, sizes: SchemeSizes, reuse: int) -> int:
-    """Bytes of work arrays a :func:`simulate` trial holds besides its uniform
-    row: its share of the group leader's int64 codebooks, plus the larger of
-    its share of the leader's draw (cdf rows, 1-byte counts and hits) and its
-    decoding (the cloud layer and, under reuse, one satellite layer copied to
-    the trial, a boolean gather over that layer, ``z``, a channel cdf row and
-    index vectors)."""
-    _, ks, kt, ky1, ky2 = system.shape
-    M, sat = sizes.M, sizes.N * sizes.Nhat + sizes.L * sizes.Lhat
-    widest = M * max(sizes.N * sizes.Nhat, sizes.L * sizes.Lhat)
-    draw = 8 * M * (ks + kt) + 2 * M * sat
-    decode = ((9 if reuse > 1 else 1) * widest
-              + 8 * (M + sat + sizes.Nhat * sizes.Lhat + ky1 * ky2 + 32))
-    return -(-8 * _codebook_budget(sizes) // reuse) + max(-(-draw // reuse), decode)
+    """Bytes of work arrays a :func:`simulate` trial holds besides its
+    uniforms: its share of the group leader's codebooks (one byte an entry
+    up to 256 symbols) and of the larger of the leader's draw (cdf rows and
+    hits) and its symbol masks, plus its own decoding.  That is the
+    cloud-wide head test (masks and an index per cloud, or past 64 symbols
+    a flat index per satellite codeword, see :func:`_head_fires`), one
+    cloud's inner test, the encoder's candidates and their masses, a channel
+    cdf row and index vectors."""
+    ku, ks, kt, ky1, ky2 = system.shape
+    M, Nh, Lh = sizes.M, sizes.Nhat, sizes.Lhat
+    cloud = max(sizes.N * Nh, sizes.L * Lh)  # satellite codewords per cloud
+    index = np.min_scalar_type(max(ku, ks, kt) - 1).itemsize
+    leader, head = 8 * M * (max(ks, kt) + 1) + M * cloud, 0
+    for k in (ks, kt):
+        if k <= 64:
+            mask = np.min_scalar_type((1 << k) - 1).itemsize
+            leader = max(leader, mask * M * (cloud + 1))
+            head = max(head, M * (3 * mask + index + 2))
+        else:
+            head = max(head, M * (9 + index) * (cloud + 1))
+    decode = (head + (index + 1) * cloud + index * (Nh + Lh)
+              + 8 * (Nh * Lh + ky1 * ky2 + 32))
+    return -(-(index * _codebook_budget(sizes) + leader) // reuse) + decode
 
 
 def _codebooks_from_uniforms(sampler: _Sampler, sizes: SchemeSizes,
@@ -440,6 +455,33 @@ def _codebooks_from_uniforms(sampler: _Sampler, sizes: SchemeSizes,
     s_cb = rng.sample_categorical(sampler.cdf_s[u_cb][:, :, None, None, :], s_uni)
     t_cb = rng.sample_categorical(sampler.cdf_t[u_cb][:, :, None, None, :], t_uni)
     return u_cb, s_cb, t_cb
+
+
+def _head_fires(pass_head: np.ndarray, u_cb: np.ndarray, sat: np.ndarray, y: np.ndarray,
+                lead: np.ndarray) -> np.ndarray:
+    """Stage 1 of a decoder for each trial and cloud index: does some
+    satellite codeword of the cloud pass the head test at the trial's
+    output?  ``pass_head`` is the passing test over (u, s, y); ``u_cb``
+    ``(G, M)`` and ``sat`` ``(G, M, J, Jhat)`` are the group leaders'
+    codebooks; ``y`` (``np.intp``) and ``lead`` give each trial's output
+    and leader.
+
+    Up to 64 satellite symbols, the symbols a cloud holds and the symbols
+    passing at (u, y) are bit masks in the smallest unsigned dtype with a
+    bit per symbol, and the test is their AND; the leaders' masks serve
+    every trial of their group.  Wider alphabets read the test from a flat
+    (y, u, s) table."""
+    ku, ks, _ = pass_head.shape
+    if ks > 64:
+        flat = pass_head.transpose(2, 0, 1).reshape(-1)
+        base = (y[:, None] * ku + u_cb[lead]) * ks
+        return flat.take(base[:, :, None, None] + sat[lead]).any(axis=(2, 3))
+    dtype = np.min_scalar_type((1 << ks) - 1)
+    held = np.bitwise_or.reduce(np.left_shift(dtype.type(1), sat).reshape(*u_cb.shape, -1),
+                                axis=2)
+    passing = np.bitwise_or.reduce(
+        pass_head.astype(dtype) << np.arange(ks, dtype=dtype)[:, None], axis=1)  # (u, y)
+    return (held[lead] & passing[u_cb[lead], y[:, None]]) != 0
 
 
 class EncodeResult(NamedTuple):
@@ -569,7 +611,10 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     ``reuse_codebook=k`` shares one codebook across groups of ``k``
     consecutive trials, drawn only by the group's first trial; the
     reported standard error then underestimates the ensemble variance.
-    Trials run in chunks of whole reuse groups, sized by :func:`rng.monte_carlo`.
+    Where :func:`rng.skips_rows`, the other trials generate only the
+    message and channel uniforms at the end of their rows; every trial reads
+    the same numbers as without reuse.  Trials run in chunks of whole reuse
+    groups, sized by :func:`rng.monte_carlo`.
     """
     if trials < 1:
         raise InputFormatError("trials must be >= 1")
@@ -591,24 +636,23 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     x_map = system.x_map
     ky2 = system.shape[4]
 
-    def body(uni: np.ndarray) -> np.ndarray:
-        n = uni.shape[0]
-        # chunks start at group boundaries, so rows ::K are the group leaders;
-        # only they draw a codebook, which every trial of the group then uses
-        # (a satellite layer is copied out to the trials one decoder at a time)
-        cb_uni = uni[::reuse_codebook, :cb_width]
-        u_cb, s_cb, t_cb = _codebooks_from_uniforms(sampler, sizes, cb_uni)
+    def body(uniforms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        # chunks start at group boundaries: the leaders' rows hold the
+        # codebooks, which every trial of the group then uses, and each
+        # trial's tail holds its message and channel uniforms
+        lead_uni, tails = uniforms
+        n = tails.shape[0]
+        u_cb, s_cb, t_cb = _codebooks_from_uniforms(sampler, sizes, lead_uni[:, :cb_width])
         rows = np.arange(n)
         lead = rows // reuse_codebook
-        u_cb = u_cb[lead]
         if random_message:
             radix = np.array([sizes.M0, sizes.M10, sizes.M20, N, L])
-            w0, w10, w20, a, b = np.minimum((uni[:, -6:-1] * radix).astype(np.int64), radix - 1).T
+            w0, w10, w20, a, b = np.minimum((tails[:, :-1] * radix).astype(np.int64), radix - 1).T
             m_true = (w0 * sizes.M10 + w10) * sizes.M20 + w20
         else:
             m_true = a = b = np.zeros(n, dtype=np.int64)  # read only
 
-        u_sel = u_cb[rows, m_true]
+        u_sel = u_cb[lead, m_true]
         s_inner = s_cb[lead, m_true, a, :]      # (n, Nhat)
         t_inner = t_cb[lead, m_true, b, :]      # (n, Lhat)
         z = ztable[u_sel[:, None, None], s_inner[:, :, None], t_inner[:, None, :]]
@@ -616,19 +660,17 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
         ahat, bhat = flat // Lh, flat % Lh
         x = x_map[u_sel, s_inner[rows, ahat], t_inner[rows, bhat]]
 
-        y_flat = rng.sample_categorical(sampler.cdf_chan[x], uni[:, -1])
+        y_flat = rng.sample_categorical(sampler.cdf_chan[x], tails[:, -1]).astype(np.intp)
         y1, y2 = y_flat // ky2, y_flat % ky2
 
         def side(sat, pass_head, pass_inner, y, truth_inner, cols):
-            if reuse_codebook > 1:
-                sat = sat[lead]
-            fires = pass_head[u_cb[:, :, None, None], sat, y[:, None, None, None]].any(axis=(2, 3))
+            fires = _head_fires(pass_head, u_cb, sat, y, lead)
             cnt = fires.sum(axis=1)
             m_hat = fires.argmax(axis=1)
             ok_head = (cnt == 1) & (m_hat == m_true)
             stage1_err = ~ok_head
-            sat_m = sat[rows, m_hat]
-            ivals = pass_inner[u_cb[rows, m_hat][:, None, None], sat_m, y[:, None, None]]
+            sat_m = sat[lead, m_hat]
+            ivals = pass_inner[u_cb[lead, m_hat][:, None, None], sat_m, y[:, None, None]]
             pcnt = ivals.reshape(n, -1).sum(axis=1)
             inner_hat = ivals.reshape(n, -1).argmax(axis=1) // cols
             ok = ok_head & (pcnt == 1) & (inner_hat == truth_inner)
@@ -640,7 +682,7 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
 
     totals = rng.monte_carlo(trials, seed, budget, body,
                              work_bytes=_trial_work_bytes(system, sizes, reuse_codebook),
-                             group=reuse_codebook, threads=threads)
+                             group=reuse_codebook, tail=budget - cb_width, threads=threads)
     eps1, eps2, stage1_eps1, stage1_eps2 = (rng.estimate(tot, trials, seed) for tot in totals)
     return SimOutcome(eps1, eps2, bound, trials, seed, stage1_eps1, stage1_eps2)
 

@@ -1,5 +1,6 @@
 """Broadcast bound, codebook machinery, decoders, and ensemble simulation."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -441,11 +442,12 @@ BINARY = binary_broadcast_system()
 
 
 def sim_row_bytes(sizes: SchemeSizes, extra: int, reuse: int) -> int:
-    """Bytes of one :func:`simulate` trial on the binary system: its uniform
-    row (codebook block plus ``extra`` doubles) and its work arrays."""
+    """Bytes of one :func:`simulate` trial on the binary system: its uniforms
+    (its share of the leader's row, codebook block plus ``extra`` doubles,
+    and its own last ``extra``) and its work arrays."""
     budget = broadcast._codebook_budget(sizes) + extra
     work = broadcast._trial_work_bytes(BINARY, sizes, reuse)
-    return 8 * rngmod.row_width(budget) + work
+    return rngmod.uniform_bytes(budget, reuse, extra) + work
 
 
 def sim_chunk(sizes: SchemeSizes, extra: int, reuse: int) -> int:
@@ -462,7 +464,7 @@ class TestChunking:
         sizes = SchemeSizes.from_string(text)
         chunk, row_bytes = sim_chunk(sizes, extra, reuse), sim_row_bytes(sizes, extra, reuse)
         assert chunk % reuse == 0 and row_bytes * chunk <= rngmod.CHUNK_BYTES
-        if text == "4,2,2,4,4,8,8":
+        if text == "4,2,2,4,4,8,8" and reuse == 1:
             assert 2048 < chunk < rngmod.CHUNK_TRIALS
             assert row_bytes * (chunk + reuse) > rngmod.CHUNK_BYTES
         else:
@@ -476,7 +478,7 @@ class TestChunking:
         assert row_bytes * chunk <= rngmod.CHUNK_BYTES
         assert row_bytes * (chunk + reuse) > rngmod.CHUNK_BYTES
 
-    @pytest.mark.parametrize("reuse", [1, 4])
+    @pytest.mark.parametrize("reuse", [1, 4, 64])
     def test_chunks_peak_within_the_byte_cap(self, reuse):
         # every array a chunk allocates counts against the cap, not only its
         # uniforms: uniforms alone would let 127 trials share one chunk here
@@ -504,9 +506,9 @@ class TestChunking:
         config = Path(__file__).resolve().parent.parent / "configs" / "broadcast_binary.json"
         code = cli.main(["simulate", "--config", str(config),
                          "--sizes", "8,8,8,8,8,8,8", "--gamma", "1", "--trials", "10",
-                         "--reuse-codebook", "200"])
+                         "--reuse-codebook", "50000"])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: one reuse group of 200 trials")
+        assert capsys.readouterr().err.startswith("error: one reuse group of 50000 trials")
 
     @pytest.mark.parametrize("reuse", [1, 3])
     def test_totals_do_not_depend_on_chunk_size(self, asym_ext_system, monkeypatch, reuse):
@@ -518,6 +520,61 @@ class TestChunking:
         assert sim_chunk(sizes, 6, reuse) == 4 * reuse
         got = simulate(asym_ext_system, sizes, 0.07, threads=2, **kw)
         assert got == want
+
+
+#: sha256 of the outcomes in :class:`TestRecordedOutcomes`, recorded while every
+#: trial generated its whole uniform row and the head test gathered per codeword
+SIMULATE_DIGEST = "02e8a7ddcaa3f2141cbdeb2d4b9a9c9d30c4b6a546c8ab0204259d28992dcc87"
+
+
+class TestRecordedOutcomes:
+    def test_outcomes_match_the_recorded_digest(self, asym_ext_system, monkeypatch):
+        # several chunks a run, so that two threads run them side by side;
+        # 1001 trials leave a last reuse group cut short
+        monkeypatch.setattr(rngmod, "CHUNK_BYTES", 2**21)
+        cases = [(BINARY, "4,2,2,4,4,8,8", 1.2), (asym_ext_system, "1,1,1,1,1,2,2", 0.05)]
+        digest = hashlib.sha256()
+        for system, text, gamma in cases:
+            for reuse in (1, 3, 4, 64):
+                for random_message in (False, True):
+                    outs = [simulate(system, SchemeSizes.from_string(text), gamma, trials=1001,
+                                     seed=77 + reuse, threads=threads, reuse_codebook=reuse,
+                                     random_message=random_message)
+                            for threads in (1, 2)]
+                    assert outs[0] == outs[1]
+                    digest.update(json.dumps(outs[0].to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == SIMULATE_DIGEST
+
+    @pytest.mark.parametrize("reuse", [1, 4])
+    def test_every_uniform_comes_through_trial_uniforms(self, monkeypatch, reuse):
+        # the benchmark's uniform counters and the cap tests patch this one name
+        def refuse(*args):
+            raise RuntimeError("trial_uniforms called")
+
+        monkeypatch.setattr(rngmod, "trial_uniforms", refuse)
+        with pytest.raises(RuntimeError, match="trial_uniforms called"):
+            simulate(BINARY, SIZES_B, 1.0, trials=10, seed=0, reuse_codebook=reuse,
+                     random_message=True)
+
+
+class TestHeadMasks:
+    @pytest.mark.parametrize("ks,kt", [(1, 2), (2, 1), (8, 9), (9, 8), (64, 65), (65, 64)])
+    @pytest.mark.parametrize("reuse", [1, 3])
+    def test_matches_the_three_index_gather(self, ks, kt, reuse):
+        gen = np.random.default_rng(100 * ks + kt + reuse)
+        ku, ky, M, n = 3, 5, 6, 14  # 14 trials: the last group of 3 is cut short
+        lead = np.arange(n) // reuse
+        u_cb = gen.integers(0, ku, (lead[-1] + 1, M)).astype(np.uint8)
+        y = gen.integers(0, ky, n)
+        for k, shape in ((ks, (2, 3)), (kt, (3, 1))):
+            sat = gen.integers(0, k, (lead[-1] + 1, M, *shape)).astype(np.min_scalar_type(k - 1))
+            for density in (0.05, 0.5):
+                pass_head = gen.random((ku, k, ky)) < density
+                want = pass_head[u_cb[lead][:, :, None, None], sat[lead],
+                                 y[:, None, None, None]].any(axis=(2, 3))
+                got = broadcast._head_fires(pass_head, u_cb, sat, y, lead)
+                assert got.dtype == bool
+                np.testing.assert_array_equal(got, want)
 
 
 class TestEventUnionCrosscheck:

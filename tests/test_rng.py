@@ -22,7 +22,7 @@ def random_cdfs(gen: np.random.Generator, rows: int, k: int) -> np.ndarray:
 def assert_matches_reference(cdf: np.ndarray, u: np.ndarray) -> None:
     got = rng.sample_categorical(cdf, u)
     want = reference_categorical(cdf, u)
-    assert got.dtype == np.intp
+    assert got.dtype == np.min_scalar_type(cdf.shape[-1] - 1)
     assert got.shape == want.shape
     np.testing.assert_array_equal(got, want)
 
@@ -75,7 +75,17 @@ class TestSampleCategorical2D:
     def test_empty_batch(self):
         cdf = np.zeros((0, 1, 4))
         got = rng.sample_categorical(cdf, np.zeros((0, 3)))
-        assert got.shape == (0, 3) and got.dtype == np.intp
+        assert got.shape == (0, 3) and got.dtype == np.uint8
+
+    @pytest.mark.parametrize("k,dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_index_dtype_holds_the_last_symbol(self, k, dtype):
+        gen = np.random.default_rng(k)
+        cdf = random_cdfs(gen, 3, k)
+        u = np.concatenate([gen.random((3, 50)), np.ones((3, 1))], axis=1)
+        for c in (cdf[:, None, :], cdf[0]):
+            got = rng.sample_categorical(c, u if c.ndim > 1 else u[0])
+            assert got.dtype == dtype and got.max() == k - 1
+        assert_matches_reference(cdf[:, None, :], u)
 
     def test_one_dimensional_path_agrees(self):
         gen = np.random.default_rng(11)
@@ -100,6 +110,41 @@ class TestTrialUniforms:
     def test_row_width_pads_to_whole_blocks(self):
         assert [rng.row_width(k) for k in (1, 4, 5, 8, 9)] == [4, 4, 8, 8, 12]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("first", [0, 7, 2**32 - 2, 2**32 + 5, 2**61 + 3])
+    def test_philox_blocks_match_numpy(self, seed, first):
+        # counters past 2**32 carry into the high half of the split multiply
+        bg = np.random.Philox(key=np.uint64(seed))
+        bg.advance(first)
+        want = bg.random_raw(4 * 9).reshape(9, 4)
+        got = rng.philox_blocks(seed, np.arange(first, first + 9, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, want)
+        # blocks need not be consecutive or sorted
+        pick = np.array([8, 0, 3, 3], dtype=np.uint64)
+        np.testing.assert_array_equal(rng.philox_blocks(seed, first + pick), want[pick.astype(int)])
+
+    def test_leader_rows_and_tails_are_slices_of_full_rows(self):
+        gen = np.random.default_rng(17)
+        cut_short, skipped = 0, 0
+        for _ in range(200):
+            k, group = int(gen.integers(1, 1200)), int(gen.integers(1, 7))
+            n, tail = int(gen.integers(0, 25)), int(gen.integers(1, min(k, 6) + 1))
+            start, seed = group * int(gen.integers(0, 10**6)), int(gen.integers(0, 2**63))
+            cut_short += n % group != 0
+            skipped += rng.skips_rows(k, group, tail)
+            full = rng.trial_uniforms(seed, start, n, k)
+            rows, tails = rng.trial_uniforms(seed, start, n, k, group, tail)
+            assert rows.shape == (-(-n // group), k) and tails.shape == (n, tail)
+            np.testing.assert_array_equal(rows, full[::group])
+            np.testing.assert_array_equal(tails, full[:, k - tail:])
+        assert cut_short > 50 and 50 < skipped < 150
+
+    def test_rows_are_skipped_from_a_fixed_span(self):
+        assert not rng.skips_rows(2000, 1, 6) and not rng.skips_rows(2000, 4, None)
+        assert rng.skips_rows(344, 4, 1) and not rng.skips_rows(340, 4, 1)
+        assert rng.skips_rows(8, 129, 6) and not rng.skips_rows(8, 128, 6)
+
 
 class TestMonteCarlo:
     @pytest.mark.parametrize("max_trials,group,threads", [(8192, 1, 1), (4, 1, 2), (7, 3, 2)])
@@ -108,6 +153,18 @@ class TestMonteCarlo:
         got = rng.monte_carlo(23, 42, 5, lambda u: int((u < 0.5).sum()),
                               max_trials=max_trials, group=group, threads=threads)
         assert got == want
+
+    @pytest.mark.parametrize("k", [6, 600])
+    def test_tail_bodies_see_leader_rows_and_every_tail(self, k):
+        # rows of 600 doubles are skipped in groups of 3, rows of 6 are not
+        assert rng.skips_rows(k, 3, 2) == (k == 600)
+        seen = []
+        total = rng.monte_carlo(23, 9, k, lambda ut: seen.append(ut) or len(ut[1]),
+                                max_trials=7, group=3, tail=2)
+        assert total == 23
+        full = rng.trial_uniforms(9, 0, 23, k)
+        np.testing.assert_array_equal(np.concatenate([r for r, _ in seen]), full[::3])
+        np.testing.assert_array_equal(np.concatenate([t for _, t in seen]), full[:, k - 2:])
 
     def test_chunks_hold_whole_groups(self):
         sizes = []
