@@ -240,7 +240,9 @@ def _verify_pipeline(args):
 def _verify_rows(exact, mc, bound_values) -> list[dict]:
     """Exact value, then Monte Carlo, then each bound flagged against the
     reference: the exact value, else the MC mean minus 4 standard errors,
-    else nothing."""
+    else nothing.  The bounds are evaluated first, so that a bad bound
+    parameter is refused before the oracles run."""
+    evaluated = bound_values()
     rows: list[dict] = []
     ref = None
     try:
@@ -253,7 +255,7 @@ def _verify_rows(exact, mc, bound_values) -> list[dict]:
         rows.append({"name": "mc", "value": est.mean, "stderr": est.stderr, "trials": est.trials})
         if ref is None:
             ref = est.mean - 4.0 * est.stderr
-    for name, value in bound_values():
+    for name, value in evaluated:
         rows.append({"name": name, "value": value,
                      "violation": bool(ref is not None and ref > value + 1e-12)})
     return rows

@@ -80,19 +80,11 @@ def multiset_count(M: int, k: int) -> int:
     return math.comb(M + k - 1, M)
 
 
-def _check_cap(M: int, k: int, cap: int = MULTISET_CAP) -> None:
-    n = multiset_count(M, k)
-    if n > cap:
-        raise EnumerationCapError(
-            f"{n} codeword multisets exceed the cap of {cap}; use the Monte Carlo estimator"
-        )
-
-
-def _iter_count_blocks(M: int, k: int, block: int = _BLOCK) -> Iterator[np.ndarray]:
-    """Yield (n, k) arrays of per-symbol codeword counts, block by block."""
+def _iter_count_blocks(M: int, k: int) -> Iterator[np.ndarray]:
+    """Yield (n, k) arrays of per-symbol codeword counts, ``_BLOCK`` at a time."""
     combos = combinations_with_replacement(range(k), M)
     while True:
-        chunk = list(islice(combos, block))
+        chunk = list(islice(combos, _BLOCK))
         if not chunk:
             return
         idx = np.asarray(chunk, dtype=np.int64)
@@ -342,7 +334,10 @@ def resolvability_excess_exact(joint: Joint, M: int, lam: float) -> float:
     codebook ensemble.
     """
     pu, pv, rows = _resolvability_inputs(joint, M, lam)
-    _check_cap(M, len(pu))
+    n = multiset_count(M, len(pu))
+    if n > MULTISET_CAP:
+        raise EnumerationCapError(f"{n} codeword multisets exceed the cap of {MULTISET_CAP}; "
+                                  "use the Monte Carlo estimator")
     total = 0.0
     for counts in _iter_count_blocks(M, len(pu)):
         logw, valid = _log_weights(counts, pu)

@@ -1,12 +1,13 @@
 """Achievable-region tools for the three-auxiliary broadcast inner bound.
 
 Builds the auxiliary-rate inequality system from the five mutual
-informations of a design, tests rate-triple membership against the
-closed form of the region, and projects the system onto the rate
-coordinates by Fourier-Motzkin elimination, pruned by exact LPs in numpy.
+informations of a design, and writes its projection onto the rate
+coordinates in closed form: Marton's inner bound with a common message.
+Membership tests read those rows directly; the projection prunes them to
+an irredundant system with exact LPs in numpy.
 
 All arithmetic is floating point with a small slack: the inputs are
-numerically computed mutual informations, so exact rational elimination
+numerically computed mutual informations, so exact rational arithmetic
 would be false precision.
 """
 
@@ -23,8 +24,6 @@ from .errors import InputFormatError
 from .probability import Joint, Kernel, cond_mutual_info, marginal, merge_axes, mutual_info
 
 VARIABLES = ("R0", "R1", "R2", "R11", "R22", "Rh1", "Rh2")
-_RATE_COLS = [VARIABLES.index(n) for n in ("R0", "R1", "R2")]
-_AUX_COLS = [VARIABLES.index(n) for n in ("R11", "R22", "Rh1", "Rh2")]
 _TOL = 1e-9
 _COEFF_TOL = 1e-12
 
@@ -51,6 +50,30 @@ class InfoVector:
 
     def to_json(self) -> dict:
         return {"I1": self.I1, "I2": self.I2, "J1": self.J1, "J2": self.J2, "K": self.K}
+
+    @functools.cached_property
+    def _marton_rows(self) -> tuple[float, tuple[tuple[float, float, float, float], ...]]:
+        """The projection of :func:`build_system` onto (R0, R1, R2) in closed
+        form: Marton's inner bound with a common message (El Gamal and Kim,
+        *Network Information Theory*, Ch. 8; Liang, Kramer and Poor, IEEE
+        T-IT 2011).
+
+        The feasibility constant J1 + J2 - K (the region is nonempty iff it
+        is >= 0) and six <=-rows ``(R0, R1, R2, constant)`` scaled to a
+        largest coefficient of one: R1 >= 0, R2 >= 0, R0 + R1 <= I1,
+        R0 + R2 <= I2, R0 + R1 + R2 <= min(I1 + J2, I2 + J1) - K and
+        2 R0 + R1 + R2 <= I1 + I2 - K.  Each constant is rounded as
+        Fourier-Motzkin elimination of the four auxiliary rates rounds it.
+        Cached: membership tests read it once per rate point.
+        """
+        return (self.J1 - self.K) + self.J2, (
+            (0.0, -1.0, 0.0, 0.0),
+            (0.0, 0.0, -1.0, 0.0),
+            (1.0, 1.0, 0.0, self.I1),
+            (1.0, 0.0, 1.0, self.I2),
+            (1.0, 1.0, 1.0, min(self.I1 + self.J2, self.I2 + self.J1) - self.K),
+            (1.0, 0.5, 0.5, ((self.I1 - self.K) + self.I2) / 2.0),
+        )
 
 
 @dataclass(frozen=True)
@@ -182,70 +205,6 @@ def build_system(iv: InfoVector) -> LinearSystem:
     ])
 
 
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination
-# ---------------------------------------------------------------------------
-
-
-def _eliminate(matrix: np.ndarray, col: int) -> np.ndarray:
-    """One elimination step on <=-normalized rows [coeffs | const]."""
-    a = matrix[:, col]
-    zero = matrix[np.abs(a) <= _COEFF_TOL]
-    pos = matrix[a > _COEFF_TOL]
-    neg = matrix[a < -_COEFF_TOL]
-    # every pair (up in pos, low in neg), in row-major order
-    up, low = pos[:, None, :], neg[None, :, :]
-    combos = up * -low[..., [col]] + low * up[..., [col]]
-    out = np.vstack([zero, combos.reshape(-1, matrix.shape[1])])
-    out[:, col] = 0.0
-    return out
-
-
-def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    if len(matrix) == 0:
-        return matrix
-    scale = np.abs(matrix[:, :-1]).max(axis=1)
-    scale = np.where(scale > _COEFF_TOL, scale, 1.0)
-    return matrix / scale[:, None]
-
-
-def _drop_trivial_and_duplicate(matrix: np.ndarray, tol: float) -> np.ndarray:
-    """Drop rows that are vacuous (0 <= c with c >= -tol), keep the first
-    infeasible one (0 <= c with c < -tol) with zero coefficients, and keep
-    one row per rounded coefficient vector: the one with the smallest
-    constant (the first on ties), where that vector first appears."""
-    matrix = _normalize_rows(matrix)
-    trivial = np.abs(matrix[:, :-1]).max(axis=1, initial=0.0) <= _COEFF_TOL
-    kept = ~trivial | (matrix[:, -1] < -tol)
-    rows, infeasible = matrix[kept], trivial[kept]
-    if len(rows) == 0:
-        return np.empty((0, matrix.shape[1]))
-    rows[infeasible, :-1] = 0.0
-    # stably sorted by key and constant, each run of equal keys is a group led by its
-    # smallest constant (the infeasible rows all tie, so the first of them leads)
-    keys = np.round(rows[:, :-1], 9)
-    order = np.lexsort((np.where(infeasible, 0.0, rows[:, -1]), *keys.T[::-1]))
-    ranked = keys[order]
-    starts = np.flatnonzero(np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)]))
-    first = np.minimum.reduceat(order, starts)
-    return rows[order[starts][np.argsort(first)]]
-
-
-def _probe_irredundant(matrix: np.ndarray, tol: float, probes: int = 256) -> np.ndarray:
-    """Random-point probing: mark rows witnessed as non-redundant.
-
-    A row is certainly needed if some probe point satisfies every other
-    row but violates it.  Probing only certifies keeps; drops are decided
-    by the exact check.
-    """
-    scale = max(float(np.abs(matrix[:, -1]).max(initial=1.0)), 1.0)
-    points = np.random.default_rng(0).normal(0.0, 2.0 * scale, size=(probes, matrix.shape[1] - 1))
-    lhs = points @ matrix[:, :-1].T  # (probes, rows)
-    violated = lhs > matrix[:, -1][None, :] + tol
-    # a probe witnesses the one row it violates, if it violates exactly one
-    return (violated & (violated.sum(axis=1) == 1)[:, None]).any(axis=0)
-
-
 _BOX = np.vstack([np.eye(3), -np.eye(3)])  # faces of |x_i| <= bound
 
 
@@ -276,28 +235,21 @@ def linprog(objective: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
 
 
 def _lp_redundant(row: np.ndarray, others: np.ndarray, tol: float) -> bool:
-    """Exact redundancy test: maximize the row's left side under the others."""
+    """Exact redundancy test of a row ``[R0, R1, R2, constant]``: maximize
+    its left side under the others."""
     if len(others) == 0:
         return False
-    # after elimination only the rate columns are nonzero
-    assert not row[_AUX_COLS].any() and not others[:, _AUX_COLS].any()
     bound = 10.0 * max(float(np.abs(others[:, -1]).max(initial=1.0)),
                        float(abs(row[-1])), 1.0)
-    best = linprog(row[_RATE_COLS], others[:, _RATE_COLS], others[:, -1], bound)
+    best = linprog(row[:3], others[:, :3], others[:, -1], bound)
     return best is not None and best <= row[-1] + tol
 
 
 def _prune(matrix: np.ndarray, tol: float) -> np.ndarray:
-    matrix = _drop_trivial_and_duplicate(matrix, tol)
-    if len(matrix) <= 1:
-        return matrix
-    needed = _probe_irredundant(matrix, tol)
+    """Drop each row in turn that the rows still kept imply."""
     keep = list(range(len(matrix)))
     for i in range(len(matrix)):
-        if needed[i]:
-            continue
-        others = matrix[[j for j in keep if j != i]]
-        if _lp_redundant(matrix[i], others, tol):
+        if _lp_redundant(matrix[i], matrix[[j for j in keep if j != i]], tol):
             keep.remove(i)
     return matrix[keep]
 
@@ -305,42 +257,37 @@ def _prune(matrix: np.ndarray, tol: float) -> np.ndarray:
 def region_contains(iv: InfoVector, rates: RateTriple) -> bool:
     """Whether a rate triple admits feasible auxiliary rates.
 
-    Answered from the closed form that :func:`fme_project` leaves of
-    :func:`build_system`, Marton's inner bound with a common message (El
-    Gamal and Kim, *Network Information Theory*, Ch. 8): K <= J1 + J2,
-    R0 + R1 <= I1, R0 + R2 <= I2, R0 + R1 + R2 <= min(I1 + J2, I2 + J1) - K
-    and 2 R0 + R1 + R2 <= I1 + I2 - K.  Each row is held to ``_TOL`` after
-    scaling to a largest coefficient of one, as the projected rows are.
-    The strict positivity in the region statement is relaxed to closure
-    (>= 0): the achievable region is taken closed.
+    Reads the rows of :attr:`InfoVector._marton_rows`, each held to
+    ``_TOL``, as the projected rows are.  The strict positivity in the region
+    statement is relaxed to closure (>= 0): the achievable region is taken
+    closed.
     """
+    feasibility, rows = iv._marton_rows
+    if feasibility < -_TOL:
+        return False
     r0, r1, r2 = rates.R0, rates.R1, rates.R2
-    total = r0 + r1 + r2
-    return (iv.K <= iv.J1 + iv.J2 + _TOL
-            and r0 + r1 <= iv.I1 + _TOL
-            and r0 + r2 <= iv.I2 + _TOL
-            and total <= min(iv.I1 + iv.J2, iv.I2 + iv.J1) - iv.K + _TOL
-            and (r0 + total) / 2.0 <= (iv.I1 + iv.I2 - iv.K) / 2.0 + _TOL)
+    for a0, a1, a2, c in rows:
+        if a0 * r0 + a1 * r1 + a2 * r2 > c + _TOL:
+            return False
+    return True
 
 
 def fme_project(iv: InfoVector) -> LinearSystem:
     """Project the auxiliary-rate system onto the rate coordinates.
 
-    Eliminates the four auxiliary rates in a fixed order and prunes the
-    result to an irredundant <=-system over (R0, R1, R2).
+    An empty region (J1 + J2 - K below ``-_TOL``) is the one row
+    0 <= J1 + J2 - K.  Otherwise the rows of :attr:`InfoVector._marton_rows`
+    are pruned in order to an irredundant <=-system over (R0, R1, R2),
+    sorted.
     """
-    system = build_system(iv)
-    matrix = np.array([row.as_leq() for row in system.rows])
-    for col in _AUX_COLS:
-        matrix = _eliminate(matrix, col)
-        matrix = _drop_trivial_and_duplicate(matrix, _TOL)
-    matrix = _prune(matrix, _TOL)
-    rows = [
-        Inequality(tuple(float(r[c]) for c in _RATE_COLS), "<=", float(r[-1]))
-        for r in matrix
-    ]
-    rows.sort(key=lambda r: (r.coeffs, r.constant))
-    return LinearSystem(rows, ("R0", "R1", "R2"))
+    feasibility, rows = iv._marton_rows
+    if feasibility < -_TOL:
+        matrix = np.array([[0.0, 0.0, 0.0, feasibility]])
+    else:
+        matrix = _prune(np.array(rows), _TOL)
+    system = [Inequality(tuple(float(c) for c in r[:3]), "<=", float(r[3])) for r in matrix]
+    system.sort(key=lambda r: (r.coeffs, r.constant))
+    return LinearSystem(system, VARIABLES[:3])
 
 
 def projection_contains(system: LinearSystem, rates: RateTriple) -> bool:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oneshot import Joint, SchemeSizes, broadcast_bound, cli, optimal_delta, optimize_gamma, rng
+from oneshot import Joint, SchemeSizes, broadcast_bound, cli, optimal_delta, optimize_gamma, oracle, rng
 from oneshot.bounds import event_from_points
 from oneshot.broadcast import BroadcastSystem
 
@@ -222,6 +222,25 @@ def test_bad_sizes_and_non_finite_values_exit_2(argv, names, capsys):
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0]
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["verify", "resolvability", "--dist", _JOINT, "--M", "3", "--lam", "1.5"], "lam"),
+    (["verify", "covering", *_COV_4X4, "--gamma", "1", "--delta", "-1"], "delta"),
+    (["verify", "covering", *_COV_4X4, "--gamma", "8"], "delta overflows"),
+], ids=["lam", "delta", "auto-delta-overflow"])
+def test_verify_refuses_bad_bound_params_before_the_oracles(argv, names, capsys, monkeypatch):
+    def oracle_ran(*args, **kwargs):
+        raise AssertionError("an oracle ran before the bound parameters were checked")
+
+    for name in ("exact_miss_prob", "mc_miss_prob", "resolvability_excess_exact",
+                 "mc_resolvability_excess"):
+        monkeypatch.setattr(oracle, name, oracle_ran)
+    code = cli.main([*argv, "--trials", "20000000"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], err
 
 
 _WORK_CAPS = {

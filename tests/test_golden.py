@@ -153,6 +153,12 @@ for _config, _path in REGION.items():
             "region", "--config", _path, "--project", "--units", _units]
 CLI_CASES["region_binary_project_csv"] = ["region", "--config", REGION["binary"], "--project",
                                           "--format", "csv"]
+# the binary broadcast design lies outside its own region (K > J1 + J2), so its
+# projection is the one row 0 <= J1 + J2 - K
+CLI_CASES["region_broadcast_binary_project_nats"] = ["region", "--config", BINARY, "--project",
+                                                     "--units", "nats"]
+CLI_CASES["region_broadcast_binary_project_csv"] = ["region", "--config", BINARY, "--project",
+                                                    "--format", "csv"]
 
 #: rate coordinates of the region --rates grid; 5e-10 and 2e-9 straddle the
 #: membership tolerance at the facets through the origin

@@ -1,5 +1,6 @@
 """Rate-region system construction, membership, and projection."""
 
+import json
 import math
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from oneshot.errors import InputFormatError
 from oneshot import broadcast, cli, regions
 from oneshot.broadcast import BroadcastSystem
 from oneshot.probability import cond_mutual_info, marginal, merge_axes, mutual_info
-from oneshot.regions import VARIABLES, projection_contains
+from oneshot.regions import VARIABLES, Inequality, LinearSystem, projection_contains
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -238,6 +239,13 @@ class TestProjection:
         assert ((1.0, 1.0, 1.0), 0.3) in rows
         assert len(proj.rows) == 3
 
+    def test_empty_region_is_one_row(self, monkeypatch):
+        # K above J1 + J2 empties the region: one row 0 <= J1 + J2 - K, and no LP
+        monkeypatch.setattr(regions, "linprog", None)
+        proj = fme_project(InfoVector(1.0, 1.0, 0.1, 0.1, 0.5))
+        assert proj.pretty() == ["0 <= -0.3"]
+        assert not projection_contains(proj, RateTriple(0, 0, 0))
+
     def test_agreement_with_direct_feasibility(self):
         rng = np.random.default_rng(6)
         for _ in range(5):
@@ -308,35 +316,17 @@ def _closed_form_cases(n: int, rng: np.random.Generator):
         yield InfoVector(i1, i2, j1, j2, k)
 
 
-class TestClosedForm:
-    """``region_contains`` answers from the closed form; FME is its reference."""
-
-    def test_matches_fme_projection(self, monkeypatch):
-        # 10^4 vectors against the FME projection before LP pruning (pruning
-        # only drops rows the others imply), and every 10th against the
-        # pruned fme_project itself
-        vectors = list(_closed_form_cases(10**4, np.random.default_rng(2024)))
-        pruned = {n: fme_project(iv) for n, iv in enumerate(vectors) if n % 10 == 0}
-        monkeypatch.setattr(regions, "_prune",
-                            lambda matrix, tol: regions._drop_trivial_and_duplicate(matrix, tol))
-        rng = np.random.default_rng(7)
-        checked = inside = 0
-        for n, iv in enumerate(vectors):
-            refs = [fme_project(iv)] + ([pruned[n]] if n in pruned else [])
-            scale = max(iv.I1, iv.I2, 1e-3)
-            points = [RateTriple(0, 0, 0), RateTriple(*rng.uniform(0.0, scale, 3))]
-            points += list(_facet_points(refs[0], rng, scale))
-            for r in points:
-                got = region_contains(iv, r)
-                for ref in refs:
-                    assert got == projection_contains(ref, r), (iv, r)
-                checked += 1
-                inside += got
-        assert checked > 10**5 and inside > 10**4
+def _normalize_rows(matrix):
+    """Scale each row to a largest coefficient of one (all-zero rows stay)."""
+    if len(matrix) == 0:
+        return matrix
+    scale = np.abs(matrix[:, :-1]).max(axis=1)
+    scale = np.where(scale > regions._COEFF_TOL, scale, 1.0)
+    return matrix / scale[:, None]
 
 
 def _eliminate_loop(matrix, col):
-    """Reference for ``regions._eliminate``: one combination per (pos, neg) pair."""
+    """One Fourier-Motzkin step: one combination per (pos, neg) pair."""
     a = matrix[:, col]
     combos = [up * (-low[col]) + low * up[col]
               for up in matrix[a > regions._COEFF_TOL] for low in matrix[a < -regions._COEFF_TOL]]
@@ -347,8 +337,11 @@ def _eliminate_loop(matrix, col):
 
 
 def _drop_trivial_and_duplicate_unique(matrix, tol):
-    """Reference for ``regions._drop_trivial_and_duplicate``: groups by ``np.unique``."""
-    matrix = regions._normalize_rows(matrix)
+    """Normalize, drop vacuous rows (0 <= c with c >= -tol), keep infeasible
+    ones (0 <= c with c < -tol) with zero coefficients, and keep one row per
+    rounded coefficient vector: the one with the smallest constant (the first
+    on ties), where that vector first appears.  Groups by ``np.unique``."""
+    matrix = _normalize_rows(matrix)
     trivial = np.abs(matrix[:, :-1]).max(axis=1, initial=0.0) <= regions._COEFF_TOL
     kept = ~trivial | (matrix[:, -1] < -tol)
     rows, infeasible = matrix[kept], trivial[kept]
@@ -363,44 +356,92 @@ def _drop_trivial_and_duplicate_unique(matrix, tol):
     return rows[best[np.argsort(first)]]
 
 
-def _probe_irredundant_loop(matrix, tol, probes=256):
-    """Reference for ``regions._probe_irredundant``: one row at a time."""
-    scale = max(float(np.abs(matrix[:, -1]).max(initial=1.0)), 1.0)
-    points = np.random.default_rng(0).normal(0.0, 2.0 * scale, size=(probes, matrix.shape[1] - 1))
-    sat = points @ matrix[:, :-1].T <= matrix[:, -1][None, :] + tol
-    return np.array([(np.delete(sat, i, axis=1).all(axis=1) & ~sat[:, i]).any()
-                     for i in range(len(matrix))], dtype=bool)
+_AUX_COLS = [VARIABLES.index(n) for n in ("R11", "R22", "Rh1", "Rh2")]
 
 
-def _step_matrices(rng, count):
-    """Random <=-rows with repeated, tiny, signed-zero and infeasible entries."""
-    for _ in range(count):
-        m, k = int(rng.integers(0, 14)), int(rng.integers(2, 8))
-        coeffs = rng.choice([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1e-13, 1.0 + 1e-11],
-                            size=(m, k))
-        consts = rng.choice([-1.0, -1e-8, -1e-10, 0.0, 0.3, 1.0], size=(m, 1))
-        yield np.hstack([coeffs, consts]), int(rng.integers(0, k))
+def _fm_reference(iv: InfoVector) -> np.ndarray:
+    """Fourier-Motzkin projection of ``build_system(iv)``, deduplicated after
+    each elimination and not pruned, as rows [R0, R1, R2 | constant]."""
+    matrix = np.array([row.as_leq() for row in build_system(iv).rows])
+    for col in _AUX_COLS:
+        matrix = _drop_trivial_and_duplicate_unique(_eliminate_loop(matrix, col), regions._TOL)
+    assert not matrix[:, _AUX_COLS].any()
+    return matrix[:, [0, 1, 2, -1]]
 
 
-class TestVectorizedSteps:
-    """The array forms of the FME steps equal their references bytewise."""
+def _as_system(matrix: np.ndarray) -> LinearSystem:
+    """<=-rows [R0, R1, R2 | constant] sorted as ``fme_project`` sorts them."""
+    rows = [Inequality(tuple(float(c) for c in r[:3]), "<=", float(r[3])) for r in matrix]
+    rows.sort(key=lambda r: (r.coeffs, r.constant))
+    return LinearSystem(rows, VARIABLES[:3])
 
-    def test_eliminate(self):
-        for matrix, col in _step_matrices(np.random.default_rng(41), 2000):
-            got, ref = regions._eliminate(matrix, col), _eliminate_loop(matrix, col)
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
-    def test_drop_trivial_and_duplicate(self):
-        for matrix, _ in _step_matrices(np.random.default_rng(42), 5000):
-            got = regions._drop_trivial_and_duplicate(matrix.copy(), 1e-9)
-            ref = _drop_trivial_and_duplicate_unique(matrix.copy(), 1e-9)
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+@pytest.fixture(scope="module")
+def closed_form_runs():
+    """The 10^4 closed-form cases, each with its FM reference and its
+    ``fme_project``; every ``regions.linprog`` call (arguments and result)
+    and every redundancy decision (threshold and verdict) of those
+    projections, in call order."""
+    vectors = list(_closed_form_cases(10**4, np.random.default_rng(2024)))
+    calls, decisions = [], []
+    solve, redundant = regions.linprog, regions._lp_redundant
 
-    def test_probe_irredundant(self):
-        for matrix, _ in _step_matrices(np.random.default_rng(43), 2000):
-            if len(matrix) > 1:
-                got = regions._probe_irredundant(matrix, 1e-9, probes=64)
-                assert (got == _probe_irredundant_loop(matrix, 1e-9, probes=64)).all()
+    def recording_linprog(objective, a_ub, b_ub, bound):
+        best = solve(objective, a_ub, b_ub, bound)
+        calls.append((objective, a_ub, b_ub, bound, best))
+        return best
+
+    def recording_redundant(row, others, tol):
+        decision = redundant(row, others, tol)
+        decisions.append((row[-1] + tol, decision))
+        return decision
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "linprog", recording_linprog)
+        mp.setattr(regions, "_lp_redundant", recording_redundant)
+        projections = [fme_project(iv) for iv in vectors]
+    references = [_fm_reference(iv) for iv in vectors]
+    return vectors, references, projections, calls, decisions
+
+
+class TestClosedForm:
+    """``region_contains`` and ``fme_project`` read Marton's closed form;
+    Fourier-Motzkin elimination of ``build_system`` is their reference."""
+
+    def test_matches_fme_projection(self, closed_form_runs):
+        # all 10^4 vectors against the FM projection before LP pruning
+        # (pruning only drops rows the others imply) and against the pruned
+        # fme_project itself
+        vectors, references, projections, _, _ = closed_form_runs
+        rng = np.random.default_rng(7)
+        checked = inside = 0
+        for iv, reference, pruned in zip(vectors, references, projections):
+            refs = [_as_system(reference), pruned]
+            scale = max(iv.I1, iv.I2, 1e-3)
+            points = [RateTriple(0, 0, 0), RateTriple(*rng.uniform(0.0, scale, 3))]
+            points += list(_facet_points(refs[0], rng, scale))
+            for r in points:
+                got = region_contains(iv, r)
+                for ref in refs:
+                    assert got == projection_contains(ref, r), (iv, r)
+                checked += 1
+                inside += got
+        assert checked > 10**5 and inside > 10**4
+
+    def test_projection_is_the_pruned_fm_reference(self, closed_form_runs):
+        # byte for byte on every 10th nonempty region; empty regions project
+        # to the one row 0 <= J1 + J2 - K, with FM's rounding of it
+        vectors, references, projections, _, _ = closed_form_runs
+        feasible = [n for n, iv in enumerate(vectors) if iv.K <= iv.J1 + iv.J2 + 1e-9]
+        assert len(feasible) > 6000
+        for n in feasible[::10]:
+            want = _as_system(regions._prune(references[n], regions._TOL))
+            got = projections[n]
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json()), vectors[n]
+        for n in sorted(set(range(len(vectors))) - set(feasible)):
+            (row,) = projections[n].rows
+            infeasible = [r for r in references[n] if not r[:3].any()]
+            assert row.coeffs == (0.0, 0.0, 0.0) and row.constant == infeasible[0][3] < -1e-9
 
 
 def _highs_linprog(objective, a_ub, b_ub, bound):
@@ -413,8 +454,8 @@ def _highs_linprog(objective, a_ub, b_ub, bound):
 
 
 def _rate_row(r0, r1, r2, c):
-    """A <=-row [R0, R1, R2, 0, 0, 0, 0 | c] over ``VARIABLES``."""
-    return np.array([r0, r1, r2, 0.0, 0.0, 0.0, 0.0, c])
+    """A <=-row [R0, R1, R2 | c]."""
+    return np.array([r0, r1, r2, c])
 
 
 class TestLinprog:
@@ -441,46 +482,21 @@ class TestLinprog:
                 assert math.isclose(got, ref, rel_tol=1e-9, abs_tol=1e-12), (a, b, got, ref)
         assert 100 < infeasible < 1100
 
-    def test_prune_decisions_match_highs(self, monkeypatch):
+    def test_prune_decisions_match_highs(self, closed_form_runs):
         """Every redundancy decision that ``_prune`` makes on the 10^4
         closed-form cases is the one HiGHS makes.  While decisions agree, a
         HiGHS-backed ``_prune`` makes the same calls, so it keeps the same
-        rows.  The feasible LPs go to HiGHS in block-diagonal batches: the
-        blocks share no variable, so each block's part of the optimum is
-        optimal for that block."""
+        rows.  No LP is asked about an empty set: an empty region projects
+        to one row without pruning.  The LPs go to HiGHS in block-diagonal
+        batches: the blocks share no variable, so each block's part of the
+        optimum is optimal for that block."""
         optimize = pytest.importorskip("scipy.optimize")
         sparse = pytest.importorskip("scipy.sparse")
-        calls, decisions = [], []
-        solve, redundant = regions.linprog, regions._lp_redundant
-
-        def recording_linprog(objective, a_ub, b_ub, bound):
-            best = solve(objective, a_ub, b_ub, bound)
-            calls.append((objective, a_ub, b_ub, bound, best))
-            return best
-
-        def recording_redundant(row, others, tol):
-            decision = redundant(row, others, tol)
-            decisions.append((row[-1] + tol, decision))
-            return decision
-
-        monkeypatch.setattr(regions, "linprog", recording_linprog)
-        monkeypatch.setattr(regions, "_lp_redundant", recording_redundant)
-        for iv in _closed_form_cases(10**4, np.random.default_rng(2024)):
-            fme_project(iv)
+        _, _, _, calls, decisions = closed_form_runs
         assert len(calls) == len(decisions) > 10**4
-
-        feasible = [k for k, call in enumerate(calls) if call[4] is not None]
-        infeasible = [k for k, call in enumerate(calls) if call[4] is None]
-        # each empty system holds a 0 <= c row with c below HiGHS's 1e-7
-        # feasibility tolerance; HiGHS is asked about every 25th
-        for k in infeasible:
-            a_ub, b_ub = calls[k][1], calls[k][2]
-            assert ((np.abs(a_ub).max(axis=1) == 0) & (b_ub < -1e-7)).any()
-            assert not decisions[k][1]
-        for k in infeasible[::25]:
-            assert _highs_linprog(*calls[k][:4]) is None
-        for start in range(0, len(feasible), 500):
-            batch = [calls[k] for k in feasible[start:start + 500]]
+        assert all(call[4] is not None for call in calls)
+        for start in range(0, len(calls), 500):
+            batch = calls[start:start + 500]
             objective = np.concatenate([call[0] for call in batch])
             res = optimize.linprog(
                 -objective,
@@ -490,14 +506,12 @@ class TestLinprog:
                 method="highs")
             assert res.status == 0, res.message
             ref = (res.x * objective).reshape(-1, 3).sum(axis=1)
-            for k, value in zip(feasible[start:start + 500], ref):
-                threshold, decision = decisions[k]
-                assert (value <= threshold) == decision, (calls[k], value, threshold)
-                assert math.isclose(calls[k][4], value, rel_tol=1e-9, abs_tol=1e-12)
+            for call, (threshold, decision), value in zip(batch, decisions[start:start + 500], ref):
+                assert (value <= threshold) == decision, (call, value, threshold)
+                assert math.isclose(call[4], value, rel_tol=1e-9, abs_tol=1e-12)
 
     def test_infeasible_trivial_row(self):
-        # the 0 <= c < 0 row that _drop_trivial_and_duplicate keeps empties
-        # the set, so no row is redundant under it
+        # a 0 <= c < 0 row empties the set, so no row is redundant under it
         a = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         b = np.array([1.0, -1e-3])
         assert regions.linprog(np.ones(3), a, b, 10.0) is None
@@ -531,14 +545,8 @@ class TestLinprog:
     def test_empty_others(self, monkeypatch):
         # no other rows: nothing implies the row, and no LP is solved
         monkeypatch.setattr(regions, "linprog", None)
-        assert not regions._lp_redundant(_rate_row(1, 0, 0, 1.0), np.empty((0, 8)), 1e-9)
+        assert not regions._lp_redundant(_rate_row(1, 0, 0, 1.0), np.empty((0, 4)), 1e-9)
         monkeypatch.undo()
         # no rows at all: the box alone, whose maximum is bound * |objective|_1
         box = regions.linprog(np.array([1.0, -2.0, 0.5]), np.empty((0, 3)), np.empty(0), 4.0)
         assert box == 14.0
-
-    def test_auxiliary_columns_must_be_eliminated(self):
-        row = _rate_row(1, 0, 0, 1.0)
-        row[VARIABLES.index("Rh1")] = 1.0
-        with pytest.raises(AssertionError):
-            regions._lp_redundant(row, np.array([_rate_row(1, 0, 0, 1.0)]), 1e-9)
