@@ -62,8 +62,7 @@ from .broadcast import (
     SchemeSizes,
     SimOutcome,
     broadcast_bound,
-    decode1,
-    decode2,
+    decode,
     encode,
     product_extend_system,
     sample_codebook,

@@ -59,14 +59,6 @@ class SchemeSizes:
         return self.M0 * self.M10 * self.M20
 
     @property
-    def M1(self) -> int:
-        return self.M10 * self.N
-
-    @property
-    def M2(self) -> int:
-        return self.M20 * self.L
-
-    @property
     def Ntilde(self) -> int:
         return self.Nhat * self.N
 
@@ -189,14 +181,6 @@ def product_extend_system(system: BroadcastSystem, n: int) -> BroadcastSystem:
     return BroadcastSystem(joint, x_map, chan)
 
 
-class Thresholds(NamedTuple):
-    head1: float   # on i(US; Y1)
-    head2: float   # on i(UT; Y2)
-    inner1: float  # on i(S; Y1 | U)
-    inner2: float  # on i(T; Y2 | U)
-    cross: float   # on i(S; T | U)
-
-
 class Clause(NamedTuple):
     """A threshold event: density table ``table`` passes ``test`` against
     ``ln(size(sizes)) + slope * gamma``; ``axes`` spreads it over (u, s, t, y1, y2)."""
@@ -208,7 +192,9 @@ class Clause(NamedTuple):
     axes: tuple
 
 
-#: the five clauses, by :class:`Thresholds` field
+#: the five clauses by name: receiver r's head test on i(U S_r; Y_r) is
+#: ``head{r}`` and its inner test on i(S_r; Y_r | U) is ``inner{r}`` (S_1 = S,
+#: S_2 = T); ``cross`` is the encoder's test on i(S; T | U)
 CLAUSES = {
     "head1": Clause("i_us_y1", np.less_equal, lambda z: z.M * z.Ntilde, 1.0,
                     np.s_[:, :, None, :, None]),
@@ -223,18 +209,17 @@ CLAUSES = {
 }
 
 
-def thresholds_for(sizes: SchemeSizes, gamma: float) -> Thresholds:
-    """Decoding/encoding thresholds in nats: ``ln(sizes) + gamma`` for the
-    head and inner tests, ``ln(Nhat Lhat) - 2 gamma`` for the cross test
-    (``1.0 * gamma`` and ``-2.0 * gamma`` round exactly as ``gamma`` and
-    the negated ``2.0 * gamma``).
+def thresholds_for(sizes: SchemeSizes, gamma: float) -> dict[str, float]:
+    """Decoding/encoding thresholds in nats, keyed like :data:`CLAUSES`:
+    ``ln(sizes) + gamma`` for the head and inner tests, ``ln(Nhat Lhat) -
+    2 gamma`` for the cross test (``1.0 * gamma`` and ``-2.0 * gamma``
+    round exactly as ``gamma`` and the negated ``2.0 * gamma``).
 
     The inner thresholds use the full inner-book sizes (Ntilde, Ltilde)
     everywhere, matching the bound statement and both decoders.
     """
     check_bound_args(gamma)
-    return Thresholds(**{name: math.log(c.size(sizes)) + c.slope * gamma
-                         for name, c in CLAUSES.items()})
+    return {name: math.log(c.size(sizes)) + c.slope * gamma for name, c in CLAUSES.items()}
 
 
 class DensityTables:
@@ -268,15 +253,15 @@ class DensityTables:
         self.i_s_t_u = cond_info_density_table(system.joint_ust)
         self._union_steps: dict[SchemeSizes, GammaSteps] = {}
 
-    def clauses(self, thr: Thresholds) -> dict[str, np.ndarray]:
+    def clauses(self, thr: dict[str, float]) -> dict[str, np.ndarray]:
         """The five threshold events of the bound, each a boolean table over its
         own axes; a clause's ``axes`` spreads it over (u, s, t, y1, y2).  A
         ``-inf`` density falls in each ``<=`` clause, so the complements are
         exactly the decoders' passing tests."""
-        return {name: c.test(getattr(self, c.table), getattr(thr, name))
+        return {name: c.test(getattr(self, c.table), thr[name])
                 for name, c in CLAUSES.items()}
 
-    def union_mask(self, thr: Thresholds) -> np.ndarray:
+    def union_mask(self, thr: dict[str, float]) -> np.ndarray:
         """The union of the five threshold events over (u, s, t, y1, y2)."""
         c = self.clauses(thr)
         return _bad_outputs(c) | c["cross"][CLAUSES["cross"].axes]
@@ -521,51 +506,31 @@ class DecodeResult(NamedTuple):
     inner: int
 
 
-def _decode(cb_u: np.ndarray, sat: np.ndarray, head_table: np.ndarray,
-            inner_table: np.ndarray, head_thr: float, inner_thr: float,
-            y: int, sizes: SchemeSizes, inner_cols: int) -> tuple[int, int] | None:
-    """Two-stage threshold search shared by both decoders.
+def decode(cb: Codebook, system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
+           y: int, receiver: int) -> DecodeResult | None:
+    """Receiver ``receiver``'s two-stage threshold decoder at its output ``y``:
+    the one cloud index some satellite of which passes the head test, then
+    the one satellite of that cloud passing the inner test.  Receiver 1
+    reads the s-layer, receiver 2 the t-layer.
 
-    Returns (cloud index, inner message index) or None on failure
-    (no candidate, or ambiguity at either stage).
+    Returns None as the decoding-failure flag (no candidate, or ambiguity
+    at either stage).
     """
-    vals = head_table[cb_u[:, None, None], sat, y]
-    fires = (vals > head_thr).any(axis=(1, 2))
+    if receiver not in (1, 2):
+        raise InputFormatError(f"receiver must be 1 or 2, got {receiver!r}")
+    sat, cols = (cb.s, sizes.Nhat) if receiver == 1 else (cb.t, sizes.Lhat)
+    thr = thresholds_for(sizes, gamma)
+    head, inner = f"head{receiver}", f"inner{receiver}"
+    # a test passes where its density exceeds the threshold: the clause fails
+    head_vals = getattr(system.tables, CLAUSES[head].table)[cb.u[:, None, None], sat, y]
+    fires = (head_vals > thr[head]).any(axis=(1, 2))
     if fires.sum() != 1:
         return None
     m = int(np.argmax(fires))
-    inner_vals = inner_table[cb_u[m], sat[m], y]
-    hits = inner_vals > inner_thr
+    hits = getattr(system.tables, CLAUSES[inner].table)[cb.u[m], sat[m], y] > thr[inner]
     if hits.sum() != 1:
         return None
-    flat = int(np.argmax(hits.reshape(-1)))
-    return m, flat // inner_cols
-
-
-def decode1(cb: Codebook, system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
-            y1: int) -> DecodeResult | None:
-    """Receiver-1 decoder; returns None as the decoding-failure flag."""
-    t = system.tables
-    thr = thresholds_for(sizes, gamma)
-    got = _decode(cb.u, cb.s, t.i_us_y1, t.i_s_y1_u, thr.head1, thr.inner1,
-                  y1, sizes, sizes.Nhat)
-    if got is None:
-        return None
-    m, c = got
-    return DecodeResult(*message_split(sizes, m), c)
-
-
-def decode2(cb: Codebook, system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
-            y2: int) -> DecodeResult | None:
-    """Receiver-2 decoder (mirror of receiver 1 on the t-layer)."""
-    t = system.tables
-    thr = thresholds_for(sizes, gamma)
-    got = _decode(cb.u, cb.t, t.i_ut_y2, t.i_t_y2_u, thr.head2, thr.inner2,
-                  y2, sizes, sizes.Lhat)
-    if got is None:
-        return None
-    m, e = got
-    return DecodeResult(*message_split(sizes, m), e)
+    return DecodeResult(*message_split(sizes, m), int(np.argmax(hits.reshape(-1))) // cols)
 
 
 # ---------------------------------------------------------------------------
@@ -625,12 +590,10 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     cb_width = _codebook_budget(sizes)
     budget = _trial_budget(sizes, random_message)
     sampler = _Sampler(system)
-    thr = thresholds_for(sizes, gamma)
     # decoder tests thresholded once: gathering booleans is cheaper than
     # gathering densities and comparing them trial by trial
-    c = system.tables.clauses(thr)
-    pass_head1, pass_inner1 = ~c["head1"], ~c["inner1"]
-    pass_head2, pass_inner2 = ~c["head2"], ~c["inner2"]
+    passing = {name: ~mask
+               for name, mask in system.tables.clauses(thresholds_for(sizes, gamma)).items()}
     ztable = zeta_table(system, sizes, gamma)
     N, Nh, L, Lh = sizes.N, sizes.Nhat, sizes.L, sizes.Lhat
     x_map = system.x_map
@@ -663,7 +626,8 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
         y_flat = rng.sample_categorical(sampler.cdf_chan[x], tails[:, -1]).astype(np.intp)
         y1, y2 = y_flat // ky2, y_flat % ky2
 
-        def side(sat, pass_head, pass_inner, y, truth_inner, cols):
+        def side(receiver, sat, y, truth_inner, cols):
+            pass_head, pass_inner = passing[f"head{receiver}"], passing[f"inner{receiver}"]
             fires = _head_fires(pass_head, u_cb, sat, y, lead)
             cnt = fires.sum(axis=1)
             m_hat = fires.argmax(axis=1)
@@ -676,8 +640,8 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
             ok = ok_head & (pcnt == 1) & (inner_hat == truth_inner)
             return ~ok, stage1_err
 
-        err1, s1err1 = side(s_cb, pass_head1, pass_inner1, y1, a, Nh)
-        err2, s1err2 = side(t_cb, pass_head2, pass_inner2, y2, b, Lh)
+        err1, s1err1 = side(1, s_cb, y1, a, Nh)
+        err2, s1err2 = side(2, t_cb, y2, b, Lh)
         return np.array([err1.sum(), err2.sum(), s1err1.sum(), s1err2.sum()], dtype=np.float64)
 
     totals = rng.monte_carlo(trials, seed, budget, body,

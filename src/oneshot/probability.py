@@ -408,11 +408,11 @@ def _iid_power(arr: np.ndarray, n: int, combine=np.multiply.outer) -> np.ndarray
     return out
 
 
-def product_extend(obj, n: int, cap: int = PRODUCT_ALPHABET_CAP):
+def product_extend(obj, n: int):
     """i.i.d. n-fold product of a Dist / Joint / Kernel.
 
     Information densities on the product are sums of per-letter densities.
-    Each extended alphabet must stay within ``cap``.
+    Each extended alphabet must stay within ``PRODUCT_ALPHABET_CAP``.
     """
     if n < 1:
         raise InputFormatError("product_extend: n must be >= 1")
@@ -421,9 +421,9 @@ def product_extend(obj, n: int, cap: int = PRODUCT_ALPHABET_CAP):
     arr = obj.rows if isinstance(obj, Kernel) else obj.probs
     total = 1
     for size in arr.shape:
-        if size**n > cap:
+        if size**n > PRODUCT_ALPHABET_CAP:
             raise EnumerationCapError(
-                f"product alphabet {size}^{n} exceeds the cap of {cap} symbols"
+                f"product alphabet {size}^{n} exceeds the cap of {PRODUCT_ALPHABET_CAP} symbols"
             )
         total *= size**n
     if total > 1 << 24:

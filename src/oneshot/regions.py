@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .broadcast import BroadcastSystem
 from .errors import InputFormatError
 from .probability import Joint, Kernel, cond_mutual_info, marginal, merge_axes, mutual_info
 
@@ -161,8 +162,6 @@ def info_vector(joint_u: Joint, x_map: np.ndarray, channel: Kernel) -> InfoVecto
     ``joint_u`` is the law of the three auxiliaries (common first); the
     symbol map and channel complete the design joint over the outputs.
     """
-    from .broadcast import BroadcastSystem
-
     full = Joint(BroadcastSystem(joint_u, x_map, channel).full)  # (u0, u1, u2, y1, y2)
     j_01_y1 = marginal(full, (0, 1, 3))
     j_02_y2 = marginal(full, (0, 2, 4))

@@ -1,12 +1,16 @@
 """Shared fixtures: random instance generators and reference systems."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oneshot import BroadcastSystem, Joint, Kernel
 from oneshot.broadcast import product_extend_system
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def pytest_runtest_logreport(report):
@@ -84,17 +88,10 @@ def asym_broadcast_system() -> BroadcastSystem:
 
 
 def noiseless_broadcast_system() -> BroadcastSystem:
-    """Each receiver observes its own layer and the cloud symbol exactly."""
-    p_ust = np.array([[[0.10, 0.15], [0.12, 0.08]], [[0.20, 0.05], [0.13, 0.17]]])
-    x_map = np.zeros((2, 2, 2), dtype=int)
-    rows = np.zeros((8, 4, 4))
-    for u in range(2):
-        for s in range(2):
-            for t in range(2):
-                x = 4 * u + 2 * s + t
-                x_map[u, s, t] = x
-                rows[x, 2 * u + s, 2 * u + t] = 1.0
-    return BroadcastSystem(Joint(p_ust), x_map, Kernel(rows))
+    """``configs/broadcast_inside.json``: x = 4u + 2s + t, and receiver 1 sees
+    (u, s), receiver 2 sees (u, t) exactly.  The design lies inside its own
+    region."""
+    return BroadcastSystem.from_json(json.loads((CONFIGS / "broadcast_inside.json").read_text()))
 
 
 @pytest.fixture(scope="session")

@@ -16,8 +16,7 @@ from oneshot import (
     Kernel,
     SchemeSizes,
     broadcast_bound,
-    decode1,
-    decode2,
+    decode,
     encode,
     simulate,
 )
@@ -67,8 +66,6 @@ class TestSchemeSizes:
     def test_derived_products(self):
         sz = SchemeSizes(2, 3, 4, 5, 6, 7, 8)
         assert sz.M == 24
-        assert sz.M1 == 15
-        assert sz.M2 == 24
         assert sz.Ntilde == 35
         assert sz.Ltilde == 48
 
@@ -145,6 +142,24 @@ class TestSystemValidation:
             product_extend_system(binary_system, 13)
 
 
+def wide_satellite_system() -> BroadcastSystem:
+    """65 satellite symbols for receiver 1, past the 64 bits of a head-test
+    mask: a trivial cloud layer, s uniform, x = 2s + t; y1 = s with
+    probability 0.9 and uniform otherwise, y2 = t through a BSC(0.1)."""
+    ks = 65
+    p_ust = np.empty((1, ks, 2))
+    p_ust[0, :, 1] = np.linspace(0.1, 0.3, ks) / ks
+    p_ust[0, :, 0] = 1 / ks - p_ust[0, :, 1]
+    x_map = (2 * np.arange(ks)[:, None] + np.arange(2)[None, :])[None]
+    y1_rows = 0.9 * np.eye(ks) + 0.1 / ks
+    y2_rows = np.array([[0.9, 0.1], [0.1, 0.9]])
+    rows = (y1_rows[:, None, :, None] * y2_rows[None, :, None, :]).reshape(2 * ks, ks, 2)
+    return BroadcastSystem(Joint(p_ust), x_map, Kernel(rows))
+
+
+WIDE = wide_satellite_system()
+
+
 def random_3ary_system(seed: int = 17) -> BroadcastSystem:
     """Random design over ternary auxiliaries, a ternary input and a
     ternary-by-ternary output."""
@@ -193,7 +208,7 @@ class TestBoundEvaluation:
         rep = broadcast_bound(binary_system, sz, 0.8)
         assert rep.term("ratio") == 0.0
         thr = thresholds_for(sz, 0.8)
-        assert thr.cross == pytest.approx(-1.6)
+        assert thr["cross"] == pytest.approx(-1.6)
 
     def test_union_sanity_bracket(self, asym_ext_system):
         probs = event_probabilities(asym_ext_system, SIZES_A, 0.05)
@@ -293,20 +308,25 @@ class TestDecode:
         for m in range(2):
             u, s = int(self.cb.u[m]), int(self.cb.s[m, 0, 0])
             y1 = 2 * u + s
-            got = decode1(self.cb, self.system, self.sizes, self.gamma, y1)
+            got = decode(self.cb, self.system, self.sizes, self.gamma, y1, 1)
             assert got is not None
             assert message_index(self.sizes, got.m0, got.m10, got.m20) == m
             assert got.inner == 0
 
     def test_no_candidate_flags_error(self):
-        got = decode1(self.cb, self.system, self.sizes, 5.0, 0)
+        got = decode(self.cb, self.system, self.sizes, 5.0, 0, 1)
         assert got is None
 
     def test_ambiguity_flags_error(self):
         cb = Codebook(np.array([0, 0]), np.array([[[1]], [[1]]]),
                       np.zeros((2, 1, 1), dtype=int))
-        got = decode1(cb, self.system, self.sizes, self.gamma, 1)
+        got = decode(cb, self.system, self.sizes, self.gamma, 1, 1)
         assert got is None
+
+    @pytest.mark.parametrize("receiver", [0, 3])
+    def test_unknown_receiver_refused(self, receiver):
+        with pytest.raises(InputFormatError, match="receiver must be 1 or 2"):
+            decode(self.cb, self.system, self.sizes, self.gamma, 0, receiver)
 
     def test_decode2_mirror(self):
         # mirror design: receiver 2 observes (u, t) noiselessly
@@ -323,9 +343,54 @@ class TestDecode:
                       np.array([[[0]], [[1]]]))
         for m in range(2):
             u, t = int(cb.u[m]), int(cb.t[m, 0, 0])
-            got = decode2(cb, system, self.sizes, self.gamma, 2 * u + t)
+            got = decode(cb, system, self.sizes, self.gamma, 2 * u + t, 2)
             assert got is not None
             assert message_index(self.sizes, got.m0, got.m10, got.m20) == m
+
+
+def assert_replays_pointwise(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
+                             reuse: int, seeds, trials: int = 8) -> None:
+    """With ``reuse_codebook=reuse`` every trial of :func:`simulate` must
+    replay exactly with the codebook of its group leader (trial
+    ``reuse * (i // reuse)``), its own message and its own channel uniform,
+    through the scalar :func:`encode` and :func:`decode`; per-trial errors
+    are read off the running totals."""
+    zt = zeta_table(system, sizes, gamma)
+    ky2 = system.channel.out_shape[1]
+    chan_cdf = np.cumsum(system.channel.rows.reshape(system.channel.n_inputs, -1), axis=1)
+    cb_budget = sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat)
+    outcomes = set()
+    for random_message in (False, True):
+        budget = cb_budget + (6 if random_message else 1)
+        # trial rows of a bare codebook block would start elsewhere
+        assert rngmod.row_width(cb_budget) != rngmod.row_width(budget)
+        for seed in seeds:
+            done = [(0, 0)]
+            for n in range(1, trials + 1):
+                out = simulate(system, sizes, gamma, trials=n, seed=seed, reuse_codebook=reuse,
+                               random_message=random_message)
+                done.append((round(out.eps1_hat.mean * n), round(out.eps2_hat.mean * n)))
+            for i in range(trials):
+                cb = sample_codebook(system, sizes, seed=seed, trial=reuse * (i // reuse),
+                                     random_message=random_message)
+                uni = rngmod.trial_uniforms(seed, i, 1, budget)[0]
+                w0, w10, w20, a, b = (0, 0, 0, 0, 0)
+                if random_message:
+                    radices = (sizes.M0, sizes.M10, sizes.M20, sizes.N, sizes.L)
+                    w0, w10, w20, a, b = (min(int(x * r), r - 1)
+                                          for x, r in zip(uni[-6:-1], radices))
+                res = encode(cb, system, sizes, gamma, w0, w10, w20, a, b, ztable=zt)
+                y_flat = int(rngmod.sample_categorical(chan_cdf[res.x], uni[-1:])[0])
+                y1, y2 = y_flat // ky2, y_flat % ky2
+                got1 = decode(cb, system, sizes, gamma, y1, 1)
+                got2 = decode(cb, system, sizes, gamma, y2, 2)
+                err1 = got1 is None or got1 != (w0, w10, w20, a)
+                err2 = got2 is None or got2 != (w0, w10, w20, b)
+                outcomes.update({(1, err1), (2, err2)})
+                where = f"seed {seed} trial {i} random_message={random_message}"
+                assert done[i + 1][0] - done[i][0] == int(err1), f"{where} receiver 1"
+                assert done[i + 1][1] - done[i][1] == int(err2), f"{where} receiver 2"
+    assert {(1, True), (1, False)} <= outcomes or {(2, True), (2, False)} <= outcomes
 
 
 class TestSimulate:
@@ -374,8 +439,8 @@ class TestSimulate:
             u_chan = rngmod.trial_uniforms(seed, 0, 1, budget)[0, -1]
             y_flat = int(rngmod.sample_categorical(chan_cdf[res.x], np.array([u_chan]))[0])
             y1, y2 = y_flat // ky2, y_flat % ky2
-            got1 = decode1(cb, system, sizes, gamma, y1)
-            got2 = decode2(cb, system, sizes, gamma, y2)
+            got1 = decode(cb, system, sizes, gamma, y1, 1)
+            got2 = decode(cb, system, sizes, gamma, y2, 2)
             err1 = got1 is None or got1 != (0, 0, 0, 0)
             err2 = got2 is None or got2 != (0, 0, 0, 0)
             outcomes.update({(1, err1), (2, err2)})
@@ -387,48 +452,14 @@ class TestSimulate:
     @pytest.mark.parametrize("sizes", [SchemeSizes(1, 1, 1, 1, 2, 3, 2),
                                        SchemeSizes(2, 1, 1, 1, 1, 1, 2)])
     def test_matches_pointwise_replay_reused_codebook(self, asym_ext_system, sizes):
-        # with reuse_codebook=K every trial must replay exactly with the
-        # codebook of its group leader (trial K * (i // K)), its own message
-        # and its own channel uniform; per-trial errors are read off the
-        # running totals
-        system, gamma, K, trials = asym_ext_system, 0.07, 3, 8
-        zt = zeta_table(system, sizes, gamma)
-        ky2 = system.channel.out_shape[1]
-        chan_cdf = np.cumsum(system.channel.rows.reshape(system.channel.n_inputs, -1),
-                             axis=1)
-        cb_budget = sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat)
-        outcomes = set()
-        for random_message in (False, True):
-            budget = cb_budget + (6 if random_message else 1)
-            # trial rows of a bare codebook block would start elsewhere
-            assert rngmod.row_width(cb_budget) != rngmod.row_width(budget)
-            for seed in range(25):
-                done = [(0, 0)]
-                for n in range(1, trials + 1):
-                    out = simulate(system, sizes, gamma, trials=n, seed=seed, reuse_codebook=K,
-                                   random_message=random_message)
-                    done.append((round(out.eps1_hat.mean * n), round(out.eps2_hat.mean * n)))
-                for i in range(trials):
-                    cb = sample_codebook(system, sizes, seed=seed, trial=K * (i // K),
-                                         random_message=random_message)
-                    uni = rngmod.trial_uniforms(seed, i, 1, budget)[0]
-                    w0, w10, w20, a, b = (0, 0, 0, 0, 0)
-                    if random_message:
-                        radices = (sizes.M0, sizes.M10, sizes.M20, sizes.N, sizes.L)
-                        w0, w10, w20, a, b = (min(int(x * r), r - 1)
-                                              for x, r in zip(uni[-6:-1], radices))
-                    res = encode(cb, system, sizes, gamma, w0, w10, w20, a, b, ztable=zt)
-                    y_flat = int(rngmod.sample_categorical(chan_cdf[res.x], uni[-1:])[0])
-                    y1, y2 = y_flat // ky2, y_flat % ky2
-                    got1 = decode1(cb, system, sizes, gamma, y1)
-                    got2 = decode2(cb, system, sizes, gamma, y2)
-                    err1 = got1 is None or got1 != (w0, w10, w20, a)
-                    err2 = got2 is None or got2 != (w0, w10, w20, b)
-                    outcomes.update({(1, err1), (2, err2)})
-                    where = f"seed {seed} trial {i} random_message={random_message}"
-                    assert done[i + 1][0] - done[i][0] == int(err1), f"{where} receiver 1"
-                    assert done[i + 1][1] - done[i][1] == int(err2), f"{where} receiver 2"
-        assert {(1, True), (1, False)} <= outcomes or {(2, True), (2, False)} <= outcomes
+        assert_replays_pointwise(asym_ext_system, sizes, 0.07, reuse=3, seeds=range(25))
+
+    @pytest.mark.parametrize("reuse", [1, 3])
+    def test_wide_satellite_alphabet_matches_pointwise_replay(self, reuse):
+        # 65 satellite symbols: receiver 1's head test reads the flat (y, u, s)
+        # table instead of symbol masks
+        assert_replays_pointwise(WIDE, SchemeSizes(2, 1, 1, 1, 1, 2, 1), 0.07, reuse=reuse,
+                                 seeds=range(12))
 
     def test_ensemble_validity_nontrivial_instance(self, asym_ext_system):
         out = simulate(asym_ext_system, SIZES_A, 0.05, trials=4000, seed=13)
@@ -478,19 +509,23 @@ class TestChunking:
         assert row_bytes * chunk <= rngmod.CHUNK_BYTES
         assert row_bytes * (chunk + reuse) > rngmod.CHUNK_BYTES
 
-    @pytest.mark.parametrize("reuse", [1, 4, 64])
-    def test_chunks_peak_within_the_byte_cap(self, reuse):
+    @pytest.mark.parametrize("system,reuse", [(BINARY, 1), (BINARY, 4), (BINARY, 64),
+                                              (WIDE, 1), (WIDE, 4)],
+                             ids=["1", "4", "64", "wide-1", "wide-4"])
+    def test_chunks_peak_within_the_byte_cap(self, system, reuse):
         # every array a chunk allocates counts against the cap, not only its
-        # uniforms: uniforms alone would let 127 trials share one chunk here
-        BINARY.tables  # built outside the traced window: they are not per-trial
+        # uniforms: uniforms alone would let 127 binary trials share one chunk
+        # here; past 64 satellite symbols the head test holds a flat index per
+        # satellite codeword instead of symbol masks
+        system.tables  # built outside the traced window: they are not per-trial
         tracemalloc.start()
         try:
-            simulate(BINARY, SchemeSizes.from_string("8,8,8,8,8,8,8"), 1.0, trials=128, seed=3,
+            simulate(system, SchemeSizes.from_string("8,8,8,8,8,8,8"), 1.0, trials=128, seed=3,
                      reuse_codebook=reuse)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * rngmod.CHUNK_BYTES
+        assert peak <= 1.1 * rngmod.CHUNK_BYTES, peak / rngmod.CHUNK_BYTES
 
     def test_group_larger_than_default_chunk(self):
         group = rngmod.CHUNK_TRIALS + 3

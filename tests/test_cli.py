@@ -672,3 +672,121 @@ def test_interrupt_passes_through(monkeypatch):
     monkeypatch.setattr(cli, "cmd_bound", interrupt)
     with pytest.raises(KeyboardInterrupt):
         cli.main(["bound", "packing", "--gamma", "1"])
+
+
+#: values a numeric flag or JSON field is set to by the exit-contract fuzz
+_EXTREMES = ["0", "-1", "1e-300", "1e300", "inf", "-inf", "nan", str(2**63), "710"]
+#: flags that argparse reads as integers take only the integral extremes
+_INT_FLAGS = {"--M", "--L", "--N", "--seed", "--threads", "--trials", "--steps",
+              "--reuse-codebook"}
+_REGION_BINARY = str(CONFIGS / "region_binary.json")
+_INSIDE = str(CONFIGS / "broadcast_inside.json")
+_EVENT = str(CONFIGS / "event_diag.json")
+#: base argv of every fuzzed command, over all five subcommands
+_FUZZ_BASES = [
+    ["bound", "covering1", *_COV_4X4, "--gamma", "0.9", "--delta", "0.4"],
+    ["bound", "covering4", *_COV_4X4, "--gamma", "1.1"],
+    ["bound", "covering5", *_LARGE_GAMMA_COMMANDS["covering5"][2:], "--gamma", "0.8"],
+    ["bound", "covering7", *_COV_4X4, "--gamma", "1.4"],
+    ["bound", "resolvability", "--dist", _JOINT, "--M", "3", "--lam", "2.5"],
+    ["bound", "packing", "--gamma", "1.5"],
+    ["bound", "broadcast", "--config", _INSIDE, "--sizes", "1,1,1,1,1,2,2", "--gamma", "0.3"],
+    ["verify", "covering", *_COV_4X4, "--gamma", "1", "--trials", "50", "--seed", "9"],
+    ["verify", "covering5", *_LARGE_GAMMA_COMMANDS["covering5"][2:], "--gamma", "1",
+     "--trials", "50"],
+    ["verify", "resolvability", "--dist", _JOINT, "--M", "3", "--lam", "2.5", "--trials", "50"],
+    ["verify", "packing", "--dist", _JOINT, "--M", "2", "--N", "2", "--gamma", "0.5"],
+    ["verify", "broadcast", "--config", _INSIDE, "--sizes", "1,1,1,1,1,2,2", "--gamma", "0.02",
+     "--trials", "50", "--seed", "5", "--threads", "1"],
+    ["simulate", "--config", _INSIDE, "--sizes", "1,1,1,1,1,2,2", "--gamma", "0.02",
+     "--trials", "50", "--reuse-codebook", "4", "--random-message"],
+    ["simulate", "--config", str(CONFIGS / "broadcast_binary.json"), "--sizes", "2,1,1,2,2,2,2",
+     "--gamma", "0.5", "--trials", "60", "--seed", "3", "--threads", "1"],
+    ["sweep", "covering4", *_COV_4X4, "--param", "gamma", "--from", "0.2", "--to", "3",
+     "--steps", "5"],
+    ["sweep", "covering1", *_COV_4X4, "--gamma", "0.7", "--param", "delta", "--from", "0.05",
+     "--to", "2", "--steps", "4"],
+    ["sweep", "resolvability", "--dist", _JOINT, "--M", "4", "--param", "lambda",
+     "--from", "2.5", "--to", "12", "--steps", "6"],
+    ["sweep", "broadcast", "--config", _INSIDE, "--sizes", "1,1,1,1,1,2,2", "--param", "gamma",
+     "--from", "0.05", "--to", "4", "--steps", "3"],
+    ["region", "--config", _REGION_BINARY, "--rates", "0.1,0.2,0.1"],
+    ["region", "--config", _INSIDE, "--project", "--units", "bits"],
+]
+_JSON_FLAGS = ("--dist", "--event", "--config")
+
+
+def _numeric_leaves(doc, path=()):
+    """Paths of the numbers in a JSON document."""
+    if isinstance(doc, dict):
+        return [p for key, value in doc.items() for p in _numeric_leaves(value, (*path, key))]
+    if isinstance(doc, list):
+        return [p for i, value in enumerate(doc) for p in _numeric_leaves(value, (*path, i))]
+    return [path] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+
+
+def _mutate(gen: np.random.Generator, base: list[str], tmp: Path) -> list[str]:
+    """``base`` with one numeric flag, one entry of ``--sizes`` or ``--rates``
+    or one number of a JSON input set to an extreme value; every case stays cheap: at most
+    100 trials or more than ``TRIALS_CAP``, and at most 10 sweep steps or
+    more than ``SWEEP_STEPS_CAP``."""
+    argv = list(base)
+    flags = [i for i, a in enumerate(argv[:-1]) if a.startswith("--")
+             and argv[i + 1][:1] in "0123456789" and a not in _JSON_FLAGS]
+    files = [i for i, a in enumerate(argv[:-1]) if a in _JSON_FLAGS]
+    i = int(gen.choice(flags + files))
+    flag = argv[i]
+    if flag in _JSON_FLAGS:
+        doc = json.loads(Path(argv[i + 1]).read_text())
+        leaves = _numeric_leaves(doc)
+        *parents, last = leaves[gen.integers(len(leaves))]
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = float(gen.choice(_EXTREMES))
+        path = tmp / f"{flag.lstrip('-')}.json"
+        path.write_text(json.dumps(doc))
+        argv[i + 1] = str(path)
+        return argv
+    if flag in ("--sizes", "--rates"):
+        fields = argv[i + 1].split(",")
+        fields[gen.integers(len(fields))] = str(gen.choice(_EXTREMES))
+        value = ",".join(fields)
+    else:
+        pool = [v for v in _EXTREMES if flag not in _INT_FLAGS or v.lstrip("-").isdigit()]
+        if flag == "--trials":
+            pool = [v for v in pool if int(v) <= 100 or int(v) > rng.TRIALS_CAP]
+        if flag == "--steps":
+            pool = [v for v in pool if int(v) <= 10 or int(v) > cli.SWEEP_STEPS_CAP]
+        value = str(gen.choice(pool))
+    # --flag=value, so that argparse does not read -inf as an option
+    del argv[i:i + 2]
+    return [*argv, f"{flag}={value}"]
+
+
+def test_exit_contract_fuzz(tmp_path, capsys, monkeypatch):
+    # seeded mutations of valid commands: each exits 0 with strict JSON, or 1
+    # or 2 with one error line; a program fault (exit 3) is a bug
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a fuzz case started worker threads")
+
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", no_threads)
+    gen = np.random.default_rng(2026)
+    codes = []
+    for case in range(300):
+        base = _FUZZ_BASES[case % len(_FUZZ_BASES)]
+        argv = [*_mutate(gen, base, tmp_path), "--format", "json"]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        codes.append(code)
+        assert code in (0, 1, 2), (argv, err)
+        lines = err.strip().splitlines()
+        if code == 0:
+            _strict_json(out)
+            assert not any(line.startswith("error:") for line in lines), (argv, err)
+        else:
+            assert out == "", argv
+            assert [line.startswith("error: ") for line in lines].count(True) == 1, (argv, err)
+            assert all(line.startswith(("error: ", "warning: ")) for line in lines), (argv, err)
+    # the mutations reach every outcome of the contract
+    assert {0, 1, 2} <= set(codes)

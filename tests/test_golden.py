@@ -2,9 +2,10 @@
 for byte.
 
 The files under ``tests/golden/`` hold the exact output of ``simulate`` and
-``verify broadcast`` on the shipped binary system, plus ``SimOutcome`` JSON
-for the three-letter asymmetric system (whose error rates lie strictly
-between 0 and 1).  Any change to codebook sampling, chunking or the
+``verify broadcast`` on the shipped binary system and on the shipped
+design inside its own region (whose error rates and union term lie strictly
+between 0 and 1), plus ``SimOutcome`` JSON for the three-letter asymmetric
+system.  Any change to codebook sampling, chunking or the
 encode/decode kernel must reproduce them exactly, for every thread count.
 They also hold ``bound`` for every kind in JSON and CSV, ``verify`` for
 every covering, resolvability and packing kind, ``sweep`` for every kind
@@ -28,6 +29,7 @@ from oneshot import SchemeSizes, cli, simulate
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BINARY = str(ROOT / "configs" / "broadcast_binary.json")
+INSIDE = str(ROOT / "configs" / "broadcast_inside.json")
 SMALL = str(ROOT / "configs" / "sizes_small.json")
 LARGE = str(ROOT / "configs" / "sizes_large.json")
 JOINT = str(ROOT / "configs" / "joint_2x2.json")
@@ -67,6 +69,15 @@ CLI_CASES = {
     "simulate_unit_reuse4_random": ["simulate", "--config", BINARY, "--sizes", "1,1,1,1,1,1,1",
                                     "--gamma", "0.02", "--trials", "5003", "--seed", "15",
                                     "--reuse-codebook", "4", "--random-message"],
+    # a design inside its own region: both errors and the union lie strictly inside (0, 1)
+    "simulate_inside": ["simulate", "--config", INSIDE, "--sizes", "1,1,1,1,1,2,2",
+                        "--gamma", "0.02", "--trials", "5000", "--seed", "23"],
+    "simulate_inside_reuse4_random": ["simulate", "--config", INSIDE, "--sizes", "1,1,1,1,1,2,2",
+                                      "--gamma", "0.02", "--trials", "5003", "--seed", "24",
+                                      "--reuse-codebook", "4", "--random-message"],
+    "verify_broadcast_inside": ["verify", "broadcast", "--config", INSIDE,
+                                "--sizes", "1,1,1,1,1,2,2", "--gamma", "0.02",
+                                "--trials", "5000", "--seed", "25"],
     "verify_broadcast_small": ["verify", "broadcast", "--config", BINARY, "--sizes-file", SMALL,
                                "--gamma", "1.2", "--trials", "5000", "--seed", "11"],
     "verify_broadcast_large": ["verify", "broadcast", "--config", BINARY, "--sizes-file", LARGE,
