@@ -509,18 +509,20 @@ class TestChunking:
         assert row_bytes * chunk <= rngmod.CHUNK_BYTES
         assert row_bytes * (chunk + reuse) > rngmod.CHUNK_BYTES
 
-    @pytest.mark.parametrize("system,reuse", [(BINARY, 1), (BINARY, 4), (BINARY, 64),
-                                              (WIDE, 1), (WIDE, 4)],
-                             ids=["1", "4", "64", "wide-1", "wide-4"])
-    def test_chunks_peak_within_the_byte_cap(self, system, reuse):
+    @pytest.mark.parametrize("system,reuse,trials", [(BINARY, 1, 128), (BINARY, 4, 128),
+                                                     (BINARY, 64, 128), (WIDE, 1, 128),
+                                                     (WIDE, 64, 512)],
+                             ids=["1", "4", "64", "wide-1", "wide-64"])
+    def test_chunks_peak_within_the_byte_cap(self, system, reuse, trials):
         # every array a chunk allocates counts against the cap, not only its
         # uniforms: uniforms alone would let 127 binary trials share one chunk
-        # here; past 64 satellite symbols the head test holds a flat index per
-        # satellite codeword instead of symbol masks
+        # here.  Past 64 satellite symbols the head test holds a flat index per
+        # satellite codeword, which no reuse group shares: left uncounted, it
+        # would put all 512 wide trials in one chunk of 2.4 times the cap
         system.tables  # built outside the traced window: they are not per-trial
         tracemalloc.start()
         try:
-            simulate(system, SchemeSizes.from_string("8,8,8,8,8,8,8"), 1.0, trials=128, seed=3,
+            simulate(system, SchemeSizes.from_string("8,8,8,8,8,8,8"), 1.0, trials=trials, seed=3,
                      reuse_codebook=reuse)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

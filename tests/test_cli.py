@@ -679,9 +679,7 @@ _EXTREMES = ["0", "-1", "1e-300", "1e300", "inf", "-inf", "nan", str(2**63), "71
 #: flags that argparse reads as integers take only the integral extremes
 _INT_FLAGS = {"--M", "--L", "--N", "--seed", "--threads", "--trials", "--steps",
               "--reuse-codebook"}
-_REGION_BINARY = str(CONFIGS / "region_binary.json")
 _INSIDE = str(CONFIGS / "broadcast_inside.json")
-_EVENT = str(CONFIGS / "event_diag.json")
 #: base argv of every fuzzed command, over all five subcommands
 _FUZZ_BASES = [
     ["bound", "covering1", *_COV_4X4, "--gamma", "0.9", "--delta", "0.4"],
@@ -710,7 +708,7 @@ _FUZZ_BASES = [
      "--from", "2.5", "--to", "12", "--steps", "6"],
     ["sweep", "broadcast", "--config", _INSIDE, "--sizes", "1,1,1,1,1,2,2", "--param", "gamma",
      "--from", "0.05", "--to", "4", "--steps", "3"],
-    ["region", "--config", _REGION_BINARY, "--rates", "0.1,0.2,0.1"],
+    ["region", "--config", str(CONFIGS / "region_binary.json"), "--rates", "0.1,0.2,0.1"],
     ["region", "--config", _INSIDE, "--project", "--units", "bits"],
 ]
 _JSON_FLAGS = ("--dist", "--event", "--config")
@@ -727,9 +725,9 @@ def _numeric_leaves(doc, path=()):
 
 def _mutate(gen: np.random.Generator, base: list[str], tmp: Path) -> list[str]:
     """``base`` with one numeric flag, one entry of ``--sizes`` or ``--rates``
-    or one number of a JSON input set to an extreme value; every case stays cheap: at most
-    100 trials or more than ``TRIALS_CAP``, and at most 10 sweep steps or
-    more than ``SWEEP_STEPS_CAP``."""
+    or one number of a JSON input set to an extreme value.  Every case stays
+    cheap: at most 100 trials or more than ``TRIALS_CAP``, and at most 10
+    sweep steps or more than ``SWEEP_STEPS_CAP``."""
     argv = list(base)
     flags = [i for i, a in enumerate(argv[:-1]) if a.startswith("--")
              and argv[i + 1][:1] in "0123456789" and a not in _JSON_FLAGS]
