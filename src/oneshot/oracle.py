@@ -11,9 +11,10 @@ compositions of the codebook size with log-space multinomial weights.
 
 Monte Carlo estimators run through :func:`oneshot.rng.monte_carlo`: results
 are bitwise identical for any thread count, and chunk sizes are a fixed
-function of the inputs.  Only the integer-count (miss) estimators are also
-independent of the chunk size; the float sums of :func:`mc_resolvability_excess`
-are not.
+function of the inputs.  The covering estimators test each trial on
+bit-packed event rows (:func:`_hits`).  Only the integer-count (miss)
+estimators are also independent of the chunk size; the float sums of
+:func:`mc_resolvability_excess` are not.
 """
 
 from __future__ import annotations
@@ -80,6 +81,26 @@ def multiset_count(M: int, k: int) -> int:
     return math.comb(M + k - 1, M)
 
 
+def _multisets_exceed(M: int, k: int, cap: int) -> bool:
+    """Whether ``multiset_count(M, k) > cap``, without building a count past
+    the cap: ``C(n + i, i)`` grows with ``i`` up to ``min(M, k - 1)``."""
+    n, count = max(M, k - 1), 1
+    for i in range(1, min(M, k - 1) + 1):
+        count = count * (n + i) // i
+        if count > cap:
+            return True
+    return False
+
+
+def _row_counts(idx: np.ndarray, k: int, dtype=np.int64) -> np.ndarray:
+    """Per-row symbol counts of an (n, m) index array, as (n, k) int64, or
+    float64 summed from unit weights, so that no int64 copy is held."""
+    n = idx.shape[0]
+    flat = (idx + np.arange(0, n * k, k)[:, None]).ravel()
+    weights = None if dtype == np.int64 else np.ones(flat.size)
+    return np.bincount(flat, weights, n * k).reshape(n, k)
+
+
 def _iter_count_blocks(M: int, k: int) -> Iterator[np.ndarray]:
     """Yield (n, k) arrays of per-symbol codeword counts, ``_BLOCK`` at a time."""
     combos = combinations_with_replacement(range(k), M)
@@ -87,10 +108,7 @@ def _iter_count_blocks(M: int, k: int) -> Iterator[np.ndarray]:
         chunk = list(islice(combos, _BLOCK))
         if not chunk:
             return
-        idx = np.asarray(chunk, dtype=np.int64)
-        counts = np.zeros((idx.shape[0], k), dtype=np.int64)
-        np.add.at(counts, (np.arange(idx.shape[0])[:, None], idx), 1)
-        yield counts
+        yield _row_counts(np.asarray(chunk, dtype=np.int64), k)
 
 
 def _log_weights(counts: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,6 +129,23 @@ def _log_weights(counts: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndar
     return logw, valid
 
 
+def _pack(event: np.ndarray) -> np.ndarray:
+    """Event rows as bits along the last axis, little-endian within each byte."""
+    return np.packbits(event, axis=-1, bitorder="little")
+
+
+def _hits(rows: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
+    """Per trial, whether a drawn column lies in the union of the drawn rows.
+
+    ``rows`` holds each trial's drawn :func:`_pack` rows, (n, M, ceil(k/8));
+    ``cols`` its drawn column indices, (n, L), out of ``k`` columns.
+    """
+    n = rows.shape[0]
+    union = np.unpackbits(np.bitwise_or.reduce(rows, axis=1), axis=1, count=k,
+                          bitorder="little")
+    return union.ravel().take(np.arange(0, n * k, k)[:, None] + cols).any(axis=1)
+
+
 def _exact_miss(pu: np.ndarray, pv: np.ndarray, event: np.ndarray, M: int, L: int) -> float:
     """E[(1 - P_V(union of covered columns))^L] by a DP over covered sets.
 
@@ -123,7 +158,7 @@ def _exact_miss(pu: np.ndarray, pv: np.ndarray, event: np.ndarray, M: int, L: in
     cols = pv > 0
     rows, inv = np.unique(event[pu > 0][:, cols], axis=0, return_inverse=True)
     q = np.bincount(inv.ravel(), weights=pu[pu > 0], minlength=len(rows))
-    masks = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little") for r in rows]
+    masks = [int.from_bytes(r.tobytes(), "little") for r in _pack(rows)]
     C = len(masks)
 
     def check_cap(sets: int) -> None:
@@ -185,18 +220,26 @@ def exact_miss_prob(spec: EnsembleSpec) -> float:
 
 
 def exact_miss_prob_bruteforce(spec: EnsembleSpec) -> float:
-    """Same value by raw enumeration of all |U|^M codebooks (cross-check)."""
+    """Same value by raw enumeration of all |U|^M codebooks (cross-check).
+
+    The codebooks are extended one codeword at a time, in lexicographic
+    order; each carries its probability and its covered columns.
+    """
     pu = spec.joint.probs.sum(axis=1)
     pv = spec.joint.probs.sum(axis=0)
-    k = len(pu)
-    n_books = k**spec.M
-    if n_books > BRUTEFORCE_CAP:
+    k, M = len(pu), spec.M
+    # k**M is built only up to ``draws``: past it, 2**M alone exceeds the cap
+    draws = BRUTEFORCE_CAP.bit_length() - 1
+    if M > draws or k**M > BRUTEFORCE_CAP:
         raise EnumerationCapError(
-            f"{n_books} raw codebooks exceed the brute-force cap of {BRUTEFORCE_CAP}"
+            f"{k}^M raw codebooks exceed the brute-force caps of {BRUTEFORCE_CAP} codebooks "
+            f"and {draws} draws"
         )
-    books = np.indices((k,) * spec.M).reshape(spec.M, -1).T
-    weights = pu[books].prod(axis=1)
-    covered = spec.event[books].any(axis=1)
+    weights = np.ones(1)
+    covered = np.zeros((1, len(pv)), dtype=bool)
+    for _ in range(M):
+        weights = np.outer(weights, pu).ravel()
+        covered = (covered[:, None] | spec.event[None]).reshape(-1, len(pv))
     mass = covered @ pv
     return float((weights * np.clip(1.0 - mass, 0.0, 1.0) ** spec.L).sum())
 
@@ -212,19 +255,19 @@ def mc_miss_prob(spec: EnsembleSpec, trials: int, seed: int, threads: int = 1) -
     cdf_u = np.cumsum(pu)
     cdf_v = np.cumsum(pv)
     M, L = spec.M, spec.L
-    event = spec.event
+    packed = _pack(spec.event)
+    kv = len(pv)
 
     def body(u: np.ndarray) -> float:
         us = rng.sample_categorical(cdf_u, u[:, :M])
         vs = rng.sample_categorical(cdf_v, u[:, M:])
         # a pair hits iff some column the U-codebook covers was drawn
-        covered = event[us].any(axis=1)
-        hit = np.take_along_axis(covered, vs, axis=1).any(axis=1)
-        return float((~hit).sum())
+        return float((~_hits(packed.take(us, axis=0), vs, kv)).sum())
 
-    # per trial besides its uniform row: the drawn indices and event[us]
+    # per trial besides its uniform row: the drawn indices, the drawn packed
+    # rows, and their union unpacked
     total = rng.monte_carlo(trials, seed, M + L, body,
-                            work_bytes=16 * (M + L) + M * event.shape[1], threads=threads)
+                            work_bytes=16 * (M + L) + packed.shape[1] * M + kv, threads=threads)
     return rng.estimate(total, trials, seed)
 
 
@@ -267,19 +310,19 @@ def mc_conditional_miss_prob(
     cdf_s = np.cumsum(st.sum(axis=2), axis=1)
     cdf_t = np.cumsum(st.sum(axis=1), axis=1)
     _, ks, kt = event3.shape
+    packed = _pack(event3)
 
     def body(u: np.ndarray) -> float:
         us = rng.sample_categorical(cdf_u, u[:, 0])
         ss = rng.sample_categorical(cdf_s[us][:, None, :], u[:, 1 : 1 + M])
         ts = rng.sample_categorical(cdf_t[us][:, None, :], u[:, 1 + M :])
-        covered = event3[us[:, None], ss].any(axis=1)
-        hit = np.take_along_axis(covered, ts, axis=1).any(axis=1)
-        return float((~hit).sum())
+        return float((~_hits(packed[us[:, None], ss], ts, kt)).sum())
 
     # per trial besides its uniform row: the drawn indices, the conditional
-    # cdf rows, and event3[us, ss]
+    # cdf rows, the drawn packed rows, and their union unpacked
     total = rng.monte_carlo(trials, seed, 1 + M + L, body,
-                            work_bytes=16 * (M + L) + 8 * (ks + kt) + M * kt, threads=threads)
+                            work_bytes=16 * (M + L) + 8 * (ks + kt) + packed.shape[2] * M + kt,
+                            threads=threads)
     return rng.estimate(total, trials, seed)
 
 
@@ -334,10 +377,10 @@ def resolvability_excess_exact(joint: Joint, M: int, lam: float) -> float:
     codebook ensemble.
     """
     pu, pv, rows = _resolvability_inputs(joint, M, lam)
-    n = multiset_count(M, len(pu))
-    if n > MULTISET_CAP:
-        raise EnumerationCapError(f"{n} codeword multisets exceed the cap of {MULTISET_CAP}; "
-                                  "use the Monte Carlo estimator")
+    if _multisets_exceed(M, len(pu), MULTISET_CAP):
+        raise EnumerationCapError(
+            f"C(M + {len(pu) - 1}, M) codeword multisets exceed the cap of {MULTISET_CAP}; "
+            "use the Monte Carlo estimator")
     total = 0.0
     for counts in _iter_count_blocks(M, len(pu)):
         logw, valid = _log_weights(counts, pu)
@@ -359,10 +402,7 @@ def mc_resolvability_excess(
     k = len(pu)
 
     def body(u: np.ndarray) -> float:
-        n = u.shape[0]
-        cs = rng.sample_categorical(cdf_u, u)
-        counts = np.zeros((n, k), dtype=np.float64)
-        np.add.at(counts, (np.arange(n)[:, None], cs), 1.0)
+        counts = _row_counts(rng.sample_categorical(cdf_u, u), k, np.float64)
         phat = (counts @ rows) / M
         return float(_excess_mass(phat, pv, lam).sum())
 

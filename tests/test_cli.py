@@ -710,8 +710,18 @@ _FUZZ_BASES = [
      "--from", "0.05", "--to", "4", "--steps", "3"],
     ["region", "--config", str(CONFIGS / "region_binary.json"), "--rates", "0.1,0.2,0.1"],
     ["region", "--config", _INSIDE, "--project", "--units", "bits"],
+    # C(M + 1999, M) has more digits than Python will print
+    ["verify", "resolvability", "--dist", "{wide}", "--M", "200000", "--lam", "3",
+     "--trials", "2"],
 ]
 _JSON_FLAGS = ("--dist", "--event", "--config")
+
+
+def _wide_joint(tmp: Path) -> Path:
+    """A uniform 2000 x 2 joint: too many codeword multisets to count in digits."""
+    path = tmp / "wide.json"
+    path.write_text(json.dumps(np.full((2000, 2), 1 / 4000).tolist()))
+    return path
 
 
 def _numeric_leaves(doc, path=()):
@@ -769,10 +779,11 @@ def test_exit_contract_fuzz(tmp_path, capsys, monkeypatch):
         raise AssertionError("a fuzz case started worker threads")
 
     monkeypatch.setattr(rng, "ThreadPoolExecutor", no_threads)
+    wide = str(_wide_joint(tmp_path))
     gen = np.random.default_rng(2026)
     codes = []
     for case in range(300):
-        base = _FUZZ_BASES[case % len(_FUZZ_BASES)]
+        base = [a.format(wide=wide) for a in _FUZZ_BASES[case % len(_FUZZ_BASES)]]
         argv = [*_mutate(gen, base, tmp_path), "--format", "json"]
         code = cli.main(argv)
         out, err = capsys.readouterr()
@@ -788,3 +799,21 @@ def test_exit_contract_fuzz(tmp_path, capsys, monkeypatch):
             assert all(line.startswith(("error: ", "warning: ")) for line in lines), (argv, err)
     # the mutations reach every outcome of the contract
     assert {0, 1, 2} <= set(codes)
+
+
+@pytest.mark.parametrize("M,code", [(10**6, 0), (10**7, 1)])
+def test_wide_resolvability_skips_the_uncountable_exact_value(M, code, tmp_path, capsys):
+    # the multiset count C(M + 1999, M) has over 4,300 digits: the cap is
+    # decided without printing it, the exact row is skipped, and Monte Carlo
+    # runs (10^6) or meets the chunk cap (10^7); it used to exit 3
+    code_seen = cli.main(["verify", "resolvability", "--dist", str(_wide_joint(tmp_path)),
+                          "--M", str(M), "--lam", "3", "--trials", "1", "--format", "json"])
+    out, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert code_seen == code, err
+    assert lines[0].startswith("warning: exact value skipped") and "cap" in lines[0]
+    if code == 0:
+        assert len(lines) == 1
+        assert [row["name"] for row in _strict_json(out)["rows"]] == ["mc", "resolvability"]
+    else:
+        assert out == "" and len(lines) == 2 and lines[1].startswith("error: one trial needs")

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,13 @@ from oneshot import (
 from oneshot.bounds import event_from_points, full_event
 from oneshot.broadcast import SchemeSizes, mc_event_union
 from oneshot.errors import EnumerationCapError, InputFormatError
-from oneshot.oracle import mc_conditional_miss_prob, multiset_count
+from oneshot.oracle import (
+    _hits,
+    _multisets_exceed,
+    _pack,
+    mc_conditional_miss_prob,
+    multiset_count,
+)
 
 from conftest import noiseless_broadcast_system, random_event, random_joint
 
@@ -216,6 +224,99 @@ class TestCoveredSetDp:
         assert abs(est.mean - exact) <= 5 * est.stderr
 
 
+def indices_bruteforce(spec: EnsembleSpec) -> float:
+    """The brute force as it was first written: an explicit |U|^M x M matrix
+    of codebooks from ``np.indices``, in the same lexicographic order."""
+    pu = spec.joint.probs.sum(axis=1)
+    pv = spec.joint.probs.sum(axis=0)
+    books = np.indices((len(pu),) * spec.M).reshape(spec.M, -1).T
+    weights = pu[books].prod(axis=1)
+    covered = spec.event[books].any(axis=1)
+    mass = covered @ pv
+    return float((weights * np.clip(1.0 - mass, 0.0, 1.0) ** spec.L).sum())
+
+
+class TestBruteForce:
+    def test_equals_the_book_matrix_formula(self):
+        # extending codebooks one codeword at a time keeps the product order
+        # and the summed array, so the value is the same double
+        rng = np.random.default_rng(4099)
+        n = 0
+        while n < 200:
+            j, ev = _varied_instance(rng)
+            M, L = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            if j.shape[0] ** M > 10**4:
+                continue
+            spec = EnsembleSpec(j, ev, M, L)
+            assert exact_miss_prob_bruteforce(spec) == indices_bruteforce(spec), (j.probs, ev, M)
+            n += 1
+
+    def test_cap_counts_codebooks_and_draws(self):
+        j = random_joint(np.random.default_rng(3), (10, 2))
+        ev = np.eye(10, 2, dtype=bool)
+        assert 0.0 < exact_miss_prob_bruteforce(EnsembleSpec(j, ev, 5, 2)) < 1.0  # 10^5 books
+        for k, M in [(10, 6), (2, 17), (1, 17)]:
+            spec = EnsembleSpec(Joint(np.full((k, 2), 0.5 / k)), np.ones((k, 2), dtype=bool), M, 2)
+            with pytest.raises(EnumerationCapError, match="brute-force caps"):
+                exact_miss_prob_bruteforce(spec)
+
+
+class TestHugeCounts:
+    def test_multiset_cap_agrees_with_the_count(self):
+        for M in range(1, 30):
+            for k in range(1, 30):
+                for cap in (1, 7, 10**3, 10**6):
+                    assert _multisets_exceed(M, k, cap) == (multiset_count(M, k) > cap)
+
+    @pytest.mark.parametrize("refuse", [
+        lambda: exact_miss_prob_bruteforce(
+            EnsembleSpec(Joint(np.full((3, 2), 1 / 6)), np.ones((3, 2), dtype=bool), 10**7, 2)),
+        lambda: resolvability_excess_exact(Joint(np.full((2000, 2), 1 / 4000)), 10**7, 3.0),
+        lambda: resolvability_excess_exact(JOINT, 10**7, 3.0),
+    ], ids=["bruteforce", "multisets-wide", "multisets"])
+    def test_huge_counts_are_refused_without_building_them(self, refuse):
+        # 3^(10^7) and C(10^7 + 1999, 1999) have far more digits than Python
+        # prints; the caps are decided and reported without them
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError, match="exceed the"):
+            refuse()
+        assert time.perf_counter() - start < 0.5
+
+
+class TestPackedHits:
+    """``_hits`` against the boolean reference it replaced."""
+
+    @staticmethod
+    def reference(event_rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        covered = event_rows.any(axis=1)
+        return np.take_along_axis(covered, cols.astype(np.intp), axis=1).any(axis=1)
+
+    @pytest.mark.parametrize("kv", [1, 7, 8, 9, 64, 65])
+    def test_matches_boolean_reference(self, kv):
+        gen = np.random.default_rng(kv)
+        event = gen.random((6, kv)) < 0.1
+        event[0], event[1] = False, True  # an empty row and an all-true row
+        for M, L in [(1, 1), (3, 5), (20, 2)]:
+            us = gen.integers(0, 6, (400, M)).astype(np.uint8)
+            vs = gen.integers(0, kv, (400, L)).astype(np.uint8)
+            got = _hits(_pack(event).take(us, axis=0), vs, kv)
+            want = self.reference(event[us], vs)
+            np.testing.assert_array_equal(got, want)
+            assert 0 < want.sum() < len(want) or kv == 1
+
+    @pytest.mark.parametrize("kt", [1, 9, 65])
+    def test_conditional_rows(self, kt):
+        # rows of a 3-axis event, picked by (conditioning symbol, codeword)
+        gen = np.random.default_rng(100 + kt)
+        event3 = gen.random((3, 4, kt)) < 0.05
+        event3[0, 0], event3[1, 2] = False, True
+        us = gen.integers(0, 3, 500).astype(np.uint8)
+        ss = gen.integers(0, 4, (500, 6)).astype(np.uint8)
+        ts = gen.integers(0, kt, (500, 4)).astype(np.uint8)
+        got = _hits(_pack(event3)[us[:, None], ss], ts, kt)
+        np.testing.assert_array_equal(got, self.reference(event3[us[:, None], ss], ts))
+
+
 class TestLogWeights:
     @pytest.mark.parametrize("k,M", [(2, 1), (2, 300), (3, 60), (5, 120), (8, 17), (8, 300)])
     def test_matches_exact_integer_multinomial(self, k, M):
@@ -391,6 +492,29 @@ class TestMcChunkCap:
         mc_conditional_miss_prob(JOINT3, EVENT3, 40, 40, 10, seed=1)
         mc_resolvability_excess(JOINT, 200, 3.0, 10, seed=1)
         assert chunks == [rngmod.CHUNK_TRIALS] * 3
+
+    @pytest.mark.parametrize("estimate,trials", [
+        (lambda t: mc_miss_prob(EnsembleSpec(random_joint(np.random.default_rng(1), (4, 65)),
+                                             np.eye(4, 65, dtype=bool), 2000, 2000), t, seed=3),
+         600),
+        (lambda t: mc_conditional_miss_prob(random_joint(np.random.default_rng(2), (3, 4, 65)),
+                                            np.eye(4, 65, dtype=bool)[None].repeat(3, axis=0),
+                                            2000, 2000, t, seed=3), 600),
+        (lambda t: mc_resolvability_excess(random_joint(np.random.default_rng(3), (2000, 2)), 10,
+                                           3.0, t, seed=3), 4119),
+    ], ids=["miss", "conditional", "resolvability"])
+    def test_chunk_peaks_within_the_byte_cap(self, estimate, trials, chunks):
+        # 4,000 draws per trial over 65 columns, or counts over 2,000
+        # symbols: the byte cap, not CHUNK_TRIALS, sizes the one chunk, and
+        # what it allocates is measured rather than estimated
+        tracemalloc.start()
+        try:
+            estimate(trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(chunks) == 1 and trials / 2 < chunks[0] <= trials < rngmod.CHUNK_TRIALS
+        assert peak <= 1.1 * rngmod.CHUNK_BYTES, peak / rngmod.CHUNK_BYTES
 
     @pytest.mark.parametrize("estimate", [
         lambda: mc_miss_prob(EnsembleSpec(JOINT, DIAG, 10**8, 2), 5, seed=1),

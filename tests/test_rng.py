@@ -95,6 +95,44 @@ class TestSampleCategorical2D:
                                       rng.sample_categorical(np.tile(cdf, (500, 1)), u))
 
 
+@pytest.mark.parametrize("k", [rng.COMPARE_SYMBOLS, rng.COMPARE_SYMBOLS + 1],
+                         ids=["compare", "searchsorted"])
+class TestSampleCategorical1D:
+    """A 1-D cdf takes the compare passes up to ``COMPARE_SYMBOLS`` symbols and
+    a binary search past them; both count the entries <= u, clamped."""
+
+    def test_matches_reference(self, k):
+        gen = np.random.default_rng(k)
+        cdf = random_cdfs(gen, 1, k)[0]
+        assert_matches_reference(cdf, gen.random(2000))
+        assert_matches_reference(cdf, gen.random((30, 7))[:, ::2])
+
+    def test_tied_entries(self, k):
+        # every other symbol has zero mass; u on a tie moves past all of it
+        cdf = np.repeat(np.linspace(0.0, 1.0, (k + 1) // 2 + 1)[1:], 2)[:k]
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0]])
+        assert_matches_reference(cdf, u)
+        assert rng.sample_categorical(cdf, cdf[:1])[0] == 2
+
+    def test_uniform_equal_to_a_cdf_entry(self, k):
+        cdf = random_cdfs(np.random.default_rng(5 + k), 1, k)[0]
+        got = rng.sample_categorical(cdf, cdf[:-1])
+        np.testing.assert_array_equal(got, np.arange(1, k))
+        assert_matches_reference(cdf, cdf)
+
+    def test_last_entry_below_one(self, k):
+        cdf = random_cdfs(np.random.default_rng(9 + k), 1, k)[0] * (1 - 1e-9)
+        u = np.array([cdf[-1], np.nextafter(cdf[-1], 1.0), 1 - 1e-12, 0.0])
+        assert_matches_reference(cdf, u)
+        assert (rng.sample_categorical(cdf, u)[:3] == k - 1).all()
+
+    def test_dtype_and_shape(self, k):
+        cdf = random_cdfs(np.random.default_rng(k), 1, k)[0]
+        for u in (np.zeros(0), np.full((2, 3), 0.5), np.float64(0.25)):
+            got = rng.sample_categorical(cdf, u)
+            assert got.dtype == np.uint8 and got.shape == np.shape(u)
+
+
 class TestTrialUniforms:
     @pytest.mark.parametrize("k", [1, 4, 5, 11])
     def test_rows_do_not_depend_on_chunking(self, k):
