@@ -7,16 +7,17 @@ codewords for the two receivers.  The encoder picks the inner pair
 minimizing the mass of the bad output set; each decoder runs a two-stage
 threshold search (cloud index, then satellite pair).
 
-All density tables are derived from the design joint
-``P(u,s,t) x channel(y1,y2 | x(u,s,t))``.  Output symbols outside the
-design support get density ``-inf`` ("no evidence"), which keeps the
+The bound and the density tables read only the law of (u, s, t) and the
+two receiver marginals ``p(u,s,y1)`` and ``p(u,t,y2)``; the design joint
+over (u, s, t, y1, y2) is never built for them.  Output symbols outside
+the design support get density ``-inf`` ("no evidence"), which keeps the
 decoders total without affecting any exactly computed probability.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -33,8 +34,18 @@ from .errors import (
 from .probability import (Joint, Kernel, _iid_power, cond_info_density_table, input_array,
                           integral, log_ratio_table, product_extend)
 
-#: cap on the size of the design joint over (u, s, t, y1, y2)
+#: cap on the entries of the largest array a broadcast evaluation builds: a
+#: receiver marginal, an array of the union kernel, or (for the encoder and
+#: the Monte Carlo cross-check) a table over (u, s, t, y1, y2)
 JOINT_CAP = 10**7
+
+
+def _check_cap(what: str, *entries: int) -> None:
+    """Raise :class:`EnumerationCapError` before an array of more than
+    ``JOINT_CAP`` entries is built; ``entries`` are the sizes of the arrays."""
+    largest = max(entries)
+    if largest > JOINT_CAP:
+        raise EnumerationCapError(f"{what} with {largest} entries exceeds the cap of {JOINT_CAP}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +103,7 @@ class SchemeSizes:
         return cls(*(int(p) for p in parts))
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -131,18 +142,23 @@ class BroadcastSystem:
         """The channel rows ``channel(y1,y2 | x(u,s,t))`` over (u, s, t, y1, y2),
         gathered on first use.  More than ``JOINT_CAP`` entries raise
         :class:`EnumerationCapError` before they are allocated."""
-        entries = math.prod(self.shape)
-        if entries > JOINT_CAP:
-            raise EnumerationCapError(
-                f"design joint with {entries} entries exceeds the cap of {JOINT_CAP}"
-            )
+        _check_cap("design joint", math.prod(self.shape))
         return self.channel.rows[self.x_map]
 
     @cached_property
-    def full(self) -> np.ndarray:
-        """The design joint ``P(u,s,t) channel(y1,y2 | x(u,s,t))`` over
-        (u, s, t, y1, y2), built on first use from :attr:`out_rows`."""
-        return self.joint_ust.probs[:, :, :, None, None] * self.out_rows
+    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The receiver marginals ``p(u,s,y1)`` and ``p(u,t,y2)``, built on
+        first use: ``P(u,s,t) W_r(y_r | x(u,s,t))`` summed over the other
+        auxiliary, ``W_r`` the channel's marginal rows for receiver ``r``.
+        More than ``JOINT_CAP`` entries in one of them, or in the law of
+        (u, s_r, x) each is read from, raise before allocation."""
+        ku, ks, kt, ky1, ky2 = self.shape
+        kx = self.channel.n_inputs
+        _check_cap("receiver marginal", ku * ks * max(kx, ky1), ku * kt * max(kx, ky2))
+        p, rows = self.joint_ust.probs, self.channel.rows
+        return (_receiver_marginal(p, self.x_map, rows.sum(axis=2)),
+                _receiver_marginal(p.transpose(0, 2, 1), self.x_map.transpose(0, 2, 1),
+                                   rows.sum(axis=1)))
 
     @cached_property
     def tables(self) -> "DensityTables":
@@ -161,6 +177,16 @@ class BroadcastSystem:
             input_array(doc["x_map"], "x_map", np.int64),
             Kernel.from_json(doc["channel"]),
         )
+
+
+def _receiver_marginal(p_ust: np.ndarray, x_map: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``sum_t p(u,s,t) w(y | x(u,s,t))`` over (u, s, y): the law of (u, s, x),
+    summed by ``bincount`` over the last auxiliary, times the rows ``w``."""
+    ku, ks, kt = p_ust.shape
+    kx = w.shape[0]
+    cells = (np.arange(ku * ks)[:, None] * kx + x_map.reshape(ku * ks, kt)).ravel()
+    p_usx = np.bincount(cells, weights=p_ust.ravel(), minlength=ku * ks * kx)
+    return (p_usx.reshape(ku * ks, kx) @ w).reshape(ku, ks, -1)
 
 
 def product_extend_system(system: BroadcastSystem, n: int) -> BroadcastSystem:
@@ -183,12 +209,15 @@ def product_extend_system(system: BroadcastSystem, n: int) -> BroadcastSystem:
 
 class Clause(NamedTuple):
     """A threshold event: density table ``table`` passes ``test`` against
-    ``ln(size(sizes)) + slope * gamma``; ``axes`` spreads it over (u, s, t, y1, y2)."""
+    ``ln(size(sizes)) + slope * gamma``.  It is measured under the
+    :class:`DensityTables` law ``law`` over the same axes; ``axes`` spreads
+    it over (u, s, t, y1, y2)."""
 
     table: str
     test: Callable
     size: Callable[[SchemeSizes], int]
     slope: float
+    law: str
     axes: tuple
 
 
@@ -196,15 +225,15 @@ class Clause(NamedTuple):
 #: ``head{r}`` and its inner test on i(S_r; Y_r | U) is ``inner{r}`` (S_1 = S,
 #: S_2 = T); ``cross`` is the encoder's test on i(S; T | U)
 CLAUSES = {
-    "head1": Clause("i_us_y1", np.less_equal, lambda z: z.M * z.Ntilde, 1.0,
+    "head1": Clause("i_us_y1", np.less_equal, lambda z: z.M * z.Ntilde, 1.0, "p_usy1",
                     np.s_[:, :, None, :, None]),
-    "head2": Clause("i_ut_y2", np.less_equal, lambda z: z.M * z.Ltilde, 1.0,
+    "head2": Clause("i_ut_y2", np.less_equal, lambda z: z.M * z.Ltilde, 1.0, "p_uty2",
                     np.s_[:, None, :, None, :]),
-    "inner1": Clause("i_s_y1_u", np.less_equal, lambda z: z.Ntilde, 1.0,
+    "inner1": Clause("i_s_y1_u", np.less_equal, lambda z: z.Ntilde, 1.0, "p_usy1",
                      np.s_[:, :, None, :, None]),
-    "inner2": Clause("i_t_y2_u", np.less_equal, lambda z: z.Ltilde, 1.0,
+    "inner2": Clause("i_t_y2_u", np.less_equal, lambda z: z.Ltilde, 1.0, "p_uty2",
                      np.s_[:, None, :, None, :]),
-    "cross": Clause("i_s_t_u", np.greater, lambda z: z.Nhat * z.Lhat, -2.0,
+    "cross": Clause("i_s_t_u", np.greater, lambda z: z.Nhat * z.Lhat, -2.0, "p_ust",
                     np.s_[:, :, :, None, None]),
 }
 
@@ -223,26 +252,29 @@ def thresholds_for(sizes: SchemeSizes, gamma: float) -> dict[str, float]:
 
 
 class DensityTables:
-    """Marginals and density tables of the design joint, precomputed once
-    per system (read them as :attr:`BroadcastSystem.tables`).
+    """Marginals and density tables of a design, precomputed once per system
+    (read them as :attr:`BroadcastSystem.tables`) from the law of (u, s, t)
+    and the receiver marginals :attr:`BroadcastSystem.marginals`.
 
     Every table comes from :func:`~oneshot.probability.log_ratio_table`:
     finite on the support and ``-inf`` where the relevant joint marginal
-    vanishes.
+    vanishes.  The arrays of :meth:`union_probability` count against
+    ``JOINT_CAP`` here, before anything is built.
     """
 
     def __init__(self, system: BroadcastSystem):
-        self.full = system.full
-        p_ust = system.joint_ust.probs
-        self.p_u = p_ust.sum(axis=(1, 2))
-        self.p_us = p_ust.sum(axis=2)
-        self.p_ut = p_ust.sum(axis=1)
-        self.p_usy1 = self.full.sum(axis=(2, 4))
-        self.p_uty2 = self.full.sum(axis=(1, 3))
-        self.p_y1 = self.full.sum(axis=(0, 1, 2, 4))
-        self.p_y2 = self.full.sum(axis=(0, 1, 2, 3))
-        self.p_uy1 = self.full.sum(axis=(1, 2, 4))
-        self.p_uy2 = self.full.sum(axis=(1, 2, 3))
+        ku, ks, kt, ky1, ky2 = self.shape = system.shape
+        kx = system.channel.n_inputs
+        _check_cap("union kernel", ku * kt * kx * ky1, ku * ks * kt * ky1)
+        self.p_usy1, self.p_uty2 = system.marginals
+        self.p_ust = system.joint_ust.probs
+        self.p_u = self.p_ust.sum(axis=(1, 2))
+        self.p_us = self.p_ust.sum(axis=2)
+        self.p_ut = self.p_ust.sum(axis=1)
+        self.p_uy1 = self.p_usy1.sum(axis=1)
+        self.p_uy2 = self.p_uty2.sum(axis=1)
+        self.p_y1 = self.p_uy1.sum(axis=0)
+        self.p_y2 = self.p_uy2.sum(axis=0)
 
         self.i_us_y1 = log_ratio_table((self.p_usy1,), (self.p_us[:, :, None], self.p_y1))
         self.i_ut_y2 = log_ratio_table((self.p_uty2,), (self.p_ut[:, :, None], self.p_y2))
@@ -251,6 +283,13 @@ class DensityTables:
         self.i_t_y2_u = log_ratio_table((self.p_uty2, self.p_u[:, None, None]),
                                         (self.p_ut[:, :, None], self.p_uy2[:, None, :]))
         self.i_s_t_u = cond_info_density_table(system.joint_ust)
+        # the union kernel's channel rows, receiver 2's marginal rows over
+        # (y2, x) and the rows over (y2, x y1), and the flat index of
+        # (u, t, x(u,s,t)) over (u, s, t)
+        rows = system.channel.rows
+        self._w2 = rows.sum(axis=1).T
+        self._w_x_y1 = rows.reshape(kx * ky1, ky2).T
+        self._utx = (np.arange(ku)[:, None, None] * kt + np.arange(kt)) * kx + system.x_map
         self._union_steps: dict[SchemeSizes, GammaSteps] = {}
 
     def clauses(self, thr: dict[str, float]) -> dict[str, np.ndarray]:
@@ -261,8 +300,59 @@ class DensityTables:
         return {name: c.test(getattr(self, c.table), thr[name])
                 for name, c in CLAUSES.items()}
 
+    @cached_property
+    def _running_sums(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per clause, its density table's values sorted and the running sums
+        of its law's masses in that order, starting from the end where the
+        clause holds (the low end for ``<=``, the high end for ``>``)."""
+        sums = {}
+        for name, c in CLAUSES.items():
+            values = getattr(self, c.table).ravel()
+            order = np.argsort(values, kind="stable")
+            mass = getattr(self, c.law).ravel()[order]
+            if c.test is np.greater:
+                mass = mass[::-1]
+            sums[name] = (values[order], np.concatenate(([0.0], np.cumsum(mass))))
+        return sums
+
+    def clause_probabilities(self, thr: dict[str, float]) -> dict[str, float]:
+        """The probability of each clause at the thresholds ``thr``: a running
+        sum of :attr:`_running_sums`, at the number of cells the clause holds
+        in (a ``<=`` clause holds in those up to ``thr``, a ``>`` clause in
+        the rest)."""
+        probs = {}
+        for name, c in CLAUSES.items():
+            values, sums = self._running_sums[name]
+            k = values.searchsorted(thr[name], "right")
+            probs[name] = float(sums[values.size - k if c.test is np.greater else k])
+        return probs
+
+    def union_probability(self, c: dict[str, np.ndarray]) -> float:
+        """The probability of the union of the clauses ``c`` (as from
+        :meth:`clauses`): ``sum P(u,s,t) [cross ? 1 : bad mass]``.
+
+        The bad mass of (u, s, t) is the channel mass of the outputs where
+        a receiver's head or inner clause holds, A + B - A∧B with A and B
+        the two receivers' shares.  It is summed as B plus the mass where
+        receiver 1's clauses hold and receiver 2's pass, so every term is
+        non-negative and a small union keeps its relative precision.  That
+        last mass is one matmul of the channel rows against receiver 2's
+        pass table for every (u, t), gathered at ``x(u,s,t)`` and summed
+        against receiver 1's clauses over y1.  The matmuls are batched over
+        u, which keeps each one small.
+        """
+        ky1 = self.shape[3]
+        bad1 = (c["head1"] | c["inner1"]).astype(np.float64)  # (u, s, y1)
+        bad2 = (c["head2"] | c["inner2"]).astype(np.float64)  # (u, t, y2)
+        b = (bad2 @ self._w2).take(self._utx)
+        rest = ((1.0 - bad2) @ self._w_x_y1).reshape(-1, ky1).take(self._utx, axis=0)
+        a_only = (rest @ bad1[:, :, :, None])[..., 0]
+        return float((self.p_ust * np.where(c["cross"], 1.0, b + a_only)).sum())
+
     def union_mask(self, thr: dict[str, float]) -> np.ndarray:
-        """The union of the five threshold events over (u, s, t, y1, y2)."""
+        """The union of the five threshold events over (u, s, t, y1, y2), for
+        the Monte Carlo cross-check (at most ``JOINT_CAP`` entries)."""
+        _check_cap("design joint", math.prod(self.shape))
         c = self.clauses(thr)
         return _bad_outputs(c) | c["cross"][CLAUSES["cross"].axes]
 
@@ -289,18 +379,16 @@ def zeta_table(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> np.
     return (system.out_rows * bad).sum(axis=(3, 4))
 
 
-def event_probabilities(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
-                        union_only: bool = False) -> dict[str, float]:
-    """Exact probabilities of the five threshold events and their union
-    under the design joint (only ``union`` with ``union_only``).  The union
-    is summed over :meth:`DensityTables.union_mask` once per interval of
-    the step table for ``sizes`` (:meth:`DensityTables.union_steps`)."""
+def event_probabilities(system: BroadcastSystem, sizes: SchemeSizes,
+                        gamma: float) -> dict[str, float]:
+    """Exact probabilities of the five threshold events
+    (:meth:`DensityTables.clause_probabilities`) and of their union
+    (:meth:`DensityTables.union_probability`, evaluated once per interval of
+    the step table for ``sizes``, :meth:`DensityTables.union_steps`)."""
     t = system.tables
     thr = thresholds_for(sizes, gamma)
-    probs = {} if union_only else {
-        name: float(t.full[np.broadcast_to(mask[CLAUSES[name].axes], t.full.shape)].sum())
-        for name, mask in t.clauses(thr).items()}
-    probs["union"] = t.union_steps(sizes)(gamma, lambda: float(t.full[t.union_mask(thr)].sum()))
+    probs = t.clause_probabilities(thr)
+    probs["union"] = t.union_steps(sizes)(gamma, lambda: t.union_probability(t.clauses(thr)))
     return probs
 
 
@@ -322,7 +410,7 @@ def broadcast_bound(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -
     double-exponential slack, the exact five-event union probability,
     and the inner covering ratio.
     """
-    union = event_probabilities(system, sizes, gamma, union_only=True)["union"]
+    union = event_probabilities(system, sizes, gamma)["union"]
     return BoundReport(bound_terms(sizes, gamma, union), {"sizes": sizes.to_json(), "gamma": gamma})
 
 
@@ -404,27 +492,29 @@ def _trial_budget(sizes: SchemeSizes, random_message: bool) -> int:
 def _trial_work_bytes(system: BroadcastSystem, sizes: SchemeSizes, reuse: int) -> int:
     """Bytes of work arrays a :func:`simulate` trial holds besides its
     uniforms: its share of the group leader's codebooks (one byte an entry
-    up to 256 symbols) and of the larger of the leader's draw (cdf rows and
-    hits) and its symbol masks, plus its own decoding.  That is the
+    up to 256 symbols), then the larger of two phases that are never live
+    at once.  The draw is its share of the leader's cdf rows and hits.  The
+    decoding is its share of the leader's symbol masks plus its own
     cloud-wide head test (masks and an index per cloud, or past 64 symbols
-    a flat index per satellite codeword, see :func:`_head_fires`), one
-    cloud's inner test, the encoder's candidates and their masses, a channel
-    cdf row and index vectors."""
+    a flat index per cloud and per satellite codeword, which the codeword
+    symbols it is summed from and the gathered test each overlap, see
+    :func:`_head_fires`), one cloud's inner test, the encoder's candidates
+    and their masses, a channel cdf row and index vectors."""
     ku, ks, kt, ky1, ky2 = system.shape
     M, Nh, Lh = sizes.M, sizes.Nhat, sizes.Lhat
     cloud = max(sizes.N * Nh, sizes.L * Lh)  # satellite codewords per cloud
     index = np.min_scalar_type(max(ku, ks, kt) - 1).itemsize
-    leader, head = 8 * M * (max(ks, kt) + 1) + M * cloud, 0
+    draw, masks, head = 8 * M * (max(ks, kt) + 1) + M * cloud, 0, 0
     for k in (ks, kt):
         if k <= 64:
             mask = np.min_scalar_type((1 << k) - 1).itemsize
-            leader = max(leader, mask * M * (cloud + 1))
+            masks = max(masks, mask * M * (cloud + 1))
             head = max(head, M * (3 * mask + index + 2))
         else:
-            head = max(head, M * (9 + index) * (cloud + 1))
-    decode = (head + (index + 1) * cloud + index * (Nh + Lh)
+            head = max(head, M * ((8 + index) * cloud + 8))
+    decode = (-(-masks // reuse) + head + (index + 1) * cloud + index * (Nh + Lh)
               + 8 * (Nh * Lh + ky1 * ky2 + 32))
-    return -(-(index * _codebook_budget(sizes) + leader) // reuse) + decode
+    return -(-index * _codebook_budget(sizes) // reuse) + max(-(-draw // reuse), decode)
 
 
 def _codebooks_from_uniforms(sampler: _Sampler, sizes: SchemeSizes,

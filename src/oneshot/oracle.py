@@ -76,14 +76,10 @@ class EnsembleSpec:
 # ---------------------------------------------------------------------------
 
 
-def multiset_count(M: int, k: int) -> int:
-    """Number of codeword multisets: C(M + k - 1, M)."""
-    return math.comb(M + k - 1, M)
-
-
 def _multisets_exceed(M: int, k: int, cap: int) -> bool:
-    """Whether ``multiset_count(M, k) > cap``, without building a count past
-    the cap: ``C(n + i, i)`` grows with ``i`` up to ``min(M, k - 1)``."""
+    """Whether the number of codeword multisets, ``C(M + k - 1, M)``, exceeds
+    ``cap``, without building a count past the cap: ``C(n + i, i)`` grows
+    with ``i`` up to ``min(M, k - 1)``."""
     n, count = max(M, k - 1), 1
     for i in range(1, min(M, k - 1) + 1):
         count = count * (n + i) // i
@@ -144,6 +140,13 @@ def _hits(rows: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
     union = np.unpackbits(np.bitwise_or.reduce(rows, axis=1), axis=1, count=k,
                           bitorder="little")
     return union.ravel().take(np.arange(0, n * k, k)[:, None] + cols).any(axis=1)
+
+
+def _hit_bytes(width: int, M: int, L: int, k: int) -> int:
+    """Bytes one trial of :func:`_hits` holds: its ``M`` drawn packed rows of
+    ``width`` bytes, their union packed and unpacked over ``k`` columns, and a
+    flat int64 index and a flag for each of its ``L`` drawn columns."""
+    return width * (M + 1) + k + 9 * L + 8
 
 
 def _exact_miss(pu: np.ndarray, pv: np.ndarray, event: np.ndarray, M: int, L: int) -> float:
@@ -264,10 +267,12 @@ def mc_miss_prob(spec: EnsembleSpec, trials: int, seed: int, threads: int = 1) -
         # a pair hits iff some column the U-codebook covers was drawn
         return float((~_hits(packed.take(us, axis=0), vs, kv)).sum())
 
-    # per trial besides its uniform row: the drawn indices, the drawn packed
-    # rows, and their union unpacked
-    total = rng.monte_carlo(trials, seed, M + L, body,
-                            work_bytes=16 * (M + L) + packed.shape[1] * M + kv, threads=threads)
+    # per trial besides its uniform row: the drawn indices, then the larger
+    # of the sampler's temporaries for the larger codebook (at most two int64
+    # a draw, freed with its draw) and the hit test (see _hit_bytes)
+    index = np.min_scalar_type(max(len(pu), kv) - 1).itemsize
+    work = index * (M + L) + max(16 * max(M, L), _hit_bytes(packed.shape[-1], M, L, kv))
+    total = rng.monte_carlo(trials, seed, M + L, body, work_bytes=work, threads=threads)
     return rng.estimate(total, trials, seed)
 
 
@@ -318,11 +323,13 @@ def mc_conditional_miss_prob(
         ts = rng.sample_categorical(cdf_t[us][:, None, :], u[:, 1 + M :])
         return float((~_hits(packed[us[:, None], ss], ts, kt)).sum())
 
-    # per trial besides its uniform row: the drawn indices, the conditional
-    # cdf rows, the drawn packed rows, and their union unpacked
-    total = rng.monte_carlo(trials, seed, 1 + M + L, body,
-                            work_bytes=16 * (M + L) + 8 * (ks + kt) + packed.shape[2] * M + kt,
-                            threads=threads)
+    # per trial besides its uniform row: the drawn indices, then the larger
+    # of one codebook's draw (its conditional cdf row and a flag per draw)
+    # and the hit test (see _hit_bytes)
+    index = np.min_scalar_type(max(event3.shape) - 1).itemsize
+    work = index * (1 + M + L) + max(8 * max(ks, kt) + max(M, L),
+                                     _hit_bytes(packed.shape[-1], M, L, kt))
+    total = rng.monte_carlo(trials, seed, 1 + M + L, body, work_bytes=work, threads=threads)
     return rng.estimate(total, trials, seed)
 
 

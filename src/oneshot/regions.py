@@ -22,7 +22,7 @@ import numpy as np
 
 from .broadcast import BroadcastSystem
 from .errors import InputFormatError
-from .probability import Joint, Kernel, cond_mutual_info, marginal, merge_axes, mutual_info
+from .probability import Joint, Kernel, cond_mutual_info, merge_axes, mutual_info
 
 VARIABLES = ("R0", "R1", "R2", "R11", "R22", "Rh1", "Rh2")
 _TOL = 1e-9
@@ -160,11 +160,11 @@ def info_vector(joint_u: Joint, x_map: np.ndarray, channel: Kernel) -> InfoVecto
     """Compute the five mutual informations of a design.
 
     ``joint_u`` is the law of the three auxiliaries (common first); the
-    symbol map and channel complete the design joint over the outputs.
+    symbol map and channel give the two receiver marginals
+    (:attr:`~oneshot.broadcast.BroadcastSystem.marginals`), which are all
+    the informations read besides ``joint_u``.
     """
-    full = Joint(BroadcastSystem(joint_u, x_map, channel).full)  # (u0, u1, u2, y1, y2)
-    j_01_y1 = marginal(full, (0, 1, 3))
-    j_02_y2 = marginal(full, (0, 2, 4))
+    j_01_y1, j_02_y2 = map(Joint, BroadcastSystem(joint_u, x_map, channel).marginals)
     return InfoVector(
         I1=mutual_info(merge_axes(j_01_y1, ((0, 1), (2,)))),
         I2=mutual_info(merge_axes(j_02_y2, ((0, 1), (2,)))),

@@ -38,6 +38,32 @@ def random_joint(rng: np.random.Generator, shape, allow_zero: bool = False) -> J
     return Joint(p)
 
 
+def sparse_law(rng: np.random.Generator, shape) -> np.ndarray:
+    """A random law over ``shape`` with zero cells, and sometimes a zero row or column."""
+    p = rng.dirichlet(np.full(int(np.prod(shape)), rng.uniform(0.2, 2.0))).reshape(shape)
+    p[rng.random(shape) < 0.25] = 0.0
+    if rng.random() < 0.4 and shape[0] > 1:
+        p[rng.integers(shape[0])] = 0.0
+    if rng.random() < 0.4 and shape[1] > 1:
+        p[:, rng.integers(shape[1])] = 0.0
+    if p.sum() == 0.0:
+        p.flat[-1] = 1.0
+    return p / p.sum()
+
+
+def random_design(rng: np.random.Generator) -> BroadcastSystem:
+    """A random broadcast design over alphabets of 1 to 3 symbols, with a
+    sparse auxiliary law and zero entries in the channel rows."""
+    ku, ks, kt, kx, ky1, ky2 = rng.integers(1, 4, 6)
+    rows = rng.dirichlet(np.ones(ky1 * ky2), size=kx)
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    return BroadcastSystem(Joint(sparse_law(rng, (ku, ks, kt))),
+                           rng.integers(0, kx, size=(ku, ks, kt)),
+                           Kernel(rows.reshape(kx, ky1, ky2)))
+
+
 def random_event(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.random(shape) < rng.uniform(0.2, 0.8)
 

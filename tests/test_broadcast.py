@@ -42,7 +42,8 @@ from oneshot import broadcast, info_vector
 from oneshot import rng as rngmod
 from oneshot.bounds import BoundReport, _unimodal_argmin, optimize_gamma
 
-from conftest import asym_broadcast_system, binary_broadcast_system, dense_minimum
+import reference
+from conftest import asym_broadcast_system, binary_broadcast_system, dense_minimum, random_design
 
 SIZES_A = SchemeSizes(1, 1, 1, 1, 1, 2, 2)
 SIZES_B = SchemeSizes(2, 2, 2, 2, 2, 2, 2)
@@ -108,28 +109,57 @@ class TestSystemValidation:
             BroadcastSystem(binary_system.joint_ust, binary_system.x_map, kernel)
 
     def test_joint_cap(self, binary_system):
-        big = product_extend_system(binary_system, 5)  # 32^5 > 1e7 design entries
-        with pytest.raises(EnumerationCapError):
-            DensityTables(big)
+        # the five-letter extension has 32^5 design cells, over the cap; the
+        # evaluation builds no array of more than 32^4 entries
+        big = product_extend_system(binary_system, 5)
+        assert math.prod(big.shape) > broadcast.JOINT_CAP
+        DensityTables(big)
+        # the binary system's union is 1 at every size and gamma
+        assert broadcast_bound(big, SIZES_A, 1.0).term("union") == pytest.approx(1.0, abs=1e-12)
+        got = info_vector(big.joint_ust, big.x_map, big.channel).to_json()
+        letter = info_vector(binary_system.joint_ust, binary_system.x_map,
+                             binary_system.channel).to_json()
+        for name, value in letter.items():
+            assert got[name] == pytest.approx(5 * value, rel=1e-12, abs=1e-15), name
 
-    @pytest.mark.parametrize("evaluate", [
-        lambda system: info_vector(system.joint_ust, system.x_map, system.channel),
-        lambda system: broadcast_bound(system, SIZES_A, 1.0),
-    ], ids=["info_vector", "broadcast_bound"])
-    def test_joint_cap_refuses_before_allocating(self, evaluate):
-        # 22^3 auxiliaries and 1,000 outputs: a design joint of 10,648,000
-        # entries (85 MB) from inputs of about 100 kB
-        system = BroadcastSystem(Joint(np.full((22, 22, 22), 22.0**-3)),
-                                 np.zeros((22, 22, 22), dtype=int),
-                                 Kernel(np.full((1, 1000, 1), 1e-3)))
+    @pytest.mark.parametrize("evaluate,kt,outputs,message", [
+        (lambda system: info_vector(system.joint_ust, system.x_map, system.channel), 1, 21000,
+         "receiver marginal with 10164000 entries"),
+        (lambda system: broadcast_bound(system, SIZES_A, 1.0), 1, 21000,
+         "union kernel with 10164000 entries"),
+        (lambda system: broadcast_bound(system, SIZES_A, 1.0), 22, 1000,
+         "union kernel with 10648000 entries"),
+    ], ids=["info_vector", "broadcast_bound", "broadcast_bound-union"])
+    def test_joint_cap_refuses_before_allocating(self, evaluate, kt, outputs, message):
+        # 22^2 auxiliary pairs against 21,000 outputs: a receiver marginal of
+        # 10,164,000 entries (81 MB) from inputs of about 200 kB.  With 22
+        # satellite symbols for receiver 2 and 1,000 outputs the marginals
+        # fit, but the union kernel's gather over (u, s, t, y1) does not
+        system = BroadcastSystem(Joint(np.full((22, 22, kt), 1.0 / (22 * 22 * kt))),
+                                 np.zeros((22, 22, kt), dtype=int),
+                                 Kernel(np.full((1, outputs, 1), 1.0 / outputs)))
         tracemalloc.start()
         try:
-            with pytest.raises(EnumerationCapError, match="design joint with 10648000 entries"):
+            with pytest.raises(EnumerationCapError, match=message):
                 evaluate(system)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_evaluation_stays_small_on_four_letters(self, binary_system):
+        # the bound and the info vector of the binary^4 extension build arrays
+        # of 16^4 entries at most; the dense design joint alone is 16^5
+        # doubles (8 MiB), and reading the bound off it peaks above 16 MiB
+        system = product_extend_system(binary_system, 4)
+        tracemalloc.start()
+        try:
+            broadcast_bound(system, SIZES_B, 1.0)
+            info_vector(system.joint_ust, system.x_map, system.channel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
     def test_product_alphabet_cap_refuses_before_allocating(self, binary_system, monkeypatch):
         from oneshot import probability
@@ -170,17 +200,101 @@ def random_3ary_system(seed: int = 17) -> BroadcastSystem:
     return BroadcastSystem(Joint(p_ust), x_map, Kernel(rows))
 
 
+def near_noiseless_system(e1: float = 1e-9, e2: float = 1e-11) -> BroadcastSystem:
+    """Independent uniform u, s, t (2, 4 and 2 symbols), x = (u, s, t);
+    receiver 1 sees (u, s) and receiver 2 sees (u, t), each wrong with
+    probability ``e1`` or ``e2`` (uniformly over the other symbols)."""
+    r1 = (1 - e1 - e1 / 7) * np.eye(8) + e1 / 7
+    r2 = (1 - e2 - e2 / 3) * np.eye(4) + e2 / 3
+    u, s, t = np.unravel_index(np.arange(16), (2, 4, 2))
+    rows = r1[4 * u + s][:, :, None] * r2[2 * u + t][:, None, :]
+    return BroadcastSystem(Joint(np.full((2, 4, 2), 1 / 16)), np.arange(16).reshape(2, 4, 2),
+                           Kernel(rows))
+
+
+def reference_designs() -> dict[str, BroadcastSystem]:
+    """Seeded random designs, a nearly noiseless design, every shipped
+    design config and the two- and three-letter extensions of the binary
+    and asymmetric systems."""
+    rng = np.random.default_rng(2024)
+    designs = {f"random-{i}": random_design(rng) for i in range(16)}
+    designs["near-noiseless"] = near_noiseless_system()
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for name in ("broadcast_binary", "broadcast_inside", "region_binary", "region_bsc_copy"):
+        designs[name] = BroadcastSystem.from_json(json.loads((configs / f"{name}.json").read_text()))
+    for n in (2, 3):
+        designs[f"binary^{n}"] = product_extend_system(binary_broadcast_system(), n)
+        designs[f"asym^{n}"] = product_extend_system(asym_broadcast_system(), n)
+    return designs
+
+
+REFERENCE_DESIGNS = reference_designs()
+REFERENCE_SIZES = [SIZES_A, SIZES_B, SchemeSizes(1, 1, 1, 1, 1, 1, 1),
+                   SchemeSizes(3, 1, 2, 2, 1, 4, 3)]
+
+
+class TestDenseReference:
+    """The evaluation from the receiver marginals against the dense design
+    joint over (u, s, t, y1, y2) of ``tests/reference.py``."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DESIGNS))
+    def test_marginals(self, name):
+        system = REFERENCE_DESIGNS[name]
+        dense = reference.DenseTables(system)
+        for got, want in zip(system.marginals, (dense.p_usy1, dense.p_uty2)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        tables = DensityTables(system)
+        for attr in ("p_y1", "p_y2", "p_uy1", "p_uy2"):
+            np.testing.assert_allclose(getattr(tables, attr), getattr(dense, attr), rtol=1e-12,
+                                       atol=0.0)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DESIGNS))
+    def test_event_probabilities(self, name):
+        system = REFERENCE_DESIGNS[name]
+        dense = reference.DenseTables(system)
+        for sizes in REFERENCE_SIZES:
+            for gamma in np.geomspace(0.01, 20.0, 24):
+                got = event_probabilities(system, sizes, gamma)
+                want = dense.event_probabilities(sizes, gamma)
+                assert got.keys() == want.keys()
+                for event, value in want.items():
+                    assert got[event] == pytest.approx(value, rel=1e-12, abs=0.0), event
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DESIGNS))
+    def test_info_vector(self, name):
+        system = REFERENCE_DESIGNS[name]
+        got = info_vector(system.joint_ust, system.x_map, system.channel).to_json()
+        # below 1e-15 an information is a numerical zero: the information of a
+        # nearly independent pair sums cancelling terms
+        for field, value in reference.info_vector(system).to_json().items():
+            assert got[field] == pytest.approx(value, rel=1e-12, abs=1e-15), field
+
+    def test_small_union_keeps_its_relative_precision(self):
+        # a union of about 1e-9: read off as 1 - P(good) it would miss by
+        # about 1e-7 relative
+        system = REFERENCE_DESIGNS["near-noiseless"]
+        sizes = SchemeSizes(1, 1, 1, 1, 1, 2, 1)
+        dense = reference.DenseTables(system)
+        for gamma in np.geomspace(0.01, 0.3, 8):
+            want = dense.event_probabilities(sizes, gamma)["union"]
+            assert 1e-9 < want < 2e-9
+            good = 1.0 - dense.full[~dense.union_mask(sizes, gamma)].sum()
+            assert abs(good - want) > 1e-9 * want
+            got = event_probabilities(system, sizes, gamma)["union"]
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 class TestBoundEvaluation:
     @pytest.mark.parametrize("name", ["binary", "asym_ext", "random3"])
     def test_union_term_equals_event_union(self, name, request):
-        # both read the union from the step table; it must sum the same entries
-        # in the same order as one OR-broadcast mask on freshly built tables
+        # both read the union from the step table; it must be bit-equal to the
+        # union kernel evaluated afresh on freshly built tables
         system = random_3ary_system() if name == "random3" else request.getfixturevalue(f"{name}_system")
         tables = DensityTables(system)
         values = set()
         for sizes in (SIZES_A, SIZES_B, SchemeSizes(1, 1, 1, 1, 1, 1, 1)):
             for gamma in np.geomspace(0.01, 20.0, 64):
-                want = float(tables.full[tables.union_mask(thresholds_for(sizes, gamma))].sum())
+                want = tables.union_probability(tables.clauses(thresholds_for(sizes, gamma)))
                 assert event_probabilities(system, sizes, gamma)["union"] == want
                 assert broadcast_bound(system, sizes, gamma).term("union") == want
                 values.add(want)
@@ -472,18 +586,18 @@ class TestSimulate:
 BINARY = binary_broadcast_system()
 
 
-def sim_row_bytes(sizes: SchemeSizes, extra: int, reuse: int) -> int:
-    """Bytes of one :func:`simulate` trial on the binary system: its uniforms
-    (its share of the leader's row, codebook block plus ``extra`` doubles,
-    and its own last ``extra``) and its work arrays."""
+def sim_row_bytes(sizes: SchemeSizes, extra: int, reuse: int, system=BINARY) -> int:
+    """Bytes of one :func:`simulate` trial (on the binary system by default):
+    its uniforms (its share of the leader's row, codebook block plus
+    ``extra`` doubles, and its own last ``extra``) and its work arrays."""
     budget = broadcast._codebook_budget(sizes) + extra
-    work = broadcast._trial_work_bytes(BINARY, sizes, reuse)
+    work = broadcast._trial_work_bytes(system, sizes, reuse)
     return rngmod.uniform_bytes(budget, reuse, extra) + work
 
 
-def sim_chunk(sizes: SchemeSizes, extra: int, reuse: int) -> int:
+def sim_chunk(sizes: SchemeSizes, extra: int, reuse: int, system=BINARY) -> int:
     """Trials per :func:`simulate` chunk, by the rule ``rng.monte_carlo`` applies."""
-    return rngmod.chunk_trials(sim_row_bytes(sizes, extra, reuse), group=reuse)
+    return rngmod.chunk_trials(sim_row_bytes(sizes, extra, reuse, system), group=reuse)
 
 
 class TestChunking:
@@ -518,16 +632,22 @@ class TestChunking:
         # uniforms: uniforms alone would let 127 binary trials share one chunk
         # here.  Past 64 satellite symbols the head test holds a flat index per
         # satellite codeword, which no reuse group shares: left uncounted, it
-        # would put all 512 wide trials in one chunk of 2.4 times the cap
+        # would put all 512 wide trials in one chunk of 2.4 times the cap.
+        # Where the cap cuts the chunk, the chunk must also use what it
+        # reserved (whole reuse groups of it, at most the cap)
         system.tables  # built outside the traced window: they are not per-trial
+        sizes = SchemeSizes.from_string("8,8,8,8,8,8,8")
         tracemalloc.start()
         try:
-            simulate(system, SchemeSizes.from_string("8,8,8,8,8,8,8"), 1.0, trials=trials, seed=3,
-                     reuse_codebook=reuse)
+            simulate(system, sizes, 1.0, trials=trials, seed=3, reuse_codebook=reuse)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * rngmod.CHUNK_BYTES, peak / rngmod.CHUNK_BYTES
+        chunk = sim_chunk(sizes, 1, reuse, system)
+        if chunk < trials:
+            reserved = chunk * sim_row_bytes(sizes, 1, reuse, system)
+            assert peak >= 0.9 * reserved, peak / reserved
 
     def test_group_larger_than_default_chunk(self):
         group = rngmod.CHUNK_TRIALS + 3

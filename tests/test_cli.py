@@ -335,7 +335,9 @@ def test_cold_paths_skip_numpy_ma_and_scipy(argv):
 
 
 def test_cap_exceeded_exits_1(tmp_path):
-    # design joint beyond the enumeration cap: 15^3 * 60^2 > 1e7
+    # 15^3 * 60^2 > 1e7 design cells: the bound and the region read only
+    # arrays of at most 15^3 * 60 entries, but the simulator's channel rows
+    # over (u, s, t, y1, y2) exceed the cap
     k, ky = 15, 60
     p = np.full((k, k, k), 1.0 / k**3)
     x_map = np.zeros((k, k, k), dtype=int).tolist()
@@ -343,13 +345,25 @@ def test_cap_exceeded_exits_1(tmp_path):
     cfg = tmp_path / "big.json"
     cfg.write_text(json.dumps({"p_ust": p.tolist(), "x_map": x_map,
                                "channel": {"rows": rows}}))
+    assert run_cli("bound", "broadcast", "--config", str(cfg),
+                   "--sizes", "1,1,1,1,1,1,1", "--gamma", "1").returncode == 0
+    assert run_cli("region", "--config", str(cfg), "--project").returncode == 0
+    res = run_cli("simulate", "--config", str(cfg), "--sizes", "1,1,1,1,1,1,1", "--gamma", "1",
+                  "--trials", "10")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: design joint with 12150000 entries exceeds the cap")
+    # 22^2 auxiliary pairs against 21,000 outputs: a receiver marginal of
+    # 10,164,000 entries
+    cfg.write_text(json.dumps({"p_ust": np.full((22, 22, 1), 1 / 484).tolist(),
+                               "x_map": np.zeros((22, 22, 1), dtype=int).tolist(),
+                               "channel": {"rows": [np.full((21000, 1), 1 / 21000).tolist()]}}))
     res = run_cli("bound", "broadcast", "--config", str(cfg),
                   "--sizes", "1,1,1,1,1,1,1", "--gamma", "1")
     assert res.returncode == 1
-    assert "cap" in res.stderr
+    assert res.stderr.startswith("error: union kernel with 10164000 entries exceeds the cap")
     res = run_cli("region", "--config", str(cfg), "--project")
     assert res.returncode == 1
-    assert res.stderr.startswith("error: design joint with 12150000 entries exceeds the cap")
+    assert res.stderr.startswith("error: receiver marginal with 10164000 entries exceeds the cap")
 
 
 def test_bound_covering5_and_resolvability_shapes():

@@ -1,5 +1,6 @@
-"""Critical-gamma step tables: the cached step function must equal the direct
-masked sum at every gamma, breakpoints and their neighbouring doubles included."""
+"""Critical-gamma step tables: the cached step function must equal a fresh
+evaluation (a masked sum, or the broadcast union kernel) at every gamma,
+breakpoints and their neighbouring doubles included."""
 
 import math
 import sys
@@ -7,38 +8,17 @@ import sys
 import numpy as np
 import pytest
 
-from oneshot import BroadcastSystem, Joint, Kernel, SchemeSizes, bounds, broadcast_bound
+from oneshot import Joint, SchemeSizes, bounds, broadcast_bound
 from oneshot.bounds import GammaSteps, bound_at, critical_gammas
-from oneshot.broadcast import DensityTables, thresholds_for
+from oneshot.broadcast import CLAUSES, DensityTables, event_probabilities, thresholds_for
 from oneshot.errors import InputFormatError
 from oneshot.probability import cond_info_density_table, info_density_table
+
+from conftest import random_design, sparse_law
 
 SIZE_STRINGS = ("1,1,1,1,1,2,2", "2,1,1,2,2,2,2", "1,2,2,1,1,4,4", "3,1,2,1,3,5,2")
 TESTS = ((np.less_equal, 1.0), (np.greater, -2.0), (np.greater_equal, -1.0))
 DBL_MAX = sys.float_info.max
-
-
-def _sparse(rng, shape):
-    """A random law over ``shape`` with zero cells, and sometimes a zero row or column."""
-    p = rng.dirichlet(np.full(int(np.prod(shape)), rng.uniform(0.2, 2.0))).reshape(shape)
-    p[rng.random(shape) < 0.25] = 0.0
-    if rng.random() < 0.4 and shape[0] > 1:
-        p[rng.integers(shape[0])] = 0.0
-    if rng.random() < 0.4 and shape[1] > 1:
-        p[:, rng.integers(shape[1])] = 0.0
-    if p.sum() == 0.0:
-        p.flat[-1] = 1.0
-    return p / p.sum()
-
-
-def _random_system(rng) -> BroadcastSystem:
-    ku, ks, kt, kx, ky1, ky2 = rng.integers(1, 4, 6)
-    rows = rng.dirichlet(np.ones(ky1 * ky2), size=kx)
-    rows[rng.random(rows.shape) < 0.3] = 0.0
-    rows[rows.sum(axis=1) == 0.0, 0] = 1.0
-    rows /= rows.sum(axis=1, keepdims=True)
-    return BroadcastSystem(Joint(_sparse(rng, (ku, ks, kt))), rng.integers(0, kx, size=(ku, ks, kt)),
-                           Kernel(rows.reshape(kx, ky1, ky2)))
 
 
 def _gammas(breakpoints):
@@ -79,14 +59,22 @@ class TestStepTablesAreExact:
     def test_broadcast_union_term(self):
         rng = np.random.default_rng(101)
         for _ in range(24):
-            system = _random_system(rng)
+            system = random_design(rng)
             tables = DensityTables(system)
             for text in SIZE_STRINGS:
                 sizes = SchemeSizes.from_string(text)
                 steps = system.tables.union_steps(sizes)
                 for g in _gammas(steps.breakpoints):
-                    want = float(tables.full[tables.union_mask(thresholds_for(sizes, g))].sum())
+                    clauses = tables.clauses(thresholds_for(sizes, g))
+                    want = tables.union_probability(clauses)
                     assert broadcast_bound(system, sizes, g).term("union") == want
+                    # each clause's running sum covers exactly the cells of its
+                    # mask, ties at a breakpoint included
+                    probs = event_probabilities(system, sizes, g)
+                    for name, mask in clauses.items():
+                        law = getattr(tables, CLAUSES[name].law)
+                        assert probs[name] == pytest.approx(float(law[mask].sum()), rel=1e-12,
+                                                            abs=0.0)
                 assert len(steps.cache) <= len(steps.breakpoints) + 1
 
     @pytest.mark.parametrize("kind", ["covering4", "covering4-union", "covering5", "covering7"])
@@ -96,7 +84,7 @@ class TestStepTablesAreExact:
         kind = kind.removesuffix("-union")
         for _ in range(30):
             shape = tuple(rng.integers(1, 4, 3)) if kind == "covering5" else tuple(rng.integers(1, 6, 2))
-            joint = Joint(_sparse(rng, shape))
+            joint = Joint(sparse_law(rng, shape))
             ev = rng.random(shape) < 0.5
             M, L = (int(n) for n in rng.integers(1, 40, 2))
             table = (cond_info_density_table if kind == "covering5" else info_density_table)(joint)

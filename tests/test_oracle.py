@@ -31,10 +31,10 @@ from oneshot.oracle import (
     _multisets_exceed,
     _pack,
     mc_conditional_miss_prob,
-    multiset_count,
 )
 
 from conftest import noiseless_broadcast_system, random_event, random_joint
+from reference import multiset_count
 
 JOINT = Joint([[0.4, 0.1], [0.2, 0.3]])
 DIAG = event_from_points((2, 2), [(0, 0), (1, 1)])
@@ -496,17 +496,19 @@ class TestMcChunkCap:
     @pytest.mark.parametrize("estimate,trials", [
         (lambda t: mc_miss_prob(EnsembleSpec(random_joint(np.random.default_rng(1), (4, 65)),
                                              np.eye(4, 65, dtype=bool), 2000, 2000), t, seed=3),
-         600),
+         1000),
         (lambda t: mc_conditional_miss_prob(random_joint(np.random.default_rng(2), (3, 4, 65)),
                                             np.eye(4, 65, dtype=bool)[None].repeat(3, axis=0),
-                                            2000, 2000, t, seed=3), 600),
+                                            2000, 2000, t, seed=3), 1000),
         (lambda t: mc_resolvability_excess(random_joint(np.random.default_rng(3), (2000, 2)), 10,
                                            3.0, t, seed=3), 4119),
     ], ids=["miss", "conditional", "resolvability"])
     def test_chunk_peaks_within_the_byte_cap(self, estimate, trials, chunks):
         # 4,000 draws per trial over 65 columns, or counts over 2,000
         # symbols: the byte cap, not CHUNK_TRIALS, sizes the one chunk, and
-        # what it allocates is measured rather than estimated
+        # what it allocates is measured rather than estimated.  It must also
+        # fill the cap: a chunk peaking well below it reserved bytes it never
+        # used, and ran more chunks than it needed
         tracemalloc.start()
         try:
             estimate(trials)
@@ -514,7 +516,8 @@ class TestMcChunkCap:
         finally:
             tracemalloc.stop()
         assert len(chunks) == 1 and trials / 2 < chunks[0] <= trials < rngmod.CHUNK_TRIALS
-        assert peak <= 1.1 * rngmod.CHUNK_BYTES, peak / rngmod.CHUNK_BYTES
+        assert 0.9 * rngmod.CHUNK_BYTES <= peak <= 1.1 * rngmod.CHUNK_BYTES, \
+            peak / rngmod.CHUNK_BYTES
 
     @pytest.mark.parametrize("estimate", [
         lambda: mc_miss_prob(EnsembleSpec(JOINT, DIAG, 10**8, 2), 5, seed=1),

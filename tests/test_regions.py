@@ -20,8 +20,9 @@ from oneshot import (
 from oneshot.errors import InputFormatError
 from oneshot import broadcast, cli, regions
 from oneshot.broadcast import BroadcastSystem
-from oneshot.probability import cond_mutual_info, marginal, merge_axes, mutual_info
 from oneshot.regions import VARIABLES, Inequality, LinearSystem, projection_contains
+
+from reference import info_vector as dense_info_vector
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -104,9 +105,9 @@ class TestInfoVectorFromDesign:
         assert iv.K == pytest.approx(0.0, abs=1e-12)
 
     def test_builds_no_density_tables(self, monkeypatch, tmp_path):
-        # info_vector reads only the design joint, so neither it nor the region
-        # command builds the five density tables; its values are those of the
-        # joint the tables hold
+        # info_vector reads only the receiver marginals, so neither it nor the
+        # region command builds the five density tables; its values are those
+        # of the dense design joint
         built = []
         real = broadcast.DensityTables
         monkeypatch.setattr(broadcast, "DensityTables", lambda system: built.append(system) or real(system))
@@ -118,7 +119,8 @@ class TestInfoVectorFromDesign:
                 assert cli.main([*argv, "--out", str(tmp_path / "out.json")]) == 0
         assert built == []
         for system, iv in zip(systems, got):
-            assert iv == info_vector_from_tables(system)
+            for field, value in dense_info_vector(system).to_json().items():
+                assert getattr(iv, field) == pytest.approx(value, rel=1e-12, abs=1e-15)
 
 
 def random_design(rng: np.random.Generator) -> BroadcastSystem:
@@ -128,20 +130,6 @@ def random_design(rng: np.random.Generator) -> BroadcastSystem:
     p_ust = rng.dirichlet(np.ones(math.prod(shape))).reshape(shape)
     rows = rng.dirichlet(np.ones(ky1 * ky2), size=kx).reshape(kx, ky1, ky2)
     return BroadcastSystem(Joint(p_ust), rng.integers(0, kx, size=shape), Kernel(rows))
-
-
-def info_vector_from_tables(system: BroadcastSystem) -> InfoVector:
-    """The five informations read off the design joint ``system.tables`` holds."""
-    full = Joint(system.tables.full)
-    j_01_y1 = marginal(full, (0, 1, 3))
-    j_02_y2 = marginal(full, (0, 2, 4))
-    return InfoVector(
-        I1=mutual_info(merge_axes(j_01_y1, ((0, 1), (2,)))),
-        I2=mutual_info(merge_axes(j_02_y2, ((0, 1), (2,)))),
-        J1=cond_mutual_info(j_01_y1, 0),
-        J2=cond_mutual_info(j_02_y2, 0),
-        K=cond_mutual_info(system.joint_ust, 0),
-    )
 
 
 class TestBuildSystem:
