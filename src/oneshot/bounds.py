@@ -71,6 +71,11 @@ class BoundParams:
         return float(self.delta)
 
 
+def _raw_sum(terms) -> float:
+    """The raw value of named additive ``terms``: their plain sum."""
+    return float(sum(v for _, v in terms))
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """An evaluated bound: named additive terms plus resolved parameters."""
@@ -80,7 +85,7 @@ class BoundReport:
 
     @property
     def raw_value(self) -> float:
-        return float(sum(v for _, v in self.terms))
+        return _raw_sum(self.terms)
 
     @property
     def clamped_value(self) -> float:
@@ -503,7 +508,7 @@ def optimize_gamma(kind: str, instance: Mapping[str, object],
     report, steps, terms = _bound_parts(kind, instance)
 
     def remainder(g: float) -> float:
-        return BoundReport(terms(g, 0.0)).raw_value
+        return _raw_sum(terms(g, 0.0))
 
     best_g = _unimodal_argmin(remainder, lo, hi)
     best = report(best_g)

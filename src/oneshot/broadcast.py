@@ -312,7 +312,8 @@ class DensityTables:
             mass = getattr(self, c.law).ravel()[order]
             if c.test is np.greater:
                 mass = mass[::-1]
-            sums[name] = (values[order], np.concatenate(([0.0], np.cumsum(mass))))
+            # a running sum of masses can pass 1 by rounding: clamped
+            sums[name] = (values[order], np.minimum(np.concatenate(([0.0], np.cumsum(mass))), 1.0))
         return sums
 
     def clause_probabilities(self, thr: dict[str, float]) -> dict[str, float]:
@@ -339,7 +340,8 @@ class DensityTables:
         last mass is one matmul of the channel rows against receiver 2's
         pass table for every (u, t), gathered at ``x(u,s,t)`` and summed
         against receiver 1's clauses over y1.  The matmuls are batched over
-        u, which keeps each one small.
+        u, which keeps each one small.  Rounding can take the sum past 1;
+        it is clamped to 1, so the union's step table holds it clamped too.
         """
         ky1 = self.shape[3]
         bad1 = (c["head1"] | c["inner1"]).astype(np.float64)  # (u, s, y1)
@@ -347,7 +349,7 @@ class DensityTables:
         b = (bad2 @ self._w2).take(self._utx)
         rest = ((1.0 - bad2) @ self._w_x_y1).reshape(-1, ky1).take(self._utx, axis=0)
         a_only = (rest @ bad1[:, :, :, None])[..., 0]
-        return float((self.p_ust * np.where(c["cross"], 1.0, b + a_only)).sum())
+        return min(float((self.p_ust * np.where(c["cross"], 1.0, b + a_only)).sum()), 1.0)
 
     def union_mask(self, thr: dict[str, float]) -> np.ndarray:
         """The union of the five threshold events over (u, s, t, y1, y2), for

@@ -12,9 +12,10 @@ compositions of the codebook size with log-space multinomial weights.
 Monte Carlo estimators run through :func:`oneshot.rng.monte_carlo`: results
 are bitwise identical for any thread count, and chunk sizes are a fixed
 function of the inputs.  The covering estimators test each trial on
-bit-packed event rows (:func:`_hits`).  Only the integer-count (miss)
-estimators are also independent of the chunk size; the float sums of
-:func:`mc_resolvability_excess` are not.
+bit-packed event rows (:func:`_hits`).  Every estimator is also
+independent of the chunk size: the miss estimators count, and
+:func:`mc_resolvability_excess` rounds the sum of its per-trial values
+once, over all trials (:func:`oneshot.rng.exact_partials`).
 """
 
 from __future__ import annotations
@@ -408,13 +409,14 @@ def mc_resolvability_excess(
     cdf_u = np.cumsum(pu)
     k = len(pu)
 
-    def body(u: np.ndarray) -> float:
+    def body(u: np.ndarray) -> list[float]:
         counts = _row_counts(rng.sample_categorical(cdf_u, u), k, np.float64)
         phat = (counts @ rows) / M
-        return float(_excess_mass(phat, pv, lam).sum())
+        return rng.exact_partials(_excess_mass(phat, pv, lam))
 
-    # per trial besides its uniform row: the drawn indices, the counts, and
-    # the synthesized law with its excess mask and masked product
-    total = rng.monte_carlo(trials, seed, M, body, work_bytes=16 * M + 8 * k + 17 * len(pv),
-                            threads=threads)
-    return rng.estimate(total, trials, seed)
+    # per trial besides its uniform row: the drawn indices, the counts, the
+    # synthesized law with its excess mask and masked product, and its value
+    # in the list that exact_partials sums (a float object and a pointer)
+    partials = rng.monte_carlo(trials, seed, M, body,
+                               work_bytes=16 * M + 8 * k + 17 * len(pv) + 32, threads=threads)
+    return rng.estimate(math.fsum(partials), trials, seed)

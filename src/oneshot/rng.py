@@ -14,8 +14,11 @@ doubles they read, block by block (:func:`philox_blocks`).
 
 from __future__ import annotations
 
+import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import reduce
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -24,13 +27,23 @@ from .errors import EnumerationCapError, InputFormatError
 
 _OUTPUTS_PER_BLOCK = 4
 
-#: trials per chunk, unless the chunk byte cap binds first
+#: most trials per chunk, unless the chunk byte target binds first
 CHUNK_TRIALS = 8192
-#: cap on the bytes one chunk of trials holds in its per-trial arrays
+#: bytes of per-trial arrays a chunk of trials aims for: as many whole reuse
+#: groups as fit, or else one group.  On a 2-CPU Xeon (2 MiB of L2 per core),
+#: four interleaved 20-s runs of the benchmark's broadcast-sim workload per
+#: target read a median of 59.9 ops/s at 1 MiB, 65.3 at 2 MiB, 72.9 at 4 MiB,
+#: 72.1 at 8 MiB and 68.6 at 64 MiB: smaller chunks pay their fixed cost more
+#: often, and 8 MiB raised peak RSS from 63 to 66 MB for no speed
+#: (BENCH_chunk_target.json)
+CHUNK_TARGET = 4 * 2**20
+#: cap on the bytes of per-trial arrays one reuse group of trials holds (a
+#: chunk of one group may exceed the target up to it), and so on any chunk
 CHUNK_BYTES = 64 * 2**20
 #: cap on the trials of one Monte Carlo run
 TRIALS_CAP = 10**9
-#: cap on the worker threads of one Monte Carlo run (each may hold a chunk)
+#: cap on the worker threads of one Monte Carlo run; each holds one chunk at a
+#: time, of up to ``CHUNK_TARGET`` bytes or one reuse group of up to ``CHUNK_BYTES``
 THREADS_CAP = 64
 #: unread doubles per group from which skipping them pays: below it, generating
 #: them costs less than a jump per leader plus the tails computed block by block
@@ -168,17 +181,18 @@ def sample_categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def chunk_trials(row_bytes: int, max_trials: int = CHUNK_TRIALS, group: int = 1) -> int:
-    """Trials per chunk: the largest multiple of ``group``, up to
-    ``max_trials`` (or one group, if that is larger), whose trials at
-    ``row_bytes`` each fit in ``CHUNK_BYTES`` together.  Raises
-    :class:`EnumerationCapError` if one group does not fit."""
-    fit = CHUNK_BYTES // row_bytes
-    if group > fit:
+    """Trials per chunk: the largest positive multiple of ``group``, up to
+    ``max_trials``, whose trials at ``row_bytes`` each fit together in
+    ``CHUNK_TARGET`` (or ``CHUNK_BYTES``, if smaller), or else one group.
+    Raises :class:`EnumerationCapError` if one group does not fit in
+    ``CHUNK_BYTES``."""
+    if group * row_bytes > CHUNK_BYTES:
         what = "one trial" if group == 1 else f"one reuse group of {group} trials"
         raise EnumerationCapError(
             f"{what} needs {row_bytes * group} bytes of uniforms and work arrays, "
             f"above the chunk cap of {CHUNK_BYTES}"
         )
+    fit = min(CHUNK_TARGET, CHUNK_BYTES) // row_bytes
     return group * max(1, min(max_trials, fit) // group)
 
 
@@ -222,20 +236,35 @@ def uniform_bytes(k: int, group: int = 1, tail: int | None = None) -> int:
 def monte_carlo(trials: int, seed: int, k: int, body: Callable[..., T], *,
                 work_bytes: int = 0, max_trials: int = CHUNK_TRIALS, group: int = 1,
                 tail: int | None = None, threads: int = 1) -> T:
-    """Sum, in chunk order, of ``body`` on the ``(n, k)`` uniforms of each chunk
-    of trials, or with a ``tail`` width on the ``(rows, tails)`` pair of
-    :func:`trial_uniforms`: whole rows only for the leaders of each group of
-    ``group`` trials.  A trial holds its :func:`uniform_bytes` plus
-    ``work_bytes`` of work arrays, and :func:`chunk_trials` sizes the chunks
-    from that.  More than ``TRIALS_CAP`` trials raise
-    :class:`EnumerationCapError` before any runs."""
+    """Sum (``+``), in chunk order, of ``body`` on the ``(n, k)`` uniforms of
+    each chunk of trials, or with a ``tail`` width on the ``(rows, tails)``
+    pair of :func:`trial_uniforms`: whole rows only for the leaders of each
+    group of ``group`` trials.  A body returning lists, such as
+    :func:`exact_partials`, has them concatenated.  A trial holds its
+    :func:`uniform_bytes` plus ``work_bytes`` of work arrays, and
+    :func:`chunk_trials` sizes the chunks from that.  More than
+    ``TRIALS_CAP`` trials raise :class:`EnumerationCapError` before any runs."""
     if trials > TRIALS_CAP:
         raise EnumerationCapError(f"{trials} trials exceed the cap of {TRIALS_CAP}")
     chunk = chunk_trials(uniform_bytes(k, group, tail) + work_bytes, max_trials, group)
     # positional, so that a wrapper of trial_uniforms taking *args sees them all
-    return sum(run_trials(trials, lambda start, n: body(trial_uniforms(seed, start, n, k,
-                                                                      group, tail)),
-                          chunk=chunk, threads=threads))
+    return reduce(operator.add,
+                  run_trials(trials, lambda start, n: body(trial_uniforms(seed, start, n, k,
+                                                                         group, tail)),
+                             chunk=chunk, threads=threads))
+
+
+def exact_partials(values: np.ndarray) -> list[float]:
+    """Doubles whose exact sum is that of ``values``: their exactly rounded
+    sum, then the rounded remainder, and so on until none is left.
+    ``math.fsum`` over the partials of every chunk is then the exactly
+    rounded sum of all the values, however they were chunked."""
+    vals = values.tolist()
+    parts = []
+    while (part := math.fsum(vals)) != 0.0:
+        parts.append(part)
+        vals.append(-part)
+    return parts
 
 
 @dataclass(frozen=True)

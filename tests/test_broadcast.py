@@ -301,6 +301,24 @@ class TestBoundEvaluation:
         # the binary system's union is 1 at every size and gamma (ROADMAP item 3)
         assert len(values) > 1 or name == "binary"
 
+    @pytest.mark.parametrize("system", [
+        *(product_extend_system(binary_broadcast_system(), n) for n in range(1, 5)),
+        *(random_design(np.random.default_rng(seed)) for seed in range(8)),
+    ], ids=[*(f"binary^{n}" for n in range(1, 5)), *(f"random-{seed}" for seed in range(8))])
+    def test_event_probabilities_lie_in_the_unit_interval(self, system):
+        # running sums and the union kernel pass 1 by rounding (up to 1 + 13
+        # ulps on these grids); each value is clamped where it is computed
+        for text in ("1,1,1,1,1,2,2", "2,2,2,2,2,2,2", "4,2,2,4,4,8,8"):
+            for gamma in np.geomspace(0.01, 10.0, 40):
+                probs = event_probabilities(system, SchemeSizes.from_string(text), float(gamma))
+                assert all(0.0 <= p <= 1.0 for p in probs.values()), probs
+
+    def test_union_over_one_by_rounding_reads_one(self):
+        system = product_extend_system(binary_broadcast_system(), 5)
+        probs = event_probabilities(system, SchemeSizes(1, 1, 1, 1, 1, 2, 2), 1.0)
+        assert probs["union"] == 1.0
+        assert broadcast_bound(system, SchemeSizes(1, 1, 1, 1, 1, 2, 2), 1.0).term("union") == 1.0
+
     def test_frozen_binary_values(self, binary_system):
         rep = broadcast_bound(binary_system, SIZES_A, 1.0)
         assert rep.term_names() == ("twoexp", "doubleexp", "union", "ratio")
@@ -605,36 +623,45 @@ class TestChunking:
     @pytest.mark.parametrize("extra", [1, 6])
     @pytest.mark.parametrize("reuse", [1, 4])
     def test_moderate_sizes_keep_full_chunks(self, text, extra, reuse):
-        # a full chunk: the default trial count, or as many whole groups as the byte cap holds
+        # a full chunk: the default trial count, or as many whole groups as the byte target holds
         sizes = SchemeSizes.from_string(text)
         chunk, row_bytes = sim_chunk(sizes, extra, reuse), sim_row_bytes(sizes, extra, reuse)
-        assert chunk % reuse == 0 and row_bytes * chunk <= rngmod.CHUNK_BYTES
-        if text == "4,2,2,4,4,8,8" and reuse == 1:
-            assert 2048 < chunk < rngmod.CHUNK_TRIALS
-            assert row_bytes * (chunk + reuse) > rngmod.CHUNK_BYTES
-        else:
+        assert chunk % reuse == 0 and row_bytes * chunk <= rngmod.CHUNK_TARGET
+        if text == "1,1,1,1,1,2,2":
             assert chunk == rngmod.CHUNK_TRIALS
+        else:
+            assert 256 < chunk < rngmod.CHUNK_TRIALS
+            assert row_bytes * (chunk + reuse) > rngmod.CHUNK_TARGET
 
     @pytest.mark.parametrize("reuse", [1, 3, 64])
     def test_large_sizes_chunk_under_the_byte_cap(self, reuse):
         sizes = SchemeSizes.from_string("8,8,8,8,8,8,8")
         chunk, row_bytes = sim_chunk(sizes, 1, reuse), sim_row_bytes(sizes, 1, reuse)
         assert chunk % reuse == 0 and 0 < chunk < rngmod.CHUNK_TRIALS
-        assert row_bytes * chunk <= rngmod.CHUNK_BYTES
-        assert row_bytes * (chunk + reuse) > rngmod.CHUNK_BYTES
+        assert row_bytes * chunk <= rngmod.CHUNK_TARGET
+        assert row_bytes * (chunk + reuse) > rngmod.CHUNK_TARGET
+
+    def test_group_over_the_target_runs_as_one_chunk(self):
+        # 64 wide trials hold about 19 MiB: over the target, within the cap
+        sizes = SchemeSizes.from_string("8,8,8,8,8,8,8")
+        group_bytes = 64 * sim_row_bytes(sizes, 1, 64, WIDE)
+        assert rngmod.CHUNK_TARGET < group_bytes <= rngmod.CHUNK_BYTES
+        assert sim_chunk(sizes, 1, 64, WIDE) == 64
 
     @pytest.mark.parametrize("system,reuse,trials", [(BINARY, 1, 128), (BINARY, 4, 128),
                                                      (BINARY, 64, 128), (WIDE, 1, 128),
                                                      (WIDE, 64, 512)],
                              ids=["1", "4", "64", "wide-1", "wide-64"])
     def test_chunks_peak_within_the_byte_cap(self, system, reuse, trials):
-        # every array a chunk allocates counts against the cap, not only its
-        # uniforms: uniforms alone would let 127 binary trials share one chunk
-        # here.  Past 64 satellite symbols the head test holds a flat index per
-        # satellite codeword, which no reuse group shares: left uncounted, it
-        # would put all 512 wide trials in one chunk of 2.4 times the cap.
-        # Where the cap cuts the chunk, the chunk must also use what it
-        # reserved (whole reuse groups of it, at most the cap)
+        # every array a chunk allocates counts against the target, not only
+        # its uniforms: uniforms alone would let 7 wide trials share one chunk
+        # here, where 4 fit, and peak at 1.5 times the target.  Past 64
+        # satellite symbols the head test holds a flat index per satellite
+        # codeword, which no reuse group shares: left uncounted, it would put
+        # 5 wide groups of 64 in one chunk of 95 MiB, 1.5 times the cap.
+        # Where the target cuts the chunk, the chunk must also use what it
+        # reserved (whole reuse groups of at most the target, or one group
+        # over it)
         system.tables  # built outside the traced window: they are not per-trial
         sizes = SchemeSizes.from_string("8,8,8,8,8,8,8")
         tracemalloc.start()
@@ -643,11 +670,26 @@ class TestChunking:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * rngmod.CHUNK_BYTES, peak / rngmod.CHUNK_BYTES
-        chunk = sim_chunk(sizes, 1, reuse, system)
+        chunk, row_bytes = sim_chunk(sizes, 1, reuse, system), sim_row_bytes(sizes, 1, reuse, system)
+        limit = max(rngmod.CHUNK_TARGET, reuse * row_bytes)
+        assert peak <= 1.1 * limit, peak / limit
         if chunk < trials:
-            reserved = chunk * sim_row_bytes(sizes, 1, reuse, system)
+            reserved = chunk * row_bytes
             assert peak >= 0.9 * reserved, peak / reserved
+
+    def test_simulate_peaks_within_the_byte_target(self):
+        # 4096 trials of 11 KB each fit the 64 MiB cap in one chunk, which
+        # peaks at 44 MB; chunks of the target peak near the target
+        with open(Path(__file__).resolve().parent.parent / "configs" / "broadcast_binary.json") as fh:
+            system = BroadcastSystem.from_json(json.load(fh))
+        tracemalloc.start()
+        try:
+            simulate(system, SchemeSizes.from_string("4,2,2,4,4,8,8"), 1.0, trials=4096, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = sum(a.nbytes for a in vars(system.tables).values() if isinstance(a, np.ndarray))
+        assert peak <= 1.1 * rngmod.CHUNK_TARGET + tables, (peak - tables) / rngmod.CHUNK_TARGET
 
     def test_group_larger_than_default_chunk(self):
         group = rngmod.CHUNK_TRIALS + 3

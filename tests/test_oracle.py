@@ -473,51 +473,69 @@ class TestMcChunkCap:
         monkeypatch.setattr(rngmod, "run_trials", recording)
         return seen
 
+    @pytest.fixture
+    def reserved(self, monkeypatch):
+        """The bytes every ``rng.chunk_trials`` call reserves for one chunk."""
+        seen = []
+        chunk_trials = rngmod.chunk_trials
+
+        def recording(row_bytes, max_trials, group):
+            chunk = chunk_trials(row_bytes, max_trials, group)
+            seen.append(chunk * row_bytes)
+            return chunk
+
+        monkeypatch.setattr(rngmod, "chunk_trials", recording)
+        return seen
+
     @pytest.mark.parametrize("estimate", [
         lambda: mc_miss_prob(EnsembleSpec(JOINT, DIAG, 5, 3), 3000, seed=2),
         lambda: mc_conditional_miss_prob(JOINT3, EVENT3, 4, 3, 3000, seed=2),
+        lambda: mc_resolvability_excess(JOINT, 3, 1.1, 3000, seed=2),
         lambda: mc_event_union(noiseless_broadcast_system(), SchemeSizes(1, 1, 1, 1, 1, 2, 2),
                                0.5, 3000, seed=2),
-    ], ids=["miss", "conditional", "event-union"])
+    ], ids=["miss", "conditional", "resolvability", "event-union"])
     def test_counts_do_not_depend_on_the_byte_cap(self, estimate, chunks, monkeypatch):
         # a cap of 2000 bytes forces chunks of a handful of trials; integer
-        # miss and union counts add up the same in any chunking
+        # miss and union counts add up the same in any chunking, and so does
+        # the excess sum, rounded once over all trials
         want = estimate()
         monkeypatch.setattr(rngmod, "CHUNK_BYTES", 2000)
         assert estimate() == want
         assert chunks[0] == rngmod.CHUNK_TRIALS and 0 < chunks[1] < 20
 
-    def test_small_instances_keep_full_chunks(self, chunks):
-        mc_miss_prob(EnsembleSpec(JOINT, DIAG, 60, 60), 10, seed=1)
-        mc_conditional_miss_prob(JOINT3, EVENT3, 40, 40, 10, seed=1)
-        mc_resolvability_excess(JOINT, 200, 3.0, 10, seed=1)
+    def test_small_instances_keep_full_chunks(self, chunks, reserved):
+        # up to 512 bytes a trial, CHUNK_TRIALS trials fit the target
+        mc_miss_prob(EnsembleSpec(JOINT, DIAG, 12, 12), 10, seed=1)
+        mc_conditional_miss_prob(JOINT3, EVENT3, 16, 16, 10, seed=1)
+        mc_resolvability_excess(JOINT, 16, 3.0, 10, seed=1)
         assert chunks == [rngmod.CHUNK_TRIALS] * 3
+        assert all(0.75 * rngmod.CHUNK_TARGET < r <= rngmod.CHUNK_TARGET for r in reserved)
 
     @pytest.mark.parametrize("estimate,trials", [
         (lambda t: mc_miss_prob(EnsembleSpec(random_joint(np.random.default_rng(1), (4, 65)),
                                              np.eye(4, 65, dtype=bool), 2000, 2000), t, seed=3),
-         1000),
+         100),
         (lambda t: mc_conditional_miss_prob(random_joint(np.random.default_rng(2), (3, 4, 65)),
                                             np.eye(4, 65, dtype=bool)[None].repeat(3, axis=0),
-                                            2000, 2000, t, seed=3), 1000),
+                                            2000, 2000, t, seed=3), 100),
         (lambda t: mc_resolvability_excess(random_joint(np.random.default_rng(3), (2000, 2)), 10,
-                                           3.0, t, seed=3), 4119),
+                                           3.0, t, seed=3), 700),
     ], ids=["miss", "conditional", "resolvability"])
-    def test_chunk_peaks_within_the_byte_cap(self, estimate, trials, chunks):
+    def test_chunk_peaks_within_the_byte_cap(self, estimate, trials, chunks, reserved):
         # 4,000 draws per trial over 65 columns, or counts over 2,000
-        # symbols: the byte cap, not CHUNK_TRIALS, sizes the one chunk, and
-        # what it allocates is measured rather than estimated.  It must also
-        # fill the cap: a chunk peaking well below it reserved bytes it never
-        # used, and ran more chunks than it needed
+        # symbols: the byte target, not CHUNK_TRIALS, cuts the chunks, and
+        # what one allocates is measured rather than estimated.  It must also
+        # use what it reserved: a chunk peaking well below that reserved
+        # bytes it never used, and ran more chunks than it needed
         tracemalloc.start()
         try:
             estimate(trials)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(chunks) == 1 and trials / 2 < chunks[0] <= trials < rngmod.CHUNK_TRIALS
-        assert 0.9 * rngmod.CHUNK_BYTES <= peak <= 1.1 * rngmod.CHUNK_BYTES, \
-            peak / rngmod.CHUNK_BYTES
+        assert len(chunks) == 1 and trials / 3 < chunks[0] < trials
+        assert 0.95 * rngmod.CHUNK_TARGET < reserved[0] <= rngmod.CHUNK_TARGET
+        assert 0.9 * reserved[0] <= peak <= 1.1 * reserved[0], peak / reserved[0]
 
     @pytest.mark.parametrize("estimate", [
         lambda: mc_miss_prob(EnsembleSpec(JOINT, DIAG, 10**8, 2), 5, seed=1),

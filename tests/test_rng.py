@@ -1,5 +1,7 @@
 """Counter-based uniform streams and the categorical sampler."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,38 @@ class TestMonteCarlo:
         assert rng.monte_carlo(23, 1, 3, lambda u: sizes.append(len(u)) or len(u),
                                max_trials=7, group=3) == 23
         assert sizes == [6, 6, 6, 5]
+
+    def test_chunks_aim_for_the_target_and_cap_one_group(self):
+        assert rng.chunk_trials(64) == rng.CHUNK_TRIALS
+        assert rng.chunk_trials(1000) == rng.CHUNK_TARGET // 1000
+        assert rng.chunk_trials(1000, group=7) == rng.CHUNK_TARGET // 7000 * 7
+        # a group over the target, up to the cap, is a chunk of its own
+        assert rng.chunk_trials(rng.CHUNK_TARGET // 2, group=3) == 3
+        assert rng.chunk_trials(rng.CHUNK_BYTES // 4, group=4) == 4
+        with pytest.raises(EnumerationCapError, match="one reuse group of 4 trials"):
+            rng.chunk_trials(rng.CHUNK_BYTES // 4 + 1, group=4)
+        with pytest.raises(EnumerationCapError, match="one trial needs"):
+            rng.chunk_trials(rng.CHUNK_BYTES + 1)
+
+    def test_a_group_over_the_target_runs_as_one_chunk(self):
+        sizes = []
+        assert rng.monte_carlo(10, 1, 3, lambda u: sizes.append(len(u)) or len(u),
+                               work_bytes=rng.CHUNK_TARGET // 2, group=3) == 10
+        assert sizes == [3, 3, 3, 1]
+
+    def test_exact_partials_sum_the_same_in_any_chunking(self):
+        # magnitudes over 60 binades: a plain sum per chunk rounds differently
+        # for different chunk sizes, the exactly rounded sum of all does not
+        gen = np.random.default_rng(5)
+        values = gen.random(5000) * 2.0 ** gen.integers(-60, 1, 5000)
+        want = math.fsum(values.tolist())
+        plain = set()
+        for size in (1, 7, 64, 999, 5000):
+            chunks = [values[i:i + size] for i in range(0, len(values), size)]
+            assert math.fsum(sum((rng.exact_partials(c) for c in chunks), [])) == want
+            plain.add(sum(float(c.sum()) for c in chunks))
+        assert len(plain) > 1
+        assert rng.exact_partials(np.zeros(3)) == []
 
     def test_trial_cap_raises_before_any_chunk(self):
         calls = []
