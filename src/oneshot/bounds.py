@@ -388,17 +388,19 @@ def bound_at(kind: str, instance: Mapping[str, object]):
 
 def _bound_parts(kind: str, instance: Mapping[str, object]):
     """:func:`bound_at`'s function, then for ``STEPPED_KINDS`` the
-    :class:`GammaSteps` of the one probability term and ``terms(gamma, p)``,
-    the report's terms with ``p`` as that term (None and None for covering1).
-    A covering kind's density table and miss term are computed once, and
-    its threshold, ratio and slack are written here only.
+    :class:`GammaSteps` of the one probability term, ``terms(gamma, p)``,
+    the report's terms with ``p`` as that term, and ``mass(gamma)``, the
+    fresh evaluation of that term the report reads through the steps (None,
+    None and None for covering1).  A covering kind's density table and miss
+    term are computed once, and its threshold, ratio and slack are written
+    here only.
     """
     if kind == "broadcast":
-        from .broadcast import bound_terms, broadcast_bound
+        from .broadcast import bound_terms, broadcast_bound, union_mass
 
         system, sizes = instance["system"], instance["sizes"]
         return (lambda g: broadcast_bound(system, sizes, g), system.tables.union_steps(sizes),
-                lambda g, p: bound_terms(sizes, g, p))
+                lambda g, p: bound_terms(sizes, g, p), lambda g: union_mass(system, sizes, g))
     if kind not in ("covering1", "covering4", "covering5", "covering7"):
         raise InputFormatError(f"kind: no gamma-parameterized bound named {kind!r}")
     joint = instance["joint"]
@@ -432,7 +434,7 @@ def _bound_parts(kind: str, instance: Mapping[str, object]):
                                               doubleexp(g)),
                                {"M": M, "L": L, "gamma": g, "delta": d, "union_form": union_form})
 
-        return covering1, None, None
+        return covering1, None, None, None
     if kind == "covering5":
         if joint.ndim != 3:
             raise AlphabetMismatchError("conditional covering bound needs a 3-axis joint")
@@ -455,12 +457,15 @@ def _bound_parts(kind: str, instance: Mapping[str, object]):
             raise InputFormatError(f"gamma={g!r}: e^gamma in the ratio term overflows a double") from None
         return covering_terms(excess, ratio, doubleexp(g, 0.5))
 
+    def mass(g: float) -> float:
+        return _mass_where(joint, always | test(table, c + slope * g))
+
     def report(g: float) -> BoundReport:
         check_bound_args(g, M, L)
-        excess = steps(g, lambda: _mass_where(joint, always | test(table, c + slope * g)))
-        return BoundReport(terms(g, excess), {"M": M, "L": L, "gamma": g, **flag})
+        return BoundReport(terms(g, steps(g, lambda: mass(g))),
+                           {"M": M, "L": L, "gamma": g, **flag})
 
-    return report, steps, terms
+    return report, steps, terms, mass
 
 
 def evaluate_bound(kind: str, instance: Mapping[str, object], gamma: float) -> BoundReport:
@@ -498,6 +503,8 @@ def optimize_gamma(kind: str, instance: Mapping[str, object],
     minimizer; left of it the bound is least at the right end of a step.
     So the minimum is at that minimizer or just below a breakpoint left of
     it, visited right to left until the remainder alone exceeds the best.
+    The walk compares raw values, read through the same step table as the
+    report, and builds the report of the winner only.
     """
     if kind not in STEPPED_KINDS:
         raise InputFormatError(
@@ -505,19 +512,22 @@ def optimize_gamma(kind: str, instance: Mapping[str, object],
     lo, hi = search_range
     if not 0 < lo < hi < math.inf:
         raise InputFormatError("search_range: need 0 < lo < hi < inf")
-    report, steps, terms = _bound_parts(kind, instance)
+    report, steps, terms, mass = _bound_parts(kind, instance)
 
     def remainder(g: float) -> float:
         return _raw_sum(terms(g, 0.0))
 
+    def raw_value(g: float) -> float:
+        return _raw_sum(terms(g, steps(g, lambda: mass(g))))
+
     best_g = _unimodal_argmin(remainder, lo, hi)
-    best = report(best_g)
+    best = raw_value(best_g)
     points = steps.breakpoints
     for b in reversed(points[bisect.bisect_right(points, lo):bisect.bisect_right(points, best_g)]):
         g = math.nextafter(b, 0.0)
-        if remainder(g) > best.raw_value:
+        if remainder(g) > best:
             break
-        candidate = report(g)
-        if candidate.raw_value <= best.raw_value:
+        candidate = raw_value(g)
+        if candidate <= best:
             best_g, best = g, candidate
-    return best_g, best
+    return best_g, report(best_g)

@@ -61,9 +61,9 @@ class SchemeSizes:
     Lhat: int
 
     def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 1:
-                raise InputFormatError(f"sizes: {f.name} must be a positive integer")
+        for name in _SIZE_NAMES:
+            if getattr(self, name) < 1:
+                raise InputFormatError(f"sizes: {name} must be a positive integer")
 
     @property
     def M(self) -> int:
@@ -82,28 +82,35 @@ class SchemeSizes:
         if not isinstance(doc, dict):
             raise InputFormatError("sizes: expected a JSON object")
         sizes = {}
-        for f in fields(cls):
-            if f.name not in doc:
-                raise InputFormatError(f"sizes: missing field {f.name!r}")
-            value = doc[f.name]
+        for name in _SIZE_NAMES:
+            if name not in doc:
+                raise InputFormatError(f"sizes: missing field {name!r}")
+            value = doc[name]
             try:
-                sizes[f.name] = integral(value)
+                sizes[name] = integral(value)
             except (TypeError, ValueError):
-                raise InputFormatError(f"sizes: {f.name} must be an integer, got {value!r}") from None
+                raise InputFormatError(f"sizes: {name} must be an integer, got {value!r}") from None
         return cls(**sizes)
 
     @classmethod
     def from_string(cls, text: str) -> "SchemeSizes":
-        names = [f.name for f in fields(cls)]
         parts = [p.strip() for p in text.split(",")]
-        if len(parts) != len(names) or not all(p.lstrip("-").isdigit() for p in parts):
+        if len(parts) != len(_SIZE_NAMES) or not all(p.lstrip("-").isdigit() for p in parts):
             raise InputFormatError(
-                f"sizes: expected {len(names)} comma-separated integers {','.join(names)}"
+                f"sizes: expected {len(_SIZE_NAMES)} comma-separated integers {','.join(_SIZE_NAMES)}"
             )
         return cls(*(int(p) for p in parts))
 
     def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _SIZE_NAMES}
+
+    @cached_property
+    def clause_logs(self) -> dict[str, float]:
+        """``ln`` of each clause's size, keyed like :data:`CLAUSES`."""
+        return {name: math.log(c.size(self)) for name, c in CLAUSES.items()}
+
+
+_SIZE_NAMES = tuple(f.name for f in fields(SchemeSizes))
 
 
 @dataclass(frozen=True)
@@ -248,7 +255,8 @@ def thresholds_for(sizes: SchemeSizes, gamma: float) -> dict[str, float]:
     everywhere, matching the bound statement and both decoders.
     """
     check_bound_args(gamma)
-    return {name: math.log(c.size(sizes)) + c.slope * gamma for name, c in CLAUSES.items()}
+    logs = sizes.clause_logs
+    return {name: logs[name] + c.slope * gamma for name, c in CLAUSES.items()}
 
 
 class DensityTables:
@@ -364,8 +372,8 @@ class DensityTables:
         steps = self._union_steps.get(sizes)
         if steps is None:
             steps = self._union_steps[sizes] = GammaSteps(
-                [(getattr(self, c.table), c.test, math.log(c.size(sizes)), c.slope)
-                 for c in CLAUSES.values()])
+                [(getattr(self, c.table), c.test, sizes.clause_logs[name], c.slope)
+                 for name, c in CLAUSES.items()])
         return steps
 
 
@@ -388,10 +396,16 @@ def event_probabilities(system: BroadcastSystem, sizes: SchemeSizes,
     (:meth:`DensityTables.union_probability`, evaluated once per interval of
     the step table for ``sizes``, :meth:`DensityTables.union_steps`)."""
     t = system.tables
-    thr = thresholds_for(sizes, gamma)
-    probs = t.clause_probabilities(thr)
-    probs["union"] = t.union_steps(sizes)(gamma, lambda: t.union_probability(t.clauses(thr)))
+    probs = t.clause_probabilities(thresholds_for(sizes, gamma))
+    probs["union"] = t.union_steps(sizes)(gamma, lambda: union_mass(system, sizes, gamma))
     return probs
+
+
+def union_mass(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> float:
+    """The union probability at ``gamma``, evaluated afresh: the value
+    :meth:`DensityTables.union_steps` caches for its interval."""
+    t = system.tables
+    return t.union_probability(t.clauses(thresholds_for(sizes, gamma)))
 
 
 def bound_terms(sizes: SchemeSizes, gamma: float, union: float) -> tuple:
@@ -517,6 +531,16 @@ def _trial_work_bytes(system: BroadcastSystem, sizes: SchemeSizes, reuse: int) -
     decode = (-(-masks // reuse) + head + (index + 1) * cloud + index * (Nh + Lh)
               + 8 * (Nh * Lh + ky1 * ky2 + 32))
     return -(-index * _codebook_budget(sizes) // reuse) + max(-(-draw // reuse), decode)
+
+
+def _run_work_bytes(system: BroadcastSystem) -> int:
+    """Bytes of the arrays a :func:`simulate` run builds and holds through
+    all its chunks: the sampler's cdfs (the channel's over (x, y1 y2) is the
+    largest), the five passing tests and the encoder's mass table."""
+    ku, ks, kt, ky1, ky2 = system.shape
+    kx = system.channel.n_inputs
+    return (8 * (ku * (1 + ks + kt) + kx * ky1 * ky2) + 9 * ku * ks * kt
+            + 2 * ku * (ks * ky1 + kt * ky2))
 
 
 def _codebooks_from_uniforms(sampler: _Sampler, sizes: SchemeSizes,
@@ -738,6 +762,7 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
 
     totals = rng.monte_carlo(trials, seed, budget, body,
                              work_bytes=_trial_work_bytes(system, sizes, reuse_codebook),
+                             fixed_bytes=_run_work_bytes(system),
                              group=reuse_codebook, tail=budget - cb_width, threads=threads)
     eps1, eps2, stage1_eps1, stage1_eps2 = (rng.estimate(tot, trials, seed) for tot in totals)
     return SimOutcome(eps1, eps2, bound, trials, seed, stage1_eps1, stage1_eps2)

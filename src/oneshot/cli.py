@@ -5,23 +5,20 @@ JSON in, JSON or CSV out; identical inputs and seed give byte-identical
 output regardless of the thread count.  Exit codes: 0 success, 1 an
 enumeration cap was exceeded, 2 bad configuration or input schema, 3 an
 internal error (a fault in the program; the traceback is printed).
+
+Parsing, ``--version``, ``--help`` and usage errors need only the standard
+library: each subcommand imports the layers it runs, and numpy with them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-import tempfile
-import traceback
 
-import numpy as np
-
-from . import __version__, bounds, broadcast, oracle, regions, rng
+from . import __version__
 from .errors import EnumerationCapError, InputFormatError, OneshotError
-from .probability import Joint, input_array
 
 NATS_PER_BIT = math.log(2.0)
 
@@ -43,6 +40,8 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(out_path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".oneshot-")
@@ -63,6 +62,8 @@ def _write(args, fields: dict, header: list[str], rows: list[list], preamble: st
     """Emit a result as JSON (``fields`` plus tool, version, seed and command)
     or as CSV: a ``# tool=oneshot version=… command=… <preamble>`` line
     unless ``preamble`` is None, then ``header`` and ``rows``."""
+    import json
+
     if args.format == "json":
         doc = {"tool": "oneshot", "version": __version__, "seed": args.seed,
                "command": args.command, **fields}
@@ -77,6 +78,8 @@ def _write(args, fields: dict, header: list[str], rows: list[list], preamble: st
 
 
 def _load_json(path: str, what: str):
+    import json
+
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -89,6 +92,8 @@ def _load_json(path: str, what: str):
 def _load_joint(args) -> Joint:
     """``--dist``, with the axis count ``args.kind`` needs: 3 for covering5,
     2 for every other kind."""
+    from .probability import Joint
+
     joint = Joint.from_json(_load_json(args.dist, "--dist"))
     axes = 3 if args.kind == "covering5" else 2
     if joint.ndim != axes:
@@ -97,6 +102,11 @@ def _load_joint(args) -> Joint:
 
 
 def _load_event(path: str | None, shape) -> np.ndarray:
+    import numpy as np
+
+    from . import bounds
+    from .probability import input_array
+
     if path is None:
         return bounds.full_event(shape)
     doc = _load_json(path, "--event")
@@ -121,12 +131,16 @@ def _require(args, names: list[str], kind: str) -> None:
 
 
 def _load_system(args) -> broadcast.BroadcastSystem:
+    from . import broadcast
+
     what = getattr(args, "kind", args.command)
     _require(args, ["--config"], what)
     return broadcast.BroadcastSystem.from_json(_load_json(args.config, "--config"))
 
 
 def _load_sizes(args) -> broadcast.SchemeSizes:
+    from . import broadcast
+
     if getattr(args, "sizes_file", None):
         return broadcast.SchemeSizes.from_json(_load_json(args.sizes_file, "--sizes-file"))
     if getattr(args, "sizes", None):
@@ -153,6 +167,8 @@ def _bound_from_args(args, param: str = "gamma"):
     """Load and validate a bound kind's inputs once; returns ``value ->
     BoundReport`` over ``param`` (gamma, delta or lambda), the other
     parameters read from ``args``.  Gamma goes through :func:`bounds.bound_at`."""
+    from . import bounds
+
     kind = args.kind
     if kind in ("covering1", "covering4", "covering5", "covering7"):
         _require(args, ["--dist", "--M", "--L", "--gamma"], kind)
@@ -207,6 +223,8 @@ def _verify_pipeline(args):
     """Load the inputs of a verify kind other than broadcast; returns its
     exact oracle, its Monte Carlo estimator (None for packing) and its
     ``[(name, bound value)]``, each as a callable for :func:`_verify_rows`."""
+    from . import bounds, oracle
+
     joint = _load_joint(args)
     M, L, gamma = args.M, args.L, args.gamma
     run = (args.trials, args.seed, args.threads)
@@ -262,6 +280,8 @@ def _verify_rows(exact, mc, bound_values) -> list[dict]:
 
 
 def _verify_rows_broadcast(args) -> list[dict]:
+    from . import broadcast
+
     system = _load_system(args)
     sizes = _load_sizes(args)
     outcome = broadcast.simulate(system, sizes, args.gamma, args.trials, args.seed,
@@ -300,6 +320,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import broadcast
+
     system = _load_system(args)
     sizes = _load_sizes(args)
     outcome = broadcast.simulate(system, sizes, args.gamma, args.trials, args.seed,
@@ -320,6 +342,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
     if not args.steps >= 2:
         raise InputFormatError("--steps must be >= 2")
     if args.steps > SWEEP_STEPS_CAP:
@@ -364,6 +388,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_region(args) -> int:
+    from . import regions
+
     system = _load_system(args)
     iv = regions.info_vector(system.joint_ust, system.x_map, system.channel)
     if args.units == "bits":
@@ -473,6 +499,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "simulate" and args.gamma is None:
         parser.error("--gamma is required for simulate")
     try:
+        from . import rng
+
         if getattr(args, "trials", 1) < 1:
             raise InputFormatError("--trials must be >= 1")
         if not 0 <= args.seed < 2**64:
@@ -485,6 +513,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if isinstance(exc, EnumerationCapError) else 2
     except Exception:
         # a fault in the program, told apart from a cap (1) and bad input (2)
+        import traceback
+
         traceback.print_exc()
         print("error: internal error", file=sys.stderr)
         return 3

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import reduce
 from typing import Callable, TypeVar
@@ -180,9 +179,11 @@ def sample_categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def chunk_trials(row_bytes: int, max_trials: int = CHUNK_TRIALS, group: int = 1) -> int:
+def chunk_trials(row_bytes: int, max_trials: int = CHUNK_TRIALS, group: int = 1,
+                 fixed_bytes: int = 0) -> int:
     """Trials per chunk: the largest positive multiple of ``group``, up to
-    ``max_trials``, whose trials at ``row_bytes`` each fit together in
+    ``max_trials``, whose trials at ``row_bytes`` each fit together, next to
+    the ``fixed_bytes`` a run holds through all its chunks, in
     ``CHUNK_TARGET`` (or ``CHUNK_BYTES``, if smaller), or else one group.
     Raises :class:`EnumerationCapError` if one group does not fit in
     ``CHUNK_BYTES``."""
@@ -192,7 +193,7 @@ def chunk_trials(row_bytes: int, max_trials: int = CHUNK_TRIALS, group: int = 1)
             f"{what} needs {row_bytes * group} bytes of uniforms and work arrays, "
             f"above the chunk cap of {CHUNK_BYTES}"
         )
-    fit = min(CHUNK_TARGET, CHUNK_BYTES) // row_bytes
+    fit = max(0, min(CHUNK_TARGET, CHUNK_BYTES) - fixed_bytes) // row_bytes
     return group * max(1, min(max_trials, fit) // group)
 
 
@@ -217,6 +218,8 @@ def run_trials(
     spans = [(s, min(chunk, trials - s)) for s in range(0, trials, chunk)]
     if threads == 1 or len(spans) == 1:
         return [worker(s, n) for s, n in spans]
+    from concurrent.futures import ThreadPoolExecutor  # loaded only where threads start
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda sn: worker(*sn), spans))
 
@@ -234,19 +237,20 @@ def uniform_bytes(k: int, group: int = 1, tail: int | None = None) -> int:
 
 
 def monte_carlo(trials: int, seed: int, k: int, body: Callable[..., T], *,
-                work_bytes: int = 0, max_trials: int = CHUNK_TRIALS, group: int = 1,
-                tail: int | None = None, threads: int = 1) -> T:
+                work_bytes: int = 0, fixed_bytes: int = 0, max_trials: int = CHUNK_TRIALS,
+                group: int = 1, tail: int | None = None, threads: int = 1) -> T:
     """Sum (``+``), in chunk order, of ``body`` on the ``(n, k)`` uniforms of
     each chunk of trials, or with a ``tail`` width on the ``(rows, tails)``
     pair of :func:`trial_uniforms`: whole rows only for the leaders of each
     group of ``group`` trials.  A body returning lists, such as
     :func:`exact_partials`, has them concatenated.  A trial holds its
-    :func:`uniform_bytes` plus ``work_bytes`` of work arrays, and
-    :func:`chunk_trials` sizes the chunks from that.  More than
-    ``TRIALS_CAP`` trials raise :class:`EnumerationCapError` before any runs."""
+    :func:`uniform_bytes` plus ``work_bytes`` of work arrays, the run holds
+    ``fixed_bytes`` through every chunk, and :func:`chunk_trials` sizes the
+    chunks from those.  More than ``TRIALS_CAP`` trials raise
+    :class:`EnumerationCapError` before any runs."""
     if trials > TRIALS_CAP:
         raise EnumerationCapError(f"{trials} trials exceed the cap of {TRIALS_CAP}")
-    chunk = chunk_trials(uniform_bytes(k, group, tail) + work_bytes, max_trials, group)
+    chunk = chunk_trials(uniform_bytes(k, group, tail) + work_bytes, max_trials, group, fixed_bytes)
     # positional, so that a wrapper of trial_uniforms taking *args sees them all
     return reduce(operator.add,
                   run_trials(trials, lambda start, n: body(trial_uniforms(seed, start, n, k,

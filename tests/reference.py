@@ -5,13 +5,16 @@ receiver marginals.  The references here build the dense design joint
 ``P(u,s,t) channel(y1,y2 | x(u,s,t))`` over all five axes and read every
 quantity off it: the marginals, the density tables, the five clause
 probabilities and their union, and the info vector.  They also hold the
-multiset count the exact oracles' caps are checked against.
+multiset count the exact oracles' caps are checked against, and the gamma
+search that builds a whole report at every breakpoint it walks.
 """
 
+import bisect
 import math
 
 import numpy as np
 
+from oneshot.bounds import _bound_parts, _raw_sum, _unimodal_argmin
 from oneshot.broadcast import CLAUSES, BroadcastSystem, SchemeSizes, thresholds_for
 from oneshot.probability import (Joint, cond_info_density_table, cond_mutual_info,
                                  log_ratio_table, marginal, merge_axes, mutual_info)
@@ -21,6 +24,29 @@ from oneshot.regions import InfoVector
 def multiset_count(M: int, k: int) -> int:
     """Number of codeword multisets: C(M + k - 1, M)."""
     return math.comb(M + k - 1, M)
+
+
+def optimize_gamma(kind: str, instance, search_range):
+    """:func:`oneshot.bounds.optimize_gamma` comparing whole reports: the
+    remainder's minimizer, then the point just below each breakpoint left of
+    it, right to left, until the remainder alone exceeds the best."""
+    report, steps, terms = _bound_parts(kind, instance)[:3]
+    lo, hi = search_range
+
+    def remainder(g):
+        return _raw_sum(terms(g, 0.0))
+
+    best_g = _unimodal_argmin(remainder, lo, hi)
+    best = report(best_g)
+    points = steps.breakpoints
+    for b in reversed(points[bisect.bisect_right(points, lo):bisect.bisect_right(points, best_g)]):
+        g = math.nextafter(b, 0.0)
+        if remainder(g) > best.raw_value:
+            break
+        candidate = report(g)
+        if candidate.raw_value <= best.raw_value:
+            best_g, best = g, candidate
+    return best_g, best
 
 
 def design_joint(system: BroadcastSystem) -> np.ndarray:

@@ -23,7 +23,10 @@ from oneshot.bounds import (BoundReport, _bound_parts, _density_ratio, _unimodal
                             event_from_points, full_event)
 from oneshot.errors import AlphabetMismatchError, InputFormatError
 
-from conftest import dense_minimum, random_event, random_joint
+from oneshot.broadcast import SchemeSizes
+
+import reference
+from conftest import dense_minimum, random_design, random_event, random_joint
 
 JOINT = Joint([[0.4, 0.1], [0.2, 0.3]])
 DIAG = event_from_points((2, 2), [(0, 0), (1, 1)])
@@ -287,6 +290,41 @@ class TestOptimizeGamma:
                         "event": random_event(rng, shape), "M": int(rng.integers(2, 40)),
                         "L": int(rng.integers(2, 40)), "union_form": union_form}
             self.optimum(kind, instance)
+
+    @pytest.mark.parametrize("kind", ["covering4", "covering4-union", "covering5", "covering7",
+                                      "broadcast"])
+    def test_matches_the_walk_over_whole_reports(self, kind):
+        # the search compares raw values read through the step table; the
+        # reference builds a report at every point it walks.  Small codebooks
+        # put the covering optima below a breakpoint in many instances; the
+        # broadcast optima stay at the remainder's minimizer, but the walk
+        # still compares the steps left of it
+        union_form = kind.endswith("-union")
+        kind = kind.removesuffix("-union")
+        moved = compared = 0
+        for seed in range(40):
+            def instance():
+                rng = np.random.default_rng(seed)
+                if kind == "broadcast":
+                    text = ("1,1,1,1,1,2,2", "2,1,1,2,2,2,2", "1,2,2,1,1,4,4")[seed % 3]
+                    return {"system": random_design(rng), "sizes": SchemeSizes.from_string(text)}
+                shape = (2, 3, 2) if kind == "covering5" else (3, 4)
+                return {"joint": random_joint(rng, shape, allow_zero=True),
+                        "event": random_event(rng, shape), "M": int(rng.integers(1, 5)),
+                        "L": int(rng.integers(1, 5)), "union_form": union_form}
+
+            inst = instance()
+            gamma, report = optimize_gamma(kind, inst, (0.05, 6.0))
+            want_gamma, want = reference.optimize_gamma(kind, instance(), (0.05, 6.0))
+            assert gamma == want_gamma
+            assert json.dumps(report.to_json()) == json.dumps(want.to_json())
+            moved += gamma != self.remainder_argmin(kind, inst)
+            if kind == "broadcast":
+                compared += len(inst["system"].tables.union_steps(inst["sizes"]).cache)
+        if kind == "broadcast":
+            assert compared >= 40, compared
+        else:
+            assert moved >= (1 if kind == "covering7" else 10), moved
 
     @pytest.mark.parametrize("kind", ["covering4", "covering5", "covering7"])
     def test_unit_codebook(self, kind):

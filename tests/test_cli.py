@@ -1,5 +1,6 @@
 """Command-line interface: schemas, exit codes, determinism, file handling."""
 
+import concurrent.futures
 import json
 import math
 import subprocess
@@ -792,7 +793,8 @@ def test_exit_contract_fuzz(tmp_path, capsys, monkeypatch):
     def no_threads(*args, **kwargs):
         raise AssertionError("a fuzz case started worker threads")
 
-    monkeypatch.setattr(rng, "ThreadPoolExecutor", no_threads)
+    # rng imports the pool where it starts threads, so it is guarded at its source
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
     wide = str(_wide_joint(tmp_path))
     gen = np.random.default_rng(2026)
     codes = []

@@ -479,9 +479,9 @@ class TestMcChunkCap:
         seen = []
         chunk_trials = rngmod.chunk_trials
 
-        def recording(row_bytes, max_trials, group):
-            chunk = chunk_trials(row_bytes, max_trials, group)
-            seen.append(chunk * row_bytes)
+        def recording(row_bytes, max_trials, group, fixed_bytes=0):
+            chunk = chunk_trials(row_bytes, max_trials, group, fixed_bytes)
+            seen.append(fixed_bytes + chunk * row_bytes)
             return chunk
 
         monkeypatch.setattr(rngmod, "chunk_trials", recording)
