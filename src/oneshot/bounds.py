@@ -331,39 +331,45 @@ def critical_gammas(values, test, c: float, slope: float) -> np.ndarray:
 
 
 class GammaSteps:
-    """A step function of gamma, evaluated once per interval between
-    consecutive breakpoints and cached by the interval's index.
+    """A step function of gamma, ``mass(gamma)`` evaluated once per interval
+    between consecutive breakpoints and cached by the interval's index.
 
     ``tests`` lists ``(values, test, c, slope)`` for every threshold test
-    the function depends on, as in :func:`critical_gammas`.  The
-    breakpoints are the critical gammas in ``(0, inf)``: every gamma of one
-    interval passes the same cells through every test, so a masked sum
-    over those cells returns the same double throughout, and the cache
-    never holds more than ``len(breakpoints) + 1`` values.  They are
-    worked out at the second call, so a single gamma costs what one
-    masked sum costs.
+    ``mass`` depends on, as in :func:`critical_gammas`.  The breakpoints are
+    the critical gammas in ``(0, inf)``: every gamma of one interval passes
+    the same cells through every test, so a masked sum over those cells
+    returns the same double throughout, and the cache never holds more than
+    ``len(breakpoints) + 1`` values.  They are worked out at the second
+    call, so a single gamma costs what one masked sum costs; the first value
+    is filed under its interval then.
     """
 
-    def __init__(self, tests):
+    def __init__(self, tests, mass):
         self.tests = tests
+        self.mass = mass
         self.cache: dict[int, float] = {}
-        self._seen = False
+        self._first: tuple[float, float] | None = None
 
     @cached_property
     def breakpoints(self) -> list[float]:
         crit = np.concatenate([critical_gammas(*t).ravel() for t in self.tests])
         # sorted and deduplicated by hand: np.unique imports numpy.ma, a cold-start cost
         crit = np.sort(crit[(crit > 0) & (crit < np.inf)])
-        return crit[np.diff(crit, prepend=-np.inf) > 0].tolist()
+        points = crit[np.diff(crit, prepend=-np.inf) > 0].tolist()
+        if self._first is not None:
+            gamma, value = self._first
+            self.cache[bisect.bisect_right(points, gamma)] = value
+        return points
 
-    def __call__(self, gamma: float, mass) -> float:
-        """The value at ``gamma``; ``mass()`` computes it on a cache miss."""
-        if not self._seen:  # a single gamma needs no breakpoints
-            self._seen = True
-            return mass()
+    def __call__(self, gamma: float) -> float:
+        """The value at ``gamma``, from the cache or from ``mass(gamma)``."""
+        if self._first is None and "breakpoints" not in vars(self):
+            # a single gamma needs no breakpoints; they file its value once built
+            self._first = gamma, self.mass(gamma)
+            return self._first[1]
         k = bisect.bisect_right(self.breakpoints, gamma)
         if k not in self.cache:
-            self.cache[k] = mass()
+            self.cache[k] = self.mass(gamma)
         return self.cache[k]
 
 
@@ -388,19 +394,18 @@ def bound_at(kind: str, instance: Mapping[str, object]):
 
 def _bound_parts(kind: str, instance: Mapping[str, object]):
     """:func:`bound_at`'s function, then for ``STEPPED_KINDS`` the
-    :class:`GammaSteps` of the one probability term, ``terms(gamma, p)``,
-    the report's terms with ``p`` as that term, and ``mass(gamma)``, the
-    fresh evaluation of that term the report reads through the steps (None,
-    None and None for covering1).  A covering kind's density table and miss
+    :class:`GammaSteps` of the one probability term, which the report reads,
+    and ``terms(gamma, p)``, the report's terms with ``p`` as that term
+    (None and None for covering1).  A covering kind's density table and miss
     term are computed once, and its threshold, ratio and slack are written
     here only.
     """
     if kind == "broadcast":
-        from .broadcast import bound_terms, broadcast_bound, union_mass
+        from .broadcast import bound_terms, broadcast_bound
 
         system, sizes = instance["system"], instance["sizes"]
         return (lambda g: broadcast_bound(system, sizes, g), system.tables.union_steps(sizes),
-                lambda g, p: bound_terms(sizes, g, p), lambda g: union_mass(system, sizes, g))
+                lambda g, p: bound_terms(sizes, g, p))
     if kind not in ("covering1", "covering4", "covering5", "covering7"):
         raise InputFormatError(f"kind: no gamma-parameterized bound named {kind!r}")
     joint = instance["joint"]
@@ -434,7 +439,7 @@ def _bound_parts(kind: str, instance: Mapping[str, object]):
                                               doubleexp(g)),
                                {"M": M, "L": L, "gamma": g, "delta": d, "union_form": union_form})
 
-        return covering1, None, None, None
+        return covering1, None, None
     if kind == "covering5":
         if joint.ndim != 3:
             raise AlphabetMismatchError("conditional covering bound needs a 3-axis joint")
@@ -445,7 +450,8 @@ def _bound_parts(kind: str, instance: Mapping[str, object]):
     # -2.0 * g round exactly as the negated g and 2.0 * g
     test, slope = (np.greater_equal, -1.0) if kind == "covering7" else (np.greater, -2.0)
     c = math.log(M * L)
-    steps = GammaSteps([(table[~always], test, c, slope)])
+    steps = GammaSteps([(table[~always], test, c, slope)],
+                       lambda g: _mass_where(joint, always | test(table, c + slope * g)))
     flag = {"union_form": union_form} if kind == "covering4" else {}
 
     def terms(g: float, excess: float) -> tuple:
@@ -457,15 +463,11 @@ def _bound_parts(kind: str, instance: Mapping[str, object]):
             raise InputFormatError(f"gamma={g!r}: e^gamma in the ratio term overflows a double") from None
         return covering_terms(excess, ratio, doubleexp(g, 0.5))
 
-    def mass(g: float) -> float:
-        return _mass_where(joint, always | test(table, c + slope * g))
-
     def report(g: float) -> BoundReport:
         check_bound_args(g, M, L)
-        return BoundReport(terms(g, steps(g, lambda: mass(g))),
-                           {"M": M, "L": L, "gamma": g, **flag})
+        return BoundReport(terms(g, steps(g)), {"M": M, "L": L, "gamma": g, **flag})
 
-    return report, steps, terms, mass
+    return report, steps, terms
 
 
 def evaluate_bound(kind: str, instance: Mapping[str, object], gamma: float) -> BoundReport:
@@ -512,13 +514,13 @@ def optimize_gamma(kind: str, instance: Mapping[str, object],
     lo, hi = search_range
     if not 0 < lo < hi < math.inf:
         raise InputFormatError("search_range: need 0 < lo < hi < inf")
-    report, steps, terms, mass = _bound_parts(kind, instance)
+    report, steps, terms = _bound_parts(kind, instance)
 
     def remainder(g: float) -> float:
         return _raw_sum(terms(g, 0.0))
 
     def raw_value(g: float) -> float:
-        return _raw_sum(terms(g, steps(g, lambda: mass(g))))
+        return _raw_sum(terms(g, steps(g)))
 
     best_g = _unimodal_argmin(remainder, lo, hi)
     best = raw_value(best_g)

@@ -145,14 +145,6 @@ class BroadcastSystem:
         return ku, ks, kt, ky1, ky2
 
     @cached_property
-    def out_rows(self) -> np.ndarray:
-        """The channel rows ``channel(y1,y2 | x(u,s,t))`` over (u, s, t, y1, y2),
-        gathered on first use.  More than ``JOINT_CAP`` entries raise
-        :class:`EnumerationCapError` before they are allocated."""
-        _check_cap("design joint", math.prod(self.shape))
-        return self.channel.rows[self.x_map]
-
-    @cached_property
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         """The receiver marginals ``p(u,s,y1)`` and ``p(u,t,y2)``, built on
         first use: ``P(u,s,t) W_r(y_r | x(u,s,t))`` summed over the other
@@ -216,15 +208,13 @@ def product_extend_system(system: BroadcastSystem, n: int) -> BroadcastSystem:
 
 class Clause(NamedTuple):
     """A threshold event: density table ``table`` passes ``test`` against
-    ``ln(size(sizes)) + slope * gamma``.  It is measured under the
-    :class:`DensityTables` law ``law`` over the same axes; ``axes`` spreads
-    it over (u, s, t, y1, y2)."""
+    ``ln(size(sizes)) + slope * gamma``; ``axes`` spreads it over
+    (u, s, t, y1, y2)."""
 
     table: str
     test: Callable
     size: Callable[[SchemeSizes], int]
     slope: float
-    law: str
     axes: tuple
 
 
@@ -232,15 +222,15 @@ class Clause(NamedTuple):
 #: ``head{r}`` and its inner test on i(S_r; Y_r | U) is ``inner{r}`` (S_1 = S,
 #: S_2 = T); ``cross`` is the encoder's test on i(S; T | U)
 CLAUSES = {
-    "head1": Clause("i_us_y1", np.less_equal, lambda z: z.M * z.Ntilde, 1.0, "p_usy1",
+    "head1": Clause("i_us_y1", np.less_equal, lambda z: z.M * z.Ntilde, 1.0,
                     np.s_[:, :, None, :, None]),
-    "head2": Clause("i_ut_y2", np.less_equal, lambda z: z.M * z.Ltilde, 1.0, "p_uty2",
+    "head2": Clause("i_ut_y2", np.less_equal, lambda z: z.M * z.Ltilde, 1.0,
                     np.s_[:, None, :, None, :]),
-    "inner1": Clause("i_s_y1_u", np.less_equal, lambda z: z.Ntilde, 1.0, "p_usy1",
+    "inner1": Clause("i_s_y1_u", np.less_equal, lambda z: z.Ntilde, 1.0,
                      np.s_[:, :, None, :, None]),
-    "inner2": Clause("i_t_y2_u", np.less_equal, lambda z: z.Ltilde, 1.0, "p_uty2",
+    "inner2": Clause("i_t_y2_u", np.less_equal, lambda z: z.Ltilde, 1.0,
                      np.s_[:, None, :, None, :]),
-    "cross": Clause("i_s_t_u", np.greater, lambda z: z.Nhat * z.Lhat, -2.0, "p_ust",
+    "cross": Clause("i_s_t_u", np.greater, lambda z: z.Nhat * z.Lhat, -2.0,
                     np.s_[:, :, :, None, None]),
 }
 
@@ -308,34 +298,6 @@ class DensityTables:
         return {name: c.test(getattr(self, c.table), thr[name])
                 for name, c in CLAUSES.items()}
 
-    @cached_property
-    def _running_sums(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per clause, its density table's values sorted and the running sums
-        of its law's masses in that order, starting from the end where the
-        clause holds (the low end for ``<=``, the high end for ``>``)."""
-        sums = {}
-        for name, c in CLAUSES.items():
-            values = getattr(self, c.table).ravel()
-            order = np.argsort(values, kind="stable")
-            mass = getattr(self, c.law).ravel()[order]
-            if c.test is np.greater:
-                mass = mass[::-1]
-            # a running sum of masses can pass 1 by rounding: clamped
-            sums[name] = (values[order], np.minimum(np.concatenate(([0.0], np.cumsum(mass))), 1.0))
-        return sums
-
-    def clause_probabilities(self, thr: dict[str, float]) -> dict[str, float]:
-        """The probability of each clause at the thresholds ``thr``: a running
-        sum of :attr:`_running_sums`, at the number of cells the clause holds
-        in (a ``<=`` clause holds in those up to ``thr``, a ``>`` clause in
-        the rest)."""
-        probs = {}
-        for name, c in CLAUSES.items():
-            values, sums = self._running_sums[name]
-            k = values.searchsorted(thr[name], "right")
-            probs[name] = float(sums[values.size - k if c.test is np.greater else k])
-        return probs
-
     def union_probability(self, c: dict[str, np.ndarray]) -> float:
         """The probability of the union of the clauses ``c`` (as from
         :meth:`clauses`): ``sum P(u,s,t) [cross ? 1 : bad mass]``.
@@ -373,7 +335,8 @@ class DensityTables:
         if steps is None:
             steps = self._union_steps[sizes] = GammaSteps(
                 [(getattr(self, c.table), c.test, sizes.clause_logs[name], c.slope)
-                 for name, c in CLAUSES.items()])
+                 for name, c in CLAUSES.items()],
+                lambda g: self.union_probability(self.clauses(thresholds_for(sizes, g))))
         return steps
 
 
@@ -384,28 +347,22 @@ def _bad_outputs(c: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def zeta_table(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> np.ndarray:
-    """Mass of the bad output set for every codeword triple (u, s, t)."""
-    bad = _bad_outputs(system.tables.clauses(thresholds_for(sizes, gamma)))
-    return (system.out_rows * bad).sum(axis=(3, 4))
+    """Mass of the bad output set for every codeword triple (u, s, t), from
+    the channel rows at ``x(u,s,t)`` gathered for this call.  More than
+    ``JOINT_CAP`` entries over (u, s, t, y1, y2) raise
+    :class:`EnumerationCapError` before they are allocated."""
+    c = system.tables.clauses(thresholds_for(sizes, gamma))
+    _check_cap("design joint", math.prod(system.shape))
+    return (system.channel.rows[system.x_map] * _bad_outputs(c)).sum(axis=(3, 4))
 
 
-def event_probabilities(system: BroadcastSystem, sizes: SchemeSizes,
-                        gamma: float) -> dict[str, float]:
-    """Exact probabilities of the five threshold events
-    (:meth:`DensityTables.clause_probabilities`) and of their union
-    (:meth:`DensityTables.union_probability`, evaluated once per interval of
-    the step table for ``sizes``, :meth:`DensityTables.union_steps`)."""
-    t = system.tables
-    probs = t.clause_probabilities(thresholds_for(sizes, gamma))
-    probs["union"] = t.union_steps(sizes)(gamma, lambda: union_mass(system, sizes, gamma))
-    return probs
-
-
-def union_mass(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> float:
-    """The union probability at ``gamma``, evaluated afresh: the value
-    :meth:`DensityTables.union_steps` caches for its interval."""
-    t = system.tables
-    return t.union_probability(t.clauses(thresholds_for(sizes, gamma)))
+def event_probabilities(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> float:
+    """The exact probability of the union of the five threshold events
+    (:meth:`DensityTables.union_probability`), evaluated once per interval of
+    the step table for ``sizes`` (:meth:`DensityTables.union_steps`).  A
+    gamma :func:`thresholds_for` rejects is rejected before the table is read."""
+    check_bound_args(gamma)
+    return system.tables.union_steps(sizes)(gamma)
 
 
 def bound_terms(sizes: SchemeSizes, gamma: float, union: float) -> tuple:
@@ -426,7 +383,7 @@ def broadcast_bound(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -
     double-exponential slack, the exact five-event union probability,
     and the inner covering ratio.
     """
-    union = event_probabilities(system, sizes, gamma)["union"]
+    union = event_probabilities(system, sizes, gamma)
     return BoundReport(bound_terms(sizes, gamma, union), {"sizes": sizes.to_json(), "gamma": gamma})
 
 

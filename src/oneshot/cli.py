@@ -492,6 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # BLAS reads its thread count when numpy loads: one thread unless the user
+    # set it, since the small batched matmuls here run slower threaded
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.format is None:

@@ -107,14 +107,6 @@ class Dist:
     def __getitem__(self, x: int) -> float:
         return float(self.probs[x])
 
-    @classmethod
-    def from_json(cls, doc) -> "Dist":
-        if isinstance(doc, dict):
-            if "probs" not in doc:
-                raise InputFormatError('distribution: expected an array or an object with "probs"')
-            return cls(doc["probs"], _labels_from_json(doc.get("labels")))
-        return cls(doc)
-
 
 @dataclass(frozen=True)
 class Joint:

@@ -30,7 +30,7 @@ def optimize_gamma(kind: str, instance, search_range):
     """:func:`oneshot.bounds.optimize_gamma` comparing whole reports: the
     remainder's minimizer, then the point just below each breakpoint left of
     it, right to left, until the remainder alone exceeds the best."""
-    report, steps, terms = _bound_parts(kind, instance)[:3]
+    report, steps, terms = _bound_parts(kind, instance)
     lo, hi = search_range
 
     def remainder(g):

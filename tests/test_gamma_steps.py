@@ -2,15 +2,17 @@
 evaluation (a masked sum, or the broadcast union kernel) at every gamma,
 breakpoints and their neighbouring doubles included."""
 
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oneshot import Joint, SchemeSizes, bounds, broadcast_bound
-from oneshot.bounds import GammaSteps, bound_at, critical_gammas
-from oneshot.broadcast import CLAUSES, DensityTables, event_probabilities, thresholds_for
+from oneshot import BroadcastSystem, Joint, SchemeSizes, bounds, broadcast_bound
+from oneshot.bounds import GammaSteps, bound_at, critical_gammas, optimize_gamma
+from oneshot.broadcast import DensityTables, thresholds_for
 from oneshot.errors import InputFormatError
 from oneshot.probability import cond_info_density_table, info_density_table
 
@@ -19,6 +21,7 @@ from conftest import random_design, sparse_law
 SIZE_STRINGS = ("1,1,1,1,1,2,2", "2,1,1,2,2,2,2", "1,2,2,1,1,4,4", "3,1,2,1,3,5,2")
 TESTS = ((np.less_equal, 1.0), (np.greater, -2.0), (np.greater_equal, -1.0))
 DBL_MAX = sys.float_info.max
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _gammas(breakpoints):
@@ -68,13 +71,6 @@ class TestStepTablesAreExact:
                     clauses = tables.clauses(thresholds_for(sizes, g))
                     want = tables.union_probability(clauses)
                     assert broadcast_bound(system, sizes, g).term("union") == want
-                    # each clause's running sum covers exactly the cells of its
-                    # mask, ties at a breakpoint included
-                    probs = event_probabilities(system, sizes, g)
-                    for name, mask in clauses.items():
-                        law = getattr(tables, CLAUSES[name].law)
-                        assert probs[name] == pytest.approx(float(law[mask].sum()), rel=1e-12,
-                                                            abs=0.0)
                 assert len(steps.cache) <= len(steps.breakpoints) + 1
 
     @pytest.mark.parametrize("kind", ["covering4", "covering4-union", "covering5", "covering7"])
@@ -112,14 +108,36 @@ class TestStepTablesAreExact:
 class TestGammaSteps:
     def test_one_mass_per_interval(self):
         calls = []
-        steps = GammaSteps([(np.array([1.0, 2.0, 3.0]), np.less_equal, 0.0, 1.0)])
-        values = [steps(g, lambda: calls.append(g) or float(np.floor(g)))
-                  for g in (0.5, 0.9, 1.0, 1.5, 2.5, 2.9, 7.0)]
+        steps = GammaSteps([(np.array([1.0, 2.0, 3.0]), np.less_equal, 0.0, 1.0)],
+                           lambda g: calls.append(g) or float(np.floor(g)))
+        values = [steps(g) for g in (0.5, 0.9, 1.0, 1.5, 2.5, 2.9, 7.0)]
         assert values == [0, 0, 1, 1, 2, 2, 7]
-        # the first call builds no table and caches nothing
-        assert calls == [0.5, 0.9, 1.0, 2.5, 7.0]
+        # the first call builds no table; its value is cached with the table
+        assert calls == [0.5, 1.0, 2.5, 7.0]
         assert steps.breakpoints == [1.0, 2.0, 3.0]
         assert len(steps.cache) == 4
+
+    @pytest.mark.parametrize("config,text,gamma,evaluations", [
+        ("broadcast_binary.json", "1,2,2,1,1,4,4", 1.3287014630824847, 5),
+        ("broadcast_inside.json", "1,1,1,1,1,2,2", 1.2234089107968629, 15),
+    ])
+    def test_a_search_evaluates_each_interval_once(self, config, text, gamma, evaluations,
+                                                   monkeypatch):
+        # the search's first value comes before any breakpoint exists, at the
+        # remainder's minimizer, and the report of the winner reads it again
+        with open(CONFIGS / config) as fh:
+            doc = json.load(fh)
+        sizes = SchemeSizes.from_string(text)
+        want = broadcast_bound(BroadcastSystem.from_json(doc), sizes, gamma).to_json()
+        calls = []
+        real = DensityTables.union_probability
+        monkeypatch.setattr(DensityTables, "union_probability",
+                            lambda tables, c: calls.append(1) or real(tables, c))
+        system = BroadcastSystem.from_json(doc)
+        got_gamma, report = optimize_gamma("broadcast", {"system": system, "sizes": sizes},
+                                           (0.05, 6.0))
+        assert (got_gamma, report.to_json()) == (gamma, want)
+        assert len(calls) == len(system.tables.union_steps(sizes).cache) == evaluations
 
     def test_a_single_gamma_works_out_no_breakpoints(self, monkeypatch):
         def refuse(*args):

@@ -1,11 +1,12 @@
-"""Start-up: ``import oneshot`` is a lazy namespace, and each subcommand
-loads only the layers it runs.
+"""Start-up: ``import oneshot`` is a lazy namespace, each subcommand
+loads only the layers it runs, and BLAS threads are pinned before numpy loads.
 
 Every case runs ``python -m oneshot`` in a fresh interpreter and reads
 ``sys.modules`` after it exits."""
 
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,10 +19,20 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 LAYERS = ("probability", "bounds", "rng", "oracle", "broadcast", "regions")
 
-#: runs ``python -m oneshot ARGV`` and writes its exit code and the loaded
-#: modules to the file named by the first argument
+#: runs ``python -m oneshot ARGV`` and writes its exit code, the loaded
+#: modules and the BLAS thread variables as numpy's import found them to the
+#: file named by the first argument
 _PROBE = """
-import runpy, sys
+import os, runpy, sys
+BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+blas = {}
+
+class AtNumpyImport:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not blas:
+            blas.update((var, os.environ.get(var)) for var in BLAS)
+
+sys.meta_path.insert(0, AtNumpyImport())
 out = sys.argv.pop(1)
 sys.argv[0] = "oneshot"
 try:
@@ -31,7 +42,7 @@ except SystemExit as exc:
     code = exc.code
 import json
 with open(out, "w") as fh:
-    json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
+    json.dump({"code": code, "modules": sorted(sys.modules), "blas": blas}, fh)
 """
 
 _COVERING = ["--dist", str(CONFIGS / "joint_2x2.json"), "--event", str(CONFIGS / "event_diag.json"),
@@ -40,12 +51,16 @@ _BROADCAST = ["--config", str(CONFIGS / "broadcast_binary.json"),
               "--sizes-file", str(CONFIGS / "sizes_small.json"), "--gamma", "1.1"]
 
 
-def _loaded(argv, tmp_path) -> tuple[int, set[str]]:
+def _probe(argv, tmp_path, env=None) -> dict:
     out = tmp_path / "modules.json"
     res = subprocess.run([sys.executable, "-c", _PROBE, str(out), *argv],
-                         capture_output=True, text=True, cwd=ROOT)
+                         capture_output=True, text=True, cwd=ROOT, env=env)
     assert res.returncode == 0, res.stderr
-    doc = json.loads(out.read_text())
+    return json.loads(out.read_text())
+
+
+def _loaded(argv, tmp_path) -> tuple[int, set[str]]:
+    doc = _probe(argv, tmp_path)
     return doc["code"], set(doc["modules"])
 
 
@@ -105,6 +120,17 @@ def test_the_thread_pool_loads_only_where_threads_start(trials, threads, pool, t
     code, modules = _loaded(argv, tmp_path)
     assert code == 0
     assert ("concurrent.futures" in modules) == pool
+
+
+def test_blas_threads_are_pinned_before_numpy_loads(tmp_path):
+    # one thread unless the user set a count, which is kept
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["OMP_NUM_THREADS"] = "2"
+    doc = _probe(["bound", "broadcast", *_BROADCAST], tmp_path, env)
+    assert doc["code"] == 0
+    assert doc["blas"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                           "MKL_NUM_THREADS": "1"}
 
 
 class TestLazyNamespace:
