@@ -7,11 +7,12 @@ codewords for the two receivers.  The encoder picks the inner pair
 minimizing the mass of the bad output set; each decoder runs a two-stage
 threshold search (cloud index, then satellite pair).
 
-The bound and the density tables read only the law of (u, s, t) and the
-two receiver marginals ``p(u,s,y1)`` and ``p(u,t,y2)``; the design joint
-over (u, s, t, y1, y2) is never built for them.  Output symbols outside
-the design support get density ``-inf`` ("no evidence"), which keeps the
-decoders total without affecting any exactly computed probability.
+Everything reads only the law of (u, s, t) and the receiver marginals
+``p(u,s,y1)`` and ``p(u,t,y2)``; the bound and the encoder share one
+bad-mass kernel, and no array over (u, s, t, y1, y2) is built.  Output
+symbols outside the design support get density ``-inf`` ("no evidence"),
+which keeps the decoders total without affecting any exactly computed
+probability.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .probability import (Joint, Kernel, _iid_power, cond_info_density_table, in
                           integral, log_ratio_table, product_extend)
 
 #: cap on the entries of the largest array a broadcast evaluation builds: a
-#: receiver marginal, an array of the union kernel, or (for the encoder and
-#: the Monte Carlo cross-check) a table over (u, s, t, y1, y2)
+#: receiver marginal, the law of (u, s_r, x) it is read from, or an array of
+#: the bad-mass kernel
 JOINT_CAP = 10**7
 
 
@@ -208,30 +209,23 @@ def product_extend_system(system: BroadcastSystem, n: int) -> BroadcastSystem:
 
 class Clause(NamedTuple):
     """A threshold event: density table ``table`` passes ``test`` against
-    ``ln(size(sizes)) + slope * gamma``; ``axes`` spreads it over
-    (u, s, t, y1, y2)."""
+    ``ln(size(sizes)) + slope * gamma``."""
 
     table: str
     test: Callable
     size: Callable[[SchemeSizes], int]
     slope: float
-    axes: tuple
 
 
 #: the five clauses by name: receiver r's head test on i(U S_r; Y_r) is
 #: ``head{r}`` and its inner test on i(S_r; Y_r | U) is ``inner{r}`` (S_1 = S,
 #: S_2 = T); ``cross`` is the encoder's test on i(S; T | U)
 CLAUSES = {
-    "head1": Clause("i_us_y1", np.less_equal, lambda z: z.M * z.Ntilde, 1.0,
-                    np.s_[:, :, None, :, None]),
-    "head2": Clause("i_ut_y2", np.less_equal, lambda z: z.M * z.Ltilde, 1.0,
-                    np.s_[:, None, :, None, :]),
-    "inner1": Clause("i_s_y1_u", np.less_equal, lambda z: z.Ntilde, 1.0,
-                     np.s_[:, :, None, :, None]),
-    "inner2": Clause("i_t_y2_u", np.less_equal, lambda z: z.Ltilde, 1.0,
-                     np.s_[:, None, :, None, :]),
-    "cross": Clause("i_s_t_u", np.greater, lambda z: z.Nhat * z.Lhat, -2.0,
-                    np.s_[:, :, :, None, None]),
+    "head1": Clause("i_us_y1", np.less_equal, lambda z: z.M * z.Ntilde, 1.0),
+    "head2": Clause("i_ut_y2", np.less_equal, lambda z: z.M * z.Ltilde, 1.0),
+    "inner1": Clause("i_s_y1_u", np.less_equal, lambda z: z.Ntilde, 1.0),
+    "inner2": Clause("i_t_y2_u", np.less_equal, lambda z: z.Ltilde, 1.0),
+    "cross": Clause("i_s_t_u", np.greater, lambda z: z.Nhat * z.Lhat, -2.0),
 }
 
 
@@ -256,8 +250,8 @@ class DensityTables:
 
     Every table comes from :func:`~oneshot.probability.log_ratio_table`:
     finite on the support and ``-inf`` where the relevant joint marginal
-    vanishes.  The arrays of :meth:`union_probability` count against
-    ``JOINT_CAP`` here, before anything is built.
+    vanishes.  The arrays of :meth:`bad_mass` count against ``JOINT_CAP``
+    here, before anything is built.
     """
 
     def __init__(self, system: BroadcastSystem):
@@ -281,7 +275,7 @@ class DensityTables:
         self.i_t_y2_u = log_ratio_table((self.p_uty2, self.p_u[:, None, None]),
                                         (self.p_ut[:, :, None], self.p_uy2[:, None, :]))
         self.i_s_t_u = cond_info_density_table(system.joint_ust)
-        # the union kernel's channel rows, receiver 2's marginal rows over
+        # the bad-mass kernel's channel rows, receiver 2's marginal rows over
         # (y2, x) and the rows over (y2, x y1), and the flat index of
         # (u, t, x(u,s,t)) over (u, s, t)
         rows = system.channel.rows
@@ -292,41 +286,38 @@ class DensityTables:
 
     def clauses(self, thr: dict[str, float]) -> dict[str, np.ndarray]:
         """The five threshold events of the bound, each a boolean table over its
-        own axes; a clause's ``axes`` spreads it over (u, s, t, y1, y2).  A
-        ``-inf`` density falls in each ``<=`` clause, so the complements are
-        exactly the decoders' passing tests."""
+        own axes: (u, s, y1) for receiver 1's, (u, t, y2) for receiver 2's
+        and (u, s, t) for the cross clause.  A ``-inf`` density falls in each
+        ``<=`` clause, so the complements are exactly the decoders' passing
+        tests."""
         return {name: c.test(getattr(self, c.table), thr[name])
                 for name, c in CLAUSES.items()}
 
-    def union_probability(self, c: dict[str, np.ndarray]) -> float:
-        """The probability of the union of the clauses ``c`` (as from
-        :meth:`clauses`): ``sum P(u,s,t) [cross ? 1 : bad mass]``.
+    def bad_mass(self, c: dict[str, np.ndarray]) -> np.ndarray:
+        """The channel mass over (u, s, t) of the outputs where a receiver's
+        head or inner clause of ``c`` (as from :meth:`clauses`) holds: A + B -
+        A∧B with A and B the two receivers' shares.
 
-        The bad mass of (u, s, t) is the channel mass of the outputs where
-        a receiver's head or inner clause holds, A + B - A∧B with A and B
-        the two receivers' shares.  It is summed as B plus the mass where
-        receiver 1's clauses hold and receiver 2's pass, so every term is
-        non-negative and a small union keeps its relative precision.  That
-        last mass is one matmul of the channel rows against receiver 2's
-        pass table for every (u, t), gathered at ``x(u,s,t)`` and summed
-        against receiver 1's clauses over y1.  The matmuls are batched over
-        u, which keeps each one small.  Rounding can take the sum past 1;
-        it is clamped to 1, so the union's step table holds it clamped too.
+        It is summed as B plus the mass where receiver 1's clauses hold and
+        receiver 2's pass, so every term is non-negative and a small mass
+        keeps its relative precision.  That last mass is one matmul of the
+        channel rows against receiver 2's pass table for every (u, t),
+        gathered at ``x(u,s,t)`` and summed against receiver 1's clauses
+        over y1.  The matmuls are batched over u, which keeps each one small.
         """
         ky1 = self.shape[3]
         bad1 = (c["head1"] | c["inner1"]).astype(np.float64)  # (u, s, y1)
         bad2 = (c["head2"] | c["inner2"]).astype(np.float64)  # (u, t, y2)
         b = (bad2 @ self._w2).take(self._utx)
         rest = ((1.0 - bad2) @ self._w_x_y1).reshape(-1, ky1).take(self._utx, axis=0)
-        a_only = (rest @ bad1[:, :, :, None])[..., 0]
-        return min(float((self.p_ust * np.where(c["cross"], 1.0, b + a_only)).sum()), 1.0)
+        return b + (rest @ bad1[:, :, :, None])[..., 0]
 
-    def union_mask(self, thr: dict[str, float]) -> np.ndarray:
-        """The union of the five threshold events over (u, s, t, y1, y2), for
-        the Monte Carlo cross-check (at most ``JOINT_CAP`` entries)."""
-        _check_cap("design joint", math.prod(self.shape))
-        c = self.clauses(thr)
-        return _bad_outputs(c) | c["cross"][CLAUSES["cross"].axes]
+    def union_probability(self, c: dict[str, np.ndarray]) -> float:
+        """The probability of the union of the clauses ``c``:
+        ``sum P(u,s,t) [cross ? 1 : bad mass]``.  Rounding can take the sum
+        past 1; it is clamped to 1, so the union's step table holds it
+        clamped too."""
+        return min(float((self.p_ust * np.where(c["cross"], 1.0, self.bad_mass(c))).sum()), 1.0)
 
     def union_steps(self, sizes: SchemeSizes) -> GammaSteps:
         """The union probability's step table for ``sizes``, built once: its
@@ -340,20 +331,11 @@ class DensityTables:
         return steps
 
 
-def _bad_outputs(c: dict[str, np.ndarray]) -> np.ndarray:
-    """Where a receiver's head or inner clause holds, over (u, s, t, y1, y2)."""
-    return ((c["head1"] | c["inner1"])[CLAUSES["head1"].axes]
-            | (c["head2"] | c["inner2"])[CLAUSES["head2"].axes])
-
-
 def zeta_table(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> np.ndarray:
-    """Mass of the bad output set for every codeword triple (u, s, t), from
-    the channel rows at ``x(u,s,t)`` gathered for this call.  More than
-    ``JOINT_CAP`` entries over (u, s, t, y1, y2) raise
-    :class:`EnumerationCapError` before they are allocated."""
-    c = system.tables.clauses(thresholds_for(sizes, gamma))
-    _check_cap("design joint", math.prod(system.shape))
-    return (system.channel.rows[system.x_map] * _bad_outputs(c)).sum(axis=(3, 4))
+    """Mass of the bad output set for every codeword triple (u, s, t), the
+    encoder's objective (:meth:`DensityTables.bad_mass`)."""
+    tables = system.tables
+    return tables.bad_mass(tables.clauses(thresholds_for(sizes, gamma)))
 
 
 def event_probabilities(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> float:
@@ -556,7 +538,9 @@ def encode(cb: Codebook, system: BroadcastSystem, sizes: SchemeSizes, gamma: flo
            ztable: np.ndarray | None = None) -> EncodeResult:
     """Pick the inner pair minimizing the bad-set mass and emit the symbol.
 
-    Ties resolve to the lexicographically smallest ``(ahat, bhat)``.
+    Ties of ζ in floating point resolve to the lexicographically smallest
+    ``(ahat, bhat)``; masses equal in exact arithmetic can differ in their
+    last bits, and then the rounding decides.
     """
     if not (0 <= a < sizes.N and 0 <= b < sizes.L):
         raise InputFormatError("message index out of range")
@@ -728,18 +712,32 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
 def mc_event_union(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
                    trials: int, seed: int, threads: int = 1) -> rng.McEstimate:
     """Monte Carlo estimate of the five-event union probability under the
-    design joint (cross-check for the exact union term)."""
+    design joint (cross-check for the exact union term).  Each draw is
+    tested against the clause tables, at ``row1`` or ``row2``, the flat
+    offset of (u, s) or (u, t) in them, plus its output."""
     ku, ks, kt, ky1, ky2 = system.shape
-    union_flat = system.tables.union_mask(thresholds_for(sizes, gamma)).reshape(ku * ks * kt, ky1 * ky2)
+    c = system.tables.clauses(thresholds_for(sizes, gamma))
+    cross = c["cross"].reshape(-1)
+    bad1 = (c["head1"] | c["inner1"]).reshape(-1)
+    bad2 = (c["head2"] | c["inner2"]).reshape(-1)
+    u_idx, s_idx, t_idx = np.indices((ku, ks, kt)).reshape(3, -1)
+    row1 = (u_idx * ks + s_idx) * ky1
+    row2 = (u_idx * kt + t_idx) * ky2
     cdf_ust = np.cumsum(system.joint_ust.probs.reshape(-1))
     cdf_chan = _Sampler(system).cdf_chan
     x_flat = system.x_map.reshape(-1)
 
     def body(u: np.ndarray) -> float:
-        ust = rng.sample_categorical(cdf_ust, u[:, 0])
+        ust = rng.sample_categorical(cdf_ust, u[:, 0]).astype(np.intp)
         y = rng.sample_categorical(cdf_chan[x_flat[ust]], u[:, 1])
-        return float(union_flat[ust, y].sum())
+        hit = cross.take(ust)
+        hit |= bad1.take(row1.take(ust) + y // ky2)
+        hit |= bad2.take(row2.take(ust) + y % ky2)
+        return float(np.count_nonzero(hit))
 
-    # per trial besides its uniform row: three drawn indices and a channel cdf row
-    total = rng.monte_carlo(trials, seed, 2, body, work_bytes=24 + 8 * ky1 * ky2, threads=threads)
+    # per trial besides its uniform row: the drawn (u, s, t), its symbol and
+    # channel cdf row, y, an output coordinate, a gathered offset and its sum
+    # (8 bytes an index at most) and two booleans
+    total = rng.monte_carlo(trials, seed, 2, body, work_bytes=50 + 8 * ky1 * ky2,
+                            threads=threads)
     return rng.estimate(total, trials, seed)

@@ -4,9 +4,10 @@ The broadcast evaluation reads only the law of (u, s, t) and the two
 receiver marginals.  The references here build the dense design joint
 ``P(u,s,t) channel(y1,y2 | x(u,s,t))`` over all five axes and read every
 quantity off it: the marginals, the density tables, the five clause
-probabilities and their union, and the info vector.  They also hold the
-multiset count the exact oracles' caps are checked against, and the gamma
-search that builds a whole report at every breakpoint it walks.
+probabilities and their union, the encoder's bad-output masses and the info
+vector.  They also hold the multiset count the exact oracles' caps are
+checked against, and the gamma search that builds a whole report at every
+breakpoint it walks.
 """
 
 import bisect
@@ -49,6 +50,16 @@ def optimize_gamma(kind: str, instance, search_range):
     return best_g, best
 
 
+#: how each clause table spreads over (u, s, t, y1, y2)
+AXES = {
+    "head1": np.s_[:, :, None, :, None],
+    "head2": np.s_[:, None, :, None, :],
+    "inner1": np.s_[:, :, None, :, None],
+    "inner2": np.s_[:, None, :, None, :],
+    "cross": np.s_[:, :, :, None, None],
+}
+
+
 def design_joint(system: BroadcastSystem) -> np.ndarray:
     """The design joint over (u, s, t, y1, y2)."""
     return system.joint_ust.probs[:, :, :, None, None] * system.channel.rows[system.x_map]
@@ -58,6 +69,7 @@ class DenseTables:
     """Marginals and density tables read off :func:`design_joint`."""
 
     def __init__(self, system: BroadcastSystem):
+        self.rows = system.channel.rows[system.x_map]
         self.full = design_joint(system)
         p_ust = system.joint_ust.probs
         self.p_u = p_ust.sum(axis=(1, 2))
@@ -79,13 +91,21 @@ class DenseTables:
 
     def clause_masks(self, thr: dict[str, float]) -> dict[str, np.ndarray]:
         """Each clause spread over (u, s, t, y1, y2)."""
-        return {name: np.broadcast_to(c.test(getattr(self, c.table), thr[name])[c.axes],
+        return {name: np.broadcast_to(c.test(getattr(self, c.table), thr[name])[AXES[name]],
                                       self.full.shape)
                 for name, c in CLAUSES.items()}
 
     def union_mask(self, sizes: SchemeSizes, gamma: float) -> np.ndarray:
         """The union of the five clauses over (u, s, t, y1, y2)."""
         return np.logical_or.reduce(list(self.clause_masks(thresholds_for(sizes, gamma)).values()))
+
+    def zeta(self, sizes: SchemeSizes, gamma: float) -> np.ndarray:
+        """The channel mass over (u, s, t) of the outputs where a receiver's
+        head or inner clause holds: the channel rows at ``x(u,s,t)`` summed
+        over that five-axis mask."""
+        m = self.clause_masks(thresholds_for(sizes, gamma))
+        bad = m["head1"] | m["inner1"] | m["head2"] | m["inner2"]
+        return (self.rows * bad).sum(axis=(3, 4))
 
     def event_probabilities(self, sizes: SchemeSizes, gamma: float) -> dict[str, float]:
         """The five clause probabilities and their union, each a masked sum

@@ -148,14 +148,18 @@ class TestSystemValidation:
         assert peak < 2**20
 
     def test_evaluation_stays_small_on_four_letters(self, binary_system):
-        # the bound and the info vector of the binary^4 extension build arrays
-        # of 16^4 entries at most; the dense design joint alone is 16^5
-        # doubles (8 MiB), and reading the bound off it peaks above 16 MiB
+        # the bound, the info vector, the encoder's masses and the Monte Carlo
+        # cross-check of the binary^4 extension build arrays of 16^4 entries
+        # at most; the dense design joint alone is 16^5 doubles (8 MiB), and
+        # reading the bound off it peaks above 16 MiB, the masses above 9 MiB
         system = product_extend_system(binary_system, 4)
         tracemalloc.start()
         try:
             broadcast_bound(system, SIZES_B, 1.0)
             info_vector(system.joint_ust, system.x_map, system.channel)
+            zeta_table(system, SIZES_B, 1.0)
+            # a few hundred trials keep the chunk well under the chunk target
+            mc_event_union(system, SIZES_B, 1.0, trials=300, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -213,15 +217,17 @@ def near_noiseless_system(e1: float = 1e-9, e2: float = 1e-11) -> BroadcastSyste
 
 
 def reference_designs() -> dict[str, BroadcastSystem]:
-    """Seeded random designs, a nearly noiseless design, every shipped
-    design config and the two- and three-letter extensions of the binary
-    and asymmetric systems."""
+    """Seeded random designs (among them sparse laws, dead cloud symbols and
+    zero channel entries), a nearly noiseless design, every shipped design
+    config, the asymmetric system and the two- and three-letter extensions
+    of the binary and asymmetric systems."""
     rng = np.random.default_rng(2024)
     designs = {f"random-{i}": random_design(rng) for i in range(16)}
     designs["near-noiseless"] = near_noiseless_system()
     configs = Path(__file__).resolve().parent.parent / "configs"
     for name in ("broadcast_binary", "broadcast_inside", "region_binary", "region_bsc_copy"):
         designs[name] = BroadcastSystem.from_json(json.loads((configs / f"{name}.json").read_text()))
+    designs["asym"] = asym_broadcast_system()
     for n in (2, 3):
         designs[f"binary^{n}"] = product_extend_system(binary_broadcast_system(), n)
         designs[f"asym^{n}"] = product_extend_system(asym_broadcast_system(), n)
@@ -257,6 +263,23 @@ class TestDenseReference:
                 want = dense.event_probabilities(sizes, gamma)["union"]
                 got = event_probabilities(system, sizes, gamma)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), (sizes, gamma)
+
+    def test_random_designs_are_degenerate(self):
+        randoms = [d for name, d in REFERENCE_DESIGNS.items() if name.startswith("random")]
+        assert any((d.joint_ust.probs.sum(axis=(1, 2)) == 0).any() for d in randoms)
+        assert any((d.joint_ust.probs == 0).any() for d in randoms)
+        assert any((d.channel.rows == 0).any() for d in randoms)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DESIGNS))
+    def test_zeta(self, name):
+        system = REFERENCE_DESIGNS[name]
+        dense = reference.DenseTables(system)
+        for sizes in REFERENCE_SIZES:
+            for gamma in np.geomspace(0.01, 20.0, 12):
+                got = zeta_table(system, sizes, gamma)
+                assert got.shape == system.joint_ust.shape
+                np.testing.assert_allclose(got, dense.zeta(sizes, gamma), rtol=0.0, atol=1e-15,
+                                           err_msg=f"{sizes} {gamma}")
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_DESIGNS))
     def test_info_vector(self, name):
@@ -760,9 +783,9 @@ class TestChunking:
         assert got == want
 
 
-#: sha256 of the outcomes in :class:`TestRecordedOutcomes`, recorded while every
-#: trial generated its whole uniform row and the head test gathered per codeword
-SIMULATE_DIGEST = "02e8a7ddcaa3f2141cbdeb2d4b9a9c9d30c4b6a546c8ab0204259d28992dcc87"
+#: sha256 of the outcomes in :class:`TestRecordedOutcomes`, recorded with the
+#: encoder's masses from :meth:`DensityTables.bad_mass`
+SIMULATE_DIGEST = "8fc8f1975a3469f337fa059d767020ece6efea1f06b69849ed2020e73c6a81a2"
 
 
 class TestRecordedOutcomes:
@@ -820,6 +843,30 @@ class TestEventUnionCrosscheck:
         union = event_probabilities(asym_ext_system, SIZES_A, 0.05)
         est = mc_event_union(asym_ext_system, SIZES_A, 0.05, trials=20000, seed=21)
         assert abs(est.mean - union) <= 4 * est.stderr
+
+    def test_chunks_peak_within_their_reservation(self, monkeypatch):
+        # a binary^4 chunk of the target reserves a 2 KiB channel cdf row a
+        # trial; a union table over (u, s, t, y1, y2) would add 1 MiB outside
+        # the reservation and peak at 1.26 times it
+        system = product_extend_system(binary_broadcast_system(), 4)
+        system.tables
+        calls = []
+        chunk_trials = rngmod.chunk_trials
+
+        def recording(row_bytes, *args, **kwargs):
+            calls.append((chunk_trials(row_bytes, *args, **kwargs), row_bytes))
+            return calls[-1][0]
+
+        monkeypatch.setattr(rngmod, "chunk_trials", recording)
+        tracemalloc.start()
+        try:
+            mc_event_union(system, SIZES_B, 1.0, trials=4000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (chunk, row_bytes), = calls
+        assert chunk < 4000
+        assert 0.9 * chunk * row_bytes <= peak <= 1.1 * chunk * row_bytes, peak / (chunk * row_bytes)
 
 
 class TestDegenerateReduction:

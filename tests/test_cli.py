@@ -336,9 +336,8 @@ def test_cold_paths_skip_numpy_ma_and_scipy(argv):
 
 
 def test_cap_exceeded_exits_1(tmp_path):
-    # 15^3 * 60^2 > 1e7 design cells: the bound and the region read only
-    # arrays of at most 15^3 * 60 entries, but the simulator's channel rows
-    # over (u, s, t, y1, y2) exceed the cap
+    # 15^3 * 60^2 > 1e7 design cells: every command reads only arrays of at
+    # most 15^3 * 60 entries, so none of them is refused
     k, ky = 15, 60
     p = np.full((k, k, k), 1.0 / k**3)
     x_map = np.zeros((k, k, k), dtype=int).tolist()
@@ -349,10 +348,11 @@ def test_cap_exceeded_exits_1(tmp_path):
     assert run_cli("bound", "broadcast", "--config", str(cfg),
                    "--sizes", "1,1,1,1,1,1,1", "--gamma", "1").returncode == 0
     assert run_cli("region", "--config", str(cfg), "--project").returncode == 0
-    res = run_cli("simulate", "--config", str(cfg), "--sizes", "1,1,1,1,1,1,1", "--gamma", "1",
-                  "--trials", "10")
-    assert res.returncode == 1
-    assert res.stderr.startswith("error: design joint with 12150000 entries exceeds the cap")
+    for command in (["simulate"], ["verify", "broadcast"]):
+        res = run_cli(*command, "--config", str(cfg), "--sizes", "1,1,1,1,1,1,1", "--gamma", "1",
+                      "--trials", "10")
+        assert res.returncode == 0, res.stderr
+        _strict_json(res.stdout)
     # 22^2 auxiliary pairs against 21,000 outputs: a receiver marginal of
     # 10,164,000 entries
     cfg.write_text(json.dumps({"p_ust": np.full((22, 22, 1), 1 / 484).tolist(),
@@ -787,6 +787,20 @@ def _mutate(gen: np.random.Generator, base: list[str], tmp: Path) -> list[str]:
     return [*argv, f"{flag}={value}"]
 
 
+def _assert_exit_contract(argv: list[str], code: int, out: str, err: str) -> None:
+    """Exit 0 with strict JSON and no error line, or 1 or 2 with one error
+    line and nothing on stdout; a program fault (exit 3) is a bug."""
+    assert code in (0, 1, 2), (argv, err)
+    lines = err.strip().splitlines()
+    if code == 0:
+        _strict_json(out)
+        assert not any(line.startswith("error:") for line in lines), (argv, err)
+    else:
+        assert out == "", argv
+        assert [line.startswith("error: ") for line in lines].count(True) == 1, (argv, err)
+        assert all(line.startswith(("error: ", "warning: ")) for line in lines), (argv, err)
+
+
 def test_exit_contract_fuzz(tmp_path, capsys, monkeypatch):
     # seeded mutations of valid commands: each exits 0 with strict JSON, or 1
     # or 2 with one error line; a program fault (exit 3) is a bug
@@ -802,19 +816,49 @@ def test_exit_contract_fuzz(tmp_path, capsys, monkeypatch):
         base = [a.format(wide=wide) for a in _FUZZ_BASES[case % len(_FUZZ_BASES)]]
         argv = [*_mutate(gen, base, tmp_path), "--format", "json"]
         code = cli.main(argv)
-        out, err = capsys.readouterr()
         codes.append(code)
-        assert code in (0, 1, 2), (argv, err)
-        lines = err.strip().splitlines()
-        if code == 0:
-            _strict_json(out)
-            assert not any(line.startswith("error:") for line in lines), (argv, err)
-        else:
-            assert out == "", argv
-            assert [line.startswith("error: ") for line in lines].count(True) == 1, (argv, err)
-            assert all(line.startswith(("error: ", "warning: ")) for line in lines), (argv, err)
+        _assert_exit_contract(argv, code, *capsys.readouterr())
     # the mutations reach every outcome of the contract
     assert {0, 1, 2} <= set(codes)
+
+
+def _structural_design(name: str, gen: np.random.Generator) -> dict:
+    """A seeded broadcast design config with one structural degeneracy.  The
+    base has binary u, s and t and x = (u, s, t); receiver 1 sees (u, s) and
+    receiver 2 sees (u, t), each through a random noisy 4-ary channel."""
+    p = gen.dirichlet(np.full(8, 0.5)).reshape(2, 2, 2)
+    x_map = np.arange(8).reshape(2, 2, 2)
+    r1, r2 = (np.eye(4) + gen.uniform(0.0, 0.05, (4, 4)) for _ in range(2))
+    if name == "dead-cloud":
+        p[1] = 0.0
+    elif name == "half-empty":
+        p.reshape(-1)[gen.permutation(8)[:4]] = 0.0
+    elif name == "many-to-one":
+        x_map = x_map & 6  # t is never sent
+    elif name == "deterministic":
+        r1, r2 = np.eye(4)[gen.permutation(4)], np.eye(4)[gen.permutation(4)]
+    elif name == "zero-entries":
+        r1, r2 = ((gen.random((4, 4)) < 0.5) * r + np.eye(4) for r in (r1, r2))
+    u, s, t = np.unravel_index(np.arange(8), (2, 2, 2))
+    rows = (r1 / r1.sum(axis=1, keepdims=True))[2 * u + s][:, :, None] \
+        * (r2 / r2.sum(axis=1, keepdims=True))[2 * u + t][:, None, :]
+    return {"p_ust": (p / p.sum()).tolist(), "x_map": x_map.tolist(),
+            "channel": {"rows": rows.tolist()}}
+
+
+@pytest.mark.parametrize("name", ["dead-cloud", "half-empty", "many-to-one", "deterministic",
+                                  "zero-entries"])
+def test_structural_designs_keep_the_exit_contract(name, tmp_path, capsys):
+    # the degenerate designs, where the bad-mass kernel and the clause tables
+    # read zero laws, dead symbols and -inf densities
+    cfg = tmp_path / "design.json"
+    cfg.write_text(json.dumps(_structural_design(name, np.random.default_rng(31))))
+    run = ["--sizes", "1,1,1,1,1,1,1", "--gamma", "0.01"]
+    mc = ["--trials", "60", "--seed", "3"]
+    for command in (["bound", "broadcast", *run], ["simulate", *run, *mc, "--random-message"],
+                    ["verify", "broadcast", *run, *mc], ["region", "--project"]):
+        argv = [*command, "--config", str(cfg), "--format", "json"]
+        _assert_exit_contract(argv, cli.main(argv), *capsys.readouterr())
 
 
 @pytest.mark.parametrize("M,code", [(10**6, 0), (10**7, 1)])
