@@ -395,17 +395,17 @@ def bound_at(kind: str, instance: Mapping[str, object]):
 def _bound_parts(kind: str, instance: Mapping[str, object]):
     """:func:`bound_at`'s function, then for ``STEPPED_KINDS`` the
     :class:`GammaSteps` of the one probability term, which the report reads,
-    and ``terms(gamma, p)``, the report's terms with ``p`` as that term
-    (None and None for covering1).  A covering kind's density table and miss
-    term are computed once, and its threshold, ratio and slack are written
-    here only.
+    ``terms(gamma, p)``, the report's terms with ``p`` as that term, and
+    ``remainder(gamma)``, the plain sum of their values at ``p = 0.0`` (None
+    for each on covering1).  A covering kind's density table and miss term
+    are computed once, and its threshold, ratio and slack are written here only.
     """
     if kind == "broadcast":
-        from .broadcast import bound_terms, broadcast_bound
+        from .broadcast import bound_terms, bound_values, broadcast_bound
 
         system, sizes = instance["system"], instance["sizes"]
         return (lambda g: broadcast_bound(system, sizes, g), system.tables.union_steps(sizes),
-                lambda g, p: bound_terms(sizes, g, p))
+                lambda g, p: bound_terms(sizes, g, p), lambda g: sum(bound_values(sizes, g, 0.0)))
     if kind not in ("covering1", "covering4", "covering5", "covering7"):
         raise InputFormatError(f"kind: no gamma-parameterized bound named {kind!r}")
     joint = instance["joint"]
@@ -422,9 +422,10 @@ def _bound_parts(kind: str, instance: Mapping[str, object]):
     # a cell outside the event is in the merged event at every gamma
     always = ~ev if merged else np.zeros_like(ev)
 
-    def covering_terms(excess: float, ratio: float, slack: float) -> tuple:
-        head = (("miss_or_excess", excess),) if merged else (("miss", miss), ("excess", excess))
-        return head + (("ratio", ratio), ("doubleexp", slack))
+    names = (("miss_or_excess",) if merged else ("miss", "excess")) + ("ratio", "doubleexp")
+
+    def covering_values(excess: float, ratio: float, slack: float) -> tuple:
+        return ((excess,) if merged else (miss, excess)) + (ratio, slack)
 
     if kind == "covering1":
         density_ratio = _density_ratio(joint)
@@ -435,11 +436,12 @@ def _bound_parts(kind: str, instance: Mapping[str, object]):
             d = BoundParams(M, L, g, delta, union_form).resolved_delta()
             # positive on the support and -inf off it: a threshold <= 0 marks the support
             exceed = density_ratio > M * L * math.exp(-g) - d
-            return BoundReport(covering_terms(_mass_where(joint, always | exceed), (min(M, L) - 1) / d,
-                                              doubleexp(g)),
+            values = covering_values(_mass_where(joint, always | exceed), (min(M, L) - 1) / d,
+                                     doubleexp(g))
+            return BoundReport(tuple(zip(names, values)),
                                {"M": M, "L": L, "gamma": g, "delta": d, "union_form": union_form})
 
-        return covering1, None, None
+        return covering1, None, None, None
     if kind == "covering5":
         if joint.ndim != 3:
             raise AlphabetMismatchError("conditional covering bound needs a 3-axis joint")
@@ -454,20 +456,23 @@ def _bound_parts(kind: str, instance: Mapping[str, object]):
                        lambda g: _mass_where(joint, always | test(table, c + slope * g)))
     flag = {"union_form": union_form} if kind == "covering4" else {}
 
-    def terms(g: float, excess: float) -> tuple:
+    def values(g: float, excess: float) -> tuple:
         if kind != "covering7":
-            return covering_terms(excess, covering_ratio(M, L, g), doubleexp(g))
+            return covering_values(excess, covering_ratio(M, L, g), doubleexp(g))
         try:
             ratio = math.exp(g) / max(M, L)
         except OverflowError:
             raise InputFormatError(f"gamma={g!r}: e^gamma in the ratio term overflows a double") from None
-        return covering_terms(excess, ratio, doubleexp(g, 0.5))
+        return covering_values(excess, ratio, doubleexp(g, 0.5))
+
+    def terms(g: float, excess: float) -> tuple:
+        return tuple(zip(names, values(g, excess)))
 
     def report(g: float) -> BoundReport:
         check_bound_args(g, M, L)
         return BoundReport(terms(g, steps(g)), {"M": M, "L": L, "gamma": g, **flag})
 
-    return report, steps, terms
+    return report, steps, terms, lambda g: sum(values(g, 0.0))
 
 
 def evaluate_bound(kind: str, instance: Mapping[str, object], gamma: float) -> BoundReport:
@@ -506,7 +511,8 @@ def optimize_gamma(kind: str, instance: Mapping[str, object],
     So the minimum is at that minimizer or just below a breakpoint left of
     it, visited right to left until the remainder alone exceeds the best.
     The walk compares raw values, read through the same step table as the
-    report, and builds the report of the winner only.
+    report, and builds the report of the winner only; the remainder is a sum
+    of floats that builds no terms.
     """
     if kind not in STEPPED_KINDS:
         raise InputFormatError(
@@ -514,10 +520,7 @@ def optimize_gamma(kind: str, instance: Mapping[str, object],
     lo, hi = search_range
     if not 0 < lo < hi < math.inf:
         raise InputFormatError("search_range: need 0 < lo < hi < inf")
-    report, steps, terms = _bound_parts(kind, instance)
-
-    def remainder(g: float) -> float:
-        return _raw_sum(terms(g, 0.0))
+    report, steps, terms, remainder = _bound_parts(kind, instance)
 
     def raw_value(g: float) -> float:
         return _raw_sum(terms(g, steps(g)))

@@ -347,14 +347,15 @@ def event_probabilities(system: BroadcastSystem, sizes: SchemeSizes, gamma: floa
     return system.tables.union_steps(sizes)(gamma)
 
 
+def bound_values(sizes: SchemeSizes, gamma: float, union: float) -> tuple[float, ...]:
+    """The values of :func:`bound_terms`, in order."""
+    return (2.0 * math.exp(-gamma), doubleexp(gamma), union,
+            covering_ratio(sizes.Nhat, sizes.Lhat, gamma))
+
+
 def bound_terms(sizes: SchemeSizes, gamma: float, union: float) -> tuple:
     """The terms of :func:`broadcast_bound` at ``gamma``, ``union`` the union term."""
-    return (
-        ("twoexp", 2.0 * math.exp(-gamma)),
-        ("doubleexp", doubleexp(gamma)),
-        ("union", union),
-        ("ratio", covering_ratio(sizes.Nhat, sizes.Lhat, gamma)),
-    )
+    return tuple(zip(("twoexp", "doubleexp", "union", "ratio"), bound_values(sizes, gamma, union)))
 
 
 def broadcast_bound(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> BoundReport:

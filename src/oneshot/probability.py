@@ -82,7 +82,12 @@ def _as_mass(values, what: str, ndim: int | None = None) -> np.ndarray:
     total = float(arr.sum())
     if abs(total - 1.0) > NORMALIZE_TOL:
         raise InputFormatError(f"{what}: total mass {total!r} deviates from 1 by more than {NORMALIZE_TOL}")
-    arr = arr / total
+    return _renormalized(arr)
+
+
+def _renormalized(arr: np.ndarray) -> np.ndarray:
+    """``arr / arr.sum()``, read-only: the rescaling every checked mass array gets."""
+    arr = arr / arr.sum()
     arr.setflags(write=False)
     return arr
 
@@ -136,6 +141,15 @@ class Joint:
 
     def __getitem__(self, idx) -> float:
         return float(self.probs[idx])
+
+    @classmethod
+    def unchecked(cls, arr: np.ndarray) -> "Joint":
+        """``Joint(arr)`` for an array already known to be a valid mass array
+        of two or more axes: renormalized as that would, without its checks."""
+        joint = object.__new__(cls)
+        object.__setattr__(joint, "probs", _renormalized(arr))
+        object.__setattr__(joint, "labels", None)
+        return joint
 
     @classmethod
     def from_json(cls, doc) -> "Joint":
@@ -372,11 +386,13 @@ def mutual_info(joint: Joint) -> float:
 
 
 def cond_mutual_info(joint: Joint, given_axis: int = 0) -> float:
-    """Conditional mutual information of the other two axes given one axis."""
+    """Conditional mutual information of the other two axes given one axis,
+    weighted by ``joint`` and read off the density table of the moved axes
+    renormalized (as a :class:`Joint` of them is)."""
     if joint.ndim != 3:
         raise AlphabetMismatchError("cond_mutual_info: need a 3-axis joint")
-    arr = np.moveaxis(joint.probs, given_axis, 0)
-    table = cond_info_density_table(Joint(arr))
+    arr = joint.probs if given_axis == 0 else np.moveaxis(joint.probs, given_axis, 0)
+    table = cond_info_density_table(Joint.unchecked(arr))
     sup = arr > 0
     return float((arr[sup] * table[sup]).sum())
 

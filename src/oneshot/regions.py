@@ -22,7 +22,7 @@ import numpy as np
 
 from .broadcast import BroadcastSystem
 from .errors import InputFormatError
-from .probability import Joint, Kernel, cond_mutual_info, merge_axes, mutual_info
+from .probability import Joint, Kernel, cond_mutual_info, mutual_info
 
 VARIABLES = ("R0", "R1", "R2", "R11", "R22", "Rh1", "Rh2")
 _TOL = 1e-9
@@ -162,12 +162,17 @@ def info_vector(joint_u: Joint, x_map: np.ndarray, channel: Kernel) -> InfoVecto
     ``joint_u`` is the law of the three auxiliaries (common first); the
     symbol map and channel give the two receiver marginals
     (:attr:`~oneshot.broadcast.BroadcastSystem.marginals`), which are all
-    the informations read besides ``joint_u``.
+    the informations read besides ``joint_u``.  They are wrapped by
+    :meth:`Joint.unchecked`, renormalized exactly where :class:`Joint` and
+    :func:`~oneshot.probability.merge_axes` would renormalize them (each
+    marginal, and the (us, y) merge of each), without checking again arrays
+    the system has checked.
     """
-    j_01_y1, j_02_y2 = map(Joint, BroadcastSystem(joint_u, x_map, channel).marginals)
+    j_01_y1, j_02_y2 = map(Joint.unchecked, BroadcastSystem(joint_u, x_map, channel).marginals)
+    h1, h2 = (Joint.unchecked(j.probs.reshape(-1, j.shape[2])) for j in (j_01_y1, j_02_y2))
     return InfoVector(
-        I1=mutual_info(merge_axes(j_01_y1, ((0, 1), (2,)))),
-        I2=mutual_info(merge_axes(j_02_y2, ((0, 1), (2,)))),
+        I1=mutual_info(h1),
+        I2=mutual_info(h2),
         J1=cond_mutual_info(j_01_y1, 0),
         J2=cond_mutual_info(j_02_y2, 0),
         K=cond_mutual_info(joint_u, 0),
@@ -290,11 +295,12 @@ def fme_project(iv: InfoVector) -> LinearSystem:
 
 
 def projection_contains(system: LinearSystem, rates: RateTriple) -> bool:
-    """Membership test against a projected system over (R0, R1, R2)."""
-    x = np.array([rates.R0, rates.R1, rates.R2])
+    """Membership test against a projected system over (R0, R1, R2), each
+    row evaluated as :func:`region_contains` evaluates its rows."""
+    r0, r1, r2 = rates.R0, rates.R1, rates.R2
     for row in system.rows:
-        lhs = float(np.dot(row.coeffs, x))
-        ok = lhs <= row.constant + _TOL if row.sense == "<=" else lhs >= row.constant - _TOL
-        if not ok:
+        a0, a1, a2 = row.coeffs
+        lhs = a0 * r0 + a1 * r1 + a2 * r2
+        if not (lhs <= row.constant + _TOL if row.sense == "<=" else lhs >= row.constant - _TOL):
             return False
     return True

@@ -5,7 +5,9 @@ receiver marginals.  The references here build the dense design joint
 ``P(u,s,t) channel(y1,y2 | x(u,s,t))`` over all five axes and read every
 quantity off it: the marginals, the density tables, the five clause
 probabilities and their union, the encoder's bad-output masses and the info
-vector.  They also hold the multiset count the exact oracles' caps are
+vector.  The info vector is also composed as the library composed it on
+:class:`~oneshot.probability.Joint` objects, each one checked.
+They also hold the multiset count the exact oracles' caps are
 checked against, and the gamma search that builds a whole report at every
 breakpoint it walks.
 """
@@ -18,7 +20,8 @@ import numpy as np
 from oneshot.bounds import _bound_parts, _raw_sum, _unimodal_argmin
 from oneshot.broadcast import CLAUSES, BroadcastSystem, SchemeSizes, thresholds_for
 from oneshot.probability import (Joint, cond_info_density_table, cond_mutual_info,
-                                 log_ratio_table, marginal, merge_axes, mutual_info)
+                                 info_density_table, log_ratio_table, marginal, merge_axes,
+                                 mutual_info)
 from oneshot.regions import InfoVector
 
 
@@ -31,7 +34,7 @@ def optimize_gamma(kind: str, instance, search_range):
     """:func:`oneshot.bounds.optimize_gamma` comparing whole reports: the
     remainder's minimizer, then the point just below each breakpoint left of
     it, right to left, until the remainder alone exceeds the best."""
-    report, steps, terms = _bound_parts(kind, instance)
+    report, steps, terms, _ = _bound_parts(kind, instance)
     lo, hi = search_range
 
     def remainder(g):
@@ -128,3 +131,33 @@ def info_vector(system: BroadcastSystem) -> InfoVector:
         J2=cond_mutual_info(j_02_y2, 0),
         K=cond_mutual_info(system.joint_ust, 0),
     )
+
+
+def composed_info_vector(joint_u: Joint, x_map, channel) -> InfoVector:
+    """The five informations composed on :class:`Joint` objects: each receiver
+    marginal wrapped, its (us, y) merge for the head terms, and each
+    information read off a :class:`Joint` by :func:`joint_mutual_info` or
+    :func:`joint_cond_mutual_info`."""
+    j_01_y1, j_02_y2 = map(Joint, BroadcastSystem(joint_u, x_map, channel).marginals)
+    return InfoVector(
+        I1=joint_mutual_info(merge_axes(j_01_y1, ((0, 1), (2,)))),
+        I2=joint_mutual_info(merge_axes(j_02_y2, ((0, 1), (2,)))),
+        J1=joint_cond_mutual_info(j_01_y1, 0),
+        J2=joint_cond_mutual_info(j_02_y2, 0),
+        K=joint_cond_mutual_info(joint_u, 0),
+    )
+
+
+def joint_mutual_info(joint: Joint) -> float:
+    """Mutual information read off the density table of a :class:`Joint`."""
+    arr = joint.probs
+    sup = arr > 0
+    return float((arr[sup] * info_density_table(joint)[sup]).sum())
+
+
+def joint_cond_mutual_info(joint: Joint, given_axis: int) -> float:
+    """Conditional mutual information read off the conditional density table
+    of a :class:`Joint` of the moved axes, which renormalizes them."""
+    arr = np.moveaxis(joint.probs, given_axis, 0)
+    sup = arr > 0
+    return float((arr[sup] * cond_info_density_table(Joint(arr))[sup]).sum())

@@ -19,7 +19,8 @@ from oneshot import (
     resolvability_excess_bound,
     simple_covering_bound,
 )
-from oneshot.bounds import (BoundReport, _bound_parts, _density_ratio, _unimodal_argmin, bound_at,
+from oneshot import probability
+from oneshot.bounds import (BoundReport, _bound_parts, _density_ratio, _raw_sum, _unimodal_argmin, bound_at,
                             event_from_points, full_event)
 from oneshot.errors import AlphabetMismatchError, InputFormatError
 
@@ -367,6 +368,67 @@ class TestOptimizeGamma:
     def test_bad_range_is_refused(self, search_range):
         with pytest.raises(InputFormatError):
             optimize_gamma("covering4", {"joint": JOINT, "event": DIAG, "M": 3, "L": 2}, search_range)
+
+
+def stepped_instances(kind: str, seed: int) -> list[dict]:
+    """Instances of a stepped kind (``covering4-union`` is covering4 in its
+    union form), with unit codebooks among them."""
+    rng = np.random.default_rng(seed)
+    if kind == "broadcast":
+        return [{"system": random_design(rng), "sizes": SchemeSizes.from_string(text)}
+                for text in ("1,1,1,1,1,1,1", "1,1,1,1,1,2,2", "2,1,3,2,2,4,3", "1,1,1,1,1,1,5")]
+    shape = (2, 3, 2) if kind == "covering5" else (3, 4)
+    return [{"joint": random_joint(rng, shape, allow_zero=True), "event": random_event(rng, shape),
+             "M": M, "L": L, "union_form": kind.endswith("-union")}
+            for M, L in ((1, 1), (1, 6), (2, 2), (5, 3), (40, 17))]
+
+
+STEPPED = ["covering4", "covering4-union", "covering5", "covering7", "broadcast"]
+
+
+class TestRemainder:
+    """``optimize_gamma`` searches ``remainder(gamma)``, a plain sum of the
+    values ``terms(gamma, 0.0)`` names."""
+
+    @staticmethod
+    def outcome(f, g):
+        try:
+            return "value", f(g).hex()
+        except InputFormatError as e:
+            return "raises", str(e)
+
+    @pytest.mark.parametrize("kind", STEPPED)
+    def test_is_the_raw_sum_of_the_terms_bit_for_bit(self, kind):
+        grid = [0.05, 6.0, *np.geomspace(0.05, 6.0, 61).tolist(), math.nextafter(6.0, 0.0)]
+        for instance in stepped_instances(kind, 67):
+            _, _, terms, remainder = _bound_parts(kind.removesuffix("-union"), instance)
+            for g in grid:
+                assert remainder(g).hex() == _raw_sum(terms(g, 0.0)).hex(), g
+
+    @pytest.mark.parametrize("kind", STEPPED)
+    def test_raises_where_the_terms_raise(self, kind):
+        raised = set()
+        for instance in stepped_instances(kind, 71):
+            _, _, terms, remainder = _bound_parts(kind.removesuffix("-union"), instance)
+            for g in (1e-17, 710.0, 746.0):
+                got = self.outcome(remainder, g)
+                assert got == self.outcome(lambda g: _raw_sum(terms(g, 0.0)), g)
+                if got[0] == "raises":
+                    raised.add(g)
+        assert raised == ({710.0, 746.0} if kind == "covering7" else {1e-17, 746.0})
+
+
+class TestNoRevalidation:
+    @pytest.mark.parametrize("kind", STEPPED)
+    def test_optimize_gamma_validates_no_mass_array(self, kind, monkeypatch):
+        # prebuilt joints and systems are read as they are
+        instances = stepped_instances(kind, 73)
+        calls = []
+        real = probability._as_mass
+        monkeypatch.setattr(probability, "_as_mass", lambda *a, **k: calls.append(a) or real(*a, **k))
+        for instance in instances:
+            optimize_gamma(kind.removesuffix("-union"), instance, (0.05, 6.0))
+        assert calls == []
 
 
 class TestBoundReportInvariants:

@@ -27,6 +27,7 @@ from oneshot.errors import EnumerationCapError
 from oneshot.probability import cond_info_density_table, info_density_table
 
 from conftest import random_joint
+from reference import joint_cond_mutual_info
 
 JOINT = Joint([[0.4, 0.1], [0.2, 0.3]])
 LN2 = math.log(2.0)
@@ -64,6 +65,15 @@ class TestConstruction:
     def test_immutable(self):
         with pytest.raises(ValueError):
             JOINT.probs[0, 0] = 0.9
+
+    def test_unchecked_renormalizes_as_the_checked_constructor(self):
+        # Joint.unchecked skips the checks, not the rescaling
+        rng = np.random.default_rng(83)
+        for shape in ((2, 3), (3, 1, 4), (2, 2, 2, 2)):
+            p = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape) * (1 + 4e-7)
+            got, want = Joint.unchecked(p), Joint(p)
+            assert got.probs.tobytes() == want.probs.tobytes() and got.labels is None
+            assert got.shape == shape and not got.probs.flags.writeable
 
 
 class TestMarginal:
@@ -261,6 +271,13 @@ class TestMutualInfo:
                 pu[u] * mutual_info(Joint(j.probs[u] / pu[u])) for u in range(3) if pu[u] > 0
             )
             assert cond_mutual_info(j, 0) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_conditional_version_is_the_checked_composition_bit_for_bit(self, axis):
+        rng = np.random.default_rng(89)
+        for _ in range(20):
+            j = random_joint(rng, (2, 3, 4), allow_zero=True)
+            assert cond_mutual_info(j, axis) == joint_cond_mutual_info(j, axis)
 
 
 class TestInvariants:

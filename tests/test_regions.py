@@ -18,11 +18,12 @@ from oneshot import (
     region_contains,
 )
 from oneshot.errors import InputFormatError
-from oneshot import broadcast, cli, regions
+from oneshot import broadcast, cli, probability, regions
 from oneshot.broadcast import BroadcastSystem
 from oneshot.regions import VARIABLES, Inequality, LinearSystem, projection_contains
 
-from reference import info_vector as dense_info_vector
+from conftest import random_design as sparse_design
+from reference import composed_info_vector, info_vector as dense_info_vector
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -121,6 +122,52 @@ class TestInfoVectorFromDesign:
         for system, iv in zip(systems, got):
             for field, value in dense_info_vector(system).to_json().items():
                 assert getattr(iv, field) == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
+def shipped_system(config: str) -> BroadcastSystem:
+    return BroadcastSystem.from_json(json.loads((CONFIGS / config).read_text()))
+
+
+SHIPPED_REGION_CONFIGS = ("region_binary.json", "region_bsc_copy.json", "broadcast_binary.json")
+
+
+class TestInfoVectorIdentity:
+    """The informations read on unchecked joints equal, bit for bit, those
+    composed on :class:`Joint` objects (``reference.composed_info_vector``)."""
+
+    @staticmethod
+    def assert_identical(system: BroadcastSystem) -> None:
+        args = (system.joint_ust, system.x_map, system.channel)
+        got, want = info_vector(*args), composed_info_vector(*args)
+        for field in ("I1", "I2", "J1", "J2", "K"):
+            assert getattr(got, field) == getattr(want, field), field
+
+    def test_random_designs(self):
+        rng = np.random.default_rng(59)
+        systems = [sparse_design(rng) for _ in range(200)]
+        assert sum(1 in s.shape for s in systems) > 50
+        assert sum((s.joint_ust.probs == 0).any() for s in systems) > 50
+        for system in systems:
+            self.assert_identical(system)
+
+    @pytest.mark.parametrize("config", SHIPPED_REGION_CONFIGS)
+    def test_shipped_configs(self, config):
+        self.assert_identical(shipped_system(config))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_binary_powers(self, n):
+        self.assert_identical(broadcast.product_extend_system(shipped_system("broadcast_binary.json"), n))
+
+    def test_validates_no_mass_array(self, monkeypatch):
+        # prebuilt objects are read as they are: no mass array is checked again
+        calls = []
+        real = probability._as_mass
+        monkeypatch.setattr(probability, "_as_mass", lambda *a, **k: calls.append(a) or real(*a, **k))
+        systems = [sparse_design(np.random.default_rng(seed)) for seed in range(20)]
+        calls.clear()
+        for system in systems:
+            info_vector(system.joint_ust, system.x_map, system.channel)
+        assert calls == []
 
 
 def random_design(rng: np.random.Generator) -> BroadcastSystem:
@@ -253,6 +300,21 @@ class TestProjection:
             assert ra.coeffs == pytest.approx(rb.coeffs, abs=1e-12)
             assert rb.constant == pytest.approx(2 * ra.constant, abs=1e-9)
 
+    def test_membership_tests_agree_beside_each_facet(self):
+        # on each facet and 2 _TOL to either side of it, the projected rows and
+        # the closed-form rows give one verdict
+        rng = np.random.default_rng(61)
+        vectors = [info_vector(s.joint_ust, s.x_map, s.channel)
+                   for s in map(shipped_system, SHIPPED_REGION_CONFIGS)]
+        vectors += [random_iv(rng) for _ in range(200)]
+        verdicts = []
+        for iv in vectors:
+            proj = fme_project(iv)
+            for r in _facet_points(proj, rng, max(iv.I1, iv.I2), (-2 * regions._TOL, 0.0, 2 * regions._TOL)):
+                verdicts.append(region_contains(iv, r))
+                assert projection_contains(proj, r) == verdicts[-1], (iv, r)
+        assert sum(verdicts) > 250 and len(verdicts) - sum(verdicts) > 250
+
     def test_projection_is_irredundant(self):
         # dropping any returned row changes the polyhedron somewhere (points
         # may have negative coordinates: nonnegativity rows are facets too)
@@ -268,9 +330,11 @@ class TestProjection:
             assert (others & ~sat[:, drop]).any(), f"row {drop} appears redundant"
 
 
-def _facet_points(system, rng: np.random.Generator, scale: float):
-    """Points on each facet of a projected system, and 1e-12 and 1e-6
-    to either side of it, inside the nonnegative orthant."""
+def _facet_points(system, rng: np.random.Generator, scale: float,
+                  shifts=(-1e-6, -1e-12, 1e-12, 1e-6)):
+    """Points on each facet of a projected system, shifted along its normal
+    by each of ``shifts`` (1e-12 and 1e-6 to either side of it by default),
+    inside the nonnegative orthant."""
     for row in system.rows:
         c = np.array(row.coeffs)
         norm = float(np.linalg.norm(c))
@@ -278,7 +342,7 @@ def _facet_points(system, rng: np.random.Generator, scale: float):
             continue
         x = rng.uniform(0.0, scale, 3)
         x += (row.constant - c @ x) / norm**2 * c
-        for eps in (-1e-6, -1e-12, 1e-12, 1e-6):
+        for eps in shifts:
             y = x + eps * c / norm
             if (y >= 0).all():
                 yield RateTriple(*y)
