@@ -17,10 +17,9 @@ __version__ = "0.1.0"
 #: the public names, by the module that defines them
 _MODULES = {
     "errors": ("AlphabetMismatchError", "EnumerationCapError", "InputFormatError",
-               "OneshotError", "OutsideSupportError", "UndefinedRowError"),
-    "probability": ("Dist", "Joint", "Kernel", "cond_info_density", "cond_mutual_info",
-                    "conditional", "info_density", "marginal", "merge_axes", "mutual_info",
-                    "product_extend", "rel_info"),
+               "OneshotError"),
+    "probability": ("Joint", "Kernel", "cond_mutual_info", "conditional", "mutual_info",
+                    "product_extend"),
     "bounds": ("BoundParams", "BoundReport", "conditional_covering_bound", "event_from_points",
                "full_event", "mutual_covering_bound", "optimal_delta", "optimize_gamma",
                "packing_bound", "resolvability_covering_bound", "resolvability_excess_bound",

@@ -115,6 +115,16 @@ def check_sizes(*sizes: int) -> None:
         raise InputFormatError("codebook sizes must be positive")
 
 
+def size_double(size: int) -> float:
+    """``float(size)`` for a codebook size or a product of sizes; past the
+    double range it is an :class:`InputFormatError`, not an ``OverflowError``."""
+    try:
+        return float(size)
+    except OverflowError:
+        raise InputFormatError("codebook sizes: a size or a product of sizes exceeds "
+                               f"the largest double, {sys.float_info.max:.4g}") from None
+
+
 def check_bound_args(gamma: float, *sizes: int) -> None:
     """:func:`check_sizes`, and reject a gamma that is not positive and finite."""
     check_sizes(*sizes)
@@ -151,7 +161,7 @@ def covering_ratio(M: int, L: int, gamma: float) -> float:
     Raises :class:`InputFormatError` where :func:`ratio_gap` does, and where
     the quotient overflows (gamma above about 709 with both sizes above 1).
     """
-    ratio = (min(M, L) - 1) / (M * L * ratio_gap(gamma))
+    ratio = (min(M, L) - 1) / (size_double(M * L) * ratio_gap(gamma))
     if not math.isfinite(ratio):
         raise InputFormatError(f"gamma={gamma!r}: the ratio term overflows a double")
     return ratio
@@ -178,13 +188,14 @@ def optimal_delta(M: int, L: int, gamma: float) -> float:
     """
     lo, hi = min(M, L), max(M, L)
     if lo == 1:
-        return M * L * ratio_gap(gamma)
+        return size_double(M * L) * ratio_gap(gamma)
     if not gamma <= _AUTO_DELTA_GAMMA_MAX:
         raise InputFormatError(
             f"gamma={gamma!r}: the closed-form delta overflows above gamma = "
             f"{_AUTO_DELTA_GAMMA_MAX:.4g}; pass an explicit delta or use covering4"
         )
-    return math.sqrt((lo - 1) * lo * hi) * math.exp(-gamma) * math.exp(0.5 * math.exp(gamma))
+    root = math.sqrt(size_double((lo - 1) * lo * hi))
+    return root * math.exp(-gamma) * math.exp(0.5 * math.exp(gamma))
 
 
 def _mass_where(joint: Joint, mask: np.ndarray) -> float:
@@ -249,7 +260,7 @@ def resolvability_excess_bound(joint: Joint, M: int, lam: float) -> BoundReport:
     check_sizes(M)
     if not 2 < lam < math.inf:
         raise InputFormatError("lam must be > 2 and finite")
-    above = info_density_table(joint) >= math.log(M * lam / 2.0)
+    above = info_density_table(joint) >= math.log(size_double(M) * lam / 2.0)
     terms = (
         ("excess", _mass_where(joint, above)),
         ("slack", 2.0 / lam),
@@ -435,7 +446,7 @@ def _bound_parts(kind: str, instance: Mapping[str, object]):
         def covering1(g: float) -> BoundReport:
             d = BoundParams(M, L, g, delta, union_form).resolved_delta()
             # positive on the support and -inf off it: a threshold <= 0 marks the support
-            exceed = density_ratio > M * L * math.exp(-g) - d
+            exceed = density_ratio > size_double(M * L) * math.exp(-g) - d
             values = covering_values(_mass_where(joint, always | exceed), (min(M, L) - 1) / d,
                                      doubleexp(g))
             return BoundReport(tuple(zip(names, values)),
@@ -460,7 +471,7 @@ def _bound_parts(kind: str, instance: Mapping[str, object]):
         if kind != "covering7":
             return covering_values(excess, covering_ratio(M, L, g), doubleexp(g))
         try:
-            ratio = math.exp(g) / max(M, L)
+            ratio = math.exp(g) / size_double(max(M, L))
         except OverflowError:
             raise InputFormatError(f"gamma={g!r}: e^gamma in the ratio term overflows a double") from None
         return covering_values(excess, ratio, doubleexp(g, 0.5))
@@ -483,21 +494,31 @@ def evaluate_bound(kind: str, instance: Mapping[str, object], gamma: float) -> B
 
 def _unimodal_argmin(f, lo: float, hi: float) -> float:
     """The minimizer of a unimodal ``f`` on ``[lo, hi]`` to the resolution of
-    doubles: golden-section search until its probes no longer fall strictly
-    inside the bracket, then the best bracket point or end, ties to the smallest."""
-    a, b = lo, hi
+    doubles: golden-section search until its next probe would no longer fall
+    strictly inside the bracket, then the best bracket point, end or that
+    probe, ties to the smallest.  ``f`` is called once per point."""
+    a, b, fa, fb = lo, hi, None, None  # f at a and at b, None while they are the ends
     x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f1 = f(x1)
+    f2 = f1 if x2 == x1 else f(x2)
     while a < x1 < x2 < b:
         if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
+            b, fb, x2, f2 = x2, f2, x1, f1
             x1 = b - _GOLDEN * (b - a)
+            if not a < x1 < x2:
+                f1 = None
+                break
             f1 = f(x1)
         else:
-            a, x1, f1 = x1, x2, f2
+            a, fa, x1, f1 = x1, f1, x2, f2
             x2 = a + _GOLDEN * (b - a)
+            if not x1 < x2 < b:
+                f2 = None
+                break
             f2 = f(x2)
-    return min((lo, a, x1, x2, b, hi), key=lambda x: (f(x), x))
+    known = {x: v for x, v in ((a, fa), (x1, f1), (x2, f2), (b, fb)) if v is not None}
+    return min((lo, a, x1, x2, b, hi),
+               key=lambda x: (known[x] if x in known else known.setdefault(x, f(x)), x))
 
 
 def optimize_gamma(kind: str, instance: Mapping[str, object],

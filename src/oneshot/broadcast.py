@@ -26,12 +26,7 @@ import numpy as np
 
 from . import rng
 from .bounds import BoundReport, GammaSteps, check_bound_args, covering_ratio, doubleexp
-from .errors import (
-    AlphabetMismatchError,
-    EnumerationCapError,
-    InputFormatError,
-    UndefinedRowError,
-)
+from .errors import AlphabetMismatchError, EnumerationCapError, InputFormatError
 from .probability import (Joint, Kernel, _iid_power, cond_info_density_table, input_array,
                           integral, log_ratio_table, product_extend)
 
@@ -96,7 +91,7 @@ class SchemeSizes:
     @classmethod
     def from_string(cls, text: str) -> "SchemeSizes":
         parts = [p.strip() for p in text.split(",")]
-        if len(parts) != len(_SIZE_NAMES) or not all(p.lstrip("-").isdigit() for p in parts):
+        if len(parts) != len(_SIZE_NAMES) or not all(p.removeprefix("-").isdecimal() for p in parts):
             raise InputFormatError(
                 f"sizes: expected {len(_SIZE_NAMES)} comma-separated integers {','.join(_SIZE_NAMES)}"
             )
@@ -136,8 +131,6 @@ class BroadcastSystem:
             raise AlphabetMismatchError("channel rows must cover a product output (y1, y2)")
         if xm.min() < 0 or xm.max() >= self.channel.n_inputs:
             raise InputFormatError("x_map: symbol outside the channel input alphabet")
-        if not self.channel.defined[xm].all():
-            raise UndefinedRowError("channel row undefined for a symbol in the image of x_map")
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -16,13 +16,5 @@ class AlphabetMismatchError(OneshotError, ValueError):
     """Objects that must share an alphabet or shape do not."""
 
 
-class OutsideSupportError(OneshotError, ValueError):
-    """Density ratio queried at a point where both measures vanish."""
-
-
-class UndefinedRowError(OneshotError, ValueError):
-    """A conditional row for a zero-probability input was evaluated."""
-
-
 class EnumerationCapError(OneshotError, RuntimeError):
     """An exact computation would exceed its enumeration cap."""

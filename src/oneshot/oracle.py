@@ -28,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from . import rng
-from .bounds import check_bound_args, check_sizes
+from .bounds import check_bound_args, check_sizes, size_double
 from .errors import AlphabetMismatchError, EnumerationCapError, InputFormatError
 from .probability import Joint, conditional, info_density_table
 
@@ -204,7 +204,7 @@ def _exact_miss(pu: np.ndarray, pv: np.ndarray, event: np.ndarray, M: int, L: in
     covered = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(states), -1),
                             axis=1, count=k, bitorder="little")
     mass = covered @ pv[cols]
-    return min(float(dist @ np.clip(1.0 - mass, 0.0, 1.0) ** L), 1.0)
+    return min(float(dist @ np.clip(1.0 - mass, 0.0, 1.0) ** size_double(L)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +293,12 @@ def exact_conditional_miss_prob(joint3: Joint, event3: np.ndarray, M: int, L: in
     if joint3.ndim != 3 or event3.shape != joint3.shape:
         raise AlphabetMismatchError("conditional ensemble needs matching 3-axis joint and event")
     pu = joint3.probs.sum(axis=(1, 2))
-    ks = conditional(joint3, 0)  # rows over (S, T) given u
+    rows = conditional(joint3, 0)  # rows over (S, T) given u
     total = 0.0
     for u in range(len(pu)):
         if pu[u] == 0:
             continue
-        st = ks.row(u)
+        st = rows[u]
         ps = st.sum(axis=1)
         pt = st.sum(axis=0)
         total += pu[u] * _exact_miss(ps, pt, event3[u], M, L)
@@ -311,7 +311,7 @@ def mc_conditional_miss_prob(
     """Monte Carlo counterpart of :func:`exact_conditional_miss_prob`."""
     event3 = np.asarray(event3, dtype=bool)
     pu = joint3.probs.sum(axis=(1, 2))
-    st = conditional(joint3, 0).rows
+    st = conditional(joint3, 0)
     cdf_u = np.cumsum(pu)
     cdf_s = np.cumsum(st.sum(axis=2), axis=1)
     cdf_t = np.cumsum(st.sum(axis=1), axis=1)
@@ -373,7 +373,7 @@ def _resolvability_inputs(joint: Joint, M: int, lam: float):
     check_sizes(M)
     if not lam > 0:
         raise InputFormatError("lam must be > 0")
-    return joint.probs.sum(axis=1), joint.probs.sum(axis=0), conditional(joint, 0).rows
+    return joint.probs.sum(axis=1), joint.probs.sum(axis=0), conditional(joint, 0)
 
 
 def resolvability_excess_exact(joint: Joint, M: int, lam: float) -> float:

@@ -1,26 +1,18 @@
-"""Finite-alphabet probability objects and information densities.
+"""Finite-alphabet joint laws, kernels and information density tables.
 
-Alphabets are index sets ``0..n-1`` (optional string labels are carried
-for display only).  Tensors are dense; everything is immutable after
-construction and all operations are pure.
+Alphabets are index sets ``0..n-1``.  Tensors are dense; everything is
+immutable after construction and all operations are pure.
 
 Conventions
 -----------
 * All logarithms are natural: densities and mutual informations are in
   nats.
-* Scalar density ratios at zero-probability points follow the
-  extended-real conventions:
-
-  - numerator > 0, denominator = 0  ->  ``+inf``
-  - numerator = 0, denominator > 0  ->  ``-inf``
-  - both zero                       ->  :class:`OutsideSupportError`
-
-* Density tables are built by one kernel, :func:`log_ratio_table`: every
-  entry whose numerator vanishes is ``-inf``, whether or not the
-  denominator does, and a support point whose masses underflow keeps
-  its finite density.  IEEE semantics order ``-inf`` below every finite
-  threshold, so an excess event is a plain ``table > thr`` (or ``>=``)
-  and never contains a point off the support.
+* Densities exist only as tables, built by one kernel,
+  :func:`log_ratio_table`: every entry whose numerator vanishes is
+  ``-inf``, whether or not the denominator does, and a support point whose
+  masses underflow keeps its finite density.  IEEE semantics order ``-inf``
+  below every finite threshold, so an excess event is a plain
+  ``table > thr`` (or ``>=``) and never contains a point off the support.
 * Mass vectors are renormalized exactly on construction when their sum
   deviates from 1 by at most ``NORMALIZE_TOL``; a larger deviation is a
   hard input error (tolerate JSON rounding, reject malformed input).
@@ -30,17 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AlphabetMismatchError,
-    EnumerationCapError,
-    InputFormatError,
-    OutsideSupportError,
-    UndefinedRowError,
-)
+from .errors import AlphabetMismatchError, EnumerationCapError, InputFormatError
 
 NORMALIZE_TOL = 1e-6
 
@@ -69,12 +55,10 @@ def input_array(values, what: str, dtype=float) -> np.ndarray:
     return arr
 
 
-def _as_mass(values, what: str, ndim: int | None = None) -> np.ndarray:
+def _as_mass(values, what: str) -> np.ndarray:
     arr = input_array(values, what)
     if arr.size == 0:
         raise InputFormatError(f"{what}: empty array")
-    if ndim is not None and arr.ndim != ndim:
-        raise InputFormatError(f"{what}: expected {ndim} axes, got {arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise InputFormatError(f"{what}: non-finite entries")
     if np.any(arr < 0):
@@ -93,43 +77,16 @@ def _renormalized(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Dist:
-    """Probability mass function over a finite alphabet."""
-
-    probs: np.ndarray
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        arr = _as_mass(self.probs, "distribution", ndim=1)
-        object.__setattr__(self, "probs", arr)
-        if self.labels is not None and len(self.labels) != arr.shape[0]:
-            raise InputFormatError("labels: length does not match alphabet size")
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.probs.shape[0]
-
-    def __getitem__(self, x: int) -> float:
-        return float(self.probs[x])
-
-
-@dataclass(frozen=True)
 class Joint:
     """Joint probability tensor over two or more finite alphabets."""
 
     probs: np.ndarray
-    labels: tuple[tuple[str, ...], ...] | None = None
 
     def __post_init__(self):
         arr = _as_mass(self.probs, "joint")
         if arr.ndim < 2:
             raise InputFormatError(f"joint: expected at least 2 axes, got {arr.ndim}")
         object.__setattr__(self, "probs", arr)
-        if self.labels is not None:
-            if len(self.labels) != arr.ndim or any(
-                len(lab) != size for lab, size in zip(self.labels, arr.shape)
-            ):
-                raise InputFormatError("labels: shape does not match joint axes")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -139,16 +96,12 @@ class Joint:
     def ndim(self) -> int:
         return self.probs.ndim
 
-    def __getitem__(self, idx) -> float:
-        return float(self.probs[idx])
-
     @classmethod
     def unchecked(cls, arr: np.ndarray) -> "Joint":
         """``Joint(arr)`` for an array already known to be a valid mass array
         of two or more axes: renormalized as that would, without its checks."""
         joint = object.__new__(cls)
         object.__setattr__(joint, "probs", _renormalized(arr))
-        object.__setattr__(joint, "labels", None)
         return joint
 
     @classmethod
@@ -156,7 +109,7 @@ class Joint:
         if isinstance(doc, dict):
             if "probs" not in doc:
                 raise InputFormatError('joint: expected a nested array or an object with "probs"')
-            return cls(doc["probs"], _labels_from_json(doc.get("labels"), nested=True))
+            return cls(doc["probs"])
         return cls(doc)
 
 
@@ -165,13 +118,10 @@ class Kernel:
     """Row-stochastic conditional law: one output distribution per input symbol.
 
     ``rows`` has shape ``(n_inputs, *out_shape)``; the output may be a
-    product alphabet (more than one trailing axis).  Rows flagged
-    undefined (inputs of zero probability) hold zeros and raise
-    :class:`UndefinedRowError` when evaluated.
+    product alphabet (more than one trailing axis).
     """
 
     rows: np.ndarray
-    defined: np.ndarray | None = None
 
     def __post_init__(self):
         arr = input_array(self.rows, "kernel")
@@ -179,24 +129,14 @@ class Kernel:
             raise InputFormatError("kernel: rows must have at least one output axis")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise InputFormatError("kernel: rows must be finite and nonnegative")
-        defined = self.defined
-        if defined is None:
-            defined = np.ones(arr.shape[0], dtype=bool)
-        else:
-            defined = np.asarray(defined, dtype=bool).copy()
-            if defined.shape != (arr.shape[0],):
-                raise InputFormatError("kernel: defined mask must have one flag per row")
-        sums = arr.reshape(arr.shape[0], -1).sum(axis=1)
-        bad = np.flatnonzero(defined & (np.abs(sums - 1.0) > NORMALIZE_TOL))
+        sums = _row_sums(arr)
+        bad = np.flatnonzero(np.abs(sums - 1.0) > NORMALIZE_TOL)
         if bad.size:
             raise InputFormatError(f"kernel: row {bad[0]} has mass {sums[bad[0]]!r}, "
                                    f"deviating from 1 by more than {NORMALIZE_TOL}")
-        out = np.zeros_like(arr)
-        out[defined] = arr[defined] / sums[defined].reshape(-1, *([1] * (arr.ndim - 1)))
+        out = arr / sums.reshape(-1, *([1] * (arr.ndim - 1)))
         out.setflags(write=False)
-        defined.setflags(write=False)
         object.__setattr__(self, "rows", out)
-        object.__setattr__(self, "defined", defined)
 
     @property
     def n_inputs(self) -> int:
@@ -206,12 +146,6 @@ class Kernel:
     def out_shape(self) -> tuple[int, ...]:
         return self.rows.shape[1:]
 
-    def row(self, x: int) -> np.ndarray:
-        """Output law for input ``x``; raises on undefined rows."""
-        if not self.defined[x]:
-            raise UndefinedRowError(f"conditional row {x} is undefined (zero-probability input)")
-        return self.rows[x]
-
     @classmethod
     def from_json(cls, doc) -> "Kernel":
         if not isinstance(doc, dict) or "rows" not in doc:
@@ -219,119 +153,33 @@ class Kernel:
         return cls(doc["rows"])
 
 
-def _labels_from_json(labels, nested: bool = False):
-    """JSON labels as a tuple of strings, or of such tuples if ``nested``."""
-    if labels is None:
-        return None
-    if not isinstance(labels, list) or (nested and not all(isinstance(x, list) for x in labels)):
-        raise InputFormatError("labels: expected a list" + (" of lists" if nested else ""))
-    return tuple(_labels_from_json(x) if nested else str(x) for x in labels)
+def _row_sums(arr: np.ndarray) -> np.ndarray:
+    """The mass of each row of ``arr`` (axis 0 indexes the rows)."""
+    return arr.reshape(arr.shape[0], -1).sum(axis=1)
 
 
-# ---------------------------------------------------------------------------
-# marginalization / conditioning
-# ---------------------------------------------------------------------------
+def conditional(joint: Joint, given_axis: int) -> np.ndarray:
+    """The conditional rows of the other axes given ``given_axis``, that axis
+    first; the row of a zero-mass symbol is all zeros.
 
-
-def marginal(joint: Joint, axes: int | Iterable[int]) -> Dist | Joint:
-    """Sum out every axis not listed in ``axes`` (result axes in given order)."""
-    keep = (axes,) if isinstance(axes, int) else tuple(axes)
-    nd = joint.ndim
-    if len(keep) == 0 or len(set(keep)) != len(keep) or any(not 0 <= a < nd for a in keep):
-        raise AlphabetMismatchError(f"invalid axis selection {keep!r} for a {nd}-axis joint")
-    if keep == tuple(range(nd)):
-        return joint
-    drop = tuple(a for a in range(nd) if a not in keep)
-    arr = joint.probs.sum(axis=drop) if drop else joint.probs
-    # reorder remaining axes to the requested order
-    remaining = [a for a in range(nd) if a not in drop]
-    arr = np.transpose(arr, [remaining.index(a) for a in keep])
-    labels = None
-    if joint.labels is not None:
-        labels = tuple(joint.labels[a] for a in keep)
-    if len(keep) == 1:
-        return Dist(arr, labels[0] if labels else None)
-    return Joint(arr, labels)
-
-
-def conditional(joint: Joint, given_axis: int) -> Kernel:
-    """Conditional kernel of the remaining axes given ``given_axis``.
-
-    Rows for zero-probability conditioning symbols are marked undefined.
+    Each row is divided by its mass, then once more by its own sum, as
+    :class:`Kernel` rescales its rows.
     """
     if not 0 <= given_axis < joint.ndim:
         raise AlphabetMismatchError(f"invalid conditioning axis {given_axis}")
     arr = np.moveaxis(joint.probs, given_axis, 0)
-    mass = arr.reshape(arr.shape[0], -1).sum(axis=1)
+    shape = (-1, *([1] * (arr.ndim - 1)))
+    mass = _row_sums(arr)
     defined = mass > 0
     rows = np.zeros_like(arr)
-    rows[defined] = arr[defined] / mass[defined].reshape(-1, *([1] * (arr.ndim - 1)))
-    return Kernel(rows, defined)
-
-
-def merge_axes(joint: Joint, groups: Sequence[Sequence[int]]) -> Joint:
-    """Flatten groups of axes into single product-alphabet axes (row-major)."""
-    flat = [a for g in groups for a in g]
-    if sorted(flat) != list(range(joint.ndim)):
-        raise AlphabetMismatchError(f"groups {groups!r} must partition the {joint.ndim} axes")
-    arr = np.transpose(joint.probs, flat)
-    shape = [int(np.prod([joint.shape[a] for a in g])) for g in groups]
-    return Joint(arr.reshape(shape))
+    rows[defined] = arr[defined] / mass[defined].reshape(shape)
+    rows[defined] /= _row_sums(rows)[defined].reshape(shape)
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# relative information and information densities
+# information density tables
 # ---------------------------------------------------------------------------
-
-
-def _log_ratio(num: float, den: float) -> float:
-    if num > 0 and den > 0:
-        return math.log(num / den)
-    if num > 0:
-        return math.inf
-    if den > 0:
-        return -math.inf
-    raise OutsideSupportError("point lies outside the support of both measures")
-
-
-def rel_info(p: Dist, q: Dist, x: int) -> float:
-    """ln(p(x)/q(x)) in nats, with the extended-real zero conventions."""
-    if p.alphabet_size != q.alphabet_size:
-        raise AlphabetMismatchError("rel_info: distributions on different alphabets")
-    return _log_ratio(p[x], q[x])
-
-
-def info_density(joint: Joint, u: int, v: int) -> float:
-    """Information density of the pair ``(u, v)`` under a 2-axis joint.
-
-    Defined as the relative information of the row law given ``u`` with
-    respect to the second marginal, evaluated at ``v``; on the support it
-    equals ``ln(P(u,v) / (P(u) P(v)))``.
-    """
-    if joint.ndim != 2:
-        raise AlphabetMismatchError("info_density: need a 2-axis joint")
-    pu = float(joint.probs.sum(axis=1)[u])
-    if pu == 0:
-        raise UndefinedRowError(f"conditioning symbol {u} has zero probability")
-    pv = float(joint.probs.sum(axis=0)[v])
-    return _log_ratio(joint[u, v] / pu, pv)
-
-
-def cond_info_density(joint: Joint, s: int, t: int, u: int) -> float:
-    """Conditional information density of ``(s, t)`` given ``u``.
-
-    ``joint`` has axes (conditioning, first, second); the value is
-    ``ln(P(s,t|u) / (P(s|u) P(t|u)))`` with the usual zero conventions.
-    """
-    if joint.ndim != 3:
-        raise AlphabetMismatchError("cond_info_density: need a 3-axis joint")
-    arr = joint.probs
-    pu = float(arr.sum(axis=(1, 2))[u])
-    if pu == 0:
-        raise UndefinedRowError(f"conditioning symbol {u} has zero probability")
-    num = arr[u, s, t] / pu
-    den = (arr[u, s, :].sum() / pu) * (arr[u, :, t].sum() / pu)
-    return _log_ratio(num, float(den))
 
 
 def log_ratio_table(num: Sequence[np.ndarray], den: Sequence[np.ndarray]) -> np.ndarray:
@@ -417,14 +265,14 @@ def _iid_power(arr: np.ndarray, n: int, combine=np.multiply.outer) -> np.ndarray
 
 
 def product_extend(obj, n: int):
-    """i.i.d. n-fold product of a Dist / Joint / Kernel.
+    """i.i.d. n-fold product of a Joint or a Kernel.
 
     Information densities on the product are sums of per-letter densities.
     Each extended alphabet must stay within ``PRODUCT_ALPHABET_CAP``.
     """
     if n < 1:
         raise InputFormatError("product_extend: n must be >= 1")
-    if not isinstance(obj, (Dist, Joint, Kernel)):
+    if not isinstance(obj, (Joint, Kernel)):
         raise InputFormatError(f"product_extend: unsupported object {type(obj).__name__}")
     arr = obj.rows if isinstance(obj, Kernel) else obj.probs
     total = 1
@@ -440,6 +288,4 @@ def product_extend(obj, n: int):
         )
     if n == 1:
         return obj
-    if not isinstance(obj, Kernel):
-        return type(obj)(_iid_power(arr, n))
-    return Kernel(_iid_power(arr, n), _iid_power(obj.defined, n, np.logical_and.outer))
+    return type(obj)(_iid_power(arr, n))

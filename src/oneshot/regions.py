@@ -162,11 +162,10 @@ def info_vector(joint_u: Joint, x_map: np.ndarray, channel: Kernel) -> InfoVecto
     ``joint_u`` is the law of the three auxiliaries (common first); the
     symbol map and channel give the two receiver marginals
     (:attr:`~oneshot.broadcast.BroadcastSystem.marginals`), which are all
-    the informations read besides ``joint_u``.  They are wrapped by
-    :meth:`Joint.unchecked`, renormalized exactly where :class:`Joint` and
-    :func:`~oneshot.probability.merge_axes` would renormalize them (each
-    marginal, and the (us, y) merge of each), without checking again arrays
-    the system has checked.
+    the informations read besides ``joint_u``.  Each marginal, and its
+    (us, y) reshape, is wrapped by :meth:`Joint.unchecked`: renormalized as
+    :class:`Joint` would renormalize it, without checking again arrays the
+    system has checked.
     """
     j_01_y1, j_02_y2 = map(Joint.unchecked, BroadcastSystem(joint_u, x_map, channel).marginals)
     h1, h2 = (Joint.unchecked(j.probs.reshape(-1, j.shape[2])) for j in (j_01_y1, j_02_y2))

@@ -8,8 +8,8 @@ probabilities and their union, the encoder's bad-output masses and the info
 vector.  The info vector is also composed as the library composed it on
 :class:`~oneshot.probability.Joint` objects, each one checked.
 They also hold the multiset count the exact oracles' caps are
-checked against, and the gamma search that builds a whole report at every
-breakpoint it walks.
+checked against, and the gamma search that calls the remainder at every
+probe and builds a whole report at every breakpoint it walks.
 """
 
 import bisect
@@ -17,17 +17,34 @@ import math
 
 import numpy as np
 
-from oneshot.bounds import _bound_parts, _raw_sum, _unimodal_argmin
+from oneshot.bounds import _GOLDEN, _bound_parts, _raw_sum
 from oneshot.broadcast import CLAUSES, BroadcastSystem, SchemeSizes, thresholds_for
 from oneshot.probability import (Joint, cond_info_density_table, cond_mutual_info,
-                                 info_density_table, log_ratio_table, marginal, merge_axes,
-                                 mutual_info)
+                                 info_density_table, log_ratio_table, mutual_info)
 from oneshot.regions import InfoVector
 
 
 def multiset_count(M: int, k: int) -> int:
     """Number of codeword multisets: C(M + k - 1, M)."""
     return math.comb(M + k - 1, M)
+
+
+def unimodal_argmin(f, lo: float, hi: float) -> float:
+    """:func:`oneshot.bounds._unimodal_argmin` calling ``f`` afresh at each
+    probe, and again at every final candidate."""
+    a, b = lo, hi
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while a < x1 < x2 < b:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+    return min((lo, a, x1, x2, b, hi), key=lambda x: (f(x), x))
 
 
 def optimize_gamma(kind: str, instance, search_range):
@@ -40,7 +57,7 @@ def optimize_gamma(kind: str, instance, search_range):
     def remainder(g):
         return _raw_sum(terms(g, 0.0))
 
-    best_g = _unimodal_argmin(remainder, lo, hi)
+    best_g = unimodal_argmin(remainder, lo, hi)
     best = report(best_g)
     points = steps.breakpoints
     for b in reversed(points[bisect.bisect_right(points, lo):bisect.bisect_right(points, best_g)]):
@@ -121,12 +138,11 @@ class DenseTables:
 
 def info_vector(system: BroadcastSystem) -> InfoVector:
     """The five informations read off the design joint."""
-    full = Joint(design_joint(system))
-    j_01_y1 = marginal(full, (0, 1, 3))
-    j_02_y2 = marginal(full, (0, 2, 4))
+    full = Joint(design_joint(system)).probs
+    j_01_y1, j_02_y2 = Joint(full.sum(axis=(2, 4))), Joint(full.sum(axis=(1, 3)))
     return InfoVector(
-        I1=mutual_info(merge_axes(j_01_y1, ((0, 1), (2,)))),
-        I2=mutual_info(merge_axes(j_02_y2, ((0, 1), (2,)))),
+        I1=mutual_info(_merged_head(j_01_y1)),
+        I2=mutual_info(_merged_head(j_02_y2)),
         J1=cond_mutual_info(j_01_y1, 0),
         J2=cond_mutual_info(j_02_y2, 0),
         K=cond_mutual_info(system.joint_ust, 0),
@@ -140,12 +156,17 @@ def composed_info_vector(joint_u: Joint, x_map, channel) -> InfoVector:
     :func:`joint_cond_mutual_info`."""
     j_01_y1, j_02_y2 = map(Joint, BroadcastSystem(joint_u, x_map, channel).marginals)
     return InfoVector(
-        I1=joint_mutual_info(merge_axes(j_01_y1, ((0, 1), (2,)))),
-        I2=joint_mutual_info(merge_axes(j_02_y2, ((0, 1), (2,)))),
+        I1=joint_mutual_info(_merged_head(j_01_y1)),
+        I2=joint_mutual_info(_merged_head(j_02_y2)),
         J1=joint_cond_mutual_info(j_01_y1, 0),
         J2=joint_cond_mutual_info(j_02_y2, 0),
         K=joint_cond_mutual_info(joint_u, 0),
     )
+
+
+def _merged_head(j_us_y: Joint) -> Joint:
+    """The law of ((u, s), y) as a 2-axis :class:`Joint`, (u, s) merged row-major."""
+    return Joint(j_us_y.probs.reshape(-1, j_us_y.shape[2]))
 
 
 def joint_mutual_info(joint: Joint) -> float:

@@ -21,7 +21,7 @@ from oneshot import (
 )
 from oneshot import probability
 from oneshot.bounds import (BoundReport, _bound_parts, _density_ratio, _raw_sum, _unimodal_argmin, bound_at,
-                            event_from_points, full_event)
+                            covering_ratio, event_from_points, full_event, ratio_gap)
 from oneshot.errors import AlphabetMismatchError, InputFormatError
 
 from oneshot.broadcast import SchemeSizes
@@ -64,6 +64,30 @@ class TestOptimalDelta:
         argmin = float(grid[int(np.argmin(vals))])
         assert abs(argmin - d_star) <= float(grid[1] - grid[0])
         assert tail_terms(d_star) <= min(vals) + 1e-12
+
+
+class TestHugeSizes:
+    # sizes up to the largest double evaluate as plain arithmetic on them;
+    # a size or a product of sizes past it is bad input, not an OverflowError
+    @pytest.mark.parametrize("M", [10**20, 10**150, 2**1000])
+    def test_evaluate_as_plain_arithmetic(self, M):
+        g = 1.0
+        assert covering_ratio(M, 3, g) == (3 - 1) / (M * 3 * ratio_gap(g))
+        assert optimal_delta(M, 3, g) == math.sqrt(2 * 3 * M) * math.exp(-g) * math.exp(0.5 * math.exp(g))
+        above = probability.info_density_table(JOINT) >= math.log(M * 3.0 / 2.0)
+        assert resolvability_excess_bound(JOINT, M, 3.0).term("excess") == float(JOINT.probs[above].sum())
+
+    def test_past_the_largest_double_are_refused(self):
+        big = 10**200
+        for evaluate in (lambda: covering_ratio(big, big, 1.0),
+                         lambda: optimal_delta(big, big, 1.0),
+                         lambda: optimal_delta(1, big**2, 1.0),
+                         lambda: mutual_covering_bound(JOINT, DIAG, BoundParams(big, big, 1.0, 0.5)),
+                         lambda: resolvability_covering_bound(JOINT, DIAG, big**2, 2, 1.0),
+                         lambda: resolvability_excess_bound(JOINT, big**2, 3.0),
+                         lambda: exact_packing_prob(JOINT, 2, big**2, 1.0)):
+            with pytest.raises(InputFormatError, match="codebook sizes"):
+                evaluate()
 
 
 class TestMutualCoveringBound:

@@ -32,12 +32,7 @@ from oneshot.broadcast import (
     thresholds_for,
     zeta_table,
 )
-from oneshot.errors import (
-    AlphabetMismatchError,
-    EnumerationCapError,
-    InputFormatError,
-    UndefinedRowError,
-)
+from oneshot.errors import AlphabetMismatchError, EnumerationCapError, InputFormatError
 from oneshot import broadcast, info_vector
 from oneshot import rng as rngmod
 from oneshot.bounds import BoundReport, _unimodal_argmin, optimize_gamma
@@ -103,10 +98,13 @@ class TestSystemValidation:
             BroadcastSystem(binary_system.joint_ust, bad, binary_system.channel)
 
     def test_undefined_channel_row_rejected(self, binary_system):
+        # every channel row is a distribution: a zero row is refused on reading
         rows = np.array(binary_system.channel.rows)
-        kernel = Kernel(rows, defined=np.array([True, False]))
-        with pytest.raises(UndefinedRowError):
-            BroadcastSystem(binary_system.joint_ust, binary_system.x_map, kernel)
+        rows[1] = 0.0
+        doc = {"p_ust": binary_system.joint_ust.probs.tolist(),
+               "x_map": binary_system.x_map.tolist(), "channel": {"rows": rows.tolist()}}
+        with pytest.raises(InputFormatError, match="kernel: row 1"):
+            BroadcastSystem.from_json(doc)
 
     def test_joint_cap(self, binary_system):
         # the five-letter extension has 32^5 design cells, over the cap; the

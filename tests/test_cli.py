@@ -599,8 +599,6 @@ _BAD_INPUTS = {
     "out-missing-dir": (["bound", "packing", "--gamma", "1", "--out", "{d}/missing/out.json"],
                         None, "--out"),
     "out-is-dir": (["bound", "packing", "--gamma", "1", "--out", "{d}"], None, "--out"),
-    "labels-not-list": (["bound", "covering4", "--dist", "{f}", "--M", "2", "--L", "2",
-                         "--gamma", "1"], {"probs": [[0.5, 0.5], [0, 0]], "labels": 5}, "labels"),
     "x-map-fraction": (["region", "--config", "{f}", "--rates", "0,0,0"],
                        _config_with("region_binary.json",
                                     lambda d: d["x_map"][0][0].__setitem__(0, 0.7)), "x_map"),
@@ -610,6 +608,26 @@ _BAD_INPUTS = {
     "seed-2-64": (["verify", "covering", "--dist", _JOINT, "--M", "2", "--L", "2", "--gamma", "1",
                    "--trials", "10", "--seed", str(2**64)], None, "--seed"),
 }
+# sizes whose product, or one of them, is past the largest double
+_HUGE = str(10**200)
+_BINARY = str(CONFIGS / "broadcast_binary.json")
+for _name, _argv in (
+        ("bound-covering1", ["bound", "covering1", "--dist", _JOINT, "--M", _HUGE, "--L", _HUGE,
+                             "--gamma", "1"]),
+        ("bound-covering4", ["bound", "covering4", "--dist", _JOINT, "--M", _HUGE, "--L", _HUGE,
+                             "--gamma", "1"]),
+        ("bound-resolvability", ["bound", "resolvability", "--dist", _JOINT, "--M", str(10**400),
+                                 "--lam", "3"]),
+        ("verify-covering", ["verify", "covering", "--dist", _JOINT, "--M", _HUGE, "--L", _HUGE,
+                             "--gamma", "1", "--trials", "10"]),
+        ("sweep-covering4", ["sweep", "covering4", "--dist", _JOINT, "--M", _HUGE, "--L", _HUGE,
+                             "--param", "gamma", "--from", "0.5", "--to", "1", "--steps", "2"]),
+        ("bound-broadcast", ["bound", "broadcast", "--config", _BINARY,
+                             "--sizes", f"1,1,1,1,1,{_HUGE},{_HUGE}", "--gamma", "1"])):
+    _BAD_INPUTS[f"huge-sizes-{_name}"] = (_argv, None, "codebook sizes")
+_BAD_INPUTS["sizes-non-ascii-digit"] = (
+    ["bound", "broadcast", "--config", _BINARY, "--sizes", "1,1,1,1,1,1,\u00b2", "--gamma", "1"],
+    None, "sizes")
 # no value here starts a thread: each is refused before any work
 for _threads in (0, -3, rng.THREADS_CAP + 1):
     _BAD_INPUTS[f"threads-{_threads}"] = (
@@ -639,6 +657,18 @@ def test_integral_floats_pass_as_indices(tmp_path, capsys):
         event.write_text(json.dumps({"points": [point]}))
         assert cli.main(["region", "--config", str(config), "--rates", "0,0,0"]) == 0
         assert cli.main([a.format(f=event) for a in _POINTS]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+def test_dist_labels_key_is_ignored(tmp_path, capsys):
+    # "labels" is read like any other extra key of a --dist object: not at all
+    outputs = []
+    for doc in ([[0.5, 0.5], [0, 0]], {"probs": [[0.5, 0.5], [0, 0]], "labels": 5}):
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps(doc))
+        assert cli.main(["bound", "covering4", "--dist", str(dist), "--M", "2", "--L", "2",
+                         "--gamma", "1"]) == 0
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1]
 
@@ -820,6 +850,57 @@ def test_exit_contract_fuzz(tmp_path, capsys, monkeypatch):
         _assert_exit_contract(argv, code, *capsys.readouterr())
     # the mutations reach every outcome of the contract
     assert {0, 1, 2} <= set(codes)
+
+
+#: values the numeric-flag fuzz sets, with a 201-digit integer and a non-ASCII digit
+_FLAG_EXTREMES = ["0", "-1", "nan", "inf", "1e-320", str(10**200), "\u00b2"]
+_FLAG_TARGETS = ("--M", "--L", "--N", "--lam", "--gamma")
+
+
+def _with_values(base: list[str], picks, value: str) -> list[str]:
+    """``base`` with ``value`` at each pick: ``(i, None)`` for the flag at
+    index ``i``, ``(i, k)`` for entry ``k`` of the ``--sizes`` at ``i``."""
+    argv = list(base)
+    for i, entry in picks:
+        if entry is None:
+            argv[i + 1] = value
+        else:
+            fields = argv[i + 1].split(",")
+            fields[entry] = value
+            argv[i + 1] = ",".join(fields)
+    flags = {i for i, _ in picks}
+    # --flag=value, so that argparse does not read -1 or -inf as an option
+    return ([a for j, a in enumerate(argv) if j not in flags and j - 1 not in flags]
+            + [f"{argv[i]}={argv[i + 1]}" for i in sorted(flags)])
+
+
+def test_numeric_flag_fuzz(capsys):
+    # one value on one or two of --M, --L, --N, --lam, --gamma and the --sizes
+    # entries: two huge sizes overflow their product, a non-ASCII digit is not
+    # an integer; none of it is a program fault (exit 3)
+    gen = np.random.default_rng(2027)
+    cases = []
+    for base in _FUZZ_BASES:
+        slots = [(i, None) for i, a in enumerate(base) if a in _FLAG_TARGETS]
+        slots += [(i, k) for i, a in enumerate(base) if a == "--sizes" for k in range(7)]
+        if slots and "{wide}" not in base:
+            cases.append((base, slots))
+    codes = []
+    for case in range(150):
+        base, slots = cases[case % len(cases)]
+        count = min(len(slots), int(gen.integers(1, 3)))
+        picks = [slots[j] for j in gen.choice(len(slots), size=count, replace=False)]
+        argv = [*_with_values(base, picks, str(gen.choice(_FLAG_EXTREMES))), "--format", "json"]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses what an integer flag cannot read
+            assert exc.code == 2, argv
+            code = "usage"
+            capsys.readouterr()
+        else:
+            _assert_exit_contract(argv, code, *capsys.readouterr())
+        codes.append(code)
+    assert {0, 2, "usage"} <= set(codes)
 
 
 def _structural_design(name: str, gen: np.random.Generator) -> dict:

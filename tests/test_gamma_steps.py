@@ -2,26 +2,30 @@
 evaluation (a masked sum, or the broadcast union kernel) at every gamma,
 breakpoints and their neighbouring doubles included."""
 
+import importlib.util
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oneshot import BroadcastSystem, Joint, SchemeSizes, bounds, broadcast_bound
-from oneshot.bounds import GammaSteps, bound_at, critical_gammas, optimize_gamma
-from oneshot.broadcast import DensityTables, thresholds_for
+from oneshot import BroadcastSystem, Joint, Kernel, SchemeSizes, bounds, broadcast_bound
+from oneshot.bounds import GammaSteps, _unimodal_argmin, bound_at, critical_gammas, optimize_gamma
+from oneshot.broadcast import DensityTables, product_extend_system, thresholds_for
 from oneshot.errors import InputFormatError
 from oneshot.probability import cond_info_density_table, info_density_table
 
+import reference
 from conftest import random_design, sparse_law
 
 SIZE_STRINGS = ("1,1,1,1,1,2,2", "2,1,1,2,2,2,2", "1,2,2,1,1,4,4", "3,1,2,1,3,5,2")
 TESTS = ((np.less_equal, 1.0), (np.greater, -2.0), (np.greater_equal, -1.0))
 DBL_MAX = sys.float_info.max
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def _gammas(breakpoints):
@@ -149,3 +153,49 @@ class TestGammaSteps:
                                         "M": 3, "L": 2})(0.7)
         exceed = info_density_table(joint) > math.log(6) - 2.0 * 0.7
         assert report.term("excess") == float(joint.probs[exceed].sum())
+
+
+def _benchmark_searches(seed: int):
+    """``(kind, instance)`` of each gamma search in the verify-ensemble and
+    region-design decks of the benchmark (``perfbench/inputs.py``) at ``seed``."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for inst in inputs.verify_ensemble(seed)["instances"]:
+        if inst["kind"] in ("covering", "conditional"):
+            yield ("covering4" if inst["kind"] == "covering" else "covering5",
+                   {"joint": Joint(inst["joint"]), "event": np.asarray(inst["event"], dtype=bool),
+                    "M": inst["M"], "L": inst["L"]})
+    for d in inputs.region_design(seed)["designs"]:
+        if not d["optimize"]:
+            continue
+        if d["type"] == "random":
+            system = BroadcastSystem(Joint(d["p_ust"]), np.asarray(d["x_map"]),
+                                     Kernel(d["channel"]["rows"]))
+        else:
+            with open(ROOT / d["config"]) as fh:
+                system = product_extend_system(BroadcastSystem.from_json(json.load(fh)), d["n"])
+        yield "broadcast", {"system": system, "sizes": SchemeSizes.from_string(d["sizes"])}
+
+
+class TestUnimodalArgmin:
+    @pytest.mark.parametrize("c", [0.05, 0.3, 1.7, 6.0, 9.0, None])
+    @pytest.mark.parametrize("lo,hi", [(0.05, 6.0), (1.0, math.nextafter(1.0, 2.0))])
+    def test_calls_f_once_per_point(self, c, lo, hi):
+        def shape(x):
+            return 0.0 if c is None else (x - c) ** 2
+
+        calls = Counter()
+        got = _unimodal_argmin(lambda x: calls.update([x]) or shape(x), lo, hi)
+        assert set(calls.values()) == {1}
+        assert got == reference.unimodal_argmin(shape, lo, hi)
+
+    @pytest.mark.parametrize("seed", [11, 7919])
+    def test_benchmark_searches_are_unchanged(self, seed):
+        # against the search that calls the remainder again at each final candidate
+        searches = list(_benchmark_searches(seed))
+        assert [kind for kind, _ in searches].count("broadcast") >= 10
+        for kind, instance in searches:
+            got_gamma, report = optimize_gamma(kind, instance, (0.05, 6.0))
+            want_gamma, want = reference.optimize_gamma(kind, instance, (0.05, 6.0))
+            assert (got_gamma, report.to_json()) == (want_gamma, want.to_json())

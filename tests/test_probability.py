@@ -1,4 +1,4 @@
-"""Core probability objects and information-density conventions."""
+"""Core probability objects and the information-density table convention."""
 
 import math
 
@@ -7,24 +7,16 @@ import pytest
 
 from oneshot import (
     AlphabetMismatchError,
-    Dist,
     InputFormatError,
     Joint,
     Kernel,
-    OutsideSupportError,
-    UndefinedRowError,
-    cond_info_density,
     cond_mutual_info,
     conditional,
-    info_density,
-    marginal,
-    merge_axes,
     mutual_info,
     product_extend,
-    rel_info,
 )
 from oneshot.errors import EnumerationCapError
-from oneshot.probability import cond_info_density_table, info_density_table
+from oneshot.probability import cond_info_density_table, info_density_table, log_ratio_table
 
 from conftest import random_joint
 from reference import joint_cond_mutual_info
@@ -41,14 +33,19 @@ def _with_zero_lines(j: Joint, i: int) -> Joint:
     return Joint(p / p.sum())
 
 
+def _ratio(num, den) -> np.ndarray:
+    """:func:`log_ratio_table` of two mass vectors."""
+    return log_ratio_table((np.array(num),), (np.array(den),))
+
+
 class TestConstruction:
     def test_renormalizes_small_deviation(self):
-        d = Dist([0.5, 0.5000004])
-        assert d.probs.sum() == pytest.approx(1.0, abs=1e-15)
+        j = Joint([[0.25, 0.25], [0.25, 0.2500004]])
+        assert j.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_large_deviation(self):
         with pytest.raises(InputFormatError):
-            Dist([0.5, 0.4])
+            Joint([[0.25, 0.25], [0.25, 0.15]])
 
     def test_rejects_negative_mass(self):
         with pytest.raises(InputFormatError):
@@ -57,10 +54,9 @@ class TestConstruction:
     def test_kernel_row_mass_checked(self):
         with pytest.raises(InputFormatError):
             Kernel([[0.5, 0.4], [0.5, 0.5]])
-
-    def test_labels_length_checked(self):
+        # every row is a distribution: a zero row is refused too
         with pytest.raises(InputFormatError):
-            Dist([0.5, 0.5], labels=("a",))
+            Kernel([[0.0, 0.0], [0.5, 0.5]])
 
     def test_immutable(self):
         with pytest.raises(ValueError):
@@ -72,111 +68,99 @@ class TestConstruction:
         for shape in ((2, 3), (3, 1, 4), (2, 2, 2, 2)):
             p = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape) * (1 + 4e-7)
             got, want = Joint.unchecked(p), Joint(p)
-            assert got.probs.tobytes() == want.probs.tobytes() and got.labels is None
+            assert got.probs.tobytes() == want.probs.tobytes()
             assert got.shape == shape and not got.probs.flags.writeable
-
-
-class TestMarginal:
-    def test_uniform_keep_first(self):
-        j = Joint(np.full((2, 2), 0.25))
-        np.testing.assert_allclose(marginal(j, 0).probs, [0.5, 0.5])
-
-    def test_hand_summation(self):
-        np.testing.assert_allclose(marginal(JOINT, 0).probs, [0.5, 0.5])
-        np.testing.assert_allclose(marginal(JOINT, 1).probs, [0.6, 0.4])
-
-    def test_keep_all_is_identity(self):
-        j = random_joint(np.random.default_rng(0), (2, 3, 2))
-        np.testing.assert_array_equal(marginal(j, (0, 1, 2)).probs, j.probs)
-
-    def test_axis_order_respected(self):
-        j = random_joint(np.random.default_rng(1), (2, 3))
-        np.testing.assert_allclose(marginal(j, (1, 0)).probs, j.probs.T)
-
-    def test_invalid_axis(self):
-        with pytest.raises(AlphabetMismatchError):
-            marginal(JOINT, 2)
 
 
 class TestConditional:
     def test_product_joint_rows_equal_marginal(self):
         pu, pv = np.array([0.3, 0.7]), np.array([0.25, 0.75])
-        k = conditional(Joint(np.outer(pu, pv)), 0)
+        rows = conditional(Joint(np.outer(pu, pv)), 0)
         for u in range(2):
-            np.testing.assert_allclose(k.row(u), pv)
+            np.testing.assert_allclose(rows[u], pv)
 
     def test_hand_division(self):
-        k = conditional(JOINT, 0)
-        np.testing.assert_allclose(k.row(0), [0.8, 0.2])
-        np.testing.assert_allclose(k.row(1), [0.4, 0.6])
+        rows = conditional(JOINT, 0)
+        np.testing.assert_allclose(rows[0], [0.8, 0.2])
+        np.testing.assert_allclose(rows[1], [0.4, 0.6])
+        np.testing.assert_allclose(conditional(JOINT, 1), [[2 / 3, 1 / 3], [0.25, 0.75]])
+
+    def test_invalid_axis(self):
+        with pytest.raises(AlphabetMismatchError):
+            conditional(JOINT, 2)
 
     def test_zero_mass_row_undefined(self):
-        k = conditional(Joint([[0.0, 0.0], [0.6, 0.4]]), 0)
-        assert not k.defined[0]
-        with pytest.raises(UndefinedRowError):
-            k.row(0)
-        np.testing.assert_allclose(k.row(1), [0.6, 0.4])
+        # the conditional law of a zero-mass symbol is undefined: its row is zeros
+        rows = conditional(Joint([[0.0, 0.0], [0.6, 0.4]]), 0)
+        np.testing.assert_array_equal(rows[0], [0.0, 0.0])
+        np.testing.assert_allclose(rows[1], [0.6, 0.4])
 
     def test_round_trip_reproduces_joint(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             j = random_joint(rng, (3, 2), allow_zero=True)
             pu = j.probs.sum(axis=1)
-            k = conditional(j, 0)
-            rebuilt = pu[:, None] * k.rows
+            rebuilt = pu[:, None] * conditional(j, 0)
             np.testing.assert_allclose(rebuilt, j.probs, atol=1e-12)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_rows_rescaled_as_a_kernel_rescales_them(self, axis):
+        # divided by their mass, then by their own sum: the exact rows the
+        # oracles read, bit for bit
+        rng = np.random.default_rng(97)
+        for _ in range(20):
+            j = random_joint(rng, (3, 2, 4))
+            arr = np.moveaxis(j.probs, axis, 0)
+            once = arr / arr.reshape(len(arr), -1).sum(axis=1)[:, None, None]
+            assert conditional(j, axis).tobytes() == Kernel(once).rows.tobytes()
 
 
 class TestRelInfo:
+    # log_ratio_table of two mass vectors: the relative information ln(p/q)
     def test_identity(self):
-        d = Dist([0.3, 0.7])
-        for x in range(2):
-            assert rel_info(d, d, x) == 0.0
+        np.testing.assert_array_equal(_ratio([0.3, 0.7], [0.3, 0.7]), [0.0, 0.0])
 
     def test_direct_ratio(self):
-        assert rel_info(Dist([1.0, 0.0]), Dist([0.5, 0.5]), 0) == pytest.approx(LN2)
+        assert _ratio([1.0, 0.0], [0.5, 0.5])[0] == pytest.approx(LN2)
 
     def test_zero_numerator(self):
-        assert rel_info(Dist([1.0, 0.0]), Dist([0.5, 0.5]), 1) == -math.inf
+        assert _ratio([1.0, 0.0], [0.5, 0.5])[1] == -math.inf
 
     def test_zero_denominator(self):
-        assert rel_info(Dist([0.5, 0.5]), Dist([1.0, 0.0]), 1) == math.inf
+        assert _ratio([0.5, 0.5], [1.0, 0.0])[1] == math.inf
 
     def test_outside_both_supports(self):
-        with pytest.raises(OutsideSupportError):
-            rel_info(Dist([1.0, 0.0]), Dist([1.0, 0.0]), 1)
+        # a vanishing numerator gives -inf whether or not the denominator vanishes
+        assert _ratio([1.0, 0.0], [1.0, 0.0])[1] == -math.inf
 
 
 class TestInfoDensity:
     def test_independent_zero(self):
-        j = Joint(np.outer([0.3, 0.7], [0.25, 0.75]))
-        for u in range(2):
-            for v in range(2):
-                assert info_density(j, u, v) == pytest.approx(0.0, abs=1e-15)
+        table = info_density_table(Joint(np.outer([0.3, 0.7], [0.25, 0.75])))
+        np.testing.assert_allclose(table, 0.0, atol=1e-15)
 
     def test_noiseless_diagonal(self):
-        j = Joint([[0.5, 0.0], [0.0, 0.5]])
-        assert info_density(j, 0, 0) == pytest.approx(LN2)
-        assert info_density(j, 1, 0) == -math.inf
+        table = info_density_table(Joint([[0.5, 0.0], [0.0, 0.5]]))
+        assert table[0, 0] == pytest.approx(LN2)
+        assert table[1, 0] == -math.inf
 
     def test_direct_formula(self):
-        assert info_density(JOINT, 0, 0) == pytest.approx(0.28768207245178085, abs=1e-15)
+        assert info_density_table(JOINT)[0, 0] == pytest.approx(0.28768207245178085, abs=1e-15)
 
     def test_symmetric_form_on_support(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             j = random_joint(rng, (3, 3), allow_zero=True)
-            pu, pv = j.probs.sum(axis=1), j.probs.sum(axis=0)
-            for u in range(3):
-                for v in range(3):
-                    if j.probs[u, v] > 0:
-                        want = math.log(j.probs[u, v] / (pu[u] * pv[v]))
-                        assert info_density(j, u, v) == pytest.approx(want, abs=1e-12)
+            arr = j.probs
+            sup = arr > 0
+            want = np.log(arr[sup] / np.outer(arr.sum(axis=1), arr.sum(axis=0))[sup])
+            np.testing.assert_allclose(info_density_table(j)[sup], want, rtol=0, atol=1e-12)
 
     def test_undefined_row(self):
-        j = Joint([[0.0, 0.0], [0.6, 0.4]])
-        with pytest.raises(UndefinedRowError):
-            info_density(j, 0, 0)
+        # a zero-mass conditioning symbol reads -inf across its row
+        table = info_density_table(Joint([[0.0, 0.0], [0.6, 0.4]]))
+        np.testing.assert_array_equal(table[0], [-math.inf, -math.inf])
+        np.testing.assert_allclose(table[1], 0.0, atol=1e-15)
 
 
 class TestCondInfoDensity:
@@ -185,19 +169,11 @@ class TestCondInfoDensity:
         ps = np.array([[0.3, 0.7], [0.5, 0.5]])
         pt = np.array([[0.2, 0.8], [0.9, 0.1]])
         j = Joint(pu[:, None, None] * ps[:, :, None] * pt[:, None, :])
-        for u in range(2):
-            for s in range(2):
-                for t in range(2):
-                    assert cond_info_density(j, s, t, u) == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(cond_info_density_table(j), 0.0, atol=1e-12)
 
     def test_vacuous_conditioning(self):
-        j2 = JOINT
-        j3 = Joint(j2.probs[None, :, :])
-        for s in range(2):
-            for t in range(2):
-                assert cond_info_density(j3, s, t, 0) == pytest.approx(
-                    info_density(j2, s, t), abs=1e-12
-                )
+        table3 = cond_info_density_table(Joint(JOINT.probs[None, :, :]))
+        np.testing.assert_allclose(table3[0], info_density_table(JOINT), rtol=0, atol=1e-12)
 
     def test_against_marginalize_then_divide(self):
         rng = np.random.default_rng(11)
@@ -205,46 +181,40 @@ class TestCondInfoDensity:
             j = random_joint(rng, (2, 2, 2))
             arr = j.probs
             pu = arr.sum(axis=(1, 2))
+            table = cond_info_density_table(j)
             for u in range(2):
                 ps = arr[u].sum(axis=1) / pu[u]
                 pt = arr[u].sum(axis=0) / pu[u]
-                for s in range(2):
-                    for t in range(2):
-                        want = math.log((arr[u, s, t] / pu[u]) / (ps[s] * pt[t]))
-                        assert cond_info_density(j, s, t, u) == pytest.approx(want, abs=1e-12)
+                want = np.log((arr[u] / pu[u]) / np.outer(ps, pt))
+                np.testing.assert_allclose(table[u], want, rtol=0, atol=1e-12)
 
 
 class TestProductExtend:
     def test_identity_for_single_copy(self):
-        d = Dist([0.3, 0.7])
-        assert product_extend(d, 1) is d
+        assert product_extend(JOINT, 1) is JOINT
 
     def test_bernoulli_cube_is_uniform(self):
-        d = product_extend(Dist([0.5, 0.5]), 3)
-        np.testing.assert_allclose(d.probs, np.full(8, 0.125))
+        cube = product_extend(Joint(np.full((1, 2), 0.5)), 3)
+        np.testing.assert_allclose(cube.probs, np.full((1, 8), 0.125))
 
     def test_density_additivity(self):
-        j2 = product_extend(JOINT, 2)
-        pu = JOINT.probs.sum(axis=1)
-        for u1 in range(2):
-            for u2 in range(2):
-                for v1 in range(2):
-                    for v2 in range(2):
-                        want = info_density(JOINT, u1, v1) + info_density(JOINT, u2, v2)
-                        got = info_density(j2, 2 * u1 + u2, 2 * v1 + v2)
-                        assert got == pytest.approx(want, abs=1e-12)
+        # index 2 x1 + x2 of the pair is letters (x1, x2)
+        table = info_density_table(JOINT)
+        want = (table[:, None, :, None] + table[None, :, None, :]).reshape(4, 4)
+        got = info_density_table(product_extend(JOINT, 2))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_kernel_extension_rows_multiply(self):
-        k = conditional(JOINT, 0)
+        k = Kernel(conditional(JOINT, 0))
         k2 = product_extend(k, 2)
         for x1 in range(2):
             for x2 in range(2):
-                want = np.kron(k.row(x1), k.row(x2))
-                np.testing.assert_allclose(k2.row(2 * x1 + x2), want, atol=1e-15)
+                want = np.kron(k.rows[x1], k.rows[x2])
+                np.testing.assert_allclose(k2.rows[2 * x1 + x2], want, atol=1e-15)
 
     def test_cap_enforced(self):
         with pytest.raises(EnumerationCapError):
-            product_extend(Dist([0.5, 0.5]), 13)  # 8192 > 4096
+            product_extend(Joint(np.full((1, 2), 0.5)), 13)  # 8192 > 4096
 
 
 class TestMutualInfo:
@@ -282,22 +252,16 @@ class TestMutualInfo:
 
 class TestInvariants:
     def test_chain_rule_on_support(self):
+        # i((u, s); y) = i(u; y) + i(s; y | u), (u, s) merged row-major
         rng = np.random.default_rng(21)
         for _ in range(20):
             j = random_joint(rng, (2, 3, 2), allow_zero=True)
-            merged = merge_axes(j, ((0, 1), (2,)))
             arr = j.probs
-            ks = arr.shape[1]
-            for u in range(arr.shape[0]):
-                for s in range(ks):
-                    for y in range(arr.shape[2]):
-                        if arr[u, s, y] == 0:
-                            continue
-                        joint_us_y = info_density(merged, u * ks + s, y)
-                        split = info_density(marginal(j, (0, 2)), u, y) + cond_info_density(
-                            j, s, y, u
-                        )
-                        assert joint_us_y == pytest.approx(split, abs=1e-12)
+            joint_us_y = info_density_table(Joint(arr.reshape(-1, 2))).reshape(arr.shape)
+            split = info_density_table(Joint(arr.sum(axis=1)))[:, None, :] \
+                + cond_info_density_table(j)
+            sup = arr > 0
+            np.testing.assert_allclose(joint_us_y[sup], split[sup], rtol=0, atol=1e-12)
 
     def test_exp_density_expectations(self):
         rng = np.random.default_rng(33)
@@ -345,12 +309,3 @@ class TestInvariants:
         assert table3[0, 1, 1] == pytest.approx(math.log(2), abs=1e-12)
         assert np.array_equal(table3 == -np.inf, j3.probs == 0)
         assert table3[1, 0, 1] == pytest.approx(math.log(0.4 / (0.5 * 0.6)), rel=1e-12)
-
-    def test_merge_axes_indexing(self):
-        j = random_joint(np.random.default_rng(2), (2, 3, 2))
-        m = merge_axes(j, ((0, 1), (2,)))
-        assert m.shape == (6, 2)
-        for u in range(2):
-            for s in range(3):
-                for y in range(2):
-                    assert m.probs[u * 3 + s, y] == pytest.approx(j.probs[u, s, y])
