@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 
 #: the public names, by the module that defines them
 _MODULES = {
-    "errors": ("AlphabetMismatchError", "EnumerationCapError", "InputFormatError",
-               "OneshotError"),
+    "errors": ("EnumerationCapError", "InputFormatError", "OneshotError"),
     "probability": ("Joint", "Kernel", "cond_mutual_info", "conditional", "mutual_info",
                     "product_extend"),
     "bounds": ("BoundParams", "BoundReport", "conditional_covering_bound", "event_from_points",
@@ -28,10 +27,10 @@ _MODULES = {
                "exact_miss_prob_bruteforce", "exact_packing_prob", "mc_miss_prob",
                "mc_resolvability_excess", "resolvability_excess_exact"),
     "rng": ("McEstimate",),
-    "broadcast": ("BroadcastSystem", "Codebook", "SchemeSizes", "SimOutcome", "broadcast_bound",
-                  "decode", "encode", "product_extend_system", "sample_codebook", "simulate"),
-    "regions": ("InfoVector", "LinearSystem", "RateTriple", "build_system", "fme_project",
-                "info_vector", "region_contains"),
+    "broadcast": ("BroadcastSystem", "SchemeSizes", "SimOutcome", "broadcast_bound",
+                  "product_extend_system", "simulate"),
+    "regions": ("InfoVector", "LinearSystem", "RateTriple", "fme_project", "info_vector",
+                "region_contains"),
     "cli": ("main",),
 }
 #: public name -> the module that defines it

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AlphabetMismatchError, InputFormatError
+from .errors import InputFormatError
 from .probability import Joint, cond_info_density_table, info_density_table, integral
 
 
@@ -422,7 +422,7 @@ def _bound_parts(kind: str, instance: Mapping[str, object]):
     joint = instance["joint"]
     ev = np.asarray(instance["event"], dtype=bool)
     if ev.shape != joint.shape:
-        raise AlphabetMismatchError(f"event shape {ev.shape} does not match joint shape {joint.shape}")
+        raise InputFormatError(f"event shape {ev.shape} does not match joint shape {joint.shape}")
     M, L = int(instance["M"]), int(instance["L"])
     check_sizes(M, L)
     union_form = bool(instance.get("union_form", False))
@@ -455,7 +455,7 @@ def _bound_parts(kind: str, instance: Mapping[str, object]):
         return covering1, None, None, None
     if kind == "covering5":
         if joint.ndim != 3:
-            raise AlphabetMismatchError("conditional covering bound needs a 3-axis joint")
+            raise InputFormatError("conditional covering bound needs a 3-axis joint")
         table = cond_info_density_table(joint)
     else:
         table = info_density_table(joint)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng
 from .bounds import BoundReport, GammaSteps, check_bound_args, covering_ratio, doubleexp
-from .errors import AlphabetMismatchError, EnumerationCapError, InputFormatError
+from .errors import EnumerationCapError, InputFormatError
 from .probability import (Joint, Kernel, _iid_power, cond_info_density_table, input_array,
                           integral, log_ratio_table, product_extend)
 
@@ -46,7 +46,7 @@ def _check_cap(what: str, *entries: int) -> None:
 
 @dataclass(frozen=True)
 class SchemeSizes:
-    """Codebook sizes ``(M0, M10, M20, N, L, Nhat, Lhat)`` and derived products."""
+    """The sizes ``(M0, M10, M20, N, L, Nhat, Lhat)`` of a codebook and derived products."""
 
     M0: int
     M10: int
@@ -122,13 +122,13 @@ class BroadcastSystem:
         xm.setflags(write=False)
         object.__setattr__(self, "x_map", xm)
         if self.joint_ust.ndim != 3:
-            raise AlphabetMismatchError("broadcast system needs a 3-axis design joint")
+            raise InputFormatError("broadcast system needs a 3-axis design joint")
         if xm.shape != self.joint_ust.shape:
-            raise AlphabetMismatchError(
+            raise InputFormatError(
                 f"x_map shape {xm.shape} does not match joint shape {self.joint_ust.shape}"
             )
         if len(self.channel.out_shape) != 2:
-            raise AlphabetMismatchError("channel rows must cover a product output (y1, y2)")
+            raise InputFormatError("channel rows must cover a product output (y1, y2)")
         if xm.min() < 0 or xm.max() >= self.channel.n_inputs:
             raise InputFormatError("x_map: symbol outside the channel input alphabet")
 
@@ -364,55 +364,8 @@ def broadcast_bound(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -
 
 
 # ---------------------------------------------------------------------------
-# codebook, encoder, decoders
+# codebook sampling and the decoders' head test
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """One realization of the three-layer random codebook."""
-
-    u: np.ndarray  # (M,)
-    s: np.ndarray  # (M, N, Nhat)
-    t: np.ndarray  # (M, L, Lhat)
-
-    def __post_init__(self):
-        for name in ("u", "s", "t"):
-            arr = np.array(getattr(self, name), dtype=np.int64, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.u.ndim != 1 or self.s.ndim != 3 or self.t.ndim != 3:
-            raise InputFormatError("codebook: u must be 1-D, s and t 3-D")
-        if self.s.shape[0] != self.u.shape[0] or self.t.shape[0] != self.u.shape[0]:
-            raise AlphabetMismatchError("codebook: layer leading dimensions disagree")
-
-
-def message_index(sizes: SchemeSizes, w0: int, w10: int, w20: int) -> int:
-    """Mixed-radix cloud index of the public parts, w0 most significant."""
-    if not (0 <= w0 < sizes.M0 and 0 <= w10 < sizes.M10 and 0 <= w20 < sizes.M20):
-        raise InputFormatError("message index out of range")
-    return (w0 * sizes.M10 + w10) * sizes.M20 + w20
-
-
-def message_split(sizes: SchemeSizes, m: int) -> tuple[int, int, int]:
-    """Inverse of :func:`message_index`."""
-    if not 0 <= m < sizes.M:
-        raise InputFormatError("cloud index out of range")
-    return m // (sizes.M10 * sizes.M20), (m // sizes.M20) % sizes.M10, m % sizes.M20
-
-
-def sample_codebook(system: BroadcastSystem, sizes: SchemeSizes, seed: int,
-                    trial: int = 0, random_message: bool = False) -> Codebook:
-    """Draw one codebook from the generation law (cloud words i.i.d. from
-    the u-marginal, satellites i.i.d. from the conditional rows).
-
-    It is the codebook :func:`simulate` draws for ``trial`` under the
-    same ``seed`` and ``random_message``.
-    """
-    sampler = _Sampler(system)
-    u = rng.trial_uniforms(seed, trial, 1, _trial_budget(sizes, random_message))
-    u_cb, s_cb, t_cb = _codebooks_from_uniforms(sampler, sizes, u[:, :_codebook_budget(sizes)])
-    return Codebook(u_cb[0], s_cb[0], t_cb[0])
 
 
 class _Sampler:
@@ -461,9 +414,9 @@ def _trial_work_bytes(system: BroadcastSystem, sizes: SchemeSizes, reuse: int) -
             head = max(head, M * (3 * mask + index + 2))
         else:
             head = max(head, M * ((8 + index) * cloud + 8))
-    decode = (-(-masks // reuse) + head + (index + 1) * cloud + index * (Nh + Lh)
-              + 8 * (Nh * Lh + ky1 * ky2 + 32))
-    return -(-index * _codebook_budget(sizes) // reuse) + max(-(-draw // reuse), decode)
+    decoding = (-(-masks // reuse) + head + (index + 1) * cloud + index * (Nh + Lh)
+                + 8 * (Nh * Lh + ky1 * ky2 + 32))
+    return -(-index * _codebook_budget(sizes) // reuse) + max(-(-draw // reuse), decoding)
 
 
 def _run_work_bytes(system: BroadcastSystem) -> int:
@@ -518,72 +471,6 @@ def _head_fires(pass_head: np.ndarray, u_cb: np.ndarray, sat: np.ndarray, y: np.
     return (held[lead] & passing[u_cb[lead], y[:, None]]) != 0
 
 
-class EncodeResult(NamedTuple):
-    m: int
-    a: int
-    ahat: int
-    b: int
-    bhat: int
-    x: int
-
-
-def encode(cb: Codebook, system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
-           w0: int, w10: int, w20: int, a: int, b: int,
-           ztable: np.ndarray | None = None) -> EncodeResult:
-    """Pick the inner pair minimizing the bad-set mass and emit the symbol.
-
-    Ties of ζ in floating point resolve to the lexicographically smallest
-    ``(ahat, bhat)``; masses equal in exact arithmetic can differ in their
-    last bits, and then the rounding decides.
-    """
-    if not (0 <= a < sizes.N and 0 <= b < sizes.L):
-        raise InputFormatError("message index out of range")
-    m = message_index(sizes, w0, w10, w20)
-    zt = ztable if ztable is not None else zeta_table(system, sizes, gamma)
-    um = int(cb.u[m])
-    svals = cb.s[m, a, :]
-    tvals = cb.t[m, b, :]
-    z = zt[um, svals[:, None], tvals[None, :]]
-    flat = int(np.argmin(z.reshape(-1)))
-    ahat, bhat = divmod(flat, sizes.Lhat)
-    x = int(system.x_map[um, svals[ahat], tvals[bhat]])
-    return EncodeResult(m, a, ahat, b, bhat, x)
-
-
-class DecodeResult(NamedTuple):
-    m0: int
-    m10: int
-    m20: int
-    inner: int
-
-
-def decode(cb: Codebook, system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
-           y: int, receiver: int) -> DecodeResult | None:
-    """Receiver ``receiver``'s two-stage threshold decoder at its output ``y``:
-    the one cloud index some satellite of which passes the head test, then
-    the one satellite of that cloud passing the inner test.  Receiver 1
-    reads the s-layer, receiver 2 the t-layer.
-
-    Returns None as the decoding-failure flag (no candidate, or ambiguity
-    at either stage).
-    """
-    if receiver not in (1, 2):
-        raise InputFormatError(f"receiver must be 1 or 2, got {receiver!r}")
-    sat, cols = (cb.s, sizes.Nhat) if receiver == 1 else (cb.t, sizes.Lhat)
-    thr = thresholds_for(sizes, gamma)
-    head, inner = f"head{receiver}", f"inner{receiver}"
-    # a test passes where its density exceeds the threshold: the clause fails
-    head_vals = getattr(system.tables, CLAUSES[head].table)[cb.u[:, None, None], sat, y]
-    fires = (head_vals > thr[head]).any(axis=(1, 2))
-    if fires.sum() != 1:
-        return None
-    m = int(np.argmax(fires))
-    hits = getattr(system.tables, CLAUSES[inner].table)[cb.u[m], sat[m], y] > thr[inner]
-    if hits.sum() != 1:
-        return None
-    return DecodeResult(*message_split(sizes, m), int(np.argmax(hits.reshape(-1))) // cols)
-
-
 # ---------------------------------------------------------------------------
 # ensemble simulation
 # ---------------------------------------------------------------------------
@@ -619,7 +506,7 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     """Estimate both receivers' error probabilities over the codebook ensemble.
 
     Each trial draws a fresh codebook (unless ``reuse_codebook`` groups
-    trials), encodes the all-ones message (or a uniformly random one),
+    trials), encodes the all-zeros message (or a uniformly random one),
     passes the symbol through the channel, and runs both decoders.  A
     receiver errs when its decoder flags failure or any decoded
     coordinate differs from the truth.

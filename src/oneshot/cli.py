@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import EnumerationCapError, InputFormatError, OneshotError
+from .errors import EnumerationCapError, InputFormatError, OneshotError, count_text
 
 NATS_PER_BIT = math.log(2.0)
 
@@ -347,7 +347,7 @@ def cmd_sweep(args) -> int:
     if not args.steps >= 2:
         raise InputFormatError("--steps must be >= 2")
     if args.steps > SWEEP_STEPS_CAP:
-        raise EnumerationCapError(f"--steps {args.steps} exceeds the cap of {SWEEP_STEPS_CAP}")
+        raise EnumerationCapError(f"--steps {count_text(args.steps)} exceeds the cap of {SWEEP_STEPS_CAP}")
     if not -math.inf < args.start < args.stop < math.inf:
         raise InputFormatError("--from must be strictly less than --to, both finite")
     if args.param in ("gamma", "delta") and args.start <= 0:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import rng
 from .bounds import check_bound_args, check_sizes, size_double
-from .errors import AlphabetMismatchError, EnumerationCapError, InputFormatError
+from .errors import EnumerationCapError, InputFormatError, count_text
 from .probability import Joint, conditional, info_density_table
 
 #: cap on the number of codeword multisets the resolvability oracle may visit
@@ -64,9 +64,9 @@ class EnsembleSpec:
         ev.setflags(write=False)
         object.__setattr__(self, "event", ev)
         if self.joint.ndim != 2:
-            raise AlphabetMismatchError("ensemble spec needs a 2-axis joint")
+            raise InputFormatError("ensemble spec needs a 2-axis joint")
         if ev.shape != self.joint.shape:
-            raise AlphabetMismatchError(
+            raise InputFormatError(
                 f"event shape {ev.shape} does not match joint shape {self.joint.shape}"
             )
         check_sizes(self.M, self.L)
@@ -170,7 +170,7 @@ def _exact_miss(pu: np.ndarray, pv: np.ndarray, event: np.ndarray, M: int, L: in
         if entries > DP_TABLE_CAP or M * (entries + _DRAW_OVERHEAD) > DP_CAP:
             raise EnumerationCapError(
                 f"the covered-set DP needs at least {sets} covered sets x {C} symbol classes "
-                f"x {M} draws, above the cap; use the Monte Carlo estimator"
+                f"x {count_text(M)} draws, above the cap; use the Monte Carlo estimator"
             )
 
     states, index, table = [0], {0: 0}, []
@@ -291,7 +291,7 @@ def exact_conditional_miss_prob(joint3: Joint, event3: np.ndarray, M: int, L: in
     """
     event3 = np.asarray(event3, dtype=bool)
     if joint3.ndim != 3 or event3.shape != joint3.shape:
-        raise AlphabetMismatchError("conditional ensemble needs matching 3-axis joint and event")
+        raise InputFormatError("conditional ensemble needs matching 3-axis joint and event")
     pu = joint3.probs.sum(axis=(1, 2))
     rows = conditional(joint3, 0)  # rows over (S, T) given u
     total = 0.0

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlphabetMismatchError, EnumerationCapError, InputFormatError
+from .errors import EnumerationCapError, InputFormatError
 
 NORMALIZE_TOL = 1e-6
 
@@ -166,7 +166,7 @@ def conditional(joint: Joint, given_axis: int) -> np.ndarray:
     :class:`Kernel` rescales its rows.
     """
     if not 0 <= given_axis < joint.ndim:
-        raise AlphabetMismatchError(f"invalid conditioning axis {given_axis}")
+        raise InputFormatError(f"invalid conditioning axis {given_axis}")
     arr = np.moveaxis(joint.probs, given_axis, 0)
     shape = (-1, *([1] * (arr.ndim - 1)))
     mass = _row_sums(arr)
@@ -226,7 +226,7 @@ def cond_info_density_table(joint: Joint) -> np.ndarray:
 def mutual_info(joint: Joint) -> float:
     """Mutual information of a 2-axis joint in nats (0 ln 0 = 0)."""
     if joint.ndim != 2:
-        raise AlphabetMismatchError("mutual_info: need a 2-axis joint")
+        raise InputFormatError("mutual_info: need a 2-axis joint")
     arr = joint.probs
     sup = arr > 0
     table = info_density_table(joint)
@@ -238,7 +238,7 @@ def cond_mutual_info(joint: Joint, given_axis: int = 0) -> float:
     weighted by ``joint`` and read off the density table of the moved axes
     renormalized (as a :class:`Joint` of them is)."""
     if joint.ndim != 3:
-        raise AlphabetMismatchError("cond_mutual_info: need a 3-axis joint")
+        raise InputFormatError("cond_mutual_info: need a 3-axis joint")
     arr = joint.probs if given_axis == 0 else np.moveaxis(joint.probs, given_axis, 0)
     table = cond_info_density_table(Joint.unchecked(arr))
     sup = arr > 0

@@ -1,10 +1,11 @@
 """Achievable-region tools for the three-auxiliary broadcast inner bound.
 
-Builds the auxiliary-rate inequality system from the five mutual
-informations of a design, and writes its projection onto the rate
-coordinates in closed form: Marton's inner bound with a common message.
-Membership tests read those rows directly; the projection prunes them to
-an irredundant system with exact LPs in numpy.
+Computes the five mutual informations of a design and writes the
+projection of the auxiliary-rate inequality system onto the rate
+coordinates (R0, R1, R2) in closed form: Marton's inner bound with a
+common message.  Membership tests read those rows directly; the
+projection prunes them to an irredundant system with exact LPs in numpy.
+Every row is a ``<=`` row over the three rates.
 
 All arithmetic is floating point with a small slack: the inputs are
 numerically computed mutual informations, so exact rational arithmetic
@@ -24,7 +25,7 @@ from .broadcast import BroadcastSystem
 from .errors import InputFormatError
 from .probability import Joint, Kernel, cond_mutual_info, mutual_info
 
-VARIABLES = ("R0", "R1", "R2", "R11", "R22", "Rh1", "Rh2")
+RATES = ("R0", "R1", "R2")
 _TOL = 1e-9
 _COEFF_TOL = 1e-12
 
@@ -54,8 +55,8 @@ class InfoVector:
 
     @functools.cached_property
     def _marton_rows(self) -> tuple[float, tuple[tuple[float, float, float, float], ...]]:
-        """The projection of :func:`build_system` onto (R0, R1, R2) in closed
-        form: Marton's inner bound with a common message (El Gamal and Kim,
+        """The projection of the auxiliary-rate system onto (R0, R1, R2) in
+        closed form: Marton's inner bound with a common message (El Gamal and Kim,
         *Network Information Theory*, Ch. 8; Liang, Kramer and Poor, IEEE
         T-IT 2011).
 
@@ -104,50 +105,39 @@ class RateTriple:
 
 @dataclass(frozen=True)
 class Inequality:
-    """A single row ``coeffs . x (sense) constant`` over named variables."""
+    """A single row ``coeffs . (R0, R1, R2) <= constant``."""
 
     coeffs: tuple[float, ...]
-    sense: str
     constant: float
 
-    def __post_init__(self):
-        if self.sense not in ("<=", ">="):
-            raise InputFormatError(f'inequality sense must be "<=" or ">=", got {self.sense!r}')
-
-    def as_leq(self) -> np.ndarray:
-        """Row as [coeffs..., constant] normalized to the <= sense."""
-        row = np.asarray(self.coeffs + (self.constant,), dtype=float)
-        return row if self.sense == "<=" else -row
-
-    def pretty(self, variables: tuple[str, ...]) -> str:
+    def pretty(self) -> str:
         parts = []
-        for c, name in zip(self.coeffs, variables):
+        for c, name in zip(self.coeffs, RATES):
             if abs(c) <= _COEFF_TOL:
                 continue
             mag = abs(c)
             coef = "" if abs(mag - 1.0) <= 1e-12 else f"{mag:g} "
             parts.append(("- " if c < 0 else ("+ " if parts else "")) + f"{coef}{name}")
         lhs = " ".join(parts) if parts else "0"
-        return f"{lhs} {self.sense} {self.constant:.12g}"
+        return f"{lhs} <= {self.constant:.12g}"
 
 
 @dataclass
 class LinearSystem:
-    """An inequality system over a fixed tuple of variable names."""
+    """A <=-system over the rates (R0, R1, R2)."""
 
     rows: list[Inequality]
-    variables: tuple[str, ...] = VARIABLES
 
     def pretty(self) -> list[str]:
-        return [row.pretty(self.variables) for row in self.rows]
+        return [row.pretty() for row in self.rows]
 
     def to_json(self) -> dict:
         return {
-            "variables": list(self.variables),
+            "variables": list(RATES),
             "inequalities": [
                 {
-                    "coeffs": {n: c for n, c in zip(self.variables, r.coeffs) if abs(c) > _COEFF_TOL},
-                    "sense": r.sense,
+                    "coeffs": {n: c for n, c in zip(RATES, r.coeffs) if abs(c) > _COEFF_TOL},
+                    "sense": "<=",
                     "constant": r.constant,
                 }
                 for r in self.rows
@@ -176,36 +166,6 @@ def info_vector(joint_u: Joint, x_map: np.ndarray, channel: Kernel) -> InfoVecto
         J2=cond_mutual_info(j_02_y2, 0),
         K=cond_mutual_info(joint_u, 0),
     )
-
-
-def _coeff(**named: float) -> tuple[float, ...]:
-    row = [0.0] * len(VARIABLES)
-    for name, value in named.items():
-        row[VARIABLES.index(name)] = float(value)
-    return tuple(row)
-
-
-def build_system(iv: InfoVector) -> LinearSystem:
-    """The auxiliary-rate inequality system (11 rows).
-
-    Per receiver: the private split cannot exceed the private rate, the
-    head constraint against I, and the satellite constraint against J;
-    plus the shared cross constraint against K and nonnegativity of the
-    four auxiliary rates.
-    """
-    return LinearSystem([
-        Inequality(_coeff(R11=1, R1=-1), "<=", 0.0),
-        Inequality(_coeff(R22=1, R2=-1), "<=", 0.0),
-        Inequality(_coeff(R0=1, R1=1, R2=1, R22=-1, Rh1=1), "<=", iv.I1),
-        Inequality(_coeff(R0=1, R1=1, R2=1, R11=-1, Rh2=1), "<=", iv.I2),
-        Inequality(_coeff(R11=1, Rh1=1), "<=", iv.J1),
-        Inequality(_coeff(R22=1, Rh2=1), "<=", iv.J2),
-        Inequality(_coeff(Rh1=1, Rh2=1), ">=", iv.K),
-        Inequality(_coeff(R11=1), ">=", 0.0),
-        Inequality(_coeff(R22=1), ">=", 0.0),
-        Inequality(_coeff(Rh1=1), ">=", 0.0),
-        Inequality(_coeff(Rh2=1), ">=", 0.0),
-    ])
 
 
 _BOX = np.vstack([np.eye(3), -np.eye(3)])  # faces of |x_i| <= bound
@@ -288,9 +248,9 @@ def fme_project(iv: InfoVector) -> LinearSystem:
         matrix = np.array([[0.0, 0.0, 0.0, feasibility]])
     else:
         matrix = _prune(np.array(rows), _TOL)
-    system = [Inequality(tuple(float(c) for c in r[:3]), "<=", float(r[3])) for r in matrix]
+    system = [Inequality(tuple(float(c) for c in r[:3]), float(r[3])) for r in matrix]
     system.sort(key=lambda r: (r.coeffs, r.constant))
-    return LinearSystem(system, VARIABLES[:3])
+    return LinearSystem(system)
 
 
 def projection_contains(system: LinearSystem, rates: RateTriple) -> bool:
@@ -299,7 +259,6 @@ def projection_contains(system: LinearSystem, rates: RateTriple) -> bool:
     r0, r1, r2 = rates.R0, rates.R1, rates.R2
     for row in system.rows:
         a0, a1, a2 = row.coeffs
-        lhs = a0 * r0 + a1 * r1 + a2 * r2
-        if not (lhs <= row.constant + _TOL if row.sense == "<=" else lhs >= row.constant - _TOL):
+        if a0 * r0 + a1 * r1 + a2 * r2 > row.constant + _TOL:
             return False
     return True

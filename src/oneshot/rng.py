@@ -22,7 +22,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import EnumerationCapError, InputFormatError
+from .errors import EnumerationCapError, InputFormatError, count_text
 
 _OUTPUTS_PER_BLOCK = 4
 
@@ -188,9 +188,9 @@ def chunk_trials(row_bytes: int, max_trials: int = CHUNK_TRIALS, group: int = 1,
     Raises :class:`EnumerationCapError` if one group does not fit in
     ``CHUNK_BYTES``."""
     if group * row_bytes > CHUNK_BYTES:
-        what = "one trial" if group == 1 else f"one reuse group of {group} trials"
+        what = "one trial" if group == 1 else f"one reuse group of {count_text(group)} trials"
         raise EnumerationCapError(
-            f"{what} needs {row_bytes * group} bytes of uniforms and work arrays, "
+            f"{what} needs {count_text(row_bytes * group)} bytes of uniforms and work arrays, "
             f"above the chunk cap of {CHUNK_BYTES}"
         )
     fit = max(0, min(CHUNK_TARGET, CHUNK_BYTES) - fixed_bytes) // row_bytes
@@ -249,7 +249,7 @@ def monte_carlo(trials: int, seed: int, k: int, body: Callable[..., T], *,
     chunks from those.  More than ``TRIALS_CAP`` trials raise
     :class:`EnumerationCapError` before any runs."""
     if trials > TRIALS_CAP:
-        raise EnumerationCapError(f"{trials} trials exceed the cap of {TRIALS_CAP}")
+        raise EnumerationCapError(f"{count_text(trials)} trials exceed the cap of {TRIALS_CAP}")
     chunk = chunk_trials(uniform_bytes(k, group, tail) + work_bytes, max_trials, group, fixed_bytes)
     # positional, so that a wrapper of trial_uniforms taking *args sees them all
     return reduce(operator.add,

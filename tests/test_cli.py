@@ -244,11 +244,26 @@ def test_verify_refuses_bad_bound_params_before_the_oracles(argv, names, capsys,
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], err
 
 
+#: a count whose products pass Python's 4,300-digit limit for int-to-str conversion
+_HUGE_COUNT = "1" + "0" * 3000
+_HUGE_SIM = ["--config", str(CONFIGS / "broadcast_binary.json"), "--gamma", "1", "--sizes"]
 _WORK_CAPS = {
     **{f"trials-{name}": ([*argv, "--trials", "100000000000000"], "trials exceed the cap")
        for name, argv in _TRIALS_COMMANDS.items() if name != "verify-packing"},
     "sweep-steps": (["sweep", "packing", "--param", "gamma", "--from", "0.1", "--to", "1",
                      "--steps", "100000000000"], "--steps"),
+    # huge counts print as a power of ten
+    "trials-huge": ([*_TRIALS_COMMANDS["simulate"], "--trials", _HUGE_COUNT], "~10^3000 trials"),
+    "reuse-huge": ([*_TRIALS_COMMANDS["simulate"], "--reuse-codebook", _HUGE_COUNT],
+                   "reuse group of ~10^3000 trials"),
+    "sweep-steps-huge": (["sweep", "packing", "--param", "gamma", "--from", "0.1", "--to", "1",
+                          "--steps", _HUGE_COUNT], "--steps ~10^3000"),
+    **{f"huge-{name}": ([*command, *_HUGE_SIM, sizes], "bytes of uniforms")
+       for name, command, sizes in (
+           ("clouds-simulate", ["simulate"], f"{_HUGE_COUNT},{_HUGE_COUNT},1,1,1,1,1"),
+           ("clouds-verify-broadcast", ["verify", "broadcast"],
+            f"{_HUGE_COUNT},{_HUGE_COUNT},1,1,1,1,1"),
+           ("N-simulate", ["simulate"], f"1,1,1,{_HUGE_COUNT},1,1,1"))},
 }
 
 
@@ -261,6 +276,17 @@ def test_work_caps_exit_1_before_any_work(case, capsys):
     assert code == 1
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], err
+    assert len(lines[0]) < 200
+
+
+def test_huge_draw_count_in_a_skipped_exact_value_prints_short(capsys):
+    code = cli.main(["verify", "packing", "--dist", _JOINT, "--M", _HUGE_COUNT, "--N", "2",
+                     "--gamma", "1", "--trials", "10"])
+    _, err = capsys.readouterr()
+    assert code == 0
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: exact value skipped"), err
+    assert "~10^3000 draws" in lines[0] and len(lines[0]) < 200
 
 
 _IMPORT_PROBE = """
@@ -270,7 +296,7 @@ from oneshot import broadcast, regions
 with open(sys.argv[1]) as fh:
     system = broadcast.BroadcastSystem.from_json(json.load(fh))
 proj = regions.fme_project(regions.info_vector(system.joint_ust, system.x_map, system.channel))
-rows = [[list(r.coeffs), r.sense, r.constant] for r in proj.rows]
+rows = [[list(r.coeffs), r.constant] for r in proj.rows]
 print(json.dumps({"scipy": "scipy" in sys.modules, "rows": rows}))
 """
 
@@ -281,9 +307,9 @@ def test_projection_never_loads_scipy(monkeypatch):
     assert res.returncode == 0, res.stderr
     doc = json.loads(res.stdout)
     assert doc["scipy"] is False
-    assert doc["rows"] == [[[0.0, -1.0, 0.0], "<=", 0.0],
-                           [[0.0, 0.0, -1.0], "<=", 0.0],
-                           [[1.0, 1.0, 1.0], "<=", 0.0]]
+    assert doc["rows"] == [[[0.0, -1.0, 0.0], 0.0],
+                           [[0.0, 0.0, -1.0], 0.0],
+                           [[1.0, 1.0, 1.0], 0.0]]
     # perfbench's tracer counts LP solves by rebinding regions.linprog, so
     # the name must stay a module attribute looked up per call
     from oneshot import regions

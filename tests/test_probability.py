@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from oneshot import (
-    AlphabetMismatchError,
     InputFormatError,
     Joint,
     Kernel,
@@ -86,7 +85,7 @@ class TestConditional:
         np.testing.assert_allclose(conditional(JOINT, 1), [[2 / 3, 1 / 3], [0.25, 0.75]])
 
     def test_invalid_axis(self):
-        with pytest.raises(AlphabetMismatchError):
+        with pytest.raises(InputFormatError):
             conditional(JOINT, 2)
 
     def test_zero_mass_row_undefined(self):

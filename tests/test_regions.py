@@ -12,7 +12,6 @@ from oneshot import (
     Joint,
     Kernel,
     RateTriple,
-    build_system,
     fme_project,
     info_vector,
     region_contains,
@@ -20,10 +19,11 @@ from oneshot import (
 from oneshot.errors import InputFormatError
 from oneshot import broadcast, cli, probability, regions
 from oneshot.broadcast import BroadcastSystem
-from oneshot.regions import VARIABLES, Inequality, LinearSystem, projection_contains
+from oneshot.regions import Inequality, LinearSystem, projection_contains
 
 from conftest import random_design as sparse_design
-from reference import composed_info_vector, info_vector as dense_info_vector
+from reference import (AUX_VARIABLES, auxiliary_system, composed_info_vector,
+                       info_vector as dense_info_vector)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -35,17 +35,6 @@ def random_iv(rng: np.random.Generator) -> InfoVector:
     j2 = rng.uniform(0.0, i2)
     k = rng.uniform(0.0, j1 + j2)
     return InfoVector(i1, i2, j1, j2, k)
-
-
-def random_iv_any(rng: np.random.Generator) -> InfoVector:
-    """Unconstrained vector; the region may be empty."""
-    i1, i2 = rng.uniform(0.2, 1.5, 2)
-    return InfoVector(i1, i2, rng.uniform(0.0, i1), rng.uniform(0.0, i2),
-                      rng.uniform(0.0, 0.8))
-
-
-def bsc_joint(p: float) -> np.ndarray:
-    return np.array([[0.5 * (1 - p), 0.5 * p], [0.5 * p, 0.5 * (1 - p)]])
 
 
 class TestInfoVector:
@@ -181,21 +170,20 @@ def random_design(rng: np.random.Generator) -> BroadcastSystem:
 
 class TestBuildSystem:
     def test_row_count(self):
-        sys_ = build_system(InfoVector(0.5, 0.4, 0.3, 0.2, 0.1))
-        assert len(sys_.rows) == 11
+        assert auxiliary_system(InfoVector(0.5, 0.4, 0.3, 0.2, 0.1)).shape == (11, 8)
 
     def test_transcription_coefficients(self):
-        sys_ = build_system(InfoVector(0.5, 0.4, 0.3, 0.2, 0.1))
-        rh1 = VARIABLES.index("Rh1")
-        sum1 = sys_.rows[2]
-        j1 = sys_.rows[4]
-        k = sys_.rows[6]
-        assert sum1.coeffs[rh1] == 1.0 and sum1.constant == 0.5 and sum1.sense == "<="
-        assert j1.coeffs[rh1] == 1.0 and j1.constant == 0.3
-        assert k.coeffs[rh1] == 1.0 and k.sense == ">=" and k.constant == 0.1
+        rows = auxiliary_system(InfoVector(0.5, 0.4, 0.3, 0.2, 0.1))
+        rh1, rh2 = AUX_VARIABLES.index("Rh1"), AUX_VARIABLES.index("Rh2")
+        sum1, j1, k = rows[2], rows[4], rows[6]
+        assert sum1[rh1] == 1.0 and sum1[-1] == 0.5
+        assert j1[rh1] == 1.0 and j1[-1] == 0.3
+        # Rh1 + Rh2 >= K, as the <=-row -Rh1 - Rh2 <= -K
+        assert k[rh1] == -1.0 and k[rh2] == -1.0 and k[-1] == -0.1
+        assert not k[:rh1].any()
         # the private-split terms cancel inside their own sum constraint
-        assert sum1.coeffs[VARIABLES.index("R11")] == 0.0
-        assert sum1.coeffs[VARIABLES.index("R22")] == -1.0
+        assert sum1[AUX_VARIABLES.index("R11")] == 0.0
+        assert sum1[AUX_VARIABLES.index("R22")] == -1.0
 
     def test_zero_vector_feasible_at_origin(self):
         iv = InfoVector(0, 0, 0, 0, 0)
@@ -408,13 +396,13 @@ def _drop_trivial_and_duplicate_unique(matrix, tol):
     return rows[best[np.argsort(first)]]
 
 
-_AUX_COLS = [VARIABLES.index(n) for n in ("R11", "R22", "Rh1", "Rh2")]
+_AUX_COLS = [AUX_VARIABLES.index(n) for n in ("R11", "R22", "Rh1", "Rh2")]
 
 
 def _fm_reference(iv: InfoVector) -> np.ndarray:
-    """Fourier-Motzkin projection of ``build_system(iv)``, deduplicated after
-    each elimination and not pruned, as rows [R0, R1, R2 | constant]."""
-    matrix = np.array([row.as_leq() for row in build_system(iv).rows])
+    """Fourier-Motzkin projection of ``auxiliary_system(iv)``, deduplicated
+    after each elimination and not pruned, as rows [R0, R1, R2 | constant]."""
+    matrix = auxiliary_system(iv)
     for col in _AUX_COLS:
         matrix = _drop_trivial_and_duplicate_unique(_eliminate_loop(matrix, col), regions._TOL)
     assert not matrix[:, _AUX_COLS].any()
@@ -423,9 +411,9 @@ def _fm_reference(iv: InfoVector) -> np.ndarray:
 
 def _as_system(matrix: np.ndarray) -> LinearSystem:
     """<=-rows [R0, R1, R2 | constant] sorted as ``fme_project`` sorts them."""
-    rows = [Inequality(tuple(float(c) for c in r[:3]), "<=", float(r[3])) for r in matrix]
+    rows = [Inequality(tuple(float(c) for c in r[:3]), float(r[3])) for r in matrix]
     rows.sort(key=lambda r: (r.coeffs, r.constant))
-    return LinearSystem(rows, VARIABLES[:3])
+    return LinearSystem(rows)
 
 
 @pytest.fixture(scope="module")
@@ -458,7 +446,8 @@ def closed_form_runs():
 
 class TestClosedForm:
     """``region_contains`` and ``fme_project`` read Marton's closed form;
-    Fourier-Motzkin elimination of ``build_system`` is their reference."""
+    Fourier-Motzkin elimination of ``reference.auxiliary_system`` is their
+    reference."""
 
     def test_matches_fme_projection(self, closed_form_runs):
         # all 10^4 vectors against the FM projection before LP pruning
