@@ -369,16 +369,18 @@ def broadcast_bound(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -
 
 
 class _Sampler:
-    """Cumulative mass vectors used by codebook/channel sampling."""
+    """The :func:`rng.thresholds` of the cumulative mass vectors used by
+    codebook/channel sampling, built once per run."""
 
     def __init__(self, system: BroadcastSystem):
         tables = system.tables
         live = tables.p_u[:, None] > 0
         p_u = np.where(live, tables.p_u[:, None], 1.0)
-        self.cdf_u = np.cumsum(tables.p_u)
-        self.cdf_s = np.cumsum(np.where(live, tables.p_us / p_u, 0.0), axis=1)
-        self.cdf_t = np.cumsum(np.where(live, tables.p_ut / p_u, 0.0), axis=1)
-        self.cdf_chan = np.cumsum(system.channel.rows.reshape(system.channel.n_inputs, -1), axis=1)
+        self.cdf_u = rng.thresholds(np.cumsum(tables.p_u))
+        self.cdf_s = rng.thresholds(np.cumsum(np.where(live, tables.p_us / p_u, 0.0), axis=1))
+        self.cdf_t = rng.thresholds(np.cumsum(np.where(live, tables.p_ut / p_u, 0.0), axis=1))
+        self.cdf_chan = rng.thresholds(
+            np.cumsum(system.channel.rows.reshape(system.channel.n_inputs, -1), axis=1))
 
 
 def _codebook_budget(sizes: SchemeSizes) -> int:
@@ -529,13 +531,16 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     budget = _trial_budget(sizes, random_message)
     sampler = _Sampler(system)
     # decoder tests thresholded once: gathering booleans is cheaper than
-    # gathering densities and comparing them trial by trial
-    passing = {name: ~mask
-               for name, mask in system.tables.clauses(thresholds_for(sizes, gamma)).items()}
-    ztable = zeta_table(system, sizes, gamma)
+    # gathering densities and comparing them trial by trial.  The encoder's
+    # masses over (u, s, t) and each receiver's inner test, over (u, y, s),
+    # are read flat, with one index
+    clauses = system.tables.clauses(thresholds_for(sizes, gamma))
+    pass_head = {r: ~clauses[f"head{r}"] for r in (1, 2)}
+    pass_inner = {r: (~clauses[f"inner{r}"]).transpose(0, 2, 1).reshape(-1) for r in (1, 2)}
+    zflat = zeta_table(system, sizes, gamma).reshape(-1)
     N, Nh, L, Lh = sizes.N, sizes.Nhat, sizes.L, sizes.Lhat
     x_map = system.x_map
-    ky2 = system.shape[4]
+    _, ks, kt, ky1, ky2 = system.shape
 
     def body(uniforms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         # chunks start at group boundaries: the leaders' rows hold the
@@ -548,7 +553,9 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
         lead = rows // reuse_codebook
         if random_message:
             radix = np.array([sizes.M0, sizes.M10, sizes.M20, N, L])
-            w0, w10, w20, a, b = np.minimum((tails[:, :-1] * radix).astype(np.int64), radix - 1).T
+            # the uniform w * 2**-53 first, so that each digit reads the same double
+            w0, w10, w20, a, b = np.minimum((tails[:, :-1] * 2.0**-53 * radix).astype(np.int64),
+                                            radix - 1).T
             m_true = (w0 * sizes.M10 + w10) * sizes.M20 + w20
         else:
             m_true = a = b = np.zeros(n, dtype=np.int64)  # read only
@@ -556,7 +563,9 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
         u_sel = u_cb[lead, m_true]
         s_inner = s_cb[lead, m_true, a, :]      # (n, Nhat)
         t_inner = t_cb[lead, m_true, b, :]      # (n, Lhat)
-        z = ztable[u_sel[:, None, None], s_inner[:, :, None], t_inner[:, None, :]]
+        us = (u_sel.astype(np.intp) * ks)[:, None] + s_inner
+        us *= kt
+        z = zflat.take(us[:, :, None] + t_inner[:, None, :])
         flat = z.reshape(n, -1).argmin(axis=1)
         ahat, bhat = flat // Lh, flat % Lh
         x = x_map[u_sel, s_inner[rows, ahat], t_inner[rows, bhat]]
@@ -564,22 +573,22 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
         y_flat = rng.sample_categorical(sampler.cdf_chan[x], tails[:, -1]).astype(np.intp)
         y1, y2 = y_flat // ky2, y_flat % ky2
 
-        def side(receiver, sat, y, truth_inner, cols):
-            pass_head, pass_inner = passing[f"head{receiver}"], passing[f"inner{receiver}"]
-            fires = _head_fires(pass_head, u_cb, sat, y, lead)
+        def side(receiver, sat, y, truth_inner, cols, k, ky):
+            fires = _head_fires(pass_head[receiver], u_cb, sat, y, lead)
             cnt = fires.sum(axis=1)
             m_hat = fires.argmax(axis=1)
             ok_head = (cnt == 1) & (m_hat == m_true)
             stage1_err = ~ok_head
             sat_m = sat[lead, m_hat]
-            ivals = pass_inner[u_cb[lead, m_hat][:, None, None], sat_m, y[:, None, None]]
+            uy = (u_cb[lead, m_hat].astype(np.intp) * ky + y) * k
+            ivals = pass_inner[receiver].take(uy[:, None, None] + sat_m)
             pcnt = ivals.reshape(n, -1).sum(axis=1)
             inner_hat = ivals.reshape(n, -1).argmax(axis=1) // cols
             ok = ok_head & (pcnt == 1) & (inner_hat == truth_inner)
             return ~ok, stage1_err
 
-        err1, s1err1 = side(1, s_cb, y1, a, Nh)
-        err2, s1err2 = side(2, t_cb, y2, b, Lh)
+        err1, s1err1 = side(1, s_cb, y1, a, Nh, ks, ky1)
+        err2, s1err2 = side(2, t_cb, y2, b, Lh, kt, ky2)
         return np.array([err1.sum(), err2.sum(), s1err1.sum(), s1err2.sum()], dtype=np.float64)
 
     totals = rng.monte_carlo(trials, seed, budget, body,
@@ -604,7 +613,7 @@ def mc_event_union(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     u_idx, s_idx, t_idx = np.indices((ku, ks, kt)).reshape(3, -1)
     row1 = (u_idx * ks + s_idx) * ky1
     row2 = (u_idx * kt + t_idx) * ky2
-    cdf_ust = np.cumsum(system.joint_ust.probs.reshape(-1))
+    cdf_ust = rng.thresholds(np.cumsum(system.joint_ust.probs.reshape(-1)))
     cdf_chan = _Sampler(system).cdf_chan
     x_flat = system.x_map.reshape(-1)
 

@@ -244,8 +244,11 @@ def exact_miss_prob_bruteforce(spec: EnsembleSpec) -> float:
     for _ in range(M):
         weights = np.outer(weights, pu).ravel()
         covered = (covered[:, None] | spec.event[None]).reshape(-1, len(pv))
-    mass = covered @ pv
-    return float((weights * np.clip(1.0 - mass, 0.0, 1.0) ** spec.L).sum())
+    # the power once per distinct miss mass (libm is slow on subnormal
+    # results), gathered back by a binary search among the few distinct ones
+    miss = np.clip(1.0 - covered @ pv, 0.0, 1.0)
+    distinct = np.unique(miss)
+    return float((weights * (distinct ** spec.L)[np.searchsorted(distinct, miss)]).sum())
 
 
 def mc_miss_prob(spec: EnsembleSpec, trials: int, seed: int, threads: int = 1) -> rng.McEstimate:
@@ -256,8 +259,8 @@ def mc_miss_prob(spec: EnsembleSpec, trials: int, seed: int, threads: int = 1) -
     """
     pu = spec.joint.probs.sum(axis=1)
     pv = spec.joint.probs.sum(axis=0)
-    cdf_u = np.cumsum(pu)
-    cdf_v = np.cumsum(pv)
+    cdf_u = rng.thresholds(np.cumsum(pu))
+    cdf_v = rng.thresholds(np.cumsum(pv))
     M, L = spec.M, spec.L
     packed = _pack(spec.event)
     kv = len(pv)
@@ -312,9 +315,9 @@ def mc_conditional_miss_prob(
     event3 = np.asarray(event3, dtype=bool)
     pu = joint3.probs.sum(axis=(1, 2))
     st = conditional(joint3, 0)
-    cdf_u = np.cumsum(pu)
-    cdf_s = np.cumsum(st.sum(axis=2), axis=1)
-    cdf_t = np.cumsum(st.sum(axis=1), axis=1)
+    cdf_u = rng.thresholds(np.cumsum(pu))
+    cdf_s = rng.thresholds(np.cumsum(st.sum(axis=2), axis=1))
+    cdf_t = rng.thresholds(np.cumsum(st.sum(axis=1), axis=1))
     _, ks, kt = event3.shape
     packed = _pack(event3)
 
@@ -406,7 +409,7 @@ def mc_resolvability_excess(
     exactly; the estimate averages these per-codebook values.
     """
     pu, pv, rows = _resolvability_inputs(joint, M, lam)
-    cdf_u = np.cumsum(pu)
+    cdf_u = rng.thresholds(np.cumsum(pu))
     k = len(pu)
 
     def body(u: np.ndarray) -> list[float]:

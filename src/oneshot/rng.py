@@ -6,10 +6,19 @@ Philox stream keyed by the seed.  Trial ``i`` occupies the counter blocks
 step), so the numbers a trial sees depend only on ``(seed, i, k)`` --
 never on chunk sizes, thread counts, or scheduling.
 
+A uniform is kept as its 53-bit integer word ``w = raw >> 11``, whose
+value ``w * 2**-53`` is bit for bit the double that numpy's
+``Generator(Philox(key=seed)).random()`` makes from the same output.  A
+draw only ever compares a uniform with a cdf entry ``c``, and
+:func:`thresholds` turns ``c`` into the integer ``ceil(c * 2**53)``:
+``w * 2**-53 >= c`` exactly when ``w >= ceil(c * 2**53)``, since
+``c * 2**53`` is exact for every double ``c >= 0`` and ``w`` is an
+integer.  A threshold of ``2**53`` or more (a cumsum past 1) never fires.
+
 A counter-based stream can be read anywhere without its prefix.  When
 trials share a draw in groups (:func:`skips_rows`), only each group's
 leader generates its whole row; the other trials compute just the last few
-doubles they read, block by block (:func:`philox_blocks`).
+words they read, block by block (:func:`philox_blocks`).
 """
 
 from __future__ import annotations
@@ -44,21 +53,22 @@ TRIALS_CAP = 10**9
 #: cap on the worker threads of one Monte Carlo run; each holds one chunk at a
 #: time, of up to ``CHUNK_TARGET`` bytes or one reuse group of up to ``CHUNK_BYTES``
 THREADS_CAP = 64
-#: unread doubles per group from which skipping them pays: below it, generating
+#: unread uniforms per group from which skipping them pays: below it, generating
 #: them costs less than a jump per leader plus the tails computed block by block
 SKIP_DOUBLES = 1024
 #: widest 1-D cdf that :func:`sample_categorical` maps by whole-array compare
 #: passes instead of a binary search.  The passes cost one sweep per symbol;
-#: on a 2-CPU Xeon they beat ``searchsorted`` up to about 90 symbols on a
-#: strided (3000, 128) block of uniforms and up to about 280 on a contiguous
-#: (10**5,) column, so 16 wins in both layouts with room to spare
+#: on a 2-CPU Xeon, comparing uint64 words, they beat ``searchsorted`` up to
+#: about 50 symbols on a strided (3000, 128) block of uniforms and up to about
+#: 110 on a contiguous (10**5,) column, so 16 wins in both layouts with room
+#: to spare
 COMPARE_SYMBOLS = 16
 
 T = TypeVar("T")
 
 
 def row_width(k: int) -> int:
-    """Doubles generated per trial for a budget of ``k``: whole Philox blocks."""
+    """Uniforms generated per trial for a budget of ``k``: whole Philox blocks."""
     return -(-k // _OUTPUTS_PER_BLOCK) * _OUTPUTS_PER_BLOCK
 
 
@@ -114,26 +124,26 @@ def _tail_uniforms(seed: int, start: int, n: int, k: int, tail: int) -> np.ndarr
     blocks = row_starts + np.arange(first, last + 1, dtype=np.uint64)
     words = philox_blocks(seed, blocks.reshape(-1)).reshape(n, blocks.shape[1] * _OUTPUTS_PER_BLOCK)
     skip = k - tail - first * _OUTPUTS_PER_BLOCK
-    # numpy's double from a 64-bit output: its top 53 bits times 2**-53
-    return (words[:, skip:skip + tail] >> np.uint64(11)) * 2.0**-53
+    return words[:, skip:skip + tail] >> np.uint64(11)
 
 
 def skips_rows(k: int, group: int, tail: int | None) -> bool:
     """Whether :func:`trial_uniforms` leaves the rows of non-leaders
     ungenerated: with a ``tail``, once a group's other rows hold at least
-    ``SKIP_DOUBLES`` doubles."""
+    ``SKIP_DOUBLES`` uniforms."""
     return tail is not None and (group - 1) * row_width(k) >= SKIP_DOUBLES
 
 
 def trial_uniforms(seed: int, start: int, n: int, k: int, group: int = 1,
                    tail: int | None = None):
-    """Uniforms for trials ``start .. start+n-1``, ``k`` doubles each.
+    """Uniforms for trials ``start .. start+n-1``, ``k`` each, as uint64
+    words ``w`` of value ``w * 2**-53`` (see the module docstring).
 
     Returns an ``(n, k)`` array; row ``i`` is identical for every way of
     chunking the trial range.  With a ``tail`` width, returns the pair
     ``(rows, tails)``: ``rows`` holds the whole rows of the group leaders
     only (trials ``start``, ``start+group``, ...), and ``tails`` the last
-    ``tail`` doubles of every trial, ``(n, tail)``.  Where
+    ``tail`` words of every trial, ``(n, tail)``.  Where
     :func:`skips_rows`, the other trials' rows are never generated.
     """
     if n < 0 or k <= 0:
@@ -142,27 +152,36 @@ def trial_uniforms(seed: int, start: int, n: int, k: int, group: int = 1,
     per_row = width // _OUTPUTS_PER_BLOCK
     bg = np.random.Philox(key=np.uint64(seed))
     bg.advance(start * per_row)
-    gen = np.random.Generator(bg)
     if not skips_rows(k, group, tail):
-        u = gen.random(n * width).reshape(n, width)[:, :k]
+        u = bg.random_raw(n * width)
+        u >>= np.uint64(11)
+        u = u.reshape(n, width)[:, :k]
         return u if tail is None else (u[::group], u[:, k - tail:])
     # one leader row, then a jump over the rest of its group
-    rows = np.empty((-(-n // group), width))
+    rows = np.empty((-(-n // group), width), dtype=np.uint64)
     for row in rows:
-        gen.random(out=row)
+        np.right_shift(bg.random_raw(width), np.uint64(11), out=row)
         bg.advance((group - 1) * per_row)
     return rows[:, :k], _tail_uniforms(seed, start, n, k, tail)
 
 
+def thresholds(cdf: np.ndarray) -> np.ndarray:
+    """The uint64 thresholds ``ceil(c * 2**53)`` of the cdf entries ``c``, which
+    :func:`sample_categorical` compares with words; build them once per table."""
+    return np.ceil(cdf * 2.0**53).astype(np.uint64)
+
+
 def sample_categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Map uniforms to symbol indices through a cumulative mass vector.
+    """Map uniform words to symbol indices through the :func:`thresholds` of
+    a cumulative mass vector.
 
     ``cdf`` may be broadcast against ``u``: its last axis is the alphabet,
     the leading axes must match ``u``'s shape.  It must be nondecreasing
-    along that axis.  The index is the number of cdf entries ``<= u``,
-    clamped to the last symbol.  It comes back in the smallest unsigned
-    dtype that holds ``k - 1`` (one byte up to 256 symbols), so a caller
-    doing arithmetic on indices widens them first.
+    along that axis.  The index is the number of thresholds ``<= u``, that
+    is of cdf entries ``<= u * 2**-53``, clamped to the last symbol.  It
+    comes back in the smallest unsigned dtype that holds ``k - 1`` (one byte
+    up to 256 symbols), so a caller doing arithmetic on indices widens them
+    first.
     """
     k = cdf.shape[-1]
     dtype = np.min_scalar_type(k - 1)
@@ -171,9 +190,13 @@ def sample_categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     # one whole-array pass per column; a nondecreasing cdf makes the count
     # over the first k-1 columns equal to the clamped count over all k
     shape = np.broadcast_shapes(u.shape, cdf.shape[:-1])
-    idx = np.zeros(shape, dtype=dtype)
+    if k == 1:
+        return np.zeros(shape, dtype=dtype)
+    # the first pass casts its flags straight into the counter
+    idx = np.empty(shape, dtype=dtype)
+    np.greater_equal(u, cdf[..., 0], out=idx)
     hit = np.empty(shape, dtype=bool)
-    for j in range(k - 1):
+    for j in range(1, k - 1):
         np.greater_equal(u, cdf[..., j], out=hit)
         idx += hit
     return idx

@@ -12,8 +12,11 @@ checked against, and the gamma search that calls the remainder at every
 probe and builds a whole report at every breakpoint it walks.
 
 The scalar replay of the broadcast scheme is here too: one codebook, drawn
-as :func:`~oneshot.broadcast.simulate` draws it, the encoder and the two
-threshold decoders, one trial at a time.  So is the seven-variable
+from the trial's block of the seed's Philox stream as
+:func:`~oneshot.broadcast.simulate` reads it, the encoder and the two
+threshold decoders, one trial at a time.  It draws numpy's own doubles and
+samples by a float binary search on the float cdfs, so it shares neither
+the library's integer uniforms nor its sampler.  So is the seven-variable
 auxiliary-rate system whose projection is the closed form of
 :mod:`oneshot.regions`.
 """
@@ -23,7 +26,6 @@ import math
 
 import numpy as np
 
-from oneshot import broadcast, rng
 from oneshot.bounds import _GOLDEN, _bound_parts, _raw_sum
 from oneshot.broadcast import CLAUSES, BroadcastSystem, SchemeSizes, thresholds_for
 from oneshot.probability import (Joint, cond_info_density_table, cond_mutual_info,
@@ -191,15 +193,50 @@ def joint_cond_mutual_info(joint: Joint, given_axis: int) -> float:
     return float((arr[sup] * cond_info_density_table(Joint(arr))[sup]).sum())
 
 
+def trial_doubles(seed: int, trial: int, k: int) -> np.ndarray:
+    """The ``k`` uniforms of ``trial`` under ``seed`` as numpy's own doubles:
+    ``Generator(Philox(key=seed))`` advanced past the rows of the trials
+    before it, each ``k`` rounded up to whole Philox blocks of 4 outputs."""
+    bg = np.random.Philox(key=np.uint64(seed))
+    bg.advance(trial * -(-k // 4))
+    return np.random.Generator(bg).random(k)
+
+
+def categorical(cdf: np.ndarray, u) -> np.ndarray:
+    """The number of entries of the float ``cdf`` that are ``<= u``, clamped
+    to the last symbol: a float binary search."""
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
+def trial_budget(sizes: SchemeSizes, random_message: bool) -> int:
+    """Uniforms of a trial of :func:`~oneshot.broadcast.simulate`: the
+    codebook block, five message uniforms if the message is random, then
+    the channel uniform."""
+    return sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat) + 5 * random_message + 1
+
+
 def sample_codebook(system: BroadcastSystem, sizes: SchemeSizes, seed: int, trial: int = 0,
                     random_message: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The codebook :func:`~oneshot.broadcast.simulate` draws for ``trial``
     under ``seed`` and ``random_message``: the cloud words ``u`` (M,) and the
-    satellites ``s`` (M, N, Nhat) and ``t`` (M, L, Lhat)."""
-    u = rng.trial_uniforms(seed, trial, 1, broadcast._trial_budget(sizes, random_message))
-    u_cb, s_cb, t_cb = broadcast._codebooks_from_uniforms(
-        broadcast._Sampler(system), sizes, u[:, :broadcast._codebook_budget(sizes)])
-    return u_cb[0], s_cb[0], t_cb[0]
+    satellites ``s`` (M, N, Nhat) and ``t`` (M, L, Lhat), each codeword from
+    its own uniform, in that order, through the float cdfs of P_U and of the
+    rows of P_{S|U} and P_{T|U} (all zeros for a cloud symbol of no mass)."""
+    M, ns, nt = sizes.M, sizes.M * sizes.N * sizes.Nhat, sizes.M * sizes.L * sizes.Lhat
+    uni = trial_doubles(seed, trial, trial_budget(sizes, random_message))
+    p_ust = system.joint_ust.probs
+    p_u = p_ust.sum(axis=(1, 2))
+    u = categorical(np.cumsum(p_u), uni[:M])
+
+    def layer(p_ux, draws, shape):
+        rows = [np.cumsum(p_ux[w] / p_u[w]) if p_u[w] > 0 else np.zeros(p_ux.shape[1])
+                for w in u]
+        return np.array([categorical(r, d)
+                         for r, d in zip(rows, draws.reshape(M, -1))]).reshape(M, *shape)
+
+    s = layer(p_ust.sum(axis=2), uni[M:M + ns], (sizes.N, sizes.Nhat))
+    t = layer(p_ust.sum(axis=1), uni[M + ns:M + ns + nt], (sizes.L, sizes.Lhat))
+    return u, s, t
 
 
 def message_index(sizes: SchemeSizes, w0: int, w10: int, w20: int) -> int:
@@ -254,14 +291,13 @@ def replay(system: BroadcastSystem, sizes: SchemeSizes, gamma: float, zt: np.nda
     the codebook of trial ``leader`` and the message and channel uniforms
     at the end of the trial's own row."""
     cb = sample_codebook(system, sizes, seed, leader, random_message)
-    budget = sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat) + 1
-    uni = rng.trial_uniforms(seed, trial, 1, budget + (5 if random_message else 0))[0]
+    uni = trial_doubles(seed, trial, trial_budget(sizes, random_message))
     w0 = w10 = w20 = a = b = 0
     if random_message:
         radices = (sizes.M0, sizes.M10, sizes.M20, sizes.N, sizes.L)
         w0, w10, w20, a, b = (min(int(x * r), r - 1) for x, r in zip(uni[-6:-1], radices))
     _, _, x = encode(cb, system, sizes, zt, message_index(sizes, w0, w10, w20), a, b)
-    y = int(rng.sample_categorical(np.cumsum(system.channel.rows[x].reshape(-1)), uni[-1:])[0])
+    y = int(categorical(np.cumsum(system.channel.rows[x].reshape(-1)), uni[-1]))
     y1, y2 = divmod(y, system.channel.out_shape[1])
     return (decode(cb, system, sizes, gamma, y1, 1) != (w0, w10, w20, a),
             decode(cb, system, sizes, gamma, y2, 2) != (w0, w10, w20, b))

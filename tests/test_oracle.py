@@ -251,6 +251,26 @@ class TestBruteForce:
             assert exact_miss_prob_bruteforce(spec) == indices_bruteforce(spec), (j.probs, ev, M)
             n += 1
 
+    def test_equals_the_book_matrix_formula_where_powers_are_subnormal(self):
+        # the power is taken once per distinct miss mass; each L here puts
+        # one distinct miss mass's power among the subnormals, and every
+        # per-codebook power must keep its bits
+        rng = np.random.default_rng(4111)
+        subnormal = 0
+        while subnormal < 40:
+            j, ev = _varied_instance(rng)
+            M = int(rng.integers(1, 9))
+            if j.shape[0] ** M > 10**4:
+                continue
+            books = np.indices((len(ev),) * M).reshape(M, -1).T
+            miss = np.clip(1.0 - ev[books].any(axis=1) @ j.probs.sum(axis=0), 0.0, 1.0)
+            for m in np.unique(miss[(miss > 0.0) & (miss < 1.0)])[:3]:
+                L = int(np.ceil(720.0 / -np.log(m)))
+                power = miss ** L
+                subnormal += bool(((power > 0.0) & (power < np.finfo(float).tiny)).any())
+                spec = EnsembleSpec(j, ev, M, L)
+                assert exact_miss_prob_bruteforce(spec) == indices_bruteforce(spec), (j.probs, ev)
+
     def test_cap_counts_codebooks_and_draws(self):
         j = random_joint(np.random.default_rng(3), (10, 2))
         ev = np.eye(10, 2, dtype=bool)

@@ -12,21 +12,115 @@ from oneshot.oracle import EnsembleSpec, mc_miss_prob
 from conftest import binary_broadcast_system
 
 
-def reference_categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Broadcast-compare reference: count the cdf entries <= u, clamp."""
+#: one past the largest uniform word: a word ``w`` has the value ``w * 2**-53``
+WORDS = 2**53
+
+
+def reference_categorical(cdf: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Float broadcast-compare reference: count the cdf entries <= the
+    word's double ``w * 2**-53``, clamp."""
+    u = np.asarray(w) * 2.0**-53
     return np.minimum((u[..., None] >= cdf).sum(-1), cdf.shape[-1] - 1)
+
+
+def word_at(u) -> np.ndarray:
+    """The least word whose value is at least ``u`` (``u`` in [0, 1))."""
+    w = np.ceil(np.asarray(u, dtype=np.float64) * 2.0**53).astype(np.uint64)
+    assert (w < WORDS).all()
+    return w
+
+
+def random_words(gen: np.random.Generator, shape) -> np.ndarray:
+    return gen.integers(0, WORDS, size=shape, dtype=np.uint64)
 
 
 def random_cdfs(gen: np.random.Generator, rows: int, k: int) -> np.ndarray:
     return np.cumsum(gen.dirichlet(np.ones(k), size=rows), axis=1)
 
 
-def assert_matches_reference(cdf: np.ndarray, u: np.ndarray) -> None:
-    got = rng.sample_categorical(cdf, u)
-    want = reference_categorical(cdf, u)
+def sample(cdf: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The library draw: the cdf's thresholds against the words."""
+    return rng.sample_categorical(rng.thresholds(cdf), w)
+
+
+def edge_words(cdf: np.ndarray) -> np.ndarray:
+    """Per cdf entry ``c``, the words ``m - 1`` and ``m`` around its threshold
+    ``m = ceil(c * 2**53)`` (those below 2**53), then 0 and ``2**53 - 1``."""
+    m = np.ceil(np.asarray(cdf).ravel() * 2.0**53)
+    m = m[(m > 0) & (m < WORDS)].astype(np.uint64)
+    return np.concatenate([m - np.uint64(1), m, np.array([0, WORDS - 1], dtype=np.uint64)])
+
+
+def assert_matches_reference(cdf: np.ndarray, w: np.ndarray) -> None:
+    got = sample(cdf, w)
+    want = reference_categorical(cdf, w)
     assert got.dtype == np.min_scalar_type(cdf.shape[-1] - 1)
     assert got.shape == want.shape
     np.testing.assert_array_equal(got, want)
+
+
+class TestThresholds:
+    """A draw compares a word ``w`` with ``m = ceil(c * 2**53)``: ``w >= m``
+    exactly when the word's double ``w * 2**-53`` is at least ``c``."""
+
+    def test_threshold_is_the_least_word_at_or_above_the_entry(self):
+        gen = np.random.default_rng(21)
+        # doubles over the whole exponent range of [0, 1], subnormals included
+        c = np.concatenate([gen.random(2000) * 2.0 ** gen.integers(-1074, 1, 2000),
+                            [0.0, 5e-324, 2.0**-53, 2.0**-54, 3 * 2.0**-54, 0.5, 1.0,
+                             np.nextafter(1.0, 0.0), np.nextafter(0.5, 0.0)]])
+        m = rng.thresholds(c)
+        assert m.dtype == np.uint64
+        assert (m.astype(np.float64) * 2.0**-53 >= c).all()
+        above = m > 0
+        assert ((m[above] - np.uint64(1)).astype(np.float64) * 2.0**-53 < c[above]).all()
+        np.testing.assert_array_equal(m[c == 0.0], 0)
+        assert rng.thresholds(np.array([1.0]))[0] == WORDS
+
+    def test_zero_mass_tail_symbols_are_never_drawn(self):
+        # the cdf reaches 1.0 at symbol 1; symbols 2 and 3 have no mass
+        cdf = np.array([0.5, 1.0, 1.0, 1.0])
+        w = edge_words(cdf)
+        assert_matches_reference(cdf, w)
+        assert_matches_reference(np.tile(cdf, (len(w), 1)), w)
+        assert sample(cdf, w).max() == 1 and sample(cdf, np.array([WORDS - 1], np.uint64))[0] == 1
+
+    def test_cumsum_above_one_never_fires(self):
+        cdf = np.array([0.3, 0.7, np.nextafter(1.0, 2.0), 1.0 + 4 * 2.0**-52])
+        assert (rng.thresholds(cdf)[2:] > WORDS).all()
+        w = edge_words(cdf)
+        assert_matches_reference(cdf, w)
+        assert_matches_reference(np.tile(cdf, (len(w), 1)), w)
+        assert sample(cdf, np.array([WORDS - 1], np.uint64))[0] == 2
+
+    def test_masses_near_the_word_spacing_and_subnormal(self):
+        masses = np.array([5e-324, 2.0**-1060, 2.0**-60, 2.0**-54, 2.0**-53, 3 * 2.0**-53, 0.25])
+        cdf = np.cumsum(np.append(masses, 1.0 - masses.sum()))
+        w = np.concatenate([edge_words(cdf), np.arange(8, dtype=np.uint64)])
+        assert_matches_reference(cdf, w)
+        assert_matches_reference(np.tile(cdf, (len(w), 1)), w)
+        # word 0 stays below a subnormal entry; word 1, of value 2**-53, is past
+        # the four entries below it (the fourth is 2**-54 + 2**-60 and change)
+        np.testing.assert_array_equal(sample(cdf, np.array([0, 1], np.uint64)), [0, 4])
+
+    @pytest.mark.parametrize("k", [2, 5, rng.COMPARE_SYMBOLS, rng.COMPARE_SYMBOLS + 1, 100])
+    def test_words_at_each_threshold_and_the_last_word(self, k):
+        # both 1-D paths (compare passes, searchsorted) and the 2-D passes
+        cdf = random_cdfs(np.random.default_rng(40 + k), 1, k)[0]
+        w = edge_words(cdf)
+        assert_matches_reference(cdf, w)
+        assert_matches_reference(np.tile(cdf, (len(w), 1)), w)
+
+    @pytest.mark.parametrize("k", [257, 3600])
+    def test_wide_counters(self, k):
+        gen = np.random.default_rng(k)
+        cdf = random_cdfs(gen, 1, k)[0]
+        w = np.concatenate([edge_words(cdf)[::max(1, k // 64)], random_words(gen, 50),
+                            np.array([WORDS - 1], np.uint64)])
+        for c in (cdf, np.tile(cdf, (len(w), 1))):
+            got = sample(c, w)
+            assert got.dtype == np.uint16 and got.max() == k - 1
+            np.testing.assert_array_equal(got, reference_categorical(cdf, w))
 
 
 class TestSampleCategorical2D:
@@ -35,104 +129,111 @@ class TestSampleCategorical2D:
         gen = np.random.default_rng(1000 + k)
         cdfs = random_cdfs(gen, 5, k)
         rows = gen.integers(0, 5, size=(64, 3))
-        u = gen.random((64, 3, 4, 2))
-        assert_matches_reference(cdfs[rows][:, :, None, None, :], u)
+        w = random_words(gen, (64, 3, 4, 2))
+        assert_matches_reference(cdfs[rows][:, :, None, None, :], w)
 
     def test_one_row_per_uniform(self):
         # the channel draw: a (n, k) cdf against n uniforms
         gen = np.random.default_rng(7)
         cdf = random_cdfs(gen, 300, 6)
-        assert_matches_reference(cdf, gen.random(300))
+        assert_matches_reference(cdf, random_words(gen, 300))
 
     def test_tied_entries(self):
         # zero-mass symbols repeat a cdf entry; they can never be drawn
         cdf = np.array([[0.2, 0.2, 0.2, 0.7, 1.0], [0.0, 0.0, 0.5, 0.5, 1.0]])
-        u = np.array([[0.0, 0.1999, 0.2, 0.5, 0.7, 0.9999],
-                      [0.0, 0.2, 0.4999, 0.5, 0.75, 0.9999]])
-        assert_matches_reference(cdf[:, None, :], u)
-        got = rng.sample_categorical(cdf[:, None, :], u)
+        w = word_at([[0.0, 0.1999, 0.2, 0.5, 0.7, 0.9999],
+                     [0.0, 0.2, 0.4999, 0.5, 0.75, 0.9999]])
+        assert_matches_reference(cdf[:, None, :], w)
+        got = sample(cdf[:, None, :], w)
         np.testing.assert_array_equal(got, [[0, 0, 3, 3, 4, 4], [2, 2, 2, 4, 4, 4]])
 
     def test_uniform_equal_to_a_cdf_entry(self):
-        # u equal to an entry moves past that symbol (right-continuous cdf)
+        # a word at an entry moves past that symbol (right-continuous cdf),
+        # the word below it does not
         gen = np.random.default_rng(3)
         cdf = random_cdfs(gen, 4, 7)
-        u = np.repeat(cdf[:, :-1], 3, axis=1)
-        assert_matches_reference(cdf[:, None, :], u)
+        m = word_at(cdf[:, :-1])
+        w = np.repeat(m, 3, axis=1)
+        assert_matches_reference(cdf[:, None, :], w)
+        assert_matches_reference(cdf[:, None, :], m - np.uint64(1))
+        np.testing.assert_array_equal(sample(cdf[:, None, :], m), np.tile(np.arange(1, 7), (4, 1)))
 
     def test_last_entry_below_one(self):
         # rounding can leave the total mass short of 1; uniforms above it
         # clamp to the last symbol
         cdf = np.array([[0.3, 0.6, 0.9999999], [0.5, 0.75, 0.99]])
-        u = np.array([[0.99999995, 0.9999999, 0.5], [0.995, 0.99, 0.2]])
-        assert_matches_reference(cdf[:, None, :], u)
-        assert rng.sample_categorical(cdf[:, None, :], u)[0, 0] == 2
+        w = word_at([[0.99999995, 0.9999999, 0.5], [0.995, 0.99, 0.2]])
+        assert_matches_reference(cdf[:, None, :], w)
+        assert sample(cdf[:, None, :], w)[0, 0] == 2
+        assert (sample(cdf, np.full(2, WORDS - 1, np.uint64)) == 2).all()
 
     def test_zero_mass_row(self):
         # a conditional row of an impossible cloud symbol is all zeros
         cdf = np.zeros((2, 1, 3))
-        u = np.random.default_rng(5).random((2, 4))
-        assert_matches_reference(cdf, u)
+        assert_matches_reference(cdf, random_words(np.random.default_rng(5), (2, 4)))
 
     def test_empty_batch(self):
         cdf = np.zeros((0, 1, 4))
-        got = rng.sample_categorical(cdf, np.zeros((0, 3)))
+        got = sample(cdf, np.zeros((0, 3), dtype=np.uint64))
         assert got.shape == (0, 3) and got.dtype == np.uint8
 
     @pytest.mark.parametrize("k,dtype", [(256, np.uint8), (257, np.uint16)])
     def test_index_dtype_holds_the_last_symbol(self, k, dtype):
         gen = np.random.default_rng(k)
         cdf = random_cdfs(gen, 3, k)
-        u = np.concatenate([gen.random((3, 50)), np.ones((3, 1))], axis=1)
+        w = np.concatenate([random_words(gen, (3, 50)), np.full((3, 1), WORDS - 1, np.uint64)],
+                           axis=1)
         for c in (cdf[:, None, :], cdf[0]):
-            got = rng.sample_categorical(c, u if c.ndim > 1 else u[0])
+            got = sample(c, w if c.ndim > 1 else w[0])
             assert got.dtype == dtype and got.max() == k - 1
-        assert_matches_reference(cdf[:, None, :], u)
+        assert_matches_reference(cdf[:, None, :], w)
 
     def test_one_dimensional_path_agrees(self):
         gen = np.random.default_rng(11)
         cdf = random_cdfs(gen, 1, 9)[0]
-        u = gen.random(500)
-        np.testing.assert_array_equal(rng.sample_categorical(cdf, u),
-                                      rng.sample_categorical(np.tile(cdf, (500, 1)), u))
+        w = random_words(gen, 500)
+        np.testing.assert_array_equal(sample(cdf, w), sample(np.tile(cdf, (500, 1)), w))
 
 
 @pytest.mark.parametrize("k", [rng.COMPARE_SYMBOLS, rng.COMPARE_SYMBOLS + 1],
                          ids=["compare", "searchsorted"])
 class TestSampleCategorical1D:
     """A 1-D cdf takes the compare passes up to ``COMPARE_SYMBOLS`` symbols and
-    a binary search past them; both count the entries <= u, clamped."""
+    a binary search past them; both count the thresholds <= w, clamped."""
 
     def test_matches_reference(self, k):
         gen = np.random.default_rng(k)
         cdf = random_cdfs(gen, 1, k)[0]
-        assert_matches_reference(cdf, gen.random(2000))
-        assert_matches_reference(cdf, gen.random((30, 7))[:, ::2])
+        assert_matches_reference(cdf, random_words(gen, 2000))
+        assert_matches_reference(cdf, random_words(gen, (30, 7))[:, ::2])
 
     def test_tied_entries(self, k):
-        # every other symbol has zero mass; u on a tie moves past all of it
+        # every other symbol has zero mass; a word at a tie moves past all of it
         cdf = np.repeat(np.linspace(0.0, 1.0, (k + 1) // 2 + 1)[1:], 2)[:k]
-        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0]])
-        assert_matches_reference(cdf, u)
-        assert rng.sample_categorical(cdf, cdf[:1])[0] == 2
+        m = word_at(cdf[cdf < 1.0])
+        w = np.concatenate([m, m - np.uint64(1), [0, WORDS - 1]]).astype(np.uint64)
+        assert_matches_reference(cdf, w)
+        assert sample(cdf, m[:1])[0] == 2
 
     def test_uniform_equal_to_a_cdf_entry(self, k):
         cdf = random_cdfs(np.random.default_rng(5 + k), 1, k)[0]
-        got = rng.sample_categorical(cdf, cdf[:-1])
-        np.testing.assert_array_equal(got, np.arange(1, k))
-        assert_matches_reference(cdf, cdf)
+        m = word_at(cdf[:-1])
+        np.testing.assert_array_equal(sample(cdf, m), np.arange(1, k))
+        np.testing.assert_array_equal(sample(cdf, m - np.uint64(1)), np.arange(0, k - 1))
+        assert_matches_reference(cdf, np.concatenate([m, m - np.uint64(1)]))
 
     def test_last_entry_below_one(self, k):
         cdf = random_cdfs(np.random.default_rng(9 + k), 1, k)[0] * (1 - 1e-9)
-        u = np.array([cdf[-1], np.nextafter(cdf[-1], 1.0), 1 - 1e-12, 0.0])
-        assert_matches_reference(cdf, u)
-        assert (rng.sample_categorical(cdf, u)[:3] == k - 1).all()
+        last = word_at(cdf[-1:])[0]
+        w = np.array([last, last + 1, word_at(1 - 1e-12), WORDS - 1, 0], dtype=np.uint64)
+        assert_matches_reference(cdf, w)
+        assert (sample(cdf, w)[:4] == k - 1).all()
 
     def test_dtype_and_shape(self, k):
         cdf = random_cdfs(np.random.default_rng(k), 1, k)[0]
-        for u in (np.zeros(0), np.full((2, 3), 0.5), np.float64(0.25)):
-            got = rng.sample_categorical(cdf, u)
-            assert got.dtype == np.uint8 and got.shape == np.shape(u)
+        for w in (np.zeros(0, np.uint64), np.full((2, 3), 2**52, np.uint64), np.uint64(2**51)):
+            got = sample(cdf, w)
+            assert got.dtype == np.uint8 and got.shape == np.shape(w)
 
 
 class TestTrialUniforms:
@@ -180,6 +281,30 @@ class TestTrialUniforms:
             np.testing.assert_array_equal(tails, full[:, k - tail:])
         assert cut_short > 50 and 50 < skipped < 150
 
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_words_are_numpys_doubles_of_the_same_stream(self, seed):
+        # the contract every golden rests on: a word times 2**-53 is the double
+        # numpy's own Generator(Philox(key=seed)) draws at the trial's row
+        gen = np.random.default_rng(23)
+        skipped = 0
+        for _ in range(60):
+            k, group = int(gen.integers(1, 1200)), int(gen.integers(1, 7))
+            n, tail = int(gen.integers(0, 25)), int(gen.integers(1, min(k, 6) + 1))
+            start = group * int(gen.integers(0, 10**6))
+            skipped += rng.skips_rows(k, group, tail)
+            width = rng.row_width(k)
+            bg = np.random.Philox(key=np.uint64(seed))
+            bg.advance(start * width // 4)
+            want = np.random.Generator(bg).random(n * width).reshape(n, width)[:, :k]
+            full = rng.trial_uniforms(seed, start, n, k)
+            assert full.dtype == np.uint64 and (full < WORDS).all()
+            np.testing.assert_array_equal(full * 2.0**-53, want)
+            rows, tails = rng.trial_uniforms(seed, start, n, k, group, tail)
+            assert rows.dtype == tails.dtype == np.uint64
+            np.testing.assert_array_equal(rows * 2.0**-53, want[::group])
+            np.testing.assert_array_equal(tails * 2.0**-53, want[:, k - tail:])
+        assert 10 < skipped < 50
+
     def test_rows_are_skipped_from_a_fixed_span(self):
         assert not rng.skips_rows(2000, 1, 6) and not rng.skips_rows(2000, 4, None)
         assert rng.skips_rows(344, 4, 1) and not rng.skips_rows(340, 4, 1)
@@ -189,8 +314,10 @@ class TestTrialUniforms:
 class TestMonteCarlo:
     @pytest.mark.parametrize("max_trials,group,threads", [(8192, 1, 1), (4, 1, 2), (7, 3, 2)])
     def test_sum_does_not_depend_on_chunks_or_threads(self, max_trials, group, threads):
-        want = int((rng.trial_uniforms(42, 0, 23, 5) < 0.5).sum())
-        got = rng.monte_carlo(23, 42, 5, lambda u: int((u < 0.5).sum()),
+        # words below 2**52 are the uniforms below 1/2
+        want = int((rng.trial_uniforms(42, 0, 23, 5) < 2**52).sum())
+        assert 0 < want < 23 * 5
+        got = rng.monte_carlo(23, 42, 5, lambda u: int((u < 2**52).sum()),
                               max_trials=max_trials, group=group, threads=threads)
         assert got == want
 
