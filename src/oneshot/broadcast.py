@@ -398,22 +398,26 @@ def _trial_work_bytes(system: BroadcastSystem, sizes: SchemeSizes, reuse: int) -
     uniforms: its share of the group leader's codebooks (one byte an entry
     up to 256 symbols), then the larger of two phases that are never live
     at once.  The draw is its share of the leader's cdf rows and hits.  The
-    decoding is its share of the leader's symbol masks plus its own
-    cloud-wide head test (masks and an index per cloud, or past 64 symbols
-    a flat index per cloud and per satellite codeword, which the codeword
-    symbols it is summed from and the gathered test each overlap, see
-    :func:`_head_fires`), one cloud's inner test, the encoder's candidates
-    and their masses, a channel cdf row and index vectors."""
+    decoding is its share of the leader's symbol masks and cloud codewords
+    (``np.intp``, cloud-major), plus its own cloud-wide head test (masks and
+    a flat offset per cloud, or past 64 symbols a flat offset per cloud and
+    per satellite codeword, which the codeword symbols it is summed from and
+    the gathered test each overlap, see :func:`_head_fires`), one cloud's
+    inner test, the encoder's candidates and their masses, a channel cdf row
+    and index vectors.  Besides the draw's gather of cdf rows, which widens
+    the leader's cloud codewords to ``np.intp`` (counted with the rows),
+    every ``take`` of the kernel reads ``np.intp`` offsets, so none builds a
+    converted copy of its index array."""
     ku, ks, kt, ky1, ky2 = system.shape
     M, Nh, Lh = sizes.M, sizes.Nhat, sizes.Lhat
     cloud = max(sizes.N * Nh, sizes.L * Lh)  # satellite codewords per cloud
     index = np.min_scalar_type(max(ku, ks, kt) - 1).itemsize
-    draw, masks, head = 8 * M * (max(ks, kt) + 1) + M * cloud, 0, 0
+    draw, masks, head = 8 * M * (max(ks, kt) + 1) + M * cloud, 8 * M, 0
     for k in (ks, kt):
         if k <= 64:
             mask = np.min_scalar_type((1 << k) - 1).itemsize
-            masks = max(masks, mask * M * (cloud + 1))
-            head = max(head, M * (3 * mask + index + 2))
+            masks = max(masks, mask * M * (cloud + 2) + 8 * M)
+            head = max(head, M * (3 * mask + 9))
         else:
             head = max(head, M * ((8 + index) * cloud + 8))
     decoding = (-(-masks // reuse) + head + (index + 1) * cloud + index * (Nh + Lh)
@@ -433,44 +437,53 @@ def _run_work_bytes(system: BroadcastSystem) -> int:
 
 def _codebooks_from_uniforms(sampler: _Sampler, sizes: SchemeSizes,
                              u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The codebooks drawn from the leader rows ``u`` ``(G, width)``: the
+    cloud codewords ``(G, M)`` and the satellite codebooks codeword-major,
+    ``(N Nhat, G, M)`` and ``(L Lhat, G, M)``, codeword ``a Nhat + h`` of
+    cloud ``m`` of leader ``g`` at ``[a Nhat + h, g, m]``.  A row holds the
+    cloud words, then each cloud's ``N Nhat`` and ``L Lhat`` satellite words
+    in turn; the satellite draws compare a transposed view of those words
+    with the cdf rows of their clouds, gathered by ``take``."""
     n = u.shape[0]
-    M, N, Nh, L, Lh = sizes.M, sizes.N, sizes.Nhat, sizes.L, sizes.Lhat
-    col = 0
-    u_cb = rng.sample_categorical(sampler.cdf_u, u[:, col:col + M])
-    col += M
-    s_uni = u[:, col:col + M * N * Nh].reshape(n, M, N, Nh)
-    col += M * N * Nh
-    t_uni = u[:, col:col + M * L * Lh].reshape(n, M, L, Lh)
-    s_cb = rng.sample_categorical(sampler.cdf_s[u_cb][:, :, None, None, :], s_uni)
-    t_cb = rng.sample_categorical(sampler.cdf_t[u_cb][:, :, None, None, :], t_uni)
+    M, J1, J2 = sizes.M, sizes.Ntilde, sizes.Ltilde
+    u_cb = rng.sample_categorical(sampler.cdf_u, u[:, :M])
+    s_uni = u[:, M:M + M * J1].reshape(n, M, J1).transpose(2, 0, 1)
+    t_uni = u[:, M + M * J1:M + M * (J1 + J2)].reshape(n, M, J2).transpose(2, 0, 1)
+    s_cb = rng.sample_categorical(sampler.cdf_s.take(u_cb, axis=0), s_uni)
+    t_cb = rng.sample_categorical(sampler.cdf_t.take(u_cb, axis=0), t_uni)
     return u_cb, s_cb, t_cb
 
 
 def _head_fires(pass_head: np.ndarray, u_cb: np.ndarray, sat: np.ndarray, y: np.ndarray,
                 lead: np.ndarray) -> np.ndarray:
-    """Stage 1 of a decoder for each trial and cloud index: does some
-    satellite codeword of the cloud pass the head test at the trial's
+    """Stage 1 of a decoder, ``(M, n)``, for each cloud index and trial: does
+    some satellite codeword of the cloud pass the head test at the trial's
     output?  ``pass_head`` is the passing test over (u, s, y); ``u_cb``
-    ``(G, M)`` and ``sat`` ``(G, M, J, Jhat)`` are the group leaders'
-    codebooks; ``y`` (``np.intp``) and ``lead`` give each trial's output
-    and leader.
+    ``(G, M)`` and ``sat`` ``(J, G, M)`` are the group leaders' codebooks,
+    the satellites codeword-major (as from :func:`_codebooks_from_uniforms`);
+    ``y`` (``np.intp``) and ``lead`` give each trial's output and leader.
 
     Up to 64 satellite symbols, the symbols a cloud holds and the symbols
     passing at (u, y) are bit masks in the smallest unsigned dtype with a
-    bit per symbol, and the test is their AND; the leaders' masks serve
-    every trial of their group.  Wider alphabets read the test from a flat
-    (y, u, s) table."""
-    ku, ks, _ = pass_head.shape
+    bit per symbol, and the test is their AND; the leaders' masks, an OR
+    over the outer codeword axis, serve every trial of their group.  Wider
+    alphabets read the test from a flat (y, u, s) table.  Every gather is a
+    ``take``, of rows or at flat offsets."""
+    ku, ks, ky = pass_head.shape
+    # each trial's cloud codewords, turned into flat offsets in place
+    uy = np.ascontiguousarray(u_cb.T, dtype=np.intp).take(lead, axis=1)  # (M, n)
     if ks > 64:
-        flat = pass_head.transpose(2, 0, 1).reshape(-1)
-        base = (y[:, None] * ku + u_cb[lead]) * ks
-        return flat.take(base[:, :, None, None] + sat[lead]).any(axis=(2, 3))
+        uy += y * ku
+        uy *= ks
+        flat = pass_head.transpose(2, 0, 1).reshape(-1)  # (y, u, s)
+        return flat.take(uy + sat.take(lead, axis=1).transpose(0, 2, 1)).any(axis=0)
+    uy *= ky
+    uy += y
     dtype = np.min_scalar_type((1 << ks) - 1)
-    held = np.bitwise_or.reduce(np.left_shift(dtype.type(1), sat).reshape(*u_cb.shape, -1),
-                                axis=2)
+    held = np.bitwise_or.reduce(np.left_shift(dtype.type(1), sat), axis=0)
     passing = np.bitwise_or.reduce(
         pass_head.astype(dtype) << np.arange(ks, dtype=dtype)[:, None], axis=1)  # (u, y)
-    return (held[lead] & passing[u_cb[lead], y[:, None]]) != 0
+    return (held.T.take(lead, axis=1) & passing.take(uy)) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +533,13 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     message and channel uniforms at the end of their rows; every trial reads
     the same numbers as without reuse.  Trials run in chunks of whole reuse
     groups, sized by :func:`rng.monte_carlo`.
+
+    A chunk keeps its leaders' satellite codebooks codeword-major (see
+    :func:`_codebooks_from_uniforms`) and reads every table, codebooks
+    included, by ``take``: rows by index or entries at flat offsets, never
+    by numpy advanced indexing.  A trial passes stage 1 only where exactly
+    one cloud fires and it is the true one, so the decoded cloud is the true
+    cloud wherever stage 2 can matter, and stage 2 reads the true cloud.
     """
     if trials < 1:
         raise InputFormatError("trials must be >= 1")
@@ -538,8 +558,8 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     pass_head = {r: ~clauses[f"head{r}"] for r in (1, 2)}
     pass_inner = {r: (~clauses[f"inner{r}"]).transpose(0, 2, 1).reshape(-1) for r in (1, 2)}
     zflat = zeta_table(system, sizes, gamma).reshape(-1)
-    N, Nh, L, Lh = sizes.N, sizes.Nhat, sizes.L, sizes.Lhat
-    x_map = system.x_map
+    M, N, Nh, L, Lh = sizes.M, sizes.N, sizes.Nhat, sizes.L, sizes.Lhat
+    x_flat = system.x_map.reshape(-1)
     _, ks, kt, ky1, ky2 = system.shape
 
     def body(uniforms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -560,32 +580,36 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
         else:
             m_true = a = b = np.zeros(n, dtype=np.int64)  # read only
 
-        u_sel = u_cb[lead, m_true]
-        s_inner = s_cb[lead, m_true, a, :]      # (n, Nhat)
-        t_inner = t_cb[lead, m_true, b, :]      # (n, Lhat)
-        us = (u_sel.astype(np.intp) * ks)[:, None] + s_inner
+        # codeword (a Nhat + h) of cloud m of leader g sits at flat offset
+        # (a Nhat + h) G M + g M + m of a satellite codebook
+        gm = u_cb.size
+        cw = lead * M + m_true
+        u_sel = u_cb.take(cw).astype(np.intp)
+        s_inner = s_cb.take((a * (Nh * gm) + cw)[:, None] + np.arange(0, Nh * gm, gm))
+        t_inner = t_cb.take((b * (Lh * gm) + cw)[:, None] + np.arange(0, Lh * gm, gm))
+        us = (u_sel * ks)[:, None] + s_inner
         us *= kt
-        z = zflat.take(us[:, :, None] + t_inner[:, None, :])
-        flat = z.reshape(n, -1).argmin(axis=1)
-        ahat, bhat = flat // Lh, flat % Lh
-        x = x_map[u_sel, s_inner[rows, ahat], t_inner[rows, bhat]]
+        ust = (us[:, :, None] + t_inner[:, None, :]).reshape(n, -1)  # (n, Nhat Lhat)
+        flat = zflat.take(ust).argmin(axis=1)
+        x = x_flat.take(ust.take(rows * (Nh * Lh) + flat))
 
-        y_flat = rng.sample_categorical(sampler.cdf_chan[x], tails[:, -1]).astype(np.intp)
+        y_flat = rng.sample_categorical(sampler.cdf_chan.take(x, axis=0),
+                                        tails[:, -1]).astype(np.intp)
         y1, y2 = y_flat // ky2, y_flat % ky2
 
         def side(receiver, sat, y, truth_inner, cols, k, ky):
+            # exactly one cloud passing, the true one, leaves the decoded
+            # cloud equal to the true one, and the inner test runs on it; a
+            # trial that fails stage 1 errs whatever stage 2 reads
             fires = _head_fires(pass_head[receiver], u_cb, sat, y, lead)
-            cnt = fires.sum(axis=1)
-            m_hat = fires.argmax(axis=1)
-            ok_head = (cnt == 1) & (m_hat == m_true)
-            stage1_err = ~ok_head
-            sat_m = sat[lead, m_hat]
-            uy = (u_cb[lead, m_hat].astype(np.intp) * ky + y) * k
-            ivals = pass_inner[receiver].take(uy[:, None, None] + sat_m)
-            pcnt = ivals.reshape(n, -1).sum(axis=1)
-            inner_hat = ivals.reshape(n, -1).argmax(axis=1) // cols
-            ok = ok_head & (pcnt == 1) & (inner_hat == truth_inner)
-            return ~ok, stage1_err
+            ok_head = (fires.sum(axis=0) == 1) & fires.take(m_true * n + rows)
+            uy = (u_sel * ky + y) * k
+            # the true cloud's satellite codewords, (J, n) in (a, h) order:
+            # exactly one passing, in the true row a, decodes a
+            ivals = pass_inner[receiver].take(uy + sat.reshape(len(sat), -1).take(cw, axis=1))
+            in_row = np.logical_or.reduce(ivals.reshape(-1, cols, n), axis=1)
+            ok = ok_head & (ivals.sum(axis=0) == 1) & in_row.take(truth_inner * n + rows)
+            return ~ok, ~ok_head
 
         err1, s1err1 = side(1, s_cb, y1, a, Nh, ks, ky1)
         err2, s1err2 = side(2, t_cb, y2, b, Lh, kt, ky2)
@@ -619,7 +643,7 @@ def mc_event_union(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
 
     def body(u: np.ndarray) -> float:
         ust = rng.sample_categorical(cdf_ust, u[:, 0]).astype(np.intp)
-        y = rng.sample_categorical(cdf_chan[x_flat[ust]], u[:, 1])
+        y = rng.sample_categorical(cdf_chan.take(x_flat.take(ust), axis=0), u[:, 1])
         hit = cross.take(ust)
         hit |= bad1.take(row1.take(ust) + y // ky2)
         hit |= bad2.take(row2.take(ust) + y % ky2)

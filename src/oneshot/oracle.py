@@ -319,20 +319,24 @@ def mc_conditional_miss_prob(
     cdf_s = rng.thresholds(np.cumsum(st.sum(axis=2), axis=1))
     cdf_t = rng.thresholds(np.cumsum(st.sum(axis=1), axis=1))
     _, ks, kt = event3.shape
-    packed = _pack(event3)
+    packed = _pack(event3).reshape(-1, -(-kt // 8))
 
     def body(u: np.ndarray) -> float:
         us = rng.sample_categorical(cdf_u, u[:, 0])
-        ss = rng.sample_categorical(cdf_s[us][:, None, :], u[:, 1 : 1 + M])
-        ts = rng.sample_categorical(cdf_t[us][:, None, :], u[:, 1 + M :])
-        return float((~_hits(packed[us[:, None], ss], ts, kt)).sum())
+        ss = rng.sample_categorical(cdf_s.take(us, axis=0)[:, None, :], u[:, 1 : 1 + M])
+        ts = rng.sample_categorical(cdf_t.take(us, axis=0)[:, None, :], u[:, 1 + M :])
+        # the drawn rows of the event, at flat offset u |S| + s
+        rows = packed.take((us.astype(np.intp) * ks)[:, None] + ss, axis=0)
+        return float((~_hits(rows, ts, kt)).sum())
 
-    # per trial besides its uniform row: the drawn indices, then the larger
-    # of one codebook's draw (its conditional cdf row and a flag per draw)
-    # and the hit test (see _hit_bytes)
+    # per trial besides its uniform row: the drawn indices, then the largest
+    # of one codebook's draw (its conditional cdf row and a flag per draw),
+    # the gather of its rows (a flat offset and a packed row per draw) and
+    # the hit test (see _hit_bytes)
     index = np.min_scalar_type(max(event3.shape) - 1).itemsize
-    work = index * (1 + M + L) + max(8 * max(ks, kt) + max(M, L),
-                                     _hit_bytes(packed.shape[-1], M, L, kt))
+    width = packed.shape[-1]
+    work = index * (1 + M + L) + max(8 * max(ks, kt) + max(M, L), (8 + width) * M,
+                                     _hit_bytes(width, M, L, kt))
     total = rng.monte_carlo(trials, seed, 1 + M + L, body, work_bytes=work, threads=threads)
     return rng.estimate(total, trials, seed)
 

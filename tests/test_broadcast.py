@@ -508,9 +508,12 @@ def assert_replays_pointwise(system: BroadcastSystem, sizes: SchemeSizes, gamma:
     zt = zeta_table(system, sizes, gamma)
     cb_budget = sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat)
     outcomes = set()
+    # under at least one message law, trial rows of a bare codebook block
+    # would start elsewhere (18 codebook words pad to 20 words, as do the 19
+    # words of a trial with a fixed message)
+    assert any(rngmod.row_width(cb_budget) != rngmod.row_width(cb_budget + 1 + 5 * random_message)
+               for random_message in (False, True))
     for random_message in (False, True):
-        # trial rows of a bare codebook block would start elsewhere
-        assert rngmod.row_width(cb_budget) != rngmod.row_width(cb_budget + 1 + 5 * random_message)
         for seed in seeds:
             done = [(0, 0)]
             for n in range(1, trials + 1):
@@ -572,9 +575,15 @@ class TestSimulate:
         assert {(1, True), (1, False)} <= outcomes or {(2, True), (2, False)} <= outcomes
 
     @pytest.mark.parametrize("sizes", [SchemeSizes(1, 1, 1, 1, 2, 3, 2),
-                                       SchemeSizes(2, 1, 1, 1, 1, 1, 2)])
+                                       SchemeSizes(2, 1, 1, 1, 1, 1, 2),
+                                       SchemeSizes(2, 1, 1, 2, 2, 2, 2)])
     def test_matches_pointwise_replay_reused_codebook(self, asym_ext_system, sizes):
-        assert_replays_pointwise(asym_ext_system, sizes, 0.07, reuse=3, seeds=range(25))
+        # the last sizes have two clouds and two rows of satellites on each
+        # side, so a cloud offset read as a row offset (or the reverse)
+        # changes the codewords the encoder and both decoders read.  Stage 1
+        # succeeds in about 3 % of their trials; 40 seeds let such a mix-up
+        # in the encoder flip an outcome (it first does at seed 30)
+        assert_replays_pointwise(asym_ext_system, sizes, 0.07, reuse=3, seeds=range(40))
 
     @pytest.mark.parametrize("reuse", [1, 3])
     def test_wide_satellite_alphabet_matches_pointwise_replay(self, reuse):
@@ -769,20 +778,24 @@ class TestHeadMasks:
     @pytest.mark.parametrize("ks,kt", [(1, 2), (2, 1), (8, 9), (9, 8), (64, 65), (65, 64)])
     @pytest.mark.parametrize("reuse", [1, 3])
     def test_matches_the_three_index_gather(self, ks, kt, reuse):
+        # the kernel reads codeword-major codebooks (J, G, M) and returns the
+        # test cloud-major (M, n); the reference gathers the (G, M, N, Nhat)
+        # layout by three index arrays
         gen = np.random.default_rng(100 * ks + kt + reuse)
         ku, ky, M, n = 3, 5, 6, 14  # 14 trials: the last group of 3 is cut short
         lead = np.arange(n) // reuse
         u_cb = gen.integers(0, ku, (lead[-1] + 1, M)).astype(np.uint8)
         y = gen.integers(0, ky, n)
-        for k, shape in ((ks, (2, 3)), (kt, (3, 1))):
+        for k, shape in ((ks, (2, 3)), (kt, (3, 1)), (kt, (4, 8))):
             sat = gen.integers(0, k, (lead[-1] + 1, M, *shape)).astype(np.min_scalar_type(k - 1))
+            sat_major = np.ascontiguousarray(sat.reshape(lead[-1] + 1, M, -1).transpose(2, 0, 1))
             for density in (0.05, 0.5):
                 pass_head = gen.random((ku, k, ky)) < density
                 want = pass_head[u_cb[lead][:, :, None, None], sat[lead],
                                  y[:, None, None, None]].any(axis=(2, 3))
-                got = broadcast._head_fires(pass_head, u_cb, sat, y, lead)
+                got = broadcast._head_fires(pass_head, u_cb, sat_major, y, lead)
                 assert got.dtype == bool
-                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(got, want.T)
 
 
 class TestEventUnionCrosscheck:
