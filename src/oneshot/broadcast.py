@@ -388,8 +388,9 @@ def _codebook_budget(sizes: SchemeSizes) -> int:
 
 
 def _trial_budget(sizes: SchemeSizes, random_message: bool) -> int:
-    """Uniforms per :func:`simulate` trial: the codebook block, five
-    message uniforms if the message is random, then the channel uniform."""
+    """Uniforms per :func:`simulate` trial: the codebook block, then, in
+    the tail read from the child stream, five message uniforms if the
+    message is random and the channel uniform."""
     return _codebook_budget(sizes) + (5 if random_message else 0) + 1
 
 
@@ -529,10 +530,11 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     ``reuse_codebook=k`` shares one codebook across groups of ``k``
     consecutive trials, drawn only by the group's first trial; the
     reported standard error then underestimates the ensemble variance.
-    Where :func:`rng.skips_rows`, the other trials generate only the
-    message and channel uniforms at the end of their rows; every trial reads
-    the same numbers as without reuse.  Trials run in chunks of whole reuse
-    groups, sized by :func:`rng.monte_carlo`.
+    A trial's codebook uniforms come from the seed's stream and its message
+    and channel uniforms from the stream's first child (see :mod:`rng`), so
+    the other trials of a group read only the child stream, and every trial
+    reads the same numbers as without reuse.  Trials run in chunks of whole
+    reuse groups, sized by :func:`rng.monte_carlo`.
 
     A chunk keeps its leaders' satellite codebooks codeword-major (see
     :func:`_codebooks_from_uniforms`) and reads every table, codebooks
@@ -568,7 +570,7 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
         # trial's tail holds its message and channel uniforms
         lead_uni, tails = uniforms
         n = tails.shape[0]
-        u_cb, s_cb, t_cb = _codebooks_from_uniforms(sampler, sizes, lead_uni[:, :cb_width])
+        u_cb, s_cb, t_cb = _codebooks_from_uniforms(sampler, sizes, lead_uni)
         rows = np.arange(n)
         lead = rows // reuse_codebook
         if random_message:

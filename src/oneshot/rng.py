@@ -1,24 +1,28 @@
-"""Counter-based uniform streams for reproducible Monte Carlo.
+"""Seekable uniform streams for reproducible Monte Carlo.
 
-Every trial owns a fixed budget of ``k`` uniforms carved out of a single
-Philox stream keyed by the seed.  Trial ``i`` occupies the counter blocks
-``[i*ceil(k/4), (i+1)*ceil(k/4))`` (Philox emits 4 uint64 per counter
-step), so the numbers a trial sees depend only on ``(seed, i, k)`` --
-never on chunk sizes, thread counts, or scheduling.
+Every trial owns a fixed budget of ``k`` uniforms: trial ``i`` reads the
+words ``[i*k, (i+1)*k)`` of the seed's ``PCG64DXSM`` stream, which a chunk
+of trials reaches by one ``advance``.  So the numbers a trial sees depend
+only on ``(seed, i, k)`` -- never on chunk sizes, thread counts, or
+scheduling.
 
 A uniform is kept as its 53-bit integer word ``w = raw >> 11``, whose
 value ``w * 2**-53`` is bit for bit the double that numpy's
-``Generator(Philox(key=seed)).random()`` makes from the same output.  A
+``Generator(PCG64DXSM(seed)).random()`` makes from the same output.  A
 draw only ever compares a uniform with a cdf entry ``c``, and
 :func:`thresholds` turns ``c`` into the integer ``ceil(c * 2**53)``:
 ``w * 2**-53 >= c`` exactly when ``w >= ceil(c * 2**53)``, since
 ``c * 2**53`` is exact for every double ``c >= 0`` and ``w`` is an
 integer.  A threshold of ``2**53`` or more (a cumsum past 1) never fires.
 
-A counter-based stream can be read anywhere without its prefix.  When
-trials share a draw in groups (:func:`skips_rows`), only each group's
-leader generates its whole row; the other trials compute just the last few
-words they read, block by block (:func:`philox_blocks`).
+Trials that share a draw in groups read two streams.  The ``k - tail``
+words of the shared draw come from the seed's stream at
+``[i*(k-tail), (i+1)*(k-tail))``, and the last ``tail`` words of each trial
+from its first spawned child, ``PCG64DXSM(SeedSequence(seed).spawn(1)[0])``,
+at ``[i*tail, (i+1)*tail)``.  A chunk reads every tail with one call, and a
+trial's tail is the same whatever its group.  Where a group's other rows
+are long (:func:`skips_rows`), only each group's leader generates its row
+and the stream jumps over the rest.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .errors import EnumerationCapError, InputFormatError, count_text
-
-_OUTPUTS_PER_BLOCK = 4
 
 #: most trials per chunk, unless the chunk byte target binds first
 CHUNK_TRIALS = 8192
@@ -67,71 +69,18 @@ COMPARE_SYMBOLS = 16
 T = TypeVar("T")
 
 
-def row_width(k: int) -> int:
-    """Uniforms generated per trial for a budget of ``k``: whole Philox blocks."""
-    return -(-k // _OUTPUTS_PER_BLOCK) * _OUTPUTS_PER_BLOCK
-
-
-#: Philox4x64 round multipliers, as (2, 1) columns for words 0 and 2
-_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_MUL_LO, _PHILOX_MUL_HI = _PHILOX_MUL & np.uint64(0xFFFFFFFF), _PHILOX_MUL >> np.uint64(32)
-#: Weyl increments of the two key words between rounds
-_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-
-
-def philox_blocks(seed: int, blocks: np.ndarray) -> np.ndarray:
-    """The four uint64 outputs of each 0-based counter block of the seed's
-    stream, as ``(len(blocks), 4)``: Philox4x64-10 under key ``(seed, 0)``
-    at counter ``block + 1`` (the counter is incremented before each
-    block), as ``np.random.Philox(key=seed)`` emits them after
-    ``advance(block)``.  Blocks must be below ``2**64 - 1``.
-
-    The 64x64 -> 128-bit products are split into 32-bit halves, since
-    numpy has no wide multiply."""
-    low, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
-    x = np.zeros((4, len(blocks)), dtype=np.uint64)
-    x[0] = blocks
-    x[0] += np.uint64(1)
-    key = np.array([[seed], [0]], dtype=np.uint64)
-    for _ in range(10):
-        a = x[0::2]  # the multiplied words 0 and 2
-        a_lo, a_hi = a & low, a >> shift
-        cross1, cross2 = a_lo * _PHILOX_MUL_HI, a_hi * _PHILOX_MUL_LO
-        carry = (a_lo * _PHILOX_MUL_LO) >> shift
-        carry += cross1 & low
-        carry += cross2 & low
-        carry >>= shift
-        hi = a_hi * _PHILOX_MUL_HI
-        hi += cross1 >> shift
-        hi += cross2 >> shift
-        hi += carry
-        lo = a * _PHILOX_MUL
-        hi = hi[::-1]
-        hi ^= x[1::2]
-        hi ^= key
-        x[0::2] = hi
-        x[1::2] = lo[::-1]
-        key += _PHILOX_BUMP
-    return x.T
-
-
-def _tail_uniforms(seed: int, start: int, n: int, k: int, tail: int) -> np.ndarray:
-    """The last ``tail`` of the ``k`` uniforms of trials ``start .. start+n-1``,
-    computed from only the Philox blocks that hold them."""
-    per_row = row_width(k) // _OUTPUTS_PER_BLOCK
-    first, last = (k - tail) // _OUTPUTS_PER_BLOCK, (k - 1) // _OUTPUTS_PER_BLOCK
-    row_starts = (np.arange(start, start + n, dtype=np.uint64) * np.uint64(per_row))[:, None]
-    blocks = row_starts + np.arange(first, last + 1, dtype=np.uint64)
-    words = philox_blocks(seed, blocks.reshape(-1)).reshape(n, blocks.shape[1] * _OUTPUTS_PER_BLOCK)
-    skip = k - tail - first * _OUTPUTS_PER_BLOCK
-    return words[:, skip:skip + tail] >> np.uint64(11)
-
-
 def skips_rows(k: int, group: int, tail: int | None) -> bool:
     """Whether :func:`trial_uniforms` leaves the rows of non-leaders
     ungenerated: with a ``tail``, once a group's other rows hold at least
     ``SKIP_DOUBLES`` uniforms."""
-    return tail is not None and (group - 1) * row_width(k) >= SKIP_DOUBLES
+    return tail is not None and (group - 1) * (k - tail) >= SKIP_DOUBLES
+
+
+def _words(bits: np.random.PCG64DXSM, count: int) -> np.ndarray:
+    """The next ``count`` words of a stream, as 53-bit uniforms."""
+    words = bits.random_raw(count)
+    words >>= np.uint64(11)
+    return words
 
 
 def trial_uniforms(seed: int, start: int, n: int, k: int, group: int = 1,
@@ -141,28 +90,31 @@ def trial_uniforms(seed: int, start: int, n: int, k: int, group: int = 1,
 
     Returns an ``(n, k)`` array; row ``i`` is identical for every way of
     chunking the trial range.  With a ``tail`` width, returns the pair
-    ``(rows, tails)``: ``rows`` holds the whole rows of the group leaders
-    only (trials ``start``, ``start+group``, ...), and ``tails`` the last
-    ``tail`` words of every trial, ``(n, tail)``.  Where
-    :func:`skips_rows`, the other trials' rows are never generated.
+    ``(rows, tails)``: ``rows`` holds the ``k - tail`` words of the seed's
+    stream of the group leaders only (trials ``start``, ``start+group``,
+    ...), and ``tails`` the ``tail`` words of the child stream of every
+    trial, ``(n, tail)``.  Where :func:`skips_rows`, the other trials' rows
+    are never generated.
     """
     if n < 0 or k <= 0:
         raise ValueError("need n >= 0 and k > 0")
-    width = row_width(k)
-    per_row = width // _OUTPUTS_PER_BLOCK
-    bg = np.random.Philox(key=np.uint64(seed))
-    bg.advance(start * per_row)
+    width = k if tail is None else k - tail
+    bits = np.random.PCG64DXSM(seed)
+    bits.advance(start * width)
+    if tail is None:
+        return _words(bits, n * k).reshape(n, k)
     if not skips_rows(k, group, tail):
-        u = bg.random_raw(n * width)
-        u >>= np.uint64(11)
-        u = u.reshape(n, width)[:, :k]
-        return u if tail is None else (u[::group], u[:, k - tail:])
-    # one leader row, then a jump over the rest of its group
-    rows = np.empty((-(-n // group), width), dtype=np.uint64)
-    for row in rows:
-        np.right_shift(bg.random_raw(width), np.uint64(11), out=row)
-        bg.advance((group - 1) * per_row)
-    return rows[:, :k], _tail_uniforms(seed, start, n, k, tail)
+        rows = _words(bits, n * width).reshape(n, width)[::group]
+    else:
+        # one leader row, then a jump over the rest of its group
+        rows = np.empty((-(-n // group), width), dtype=np.uint64)
+        for row in rows:
+            np.right_shift(bits.random_raw(width), np.uint64(11), out=row)
+            bits.advance((group - 1) * width)
+    # the state of SeedSequence(seed).spawn(1)[0], built without the parent
+    child = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(0,)))
+    child.advance(start * tail)
+    return rows, _words(child, n * tail).reshape(n, tail)
 
 
 def thresholds(cdf: np.ndarray) -> np.ndarray:
@@ -250,13 +202,10 @@ def run_trials(
 def uniform_bytes(k: int, group: int = 1, tail: int | None = None) -> int:
     """Bytes of uniforms one trial holds in :func:`monte_carlo`: its whole
     row or, where :func:`skips_rows`, its share of the leader's row plus its
-    own tail and the Philox words it is computed from."""
-    row = 8 * row_width(k)
+    own tail."""
     if not skips_rows(k, group, tail):
-        return row
-    blocks = (k - 1) // _OUTPUTS_PER_BLOCK - (k - tail) // _OUTPUTS_PER_BLOCK + 1
-    # the counters, state and temporaries of a Philox block: under 48 words
-    return -(-row // group) + 16 * tail + 8 * 48 * blocks
+        return 8 * k
+    return -(-8 * (k - tail) // group) + 8 * tail
 
 
 def monte_carlo(trials: int, seed: int, k: int, body: Callable[..., T], *,

@@ -12,11 +12,13 @@ checked against, and the gamma search that calls the remainder at every
 probe and builds a whole report at every breakpoint it walks.
 
 The scalar replay of the broadcast scheme is here too: one codebook, drawn
-from the trial's block of the seed's Philox stream as
-:func:`~oneshot.broadcast.simulate` reads it, the encoder and the two
-threshold decoders, one trial at a time.  It draws numpy's own doubles and
-samples by a float binary search on the float cdfs, so it shares neither
-the library's integer uniforms nor its sampler.  So is the seven-variable
+from the trial's block of the seed's PCG64DXSM stream as
+:func:`~oneshot.broadcast.simulate` reads it, the message and channel
+uniforms from the trial's block of the stream's first spawned child, the
+encoder and the two threshold decoders, one trial at a time.  It draws
+numpy's own doubles from fresh bit generators and samples by a float binary
+search on the float cdfs, so it shares neither the library's integer
+uniforms nor its sampler.  So is the seven-variable
 auxiliary-rate system whose projection is the closed form of
 :mod:`oneshot.regions`.
 """
@@ -193,13 +195,13 @@ def joint_cond_mutual_info(joint: Joint, given_axis: int) -> float:
     return float((arr[sup] * cond_info_density_table(Joint(arr))[sup]).sum())
 
 
-def trial_doubles(seed: int, trial: int, k: int) -> np.ndarray:
-    """The ``k`` uniforms of ``trial`` under ``seed`` as numpy's own doubles:
-    ``Generator(Philox(key=seed))`` advanced past the rows of the trials
-    before it, each ``k`` rounded up to whole Philox blocks of 4 outputs."""
-    bg = np.random.Philox(key=np.uint64(seed))
-    bg.advance(trial * -(-k // 4))
-    return np.random.Generator(bg).random(k)
+def stream_doubles(seed: int, first: int, k: int, child: bool = False) -> np.ndarray:
+    """``k`` of numpy's own doubles from position ``first`` of the seed's
+    stream, ``Generator(PCG64DXSM(seed))``, or with ``child`` of the stream
+    of ``SeedSequence(seed).spawn(1)[0]``, each from a fresh bit generator."""
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(seed).spawn(1)[0] if child else seed)
+    bits.advance(first)
+    return np.random.Generator(bits).random(k)
 
 
 def categorical(cdf: np.ndarray, u) -> np.ndarray:
@@ -208,22 +210,24 @@ def categorical(cdf: np.ndarray, u) -> np.ndarray:
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
-def trial_budget(sizes: SchemeSizes, random_message: bool) -> int:
-    """Uniforms of a trial of :func:`~oneshot.broadcast.simulate`: the
-    codebook block, five message uniforms if the message is random, then
-    the channel uniform."""
-    return sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat) + 5 * random_message + 1
+def codebook_budget(sizes: SchemeSizes) -> int:
+    """Uniforms of a codebook of :func:`~oneshot.broadcast.simulate`: the
+    cloud words, then each cloud's satellite words."""
+    return sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat)
 
 
 def sample_codebook(system: BroadcastSystem, sizes: SchemeSizes, seed: int, trial: int = 0,
-                    random_message: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    stride: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The codebook :func:`~oneshot.broadcast.simulate` draws for ``trial``
-    under ``seed`` and ``random_message``: the cloud words ``u`` (M,) and the
-    satellites ``s`` (M, N, Nhat) and ``t`` (M, L, Lhat), each codeword from
-    its own uniform, in that order, through the float cdfs of P_U and of the
-    rows of P_{S|U} and P_{T|U} (all zeros for a cloud symbol of no mass)."""
+    under ``seed``: the cloud words ``u`` (M,) and the satellites ``s``
+    (M, N, Nhat) and ``t`` (M, L, Lhat), each codeword from its own uniform,
+    in that order, through the float cdfs of P_U and of the rows of P_{S|U}
+    and P_{T|U} (all zeros for a cloud symbol of no mass).  Its uniforms
+    start at ``trial * stride`` of the seed's stream, by default at the
+    trial's block of :func:`codebook_budget` words."""
     M, ns, nt = sizes.M, sizes.M * sizes.N * sizes.Nhat, sizes.M * sizes.L * sizes.Lhat
-    uni = trial_doubles(seed, trial, trial_budget(sizes, random_message))
+    k = codebook_budget(sizes)
+    uni = stream_doubles(seed, trial * (k if stride is None else stride), k)
     p_ust = system.joint_ust.probs
     p_u = p_ust.sum(axis=(1, 2))
     u = categorical(np.cumsum(p_u), uni[:M])
@@ -288,14 +292,15 @@ def replay(system: BroadcastSystem, sizes: SchemeSizes, gamma: float, zt: np.nda
            trial: int, leader: int, random_message: bool) -> tuple[bool, bool]:
     """Whether each receiver errs in ``trial`` of
     :func:`~oneshot.broadcast.simulate`, replayed by the functions above on
-    the codebook of trial ``leader`` and the message and channel uniforms
-    at the end of the trial's own row."""
-    cb = sample_codebook(system, sizes, seed, leader, random_message)
-    uni = trial_doubles(seed, trial, trial_budget(sizes, random_message))
+    the codebook of trial ``leader`` and the trial's own message and
+    channel uniforms from the child stream."""
+    cb = sample_codebook(system, sizes, seed, leader)
+    tail = 5 * random_message + 1
+    uni = stream_doubles(seed, trial * tail, tail, child=True)
     w0 = w10 = w20 = a = b = 0
     if random_message:
         radices = (sizes.M0, sizes.M10, sizes.M20, sizes.N, sizes.L)
-        w0, w10, w20, a, b = (min(int(x * r), r - 1) for x, r in zip(uni[-6:-1], radices))
+        w0, w10, w20, a, b = (min(int(x * r), r - 1) for x, r in zip(uni[:-1], radices))
     _, _, x = encode(cb, system, sizes, zt, message_index(sizes, w0, w10, w20), a, b)
     y = int(categorical(np.cumsum(system.channel.rows[x].reshape(-1)), uni[-1]))
     y1, y2 = divmod(y, system.channel.out_shape[1])

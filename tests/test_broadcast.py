@@ -506,13 +506,17 @@ def assert_replays_pointwise(system: BroadcastSystem, sizes: SchemeSizes, gamma:
     through ``reference.replay``; per-trial errors are read off the running
     totals."""
     zt = zeta_table(system, sizes, gamma)
-    cb_budget = sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat)
+    cb_budget = reference.codebook_budget(sizes)
     outcomes = set()
-    # under at least one message law, trial rows of a bare codebook block
-    # would start elsewhere (18 codebook words pad to 20 words, as do the 19
-    # words of a trial with a fixed message)
-    assert any(rngmod.row_width(cb_budget) != rngmod.row_width(cb_budget + 1 + 5 * random_message)
-               for random_message in (False, True))
+    # a leader past trial 0 whose codebook read at the whole trial budget
+    # (the codebook and its 1 or 6 message and channel words) differs from
+    # the one at the codebook budget, under each message law: codebook
+    # words read at the wrong stride change what some replayed trial sees
+    for budget in (cb_budget + 1, cb_budget + 6):
+        assert any(any(not np.array_equal(a, b) for a, b in zip(
+            sample_codebook(system, sizes, seed, leader),
+            sample_codebook(system, sizes, seed, leader, stride=budget)))
+            for seed in seeds for leader in range(reuse, trials, reuse))
     for random_message in (False, True):
         for seed in seeds:
             done = [(0, 0)]
@@ -740,8 +744,9 @@ class TestChunking:
 
 
 #: sha256 of the outcomes in :class:`TestRecordedOutcomes`, recorded with the
-#: encoder's masses from :meth:`DensityTables.bad_mass`
-SIMULATE_DIGEST = "8fc8f1975a3469f337fa059d767020ece6efea1f06b69849ed2020e73c6a81a2"
+#: encoder's masses from :meth:`DensityTables.bad_mass` on the two PCG64DXSM
+#: streams of :mod:`oneshot.rng`
+SIMULATE_DIGEST = "d25af2e9290182e1c388ccbed35516426f2db57d5438951bdfd40e85f5a16054"
 
 
 class TestRecordedOutcomes:

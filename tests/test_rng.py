@@ -10,6 +10,7 @@ from oneshot.errors import EnumerationCapError, InputFormatError
 from oneshot.oracle import EnsembleSpec, mc_miss_prob
 
 from conftest import binary_broadcast_system
+from reference import stream_doubles
 
 
 #: one past the largest uniform word: a word ``w`` has the value ``w * 2**-53``
@@ -248,22 +249,15 @@ class TestTrialUniforms:
         whole = rng.trial_uniforms(9, 0, 40, 7)
         np.testing.assert_array_equal(rng.trial_uniforms(9, 13, 10, 7), whole[13:23])
 
-    def test_row_width_pads_to_whole_blocks(self):
-        assert [rng.row_width(k) for k in (1, 4, 5, 8, 9)] == [4, 4, 8, 8, 12]
-
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
     @pytest.mark.parametrize("first", [0, 7, 2**32 - 2, 2**32 + 5, 2**61 + 3])
-    def test_philox_blocks_match_numpy(self, seed, first):
-        # counters past 2**32 carry into the high half of the split multiply
-        bg = np.random.Philox(key=np.uint64(seed))
-        bg.advance(first)
-        want = bg.random_raw(4 * 9).reshape(9, 4)
-        got = rng.philox_blocks(seed, np.arange(first, first + 9, dtype=np.uint64))
-        assert got.dtype == np.uint64
-        np.testing.assert_array_equal(got, want)
-        # blocks need not be consecutive or sorted
-        pick = np.array([8, 0, 3, 3], dtype=np.uint64)
-        np.testing.assert_array_equal(rng.philox_blocks(seed, first + pick), want[pick.astype(int)])
+    def test_far_positions_match_numpy(self, seed, first):
+        # 9 words a trial put trials past 2**61 beyond 2**64 words into the
+        # stream, where the jump needs all 128 bits of the state
+        got = rng.trial_uniforms(seed, first, 3, 9)
+        assert got.dtype == np.uint64 and got.shape == (3, 9)
+        np.testing.assert_array_equal(got * 2.0**-53,
+                                      stream_doubles(seed, first * 9, 27).reshape(3, 9))
 
     def test_leader_rows_and_tails_are_slices_of_full_rows(self):
         gen = np.random.default_rng(17)
@@ -274,17 +268,19 @@ class TestTrialUniforms:
             start, seed = group * int(gen.integers(0, 10**6)), int(gen.integers(0, 2**63))
             cut_short += n % group != 0
             skipped += rng.skips_rows(k, group, tail)
-            full = rng.trial_uniforms(seed, start, n, k)
+            # every trial leads its own group of one, and its tail is the
+            # same whatever its group
+            all_rows, all_tails = rng.trial_uniforms(seed, start, n, k, 1, tail)
             rows, tails = rng.trial_uniforms(seed, start, n, k, group, tail)
-            assert rows.shape == (-(-n // group), k) and tails.shape == (n, tail)
-            np.testing.assert_array_equal(rows, full[::group])
-            np.testing.assert_array_equal(tails, full[:, k - tail:])
+            assert rows.shape == (-(-n // group), k - tail) and tails.shape == (n, tail)
+            np.testing.assert_array_equal(rows, all_rows[::group])
+            np.testing.assert_array_equal(tails, all_tails)
         assert cut_short > 50 and 50 < skipped < 150
 
     @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
     def test_words_are_numpys_doubles_of_the_same_stream(self, seed):
         # the contract every golden rests on: a word times 2**-53 is the double
-        # numpy's own Generator(Philox(key=seed)) draws at the trial's row
+        # numpy's own Generator(PCG64DXSM(seed)) draws at the trial's positions
         gen = np.random.default_rng(23)
         skipped = 0
         for _ in range(60):
@@ -292,23 +288,31 @@ class TestTrialUniforms:
             n, tail = int(gen.integers(0, 25)), int(gen.integers(1, min(k, 6) + 1))
             start = group * int(gen.integers(0, 10**6))
             skipped += rng.skips_rows(k, group, tail)
-            width = rng.row_width(k)
-            bg = np.random.Philox(key=np.uint64(seed))
-            bg.advance(start * width // 4)
-            want = np.random.Generator(bg).random(n * width).reshape(n, width)[:, :k]
             full = rng.trial_uniforms(seed, start, n, k)
             assert full.dtype == np.uint64 and (full < WORDS).all()
-            np.testing.assert_array_equal(full * 2.0**-53, want)
+            np.testing.assert_array_equal(full * 2.0**-53, stream_doubles(seed, start * k, n * k)
+                                          .reshape(n, k))
             rows, tails = rng.trial_uniforms(seed, start, n, k, group, tail)
             assert rows.dtype == tails.dtype == np.uint64
+            width = k - tail
+            want = stream_doubles(seed, start * width, n * width).reshape(n, width)
             np.testing.assert_array_equal(rows * 2.0**-53, want[::group])
-            np.testing.assert_array_equal(tails * 2.0**-53, want[:, k - tail:])
         assert 10 < skipped < 50
 
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_tails_are_numpys_doubles_of_the_child_stream(self, seed):
+        for start, n, tail in [(0, 5, 1), (12, 7, 6), (10**9 + 3, 4, 2)]:
+            _, tails = rng.trial_uniforms(seed, start, n, 40, 4, tail)
+            np.testing.assert_array_equal(tails * 2.0**-53,
+                                          stream_doubles(seed, start * tail, n * tail, child=True)
+                                          .reshape(n, tail))
+
     def test_rows_are_skipped_from_a_fixed_span(self):
+        # a group's other rows hold the k - tail words of its draw
         assert not rng.skips_rows(2000, 1, 6) and not rng.skips_rows(2000, 4, None)
         assert rng.skips_rows(344, 4, 1) and not rng.skips_rows(340, 4, 1)
-        assert rng.skips_rows(8, 129, 6) and not rng.skips_rows(8, 128, 6)
+        assert not rng.skips_rows(8, 129, 6) and not rng.skips_rows(8, 128, 6)
+        assert rng.skips_rows(8, 513, 6) and not rng.skips_rows(8, 512, 6)
 
 
 class TestMonteCarlo:
@@ -323,15 +327,16 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("k", [6, 600])
     def test_tail_bodies_see_leader_rows_and_every_tail(self, k):
-        # rows of 600 doubles are skipped in groups of 3, rows of 6 are not
+        # rows of 598 doubles are skipped in groups of 3, rows of 4 are not
         assert rng.skips_rows(k, 3, 2) == (k == 600)
         seen = []
         total = rng.monte_carlo(23, 9, k, lambda ut: seen.append(ut) or len(ut[1]),
                                 max_trials=7, group=3, tail=2)
         assert total == 23
-        full = rng.trial_uniforms(9, 0, 23, k)
-        np.testing.assert_array_equal(np.concatenate([r for r, _ in seen]), full[::3])
-        np.testing.assert_array_equal(np.concatenate([t for _, t in seen]), full[:, k - 2:])
+        rows = stream_doubles(9, 0, 23 * (k - 2)).reshape(23, k - 2)
+        tails = stream_doubles(9, 0, 46, child=True).reshape(23, 2)
+        np.testing.assert_array_equal(np.concatenate([r for r, _ in seen]) * 2.0**-53, rows[::3])
+        np.testing.assert_array_equal(np.concatenate([t for _, t in seen]) * 2.0**-53, tails)
 
     def test_chunks_hold_whole_groups(self):
         sizes = []
