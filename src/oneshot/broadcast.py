@@ -396,17 +396,17 @@ def _trial_budget(sizes: SchemeSizes, random_message: bool) -> int:
 
 def _trial_work_bytes(system: BroadcastSystem, sizes: SchemeSizes, reuse: int) -> int:
     """Bytes of work arrays a :func:`simulate` trial holds besides its
-    uniforms: its share of the group leader's codebooks (one byte an entry
+    uniforms: its share of its group's codebooks (one byte an entry
     up to 256 symbols), then the larger of two phases that are never live
-    at once.  The draw is its share of the leader's cdf rows and hits.  The
-    decoding is its share of the leader's symbol masks and cloud codewords
+    at once.  The draw is its share of its group's cdf rows and hits.  The
+    decoding is its share of its group's symbol masks and cloud codewords
     (``np.intp``, cloud-major), plus its own cloud-wide head test (masks and
     a flat offset per cloud, or past 64 symbols a flat offset per cloud and
     per satellite codeword, which the codeword symbols it is summed from and
     the gathered test each overlap, see :func:`_head_fires`), one cloud's
     inner test, the encoder's candidates and their masses, a channel cdf row
     and index vectors.  Besides the draw's gather of cdf rows, which widens
-    the leader's cloud codewords to ``np.intp`` (counted with the rows),
+    the group's cloud codewords to ``np.intp`` (counted with the rows),
     every ``take`` of the kernel reads ``np.intp`` offsets, so none builds a
     converted copy of its index array."""
     ku, ks, kt, ky1, ky2 = system.shape
@@ -438,18 +438,19 @@ def _run_work_bytes(system: BroadcastSystem) -> int:
 
 def _codebooks_from_uniforms(sampler: _Sampler, sizes: SchemeSizes,
                              u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The codebooks drawn from the leader rows ``u`` ``(G, width)``: the
+    """The codebooks drawn from the group rows ``u`` ``(G, width)``: the
     cloud codewords ``(G, M)`` and the satellite codebooks codeword-major,
     ``(N Nhat, G, M)`` and ``(L Lhat, G, M)``, codeword ``a Nhat + h`` of
-    cloud ``m`` of leader ``g`` at ``[a Nhat + h, g, m]``.  A row holds the
-    cloud words, then each cloud's ``N Nhat`` and ``L Lhat`` satellite words
-    in turn; the satellite draws compare a transposed view of those words
-    with the cdf rows of their clouds, gathered by ``take``."""
+    cloud ``m`` of group ``g`` at ``[a Nhat + h, g, m]``.  A row holds the
+    ``M`` cloud words, then receiver 1's satellite words codeword by
+    codeword, each codeword's ``M`` clouds together, then receiver 2's the
+    same way; so each satellite draw compares a contiguous run of ``M``
+    words with the cdf rows of the group's clouds, gathered by ``take``."""
     n = u.shape[0]
     M, J1, J2 = sizes.M, sizes.Ntilde, sizes.Ltilde
     u_cb = rng.sample_categorical(sampler.cdf_u, u[:, :M])
-    s_uni = u[:, M:M + M * J1].reshape(n, M, J1).transpose(2, 0, 1)
-    t_uni = u[:, M + M * J1:M + M * (J1 + J2)].reshape(n, M, J2).transpose(2, 0, 1)
+    s_uni = u[:, M:M + M * J1].reshape(n, J1, M).transpose(1, 0, 2)
+    t_uni = u[:, M + M * J1:M + M * (J1 + J2)].reshape(n, J2, M).transpose(1, 0, 2)
     s_cb = rng.sample_categorical(sampler.cdf_s.take(u_cb, axis=0), s_uni)
     t_cb = rng.sample_categorical(sampler.cdf_t.take(u_cb, axis=0), t_uni)
     return u_cb, s_cb, t_cb
@@ -460,13 +461,13 @@ def _head_fires(pass_head: np.ndarray, u_cb: np.ndarray, sat: np.ndarray, y: np.
     """Stage 1 of a decoder, ``(M, n)``, for each cloud index and trial: does
     some satellite codeword of the cloud pass the head test at the trial's
     output?  ``pass_head`` is the passing test over (u, s, y); ``u_cb``
-    ``(G, M)`` and ``sat`` ``(J, G, M)`` are the group leaders' codebooks,
+    ``(G, M)`` and ``sat`` ``(J, G, M)`` are the groups' codebooks,
     the satellites codeword-major (as from :func:`_codebooks_from_uniforms`);
-    ``y`` (``np.intp``) and ``lead`` give each trial's output and leader.
+    ``y`` (``np.intp``) and ``lead`` give each trial's output and group.
 
     Up to 64 satellite symbols, the symbols a cloud holds and the symbols
     passing at (u, y) are bit masks in the smallest unsigned dtype with a
-    bit per symbol, and the test is their AND; the leaders' masks, an OR
+    bit per symbol, and the test is their AND; the groups' masks, an OR
     over the outer codeword axis, serve every trial of their group.  Wider
     alphabets read the test from a flat (y, u, s) table.  Every gather is a
     ``take``, of rows or at flat offsets."""
@@ -528,15 +529,16 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     coordinate differs from the truth.
 
     ``reuse_codebook=k`` shares one codebook across groups of ``k``
-    consecutive trials, drawn only by the group's first trial; the
-    reported standard error then underestimates the ensemble variance.
-    A trial's codebook uniforms come from the seed's stream and its message
-    and channel uniforms from the stream's first child (see :mod:`rng`), so
-    the other trials of a group read only the child stream, and every trial
-    reads the same numbers as without reuse.  Trials run in chunks of whole
-    reuse groups, sized by :func:`rng.monte_carlo`.
+    consecutive trials; the reported standard error then underestimates
+    the ensemble variance.  Group ``g`` draws its codebook from block ``g``
+    of the seed's stream, and each trial its message and channel uniforms
+    from its own block of the stream's first child (see :mod:`rng`).  So
+    group ``g`` shares the codebook that trial ``g`` draws without reuse,
+    and every trial reads the message and channel it reads without reuse.
+    Trials run in chunks of whole reuse groups, sized by
+    :func:`rng.monte_carlo`.
 
-    A chunk keeps its leaders' satellite codebooks codeword-major (see
+    A chunk keeps its groups' satellite codebooks codeword-major (see
     :func:`_codebooks_from_uniforms`) and reads every table, codebooks
     included, by ``take``: rows by index or entries at flat offsets, never
     by numpy advanced indexing.  A trial passes stage 1 only where exactly
@@ -565,9 +567,9 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     _, ks, kt, ky1, ky2 = system.shape
 
     def body(uniforms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        # chunks start at group boundaries: the leaders' rows hold the
-        # codebooks, which every trial of the group then uses, and each
-        # trial's tail holds its message and channel uniforms
+        # chunks start at group boundaries: each group's row holds the
+        # codebook every trial of the group uses, and each trial's tail
+        # holds its message and channel uniforms
         lead_uni, tails = uniforms
         n = tails.shape[0]
         u_cb, s_cb, t_cb = _codebooks_from_uniforms(sampler, sizes, lead_uni)
@@ -582,7 +584,7 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
         else:
             m_true = a = b = np.zeros(n, dtype=np.int64)  # read only
 
-        # codeword (a Nhat + h) of cloud m of leader g sits at flat offset
+        # codeword (a Nhat + h) of cloud m of group g sits at flat offset
         # (a Nhat + h) G M + g M + m of a satellite codebook
         gm = u_cb.size
         cw = lead * M + m_true

@@ -15,14 +15,14 @@ draw only ever compares a uniform with a cdf entry ``c``, and
 ``c * 2**53`` is exact for every double ``c >= 0`` and ``w`` is an
 integer.  A threshold of ``2**53`` or more (a cumsum past 1) never fires.
 
-Trials that share a draw in groups read two streams.  The ``k - tail``
-words of the shared draw come from the seed's stream at
-``[i*(k-tail), (i+1)*(k-tail))``, and the last ``tail`` words of each trial
-from its first spawned child, ``PCG64DXSM(SeedSequence(seed).spawn(1)[0])``,
-at ``[i*tail, (i+1)*tail)``.  A chunk reads every tail with one call, and a
-trial's tail is the same whatever its group.  Where a group's other rows
-are long (:func:`skips_rows`), only each group's leader generates its row
-and the stream jumps over the rest.
+Trials that share a draw in groups of ``group`` read two streams.  The
+``c = k - tail`` words of group ``g``'s draw are words ``[g*c, (g+1)*c)``
+of the seed's stream, so a chunk, which starts at a group boundary, reads
+all its groups' draws with one ``advance`` and one call; and the last
+``tail`` words of trial ``i`` are words ``[i*tail, (i+1)*tail)`` of its
+first spawned child, ``PCG64DXSM(SeedSequence(seed).spawn(1)[0])``, also
+read with one call.  So group ``g`` draws what trial ``g`` draws in groups
+of one, and a trial's tail is the same whatever its group.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ from .errors import EnumerationCapError, InputFormatError, count_text
 CHUNK_TRIALS = 8192
 #: bytes of per-trial arrays a chunk of trials aims for: as many whole reuse
 #: groups as fit, or else one group.  On a 2-CPU Xeon (2 MiB of L2 per core),
-#: four interleaved 20-s runs of the benchmark's broadcast-sim workload per
-#: target read a median of 59.9 ops/s at 1 MiB, 65.3 at 2 MiB, 72.9 at 4 MiB,
-#: 72.1 at 8 MiB and 68.6 at 64 MiB: smaller chunks pay their fixed cost more
-#: often, and 8 MiB raised peak RSS from 63 to 66 MB for no speed
-#: (BENCH_chunk_target.json)
+#: three interleaved 20-s runs of the benchmark's broadcast-sim workload per
+#: target read a median of 144 ops/s at 1 MiB, 149 at 2 MiB, 155 at 4 MiB,
+#: 156 at 8 MiB and 129 at 64 MiB, the runs of one target up to 16 ops/s
+#: apart: below 4 MiB chunks pay their fixed cost more often, and 8 MiB
+#: raised peak RSS from 63 to 65 MB (64 MiB: 100 MB) for no speed
+#: (BENCH_codebook_blocks.json)
 CHUNK_TARGET = 4 * 2**20
 #: cap on the bytes of per-trial arrays one reuse group of trials holds (a
 #: chunk of one group may exceed the target up to it), and so on any chunk
@@ -55,9 +56,6 @@ TRIALS_CAP = 10**9
 #: cap on the worker threads of one Monte Carlo run; each holds one chunk at a
 #: time, of up to ``CHUNK_TARGET`` bytes or one reuse group of up to ``CHUNK_BYTES``
 THREADS_CAP = 64
-#: unread uniforms per group from which skipping them pays: below it, generating
-#: them costs less than a jump per leader plus the tails computed block by block
-SKIP_DOUBLES = 1024
 #: widest 1-D cdf that :func:`sample_categorical` maps by whole-array compare
 #: passes instead of a binary search.  The passes cost one sweep per symbol;
 #: on a 2-CPU Xeon, comparing uint64 words, they beat ``searchsorted`` up to
@@ -67,13 +65,6 @@ SKIP_DOUBLES = 1024
 COMPARE_SYMBOLS = 16
 
 T = TypeVar("T")
-
-
-def skips_rows(k: int, group: int, tail: int | None) -> bool:
-    """Whether :func:`trial_uniforms` leaves the rows of non-leaders
-    ungenerated: with a ``tail``, once a group's other rows hold at least
-    ``SKIP_DOUBLES`` uniforms."""
-    return tail is not None and (group - 1) * (k - tail) >= SKIP_DOUBLES
 
 
 def _words(bits: np.random.PCG64DXSM, count: int) -> np.ndarray:
@@ -91,26 +82,21 @@ def trial_uniforms(seed: int, start: int, n: int, k: int, group: int = 1,
     Returns an ``(n, k)`` array; row ``i`` is identical for every way of
     chunking the trial range.  With a ``tail`` width, returns the pair
     ``(rows, tails)``: ``rows`` holds the ``k - tail`` words of the seed's
-    stream of the group leaders only (trials ``start``, ``start+group``,
-    ...), and ``tails`` the ``tail`` words of the child stream of every
-    trial, ``(n, tail)``.  Where :func:`skips_rows`, the other trials' rows
-    are never generated.
+    stream of each group of ``group`` trials, ``(ceil(n / group), k - tail)``,
+    and ``tails`` the ``tail`` words of the child stream of every trial,
+    ``(n, tail)``.  ``start`` must be a multiple of ``group``.
     """
     if n < 0 or k <= 0:
         raise ValueError("need n >= 0 and k > 0")
-    width = k if tail is None else k - tail
+    if start % group:
+        raise ValueError(f"start {start} is not a multiple of the group of {group}")
     bits = np.random.PCG64DXSM(seed)
-    bits.advance(start * width)
     if tail is None:
+        bits.advance(start * k)
         return _words(bits, n * k).reshape(n, k)
-    if not skips_rows(k, group, tail):
-        rows = _words(bits, n * width).reshape(n, width)[::group]
-    else:
-        # one leader row, then a jump over the rest of its group
-        rows = np.empty((-(-n // group), width), dtype=np.uint64)
-        for row in rows:
-            np.right_shift(bits.random_raw(width), np.uint64(11), out=row)
-            bits.advance((group - 1) * width)
+    width, draws = k - tail, -(-n // group)
+    bits.advance(start // group * width)
+    rows = _words(bits, draws * width).reshape(draws, width)
     # the state of SeedSequence(seed).spawn(1)[0], built without the parent
     child = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(0,)))
     child.advance(start * tail)
@@ -201,9 +187,9 @@ def run_trials(
 
 def uniform_bytes(k: int, group: int = 1, tail: int | None = None) -> int:
     """Bytes of uniforms one trial holds in :func:`monte_carlo`: its whole
-    row or, where :func:`skips_rows`, its share of the leader's row plus its
-    own tail."""
-    if not skips_rows(k, group, tail):
+    row or, with a ``tail``, its share of its group's draw plus its own
+    tail."""
+    if tail is None:
         return 8 * k
     return -(-8 * (k - tail) // group) + 8 * tail
 
@@ -213,9 +199,9 @@ def monte_carlo(trials: int, seed: int, k: int, body: Callable[..., T], *,
                 group: int = 1, tail: int | None = None, threads: int = 1) -> T:
     """Sum (``+``), in chunk order, of ``body`` on the ``(n, k)`` uniforms of
     each chunk of trials, or with a ``tail`` width on the ``(rows, tails)``
-    pair of :func:`trial_uniforms`: whole rows only for the leaders of each
-    group of ``group`` trials.  A body returning lists, such as
-    :func:`exact_partials`, has them concatenated.  A trial holds its
+    pair of :func:`trial_uniforms`: one draw's row for each group of
+    ``group`` trials and a tail for each trial.  A body returning lists,
+    such as :func:`exact_partials`, has them concatenated.  A trial holds its
     :func:`uniform_bytes` plus ``work_bytes`` of work arrays, the run holds
     ``fixed_bytes`` through every chunk, and :func:`chunk_trials` sizes the
     chunks from those.  More than ``TRIALS_CAP`` trials raise

@@ -12,7 +12,7 @@ checked against, and the gamma search that calls the remainder at every
 probe and builds a whole report at every breakpoint it walks.
 
 The scalar replay of the broadcast scheme is here too: one codebook, drawn
-from the trial's block of the seed's PCG64DXSM stream as
+from its reuse group's block of the seed's PCG64DXSM stream as
 :func:`~oneshot.broadcast.simulate` reads it, the message and channel
 uniforms from the trial's block of the stream's first spawned child, the
 encoder and the two threshold decoders, one trial at a time.  It draws
@@ -216,18 +216,21 @@ def codebook_budget(sizes: SchemeSizes) -> int:
     return sizes.M * (1 + sizes.N * sizes.Nhat + sizes.L * sizes.Lhat)
 
 
-def sample_codebook(system: BroadcastSystem, sizes: SchemeSizes, seed: int, trial: int = 0,
+def sample_codebook(system: BroadcastSystem, sizes: SchemeSizes, seed: int, group: int = 0,
                     stride: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The codebook :func:`~oneshot.broadcast.simulate` draws for ``trial``
-    under ``seed``: the cloud words ``u`` (M,) and the satellites ``s``
-    (M, N, Nhat) and ``t`` (M, L, Lhat), each codeword from its own uniform,
-    in that order, through the float cdfs of P_U and of the rows of P_{S|U}
-    and P_{T|U} (all zeros for a cloud symbol of no mass).  Its uniforms
-    start at ``trial * stride`` of the seed's stream, by default at the
-    trial's block of :func:`codebook_budget` words."""
+    """The codebook :func:`~oneshot.broadcast.simulate` draws for reuse
+    group ``group`` (trial ``group`` without reuse) under ``seed``: the cloud
+    words ``u`` (M,) and the satellites ``s`` (M, N, Nhat) and ``t``
+    (M, L, Lhat), each codeword from its own uniform, through the float cdfs
+    of P_U and of the rows of P_{S|U} and P_{T|U} (all zeros for a cloud
+    symbol of no mass).  The uniforms are the M cloud words, then the
+    s-layer's words codeword by codeword (each codeword's M clouds
+    together), then the t-layer's.  They start at ``group * stride`` of the
+    seed's stream, by default at the group's block of
+    :func:`codebook_budget` words."""
     M, ns, nt = sizes.M, sizes.M * sizes.N * sizes.Nhat, sizes.M * sizes.L * sizes.Lhat
     k = codebook_budget(sizes)
-    uni = stream_doubles(seed, trial * (k if stride is None else stride), k)
+    uni = stream_doubles(seed, group * (k if stride is None else stride), k)
     p_ust = system.joint_ust.probs
     p_u = p_ust.sum(axis=(1, 2))
     u = categorical(np.cumsum(p_u), uni[:M])
@@ -236,7 +239,7 @@ def sample_codebook(system: BroadcastSystem, sizes: SchemeSizes, seed: int, tria
         rows = [np.cumsum(p_ux[w] / p_u[w]) if p_u[w] > 0 else np.zeros(p_ux.shape[1])
                 for w in u]
         return np.array([categorical(r, d)
-                         for r, d in zip(rows, draws.reshape(M, -1))]).reshape(M, *shape)
+                         for r, d in zip(rows, draws.reshape(-1, M).T)]).reshape(M, *shape)
 
     s = layer(p_ust.sum(axis=2), uni[M:M + ns], (sizes.N, sizes.Nhat))
     t = layer(p_ust.sum(axis=1), uni[M + ns:M + ns + nt], (sizes.L, sizes.Lhat))
@@ -289,12 +292,12 @@ def decode(cb, system: BroadcastSystem, sizes: SchemeSizes, gamma: float, y: int
 
 
 def replay(system: BroadcastSystem, sizes: SchemeSizes, gamma: float, zt: np.ndarray, seed: int,
-           trial: int, leader: int, random_message: bool) -> tuple[bool, bool]:
+           trial: int, group: int, random_message: bool) -> tuple[bool, bool]:
     """Whether each receiver errs in ``trial`` of
     :func:`~oneshot.broadcast.simulate`, replayed by the functions above on
-    the codebook of trial ``leader`` and the trial's own message and
+    the codebook of reuse group ``group`` and the trial's own message and
     channel uniforms from the child stream."""
-    cb = sample_codebook(system, sizes, seed, leader)
+    cb = sample_codebook(system, sizes, seed, group)
     tail = 5 * random_message + 1
     uni = stream_doubles(seed, trial * tail, tail, child=True)
     w0 = w10 = w20 = a = b = 0

@@ -501,22 +501,29 @@ class TestDecode:
 def assert_replays_pointwise(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
                              reuse: int, seeds, trials: int = 8) -> None:
     """With ``reuse_codebook=reuse`` every trial of :func:`simulate` must
-    replay exactly with the codebook of its group leader (trial
-    ``reuse * (i // reuse)``), its own message and its own channel uniform,
-    through ``reference.replay``; per-trial errors are read off the running
+    replay exactly with the codebook of its reuse group (group ``i //
+    reuse``), its own message and its own channel uniform, through
+    ``reference.replay``; per-trial errors are read off the running
     totals."""
     zt = zeta_table(system, sizes, gamma)
     cb_budget = reference.codebook_budget(sizes)
     outcomes = set()
-    # a leader past trial 0 whose codebook read at the whole trial budget
+    groups = range(1, -(-trials // reuse))
+
+    def differs(group, other, stride=None):
+        return any(any(not np.array_equal(a, b) for a, b in zip(
+            sample_codebook(system, sizes, seed, group),
+            sample_codebook(system, sizes, seed, other, stride))) for seed in seeds)
+
+    # a group past the first whose codebook read at the whole trial budget
     # (the codebook and its 1 or 6 message and channel words) differs from
-    # the one at the codebook budget, under each message law: codebook
-    # words read at the wrong stride change what some replayed trial sees
+    # the one at the codebook budget, under each message law, and with reuse
+    # one whose codebook differs from that of its first trial's block:
+    # codebook words read at the wrong stride or the wrong block change what
+    # some replayed trial sees
     for budget in (cb_budget + 1, cb_budget + 6):
-        assert any(any(not np.array_equal(a, b) for a, b in zip(
-            sample_codebook(system, sizes, seed, leader),
-            sample_codebook(system, sizes, seed, leader, stride=budget)))
-            for seed in seeds for leader in range(reuse, trials, reuse))
+        assert any(differs(g, g, budget) for g in groups)
+    assert reuse == 1 or any(differs(g, g * reuse) for g in groups)
     for random_message in (False, True):
         for seed in seeds:
             done = [(0, 0)]
@@ -525,8 +532,8 @@ def assert_replays_pointwise(system: BroadcastSystem, sizes: SchemeSizes, gamma:
                                random_message=random_message)
                 done.append((round(out.eps1_hat.mean * n), round(out.eps2_hat.mean * n)))
             for i in range(trials):
-                err1, err2 = reference.replay(system, sizes, gamma, zt, seed, i,
-                                              reuse * (i // reuse), random_message)
+                err1, err2 = reference.replay(system, sizes, gamma, zt, seed, i, i // reuse,
+                                              random_message)
                 outcomes.update({(1, err1), (2, err2)})
                 where = f"seed {seed} trial {i} random_message={random_message}"
                 assert done[i + 1][0] - done[i][0] == int(err1), f"{where} receiver 1"
@@ -562,7 +569,8 @@ class TestSimulate:
         out = simulate(asym_ext_system, sz, 0.05, trials=500, seed=9, random_message=True)
         assert 0.0 <= out.eps1_hat.mean <= 1.0
 
-    @pytest.mark.parametrize("sizes", [SIZES_A, SchemeSizes(1, 1, 1, 2, 2, 2, 2)])
+    @pytest.mark.parametrize("sizes", [SIZES_A, SchemeSizes(1, 1, 1, 2, 2, 2, 2),
+                                       SchemeSizes(2, 1, 1, 2, 2, 2, 2)])
     def test_matches_pointwise_replay(self, asym_ext_system, sizes):
         # the vectorized path must agree trial by trial with the one-shot
         # sample/encode/transmit/decode pipeline built from the point APIs
@@ -609,8 +617,8 @@ BINARY = binary_broadcast_system()
 
 def sim_row_bytes(sizes: SchemeSizes, extra: int, reuse: int, system=BINARY) -> int:
     """Bytes of one :func:`simulate` trial (on the binary system by default):
-    its uniforms (its share of the leader's row, codebook block plus
-    ``extra`` doubles, and its own last ``extra``) and its work arrays."""
+    its uniforms (its share of its group's codebook block, and its own
+    ``extra`` message and channel words) and its work arrays."""
     budget = broadcast._codebook_budget(sizes) + extra
     work = broadcast._trial_work_bytes(system, sizes, reuse)
     return rngmod.uniform_bytes(budget, reuse, extra) + work
@@ -745,8 +753,9 @@ class TestChunking:
 
 #: sha256 of the outcomes in :class:`TestRecordedOutcomes`, recorded with the
 #: encoder's masses from :meth:`DensityTables.bad_mass` on the two PCG64DXSM
-#: streams of :mod:`oneshot.rng`
-SIMULATE_DIGEST = "d25af2e9290182e1c388ccbed35516426f2db57d5438951bdfd40e85f5a16054"
+#: streams of :mod:`oneshot.rng`, each reuse group's codebook words a block of
+#: the seed's stream, codeword-major
+SIMULATE_DIGEST = "a65af00fb2cd91a4973c9bcd658eef5c30419f19910b52f3afbc46414ac68fb5"
 
 
 class TestRecordedOutcomes:

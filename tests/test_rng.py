@@ -260,59 +260,62 @@ class TestTrialUniforms:
                                       stream_doubles(seed, first * 9, 27).reshape(3, 9))
 
     def test_leader_rows_and_tails_are_slices_of_full_rows(self):
+        # group g's row is the row trial g reads in groups of one, at words
+        # [g c, (g + 1) c) of numpy's own stream; a trial's tail is the same
+        # whatever its group
         gen = np.random.default_rng(17)
-        cut_short, skipped = 0, 0
+        cut_short = 0
         for _ in range(200):
             k, group = int(gen.integers(1, 1200)), int(gen.integers(1, 7))
             n, tail = int(gen.integers(0, 25)), int(gen.integers(1, min(k, 6) + 1))
             start, seed = group * int(gen.integers(0, 10**6)), int(gen.integers(0, 2**63))
+            width, draws = k - tail, -(-n // group)
             cut_short += n % group != 0
-            skipped += rng.skips_rows(k, group, tail)
-            # every trial leads its own group of one, and its tail is the
-            # same whatever its group
-            all_rows, all_tails = rng.trial_uniforms(seed, start, n, k, 1, tail)
             rows, tails = rng.trial_uniforms(seed, start, n, k, group, tail)
-            assert rows.shape == (-(-n // group), k - tail) and tails.shape == (n, tail)
-            np.testing.assert_array_equal(rows, all_rows[::group])
+            assert rows.shape == (draws, width) and tails.shape == (n, tail)
+            ungrouped, _ = rng.trial_uniforms(seed, start // group, draws, k, 1, tail)
+            np.testing.assert_array_equal(rows, ungrouped)
+            _, all_tails = rng.trial_uniforms(seed, start, n, k, 1, tail)
             np.testing.assert_array_equal(tails, all_tails)
-        assert cut_short > 50 and 50 < skipped < 150
+            np.testing.assert_array_equal(rows * 2.0**-53, stream_doubles(
+                seed, start // group * width, draws * width).reshape(draws, width))
+        assert cut_short > 50
 
     @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
     def test_words_are_numpys_doubles_of_the_same_stream(self, seed):
         # the contract every golden rests on: a word times 2**-53 is the double
-        # numpy's own Generator(PCG64DXSM(seed)) draws at the trial's positions
+        # numpy's own Generator(PCG64DXSM(seed)) draws at the trial's positions,
+        # or with a tail at its group's; the last starts put groups past 2**61
+        # beyond 2**64 words into the stream
         gen = np.random.default_rng(23)
-        skipped = 0
-        for _ in range(60):
+        for case in range(60):
             k, group = int(gen.integers(1, 1200)), int(gen.integers(1, 7))
             n, tail = int(gen.integers(0, 25)), int(gen.integers(1, min(k, 6) + 1))
-            start = group * int(gen.integers(0, 10**6))
-            skipped += rng.skips_rows(k, group, tail)
+            start = group * (int(gen.integers(0, 10**6)) if case < 50 else 2**61 + 3)
             full = rng.trial_uniforms(seed, start, n, k)
             assert full.dtype == np.uint64 and (full < WORDS).all()
             np.testing.assert_array_equal(full * 2.0**-53, stream_doubles(seed, start * k, n * k)
                                           .reshape(n, k))
             rows, tails = rng.trial_uniforms(seed, start, n, k, group, tail)
             assert rows.dtype == tails.dtype == np.uint64
-            width = k - tail
-            want = stream_doubles(seed, start * width, n * width).reshape(n, width)
-            np.testing.assert_array_equal(rows * 2.0**-53, want[::group])
-        assert 10 < skipped < 50
+            width, draws = k - tail, -(-n // group)
+            want = stream_doubles(seed, start // group * width, draws * width)
+            np.testing.assert_array_equal(rows * 2.0**-53, want.reshape(draws, width))
 
     @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
     def test_tails_are_numpys_doubles_of_the_child_stream(self, seed):
-        for start, n, tail in [(0, 5, 1), (12, 7, 6), (10**9 + 3, 4, 2)]:
+        for start, n, tail in [(0, 5, 1), (12, 7, 6), (4 * (2**61 + 3), 4, 2)]:
             _, tails = rng.trial_uniforms(seed, start, n, 40, 4, tail)
             np.testing.assert_array_equal(tails * 2.0**-53,
                                           stream_doubles(seed, start * tail, n * tail, child=True)
                                           .reshape(n, tail))
 
-    def test_rows_are_skipped_from_a_fixed_span(self):
-        # a group's other rows hold the k - tail words of its draw
-        assert not rng.skips_rows(2000, 1, 6) and not rng.skips_rows(2000, 4, None)
-        assert rng.skips_rows(344, 4, 1) and not rng.skips_rows(340, 4, 1)
-        assert not rng.skips_rows(8, 129, 6) and not rng.skips_rows(8, 128, 6)
-        assert rng.skips_rows(8, 513, 6) and not rng.skips_rows(8, 512, 6)
+    @pytest.mark.parametrize("tail", [None, 2])
+    def test_start_inside_a_group_raises(self, tail):
+        for start in (1, 5, 2**61 + 3):
+            with pytest.raises(ValueError, match="not a multiple of the group of 4"):
+                rng.trial_uniforms(0, start, 8, 10, 4, tail)
+        rng.trial_uniforms(0, 8, 8, 10, 4, tail)
 
 
 class TestMonteCarlo:
@@ -327,15 +330,16 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("k", [6, 600])
     def test_tail_bodies_see_leader_rows_and_every_tail(self, k):
-        # rows of 598 doubles are skipped in groups of 3, rows of 4 are not
-        assert rng.skips_rows(k, 3, 2) == (k == 600)
+        # 23 trials in groups of 3 read the first 8 group rows, two in each
+        # chunk of up to 6 trials
         seen = []
         total = rng.monte_carlo(23, 9, k, lambda ut: seen.append(ut) or len(ut[1]),
                                 max_trials=7, group=3, tail=2)
         assert total == 23
-        rows = stream_doubles(9, 0, 23 * (k - 2)).reshape(23, k - 2)
+        assert [len(r) for r, _ in seen] == [2, 2, 2, 2]
+        rows = stream_doubles(9, 0, 8 * (k - 2)).reshape(8, k - 2)
         tails = stream_doubles(9, 0, 46, child=True).reshape(23, 2)
-        np.testing.assert_array_equal(np.concatenate([r for r, _ in seen]) * 2.0**-53, rows[::3])
+        np.testing.assert_array_equal(np.concatenate([r for r, _ in seen]) * 2.0**-53, rows)
         np.testing.assert_array_equal(np.concatenate([t for _, t in seen]) * 2.0**-53, tails)
 
     def test_chunks_hold_whole_groups(self):
