@@ -26,13 +26,13 @@ import numpy as np
 
 from . import rng
 from .bounds import BoundReport, GammaSteps, check_bound_args, covering_ratio, doubleexp
-from .errors import EnumerationCapError, InputFormatError
+from .errors import EnumerationCapError, InputFormatError, count_text
 from .probability import (Joint, Kernel, _iid_power, cond_info_density_table, input_array,
                           integral, log_ratio_table, product_extend)
 
 #: cap on the entries of the largest array a broadcast evaluation builds: a
-#: receiver marginal, the law of (u, s_r, x) it is read from, or an array of
-#: the bad-mass kernel
+#: receiver marginal, the law of (u, s_r, x) it is read from, an array of
+#: the bad-mass kernel or one of the exact oracle
 JOINT_CAP = 10**7
 
 
@@ -41,7 +41,8 @@ def _check_cap(what: str, *entries: int) -> None:
     ``JOINT_CAP`` entries is built; ``entries`` are the sizes of the arrays."""
     largest = max(entries)
     if largest > JOINT_CAP:
-        raise EnumerationCapError(f"{what} with {largest} entries exceeds the cap of {JOINT_CAP}")
+        raise EnumerationCapError(
+            f"{what} with {count_text(largest)} entries exceeds the cap of {JOINT_CAP}")
 
 
 @dataclass(frozen=True)
@@ -256,6 +257,9 @@ class DensityTables:
         self.p_u = self.p_ust.sum(axis=(1, 2))
         self.p_us = self.p_ust.sum(axis=2)
         self.p_ut = self.p_ust.sum(axis=1)
+        # the rows of P(s | u) and P(t | u), zeros at a cloud symbol of no mass
+        p_u = np.where(self.p_u > 0, self.p_u, 1.0)[:, None]
+        self.p_s_u, self.p_t_u = self.p_us / p_u, self.p_ut / p_u
         self.p_uy1 = self.p_usy1.sum(axis=1)
         self.p_uy2 = self.p_uty2.sum(axis=1)
         self.p_y1 = self.p_uy1.sum(axis=0)
@@ -374,11 +378,9 @@ class _Sampler:
 
     def __init__(self, system: BroadcastSystem):
         tables = system.tables
-        live = tables.p_u[:, None] > 0
-        p_u = np.where(live, tables.p_u[:, None], 1.0)
         self.cdf_u = rng.thresholds(np.cumsum(tables.p_u))
-        self.cdf_s = rng.thresholds(np.cumsum(np.where(live, tables.p_us / p_u, 0.0), axis=1))
-        self.cdf_t = rng.thresholds(np.cumsum(np.where(live, tables.p_ut / p_u, 0.0), axis=1))
+        self.cdf_s = rng.thresholds(np.cumsum(tables.p_s_u, axis=1))
+        self.cdf_t = rng.thresholds(np.cumsum(tables.p_t_u, axis=1))
         self.cdf_chan = rng.thresholds(
             np.cumsum(system.channel.rows.reshape(system.channel.n_inputs, -1), axis=1))
 
@@ -627,12 +629,60 @@ def simulate(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
     return SimOutcome(eps1, eps2, bound, trials, seed, stage1_eps1, stage1_eps2)
 
 
+def exact_errors(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> tuple[float, float]:
+    """The exact codebook-ensemble error of each receiver of :func:`simulate`.
+
+    Given the message, the sent cloud symbol u, the two sent rows and the
+    output y, the other clouds and rows are i.i.d. and unread by the encoder,
+    so receiver 1 decodes correctly with probability (1 - q(y))^(M-1) [one
+    sent-row inner pass] ((1 - p_I)^k - [no sent-row head pass] p_O^k): q is
+    the chance that another cloud fires, p_I that a codeword passes the inner
+    test, p_O that it passes neither, k = (N - 1) Nhat.  Receiver 2 mirrors
+    it, and the encoder takes the first row-major argmin of :func:`zeta_table`.
+    Each error sums non-negative terms P (1 - P(correct | .)), clamped to [0, 1]."""
+    tables, (ku, ks, kt, ky1, ky2) = system.tables, system.shape
+    Nh, Lh = sizes.Nhat, sizes.Lhat
+    # past 64 letters a row of two symbols or more is past the cap, so the
+    # count of sent rows never grows into a huge integer
+    r1, r2 = ks ** min(Nh, 64), kt ** min(Lh, 64)
+    _check_cap("exact oracle", ku * r1 * r2 * max(Nh * Lh, ky1, ky2), ku * r1 * Nh * ky1,
+               ku * r2 * Lh * ky2)
+    clauses = tables.clauses(thresholds_for(sizes, gamma))
+    srows, trows = (np.arange(k ** n)[:, None] // k ** np.arange(n - 1, -1, -1) % k
+                    for k, n in ((ks, Nh), (kt, Lh)))
+    # the flat (u, s, t) offsets of the candidate pairs, (u, s row, t row, Nhat Lhat)
+    ust = ((np.arange(ku)[:, None, None, None, None] * ks + srows[:, None, :, None]) * kt
+           + trows[:, None, :]).reshape(ku, r1, r2, -1)
+    pick = zeta_table(system, sizes, gamma).reshape(-1).take(ust).argmin(axis=3)[..., None]
+    x = system.x_map.reshape(-1).take(np.take_along_axis(ust, pick, 3)[..., 0])
+    weight = (tables.p_u[:, None, None] * tables.p_s_u[:, srows].prod(axis=2)[:, :, None]
+              * tables.p_t_u[:, trows].prod(axis=2)[:, None, :])
+
+    def power(p, e):  # a mass rounded past 1 is 1; past 2^1023 only p = 1 keeps any mass
+        return np.minimum(p, 1.0) ** float(min(e, 2**1023))
+
+    def error(r, sent, n, cols):
+        head, inner = ~clauses[f"head{r}"], ~clauses[f"inner{r}"]  # passing tests over (u, s, y)
+        # P(symbol | u) over (u, 1, s); times a mask over (u, s, y), a codeword's chance to hit it
+        p_sym = (tables.p_s_u, tables.p_t_u)[r - 1][:, None, :]
+        k = (n - 1) * cols  # the sent cloud's codewords outside the sent row
+        miss = power(tables.p_u @ power(p_sym @ ~head, n * cols)[:, 0], sizes.M - 1)
+        rest = (power(p_sym @ ~inner, k)
+                - ~head[:, sent].any(axis=2) * power(p_sym @ ~(inner | head), k))
+        correct = np.clip(miss * (inner[:, sent].sum(axis=2) == 1) * rest, 0.0, 1.0)
+        wrong = (system.channel.rows.sum(axis=3 - r).take(x, axis=0)
+                 * np.expand_dims(1.0 - correct, 3 - r)).sum(axis=3)
+        return min(float((weight * wrong).sum()), 1.0)
+
+    return error(1, srows, sizes.N, Nh), error(2, trows, sizes.L, Lh)
+
+
 def mc_event_union(system: BroadcastSystem, sizes: SchemeSizes, gamma: float,
                    trials: int, seed: int, threads: int = 1) -> rng.McEstimate:
     """Monte Carlo estimate of the five-event union probability under the
-    design joint (cross-check for the exact union term).  Each draw is
-    tested against the clause tables, at ``row1`` or ``row2``, the flat
-    offset of (u, s) or (u, t) in them, plus its output."""
+    design joint, a cross-check of the exact union term that no CLI path
+    calls.  Each draw is tested against the clause tables, at ``row1`` or
+    ``row2``, the flat offset of (u, s) or (u, t) in them, plus its output."""
     ku, ks, kt, ky1, ky2 = system.shape
     c = system.tables.clauses(thresholds_for(sizes, gamma))
     cross = c["cross"].reshape(-1)

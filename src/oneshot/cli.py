@@ -220,27 +220,40 @@ VERIFY_NEEDS = {
 
 
 def _verify_pipeline(args):
-    """Load the inputs of a verify kind other than broadcast; returns its
-    exact oracle, its Monte Carlo estimator (None for packing) and its
-    ``[(name, bound value)]``, each as a callable for :func:`_verify_rows`."""
+    """Load the inputs of a verify kind; returns its exact oracle and its
+    Monte Carlo estimator (None for packing), each giving ``[(row name,
+    value)]``, and its ``[(name, bound value)]``, each as a callable for
+    :func:`_verify_rows`."""
+    run = (args.trials, args.seed, args.threads)
+    if args.kind == "broadcast":
+        from . import broadcast
+
+        system, sizes, gamma = _load_system(args), _load_sizes(args), args.gamma
+
+        def simulated():
+            outcome = broadcast.simulate(system, sizes, gamma, *run)
+            return [("eps1_hat", outcome.eps1_hat), ("eps2_hat", outcome.eps2_hat)]
+
+        return (lambda: list(zip(("eps1", "eps2"), broadcast.exact_errors(system, sizes, gamma))),
+                simulated, lambda: [("broadcast", broadcast.broadcast_bound(
+                    system, sizes, gamma).clamped_value)])
     from . import bounds, oracle
 
     joint = _load_joint(args)
     M, L, gamma = args.M, args.L, args.gamma
-    run = (args.trials, args.seed, args.threads)
     if args.kind == "packing":
-        return (lambda: oracle.exact_packing_prob(joint, M, args.N, gamma), None,
+        return (lambda: [("exact", oracle.exact_packing_prob(joint, M, args.N, gamma))], None,
                 lambda: [("packing", bounds.packing_bound(gamma))])
     if args.kind == "resolvability":
         # compared raw: the 2/lam slack alone can exceed 1
-        return (lambda: oracle.resolvability_excess_exact(joint, M, args.lam),
-                lambda: oracle.mc_resolvability_excess(joint, M, args.lam, *run),
+        return (lambda: [("exact", oracle.resolvability_excess_exact(joint, M, args.lam))],
+                lambda: [("mc", oracle.mc_resolvability_excess(joint, M, args.lam, *run))],
                 lambda: [("resolvability",
                           bounds.resolvability_excess_bound(joint, M, args.lam).raw_value)])
     event = _load_event(args.event, joint.shape)
     if args.kind == "covering5":
-        return (lambda: oracle.exact_conditional_miss_prob(joint, event, M, L),
-                lambda: oracle.mc_conditional_miss_prob(joint, event, M, L, *run),
+        return (lambda: [("exact", oracle.exact_conditional_miss_prob(joint, event, M, L))],
+                lambda: [("mc", oracle.mc_conditional_miss_prob(joint, event, M, L, *run))],
                 lambda: [("covering5", bounds.conditional_covering_bound(
                     joint, event, M, L, gamma).clamped_value)])
     spec = oracle.EnsembleSpec(joint, event, M, L)
@@ -251,61 +264,37 @@ def _verify_pipeline(args):
         return [(kind, bounds.evaluate_bound(kind, instance, gamma).clamped_value)
                 for kind in ("covering1", "covering4", "covering7")]
 
-    return (lambda: oracle.exact_miss_prob(spec), lambda: oracle.mc_miss_prob(spec, *run),
-            bound_values)
+    return (lambda: [("exact", oracle.exact_miss_prob(spec))],
+            lambda: [("mc", oracle.mc_miss_prob(spec, *run))], bound_values)
 
 
 def _verify_rows(exact, mc, bound_values) -> list[dict]:
-    """Exact value, then Monte Carlo, then each bound flagged against the
-    reference: the exact value, else the MC mean minus 4 standard errors,
-    else nothing.  The bounds are evaluated first, so that a bad bound
-    parameter is refused before the oracles run."""
+    """The exact rows, then the Monte Carlo rows, then each bound flagged
+    against the reference: the largest exact value, else the largest MC
+    mean minus 4 standard errors, else nothing.  The bounds are evaluated
+    first, so that a bad bound parameter is refused before the oracles run."""
     evaluated = bound_values()
-    rows: list[dict] = []
-    ref = None
     try:
-        ref = exact()
-        rows.append({"name": "exact", "value": ref})
+        exact_rows = exact()
     except EnumerationCapError as exc:
         print(f"warning: exact value skipped: {exc}", file=sys.stderr)
-    if mc is not None:
-        est = mc()
-        rows.append({"name": "mc", "value": est.mean, "stderr": est.stderr, "trials": est.trials})
-        if ref is None:
-            ref = est.mean - 4.0 * est.stderr
+        exact_rows = []
+    rows = [{"name": name, "value": value} for name, value in exact_rows]
+    refs = [value for _, value in exact_rows]
+    for name, est in mc() if mc is not None else ():
+        rows.append({"name": name, "value": est.mean, "stderr": est.stderr, "trials": est.trials})
+        if not exact_rows:
+            refs.append(est.mean - 4.0 * est.stderr)
+    ref = max(refs, default=None)
     for name, value in evaluated:
         rows.append({"name": name, "value": value,
                      "violation": bool(ref is not None and ref > value + 1e-12)})
     return rows
 
 
-def _verify_rows_broadcast(args) -> list[dict]:
-    from . import broadcast
-
-    system = _load_system(args)
-    sizes = _load_sizes(args)
-    outcome = broadcast.simulate(system, sizes, args.gamma, args.trials, args.seed,
-                                 threads=args.threads)
-    union_mc = broadcast.mc_event_union(system, sizes, args.gamma, args.trials, args.seed,
-                                        threads=args.threads)
-    clamped, union = outcome.bound.clamped_value, outcome.bound.term("union")
-    worst = max(est.mean - 4 * est.stderr for est in (outcome.eps1_hat, outcome.eps2_hat))
-    return [
-        {"name": "eps1_hat", "value": outcome.eps1_hat.mean, "stderr": outcome.eps1_hat.stderr},
-        {"name": "eps2_hat", "value": outcome.eps2_hat.mean, "stderr": outcome.eps2_hat.stderr},
-        {"name": "broadcast", "value": clamped, "violation": bool(worst > clamped + 1e-12)},
-        {"name": "union_exact", "value": union},
-        {"name": "union_mc", "value": union_mc.mean, "stderr": union_mc.stderr,
-         "violation": bool(abs(union_mc.mean - union) > 4 * max(union_mc.stderr, 1e-12))},
-    ]
-
-
 def cmd_verify(args) -> int:
     _require(args, VERIFY_NEEDS[args.kind], args.kind)
-    if args.kind == "broadcast":
-        rows = _verify_rows_broadcast(args)
-    else:
-        rows = _verify_rows(*_verify_pipeline(args))
+    rows = _verify_rows(*_verify_pipeline(args))
     _write(args, {"kind": args.kind, "trials": args.trials, "rows": rows},
            ["name", "value", "stderr", "violation"],
            [[r["name"], r.get("value", ""), r.get("stderr", ""), r.get("violation", "")]

@@ -112,6 +112,14 @@ def noiseless_broadcast_system() -> BroadcastSystem:
     return BroadcastSystem.from_json(json.loads((CONFIGS / "broadcast_inside.json").read_text()))
 
 
+def blackwell_broadcast_system() -> BroadcastSystem:
+    """``configs/broadcast_blackwell.json``: the Blackwell channel, x in {0, 1,
+    2} with y1 = [x = 2] and y2 = [x >= 1], a constant cloud, s = y1 and
+    t = y2, uniform on the pairs 00, 01 and 11 (x is the pair's index; the
+    massless pair 10 sends x = 0)."""
+    return BroadcastSystem.from_json(json.loads((CONFIGS / "broadcast_blackwell.json").read_text()))
+
+
 @pytest.fixture(scope="session")
 def binary_system():
     return binary_broadcast_system()

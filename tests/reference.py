@@ -18,18 +18,21 @@ uniforms from the trial's block of the stream's first spawned child, the
 encoder and the two threshold decoders, one trial at a time.  It draws
 numpy's own doubles from fresh bit generators and samples by a float binary
 search on the float cdfs, so it shares neither the library's integer
-uniforms nor its sampler.  So is the seven-variable
+uniforms nor its sampler.  The brute force of each receiver's exact error
+over every whole codebook and output, built on the same encoder and
+decoders, is here too.  So is the seven-variable
 auxiliary-rate system whose projection is the closed form of
 :mod:`oneshot.regions`.
 """
 
 import bisect
+import itertools
 import math
 
 import numpy as np
 
 from oneshot.bounds import _GOLDEN, _bound_parts, _raw_sum
-from oneshot.broadcast import CLAUSES, BroadcastSystem, SchemeSizes, thresholds_for
+from oneshot.broadcast import CLAUSES, BroadcastSystem, SchemeSizes, thresholds_for, zeta_table
 from oneshot.probability import (Joint, cond_info_density_table, cond_mutual_info,
                                  info_density_table, log_ratio_table, mutual_info)
 from oneshot.regions import InfoVector
@@ -310,6 +313,40 @@ def replay(system: BroadcastSystem, sizes: SchemeSizes, gamma: float, zt: np.nda
     return (decode(cb, system, sizes, gamma, y1, 1) != (w0, w10, w20, a),
             decode(cb, system, sizes, gamma, y2, 2) != (w0, w10, w20, b))
 
+
+
+def exact_errors_bruteforce(system: BroadcastSystem, sizes: SchemeSizes,
+                            gamma: float) -> tuple[float, float]:
+    """Each receiver's error by raw enumeration of every whole codebook and
+    every output (cross-check for :func:`~oneshot.broadcast.exact_errors`).
+
+    Each codebook of positive probability is encoded by :func:`encode` at
+    the all-zeros message, with the library's
+    :func:`~oneshot.broadcast.zeta_table`, and decoded by :func:`decode` at
+    every output of each receiver's marginal channel row."""
+    p_ust = system.joint_ust.probs
+    p_u = p_ust.sum(axis=(1, 2))
+    ku, ks, kt, _, _ = system.shape
+    M, ns, nt = sizes.M, sizes.M * sizes.N * sizes.Nhat, sizes.M * sizes.L * sizes.Lhat
+    assert ku**M * ks**ns * kt**nt <= 10**4, "too many codebooks to enumerate"
+    live = np.where(p_u > 0, p_u, 1.0)[:, None]
+    p_s, p_t = p_ust.sum(axis=2) / live, p_ust.sum(axis=1) / live
+    rows = (system.channel.rows.sum(axis=2), system.channel.rows.sum(axis=1))
+    zt = zeta_table(system, sizes, gamma)
+    errors = [0.0, 0.0]
+    for book in itertools.product(*(range(k) for k in [ku] * M + [ks] * ns + [kt] * nt)):
+        u = np.array(book[:M])
+        s = np.array(book[M:M + ns]).reshape(M, sizes.N, sizes.Nhat)
+        t = np.array(book[M + ns:]).reshape(M, sizes.L, sizes.Lhat)
+        p = p_u[u].prod() * p_s[u[:, None, None], s].prod() * p_t[u[:, None, None], t].prod()
+        if p == 0.0:
+            continue
+        _, _, x = encode((u, s, t), system, sizes, zt, 0, 0, 0)
+        for r in (1, 2):
+            for y, w in enumerate(rows[r - 1][x]):
+                if w > 0.0 and decode((u, s, t), system, sizes, gamma, y, r) != (0, 0, 0, 0):
+                    errors[r - 1] += p * w
+    return errors[0], errors[1]
 
 #: the columns of :func:`auxiliary_system`, before its constant
 AUX_VARIABLES = ("R0", "R1", "R2", "R11", "R22", "Rh1", "Rh2")

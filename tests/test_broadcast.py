@@ -14,6 +14,7 @@ from oneshot.broadcast import (
     DensityTables,
     bound_terms,
     event_probabilities,
+    exact_errors,
     mc_event_union,
     product_extend_system,
     thresholds_for,
@@ -26,7 +27,8 @@ from oneshot.bounds import BoundReport, _unimodal_argmin, optimize_gamma
 
 import reference
 from reference import decode, encode, message_index, message_split, sample_codebook
-from conftest import asym_broadcast_system, binary_broadcast_system, dense_minimum, random_design
+from conftest import (asym_broadcast_system, binary_broadcast_system, blackwell_broadcast_system,
+                      dense_minimum, noiseless_broadcast_system, random_design)
 
 SIZES_A = SchemeSizes(1, 1, 1, 1, 1, 2, 2)
 SIZES_B = SchemeSizes(2, 2, 2, 2, 2, 2, 2)
@@ -610,6 +612,104 @@ class TestSimulate:
         stderr = max(out.eps1_hat.stderr, out.eps2_hat.stderr)
         assert worst <= out.bound.clamped_value + 4 * stderr
         assert 0.0 < out.eps1_hat.mean < 1.0
+
+
+BLACKWELL = blackwell_broadcast_system()
+#: the designs the exact oracle is checked on
+ORACLE_DESIGNS = {"blackwell": BLACKWELL, "blackwell2": product_extend_system(BLACKWELL, 2),
+                  "inside": noiseless_broadcast_system(), "binary": binary_broadcast_system(),
+                  "asym": asym_broadcast_system()}
+#: sizes with a few codebooks each, two clouds, rows or codewords a row somewhere
+BRUTEFORCE_SIZES = [SchemeSizes(*s) for s in ((2, 1, 1, 2, 1, 1, 1), (1, 2, 1, 1, 2, 1, 1),
+                                              (1, 1, 1, 1, 1, 2, 2), (2, 1, 1, 1, 1, 2, 1),
+                                              (1, 1, 1, 2, 2, 1, 1))]
+SMALL_SIZES = [SchemeSizes(*s) for s in ((1, 1, 1, 1, 1, 1, 1), (1, 1, 1, 2, 1, 1, 1),
+                                         (2, 1, 1, 1, 1, 1, 1), (2, 1, 1, 2, 1, 1, 1))]
+MC_SIZES = [SchemeSizes(*s) for s in ((1, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 2, 2),
+                                      (2, 1, 1, 1, 1, 1, 1), (1, 1, 1, 2, 2, 1, 1),
+                                      (2, 1, 1, 2, 1, 2, 1), (1, 2, 1, 1, 2, 2, 2))]
+
+
+def strictly_inside(e: float) -> bool:
+    """``e`` lies in (0, 1) by more than rounding: a sum of masses that
+    should be 1 can read 1 - 2^-52."""
+    return 1e-9 < e < 1.0 - 1e-9
+
+
+class TestExactErrors:
+    @pytest.mark.parametrize("design,inside", [("blackwell", 14), ("inside", 13), ("asym", 3)])
+    def test_matches_whole_codebook_bruteforce(self, design, inside):
+        # every codebook of up to 1024 enumerated, encoded and decoded
+        system, seen = ORACLE_DESIGNS[design], 0
+        for sizes in BRUTEFORCE_SIZES:
+            for gamma in (0.02, 0.3):
+                got = exact_errors(system, sizes, gamma)
+                assert got == pytest.approx(reference.exact_errors_bruteforce(system, sizes, gamma),
+                                            rel=0, abs=1e-12), (sizes, gamma)
+                seen += sum(map(strictly_inside, got))
+        assert seen == inside
+
+    def test_matches_bruteforce_on_sparse_random_designs(self):
+        # zero masses, dead cloud symbols, -inf densities and zero channel entries
+        gen = np.random.default_rng(5)
+        inside = 0
+        for case in range(60):
+            system, sizes = random_design(gen), SMALL_SIZES[case % len(SMALL_SIZES)]
+            gamma = float(gen.choice([0.001, 0.01]))
+            got = exact_errors(system, sizes, gamma)
+            assert got == pytest.approx(reference.exact_errors_bruteforce(system, sizes, gamma),
+                                        rel=0, abs=1e-12), case
+            inside += sum(map(strictly_inside, got))
+        assert inside == 12
+
+    def test_simulate_within_4_stderr_and_oracle_below_the_bound(self):
+        # 2 x 10^4 trials a case; the standard error is the oracle's own,
+        # sqrt(e (1 - e) / trials), so an exact 0 or 1 must be read exactly
+        trials, inside, cases = 20_000, 0, 0
+        for design in ("blackwell", "blackwell2", "inside"):
+            system = ORACLE_DESIGNS[design]
+            for sizes in MC_SIZES:
+                for gamma in (0.02, 0.3):
+                    cases += 1
+                    exact = exact_errors(system, sizes, gamma)
+                    out = simulate(system, sizes, gamma, trials=trials, seed=cases)
+                    assert max(exact) <= out.bound.clamped_value
+                    for e, est in zip(exact, (out.eps1_hat, out.eps2_hat)):
+                        assert abs(est.mean - e) <= 4 * math.sqrt(e * (1 - e) / trials), \
+                            (design, sizes, gamma, e, est.mean)
+                        inside += strictly_inside(e)
+        assert (inside, 2 * cases) == (47, 72)
+
+    def test_the_message_does_not_matter(self):
+        sizes = SchemeSizes(2, 1, 1, 2, 1, 2, 1)
+        exact = exact_errors(ORACLE_DESIGNS["blackwell2"], sizes, 0.02)
+        out = simulate(ORACLE_DESIGNS["blackwell2"], sizes, 0.02, trials=20_000, seed=3,
+                       random_message=True)
+        for e, est in zip(exact, (out.eps1_hat, out.eps2_hat)):
+            assert strictly_inside(e)
+            assert abs(est.mean - e) <= 4 * math.sqrt(e * (1 - e) / 20_000)
+
+    def test_exact_zero_is_positive_zero(self):
+        eps1, eps2 = exact_errors(BLACKWELL, SchemeSizes(1, 1, 1, 1, 1, 1, 1), 0.3)
+        assert eps1 == pytest.approx(1 / 9, abs=1e-15)
+        assert eps2 == 0.0 and math.copysign(1.0, eps2) == 1.0
+
+    @pytest.mark.parametrize("sizes", ["1,1,1,1,1,1000000000000,1", "1,1,1,1,1,1,25",
+                                       f"1,1,1,1,1,{10**3000},1"])
+    def test_cap_refuses_without_forming_the_row_count(self, sizes):
+        with pytest.raises(EnumerationCapError, match="exact oracle with .* entries exceeds"):
+            exact_errors(BLACKWELL, SchemeSizes.from_string(sizes), 0.3)
+
+    def test_huge_codebook_counts_enter_only_through_powers(self):
+        # M, N and L of 3,000 digits run at once, with no overflow warning,
+        # and read as any count past 2^1023 does
+        huge = 10**3000
+        for system in (BLACKWELL, ORACLE_DESIGNS["inside"]):
+            for counts in ((huge, 1, 1, 1, 1), (1, 1, 1, huge, huge)):
+                got = exact_errors(system, SchemeSizes(*counts, 2, 2), 0.02)
+                limit = exact_errors(system, SchemeSizes(*(min(c, 10**400) for c in counts), 2, 2),
+                                     0.02)
+                assert got == limit and all(0.0 <= e <= 1.0 for e in got)
 
 
 BINARY = binary_broadcast_system()

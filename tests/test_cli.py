@@ -289,6 +289,46 @@ def test_huge_draw_count_in_a_skipped_exact_value_prints_short(capsys):
     assert "~10^3000 draws" in lines[0] and len(lines[0]) < 200
 
 
+_BLACKWELL = str(CONFIGS / "broadcast_blackwell.json")
+
+
+@pytest.mark.parametrize("sizes,code", [("1,1,1,1,1,30,1", 0), ("1,1,1,1,1,1000000000000,1", 1),
+                                        (f"1,1,1,1,1,{10**200},1", 1)],
+                         ids=["2^30-rows", "10^12-letters", "10^200-letters"])
+def test_verify_broadcast_past_the_oracle_cap(sizes, code, capsys):
+    # 2^30 sent rows: the exact rows are skipped and Monte Carlo is the
+    # reference; at 10^12 letters a row and more the row count is never
+    # formed, and the simulator's chunk cap then refuses the run
+    argv = ["verify", "broadcast", "--config", str(CONFIGS / "broadcast_binary.json"),
+            "--sizes", sizes, "--gamma", "1", "--trials", "100", "--format", "json"]
+    seen = cli.main(argv)
+    out, err = capsys.readouterr()
+    _assert_exit_contract(argv, seen, out, err)
+    lines = err.strip().splitlines()
+    assert seen == code
+    assert lines[0].startswith("warning: exact value skipped: exact oracle with ")
+    assert all(len(line) < 200 for line in lines)
+    if code == 0:
+        rows = _strict_json(out)["rows"]
+        assert [row["name"] for row in rows] == ["eps1_hat", "eps2_hat", "broadcast"]
+    else:
+        assert lines[1].startswith("error: one trial needs")
+
+
+def test_verify_broadcast_exact_zero_is_zero(capsys):
+    # receiver 2 of the Blackwell design never errs with one codeword each
+    code = cli.main(["verify", "broadcast", "--config", _BLACKWELL, "--sizes", "1,1,1,1,1,1,1",
+                     "--gamma", "0.3", "--trials", "2000", "--seed", "4", "--format", "json"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    rows = {row["name"]: row for row in _strict_json(out)["rows"]}
+    assert list(rows) == ["eps1", "eps2", "eps1_hat", "eps2_hat", "broadcast"]
+    assert rows["eps1"]["value"] == pytest.approx(1 / 9, abs=1e-15)
+    assert rows["eps2"]["value"] == 0.0 and math.copysign(1.0, rows["eps2"]["value"]) == 1.0
+    assert '"value": 0.0' in out and "-0.0" not in out
+    assert rows["eps2_hat"]["value"] == 0.0 and rows["eps2_hat"]["stderr"] == 0.0
+    assert not rows["broadcast"]["violation"]
+
 _IMPORT_PROBE = """
 import json, sys
 import oneshot, oneshot.cli
@@ -767,6 +807,8 @@ _FUZZ_BASES = [
     ["verify", "packing", "--dist", _JOINT, "--M", "2", "--N", "2", "--gamma", "0.5"],
     ["verify", "broadcast", "--config", _INSIDE, "--sizes", "1,1,1,1,1,2,2", "--gamma", "0.02",
      "--trials", "50", "--seed", "5", "--threads", "1"],
+    ["verify", "broadcast", "--config", str(CONFIGS / "broadcast_blackwell.json"),
+     "--sizes", "1,1,1,1,1,2,2", "--gamma", "0.3", "--trials", "50", "--seed", "6"],
     ["simulate", "--config", _INSIDE, "--sizes", "1,1,1,1,1,2,2", "--gamma", "0.02",
      "--trials", "50", "--reuse-codebook", "4", "--random-message"],
     ["simulate", "--config", str(CONFIGS / "broadcast_binary.json"), "--sizes", "2,1,1,2,2,2,2",

@@ -4,8 +4,9 @@ for byte.
 The files under ``tests/golden/`` hold the exact output of ``simulate`` and
 ``verify broadcast`` on the shipped binary system and on the shipped
 design inside its own region (whose error rates and union term lie strictly
-between 0 and 1), plus ``SimOutcome`` JSON for the three-letter asymmetric
-system.  Any change to codebook sampling, chunking or the
+between 0 and 1), ``verify broadcast`` on the Blackwell design (whose exact
+errors lie strictly between 0 and 1), plus ``SimOutcome`` JSON for the
+three-letter asymmetric system.  Any change to codebook sampling, chunking or the
 encode/decode kernel must reproduce them exactly, for every thread count.
 They also hold ``bound`` for every kind in JSON and CSV, ``verify`` for
 every covering, resolvability and packing kind, ``sweep`` for every kind
@@ -30,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BINARY = str(ROOT / "configs" / "broadcast_binary.json")
 INSIDE = str(ROOT / "configs" / "broadcast_inside.json")
+BLACKWELL = str(ROOT / "configs" / "broadcast_blackwell.json")
 SMALL = str(ROOT / "configs" / "sizes_small.json")
 LARGE = str(ROOT / "configs" / "sizes_large.json")
 JOINT = str(ROOT / "configs" / "joint_2x2.json")
@@ -78,6 +80,10 @@ CLI_CASES = {
     "verify_broadcast_inside": ["verify", "broadcast", "--config", INSIDE,
                                 "--sizes", "1,1,1,1,1,2,2", "--gamma", "0.02",
                                 "--trials", "5000", "--seed", "25"],
+    # both exact errors strictly inside (0, 1): 23/27 and 7/9
+    "verify_broadcast_blackwell": ["verify", "broadcast", "--config", BLACKWELL,
+                                   "--sizes", "1,1,1,1,1,2,2", "--gamma", "0.3",
+                                   "--trials", "5000", "--seed", "26"],
     "verify_broadcast_small": ["verify", "broadcast", "--config", BINARY, "--sizes-file", SMALL,
                                "--gamma", "1.2", "--trials", "5000", "--seed", "11"],
     "verify_broadcast_large": ["verify", "broadcast", "--config", BINARY, "--sizes-file", LARGE,
@@ -168,6 +174,10 @@ CLI_CASES["region_binary_project_csv"] = ["region", "--config", REGION["binary"]
 # projection is the one row 0 <= J1 + J2 - K
 CLI_CASES["region_broadcast_binary_project_nats"] = ["region", "--config", BINARY, "--project",
                                                      "--units", "nats"]
+# the Blackwell design's projection at R0 = 0 is its capacity region:
+# R1, R2 <= h(1/3) and R1 + R2 <= ln 3
+CLI_CASES["region_broadcast_blackwell_project_nats"] = ["region", "--config", BLACKWELL,
+                                                        "--project", "--units", "nats"]
 CLI_CASES["region_broadcast_binary_project_csv"] = ["region", "--config", BINARY, "--project",
                                                     "--format", "csv"]
 

@@ -117,7 +117,51 @@ def shipped_system(config: str) -> BroadcastSystem:
     return BroadcastSystem.from_json(json.loads((CONFIGS / config).read_text()))
 
 
-SHIPPED_REGION_CONFIGS = ("region_binary.json", "region_bsc_copy.json", "broadcast_binary.json")
+SHIPPED_REGION_CONFIGS = ("region_binary.json", "region_bsc_copy.json", "broadcast_binary.json",
+                          "broadcast_blackwell.json")
+
+
+def h(p: float) -> float:
+    """Binary entropy in nats."""
+    return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
+
+
+def moved_out(rates: tuple[float, float, float], step: float = 1e-6) -> list[RateTriple]:
+    """``rates`` with each coordinate in turn moved out by ``step``."""
+    return [RateTriple(*(r + step * (i == j) for j, r in enumerate(rates))) for i in range(3)]
+
+
+class TestCapacityAnchors:
+    """Textbook capacity corners, written from binary entropies: the region
+    is checked against results the code did not compute."""
+
+    def test_blackwell_corner(self):
+        # a deterministic broadcast channel at its input law (Marton 1979;
+        # Pinsker 1978): R1 <= H(Y1), R2 <= H(Y2), R1 + R2 <= H(Y1, Y2) = ln 3
+        system = shipped_system("broadcast_blackwell.json")
+        iv = info_vector(system.joint_ust, system.x_map, system.channel)
+        corner = (0.0, h(1 / 3), math.log(3) - h(1 / 3))
+        assert region_contains(iv, RateTriple(*corner))
+        assert not any(region_contains(iv, rates) for rates in moved_out(corner))
+
+    def test_degraded_bsc_superposition_corner(self):
+        # superposition coding on a degraded BSC pair (Cover 1972; Bergmans
+        # 1973): U ~ Bern(1/2), S = X = U xor V with V ~ Bern(beta), T constant
+        p1, p2, beta = 0.1, 0.25, 0.2
+
+        def conv(a, b):
+            return a * (1 - b) + b * (1 - a)
+
+        p_ust = np.array([[[1 - beta], [beta]], [[beta], [1 - beta]]]) / 2
+        x_map = np.array([[[0], [1]], [[0], [1]]])
+        bsc = [[1 - p1, p1], [p1, 1 - p1]], [[1 - p2, p2], [p2, 1 - p2]]
+        rows = np.einsum("xa,xb->xab", *map(np.array, bsc))
+        iv = info_vector(Joint(p_ust), x_map, Kernel(rows))
+        corner = (0.0, h(conv(beta, p1)) - h(p1), math.log(2) - h(conv(beta, p2)))
+        assert region_contains(iv, RateTriple(*corner))
+        assert not any(region_contains(iv, rates) for rates in moved_out(corner))
+        # the cloud's rate carried as the common message instead
+        assert region_contains(iv, RateTriple(corner[2], corner[1], 0.0))
 
 
 class TestInfoVectorIdentity:
