@@ -15,7 +15,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -154,16 +154,21 @@ def ratio_gap(gamma: float) -> float:
     return gap
 
 
-def covering_ratio(M: int, L: int, gamma: float) -> float:
-    """``(min{M,L} - 1) / (ML (e^-gamma - e^-2gamma))``, the splitting ratio
-    term once delta is substituted out.
+def covering_ratio(M: int, L: int):
+    """``gamma -> (min{M,L} - 1) / (ML (e^-gamma - e^-2gamma))``, the splitting ratio
+    term once delta is substituted out; ``ML`` is made a double at the first call.  A call
+    raises :class:`InputFormatError` where :func:`size_double`, then :func:`ratio_gap` do,
+    and where the quotient overflows (gamma above about 709 with both sizes above 1)."""
+    k, size = min(M, L) - 1, None
 
-    Raises :class:`InputFormatError` where :func:`ratio_gap` does, and where
-    the quotient overflows (gamma above about 709 with both sizes above 1).
-    """
-    ratio = (min(M, L) - 1) / (size_double(M * L) * ratio_gap(gamma))
-    if not math.isfinite(ratio):
-        raise InputFormatError(f"gamma={gamma!r}: the ratio term overflows a double")
+    def ratio(gamma: float) -> float:
+        nonlocal size
+        size = size_double(M * L) if size is None else size
+        ratio = k / (size * ratio_gap(gamma))
+        if not math.isfinite(ratio):
+            raise InputFormatError(f"gamma={gamma!r}: the ratio term overflows a double")
+        return ratio
+
     return ratio
 
 
@@ -290,94 +295,88 @@ def packing_bound(gamma: float) -> float:
 # ---------------------------------------------------------------------------
 
 #: bit patterns of the smallest positive and the largest finite double
-_TINY_BITS = 1
-_MAX_BITS = int(np.float64(sys.float_info.max).view(np.int64))
+_TINY_BITS, _MAX_BITS = 1, int(np.float64(sys.float_info.max).view(np.int64))
 
 
 def critical_gammas(values, test, c: float, slope: float) -> np.ndarray:
-    """For each entry ``v`` of ``values``, the smallest positive double gamma
-    at which the float test ``test(v, c + slope * gamma)`` holds: 0 where it
-    holds at every positive gamma and ``inf`` where it holds at none.
+    """For each entry ``v`` of ``values``, the smallest positive double gamma at
+    which the float test ``test(v, c + slope * gamma)`` holds: 0 where it holds at
+    every positive gamma and ``inf`` where it holds at none.  ``test`` is ``np.less_equal``
+    with a positive slope, or ``np.greater`` or ``np.greater_equal`` with a negative one."""
+    return _critical_gammas([(values, test, c, slope)]).reshape(np.shape(values))
 
-    ``test`` is ``np.less_equal`` with a positive slope, or ``np.greater``
-    or ``np.greater_equal`` with a negative one, so it fails below the
-    critical gamma and holds from it on.  The threshold flips the test
-    where it crosses the midpoint between ``v`` and the neighbouring double
-    on the failing side; gamma at that crossing estimates the answer to a
-    few doubles.  From there the search gallops over the bit patterns of
-    positive doubles until the flip is bracketed, then bisects.
+
+def _critical_gammas(tests) -> np.ndarray:
+    """:func:`critical_gammas` of every cell of ``tests``, a list of ``(values,
+    test, c, slope)``, flat and in order, in one search over all the cells.
+
+    A ``>=`` or ``>`` test is searched as the ``<=`` test of its negated
+    values (``v > t`` as ``nextup(-v) <= -t``, NaN for ``nextup(inf)``)
+    against ``-c - slope * gamma``, which rounds to exactly ``-(c + slope *
+    gamma)``.  The threshold flips a cell's test where it crosses the
+    midpoint between its value and the double below; gamma at that crossing
+    estimates the answer to a few doubles.  From there the search gallops
+    over the bit patterns of positive doubles until the flip is bracketed,
+    then bisects.  A cell whose bracket is closed stays fixed.
     """
-    v = np.asarray(values, dtype=float).ravel()
-    out = np.full(v.shape, np.inf)
-    # slope * gamma overflows to -inf near the largest double: the test still orders
-    with np.errstate(over="ignore"):
-        def holds(vals: np.ndarray, bits: np.ndarray) -> np.ndarray:
-            return test(vals, c + slope * bits.view(np.float64))
-
-        always = holds(v, np.full(v.shape, _TINY_BITS))
-        out[always] = 0.0
-        todo = np.flatnonzero(~always & holds(v, np.full(v.shape, _MAX_BITS)))
-        vals = v[todo]
-        below = np.nextafter(vals, -np.inf)
-        side = np.where(test(vals, below) != test(vals, vals), below, np.nextafter(vals, np.inf))
-        est = ((vals - c) + (side - vals) / 2) / slope
-        bits = np.clip(est, 5e-324, sys.float_info.max).view(np.int64)
-        down = holds(vals, bits)
+    # slope * gamma and nextup overflow to inf near the largest double: the
+    # test still orders.  An infinite value estimates NaN, searched from 5e-324
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = []
+        for values, test, c, slope in tests:
+            sign = 1.0 if test is np.less_equal else -1.0
+            v = sign * np.asarray(values, dtype=float).ravel()
+            if test is np.greater:
+                v = np.where(v < np.inf, np.nextafter(v, np.inf), np.nan)
+            parts.append((v, np.full(v.shape, sign * c), np.full(v.shape, sign * slope)))
+        v, c, slope = (np.concatenate(p) for p in zip(*parts))
+        always = v <= c + slope * 5e-324
+        out = np.where(always, 0.0, np.inf)
+        todo = np.flatnonzero(~always & (v <= c + slope * sys.float_info.max))
+        v, c, slope = v[todo], c[todo], slope[todo]
+        est = ((v - c) + (np.nextafter(v, -np.inf) - v) / 2) / slope
+        bits = np.fmin(np.fmax(est, 5e-324), sys.float_info.max).view(np.int64)
+        down = v <= c + slope * bits.view(np.float64)
         # the test fails at lo and holds at hi; step > 0 while galloping
-        lo = np.where(down, _TINY_BITS, bits)
-        hi = np.where(down, bits, _MAX_BITS)
+        lo, hi = np.where(down, _TINY_BITS, bits), np.where(down, bits, _MAX_BITS)
         step = np.ones_like(bits)
-        rest = np.flatnonzero(hi - lo > 1)
-        while rest.size:
-            l, h, s, d = lo[rest], hi[rest], step[rest], down[rest]
-            probe = np.clip(np.where(s > 0, np.where(d, h - s, l + s), l + (h - l) // 2), l + 1, h - 1)
-            ok = holds(vals[rest], probe)
-            hi[rest] = np.where(ok, probe, h)
-            lo[rest] = np.where(ok, l, probe)
+        while (hi - lo > 1).any():
+            probe = np.clip(np.where(step > 0, np.where(down, hi - step, lo + step),
+                                     lo + (hi - lo) // 2), lo + 1, hi - 1)
+            ok = v <= c + slope * probe.view(np.float64)
+            hi, lo = np.where(ok, probe, hi), np.where(ok, lo, probe)
             # galloping goes on while the probe stays on the estimate's side
-            step[rest] = np.where(ok == d, 2 * s, 0)
-            rest = rest[hi[rest] - lo[rest] > 1]
+            step = np.where(ok == down, 2 * step, 0)
         out[todo] = hi.view(np.float64)
-    return out.reshape(np.shape(values))
+    return out
 
 
 class GammaSteps:
-    """A step function of gamma, ``mass(gamma)`` evaluated once per interval
-    between consecutive breakpoints and cached by the interval's index.
+    """A step function of gamma, ``mass(gamma)``, and its breakpoints.
 
     ``tests`` lists ``(values, test, c, slope)`` for every threshold test
-    ``mass`` depends on, as in :func:`critical_gammas`.  The breakpoints are
-    the critical gammas in ``(0, inf)``: every gamma of one interval passes
-    the same cells through every test, so a masked sum over those cells
-    returns the same double throughout, and the cache never holds more than
-    ``len(breakpoints) + 1`` values.  They are worked out at the second
-    call, so a single gamma costs what one masked sum costs; the first value
-    is filed under its interval then.
+    ``mass`` depends on.  The breakpoints are their critical gammas in ``(0,
+    inf)``: every gamma of one interval passes the same cells through every
+    test, so a masked sum over those cells returns the same double
+    throughout.  Each call is one ``mass(gamma)`` until a caller reads
+    ``breakpoints``; then each interval's value is computed once and cached
+    by the interval's index, at most ``len(breakpoints) + 1`` values.
     """
 
     def __init__(self, tests, mass):
-        self.tests = tests
-        self.mass = mass
-        self.cache: dict[int, float] = {}
-        self._first: tuple[float, float] | None = None
+        self.tests, self.mass, self.cache = tests, mass, {}
 
     @cached_property
     def breakpoints(self) -> list[float]:
-        crit = np.concatenate([critical_gammas(*t).ravel() for t in self.tests])
+        crit = _critical_gammas(self.tests)
         # sorted and deduplicated by hand: np.unique imports numpy.ma, a cold-start cost
         crit = np.sort(crit[(crit > 0) & (crit < np.inf)])
-        points = crit[np.diff(crit, prepend=-np.inf) > 0].tolist()
-        if self._first is not None:
-            gamma, value = self._first
-            self.cache[bisect.bisect_right(points, gamma)] = value
-        return points
+        return crit[np.diff(crit, prepend=-np.inf) > 0].tolist()
 
     def __call__(self, gamma: float) -> float:
         """The value at ``gamma``, from the cache or from ``mass(gamma)``."""
-        if self._first is None and "breakpoints" not in vars(self):
-            # a single gamma needs no breakpoints; they file its value once built
-            self._first = gamma, self.mass(gamma)
-            return self._first[1]
+        if "breakpoints" not in vars(self):
+            return self.mass(gamma)
         k = bisect.bisect_right(self.breakpoints, gamma)
         if k not in self.cache:
             self.cache[k] = self.mass(gamma)
@@ -398,7 +397,8 @@ def bound_at(kind: str, instance: Mapping[str, object]):
 
     ``instance`` carries the kind-specific fields: ``joint``/``event``
     plus sizes for the covering bounds, or ``system``/``sizes`` for the
-    broadcast bound, whose tables the system caches.
+    broadcast bound, whose tables the system caches.  A stepped kind's
+    function holds its :class:`GammaSteps` as ``steps``: a walk reads its breakpoints first.
     """
     return _bound_parts(kind, instance)[0]
 
@@ -415,8 +415,9 @@ def _bound_parts(kind: str, instance: Mapping[str, object]):
         from .broadcast import bound_terms, bound_values, broadcast_bound
 
         system, sizes = instance["system"], instance["sizes"]
-        return (lambda g: broadcast_bound(system, sizes, g), system.tables.union_steps(sizes),
-                lambda g, p: bound_terms(sizes, g, p), lambda g: sum(bound_values(sizes, g, 0.0)))
+        report, values = partial(broadcast_bound, system, sizes), bound_values(sizes)
+        report.steps = system.tables.union_steps(sizes)
+        return report, report.steps, lambda g, p: bound_terms(sizes, g, p), lambda g: sum(values(g, 0.0))
     if kind not in ("covering1", "covering4", "covering5", "covering7"):
         raise InputFormatError(f"kind: no gamma-parameterized bound named {kind!r}")
     joint = instance["joint"]
@@ -466,10 +467,11 @@ def _bound_parts(kind: str, instance: Mapping[str, object]):
     steps = GammaSteps([(table[~always], test, c, slope)],
                        lambda g: _mass_where(joint, always | test(table, c + slope * g)))
     flag = {"union_form": union_form} if kind == "covering4" else {}
+    splitting = covering_ratio(M, L)
 
     def values(g: float, excess: float) -> tuple:
         if kind != "covering7":
-            return covering_values(excess, covering_ratio(M, L, g), doubleexp(g))
+            return covering_values(excess, splitting(g), doubleexp(g))
         try:
             ratio = math.exp(g) / size_double(max(M, L))
         except OverflowError:
@@ -483,6 +485,7 @@ def _bound_parts(kind: str, instance: Mapping[str, object]):
         check_bound_args(g, M, L)
         return BoundReport(terms(g, steps(g)), {"M": M, "L": L, "gamma": g, **flag})
 
+    report.steps = steps
     return report, steps, terms, lambda g: sum(values(g, 0.0))
 
 
@@ -547,8 +550,8 @@ def optimize_gamma(kind: str, instance: Mapping[str, object],
         return _raw_sum(terms(g, steps(g)))
 
     best_g = _unimodal_argmin(remainder, lo, hi)
+    points = steps.breakpoints  # before the first value: each value the walk reads is cached
     best = raw_value(best_g)
-    points = steps.breakpoints
     for b in reversed(points[bisect.bisect_right(points, lo):bisect.bisect_right(points, best_g)]):
         g = math.nextafter(b, 0.0)
         if remainder(g) > best:

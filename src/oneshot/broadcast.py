@@ -36,13 +36,13 @@ from .probability import (Joint, Kernel, _iid_power, cond_info_density_table, in
 JOINT_CAP = 10**7
 
 
-def _check_cap(what: str, *entries: int) -> None:
-    """Raise :class:`EnumerationCapError` before an array of more than
-    ``JOINT_CAP`` entries is built; ``entries`` are the sizes of the arrays."""
+def _check_cap(what: str, *entries: int, saturated: bool = False) -> None:
+    """Raise :class:`EnumerationCapError` before an array of more than ``JOINT_CAP``
+    entries is built; ``entries`` are the arrays' sizes, or if ``saturated`` lower bounds."""
     largest = max(entries)
     if largest > JOINT_CAP:
-        raise EnumerationCapError(
-            f"{what} with {count_text(largest)} entries exceeds the cap of {JOINT_CAP}")
+        raise EnumerationCapError(f"{what} with {'more than ' if saturated else ''}"
+                                  f"{count_text(largest)} entries exceeds the cap of {JOINT_CAP}")
 
 
 @dataclass(frozen=True)
@@ -337,22 +337,22 @@ def zeta_table(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> np.
 
 def event_probabilities(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> float:
     """The exact probability of the union of the five threshold events
-    (:meth:`DensityTables.union_probability`), evaluated once per interval of
-    the step table for ``sizes`` (:meth:`DensityTables.union_steps`).  A
-    gamma :func:`thresholds_for` rejects is rejected before the table is read."""
+    (:meth:`DensityTables.union_probability`), read through the step table for
+    ``sizes`` (:meth:`DensityTables.union_steps`), once per interval after a walk
+    has read its breakpoints.  A gamma :func:`thresholds_for` rejects is rejected first."""
     check_bound_args(gamma)
     return system.tables.union_steps(sizes)(gamma)
 
 
-def bound_values(sizes: SchemeSizes, gamma: float, union: float) -> tuple[float, ...]:
-    """The values of :func:`bound_terms`, in order."""
-    return (2.0 * math.exp(-gamma), doubleexp(gamma), union,
-            covering_ratio(sizes.Nhat, sizes.Lhat, gamma))
+def bound_values(sizes: SchemeSizes) -> Callable[[float, float], tuple[float, ...]]:
+    """``(gamma, union) ->`` the values of :func:`bound_terms`, in order."""
+    ratio = covering_ratio(sizes.Nhat, sizes.Lhat)
+    return lambda gamma, union: (2.0 * math.exp(-gamma), doubleexp(gamma), union, ratio(gamma))
 
 
 def bound_terms(sizes: SchemeSizes, gamma: float, union: float) -> tuple:
     """The terms of :func:`broadcast_bound` at ``gamma``, ``union`` the union term."""
-    return tuple(zip(("twoexp", "doubleexp", "union", "ratio"), bound_values(sizes, gamma, union)))
+    return tuple(zip(("twoexp", "doubleexp", "union", "ratio"), bound_values(sizes)(gamma, union)))
 
 
 def broadcast_bound(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> BoundReport:
@@ -639,14 +639,15 @@ def exact_errors(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> t
     the chance that another cloud fires, p_I that a codeword passes the inner
     test, p_O that it passes neither, k = (N - 1) Nhat.  Receiver 2 mirrors
     it, and the encoder takes the first row-major argmin of :func:`zeta_table`.
-    Each error sums non-negative terms P (1 - P(correct | .)), clamped to [0, 1]."""
+    Each error is wrong / (wrong + right), the masses summed side by side from
+    non-negative terms: exactly 1 where none is right, 0 where none is wrong."""
     tables, (ku, ks, kt, ky1, ky2) = system.tables, system.shape
     Nh, Lh = sizes.Nhat, sizes.Lhat
-    # past 64 letters a row of two symbols or more is past the cap, so the
-    # count of sent rows never grows into a huge integer
+    # past 64 letters a row of two symbols or more is past the cap, so the count
+    # of sent rows stops there, a lower bound, and never grows into a huge integer
     r1, r2 = ks ** min(Nh, 64), kt ** min(Lh, 64)
     _check_cap("exact oracle", ku * r1 * r2 * max(Nh * Lh, ky1, ky2), ku * r1 * Nh * ky1,
-               ku * r2 * Lh * ky2)
+               ku * r2 * Lh * ky2, saturated=(ks > 1 and Nh > 64) or (kt > 1 and Lh > 64))
     clauses = tables.clauses(thresholds_for(sizes, gamma))
     srows, trows = (np.arange(k ** n)[:, None] // k ** np.arange(n - 1, -1, -1) % k
                     for k, n in ((ks, Nh), (kt, Lh)))
@@ -670,9 +671,10 @@ def exact_errors(system: BroadcastSystem, sizes: SchemeSizes, gamma: float) -> t
         rest = (power(p_sym @ ~inner, k)
                 - ~head[:, sent].any(axis=2) * power(p_sym @ ~(inner | head), k))
         correct = np.clip(miss * (inner[:, sent].sum(axis=2) == 1) * rest, 0.0, 1.0)
-        wrong = (system.channel.rows.sum(axis=3 - r).take(x, axis=0)
-                 * np.expand_dims(1.0 - correct, 3 - r)).sum(axis=3)
-        return min(float((weight * wrong).sum()), 1.0)
+        chan = system.channel.rows.sum(axis=3 - r).take(x, axis=0)
+        wrong, right = (float((weight * (chan * np.expand_dims(p, 3 - r)).sum(axis=3)).sum())
+                        for p in (1.0 - correct, correct))
+        return wrong / (wrong + right)
 
     return error(1, srows, sizes.N, Nh), error(2, trows, sizes.L, Lh)
 

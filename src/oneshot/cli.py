@@ -353,6 +353,8 @@ def cmd_sweep(args) -> int:
     # the grid's first value stands in for the swept flag while loading
     setattr(args, "lam" if args.param == "lambda" else args.param, float(grid[0]))
     bound_at = _bound_from_args(args, args.param)
+    if hasattr(bound_at, "steps"):  # a step table the grid walks: one value per interval
+        bound_at.steps.breakpoints
     reports = [(float(value), bound_at(float(value))) for value in grid]
 
     names = list(reports[0][1].term_names())

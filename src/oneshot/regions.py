@@ -3,9 +3,9 @@
 Computes the five mutual informations of a design and writes the
 projection of the auxiliary-rate inequality system onto the rate
 coordinates (R0, R1, R2) in closed form: Marton's inner bound with a
-common message.  Membership tests read those rows directly; the
-projection prunes them to an irredundant system with exact LPs in numpy.
-Every row is a ``<=`` row over the three rates.
+common message.  Membership tests read those rows directly; the projection
+drops the rows the others imply, with an exact LP in numpy for each row
+that can be implied.  Every row is a ``<=`` row over the three rates.
 
 All arithmetic is floating point with a small slack: the inputs are
 numerically computed mutual informations, so exact rational arithmetic
@@ -208,10 +208,10 @@ def _lp_redundant(row: np.ndarray, others: np.ndarray, tol: float) -> bool:
     return best is not None and best <= row[-1] + tol
 
 
-def _prune(matrix: np.ndarray, tol: float) -> np.ndarray:
-    """Drop each row in turn that the rows still kept imply."""
+def _prune(matrix: np.ndarray, tol: float, candidates=None) -> np.ndarray:
+    """Drop each row in turn (of ``candidates``; all by default) that the rows still kept imply."""
     keep = list(range(len(matrix)))
-    for i in range(len(matrix)):
+    for i in candidates or keep[:]:
         if _lp_redundant(matrix[i], matrix[[j for j in keep if j != i]], tol):
             keep.remove(i)
     return matrix[keep]
@@ -241,13 +241,16 @@ def fme_project(iv: InfoVector) -> LinearSystem:
     An empty region (J1 + J2 - K below ``-_TOL``) is the one row
     0 <= J1 + J2 - K.  Otherwise the rows of :attr:`InfoVector._marton_rows`
     are pruned in order to an irredundant <=-system over (R0, R1, R2),
-    sorted.
+    sorted.  Only R0 + R1 <= I1, R0 + R2 <= I2 and the 2 R0 + R1 + R2 row get
+    an LP: R0 is unbounded below in the system, down to the LP's own box, so
+    lowering R1 or R2 alone, or moving along (-1, 1, 1), violates R1 >= 0,
+    R2 >= 0 or the sum-rate row at a point that meets every other row.
     """
     feasibility, rows = iv._marton_rows
     if feasibility < -_TOL:
         matrix = np.array([[0.0, 0.0, 0.0, feasibility]])
     else:
-        matrix = _prune(np.array(rows), _TOL)
+        matrix = _prune(np.array(rows), _TOL, (2, 3, 5))
     system = [Inequality(tuple(float(c) for c in r[:3]), float(r[3])) for r in matrix]
     system.sort(key=lambda r: (r.coeffs, r.constant))
     return LinearSystem(system)

@@ -8,7 +8,8 @@ probabilities and their union, the encoder's bad-output masses and the info
 vector.  The info vector is also composed as the library composed it on
 :class:`~oneshot.probability.Joint` objects, each one checked.
 They also hold the multiset count the exact oracles' caps are
-checked against, and the gamma search that calls the remainder at every
+checked against, the critical-gamma search run one test at a time on the
+test as given, and the gamma search that calls the remainder at every
 probe and builds a whole report at every breakpoint it walks.
 
 The scalar replay of the broadcast scheme is here too: one codebook, drawn
@@ -28,6 +29,7 @@ auxiliary-rate system whose projection is the closed form of
 import bisect
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -41,6 +43,43 @@ from oneshot.regions import InfoVector
 def multiset_count(M: int, k: int) -> int:
     """Number of codeword multisets: C(M + k - 1, M)."""
     return math.comb(M + k - 1, M)
+
+
+def critical_gammas(values, test, c: float, slope: float) -> np.ndarray:
+    """:func:`oneshot.bounds.critical_gammas` searched on ``test`` itself:
+    for each value, the smallest positive double gamma at which ``test(v, c +
+    slope * gamma)`` holds (0 if it holds at every positive gamma, ``inf`` if
+    at none), galloping from the estimate's bit pattern and then bisecting,
+    over the cells not yet bracketed only."""
+    tiny, top = 1, int(np.float64(sys.float_info.max).view(np.int64))
+    v = np.asarray(values, dtype=float).ravel()
+    out = np.full(v.shape, np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        def holds(vals, bits):
+            return test(vals, c + slope * bits.view(np.float64))
+
+        always = holds(v, np.full(v.shape, tiny))
+        out[always] = 0.0
+        todo = np.flatnonzero(~always & holds(v, np.full(v.shape, top)))
+        vals = v[todo]
+        below = np.nextafter(vals, -np.inf)
+        side = np.where(test(vals, below) != test(vals, vals), below, np.nextafter(vals, np.inf))
+        est = ((vals - c) + (side - vals) / 2) / slope
+        bits = np.clip(est, 5e-324, sys.float_info.max).view(np.int64)
+        down = holds(vals, bits)
+        lo, hi = np.where(down, tiny, bits), np.where(down, bits, top)
+        step = np.ones_like(bits)
+        rest = np.flatnonzero(hi - lo > 1)
+        while rest.size:
+            l, h, s, d = lo[rest], hi[rest], step[rest], down[rest]
+            probe = np.clip(np.where(s > 0, np.where(d, h - s, l + s), l + (h - l) // 2), l + 1, h - 1)
+            ok = holds(vals[rest], probe)
+            hi[rest] = np.where(ok, probe, h)
+            lo[rest] = np.where(ok, l, probe)
+            step[rest] = np.where(ok == d, 2 * s, 0)
+            rest = rest[hi[rest] - lo[rest] > 1]
+        out[todo] = hi.view(np.float64)
+    return out.reshape(np.shape(values))
 
 
 def unimodal_argmin(f, lo: float, hi: float) -> float:

@@ -72,14 +72,14 @@ class TestHugeSizes:
     @pytest.mark.parametrize("M", [10**20, 10**150, 2**1000])
     def test_evaluate_as_plain_arithmetic(self, M):
         g = 1.0
-        assert covering_ratio(M, 3, g) == (3 - 1) / (M * 3 * ratio_gap(g))
+        assert covering_ratio(M, 3)(g) == (3 - 1) / (M * 3 * ratio_gap(g))
         assert optimal_delta(M, 3, g) == math.sqrt(2 * 3 * M) * math.exp(-g) * math.exp(0.5 * math.exp(g))
         above = probability.info_density_table(JOINT) >= math.log(M * 3.0 / 2.0)
         assert resolvability_excess_bound(JOINT, M, 3.0).term("excess") == float(JOINT.probs[above].sum())
 
     def test_past_the_largest_double_are_refused(self):
         big = 10**200
-        for evaluate in (lambda: covering_ratio(big, big, 1.0),
+        for evaluate in (lambda: covering_ratio(big, big)(1.0),
                          lambda: optimal_delta(big, big, 1.0),
                          lambda: optimal_delta(1, big**2, 1.0),
                          lambda: mutual_covering_bound(JOINT, DIAG, BoundParams(big, big, 1.0, 0.5)),

@@ -631,9 +631,8 @@ MC_SIZES = [SchemeSizes(*s) for s in ((1, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 2, 
 
 
 def strictly_inside(e: float) -> bool:
-    """``e`` lies in (0, 1) by more than rounding: a sum of masses that
-    should be 1 can read 1 - 2^-52."""
-    return 1e-9 < e < 1.0 - 1e-9
+    """``e`` lies in (0, 1): an error with no right mass reads exactly 1."""
+    return 0.0 < e < 1.0
 
 
 class TestExactErrors:

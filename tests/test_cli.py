@@ -292,13 +292,15 @@ def test_huge_draw_count_in_a_skipped_exact_value_prints_short(capsys):
 _BLACKWELL = str(CONFIGS / "broadcast_blackwell.json")
 
 
-@pytest.mark.parametrize("sizes,code", [("1,1,1,1,1,30,1", 0), ("1,1,1,1,1,1000000000000,1", 1),
+@pytest.mark.parametrize("sizes,code", [("1,1,1,1,1,30,1", 0), ("1,1,1,1,1,65,1", 0),
+                                        ("1,1,1,1,1,1000000000000,1", 1),
                                         (f"1,1,1,1,1,{10**200},1", 1)],
-                         ids=["2^30-rows", "10^12-letters", "10^200-letters"])
+                         ids=["2^30-rows", "65-letters", "10^12-letters", "10^200-letters"])
 def test_verify_broadcast_past_the_oracle_cap(sizes, code, capsys):
     # 2^30 sent rows: the exact rows are skipped and Monte Carlo is the
-    # reference; at 10^12 letters a row and more the row count is never
-    # formed, and the simulator's chunk cap then refuses the run
+    # reference; past 64 letters a row the row count is never formed, so the
+    # warning gives a lower bound ("more than"), and at 10^12 letters and
+    # more the simulator's chunk cap then refuses the run
     argv = ["verify", "broadcast", "--config", str(CONFIGS / "broadcast_binary.json"),
             "--sizes", sizes, "--gamma", "1", "--trials", "100", "--format", "json"]
     seen = cli.main(argv)
@@ -307,6 +309,7 @@ def test_verify_broadcast_past_the_oracle_cap(sizes, code, capsys):
     lines = err.strip().splitlines()
     assert seen == code
     assert lines[0].startswith("warning: exact value skipped: exact oracle with ")
+    assert ("with more than ~10^" in lines[0]) == (sizes != "1,1,1,1,1,30,1"), lines[0]
     assert all(len(line) < 200 for line in lines)
     if code == 0:
         rows = _strict_json(out)["rows"]

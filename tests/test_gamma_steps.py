@@ -2,6 +2,7 @@
 evaluation (a masked sum, or the broadcast union kernel) at every gamma,
 breakpoints and their neighbouring doubles included."""
 
+import bisect
 import importlib.util
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oneshot import BroadcastSystem, Joint, Kernel, SchemeSizes, bounds, broadcast_bound
+from oneshot import BroadcastSystem, Joint, Kernel, SchemeSizes, bounds, broadcast_bound, cli
 from oneshot.bounds import GammaSteps, _unimodal_argmin, bound_at, critical_gammas, optimize_gamma
 from oneshot.broadcast import DensityTables, product_extend_system, thresholds_for
 from oneshot.errors import InputFormatError
@@ -114,11 +115,13 @@ class TestGammaSteps:
         calls = []
         steps = GammaSteps([(np.array([1.0, 2.0, 3.0]), np.less_equal, 0.0, 1.0)],
                            lambda g: calls.append(g) or float(np.floor(g)))
+        # until the breakpoints are read, each call is one mass and builds no table
+        assert [steps(g) for g in (0.5, 0.9)] == [0, 0]
+        assert calls == [0.5, 0.9] and "breakpoints" not in vars(steps)
+        assert steps.breakpoints == [1.0, 2.0, 3.0]
         values = [steps(g) for g in (0.5, 0.9, 1.0, 1.5, 2.5, 2.9, 7.0)]
         assert values == [0, 0, 1, 1, 2, 2, 7]
-        # the first call builds no table; its value is cached with the table
-        assert calls == [0.5, 1.0, 2.5, 7.0]
-        assert steps.breakpoints == [1.0, 2.0, 3.0]
+        assert calls == [0.5, 0.9, 0.5, 1.0, 2.5, 7.0]
         assert len(steps.cache) == 4
 
     @pytest.mark.parametrize("config,text,gamma,evaluations", [
@@ -144,15 +147,88 @@ class TestGammaSteps:
         assert len(calls) == len(system.tables.union_steps(sizes).cache) == evaluations
 
     def test_a_single_gamma_works_out_no_breakpoints(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("critical gammas worked out for a single gamma")
-
-        monkeypatch.setattr(bounds, "critical_gammas", refuse)
+        refuse_critical_gammas(monkeypatch)
         joint = Joint([[0.4, 0.1], [0.2, 0.3]])
         report = bound_at("covering4", {"joint": joint, "event": np.ones((2, 2), bool),
                                         "M": 3, "L": 2})(0.7)
         exceed = info_density_table(joint) > math.log(6) - 2.0 * 0.7
         assert report.term("excess") == float(joint.probs[exceed].sum())
+
+    def test_single_broadcast_gammas_work_out_no_breakpoints(self, monkeypatch):
+        # six bounds on one fresh two-letter system: each reads its union
+        # directly, and no step table is built
+        with open(CONFIGS / "broadcast_binary.json") as fh:
+            system = product_extend_system(BroadcastSystem.from_json(json.load(fh)), 2)
+        sizes = SchemeSizes.from_string("1,2,2,1,1,4,4")
+        refuse_critical_gammas(monkeypatch)
+        for g in (0.1, 0.4, 0.9, 1.3, 2.2, 4.0):
+            want = system.tables.union_probability(system.tables.clauses(thresholds_for(sizes, g)))
+            assert broadcast_bound(system, sizes, g).term("union") == want
+        assert "breakpoints" not in vars(system.tables.union_steps(sizes))
+
+    def test_a_gamma_sweep_evaluates_each_interval_once(self, monkeypatch, tmp_path):
+        text = "1,2,2,1,1,4,4"
+        with open(CONFIGS / "broadcast_binary.json") as fh:
+            system = BroadcastSystem.from_json(json.load(fh))
+        points = system.tables.union_steps(SchemeSizes.from_string(text)).breakpoints
+        visited = {bisect.bisect_right(points, float(g)) for g in np.linspace(0.05, 6.0, 64)}
+        calls = []
+        real = DensityTables.union_probability
+        monkeypatch.setattr(DensityTables, "union_probability",
+                            lambda tables, c: calls.append(1) or real(tables, c))
+        code = cli.main(["sweep", "broadcast", "--config", str(CONFIGS / "broadcast_binary.json"),
+                         "--sizes", text, "--param", "gamma", "--from", "0.05", "--to", "6",
+                         "--steps", "64", "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert len(calls) == len(visited) < 64
+
+
+def refuse_critical_gammas(monkeypatch):
+    """Make any critical-gamma search fail the test."""
+    def refuse(*args):
+        raise AssertionError("critical gammas worked out for a single gamma")
+
+    monkeypatch.setattr(bounds, "critical_gammas", refuse)
+    monkeypatch.setattr(bounds, "_critical_gammas", refuse)
+
+
+class TestOnePassSearch:
+    """A step table's breakpoints come from one search over the cells of all
+    its tests; each cell gets the double that the per-test search of
+    ``reference.critical_gammas`` gives it."""
+
+    def test_adversarial_cells(self):
+        # the infinities, the smallest subnormal and the largest double,
+        # values exactly at c + slope * gamma and their neighbours, and equal
+        # values under different tests, with <= and > tests in every table
+        rng = np.random.default_rng(29)
+        extremes = [-np.inf, np.inf, 5e-324, -5e-324, DBL_MAX, -DBL_MAX, 0.0]
+        for _ in range(60):
+            shared = rng.normal(0.0, 4.0, 5)
+            tests = []
+            for k in range(int(rng.integers(2, 6))):
+                test, slope = TESTS[k % 2] if k < 2 else TESTS[int(rng.integers(3))]
+                c = float(rng.choice([0.0, math.log(2), math.log(6), -3.5, 40.0]))
+                at = c + slope * rng.uniform(0.0, 8.0, 4)
+                values = np.concatenate([shared, at, np.nextafter(at, -np.inf),
+                                         np.nextafter(at, np.inf), extremes, rng.normal(c, 3.0, 6)])
+                tests.append((values.reshape(2, -1), test, c, slope))
+            got = bounds._critical_gammas(tests)
+            want = np.concatenate([reference.critical_gammas(*t).ravel() for t in tests])
+            assert got.tobytes() == want.tobytes()
+            for t in tests:
+                assert critical_gammas(*t).tobytes() == reference.critical_gammas(*t).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("config", ["broadcast_binary.json", "broadcast_blackwell.json",
+                                        "broadcast_inside.json"])
+    def test_shipped_broadcast_breakpoints(self, config, n):
+        with open(CONFIGS / config) as fh:
+            system = product_extend_system(BroadcastSystem.from_json(json.load(fh)), n)
+        for text in SIZE_STRINGS:
+            steps = system.tables.union_steps(SchemeSizes.from_string(text))
+            crit = np.concatenate([reference.critical_gammas(*t).ravel() for t in steps.tests])
+            assert steps.breakpoints == sorted(set(crit[(crit > 0) & (crit < np.inf)].tolist()))
 
 
 def _benchmark_searches(seed: int):

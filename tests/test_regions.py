@@ -465,7 +465,9 @@ def closed_form_runs():
     """The 10^4 closed-form cases, each with its FM reference and its
     ``fme_project``; every ``regions.linprog`` call (arguments and result)
     and every redundancy decision (threshold and verdict) of those
-    projections, in call order."""
+    projections, in call order; and for each nonempty region, by case
+    index, the all-row ``_prune`` of its closed-form rows, which asks an LP
+    about every row."""
     vectors = list(_closed_form_cases(10**4, np.random.default_rng(2024)))
     calls, decisions = [], []
     solve, redundant = regions.linprog, regions._lp_redundant
@@ -485,7 +487,9 @@ def closed_form_runs():
         mp.setattr(regions, "_lp_redundant", recording_redundant)
         projections = [fme_project(iv) for iv in vectors]
     references = [_fm_reference(iv) for iv in vectors]
-    return vectors, references, projections, calls, decisions
+    all_row = {n: regions._prune(np.array(iv._marton_rows[1]), regions._TOL)
+               for n, iv in enumerate(vectors) if iv._marton_rows[0] >= -regions._TOL}
+    return vectors, references, projections, calls, decisions, all_row
 
 
 class TestClosedForm:
@@ -497,7 +501,7 @@ class TestClosedForm:
         # all 10^4 vectors against the FM projection before LP pruning
         # (pruning only drops rows the others imply) and against the pruned
         # fme_project itself
-        vectors, references, projections, _, _ = closed_form_runs
+        vectors, references, projections, _, _, _ = closed_form_runs
         rng = np.random.default_rng(7)
         checked = inside = 0
         for iv, reference, pruned in zip(vectors, references, projections):
@@ -516,7 +520,7 @@ class TestClosedForm:
     def test_projection_is_the_pruned_fm_reference(self, closed_form_runs):
         # byte for byte on every 10th nonempty region; empty regions project
         # to the one row 0 <= J1 + J2 - K, with FM's rounding of it
-        vectors, references, projections, _, _ = closed_form_runs
+        vectors, references, projections, _, _, _ = closed_form_runs
         feasible = [n for n, iv in enumerate(vectors) if iv.K <= iv.J1 + iv.J2 + 1e-9]
         assert len(feasible) > 6000
         for n in feasible[::10]:
@@ -527,6 +531,19 @@ class TestClosedForm:
             (row,) = projections[n].rows
             infeasible = [r for r in references[n] if not r[:3].any()]
             assert row.coeffs == (0.0, 0.0, 0.0) and row.constant == infeasible[0][3] < -1e-9
+
+    def test_rows_without_an_lp_are_never_implied(self, closed_form_runs):
+        # the all-row prune keeps R1 >= 0, R2 >= 0 and the sum-rate row on
+        # every nonempty region, so fme_project, which asks no LP about them,
+        # equals it byte for byte
+        vectors, _, projections, _, _, all_row = closed_form_runs
+        assert len(all_row) > 6000
+        for n, matrix in all_row.items():
+            kept = [tuple(row) for row in matrix.tolist()]
+            _, rows = vectors[n]._marton_rows
+            assert all(rows[i] in kept for i in (0, 1, 4)), vectors[n]
+            got, want = projections[n].to_json(), _as_system(matrix).to_json()
+            assert json.dumps(got) == json.dumps(want), vectors[n]
 
 
 def _highs_linprog(objective, a_ub, b_ub, bound):
@@ -577,7 +594,7 @@ class TestLinprog:
         optimum is optimal for that block."""
         optimize = pytest.importorskip("scipy.optimize")
         sparse = pytest.importorskip("scipy.sparse")
-        _, _, _, calls, decisions = closed_form_runs
+        _, _, _, calls, decisions, _ = closed_form_runs
         assert len(calls) == len(decisions) > 10**4
         assert all(call[4] is not None for call in calls)
         for start in range(0, len(calls), 500):
